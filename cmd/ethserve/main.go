@@ -45,6 +45,15 @@ import (
 	"repro/internal/store"
 )
 
+// Connection timeouts. A client that trickles its request headers, or
+// parks an idle keep-alive connection, is cut off instead of pinning a
+// connection forever. There is deliberately no WriteTimeout: SSE
+// progress streams are long-lived responses.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -93,7 +102,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	logf("ethserve: listening on %s, storing campaigns under %s", ln.Addr(), *storeDir)
 	if ready != nil {
 		ready <- ln.Addr().String()

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -133,5 +136,46 @@ func TestEndToEndSubmitFetchVerify(t *testing.T) {
 func TestServeRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-badflag"}, os.Stderr, nil); err == nil {
 		t.Fatal("bad flag must fail")
+	}
+}
+
+// TestSlowHeaderClientIsCutOff is the slow-loris regression test: a
+// client that sends half a request line and then stalls used to pin its
+// connection forever. The server must close it once readHeaderTimeout
+// passes, and must keep answering other clients while it waits.
+func TestSlowHeaderClientIsCutOff(t *testing.T) {
+	base, shutdown := startServe(t, t.TempDir())
+	defer shutdown()
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz while a slow client holds a connection: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: HTTP %d", resp.StatusCode)
+	}
+
+	// ReadAll returns once the server closes the connection (whatever it
+	// wrote first, or a reset); only our own deadline expiring means
+	// the server is still holding the connection open.
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("server still holds a half-sent request after %v", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, long before readHeaderTimeout %v", waited, readHeaderTimeout)
 	}
 }

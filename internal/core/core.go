@@ -117,18 +117,18 @@ type CampaignConfig struct {
 	// paper's always-on infrastructure. Nil keeps the campaign healthy
 	// — and byte-identical to the pre-fault engine.
 	Faults *faults.Config
-	// Shards enables sharded intra-run execution: the overlay is
-	// partitioned into one event lane per region, advanced concurrently
-	// under conservative lookahead by up to Shards worker goroutines.
-	// 0 (the default) keeps the single-engine path and its byte-exact
-	// artifact streams; when 0, the ETHREPRO_SHARDS environment
-	// variable (a positive integer) supplies the value instead. Any
-	// value >= 1 selects the sharded schedule, whose artifacts are
-	// byte-identical across all Shards values — the lane decomposition
-	// is fixed by the region enum, and Shards only sets the worker
-	// count (clamped to the region count). Sharded artifacts may differ
-	// from single-engine ones: per-lane RNG streams replace the single
-	// transport stream.
+	// Shards picks the transport's lane layout and scheduler. 0 (the
+	// default) runs the whole overlay as one lane on one engine; when
+	// 0, the ETHREPRO_SHARDS environment variable (a positive integer)
+	// supplies the value instead. Any value >= 1 runs one lane per
+	// region under a sim.Conductor, advanced concurrently under
+	// conservative lookahead by up to Shards worker goroutines; those
+	// artifacts are byte-identical across all Shards values — the lane
+	// decomposition is fixed by the region enum, and Shards only sets
+	// the worker count (clamped to the region count). The two layouts
+	// run the same transport code but are separate artifact families:
+	// region lanes draw from per-lane RNG streams forked off the single
+	// stream the one-lane layout uses.
 	Shards int
 }
 
@@ -188,9 +188,10 @@ type CampaignResult struct {
 type Campaign struct {
 	cfg    CampaignConfig
 	engine *sim.Engine
-	// cond drives sharded execution (nil single-engine); shards is the
-	// resolved worker count. engine is then the conductor's global lane
-	// — mining, workload and fault timers all live there.
+	// cond drives the region-lane layout (nil: one lane on engine);
+	// shards is the resolved worker count. engine is then the
+	// conductor's global lane — mining, workload and fault timers all
+	// live there.
 	cond    *sim.Conductor
 	shards  int
 	rng     *sim.RNG
@@ -438,17 +439,16 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 // and partitions/crashes only drop messages outright — no fault can
 // accelerate a delivery below the model's floor.
 //
-// ETHREPRO_UNIFORM_LOOKAHEAD=1 forces the pre-topology uniform 1 ms
-// matrix. The bounds only move phase-B window deadlines, never the
-// event schedule, so artifacts must be byte-identical either way —
-// the golden shard harness pins exactly that.
+// The bounds only move phase-B window deadlines, never the event
+// schedule, so artifacts must be byte-identical under any sound matrix;
+// TestShardedLookaheadBoundsInvariance pins that against the uniform
+// 1 ms one.
 func lookaheadBounds(m geo.LatencyModel) [][]sim.Time {
-	uniform := os.Getenv("ETHREPRO_UNIFORM_LOOKAHEAD") == "1"
 	bounds := make([][]sim.Time, geo.NumRegions)
 	for i, from := range geo.Regions() {
 		bounds[i] = make([]sim.Time, geo.NumRegions)
 		for j, to := range geo.Regions() {
-			if uniform {
+			if uniformLookahead {
 				bounds[i][j] = 1
 				continue
 			}
@@ -461,6 +461,10 @@ func lookaheadBounds(m geo.LatencyModel) [][]sim.Time {
 	}
 	return bounds
 }
+
+// uniformLookahead forces the pre-topology uniform 1 ms matrix. Only
+// shard_test.go sets it.
+var uniformLookahead bool
 
 // resolveShards maps the Shards knob (with the ETHREPRO_SHARDS
 // fallback when unset) to a worker count: 0 single-engine, otherwise
@@ -547,12 +551,13 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 	// releases and pending recoveries.
 	if c.cond != nil {
 		c.cond.Run(c.shards)
-		// Fold per-lane transport and protocol counters back into the
-		// network's public accounting before anything reads it.
-		c.network.FinishSharded()
 	} else {
 		c.engine.Run()
 	}
+	// Region lanes count privately: move their transport and protocol
+	// counters into the network's public accounting before anything
+	// reads it.
+	c.network.FoldLanes()
 	if c.injector != nil {
 		c.injector.Finalize(c.now())
 	}

@@ -84,34 +84,37 @@ func TestShardedCampaignInvariantAcrossShardCounts(t *testing.T) {
 	}
 }
 
+// shardFaultedCampaign runs all four fault classes at once, keeping raw
+// records so runs can be compared reception by reception.
+func shardFaultedCampaign(shards int) CampaignConfig {
+	horizon := 50 * 13300 * sim.Millisecond
+	cfg := faultCampaign(31, &faults.Config{
+		Crash: &faults.Crash{MeanBetween: horizon / 20, MeanDowntime: 30 * sim.Second},
+		Partitions: []faults.Partition{{
+			Start:    horizon / 4,
+			Duration: horizon / 4,
+			Regions:  []geo.Region{geo.EasternAsia, geo.Oceania},
+		}},
+		Loss:  &faults.Loss{DropProb: 0.01, ExtraDelayMean: 10 * sim.Millisecond},
+		Churn: &faults.Churn{MeanBetween: horizon / 30},
+	})
+	cfg.Streaming = false
+	cfg.Shards = shards
+	return cfg
+}
+
 // TestShardedFaultedCampaignInvariance runs all four fault classes
 // sharded and asserts shard-count invariance: partitions, loss draws,
 // crash/churn timing and the catch-up fetch must all come out of
 // region-keyed streams, never worker-keyed ones.
 func TestShardedFaultedCampaignInvariance(t *testing.T) {
-	horizon := 50 * 13300 * sim.Millisecond
-	faulted := func(shards int) CampaignConfig {
-		cfg := faultCampaign(31, &faults.Config{
-			Crash: &faults.Crash{MeanBetween: horizon / 20, MeanDowntime: 30 * sim.Second},
-			Partitions: []faults.Partition{{
-				Start:    horizon / 4,
-				Duration: horizon / 4,
-				Regions:  []geo.Region{geo.EasternAsia, geo.Oceania},
-			}},
-			Loss:  &faults.Loss{DropProb: 0.01, ExtraDelayMean: 10 * sim.Millisecond},
-			Churn: &faults.Churn{MeanBetween: horizon / 30},
-		})
-		cfg.Streaming = false
-		cfg.Shards = shards
-		return cfg
-	}
-	ref, refRes := digestOf(t, faulted(1))
+	ref, refRes := digestOf(t, shardFaultedCampaign(1))
 	if ref.Dropped == 0 {
 		t.Fatal("faulted reference dropped nothing; the test is vacuous")
 	}
 	refStats := *refRes.Faults
 	for _, shards := range []int{2, 6} {
-		got, res := digestOf(t, faulted(shards))
+		got, res := digestOf(t, shardFaultedCampaign(shards))
 		if got != ref {
 			t.Fatalf("shards=%d digest %+v, want %+v", shards, got, ref)
 		}
@@ -121,6 +124,53 @@ func TestShardedFaultedCampaignInvariance(t *testing.T) {
 		if !reflect.DeepEqual(res.Dataset.Records, refRes.Dataset.Records) {
 			t.Fatalf("shards=%d: measurement records differ from shards=1", shards)
 		}
+	}
+}
+
+// TestShardedLookaheadBoundsInvariance pins the lookahead soundness
+// claim from the record side: the topology-aware per-pair matrix is a
+// pure scheduling optimization, so a six-worker run under the
+// latency-model bounds must reproduce, reception for reception, the
+// same run forced back to the uniform 1 ms matrix. A difference would
+// mean a deadline overshot a real arrival — the back-dating bug the
+// merge asserts against, which shows up here as its panic — or that
+// window placement leaked into the simulation. The three classes take
+// the three deadline paths: a healthy campaign runs under the
+// mining-race GlobalHorizon, while a workload or a fault plan falls
+// back to the next-global-event bound.
+func TestShardedLookaheadBoundsInvariance(t *testing.T) {
+	healthy := DefaultCampaignConfig(17)
+	healthy.NetworkNodes = 150
+	healthy.Blocks = 30
+	healthy.Shards = 6
+	workload := shardCampaign(23)
+	workload.Shards = 6
+	for _, tc := range []struct {
+		name string
+		cfg  CampaignConfig
+	}{
+		{"healthy", healthy},
+		{"workload", workload},
+		{"faulted", shardFaultedCampaign(6)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() { uniformLookahead = false }()
+			want, wantRes := digestOf(t, tc.cfg)
+			uniformLookahead = true
+			got, gotRes := digestOf(t, tc.cfg)
+			if want.Records == 0 {
+				t.Fatalf("campaign too small to be meaningful: %+v", want)
+			}
+			if got != want {
+				t.Fatalf("uniform-lookahead digest %+v, want %+v", got, want)
+			}
+			if !reflect.DeepEqual(gotRes.Dataset.Records, wantRes.Dataset.Records) {
+				t.Fatal("measurement records differ between bound matrices")
+			}
+			if !reflect.DeepEqual(gotRes.Faults, wantRes.Faults) {
+				t.Fatalf("fault stats %+v, want %+v", gotRes.Faults, wantRes.Faults)
+			}
+		})
 	}
 }
 

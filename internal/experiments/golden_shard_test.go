@@ -137,32 +137,6 @@ func TestGoldenShardScenarioArtifactsInvariance(t *testing.T) {
 	}
 }
 
-// TestGoldenShardUniformLookaheadInvariance pins the tentpole's
-// soundness claim from the artifact side: the topology-aware per-pair
-// lookahead matrix is a pure scheduling optimization, so a sharded run
-// with the latency-model bounds must produce byte-identical artifacts
-// to the same run forced back to the uniform 1 ms matrix
-// (ETHREPRO_UNIFORM_LOOKAHEAD=1). A difference would mean a deadline
-// overshot a real arrival — the back-dating bug the merge asserts
-// against — or that window placement leaked into the simulation.
-func TestGoldenShardUniformLookaheadInvariance(t *testing.T) {
-	var specs []experiments.Spec
-	for _, s := range experiments.Specs() {
-		if goldenShortSpecs[s.ID] {
-			specs = append(specs, s)
-		}
-	}
-	if len(specs) == 0 {
-		t.Fatal("no specs selected")
-	}
-	bounds := filepath.Join(t.TempDir(), "bounds")
-	runGoldenSharded(t, specs, bounds, 6, 1, nil)
-	uniform := filepath.Join(t.TempDir(), "uniform")
-	t.Setenv("ETHREPRO_UNIFORM_LOOKAHEAD", "1")
-	runGoldenSharded(t, specs, uniform, 6, 1, nil)
-	assertDirsIdentical(t, bounds, uniform)
-}
-
 // TestGoldenShardStress100kInvariance is the sharded arm of `make
 // test-stress`: the 100,000-node scenario at full size, shards=6
 // against the shards=1 reference, both at -parallel 8. Opt-in via

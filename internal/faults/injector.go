@@ -59,14 +59,16 @@ type Injector struct {
 	downCount int
 	stats     Stats
 
-	// Sharded-transport state (EnableSharding): FilterLink is called
-	// concurrently from region lanes during phase B, so the loss model
-	// draws from a per-region RNG stream keyed by the sender's region
-	// and drop counts accumulate per region, folded into stats at
-	// Finalize. Nil/empty when the run is unsharded.
-	laneRNG  []*sim.RNG // indexed by geo.Region (slot 0 unused)
-	lanePart []uint64
-	laneLoss []uint64
+	// FilterLink state, indexed by the sender's geo.Region (slot 0
+	// unused): the loss-model RNG stream and the partition/loss drop
+	// counts, which Stats sums. A region lane only ever sends for its
+	// own nodes, and the global lane's phase-A sends run while every
+	// region engine is idle, so region-keyed state is single-writer even
+	// when region lanes call FilterLink concurrently. Every laneRNG slot
+	// is the injector's own stream until EnableSharding forks them.
+	laneRNG  [geo.NumRegions + 1]*sim.RNG
+	lanePart [geo.NumRegions + 1]uint64
+	laneLoss [geo.NumRegions + 1]uint64
 }
 
 // slot returns the dense index for id, growing the per-node slices to
@@ -112,6 +114,9 @@ func New(engine *sim.Engine, rng *sim.RNG, net *p2p.Network, cfg Config, degree 
 		net:    net,
 		cfg:    cfg,
 		degree: degree,
+	}
+	for r := range inj.laneRNG {
+		inj.laneRNG[r] = rng
 	}
 	for _, n := range protected {
 		if n != nil {
@@ -399,37 +404,10 @@ func (inj *Injector) removeEligible(n *p2p.Node) {
 }
 
 // FilterLink implements p2p.LinkFilter: partition cuts drop the send,
-// then the loss model gets its say. In a sharded run it is called
-// concurrently from region lanes, so the sharded variant keeps every
-// write and RNG draw keyed by the sender's region.
+// then the loss model gets its say. The sender's region selects both
+// the loss RNG stream and the drop counters (see laneRNG); the
+// partition check itself reads only the static schedule.
 func (inj *Injector) FilterLink(now sim.Time, from, to *p2p.Node) (sim.Time, error) {
-	if inj.laneRNG != nil {
-		return inj.filterLinkSharded(now, from, to)
-	}
-	if len(inj.cfg.Partitions) > 0 && inj.cfg.separated(now, from.Region(), to.Region()) {
-		inj.stats.DroppedPartition++
-		return 0, ErrPartitioned
-	}
-	var extra sim.Time
-	if l := inj.cfg.Loss; l != nil {
-		if l.DropProb > 0 && inj.rng.Bernoulli(l.DropProb) {
-			inj.stats.DroppedLoss++
-			return 0, ErrLinkLoss
-		}
-		if l.ExtraDelayMean > 0 {
-			extra = inj.rng.ExpTime(l.ExtraDelayMean)
-		}
-	}
-	return extra, nil
-}
-
-// filterLinkSharded is FilterLink for sharded transports. The sender's
-// region selects both the loss RNG stream and the drop counters: a
-// region lane only ever sends for its own nodes, and the global lane's
-// phase-A sends run while every region engine is idle, so region-keyed
-// state is single-writer by construction. The partition check itself
-// reads only the static schedule.
-func (inj *Injector) filterLinkSharded(now sim.Time, from, to *p2p.Node) (sim.Time, error) {
 	r := from.Region()
 	if len(inj.cfg.Partitions) > 0 && inj.cfg.separated(now, r, to.Region()) {
 		inj.lanePart[r]++
@@ -449,18 +427,15 @@ func (inj *Injector) filterLinkSharded(now sim.Time, from, to *p2p.Node) (sim.Ti
 	return extra, nil
 }
 
-// EnableSharding prepares FilterLink for concurrent region-lane calls:
-// one loss-model RNG stream per sender region — keyed by region, never
-// by worker, so the fault schedule stays invariant across shard
-// settings — plus per-region drop counters folded into Stats at
-// Finalize. Call it once, after construction, before the run starts.
+// EnableSharding prepares FilterLink for concurrent region-lane calls
+// by forking one loss-model RNG stream per sender region — keyed by
+// region, never by worker, so the fault schedule stays invariant across
+// shard settings. Call it once, after construction, before the run
+// starts.
 func (inj *Injector) EnableSharding() {
-	inj.laneRNG = make([]*sim.RNG, geo.NumRegions+1)
 	for r := geo.Region(1); r <= geo.NumRegions; r++ {
 		inj.laneRNG[r] = inj.rng.Fork("loss-" + r.String())
 	}
-	inj.lanePart = make([]uint64, geo.NumRegions+1)
-	inj.laneLoss = make([]uint64, geo.NumRegions+1)
 }
 
 // VisibilityDeferral is the mining-side partition hook
@@ -476,14 +451,6 @@ func (inj *Injector) VisibilityDeferral(now sim.Time, from, to geo.Region) sim.T
 // accrue their outage up to the horizon, and the partition schedule is
 // folded into total partition time.
 func (inj *Injector) Finalize(now sim.Time) {
-	for r := range inj.lanePart {
-		inj.stats.DroppedPartition += inj.lanePart[r]
-		inj.lanePart[r] = 0
-	}
-	for r := range inj.laneLoss {
-		inj.stats.DroppedLoss += inj.laneLoss[r]
-		inj.laneLoss[r] = 0
-	}
 	for _, since := range inj.downSince {
 		if since >= 0 {
 			inj.stats.CrashDowntime += now - since
@@ -501,5 +468,14 @@ func (inj *Injector) Finalize(now sim.Time) {
 	}
 }
 
-// Stats returns a copy of the event accounting.
-func (inj *Injector) Stats() Stats { return inj.stats }
+// Stats returns a copy of the event accounting, summing the
+// region-keyed drop counters on read. Call it only while no region lane
+// is running.
+func (inj *Injector) Stats() Stats {
+	st := inj.stats
+	for r := range inj.lanePart {
+		st.DroppedPartition += inj.lanePart[r]
+		st.DroppedLoss += inj.laneLoss[r]
+	}
+	return st
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/p2p/relay"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -132,39 +133,46 @@ func TestBlockCacheEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestMessagePoolReuse drives repeated dissemination and checks the
-// network recycles message structs instead of growing the pool per
-// send.
+// TestMessagePoolReuse drives repeated dissemination and checks, per
+// lane, that the transport recycles message structs instead of growing
+// the pool per send, and that every delivery and announce slot is back
+// on its free list once the run drains.
 func TestMessagePoolReuse(t *testing.T) {
-	net := zeroLatencyNetwork(t, 4)
-	nodes := make([]*Node, 8)
-	for i := range nodes {
-		nodes[i] = addNode(t, net, geo.WesternEurope, 0)
-	}
-	for i := 1; i < len(nodes); i++ {
-		if err := net.Connect(nodes[0], nodes[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		nodes[0].InjectBlock(sim.Time(i*1000), testBlock(uint64(i+1), "F2Pool"))
-		net.Engine().Run()
-	}
-	// All in-flight messages were delivered and released; the free
-	// pool now holds every message ever allocated.
-	allocated := len(net.msgFree)
-	if allocated == 0 {
-		t.Fatal("no pooled messages after 50 dissemination rounds")
-	}
-	if uint64(allocated) == net.MessagesSent {
-		t.Fatalf("pool holds %d messages for %d sends: no reuse happened",
-			allocated, net.MessagesSent)
-	}
-	if len(net.delivFree) != len(net.deliv) {
-		t.Fatalf("delivery slab leak: %d slots, %d free", len(net.deliv), len(net.delivFree))
-	}
-	if len(net.annFree) != len(net.ann) {
-		t.Fatalf("announce slab leak: %d slots, %d free", len(net.ann), len(net.annFree))
+	for _, lay := range laneLayouts {
+		t.Run(lay.name, func(t *testing.T) {
+			f := newLayoutFixture(t, lay.regionLanes, 4, relay.SqrtPush)
+			nodes := f.addSpread(t, 12)
+			if err := f.net.WireRandom(4); err != nil {
+				t.Fatal(err)
+			}
+			f.start(t)
+			for i, blk := range chainOf(50) {
+				nodes[(7*i)%len(nodes)].InjectBlock(f.now(), blk)
+				f.run(2)
+			}
+			f.net.FoldLanes()
+			pooled := 0
+			for i, ln := range f.net.all {
+				pooled += len(ln.msgFree)
+				if len(ln.delivFree) != len(ln.deliv) {
+					t.Errorf("lane %d delivery slab leak: %d slots, %d free", i, len(ln.deliv), len(ln.delivFree))
+				}
+				if len(ln.annFree) != len(ln.ann) {
+					t.Errorf("lane %d announce slab leak: %d slots, %d free", i, len(ln.ann), len(ln.annFree))
+				}
+				if len(ln.cross) != 0 {
+					t.Errorf("lane %d cross buffer holds %d undelivered messages", i, len(ln.cross))
+				}
+			}
+			// All in-flight messages were delivered and released; the
+			// free pools now hold every message ever allocated.
+			if pooled == 0 {
+				t.Fatal("no pooled messages after 50 dissemination rounds")
+			}
+			if uint64(pooled) >= f.net.MessagesSent {
+				t.Fatalf("pools hold %d messages for %d sends: no reuse happened", pooled, f.net.MessagesSent)
+			}
+		})
 	}
 }
 

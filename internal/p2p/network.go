@@ -24,12 +24,11 @@ import (
 // 100k nodes the overlay is a handful of large allocations instead of
 // ~a million live maps.
 //
-// Transport is allocation-free in the steady state: messages and
-// delivery slots come from free lists, deliveries and deferred
-// announce waves are dispatched through the engine's typed-handler
-// path (no closure per send), and fan-out selection reuses shared
-// scratch buffers. The engine is single-threaded, so one scratch set
-// per network is safe.
+// Transport — sends, deliveries and announce waves — runs on lanes
+// (lane.go): a network built on a bare engine owns one home lane bound
+// to that engine and to its own RNG stream, and EnableSharding swaps in
+// one lane per region (shard.go). Both layouts run the same code; only
+// the lane table differs.
 type Network struct {
 	engine  *sim.Engine
 	rng     *sim.RNG
@@ -82,30 +81,21 @@ type Network struct {
 	knowCount []uint8
 	spill     [][]spillMark
 
-	// MessagesSent counts transport-level sends, for redundancy and
-	// overhead accounting.
-	MessagesSent uint64
-	// BytesSent accumulates serialized payload bytes.
-	BytesSent uint64
-	// MessagesDropped counts transport sends and in-flight deliveries
-	// discarded by faults: down endpoints, partitions, link loss.
-	// Always zero on a healthy network.
-	MessagesDropped uint64
-	// classMsgs / classBytes break MessagesSent and BytesSent down per
-	// message class (indexed by MsgKind) — the per-protocol bandwidth
-	// accounting. Their sums equal the totals by construction; the
-	// relay conformance suite asserts it.
-	classMsgs  [msgKindCount]uint64
-	classBytes [msgKindCount]uint64
-	// relayProto is the pluggable block-relay discipline driving
-	// dissemination (default: the eth/63 sqrt-push rule the paper's
-	// network runs). relayCompact caches the compact-family interface
-	// assertion so per-message dispatch pays no type switch.
-	relayProto   relay.Protocol
-	relayCompact relay.CompactHandler
-	// env is the reusable relay.Env view handed to the protocol; the
-	// engine is single-threaded, so one per network is safe.
-	env relayEnv
+	// Transport totals (MessagesSent, BytesSent, MessagesDropped and the
+	// per-class breakdown). On the one-lane layout the home lane writes
+	// them directly, so they are live; region lanes count privately and
+	// FoldLanes moves their counts here once the run has drained.
+	transportCounters
+
+	// home is the lane a bare-engine network runs on. It carries the
+	// primary relay protocol instance (Relay) whichever layout is
+	// active. lanes maps a region to the lane owning its nodes (1-based;
+	// slot 0 unused) and all is the dense view for iteration: every
+	// slot aliases home until EnableSharding installs the region lanes.
+	home  *netLane
+	lanes [geo.NumRegions + 1]*netLane
+	all   []*netLane
+
 	// Fault, when non-nil, is consulted once per transport send: it can
 	// drop the message (partition, link loss) or stretch its delivery
 	// delay (degraded links). Healthy campaigns leave it nil, keeping
@@ -119,24 +109,9 @@ type Network struct {
 	// pre-fault engine.
 	ParentPull bool
 
-	// Pooled transport state (see HandleEvent).
-	msgFree   []*Message
-	deliv     []delivery
-	delivFree []int32
-	ann       []announce
-	annFree   []int32
-
-	// Shared fan-out scratch: candidate span positions, permutation
-	// order, and the membership bitmap ConnectSampleBiased uses to
+	// memberBits is the membership bitmap ConnectSampleBiased uses to
 	// filter candidates in O(1) per node.
-	candBuf    []int32
-	orderBuf   []int
 	memberBits []uint64
-
-	// sh, when non-nil, partitions the transport across per-region
-	// lanes driven by a sim.Conductor (shard.go). Nil keeps every path
-	// below byte-identical to the single-engine transport.
-	sh *shardState
 }
 
 // handleChunk sizes the node-handle arena chunks.
@@ -178,14 +153,13 @@ const (
 )
 
 // Relay returns the active block-relay protocol.
-func (net *Network) Relay() relay.Protocol { return net.relayProto }
+func (net *Network) Relay() relay.Protocol { return net.home.proto }
 
 // SetRelay installs a block-relay protocol (construct one fresh per
 // network with relay.New — protocol counters are per-campaign state).
-func (net *Network) SetRelay(p relay.Protocol) {
-	net.relayProto = p
-	net.relayCompact, _ = p.(relay.CompactHandler)
-}
+// Call it before EnableSharding, which builds the region lanes' own
+// instances.
+func (net *Network) SetRelay(p relay.Protocol) { net.home.setProto(p) }
 
 // ClassTotal is one message class's transport accounting.
 type ClassTotal struct {
@@ -196,7 +170,8 @@ type ClassTotal struct {
 
 // ClassTotals returns the per-message-class transport accounting, in
 // MsgKind order, omitting classes that never appeared. The sums over
-// the returned rows equal MessagesSent and BytesSent.
+// the returned rows equal MessagesSent and BytesSent. Like those, it
+// covers region lanes only after FoldLanes.
 func (net *Network) ClassTotals() []ClassTotal {
 	var out []ClassTotal
 	for k := MsgKind(1); k < msgKindCount; k++ {
@@ -232,15 +207,19 @@ func NewNetwork(engine *sim.Engine, rng *sim.RNG, latency geo.LatencyModel) *Net
 		rng:     rng,
 		latency: latency,
 	}
+	net.home = newLane(net, engine, rng, &net.transportCounters)
+	net.all = []*netLane{net.home}
+	for r := range net.lanes {
+		net.lanes[r] = net.home
+	}
 	net.SetRelay(relay.MustNew(relay.Config{}))
-	net.env.net = net
 	return net
 }
 
-// envFor points the network's reusable relay.Env view at a node with
-// no in-flight sender context. Calls are strictly nested within one
-// engine event, so an instance is never aliased across nodes
-// concurrently — in sharded mode each lane repoints its own env.
+// envFor points the owning lane's reusable relay.Env view at a node
+// with no in-flight sender context. Calls are strictly nested within
+// one engine event, and each lane repoints its own env, so an instance
+// is never aliased across nodes concurrently.
 func (net *Network) envFor(n *Node, now sim.Time) *relayEnv {
 	return net.envForMsg(n, now, -1, -1)
 }
@@ -252,10 +231,7 @@ func (net *Network) envFor(n *Node, now sim.Time) *relayEnv {
 // schedule through the env relative to it, which must stay correct
 // even when the executing lane's clock trails global time (phase A).
 func (net *Network) envForMsg(n *Node, now sim.Time, fromIdx, pos int32) *relayEnv {
-	env := &net.env
-	if ln := net.laneOf(n.idx()); ln != nil {
-		env = &ln.env
-	}
+	env := &net.laneOf(n.idx()).env
 	env.node = n
 	env.nodeIdx = n.idx()
 	env.fromIdx = fromIdx
@@ -537,46 +513,6 @@ func (net *Network) RecoverNode(n *Node) {
 	net.down[n.idx()] = false
 }
 
-// newMessage takes a message from the executing lane's pool — the
-// network pool unsharded, the lane owning node i sharded (the handler
-// running on node i's lane is the only writer of that pool; a message
-// may be released into a different lane's pool after a cross-lane
-// hop, which is fine — pools are plain free lists). The caller fills
-// exactly the payload field its kind requires; every other payload
-// field is zero.
-func (net *Network) newMessage(i int32, kind MsgKind) *Message {
-	free := &net.msgFree
-	if ln := net.laneOf(i); ln != nil {
-		free = &ln.msgFree
-	}
-	if n := len(*free); n > 0 {
-		m := (*free)[n-1]
-		*free = (*free)[:n-1]
-		m.Kind = kind
-		return m
-	}
-	return &Message{Kind: kind}
-}
-
-// releaseMessage recycles a delivered message into the executing
-// lane's pool (ln nil unsharded). Payload slices are dropped, not
-// reused: a transaction batch is shared by every fan-out copy, so its
-// backing array must never be rewritten. The inline single-hash buffer
-// is owned by the message and is safely rewritten on reuse.
-func (net *Network) releaseMessageIn(ln *netLane, m *Message) {
-	m.Block = nil
-	m.Hashes = nil
-	m.Txs = nil
-	m.Want = types.Hash{}
-	m.TxCount = 0
-	m.TxBytes = 0
-	if ln != nil {
-		ln.msgFree = append(ln.msgFree, m)
-		return
-	}
-	net.msgFree = append(net.msgFree, m)
-}
-
 // send schedules delivery of msg from a to b at the latency-model
 // sampled arrival time relative to `at`. The delivery is a typed
 // engine event referencing a pooled delivery slot — no closure.
@@ -587,9 +523,9 @@ func (net *Network) releaseMessageIn(ln *netLane, m *Message) {
 // counted in MessagesDropped).
 func (net *Network) send(at sim.Time, from, to *Node, msg *Message, srcPos int32) {
 	fi, ti := from.idx(), to.idx()
-	ln := net.laneOf(fi) // executing lane; nil unsharded
+	ln := net.laneOf(fi) // executing lane
 	if net.down[fi] || net.down[ti] {
-		net.drop(ln, msg)
+		ln.drop(msg)
 		return
 	}
 	var extra sim.Time
@@ -597,20 +533,16 @@ func (net *Network) send(at sim.Time, from, to *Node, msg *Message, srcPos int32
 		var err error
 		extra, err = net.Fault.FilterLink(at, from, to)
 		if err != nil {
-			net.drop(ln, msg)
+			ln.drop(msg)
 			return
 		}
 	}
 	size := msg.Size()
-	rng := net.rng
-	if ln != nil {
-		rng = ln.rng
-	}
-	delay, err := net.latency.Sample(rng, net.regions[fi], net.regions[ti], size)
+	delay, err := net.latency.Sample(ln.rng, net.regions[fi], net.regions[ti], size)
 	if err != nil {
 		// Regions are validated at AddNode; a failure here is a
 		// programming error. The old zero-delay fallback was a time
-		// bomb: in sharded mode a zero-delay cross-lane message can
+		// bomb: on region lanes a zero-delay cross-lane message can
 		// arrive at or before the destination lane's clock, silently
 		// violating the lookahead invariant mergeCross asserts. Clamp
 		// to the pair floor instead; if even that fails the regions
@@ -622,33 +554,13 @@ func (net *Network) send(at sim.Time, from, to *Node, msg *Message, srcPos int32
 			delay = 1
 		}
 	}
-	if ln == nil {
-		net.MessagesSent++
-		net.BytesSent += uint64(size)
-		net.classMsgs[msg.Kind]++
-		net.classBytes[msg.Kind] += uint64(size)
-	} else {
-		ln.msgsSent++
-		ln.bytesSent += uint64(size)
-		ln.classMsgs[msg.Kind]++
-		ln.classBytes[msg.Kind] += uint64(size)
-	}
+	ln.ctr.MessagesSent++
+	ln.ctr.BytesSent += uint64(size)
+	ln.ctr.classMsgs[msg.Kind]++
+	ln.ctr.classBytes[msg.Kind] += uint64(size)
 	net.msgsOut[fi]++
 	net.bytesOut[fi] += uint64(size)
-	if ln == nil {
-		var idx int32
-		if n := len(net.delivFree); n > 0 {
-			idx = net.delivFree[n-1]
-			net.delivFree = net.delivFree[:n-1]
-		} else {
-			net.deliv = append(net.deliv, delivery{})
-			idx = int32(len(net.deliv) - 1)
-		}
-		net.deliv[idx] = delivery{to: to, from: from.id, msg: msg, size: int32(size), srcPos: srcPos}
-		net.engine.ScheduleCallAt(at+delay+extra, net, opDeliver, uint64(idx))
-		return
-	}
-	if dl := net.sh.lanes[net.regions[ti]]; dl == ln {
+	if net.laneOf(ti) == ln {
 		idx := ln.acquireDeliv()
 		ln.deliv[idx] = delivery{to: to, from: from.id, msg: msg, size: int32(size), srcPos: srcPos}
 		ln.engine.ScheduleCallAt(at+delay+extra, ln, opDeliver, uint64(idx))
@@ -668,37 +580,13 @@ func (net *Network) send(at sim.Time, from, to *Node, msg *Message, srcPos int32
 	ln.emitSeq++
 }
 
-// drop counts and recycles an undeliverable message on the executing
-// lane.
-func (net *Network) drop(ln *netLane, msg *Message) {
-	if ln != nil {
-		ln.dropped++
-	} else {
-		net.MessagesDropped++
-	}
-	net.releaseMessageIn(ln, msg)
-}
-
 // scheduleAnnounce queues a node's deferred announce wave (relay
 // phase 2) through the typed dispatch path, at an absolute virtual
 // time. Announce waves always run on the node's own lane; absolute
 // scheduling keeps them correct when the lane clock trails the
-// emitting event's time (phase A injections in sharded mode).
+// emitting event's time (phase A injections on region lanes).
 func (net *Network) scheduleAnnounce(at sim.Time, n *Node, h types.Hash, origin bool) {
 	ln := net.laneOf(n.idx())
-	if ln == nil {
-		var idx int32
-		if k := len(net.annFree); k > 0 {
-			idx = net.annFree[k-1]
-			net.annFree = net.annFree[:k-1]
-		} else {
-			net.ann = append(net.ann, announce{})
-			idx = int32(len(net.ann) - 1)
-		}
-		net.ann[idx] = announce{node: n, hash: h, origin: origin}
-		net.engine.ScheduleCallAt(at, net, opAnnounce, uint64(idx))
-		return
-	}
 	var idx int32
 	if k := len(ln.annFree); k > 0 {
 		idx = ln.annFree[k-1]
@@ -709,66 +597,4 @@ func (net *Network) scheduleAnnounce(at sim.Time, n *Node, h types.Hash, origin 
 	}
 	ln.ann[idx] = announce{node: n, hash: h, origin: origin}
 	ln.engine.ScheduleCallAt(at, ln, opAnnounce, uint64(idx))
-}
-
-// HandleEvent implements sim.Handler: it dispatches the network's two
-// typed event kinds. Slots are freed before the callee runs so nested
-// sends can immediately reuse them.
-func (net *Network) HandleEvent(now sim.Time, op, idx uint64) {
-	switch op {
-	case opDeliver:
-		d := net.deliv[idx]
-		net.deliv[idx] = delivery{}
-		net.delivFree = append(net.delivFree, int32(idx))
-		ti := d.to.idx()
-		if net.down[ti] {
-			// The destination crashed while the message was in flight;
-			// its TCP connections are gone, so the bytes never arrive.
-			net.MessagesDropped++
-			net.releaseMessageIn(nil, d.msg)
-			return
-		}
-		net.msgsIn[ti]++
-		net.bytesIn[ti] += uint64(d.size)
-		d.to.handle(now, d.from, d.srcPos, d.msg)
-		net.releaseMessageIn(nil, d.msg)
-	case opAnnounce:
-		a := net.ann[idx]
-		net.ann[idx] = announce{}
-		net.annFree = append(net.annFree, int32(idx))
-		if net.down[a.node.idx()] {
-			// The wave was scheduled before the node crashed.
-			return
-		}
-		net.relayProto.OnWave(net.envFor(a.node, now), now, a.hash, a.origin)
-	}
-}
-
-// EventName implements sim.EventNamer: it labels the network's typed
-// events in engine traces.
-func (net *Network) EventName(op uint64) string {
-	switch op {
-	case opDeliver:
-		return "p2p.deliver"
-	case opAnnounce:
-		return "p2p.announce"
-	default:
-		return "p2p.unknown"
-	}
-}
-
-// fanoutOrder fills the executing lane's permutation scratch with a
-// random ordering of [0, n), drawing exactly as rng.Perm(n) would
-// from that lane's stream (ln nil: the network scratch and RNG).
-func (net *Network) fanoutOrder(ln *netLane, n int) []int {
-	buf, rng := &net.orderBuf, net.rng
-	if ln != nil {
-		buf, rng = &ln.orderBuf, ln.rng
-	}
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	out := (*buf)[:n]
-	rng.PermInto(out)
-	return out
 }

@@ -184,21 +184,23 @@ func (n *Node) handle(now sim.Time, from NodeID, srcPos int32, msg *Message) {
 	case MsgTransactions:
 		n.handleTxs(now, from, msg.Txs)
 	case MsgCompactBlock:
-		if msg.Block == nil || n.net.relayCompact == nil {
+		compact := n.net.laneOf(i).compact
+		if msg.Block == nil || compact == nil {
 			return
 		}
 		n.markPeerKnows(msg.Block.Hash(), from, pos)
 		n.maybePullParent(now, from, pos, msg.Block)
-		n.net.compactFor(i).OnCompact(n.net.envForMsg(n, now, fi, pos), now, int(from), msg.Block)
+		compact.OnCompact(n.net.envForMsg(n, now, fi, pos), now, int(from), msg.Block)
 	case MsgGetCompact:
 		n.handleGetCompact(now, from, pos, msg.Want)
 	case MsgGetBlockTxns:
 		n.handleGetBlockTxns(now, from, pos, msg)
 	case MsgBlockTxns:
-		if n.net.relayCompact == nil {
+		compact := n.net.laneOf(i).compact
+		if compact == nil {
 			return
 		}
-		n.net.compactFor(i).OnBlockTxns(n.net.envForMsg(n, now, fi, pos), now, int(from), msg.Want)
+		compact.OnBlockTxns(n.net.envForMsg(n, now, fi, pos), now, int(from), msg.Want)
 	}
 }
 
@@ -220,15 +222,18 @@ func (n *Node) InjectBlock(now sim.Time, b *types.Block) {
 	if n.net.down[n.idx()] {
 		return
 	}
-	if n.net.sh != nil {
-		// Sharded: force the block's lazily cached derived values while
-		// still single-threaded (injection runs in phase A). Peers in
+	// Both steps below are for concurrent region lanes only; a single
+	// lane keeps its lazy fills and grow-on-demand arenas.
+	sharded := n.net.Sharded()
+	if sharded {
+		// Force the block's lazily cached derived values while still
+		// single-threaded (injection runs in phase A). Peers in
 		// different lanes may serve the body concurrently later, and a
 		// first-call cache fill from phase B would race.
 		precomputeSizes(b)
 	}
 	n.acceptBlock(now, b, true)
-	if n.net.sh != nil {
+	if sharded {
 		// acceptBlock interned the new block; size the shared bit
 		// grids for it now, while lanes are idle. Growth from phase B
 		// would relocate grid storage under concurrent lane reads —
@@ -244,13 +249,14 @@ func (n *Node) InjectTx(now sim.Time, tx *types.Transaction) {
 	if n.net.down[n.idx()] {
 		return
 	}
-	if n.net.sh != nil {
+	sharded := n.net.Sharded()
+	if sharded {
 		// Same phase-A cache-fill rule as InjectBlock.
 		_ = tx.Hash()
 		_ = tx.EncodedSize()
 	}
 	n.handleTxs(now, n.id, []*types.Transaction{tx})
-	if n.net.sh != nil {
+	if sharded {
 		// Same phase-A presize rule as InjectBlock (txBits grew).
 		n.net.presizeArenas()
 	}
@@ -319,7 +325,7 @@ func (n *Node) acceptBlock(now sim.Time, b *types.Block, origin bool) {
 	if !n.net.relayOn[i] || n.net.top.degree(i) == 0 {
 		return
 	}
-	n.net.protoFor(i).OnBlock(n.net.envFor(n, now), now, b, origin)
+	n.net.laneOf(i).proto.OnBlock(n.net.envFor(n, now), now, b, origin)
 }
 
 func (n *Node) handleAnnouncement(now sim.Time, from NodeID, pos int32, hashes []types.Hash) {
@@ -337,7 +343,7 @@ func (n *Node) handleAnnouncement(now sim.Time, from NodeID, pos int32, hashes [
 		n.net.seenBits.set(i, idx)
 		// Pull the unknown block from the announcer, in whatever form
 		// the relay discipline fetches bodies.
-		n.net.protoFor(i).OnAnnouncePull(n.net.envForMsg(n, now, int32(from-1), pos), now, int(from), h)
+		n.net.laneOf(i).proto.OnAnnouncePull(n.net.envForMsg(n, now, int32(from-1), pos), now, int(from), h)
 	}
 }
 
@@ -372,7 +378,7 @@ func (n *Node) handleGetCompact(now sim.Time, from NodeID, pos int32, want types
 	// Pull responses count as sent sketches alongside the push wave's,
 	// keeping Counters.SketchesSent equal to the CompactBlock class
 	// counter.
-	n.net.protoFor(n.idx()).Counters().SketchesSent++
+	n.net.laneOf(n.idx()).proto.Counters().SketchesSent++
 	m := n.net.newMessage(n.idx(), MsgCompactBlock)
 	m.Block = b
 	n.net.send(now+blockRequestRespondMs, n, requester, m, n.respPos(pos))

@@ -27,6 +27,18 @@ import (
 //     delivery traces and counters. (The -parallel 1 vs 8 gate for
 //     relay campaigns lives in internal/experiments/golden_test.go,
 //     which covers R1, R2 and relay-compare.json.)
+//
+// The transport is one piece of code on two lane layouts, so the lane
+// layout is a fixture input and the suite runs on both.
+
+// laneLayouts names the two layouts a network can be driven on.
+var laneLayouts = []struct {
+	name        string
+	regionLanes bool
+}{
+	{"one-lane", false},
+	{"region-lanes", true},
+}
 
 // fixtureResult is everything one conformance run produces.
 type fixtureResult struct {
@@ -42,10 +54,17 @@ type fixtureResult struct {
 
 // runFixture builds a fresh overlay under the given protocol, gossips
 // a transaction population, then injects a chain of blocks whose
-// bodies overlap the gossiped pool, and drains the engine.
-func runFixture(t *testing.T, cfg relay.Config, seed uint64) *fixtureResult {
+// bodies overlap the gossiped pool, and drains the run: on a bare
+// engine (the one-lane layout), or with region lanes under a conductor
+// whose global lane carries the injections.
+func runFixture(t *testing.T, cfg relay.Config, seed uint64, regionLanes bool) *fixtureResult {
 	t.Helper()
 	engine := sim.NewEngine()
+	var cond *sim.Conductor
+	if regionLanes {
+		cond = sim.NewConductor(geo.NumRegions)
+		engine = cond.Global()
+	}
 	rng := sim.NewRNG(seed)
 	latency := geo.DefaultLatencyModel()
 	net := p2p.NewNetwork(engine, rng.Fork("network"), latency)
@@ -67,6 +86,9 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64) *fixtureResult {
 	}
 	if err := net.WireRandom(8); err != nil {
 		t.Fatal(err)
+	}
+	if regionLanes {
+		net.EnableSharding(cond, func() relay.Protocol { return relay.MustNew(cfg) })
 	}
 	for _, n := range res.nodes {
 		n := n
@@ -130,7 +152,14 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64) *fixtureResult {
 		engine.Schedule(sim.Time(10_000*(k+1)), func(now sim.Time) { origin.InjectBlock(now, blk) })
 	}
 
-	engine.Run()
+	if regionLanes {
+		// One worker: the observers above share one trace, and a single
+		// phase-B worker runs the lanes one after another.
+		cond.Run(1)
+	} else {
+		engine.Run()
+	}
+	net.FoldLanes()
 	return res
 }
 
@@ -138,93 +167,100 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64) *fixtureResult {
 // discipline (preserved byte-identically) runs a single sqrt-bounded
 // announce wave per holder, so full coverage of a small fixture is
 // probabilistic in the wiring; this seed gives every discipline full
-// coverage, making the liveness assertion exact rather than
+// coverage on both lane layouts, making the liveness assertion exact rather than
 // statistical. If a protocol change breaks it, rerun the suite across
 // nearby seeds before concluding the invariant itself regressed.
-const conformanceSeed = 27
+const conformanceSeed = 28
 
 // TestProtocolConformance runs every registered protocol through the
-// fixture and asserts the shared invariants.
+// fixture, on both lane layouts, and asserts the shared invariants.
 func TestProtocolConformance(t *testing.T) {
 	for _, mode := range relay.Modes() {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			res := runFixture(t, relay.Config{Mode: mode}, conformanceSeed)
-
-			// 1. Liveness: every node holds every block.
-			for _, blk := range res.blocks {
-				for _, n := range res.nodes {
-					if !n.KnowsBlock(blk.Hash()) {
-						t.Fatalf("node %d never received block %d under %s",
-							n.ID(), blk.Header.Number, mode)
-					}
-				}
-			}
-
-			// 2. No duplicate fetches per (requester, block, kind).
-			for key, count := range res.requests {
-				if count > 1 {
-					t.Errorf("duplicate request %s issued %d times under %s", key, count, mode)
-				}
-			}
-
-			// 3. Accounting: class counters and per-node egress sum to
-			// the transport totals; the drained healthy fixture also
-			// delivers every counted byte.
-			var classMsgs, classBytes uint64
-			for _, ct := range res.net.ClassTotals() {
-				classMsgs += ct.Messages
-				classBytes += ct.Bytes
-			}
-			if classMsgs != res.net.MessagesSent || classBytes != res.net.BytesSent {
-				t.Errorf("class totals %d msgs/%d bytes, want %d/%d",
-					classMsgs, classBytes, res.net.MessagesSent, res.net.BytesSent)
-			}
-			var egress, ingress uint64
-			for _, n := range res.nodes {
-				egress += n.BytesOut()
-				ingress += n.BytesIn()
-			}
-			if egress != res.net.BytesSent {
-				t.Errorf("egress sum %d, want BytesSent %d", egress, res.net.BytesSent)
-			}
-			if ingress != res.net.BytesSent {
-				t.Errorf("ingress sum %d, want BytesSent %d on a drained healthy network", ingress, res.net.BytesSent)
-			}
-			if res.net.MessagesDropped != 0 {
-				t.Errorf("healthy fixture dropped %d messages", res.net.MessagesDropped)
-			}
-
-			// The compact discipline must actually exercise its
-			// reconstruction paths on this fixture (pool hits and the
-			// private-tx round trips/fallbacks).
-			ctr := res.net.Relay().Counters()
-			if mode == relay.Compact {
-				if ctr.ReconstructFull == 0 {
-					t.Error("compact fixture produced no full reconstructions")
-				}
-				if ctr.ReconstructPartial+ctr.ReconstructFallback == 0 {
-					t.Error("compact fixture never exercised missing-tx handling")
-				}
-			} else if ctr.Attempts() != 0 || ctr.SketchesSent != 0 {
-				t.Errorf("%s reported sketch activity: %+v", mode, *ctr)
-			}
-
-			// 4. Determinism: a fresh run at the same seed replays the
-			// exact delivery trace.
-			again := runFixture(t, relay.Config{Mode: mode}, conformanceSeed)
-			if len(again.trace) != len(res.trace) {
-				t.Fatalf("rerun trace length %d, want %d", len(again.trace), len(res.trace))
-			}
-			for i := range res.trace {
-				if res.trace[i] != again.trace[i] {
-					t.Fatalf("trace diverges at %d: %s vs %s", i, res.trace[i], again.trace[i])
-				}
-			}
-			if again.net.BytesSent != res.net.BytesSent {
-				t.Fatalf("rerun bytes %d, want %d", again.net.BytesSent, res.net.BytesSent)
+			for _, lay := range laneLayouts {
+				lay := lay
+				t.Run(lay.name, func(t *testing.T) { checkConformance(t, mode, lay.regionLanes) })
 			}
 		})
+	}
+}
+
+func checkConformance(t *testing.T, mode relay.Mode, regionLanes bool) {
+	res := runFixture(t, relay.Config{Mode: mode}, conformanceSeed, regionLanes)
+
+	// 1. Liveness: every node holds every block.
+	for _, blk := range res.blocks {
+		for _, n := range res.nodes {
+			if !n.KnowsBlock(blk.Hash()) {
+				t.Fatalf("node %d never received block %d under %s",
+					n.ID(), blk.Header.Number, mode)
+			}
+		}
+	}
+
+	// 2. No duplicate fetches per (requester, block, kind).
+	for key, count := range res.requests {
+		if count > 1 {
+			t.Errorf("duplicate request %s issued %d times under %s", key, count, mode)
+		}
+	}
+
+	// 3. Accounting: class counters and per-node egress sum to
+	// the transport totals; the drained healthy fixture also
+	// delivers every counted byte.
+	var classMsgs, classBytes uint64
+	for _, ct := range res.net.ClassTotals() {
+		classMsgs += ct.Messages
+		classBytes += ct.Bytes
+	}
+	if classMsgs != res.net.MessagesSent || classBytes != res.net.BytesSent {
+		t.Errorf("class totals %d msgs/%d bytes, want %d/%d",
+			classMsgs, classBytes, res.net.MessagesSent, res.net.BytesSent)
+	}
+	var egress, ingress uint64
+	for _, n := range res.nodes {
+		egress += n.BytesOut()
+		ingress += n.BytesIn()
+	}
+	if egress != res.net.BytesSent {
+		t.Errorf("egress sum %d, want BytesSent %d", egress, res.net.BytesSent)
+	}
+	if ingress != res.net.BytesSent {
+		t.Errorf("ingress sum %d, want BytesSent %d on a drained healthy network", ingress, res.net.BytesSent)
+	}
+	if res.net.MessagesDropped != 0 {
+		t.Errorf("healthy fixture dropped %d messages", res.net.MessagesDropped)
+	}
+
+	// The compact discipline must actually exercise its
+	// reconstruction paths on this fixture (pool hits and the
+	// private-tx round trips/fallbacks).
+	ctr := res.net.Relay().Counters()
+	if mode == relay.Compact {
+		if ctr.ReconstructFull == 0 {
+			t.Error("compact fixture produced no full reconstructions")
+		}
+		if ctr.ReconstructPartial+ctr.ReconstructFallback == 0 {
+			t.Error("compact fixture never exercised missing-tx handling")
+		}
+	} else if ctr.Attempts() != 0 || ctr.SketchesSent != 0 {
+		t.Errorf("%s reported sketch activity: %+v", mode, *ctr)
+	}
+
+	// 4. Determinism: a fresh run at the same seed replays the
+	// exact delivery trace.
+	again := runFixture(t, relay.Config{Mode: mode}, conformanceSeed, regionLanes)
+	if len(again.trace) != len(res.trace) {
+		t.Fatalf("rerun trace length %d, want %d", len(again.trace), len(res.trace))
+	}
+	for i := range res.trace {
+		if res.trace[i] != again.trace[i] {
+			t.Fatalf("trace diverges at %d: %s vs %s", i, res.trace[i], again.trace[i])
+		}
+	}
+	if again.net.BytesSent != res.net.BytesSent {
+		t.Fatalf("rerun bytes %d, want %d", again.net.BytesSent, res.net.BytesSent)
 	}
 }
 
@@ -232,7 +268,7 @@ func TestProtocolConformance(t *testing.T) {
 // full-body/announce split: a higher fraction pushes more bodies.
 func TestHybridPushFraction(t *testing.T) {
 	bodies := func(fraction float64) uint64 {
-		res := runFixture(t, relay.Config{Mode: relay.Hybrid, PushFraction: fraction}, 77)
+		res := runFixture(t, relay.Config{Mode: relay.Hybrid, PushFraction: fraction}, 77, false)
 		for _, ct := range res.net.ClassTotals() {
 			if ct.Kind == p2p.MsgNewBlock {
 				return ct.Messages
@@ -250,7 +286,7 @@ func TestHybridPushFraction(t *testing.T) {
 // of ~0 turns every miss into a full-body fetch, eliminating
 // missing-tx round trips.
 func TestCompactFallbackThreshold(t *testing.T) {
-	res := runFixture(t, relay.Config{Mode: relay.Compact, FallbackThreshold: 0.001}, 99)
+	res := runFixture(t, relay.Config{Mode: relay.Compact, FallbackThreshold: 0.001}, 99, false)
 	ctr := res.net.Relay().Counters()
 	if ctr.ReconstructPartial != 0 {
 		t.Fatalf("threshold 0.001 still ran %d missing-tx round trips", ctr.ReconstructPartial)

@@ -154,6 +154,17 @@ type Counters struct {
 	MissingTxBytes uint64
 }
 
+// Add accumulates o into c (per-lane instances fold into the primary).
+func (c *Counters) Add(o Counters) {
+	c.SketchesSent += o.SketchesSent
+	c.SketchesReceived += o.SketchesReceived
+	c.ReconstructFull += o.ReconstructFull
+	c.ReconstructPartial += o.ReconstructPartial
+	c.ReconstructFallback += o.ReconstructFallback
+	c.MissingTxs += o.MissingTxs
+	c.MissingTxBytes += o.MissingTxBytes
+}
+
 // Attempts returns the number of sketch reconstructions attempted.
 func (c *Counters) Attempts() uint64 {
 	return c.ReconstructFull + c.ReconstructPartial + c.ReconstructFallback

@@ -8,21 +8,20 @@ import (
 
 // relayEnv is the p2p implementation of relay.Env: the narrow,
 // allocation-free view of one node's network surface that relay
-// protocols drive. The network keeps a single instance and repoints
-// it per dispatch (envFor / envForMsg); protocol calls are strictly
-// nested inside one engine event, so the shared scratch is never
+// protocols drive. Each lane keeps a single instance and repoints it
+// per dispatch (envFor / envForMsg); protocol calls are strictly
+// nested inside one engine event, so the lane's scratch is never
 // aliased.
 type relayEnv struct {
 	net *Network
-	// lane is the owning netLane in sharded mode (nil unsharded): the
-	// source of scratch buffers, RNG draws and message pool for every
-	// call made through this env.
+	// lane is the owning netLane: the source of scratch buffers, RNG
+	// draws and message pool for every call made through this env.
 	lane    *netLane
 	node    *Node
 	nodeIdx int32
 	// now is the virtual time of the event this env was repointed for.
 	// Deferred scheduling (ScheduleWave) is anchored to it rather than
-	// to an engine clock: in sharded mode the executing engine's clock
+	// to an engine clock: on region lanes the executing engine's clock
 	// can trail the event time (phase A runs on the global lane).
 	now sim.Time
 	// fromIdx/fromPos record the sender of the message currently being
@@ -32,8 +31,8 @@ type relayEnv struct {
 	fromIdx int32
 	fromPos int32
 	// cand is the candidate view filled by Candidates — span positions
-	// into the node's adjacency window, backed by the shared scratch
-	// buffer Network.candBuf.
+	// into the node's adjacency window, backed by the lane's scratch
+	// buffer candBuf.
 	cand []int32
 }
 
@@ -54,16 +53,12 @@ func (e *relayEnv) KnownTx(h types.Hash) bool {
 	return ok && e.net.txBits.get(e.nodeIdx, idx)
 }
 
-// Candidates fills the shared scratch with the span positions of the
+// Candidates fills the lane scratch with the span positions of the
 // node's peers not yet known to have h, in peer order, and returns the
 // count. One window lookup up front, then one mask bit per peer — no
 // per-peer hashing.
 func (e *relayEnv) Candidates(h types.Hash) int {
-	buf := &e.net.candBuf
-	if e.lane != nil {
-		buf = &e.lane.candBuf
-	}
-	c := (*buf)[:0]
+	c := e.lane.candBuf[:0]
 	i := e.nodeIdx
 	s := e.net.top.spans[i]
 	slot := int32(-1)
@@ -89,13 +84,13 @@ func (e *relayEnv) Candidates(h types.Hash) int {
 			c = append(c, p)
 		}
 	}
-	*buf = c[:0]
+	e.lane.candBuf = c[:0]
 	e.cand = c
 	return len(c)
 }
 
-// Fanout returns a shared-scratch random permutation of [0, n).
-func (e *relayEnv) Fanout(n int) []int { return e.net.fanoutOrder(e.lane, n) }
+// Fanout returns a lane-scratch random permutation of [0, n).
+func (e *relayEnv) Fanout(n int) []int { return e.lane.fanoutOrder(n) }
 
 // peerAt resolves candidate i to its span position, edge index and
 // node handle.

@@ -9,9 +9,9 @@ import (
 	"repro/internal/types"
 )
 
-// Sharded transport: one netLane per geographic region, each bound to
-// a region lane of a sim.Conductor. The lane decomposition is fixed by
-// the region enum — never by worker count — so every lane's event
+// The region-lane layout: one netLane per geographic region, each bound
+// to a region lane of a sim.Conductor. The lane decomposition is fixed
+// by the region enum — never by worker count — so every lane's event
 // schedule and RNG stream is identical at any shard setting, which is
 // what makes sharded artifacts byte-identical across shard counts.
 //
@@ -23,66 +23,14 @@ import (
 //     (phase A). Shared arenas that grow by reallocation — the bit
 //     grids and the block-body table — are presized after each phase A
 //     (presizeArenas), so phase B only writes in place.
-//   - Anything a lane shares with other lanes is lane-local here:
-//     message/delivery/announce pools, fan-out scratch, RNG, relay
-//     protocol instance, and the transport counters, which fold into
-//     the Network's public fields at FinishSharded.
+//   - Everything else the transport touches is a netLane field, so it
+//     is lane-local by construction; the lane counters fold into the
+//     Network's public totals at FoldLanes.
 //   - A send whose destination lives in another lane NEVER touches the
 //     destination lane: it is buffered as a crossMsg and drained by
 //     mergeCross at the next conductor merge point, single-threaded,
 //     ordered on the destination engine by (arrival, source lane,
 //     lifetime emission number) via the engine's ordered tie band.
-type shardState struct {
-	cond *sim.Conductor
-	// lanes is indexed by geo.Region (1-based; slot 0 unused).
-	lanes [geo.NumRegions + 1]*netLane
-	// all is the dense region-ordered view for iteration.
-	all []*netLane
-}
-
-// netLane is one region's private transport state: its engine, RNG
-// stream, relay protocol instance, pools and counters. It implements
-// sim.Handler for the region's deliveries and announce waves.
-type netLane struct {
-	net    *Network
-	region geo.Region
-	engine *sim.Engine
-	rng    *sim.RNG
-
-	// Per-lane relay protocol instance: protocols are stateless beyond
-	// their counters, so per-lane instances produce identical behavior
-	// while keeping counter writes lane-local (folded at finish).
-	proto   relay.Protocol
-	compact relay.CompactHandler
-	env     relayEnv
-
-	// Lane-local halves of the Network transport counters.
-	msgsSent   uint64
-	bytesSent  uint64
-	dropped    uint64
-	classMsgs  [msgKindCount]uint64
-	classBytes [msgKindCount]uint64
-
-	// Lane-local pools and scratch, mirroring the Network's.
-	msgFree   []*Message
-	deliv     []delivery
-	delivFree []int32
-	ann       []announce
-	annFree   []int32
-	candBuf   []int32
-	orderBuf  []int
-
-	// cross buffers this lane's sends to other lanes until the next
-	// merge, each stamped with the lane-lifetime emission number that
-	// becomes its equal-time tie key on the destination engine.
-	cross []crossMsg
-
-	// emitSeq counts this lane's cross-lane sends over the whole run.
-	// It never resets at merges: a per-batch index would make equal-time
-	// ties between messages merged in different rounds depend on where
-	// the window boundaries fell, i.e. on the lookahead bound matrix.
-	emitSeq uint64
-}
 
 // crossMsg is one buffered cross-lane delivery, carrying everything
 // the destination lane needs to schedule it.
@@ -96,112 +44,25 @@ type crossMsg struct {
 	seq    uint64 // source lane's lifetime emission number
 }
 
-// EnableSharding partitions the transport across the conductor's
-// region lanes. newProto constructs one relay protocol instance per
+// EnableSharding replaces the home lane with one lane per conductor
+// region lane. newProto constructs one relay protocol instance per
 // lane (same configuration as the network's primary — per-lane
-// counters fold back into the primary at FinishSharded). Call it after
-// the overlay is built and before the run starts; per-lane RNG streams
+// counters fold back into the primary at FoldLanes). Call it after the
+// overlay is built and before the run starts; per-lane RNG streams
 // fork from the network RNG here, after all wiring draws.
 func (net *Network) EnableSharding(cond *sim.Conductor, newProto func() relay.Protocol) {
 	if cond.Regions() != geo.NumRegions {
 		panic("p2p: conductor must have one lane per region")
 	}
-	sh := &shardState{cond: cond}
+	net.all = nil
 	for r := geo.Region(1); r <= geo.NumRegions; r++ {
-		ln := &netLane{
-			net:    net,
-			region: r,
-			engine: cond.Lane(int(r) - 1),
-			rng:    net.rng.Fork("lane-" + r.String()),
-		}
-		ln.proto = newProto()
-		ln.compact, _ = ln.proto.(relay.CompactHandler)
-		ln.env = relayEnv{net: net, lane: ln, fromIdx: -1, fromPos: -1}
-		sh.lanes[r] = ln
-		sh.all = append(sh.all, ln)
+		ln := newLane(net, cond.Lane(int(r)-1), net.rng.Fork("lane-"+r.String()), new(transportCounters))
+		ln.setProto(newProto())
+		net.lanes[r] = ln
+		net.all = append(net.all, ln)
 	}
-	net.sh = sh
 	cond.Merge = net.mergeCross
 	cond.AfterGlobal = net.presizeArenas
-}
-
-// laneOf returns the lane owning node index i, nil when unsharded.
-func (net *Network) laneOf(i int32) *netLane {
-	if net.sh == nil {
-		return nil
-	}
-	return net.sh.lanes[net.regions[i]]
-}
-
-// protoFor returns the relay protocol instance serving node i's lane.
-func (net *Network) protoFor(i int32) relay.Protocol {
-	if ln := net.laneOf(i); ln != nil {
-		return ln.proto
-	}
-	return net.relayProto
-}
-
-// compactFor returns the compact handler serving node i's lane (nil
-// when the discipline does not speak the compact family).
-func (net *Network) compactFor(i int32) relay.CompactHandler {
-	if ln := net.laneOf(i); ln != nil {
-		return ln.compact
-	}
-	return net.relayCompact
-}
-
-// acquireDeliv takes a delivery slot from the lane pool.
-func (ln *netLane) acquireDeliv() int32 {
-	if n := len(ln.delivFree); n > 0 {
-		idx := ln.delivFree[n-1]
-		ln.delivFree = ln.delivFree[:n-1]
-		return idx
-	}
-	ln.deliv = append(ln.deliv, delivery{})
-	return int32(len(ln.deliv) - 1)
-}
-
-// HandleEvent implements sim.Handler for the lane's engine: the same
-// two typed event kinds as the unsharded Network, against lane-local
-// slots, pools and counters.
-func (ln *netLane) HandleEvent(now sim.Time, op, idx uint64) {
-	net := ln.net
-	switch op {
-	case opDeliver:
-		d := ln.deliv[idx]
-		ln.deliv[idx] = delivery{}
-		ln.delivFree = append(ln.delivFree, int32(idx))
-		ti := d.to.idx()
-		if net.down[ti] {
-			ln.dropped++
-			net.releaseMessageIn(ln, d.msg)
-			return
-		}
-		net.msgsIn[ti]++
-		net.bytesIn[ti] += uint64(d.size)
-		d.to.handle(now, d.from, d.srcPos, d.msg)
-		net.releaseMessageIn(ln, d.msg)
-	case opAnnounce:
-		a := ln.ann[idx]
-		ln.ann[idx] = announce{}
-		ln.annFree = append(ln.annFree, int32(idx))
-		if net.down[a.node.idx()] {
-			return
-		}
-		ln.proto.OnWave(net.envFor(a.node, now), now, a.hash, a.origin)
-	}
-}
-
-// EventName implements sim.EventNamer for lane events.
-func (ln *netLane) EventName(op uint64) string {
-	switch op {
-	case opDeliver:
-		return "p2p.deliver"
-	case opAnnounce:
-		return "p2p.announce"
-	default:
-		return "p2p.unknown"
-	}
 }
 
 // presizeArenas is the conductor's AfterGlobal hook: it grows the
@@ -230,13 +91,12 @@ func (net *Network) presizeArenas() {
 // matrix. Two sharded runs that differ only in window sizing therefore
 // build byte-identical destination schedules.
 func (net *Network) mergeCross() int {
-	sh := net.sh
-	sh.levelMsgPools()
+	net.levelMsgPools()
 	n := 0
-	for l, ln := range sh.all {
+	for l, ln := range net.all {
 		for k := range ln.cross {
 			cm := &ln.cross[k]
-			dl := sh.lanes[net.regions[cm.to.idx()]]
+			dl := net.laneOf(cm.to.idx())
 			// Lookahead invariant: a cross-lane arrival is strictly in
 			// the destination lane's future — send guarantees delay >=
 			// the pair floor, and the conductor never ran the
@@ -247,7 +107,7 @@ func (net *Network) mergeCross() int {
 			// discipline is a panic, not a skew.
 			if now := dl.engine.Now(); cm.at <= now {
 				panic(fmt.Sprintf("p2p: cross-lane merge back-dates event: arrival %d <= lane %v clock %d",
-					cm.at, dl.region, now))
+					cm.at, cm.to.Region(), now))
 			}
 			idx := dl.acquireDeliv()
 			dl.deliv[idx] = delivery{to: cm.to, from: cm.from, msg: cm.msg, size: cm.size, srcPos: cm.srcPos}
@@ -274,17 +134,17 @@ func (net *Network) mergeCross() int {
 // are fully zeroed and interchangeable, so which pool a send draws
 // from never affects simulation behavior or artifacts. The skim per
 // merge is bounded by the cross flow since the previous merge.
-func (sh *shardState) levelMsgPools() {
+func (net *Network) levelMsgPools() {
 	total := 0
-	for _, ln := range sh.all {
+	for _, ln := range net.all {
 		total += len(ln.msgFree)
 	}
-	target := total / len(sh.all)
+	target := total / len(net.all)
 	d := 0
-	for _, ln := range sh.all {
+	for _, ln := range net.all {
 		need := target - len(ln.msgFree)
 		for need > 0 {
-			donor := sh.all[d]
+			donor := net.all[d]
 			excess := len(donor.msgFree) - target
 			if excess <= 0 {
 				d++
@@ -302,32 +162,21 @@ func (sh *shardState) levelMsgPools() {
 	}
 }
 
-// FinishSharded folds every lane's transport and protocol counters
-// into the Network's public fields and the primary relay protocol's
-// counters, restoring the unsharded accounting surface (ClassTotals,
-// MessagesSent, Relay().Counters()) after a sharded run. Call it once,
-// after the conductor drains.
-func (net *Network) FinishSharded() {
-	if net.sh == nil {
-		return
-	}
-	pc := net.relayProto.Counters()
-	for _, ln := range net.sh.all {
-		net.MessagesSent += ln.msgsSent
-		net.BytesSent += ln.bytesSent
-		net.MessagesDropped += ln.dropped
-		for k := range ln.classMsgs {
-			net.classMsgs[k] += ln.classMsgs[k]
-			net.classBytes[k] += ln.classBytes[k]
-		}
+// FoldLanes moves every lane's transport and protocol counters into
+// the Network's public totals and the primary relay protocol's
+// counters, so the accounting surface (ClassTotals, MessagesSent,
+// Relay().Counters()) covers region lanes too. Counts are moved, not
+// copied — each is zeroed at its source — so folding again is a no-op,
+// and on the one-lane layout, where the home lane already writes the
+// public totals, it changes nothing. Call it after the run drains.
+func (net *Network) FoldLanes() {
+	pc := net.home.proto.Counters()
+	for _, ln := range net.all {
+		ln.ctr.moveInto(&net.transportCounters)
 		lc := ln.proto.Counters()
-		pc.SketchesSent += lc.SketchesSent
-		pc.SketchesReceived += lc.SketchesReceived
-		pc.ReconstructFull += lc.ReconstructFull
-		pc.ReconstructPartial += lc.ReconstructPartial
-		pc.ReconstructFallback += lc.ReconstructFallback
-		pc.MissingTxs += lc.MissingTxs
-		pc.MissingTxBytes += lc.MissingTxBytes
+		v := *lc
+		*lc = relay.Counters{}
+		pc.Add(v)
 	}
 }
 
@@ -343,9 +192,6 @@ func (g *bitGrid) presize(rows, cols int32) {
 		g.growRows(rows)
 	}
 }
-
-// Sharded reports whether the transport is running in sharded mode.
-func (net *Network) Sharded() bool { return net.sh != nil }
 
 // precomputeSizes forces a block's lazily cached derived values (hash,
 // encoded sizes) while single-threaded. Injection paths call it so

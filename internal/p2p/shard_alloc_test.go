@@ -1,70 +1,24 @@
-package p2p_test
+package p2p
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/geo"
-	"repro/internal/p2p"
 	"repro/internal/p2p/relay"
-	"repro/internal/sim"
-	"repro/internal/types"
 )
 
-// shardAllocFixture builds a warmed sharded overlay: a conductor with
-// the full region-lane layout, 30 nodes spread across every region
-// (so block spreads cross lanes constantly), and a pre-built chain.
-func shardAllocFixture(t testing.TB, total int) (*sim.Conductor, []*p2p.Node, []*types.Block) {
+// shardAllocFixture builds the region-lane overlay the allocation
+// measurements run on: 30 nodes spread across every region (so block
+// spreads cross lanes constantly), wired and started.
+func shardAllocFixture(t testing.TB) (*layoutFixture, []*Node) {
 	t.Helper()
-	cond := sim.NewConductor(geo.NumRegions)
-	rng := sim.NewRNG(7)
-	net := p2p.NewNetwork(cond.Global(), rng.Fork("network"), geo.DefaultLatencyModel())
-	net.SetRelay(relay.MustNew(relay.Config{Mode: relay.SqrtPush}))
-	var nodes []*p2p.Node
-	regions := geo.Regions()
-	for i := 0; i < 30; i++ {
-		n, err := net.AddNode(regions[i%len(regions)], 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, n)
-	}
-	if err := net.WireRandom(6); err != nil {
+	f := newLayoutFixture(t, true, 7, relay.SqrtPush)
+	nodes := f.addSpread(t, 30)
+	if err := f.net.WireRandom(6); err != nil {
 		t.Fatal(err)
 	}
-	// Per-pair lookahead bounds from the latency model, as core wires
-	// them — so the measurement covers the topology-aware deadline path
-	// and its pair-window accounting, not just uniform bounds.
-	model := geo.DefaultLatencyModel()
-	bounds := make([][]sim.Time, geo.NumRegions)
-	for i, from := range regions {
-		bounds[i] = make([]sim.Time, geo.NumRegions)
-		for j, to := range regions {
-			d, err := model.MinPairDelay(from, to)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bounds[i][j] = d
-		}
-	}
-	cond.SetBounds(bounds)
-	net.EnableSharding(cond, func() relay.Protocol {
-		return relay.MustNew(relay.Config{Mode: relay.SqrtPush})
-	})
-	parent := types.Hash{}
-	blocks := make([]*types.Block, 0, total)
-	for k := 0; k < total; k++ {
-		blk := types.NewBlock(types.Header{
-			ParentHash: parent,
-			Number:     uint64(k + 1),
-			MinerLabel: "Alloc",
-			TimeMillis: uint64(k),
-			GasLimit:   8_000_000,
-		}, nil, nil)
-		parent = blk.Hash()
-		blocks = append(blocks, blk)
-	}
-	return cond, nodes, blocks
+	f.start(t)
+	return f, nodes
 }
 
 // shardedAllocsPerSpread measures steady-state heap allocations for
@@ -73,14 +27,15 @@ func shardAllocFixture(t testing.TB, total int) (*sim.Conductor, []*p2p.Node, []
 // phase-B lane execution included.
 func shardedAllocsPerSpread(t testing.TB, workers int) float64 {
 	const warmup, measured = 120, 60
-	cond, nodes, blocks := shardAllocFixture(t, warmup+measured+1)
+	f, nodes := shardAllocFixture(t)
+	blocks := chainOf(warmup + measured + 1)
 	next := 0
 	spread := func() {
 		blk := blocks[next]
 		origin := nodes[(7*next)%len(nodes)]
 		next++
-		origin.InjectBlock(cond.Now(), blk)
-		cond.Run(workers)
+		origin.InjectBlock(f.now(), blk)
+		f.run(workers)
 	}
 	for i := 0; i < warmup; i++ {
 		spread()
@@ -122,13 +77,14 @@ func TestShardedAllocationCeiling(t *testing.T) {
 func BenchmarkShardedBlockSpread(b *testing.B) {
 	for _, workers := range []int{1, 6} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cond, nodes, blocks := shardAllocFixture(b, b.N+1)
+			f, nodes := shardAllocFixture(b)
+			blocks := chainOf(b.N + 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				origin := nodes[(7*i)%len(nodes)]
-				origin.InjectBlock(cond.Now(), blocks[i])
-				cond.Run(workers)
+				origin.InjectBlock(f.now(), blocks[i])
+				f.run(workers)
 			}
 		})
 	}

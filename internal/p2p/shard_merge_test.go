@@ -6,26 +6,21 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/p2p/relay"
-	"repro/internal/sim"
 )
 
-// shardedPair builds a minimal sharded network: one node in each of
-// two regions, sharding enabled, no traffic yet.
-func shardedPair(t *testing.T) (*Network, *Node, *Node) {
+// shardedPair builds a minimal region-lane network: one node in each
+// of two regions, connected, started, no traffic yet. It returns the
+// nodes and the lanes owning them.
+func shardedPair(t *testing.T) (net *Network, a, b *Node, src, dst *netLane) {
 	t.Helper()
-	cond := sim.NewConductor(geo.NumRegions)
-	rng := sim.NewRNG(11)
-	net := NewNetwork(cond.Global(), rng.Fork("network"), geo.DefaultLatencyModel())
-	net.SetRelay(relay.MustNew(relay.Config{Mode: relay.SqrtPush}))
-	a := addNode(t, net, geo.NorthAmerica, 0)
-	b := addNode(t, net, geo.EasternAsia, 0)
-	if err := net.Connect(a, b); err != nil {
+	f := newLayoutFixture(t, true, 11, relay.SqrtPush)
+	a = addNode(t, f.net, geo.NorthAmerica, 0)
+	b = addNode(t, f.net, geo.EasternAsia, 0)
+	if err := f.net.Connect(a, b); err != nil {
 		t.Fatal(err)
 	}
-	net.EnableSharding(cond, func() relay.Protocol {
-		return relay.MustNew(relay.Config{Mode: relay.SqrtPush})
-	})
-	return net, a, b
+	f.start(t)
+	return f.net, a, b, f.net.laneOf(a.idx()), f.net.laneOf(b.idx())
 }
 
 // TestMergeCrossBackdatePanics pins the merge's time-discipline
@@ -36,9 +31,7 @@ func shardedPair(t *testing.T) (*Network, *Node, *Node) {
 // the conductor deadline bug where multi-hop causal chains let a
 // lane's clock outrun future arrivals.
 func TestMergeCrossBackdatePanics(t *testing.T) {
-	net, a, b := shardedPair(t)
-	src := net.sh.lanes[net.regions[a.idx()]]
-	dst := net.sh.lanes[net.regions[b.idx()]]
+	net, a, b, src, dst := shardedPair(t)
 
 	// Advance the destination lane's clock past the manufactured
 	// arrival time, as a buggy deadline computation would.
@@ -63,9 +56,7 @@ func TestMergeCrossBackdatePanics(t *testing.T) {
 // TestMergeCrossFutureArrivalOK is the control: an arrival strictly
 // after the destination lane's clock merges cleanly.
 func TestMergeCrossFutureArrivalOK(t *testing.T) {
-	net, a, b := shardedPair(t)
-	src := net.sh.lanes[net.regions[a.idx()]]
-	dst := net.sh.lanes[net.regions[b.idx()]]
+	net, a, b, src, dst := shardedPair(t)
 	dst.engine.RunUntil(100)
 
 	m := net.newMessage(a.idx(), MsgNewBlock)
