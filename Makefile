@@ -69,27 +69,29 @@ test-stress:
 	$(GO) test -run TestBytesPerNodeCeiling -v ./internal/p2p/
 	STRESS100K=1 $(GO) test -run 'TestGoldenStress100kParallelInvariance|TestGoldenShardStress100kInvariance' -v -timeout 90m ./internal/experiments
 
-# Sharded-execution gate. The conductor's window-loop invariants, the
-# transport's lane-layout table (pools, conservation, counter fold,
-# merge time discipline, relay conformance on region lanes) and the
-# campaign-level shard-count and lookahead-bound invariance suites run
-# under the race detector — they drive the cross-shard merge, the phase
-# barriers and the lane-local pools with real concurrency — then the
-# shard-axis
-# golden harness runs its exhaustive acceptance sweep (SHARDGOLDEN=full:
+# Sharded-execution gate. The conductor's window-loop invariants (lane
+# panic containment included), the engine queue's differential test
+# against the reference heap, the transport's lane-layout table (pools,
+# conservation, counter fold, merge time discipline, relay conformance
+# on region lanes) and the campaign-level shard-count and
+# lookahead-bound invariance suites run under the race detector — they
+# drive the cross-shard merge, the phase barriers and the lane-local
+# pools with real concurrency — then the shard-axis golden harness
+# runs its exhaustive acceptance sweep (SHARDGOLDEN=full:
 # every builtin spec and shipped scenario, shards {1,2,6} × -parallel
 # {1,8} byte-identical run directories; the plain `go test` tiers
 # check the grid corners on the short core instead, to stay inside
 # the package timeout). The full-size 100k sharded golden lives in
 # test-stress (STRESS100K).
 test-shard:
-	$(GO) test -race -run 'TestConductor' -v ./internal/sim/
+	$(GO) test -race -run 'TestConductor|TestEngineMatchesReferenceOrder' -v ./internal/sim/
 	$(GO) test -race -run 'TestSharded|TestMessagePoolReuse|TestTransportConservation|TestFoldLanes|TestMergeCross|TestProtocolConformance' -v ./internal/p2p/... ./internal/core/
 	SHARDGOLDEN=full $(GO) test -run 'TestGoldenShard' -v -timeout 90m ./internal/experiments
 
 # Fuzz lane: run every fuzz target for a bounded burst on top of the
 # committed seed corpora (which already execute as regular tests).
 fuzz:
+	$(GO) test -fuzz FuzzEngineOrder -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzCompactReconstruct -fuzztime 30s ./internal/p2p/relay/
 	$(GO) test -fuzz FuzzAdjacencyChurn -fuzztime 30s ./internal/p2p/
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime 30s ./internal/scenario/

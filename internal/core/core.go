@@ -645,6 +645,7 @@ func (c *Campaign) engineStats() sim.EngineStats {
 	for _, s := range c.laneStats() {
 		agg.Processed += s.Processed
 		agg.Scheduled += s.Scheduled
+		agg.FarScheduled += s.FarScheduled
 		agg.Pending += s.Pending
 		agg.MaxPending += s.MaxPending
 		agg.Slots += s.Slots

@@ -75,14 +75,31 @@ func TestTelemetryJoinsReportBySeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := experiments.Run(context.Background(), specs, experiments.RunnerConfig{
-		Seed: goldenSeed, Scale: experiments.ScaleSmall, Repeats: 2, Parallel: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
+	campaign := func(parallel int) (*experiments.Report, *experiments.Telemetry) {
+		report, err := experiments.Run(context.Background(), specs, experiments.RunnerConfig{
+			Seed: goldenSeed, Scale: experiments.ScaleSmall, Repeats: 2, Parallel: parallel,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken := obs.Default.Take(experiments.ReportSeeds(report))
+		return report, experiments.BuildTelemetry(report, taken)
 	}
-	taken := obs.Default.Take(experiments.ReportSeeds(report))
-	tel := experiments.BuildTelemetry(report, taken)
+	report, tel := campaign(4)
+
+	// The engine counters are pure functions of the schedule: a second
+	// campaign at another worker count reproduces them exactly.
+	_, again := campaign(1)
+	for i, row := range tel.Runs {
+		b := again.Runs[i]
+		if row.Events != b.Events || row.Scheduled != b.Scheduled || row.FarScheduled != b.FarScheduled ||
+			row.PeakQueue != b.PeakQueue || row.Slots != b.Slots || row.SimMS != b.SimMS {
+			t.Errorf("row %s/%d engine counters differ between campaigns:\n %+v\n %+v", row.Spec, row.Repeat, row, b)
+		}
+		if row.FarScheduled == 0 || row.FarScheduled >= row.Scheduled {
+			t.Errorf("row %s/%d far_scheduled = %d of %d scheduled", row.Spec, row.Repeat, row.FarScheduled, row.Scheduled)
+		}
+	}
 
 	if len(tel.Runs) != len(report.Results) {
 		t.Fatalf("telemetry rows = %d, want %d", len(tel.Runs), len(report.Results))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -191,7 +192,7 @@ func Run(ctx context.Context, specs []Spec, cfg RunnerConfig) (*Report, error) {
 				start := time.Now()
 				// Err keeps the raw cause: Result already carries
 				// Spec/Repeat/Seed, so printers add that context once.
-				outs, err := j.spec.Run(seed, cfg.Scale)
+				outs, err := runSpec(j.spec, seed, cfg.Scale)
 				results[j.ordinal] = Result{
 					Spec:     j.spec,
 					Repeat:   j.repeat,
@@ -283,6 +284,18 @@ dispatch:
 			len(failed), len(results), failed[0])
 	}
 	return report, nil
+}
+
+// runSpec is spec.Run with a panic turned into the run's error, value
+// and stack included: one bad run fails one Result, and the campaign —
+// under ethserve, every tenant's campaign — carries on.
+func runSpec(s Spec, seed uint64, scale Scale) (outs []*Outcome, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
+		}
+	}()
+	return s.Run(seed, scale)
 }
 
 // aggregate folds every successful result into per-(outcome, metric)

@@ -156,6 +156,30 @@ func TestRunnerReportsFailuresWithoutAborting(t *testing.T) {
 	}
 }
 
+// TestRunnerContainsPanickingSpec: a spec that panics on a runner
+// worker goroutine fails its own Result — value and stack in Err — and
+// the rest of the campaign finishes.
+func TestRunnerContainsPanickingSpec(t *testing.T) {
+	bad := Spec{ID: "bad", Produces: []string{"bad"},
+		Run: func(seed uint64, sc Scale) ([]*Outcome, error) { panic("kaboom") }}
+	rep, err := Run(context.Background(), []Spec{fakeSpec("X1"), bad, fakeSpec("X2")}, RunnerConfig{Seed: 1, Parallel: 2})
+	if err == nil || rep == nil {
+		t.Fatalf("want a report and an error, got report=%v err=%v", rep != nil, err)
+	}
+	for _, r := range rep.Results {
+		switch {
+		case r.Spec.ID != "bad":
+			if r.Err != nil || len(r.Outcomes) != 1 {
+				t.Errorf("%s: err=%v outcomes=%d, want a clean result", r.Spec.ID, r.Err, len(r.Outcomes))
+			}
+		case r.Err == nil:
+			t.Error("panicking spec reported no error")
+		case !strings.Contains(r.Err.Error(), "kaboom") || !strings.Contains(r.Err.Error(), "TestRunnerContainsPanickingSpec"):
+			t.Errorf("Err lacks the panic value or its stack: %v", r.Err)
+		}
+	}
+}
+
 func TestRenderOutcomesFallsBackPastFailedRepeat(t *testing.T) {
 	// A spec whose repeat 0 fails must still render from its first
 	// successful repeat (derived seeds differ per repeat, so a single

@@ -31,11 +31,14 @@ type TelemetryRow struct {
 	// specs run several campaigns per run).
 	Engines int `json:"engines"`
 	// Events / Scheduled are summed engine dispatch and enqueue
-	// counters; PeakQueue and Slots are maxima across engines.
-	Events    uint64 `json:"events"`
-	Scheduled uint64 `json:"scheduled"`
-	PeakQueue int    `json:"peak_queue"`
-	Slots     int    `json:"slots"`
+	// counters, FarScheduled the enqueues among them that landed beyond
+	// the engine's wheel horizon; PeakQueue and Slots (event-storage
+	// capacity, in events) are maxima across engines.
+	Events       uint64 `json:"events"`
+	Scheduled    uint64 `json:"scheduled"`
+	FarScheduled uint64 `json:"far_scheduled"`
+	PeakQueue    int    `json:"peak_queue"`
+	Slots        int    `json:"slots"`
 	// SimMS is the total virtual time simulated.
 	SimMS int64 `json:"sim_ms"`
 	// BuildMS / RunMS split the run's wall time into campaign
@@ -121,6 +124,7 @@ func BuildTelemetry(r *Report, taken map[uint64]obs.RunTelemetry) *Telemetry {
 			row.Engines = rt.Engines
 			row.Events = rt.Events
 			row.Scheduled = rt.Scheduled
+			row.FarScheduled = rt.FarScheduled
 			row.PeakQueue = rt.PeakQueue
 			row.Slots = rt.Slots
 			row.SimMS = rt.SimMS

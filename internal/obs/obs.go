@@ -108,11 +108,13 @@ type RunTelemetry struct {
 	// Engines counts the engine runs folded in.
 	Engines int
 	// Events / Scheduled sum the engines' dispatch and enqueue
-	// counters.
-	Events    uint64
-	Scheduled uint64
+	// counters; FarScheduled the enqueues that landed beyond the
+	// engine's wheel horizon.
+	Events       uint64
+	Scheduled    uint64
+	FarScheduled uint64
 	// PeakQueue is the largest queue-depth high-water mark across the
-	// engines; Slots the largest slot-arena footprint.
+	// engines; Slots the largest event-storage capacity.
 	PeakQueue int
 	Slots     int
 	// SimMS sums the engines' final virtual clocks.
@@ -299,6 +301,7 @@ func (s *RunScope) Finish(sample RunSample) {
 	r.Engines++
 	r.Events += sample.Engine.Processed
 	r.Scheduled += sample.Engine.Scheduled
+	r.FarScheduled += sample.Engine.FarScheduled
 	r.PeakQueue = max(r.PeakQueue, sample.Engine.MaxPending)
 	r.Slots = max(r.Slots, sample.Engine.Slots)
 	r.SimMS += int64(sample.Engine.Now)

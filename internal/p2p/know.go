@@ -43,7 +43,7 @@ func (net *Network) windowSlot(i, idx int32) int32 {
 	count := int32(net.knowCount[i])
 	want := idx + 1
 	for k := count - 1; k >= 0; k-- {
-		s := (head + k) % knownPeerCap
+		s := (head + k) & (knownPeerCap - 1)
 		if net.knowSlot[base+s] == want {
 			return s
 		}
@@ -60,10 +60,10 @@ func (net *Network) windowAdd(i, idx int32) int32 {
 		evict := int32(net.knowHead[i])
 		net.clearSlot(i, evict)
 		net.knowSlot[base+evict] = 0
-		net.knowHead[i] = uint8((evict + 1) % knownPeerCap)
+		net.knowHead[i] = uint8((evict + 1) & (knownPeerCap - 1))
 		net.knowCount[i]--
 	}
-	s := (int32(net.knowHead[i]) + int32(net.knowCount[i])) % knownPeerCap
+	s := (int32(net.knowHead[i]) + int32(net.knowCount[i])) & (knownPeerCap - 1)
 	net.knowSlot[base+s] = idx + 1
 	net.knowCount[i]++
 	return s

@@ -35,6 +35,10 @@ const (
 // edge's suppression state packs into one uint64 (see know.go).
 const knownPeerCap = 64
 
+// The window's ring arithmetic masks with knownPeerCap-1; this fails to
+// compile unless the cap is a power of two.
+const _ = uint(0 - knownPeerCap&(knownPeerCap-1))
+
 // blockCacheCap bounds how many recent full-block bodies a node
 // retains for serving GetBlock pulls, evicted FIFO in insertion order
 // (deterministic). Pulls only ever target blocks still propagating —

@@ -183,6 +183,37 @@ func TestSubmitRunsCampaignAndServesArtifacts(t *testing.T) {
 	}
 }
 
+// TestPanickingSpecFailsOnlyItsCampaign: a spec that panics on a runner
+// worker fails its own campaign — the other runs still complete and the
+// directory still seals — and the process keeps serving: /healthz
+// answers and the next campaign runs to done.
+func TestPanickingSpecFailsOnlyItsCampaign(t *testing.T) {
+	bad := fastSpec("B")
+	bad.Run = func(uint64, experiments.Scale) ([]*experiments.Outcome, error) { panic("kaboom") }
+	_, ts, stores := testServer(t, Config{Specs: []experiments.Spec{fastSpec("A"), bad, fastSpec("C")}})
+
+	var st Status
+	if code := doJSON(t, "POST", ts.URL+"/campaigns", `{"specs": ["A", "B", "C"], "seed": 7}`, &st); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	final := waitState(t, ts.URL, st.ID, StateFailed)
+	if final.Completed != 3 || final.Failed != 1 || !strings.Contains(final.Error, "kaboom") {
+		t.Fatalf("final status: %+v", final)
+	}
+	if err := store.Verify(stores[st.ID]); err != nil {
+		t.Fatalf("failed campaign's store is not sealed: %v", err)
+	}
+
+	var health map[string]any
+	if code := doJSON(t, "GET", ts.URL+"/healthz", "", &health); code != http.StatusOK || health["status"] != "ok" {
+		t.Fatalf("healthz after the panic: HTTP %d %v", code, health)
+	}
+	if code := doJSON(t, "POST", ts.URL+"/campaigns", `{"specs": ["A", "C"], "seed": 8}`, &st); code != http.StatusAccepted {
+		t.Fatalf("second submit: HTTP %d", code)
+	}
+	waitState(t, ts.URL, st.ID, StateDone)
+}
+
 func TestSubmitValidation(t *testing.T) {
 	_, ts, _ := testServer(t, Config{Specs: []experiments.Spec{fastSpec("A")}})
 	cases := []struct {

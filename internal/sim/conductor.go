@@ -35,8 +35,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"runtime/debug"
 	"sync"
 )
 
@@ -325,10 +327,46 @@ type laneJob struct {
 	drain    bool
 }
 
+// LanePanic is what Run panics with when an event handler panicked on
+// a region lane: the original panic value and stack, plus which lane
+// (lane index: region + 1) and that lane's clock.
+type LanePanic struct {
+	Lane  int
+	Now   Time
+	Value any
+	Stack []byte
+}
+
+func (p *LanePanic) Error() string {
+	return fmt.Sprintf("sim: panic on lane %d at %v: %v\n%s", p.Lane, p.Now, p.Value, p.Stack)
+}
+
+// runLane executes one phase-B job. A panic on a worker goroutine could
+// be recovered by nobody and would kill the process, so it is caught
+// here and parked in the lane's failed slot for Run to re-raise.
+func (c *Conductor) runLane(j laneJob, failed []*LanePanic) {
+	e := c.lanes[j.lane]
+	defer func() {
+		if v := recover(); v != nil {
+			failed[j.lane] = &LanePanic{Lane: j.lane, Now: e.Now(), Value: v, Stack: debug.Stack()}
+		}
+	}()
+	if j.drain {
+		e.Run()
+	} else {
+		e.RunUntil(j.deadline)
+	}
+}
+
 // Run executes the window loop until every lane drains and the Merge
 // hook has nothing left to move. workers bounds the goroutines that
 // execute phase B; it is clamped to [1, Regions()] and has no effect on
 // the schedule, only on wall-clock time.
+//
+// If a handler panics on a region lane, the window's other lanes still
+// finish, and Run then panics on the calling goroutine with a
+// *LanePanic — the lowest lane's when several panicked, so the report
+// does not depend on worker timing.
 func (c *Conductor) Run(workers int) {
 	regions := len(c.lanes) - 1
 	if workers < 1 {
@@ -339,19 +377,15 @@ func (c *Conductor) Run(workers int) {
 	}
 
 	jobs := make(chan laneJob)
-	var window sync.WaitGroup // one phase B barrier per window
+	failed := make([]*LanePanic, len(c.lanes)) // written by the lane's worker, read after the barrier
+	var window sync.WaitGroup                  // one phase B barrier per window
 	var pool sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		pool.Add(1)
 		go func() {
 			defer pool.Done()
 			for j := range jobs {
-				e := c.lanes[j.lane]
-				if j.drain {
-					e.Run()
-				} else {
-					e.RunUntil(j.deadline)
-				}
+				c.runLane(j, failed)
 				window.Done()
 			}
 		}()
@@ -469,5 +503,10 @@ func (c *Conductor) Run(workers int) {
 			jobs <- laneJob{lane: i, deadline: d, drain: d == maxTime}
 		}
 		window.Wait()
+		for _, p := range failed {
+			if p != nil {
+				panic(p)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -430,5 +431,43 @@ func TestConductorFrontierIgnoresDeadlineOvershoot(t *testing.T) {
 	}
 	if nowWide <= nowTight {
 		t.Fatalf("expected the wide bound to overshoot the clock: tight=%v wide=%v", nowTight, nowWide)
+	}
+}
+
+// TestConductorLanePanicReachesCaller: a handler that panics on a
+// phase-B worker goroutine must not kill the process. The window's
+// other lanes finish, and Run re-panics on the calling goroutine with
+// the lane, its clock and the original stack — the lowest lane's when
+// several panic, whatever the worker timing.
+func TestConductorLanePanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		c := NewConductor(3)
+		ran := 0
+		c.Lane(0).Schedule(5, func(Time) { ran++ })
+		c.Lane(1).Schedule(5, func(Time) { panic("boom-2") })
+		c.Lane(2).Schedule(5, func(Time) { panic("boom-3") })
+		c.Lane(0).Schedule(50, func(Time) { t.Error("ran a window after the panic") })
+
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			c.Run(workers)
+		}()
+		p, ok := got.(*LanePanic)
+		if !ok {
+			t.Fatalf("workers=%d: recovered %v, want *LanePanic", workers, got)
+		}
+		if p.Lane != 2 || p.Now != 5 || p.Value != "boom-2" {
+			t.Fatalf("workers=%d: got lane %d at %v value %v, want lane 2 at 5ms boom-2", workers, p.Lane, p.Now, p.Value)
+		}
+		if !strings.Contains(string(p.Stack), "TestConductorLanePanicReachesCaller") {
+			t.Fatalf("stack does not reach the panicking handler:\n%s", p.Stack)
+		}
+		if !strings.Contains(p.Error(), "lane 2") {
+			t.Fatalf("message does not name the lane: %s", p.Error())
+		}
+		if ran != 1 {
+			t.Fatalf("workers=%d: the healthy lane ran %d events in the panicking window, want 1", workers, ran)
+		}
 	}
 }

@@ -248,8 +248,8 @@ func TestScheduleCallTyped(t *testing.T) {
 }
 
 // TestEngineSlotReuse floods the engine through several
-// schedule/drain cycles and checks the arena does not grow beyond the
-// high-water mark of concurrently pending events.
+// schedule/drain cycles and checks event storage does not grow beyond
+// the high-water mark of concurrently pending events.
 func TestEngineSlotReuse(t *testing.T) {
 	e := NewEngine()
 	const pending = 64
@@ -259,8 +259,67 @@ func TestEngineSlotReuse(t *testing.T) {
 		}
 		e.Run()
 	}
-	if got := len(e.slots); got > pending {
-		t.Fatalf("slot arena grew to %d for %d concurrent events", got, pending)
+	if got := e.Stats().Slots; got > pending {
+		t.Fatalf("event storage grew to %d for %d concurrent events", got, pending)
+	}
+}
+
+// holdModel is the classic hold model: every event schedules one
+// successor, so the queue stays at its initial depth; the engine stops
+// when the budget is spent. Delays are exponential with mean 1 s, so a
+// few percent take the far tier.
+type holdModel struct {
+	e      *Engine
+	rng    *RNG
+	budget int
+}
+
+func (h *holdModel) HandleEvent(Time, uint64, uint64) {
+	if h.budget--; h.budget == 0 {
+		h.e.Stop()
+	}
+	h.e.ScheduleCall(h.rng.ExpTime(Second), h, 0, 0)
+}
+
+// TestEngineSteadyStateAllocatesNothing: once event storage has reached
+// its high-water mark, scheduling and draining allocate nothing — FIFO,
+// ordered, far-tier and timer events alike.
+func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	h := &countingHandler{}
+	timer := e.NewTimer(func(Time) {})
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			switch i % 4 {
+			case 0:
+				e.ScheduleCall(Time(i), h, 0, 0)
+			case 1:
+				e.ScheduleCallAtOrdered(e.Now()+7, h, 0, 0, uint64(64-i))
+			case 2:
+				e.ScheduleCall(2*wheelSize+Time(i), h, 0, 0)
+			default:
+				timer.Reset(Time(i))
+			}
+		}
+		e.Run()
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("a 64-event schedule/drain cycle allocates %v times", allocs)
+	}
+
+	hold := &holdModel{e: NewEngine(), rng: NewRNG(1)}
+	for i := 0; i < 32_000; i++ {
+		hold.e.ScheduleCall(hold.rng.ExpTime(Second), hold, 0, 0)
+	}
+	run := func() {
+		hold.budget = 1_000_000
+		hold.e.Run()
+	}
+	if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+		t.Errorf("a 1M-event hold run at depth 32k allocates %v times", allocs)
+	}
+	if got := hold.e.Pending(); got != 32_000 {
+		t.Fatalf("hold model depth drifted to %d", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package sim provides the deterministic discrete-event engine the
-// whole reproduction runs on: a virtual clock, a binary-heap event
-// queue with stable FIFO ordering among simultaneous events, and
+// whole reproduction runs on: a virtual clock, an event queue (a
+// millisecond timing wheel backed by a small heap for far-future
+// events) with stable FIFO ordering among simultaneous events, and
 // seeded random-number streams.
 //
 // The engine substitutes for wall-clock time and the real Internet:
@@ -11,10 +12,13 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"time"
 )
 
@@ -124,54 +128,96 @@ type EngineStats struct {
 	Pending int
 	// MaxPending is the queue-depth high-water mark.
 	MaxPending int
-	// Slots is the allocated slot-arena capacity (live + free), the
-	// engine's memory footprint in event slots.
+	// Slots is the event-storage capacity in events: near-tier arena
+	// nodes (live + free) plus far-tier heap capacity.
 	Slots int
 	// Scheduled counts every enqueue (Schedule, ScheduleCall and Timer
 	// resets alike): the global sequence counter.
 	Scheduled uint64
+	// FarScheduled counts the enqueues that landed at or beyond the
+	// wheel horizon and took the far tier.
+	FarScheduled uint64
 }
 
-// slot is one event's inline storage. Slots live in a free-listed
-// arena; the heap orders slot indices, so scheduling an event
-// allocates nothing once the arena has warmed up.
-type slot struct {
-	at  Time
-	seq uint64 // tiebreaker: FIFO among equal timestamps
-	pos int32  // current heap position, -1 when not queued
+// The near tier's horizon in milliseconds: one bucket per millisecond
+// of [base, base+wheelSize). A power of two, so a timestamp's bucket is
+// its low bits.
+const (
+	wheelSize = 1 << 12
+	wheelMask = wheelSize - 1
+)
 
-	// Exactly one of fn / h / timer is set.
-	fn    Event
-	h     Handler
-	a, b  uint64
-	timer *Timer
+// node is one near-tier event in the shared arena. Its timestamp is its
+// bucket and its FIFO rank is its position in the bucket's list, so
+// neither is stored; key is meaningful for ordered-band events only.
+type node struct {
+	h    Handler
+	a, b uint64
+	key  uint64
+	next int32 // bucket-list or free-list link; 0 terminates
+}
+
+// bucket is one millisecond of the wheel: a FIFO list, plus that
+// millisecond's ordered-band events as a list left unsorted until the
+// drain first reaches it. Links index Engine.nodes; 0 is empty.
+type bucket struct {
+	head, tail, ord int32
+}
+
+// farEvent is one far-tier heap entry, its (at, seq) key inline.
+type farEvent struct {
+	at   Time
+	seq  uint64
+	h    Handler
+	a, b uint64
+}
+
+// ordKey is sortOrdered's scratch element.
+type ordKey struct {
+	key uint64
+	i   int32
 }
 
 // Engine is a single-threaded discrete-event executor. It is not safe
 // for concurrent use; the simulation model is sequential by design so
 // runs are deterministic.
 //
-// The queue is an index-addressed 4-ary heap over inline slots with a
-// free list. Pop order is the strict total order (at, seq) — seq is a
-// global schedule counter, so simultaneous events run in FIFO order
-// regardless of heap shape. The 4-ary layout halves tree depth versus
-// a binary heap and keeps parent/child slots on fewer cache lines.
+// Pop order is the strict total order (at, seq) — seq is a global
+// schedule counter, so simultaneous events run in FIFO order — held by
+// a two-tier queue. The near tier is a timing wheel: one FIFO bucket
+// per millisecond of [base, base+wheelSize), where base is the time of
+// the last executed event (LastEventAt), all buckets sharing one
+// free-listed node arena and an occupancy bitmap that finds the next
+// non-empty bucket.
+// Push and pop there are O(1). The far tier is a 4-ary heap for the few
+// events at or beyond the horizon; whenever base advances, the far
+// events the horizon now covers move into the wheel before the event at
+// base runs — so a far event reaches its bucket before any direct
+// insert at that millisecond can, and list position equals seq order.
+// docs/PERFORMANCE.md ("The engine") has the ordering rules in full.
 type Engine struct {
-	now        Time
-	lastAt     Time
-	slots      []slot
-	free       []int32
-	heap       []int32
-	seq        uint64
-	stopped    bool
-	ran        uint64
-	maxPending int
-	probe      Probe
+	now          Time
+	base         Time // time of the last executed event, and the wheel's origin
+	seq          uint64
+	ran          uint64
+	farScheduled uint64
+	near         int // events in the wheel
+	maxPending   int
+	stopped      bool
+	probe        Probe
+
+	nodes    []node // nodes[0] is the nil sentinel
+	free     int32
+	sortedAt Time // millisecond whose ordered list is in key order, -1 none
+	scratch  []ordKey
+	far      []farEvent
+	occ      [wheelSize / 64]uint64
+	buckets  [wheelSize]bucket
 }
 
 // NewEngine creates an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{nodes: make([]node, 1), sortedAt: -1}
 }
 
 // Now returns the current virtual time.
@@ -183,7 +229,7 @@ func (e *Engine) Now() Time { return e.now }
 // making it the right "how far did the simulation actually get"
 // frontier for lanes whose granted deadlines overshoot their last
 // event by a lookahead-bound-dependent margin.
-func (e *Engine) LastEventAt() Time { return e.lastAt }
+func (e *Engine) LastEventAt() Time { return e.base }
 
 // Processed returns the number of events executed so far. Cancelled
 // timers do not count: unlike the pre-Timer engine, dead events are
@@ -191,17 +237,18 @@ func (e *Engine) LastEventAt() Time { return e.lastAt }
 func (e *Engine) Processed() uint64 { return e.ran }
 
 // Pending returns the number of scheduled, not yet executed events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.near + len(e.far) }
 
 // Stats snapshots the always-on engine counters.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
-		Now:        e.now,
-		Processed:  e.ran,
-		Pending:    len(e.heap),
-		MaxPending: e.maxPending,
-		Slots:      len(e.slots),
-		Scheduled:  e.seq,
+		Now:          e.now,
+		Processed:    e.ran,
+		Pending:      e.Pending(),
+		MaxPending:   e.maxPending,
+		Slots:        len(e.nodes) - 1 + cap(e.far),
+		Scheduled:    e.seq,
+		FarScheduled: e.farScheduled,
 	}
 }
 
@@ -210,198 +257,262 @@ func (e *Engine) Stats() EngineStats {
 // for the determinism contract.
 func (e *Engine) SetProbe(p Probe) { e.probe = p }
 
-// acquire returns a free slot index, growing the arena when the free
-// list is empty.
-func (e *Engine) acquire() int32 {
-	if n := len(e.free); n > 0 {
-		i := e.free[n-1]
-		e.free = e.free[:n-1]
-		return i
-	}
-	e.slots = append(e.slots, slot{pos: -1})
-	return int32(len(e.slots) - 1)
-}
-
-// release returns a slot to the free list, dropping any references it
-// held so callbacks and handlers do not outlive their event.
-func (e *Engine) release(i int32) {
-	s := &e.slots[i]
-	s.fn = nil
-	s.h = nil
-	s.timer = nil
-	s.a, s.b = 0, 0
-	s.pos = -1
-	e.free = append(e.free, i)
-}
-
-// less orders slot indices by (at, seq). seq values are unique, so
-// this is a strict total order: heap pops are FIFO-stable by
-// construction, not by tie-breaking luck.
-func (e *Engine) less(i, j int32) bool {
-	si, sj := &e.slots[i], &e.slots[j]
-	if si.at != sj.at {
-		return si.at < sj.at
-	}
-	return si.seq < sj.seq
-}
-
-// push appends slot i to the heap and restores the heap invariant.
-func (e *Engine) push(i int32) {
-	e.heap = append(e.heap, i)
-	if len(e.heap) > e.maxPending {
-		e.maxPending = len(e.heap)
-	}
-	e.slots[i].pos = int32(len(e.heap) - 1)
-	e.siftUp(int32(len(e.heap) - 1))
-}
-
-func (e *Engine) siftUp(pos int32) {
-	h := e.heap
-	i := h[pos]
-	for pos > 0 {
-		parent := (pos - 1) / 4
-		if !e.less(i, h[parent]) {
-			break
-		}
-		h[pos] = h[parent]
-		e.slots[h[pos]].pos = pos
-		pos = parent
-	}
-	h[pos] = i
-	e.slots[i].pos = pos
-}
-
-func (e *Engine) siftDown(pos int32) {
-	h := e.heap
-	n := int32(len(h))
-	i := h[pos]
-	for {
-		first := 4*pos + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(h[c], h[best]) {
-				best = c
-			}
-		}
-		if !e.less(h[best], i) {
-			break
-		}
-		h[pos] = h[best]
-		e.slots[h[pos]].pos = pos
-		pos = best
-	}
-	h[pos] = i
-	e.slots[i].pos = pos
-}
-
-// popMin removes and returns the earliest slot index.
-func (e *Engine) popMin() int32 {
-	i := e.heap[0]
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	e.slots[i].pos = -1
-	if n > 0 {
-		e.heap[0] = last
-		e.slots[last].pos = 0
-		e.siftDown(0)
-	}
-	return i
-}
-
-// detach removes slot i from an arbitrary heap position (timer cancel
-// and reschedule). The slot itself stays allocated.
-func (e *Engine) detach(i int32) {
-	pos := e.slots[i].pos
-	n := int32(len(e.heap)) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	e.slots[i].pos = -1
-	if pos == n {
-		return
-	}
-	e.heap[pos] = last
-	e.slots[last].pos = pos
-	if pos > 0 && e.less(e.heap[pos], e.heap[(pos-1)/4]) {
-		e.siftUp(pos)
-	} else {
-		e.siftDown(pos)
-	}
-}
-
-// enqueue stamps slot i with the next sequence number and queues it at
-// the (clamped) absolute time.
-func (e *Engine) enqueue(i int32, at Time) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	s := &e.slots[i]
-	s.at = at
-	s.seq = e.seq
-	e.push(i)
-}
-
-// Schedule runs fn at the given delay from now. Negative delays are
-// clamped to zero (events cannot run in the past).
-func (e *Engine) Schedule(delay Time, fn Event) {
-	if fn == nil {
-		return
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	i := e.acquire()
-	e.slots[i].fn = fn
-	e.enqueue(i, e.now+delay)
-}
-
-// ScheduleAt runs fn at an absolute virtual time. Times in the past
-// are clamped to now.
-func (e *Engine) ScheduleAt(at Time, fn Event) {
-	if at < e.now {
-		at = e.now
-	}
-	e.Schedule(at-e.now, fn)
-}
-
-// ScheduleCall schedules a typed handler invocation. This is the
-// zero-allocation fast path: no closure is created — the handler
-// pointer and its two arguments are stored inline in the event slot.
-func (e *Engine) ScheduleCall(delay Time, h Handler, a, b uint64) {
-	if h == nil {
-		return
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	i := e.acquire()
-	s := &e.slots[i]
-	s.h = h
-	s.a, s.b = a, b
-	e.enqueue(i, e.now+delay)
-}
-
-// ScheduleCallAt is ScheduleCall at an absolute time (clamped to now).
-func (e *Engine) ScheduleCallAt(at Time, h Handler, a, b uint64) {
-	if at < e.now {
-		at = e.now
-	}
-	e.ScheduleCall(at-e.now, h, a, b)
-}
+// HandleEvent adapts a closure to Handler: the queue holds one event
+// representation, (Handler, a, b). A func value is pointer-shaped, so
+// the conversion does not allocate.
+func (fn Event) HandleEvent(now Time, _, _ uint64) { fn(now) }
 
 // orderedBand marks sequence numbers supplied by the caller through
 // ScheduleCallAtOrdered. It sits above every FIFO sequence the engine
 // can assign (seq is a counter starting at 1), so at equal timestamps
 // all FIFO-scheduled events run before all ordered events.
 const orderedBand uint64 = 1 << 63
+
+// enqueue queues one event at an absolute time no earlier than now.
+// seq is the engine's own counter for FIFO events, orderedBand|key for
+// ordered ones.
+func (e *Engine) enqueue(at Time, seq uint64, h Handler, a, b uint64) {
+	if at-e.base < wheelSize {
+		e.place(at, seq, h, a, b)
+	} else {
+		e.farScheduled++
+		e.far = append(e.far, farEvent{})
+		e.farUp(len(e.far)-1, farEvent{at, seq, h, a, b})
+	}
+	if n := e.Pending(); n > e.maxPending {
+		e.maxPending = n
+	}
+}
+
+// place links one event into its wheel bucket: FIFO events at the
+// tail, ordered events onto the unsorted ordered list.
+func (e *Engine) place(at Time, seq uint64, h Handler, a, b uint64) {
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i].next
+	} else {
+		e.nodes = append(e.nodes, node{})
+		i = int32(len(e.nodes) - 1)
+	}
+	bi := uint(at) & wheelMask
+	bk := &e.buckets[bi]
+	n := &e.nodes[i]
+	n.h, n.a, n.b, n.key, n.next = h, a, b, seq, 0
+	switch {
+	case seq >= orderedBand:
+		n.next, bk.ord = bk.ord, i
+		if at == e.sortedAt {
+			e.sortedAt = -1
+		}
+	case bk.tail != 0:
+		e.nodes[bk.tail].next = i
+		bk.tail = i
+	default:
+		bk.head, bk.tail = i, i
+	}
+	e.occ[bi>>6] |= 1 << (bi & 63)
+	e.near++
+}
+
+// take unlinks and returns the next event of the bucket for time at,
+// which must be non-empty: the FIFO list first, then the ordered list
+// in ascending key order. A zero-delay FIFO event scheduled by an
+// ordered event's handler therefore still runs before the remaining
+// ordered events, as (at, seq) requires.
+func (e *Engine) take(at Time) (Handler, uint64, uint64) {
+	bi := uint(at) & wheelMask
+	bk := &e.buckets[bi]
+	i := bk.head
+	if i != 0 {
+		if bk.head = e.nodes[i].next; bk.head == 0 {
+			bk.tail = 0
+		}
+	} else {
+		if e.sortedAt != at {
+			e.sortOrdered(bk)
+			e.sortedAt = at
+		}
+		i = bk.ord
+		bk.ord = e.nodes[i].next
+	}
+	h, a, b := e.nodes[i].h, e.nodes[i].a, e.nodes[i].b
+	e.release(bi, i)
+	return h, a, b
+}
+
+// release returns an unlinked node to the free list, dropping its
+// handler reference so callbacks do not outlive their event, and clears
+// the bucket's occupancy bit when that was its last event.
+func (e *Engine) release(bi uint, i int32) {
+	n := &e.nodes[i]
+	n.h = nil
+	n.next, e.free = e.free, i
+	e.near--
+	if bk := &e.buckets[bi]; bk.head == 0 && bk.ord == 0 {
+		e.occ[bi>>6] &^= 1 << (bi & 63)
+	}
+}
+
+// sortOrdered puts a bucket's ordered list into ascending key order.
+// Sorting once per drain instead of at insert matters under the
+// conductor: a bucket is fed by many merges in non-monotone key order.
+func (e *Engine) sortOrdered(bk *bucket) {
+	if e.nodes[bk.ord].next == 0 {
+		return
+	}
+	s := e.scratch[:0]
+	for i := bk.ord; i != 0; i = e.nodes[i].next {
+		s = append(s, ordKey{e.nodes[i].key, i})
+	}
+	slices.SortFunc(s, func(x, y ordKey) int { return cmp.Compare(x.key, y.key) })
+	link := &bk.ord
+	for _, k := range s {
+		*link = k.i
+		link = &e.nodes[k.i].next
+	}
+	*link = 0
+	e.scratch = s
+}
+
+// unlink removes a pending timer's node from the wheel by scanning its
+// one bucket (timers are FIFO events).
+func (e *Engine) unlink(t *Timer) {
+	bi := uint(t.at) & wheelMask
+	bk := &e.buckets[bi]
+	prev, i := int32(0), bk.head
+	for e.nodes[i].h != Handler(t) {
+		prev, i = i, e.nodes[i].next
+	}
+	next := e.nodes[i].next
+	if prev == 0 {
+		bk.head = next
+	} else {
+		e.nodes[prev].next = next
+	}
+	if next == 0 {
+		bk.tail = prev
+	}
+	e.release(bi, i)
+}
+
+// nextNear returns the time of the first occupied bucket at or after
+// base. The wheel must be non-empty.
+func (e *Engine) nextNear() Time {
+	bi := uint(e.base) & wheelMask
+	w := bi >> 6
+	if m := e.occ[w] >> (bi & 63); m != 0 {
+		return e.base + Time(bits.TrailingZeros64(m))
+	}
+	for {
+		// Wraps: the first word comes round again for the bits below bi.
+		w = (w + 1) % uint(len(e.occ))
+		if m := e.occ[w]; m != 0 {
+			return e.base + Time((w<<6+uint(bits.TrailingZeros64(m))-bi)&wheelMask)
+		}
+	}
+}
+
+// farLess orders far-tier entries by (at, seq); seq values are unique,
+// so this is a strict total order.
+func farLess(x, y *farEvent) bool {
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	return x.seq < y.seq
+}
+
+// farSet stores ev at heap position pos, telling a timer where its
+// pending occurrence now sits so Stop and Reset can remove it.
+func (e *Engine) farSet(pos int, ev farEvent) {
+	e.far[pos] = ev
+	if t, ok := ev.h.(*Timer); ok {
+		t.pos = int32(pos)
+	}
+}
+
+// farUp sifts ev up from the hole at pos.
+func (e *Engine) farUp(pos int, ev farEvent) {
+	for pos > 0 {
+		parent := (pos - 1) / 4
+		if !farLess(&ev, &e.far[parent]) {
+			break
+		}
+		e.farSet(pos, e.far[parent])
+		pos = parent
+	}
+	e.farSet(pos, ev)
+}
+
+// farRemove deletes the entry at heap position pos (0 pops the
+// minimum) and refills the hole with the last entry.
+func (e *Engine) farRemove(pos int) {
+	n := len(e.far) - 1
+	ev := e.far[n]
+	e.far[n] = farEvent{}
+	e.far = e.far[:n]
+	if pos == n {
+		return
+	}
+	if pos > 0 && farLess(&ev, &e.far[(pos-1)/4]) {
+		e.farUp(pos, ev)
+		return
+	}
+	for {
+		best := 4*pos + 1
+		if best >= n {
+			break
+		}
+		for c, last := best+1, min(best+4, n); c < last; c++ {
+			if farLess(&e.far[c], &e.far[best]) {
+				best = c
+			}
+		}
+		if !farLess(&e.far[best], &ev) {
+			break
+		}
+		e.farSet(pos, e.far[best])
+		pos = best
+	}
+	e.farSet(pos, ev)
+}
+
+// Schedule runs fn at the given delay from now. Negative delays are
+// clamped to zero (events cannot run in the past).
+func (e *Engine) Schedule(delay Time, fn Event) {
+	if fn != nil {
+		e.ScheduleCall(delay, fn, 0, 0)
+	}
+}
+
+// ScheduleAt runs fn at an absolute virtual time. Times in the past
+// are clamped to now.
+func (e *Engine) ScheduleAt(at Time, fn Event) {
+	if fn != nil {
+		e.ScheduleCallAt(at, fn, 0, 0)
+	}
+}
+
+// ScheduleCall schedules a typed handler invocation. This is the
+// zero-allocation fast path: no closure is created — the handler
+// pointer and its two arguments are stored inline in the event.
+func (e *Engine) ScheduleCall(delay Time, h Handler, a, b uint64) {
+	if delay < 0 {
+		delay = 0
+	}
+	e.ScheduleCallAt(e.now+delay, h, a, b)
+}
+
+// ScheduleCallAt is ScheduleCall at an absolute time (clamped to now).
+func (e *Engine) ScheduleCallAt(at Time, h Handler, a, b uint64) {
+	if h == nil {
+		return
+	}
+	if at < e.now {
+		at = e.now
+	}
+	e.seq++
+	e.enqueue(at, e.seq, h, a, b)
+}
 
 // ScheduleCallAtOrdered is ScheduleCallAt with a caller-supplied tie
 // key in place of the engine's FIFO sequence number. At equal
@@ -423,14 +534,8 @@ func (e *Engine) ScheduleCallAtOrdered(at Time, h Handler, a, b uint64, key uint
 	if at < e.now {
 		at = e.now
 	}
-	i := e.acquire()
-	s := &e.slots[i]
-	s.h = h
-	s.a, s.b = a, b
-	e.seq++ // counts toward Scheduled; the tie key below replaces it in the heap
-	s.at = at
-	s.seq = orderedBand | key
-	e.push(i)
+	e.seq++ // counts toward Scheduled; the tie key below replaces it in the queue
+	e.enqueue(at, orderedBand|key, h, a, b)
 }
 
 // Stop halts the engine: the currently executing event finishes, no
@@ -453,61 +558,60 @@ func (e *Engine) consumeStop() bool {
 	return false
 }
 
-// step executes the next event. It reports false when the queue is
-// empty.
-func (e *Engine) step() bool {
-	if len(e.heap) == 0 {
+// step executes the next event if it is due by deadline. It reports
+// false when the queue is empty or the next event is later.
+func (e *Engine) step(deadline Time) bool {
+	at, ok := e.NextEventAt()
+	if !ok || at > deadline {
 		return false
 	}
-	i := e.popMin()
-	s := &e.slots[i]
-	// Every schedule path clamps to now, so s.at >= e.now always; the
+	if at != e.base {
+		// The wheel's origin moves here and nowhere else — never in
+		// NextEventAt, because the conductor's merge inserts events
+		// between RunUntil calls at times before the lane's next event.
+		// Far events the horizon now covers move into the wheel before
+		// the event at base runs, in (at, seq) order.
+		e.base = at
+		for len(e.far) > 0 && e.far[0].at-at < wheelSize {
+			ev := e.far[0]
+			e.farRemove(0)
+			e.place(ev.at, ev.seq, ev.h, ev.a, ev.b)
+			if t, ok := ev.h.(*Timer); ok {
+				t.pos = timerNear
+			}
+		}
+	}
+	h, a, b := e.take(at)
+	// Every schedule path clamps to now, so at >= e.now always; the
 	// guard makes the clock monotonic by construction rather than by
 	// trusting every (current and future) enqueue call site.
-	if s.at > e.now {
-		e.now = s.at
+	if at > e.now {
+		e.now = at
 	}
-	e.lastAt = e.now
 	e.ran++
-	fn, h, a, b, t := s.fn, s.h, s.a, s.b, s.timer
-	e.release(i)
 	if e.probe != nil {
-		e.dispatchProbed(fn, h, a, b, t)
-		return true
-	}
-	switch {
-	case t != nil:
-		// Mark the timer idle before the callback so the callback can
-		// Reset (reschedule-in-callback) without tripping the
-		// still-pending path.
-		t.slot = -1
-		t.fn(e.now)
-	case fn != nil:
-		fn(e.now)
-	case h != nil:
+		e.dispatchProbed(h, a, b)
+	} else {
 		h.HandleEvent(e.now, a, b)
 	}
 	return true
 }
 
-// dispatchProbed is the traced twin of step's dispatch switch: same
-// callback order, plus wall timing and a probe notification after the
-// callback. Kept out of step so the untraced hot path stays compact.
-func (e *Engine) dispatchProbed(fn Event, h Handler, a, b uint64, t *Timer) {
+// dispatchProbed is the traced twin of step's dispatch: the same
+// callback, plus wall timing and a probe notification after it. Kept
+// out of step so the untraced hot path stays compact.
+func (e *Engine) dispatchProbed(h Handler, a, b uint64) {
 	start := time.Now()
-	class := EventFunc
-	switch {
-	case t != nil:
-		class = EventTimer
-		t.slot = -1
-		t.fn(e.now)
-	case fn != nil:
-		fn(e.now)
-	case h != nil:
-		class = EventCall
-		h.HandleEvent(e.now, a, b)
+	h.HandleEvent(e.now, a, b)
+	wall := time.Since(start)
+	switch h.(type) {
+	case Event:
+		e.probe.Dispatch(e.now, EventFunc, nil, 0, wall)
+	case *Timer:
+		e.probe.Dispatch(e.now, EventTimer, nil, 0, wall)
+	default:
+		e.probe.Dispatch(e.now, EventCall, h, a, wall)
 	}
-	e.probe.Dispatch(e.now, class, h, a, time.Since(start))
 }
 
 // Run executes events until the queue drains or Stop is called. A Stop
@@ -516,7 +620,7 @@ func (e *Engine) Run() {
 	if e.consumeStop() {
 		return
 	}
-	for e.step() {
+	for e.step(maxTime) {
 		if e.consumeStop() {
 			return
 		}
@@ -532,8 +636,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	if e.consumeStop() {
 		return
 	}
-	for len(e.heap) != 0 && e.slots[e.heap[0]].at <= deadline {
-		e.step()
+	for e.step(deadline) {
 		if e.consumeStop() {
 			return
 		}
@@ -545,12 +648,16 @@ func (e *Engine) RunUntil(deadline Time) {
 
 // NextEventAt returns the timestamp of the earliest queued event; ok is
 // false when the queue is empty. The conductor uses it to derive each
-// lookahead window without disturbing the queue.
+// lookahead window without disturbing the queue. Every far event lies
+// at or beyond base+wheelSize, past every wheel event.
 func (e *Engine) NextEventAt() (at Time, ok bool) {
-	if len(e.heap) == 0 {
-		return 0, false
+	if e.near != 0 {
+		return e.nextNear(), true
 	}
-	return e.slots[e.heap[0]].at, true
+	if len(e.far) != 0 {
+		return e.far[0].at, true
+	}
+	return 0, false
 }
 
 // RunFor advances the simulation by d from the current time.
@@ -559,26 +666,43 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // Timer is a cancellable, reschedulable event handle bound to one
 // callback. A subsystem allocates a Timer once and Resets it for every
 // occurrence of its recurring event (mining race wins, workload
-// arrivals, hold timeouts); the queue slot is pooled, so steady-state
+// arrivals, hold timeouts); event storage is pooled, so steady-state
 // rescheduling allocates nothing.
 //
 // Determinism contract: every Reset consumes the next global sequence
 // number, exactly as a fresh Schedule at the same point would — so
 // replacing schedule-and-tombstone loops with a Timer preserves the
 // relative order of all simultaneous events. Stop removes the queued
-// occurrence without disturbing any other event's (at, seq) key.
+// occurrence outright — no tombstone — without disturbing any other
+// event's (at, seq) key.
 type Timer struct {
-	e    *Engine
-	fn   Event
-	slot int32 // queued slot index, -1 when idle
+	e   *Engine
+	fn  Event
+	at  Time  // firing time of the pending occurrence
+	pos int32 // far-heap position, or timerNear / timerIdle
 }
+
+// Timer.pos values that are not far-heap positions.
+const (
+	timerIdle int32 = -1
+	timerNear int32 = -2 // pending in the wheel, in bucket at&wheelMask
+)
 
 // NewTimer creates an idle timer for fn. fn must be non-nil.
 func (e *Engine) NewTimer(fn Event) *Timer {
 	if fn == nil {
 		panic("sim: NewTimer with nil callback")
 	}
-	return &Timer{e: e, fn: fn, slot: -1}
+	return &Timer{e: e, fn: fn, pos: timerIdle}
+}
+
+// HandleEvent fires the timer; it is the engine's entry point, not the
+// owner's. The timer is marked idle before the callback so the callback
+// can Reset (reschedule-in-callback) without tripping the still-pending
+// path.
+func (t *Timer) HandleEvent(now Time, _, _ uint64) {
+	t.pos = timerIdle
+	t.fn(now)
 }
 
 // Reset (re)schedules the timer to fire at delay from now, cancelling
@@ -591,49 +715,43 @@ func (t *Timer) Reset(delay Time) {
 }
 
 // ResetAt (re)schedules the timer to fire at an absolute time (clamped
-// to now), cancelling any pending occurrence. The clamp is enforced
-// here, not only in enqueue: step trusts every queued timestamp to be
-// >= the clock, so the documented "clamped to now" contract must hold
-// at this boundary no matter how the queue internals evolve.
+// to now), cancelling any pending occurrence.
 func (t *Timer) ResetAt(at Time) {
 	e := t.e
 	if at < e.now {
 		at = e.now
 	}
-	if t.slot >= 0 {
-		e.detach(t.slot)
-		e.enqueue(t.slot, at)
-		return
-	}
-	i := e.acquire()
-	e.slots[i].timer = t
-	t.slot = i
-	e.enqueue(i, at)
+	t.Stop()
+	t.at, t.pos = at, timerNear // enqueue overwrites pos if it takes the far tier
+	e.seq++
+	e.enqueue(at, e.seq, t, 0, 0)
 }
 
 // Stop cancels the pending occurrence, reporting whether one was
 // pending. A stopped timer can be Reset again.
 func (t *Timer) Stop() bool {
-	if t.slot < 0 {
+	switch t.pos {
+	case timerIdle:
 		return false
+	case timerNear:
+		t.e.unlink(t)
+	default:
+		t.e.farRemove(int(t.pos))
 	}
-	e := t.e
-	e.detach(t.slot)
-	e.release(t.slot)
-	t.slot = -1
+	t.pos = timerIdle
 	return true
 }
 
 // Pending reports whether an occurrence is queued.
-func (t *Timer) Pending() bool { return t.slot >= 0 }
+func (t *Timer) Pending() bool { return t.pos != timerIdle }
 
 // When returns the pending occurrence's firing time; ok is false when
 // the timer is idle.
 func (t *Timer) When() (at Time, ok bool) {
-	if t.slot < 0 {
+	if t.pos == timerIdle {
 		return 0, false
 	}
-	return t.e.slots[t.slot].at, true
+	return t.at, true
 }
 
 // RNG is a deterministic random stream with the distribution helpers
