@@ -39,12 +39,15 @@ test-relay:
 
 # Campaign-service gate: the store conformance suite and the HTTP
 # handler/lifecycle suite under the race detector (SSE, queueing and
-# cancellation are concurrency-heavy), the HTTP-vs-CLI byte-identity
-# golden gate, and the cmd/ethserve end-to-end smoke test (boot the
-# binary path, submit over HTTP, fetch artifacts, digest-verify the
-# run directory with ethanalyze).
+# cancellation are concurrency-heavy; the runs-per-campaign limit test
+# rides in the server suite), the shared resolve/seal rules both front
+# ends run on (interrupted-seal regression included), the HTTP-vs-CLI
+# byte-identity golden gate, and the cmd/ethserve end-to-end smoke
+# test (boot the binary path, submit over HTTP, fetch artifacts,
+# digest-verify the run directory with ethanalyze).
 test-server:
 	$(GO) test -race -short -v ./internal/store/ ./internal/server/ ./cmd/ethserve/
+	$(GO) test -race -run 'TestSeal|TestResolve' -v ./internal/scenario/
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/ethrepro -only T1 -repeats 2 -out "$$dir/run"; \
 	$(GO) run ./cmd/ethanalyze -verify "$$dir/run"
@@ -73,8 +76,10 @@ test-stress:
 # panic containment included), the engine queue's differential test
 # against the reference heap, the transport's lane-layout table (pools,
 # conservation, counter fold, merge time discipline, relay conformance
-# on region lanes) and the campaign-level shard-count and
-# lookahead-bound invariance suites run under the race detector — they
+# on region lanes), the campaign-level shard-count and
+# lookahead-bound invariance suites, the measurement fold's
+# raw-log-vs-streaming table (one-lane and region lanes) and the CLI's
+# -shards scoping test run under the race detector — they
 # drive the cross-shard merge, the phase barriers and the lane-local
 # pools with real concurrency — then the shard-axis golden harness
 # runs its exhaustive acceptance sweep (SHARDGOLDEN=full:
@@ -85,7 +90,8 @@ test-stress:
 # test-stress (STRESS100K).
 test-shard:
 	$(GO) test -race -run 'TestConductor|TestEngineMatchesReferenceOrder' -v ./internal/sim/
-	$(GO) test -race -run 'TestSharded|TestMessagePoolReuse|TestTransportConservation|TestFoldLanes|TestMergeCross|TestProtocolConformance' -v ./internal/p2p/... ./internal/core/
+	$(GO) test -race -run 'TestSharded|TestMessagePoolReuse|TestTransportConservation|TestFoldLanes|TestMergeCross|TestProtocolConformance|TestStreamingMatchesRawLog|TestModesAgree|TestRawLogPinned' -v ./internal/p2p/... ./internal/core/ ./internal/measure/
+	$(GO) test -race -run 'TestShardsFlag' -v ./cmd/ethrepro/
 	SHARDGOLDEN=full $(GO) test -run 'TestGoldenShard' -v -timeout 90m ./internal/experiments
 
 # Fuzz lane: run every fuzz target for a bounded burst on top of the
@@ -97,8 +103,11 @@ fuzz:
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzSweepExpand -fuzztime 30s ./internal/scenario/
 
+# The whole short tier under the race detector. internal/experiments
+# alone needs 530-890 s here on a 2-vCPU box, past go test's default
+# 10-minute package timeout, so the target carries its own.
 race:
-	$(GO) test -race -short ./...
+	$(GO) test -race -short -timeout 60m ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

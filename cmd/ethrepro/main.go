@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		only     = fs.String("only", "", "comma-separated experiment or outcome IDs (default: all)")
 		parallel = fs.Int("parallel", 0, "concurrent experiments (0 = GOMAXPROCS)")
 		shards   = fs.Int("shards", 0, "intra-run execution workers on the sharded conductor (0 = single engine; >=1 shards each run by region, byte-identical across values)")
-		repeats  = fs.Int("repeats", 1, "independent repeats per experiment")
+		repeats  = fs.Int("repeats", 0, "independent repeats per experiment (0 = 1, or a scenario's suggested count)")
 		outDir   = fs.String("out", "", "run directory for CSV/JSON artifacts (default: none)")
 		scenFlag = fs.String("scenario", "", "comma-separated scenario files to compile into the registry")
 		list     = fs.Bool("list", false, "list registered experiments and exit")
@@ -87,11 +87,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sets, all, err := loadScenarios(*scenFlag)
+	sets, err := loadScenarios(*scenFlag)
 	if err != nil {
 		return err
 	}
 	if *list {
+		all, err := scenario.Extend(experiments.Specs(), sets)
+		if err != nil {
+			return err
+		}
 		fmt.Fprint(stdout, renderRegistry(all))
 		return nil
 	}
@@ -105,51 +109,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			ids = append(ids, id)
 		}
 	}
-	// -scenario without -only runs the scenario's variants, not the
-	// whole registry: that is what pointing the tool at a file means.
-	if len(ids) == 0 && len(sets) > 0 {
-		for _, set := range sets {
-			for _, v := range set.Variants {
-				ids = append(ids, v.ID())
-			}
-		}
-	}
-	specs, err := experiments.SelectIn(all, ids)
+	// -scenario without -only runs the scenario's variants; sets keeps
+	// only the scenarios that actually run, and an unset -repeats takes
+	// their suggestion (scenario.Resolve, shared with ethserve).
+	specs, sets, runs, err := scenario.Resolve(experiments.Specs(), sets, ids, *repeats)
 	if err != nil {
 		return err
-	}
-	// Scenario side effects (the repeats suggestion and the embedded
-	// scenario.json) apply only to scenarios whose variants actually
-	// run — -only may have excluded them.
-	sets = activeSets(sets, specs)
-	// A scenario's suggested repeat count applies unless -repeats was
-	// given explicitly.
-	repeatsSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "repeats" {
-			repeatsSet = true
-		}
-	})
-	if !repeatsSet {
-		for _, set := range sets {
-			if set.Base.Repeats > *repeats {
-				*repeats = set.Base.Repeats
-			}
-		}
 	}
 
 	// The parallel setting must not appear on stdout: stdout is
 	// byte-identical across -parallel values, which is the campaign's
 	// determinism contract.
 	fmt.Fprintf(stdout, "ethrepro: seed=%d scale=%s repeats=%d specs=%d\n\n",
-		*seed, scale, max(*repeats, 1), len(specs))
+		*seed, scale, runs, len(specs))
 	fmt.Fprintf(stderr, "ethrepro: parallel=%d\n",
-		experiments.EffectiveParallel(*parallel, len(specs), *repeats, 0))
+		experiments.EffectiveParallel(*parallel, len(specs), runs, 0))
 	// -shards rides the same environment knob campaigns already read,
 	// so it reaches every spec builder without threading a parameter
 	// through the registry. Like -parallel it never prints to stdout:
 	// artifacts (and stdout) are byte-identical across shard counts.
 	if *shards > 0 {
+		// run is re-entrant: the knob goes back the way it was found.
+		if prev, had := os.LookupEnv("ETHREPRO_SHARDS"); had {
+			defer os.Setenv("ETHREPRO_SHARDS", prev)
+		} else {
+			defer os.Unsetenv("ETHREPRO_SHARDS")
+		}
 		if err := os.Setenv("ETHREPRO_SHARDS", fmt.Sprint(*shards)); err != nil {
 			return err
 		}
@@ -173,7 +158,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	report, runErr := experiments.Run(ctx, specs, experiments.RunnerConfig{
 		Seed:     *seed,
 		Scale:    scale,
-		Repeats:  *repeats,
+		Repeats:  runs,
 		Parallel: *parallel,
 		// Progress (completion order, wall-clock) goes to stderr so
 		// stdout stays deterministic across -parallel settings.
@@ -200,36 +185,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "ethrepro: trace written to %s\n", *traceOut)
 	}
 	if *outDir != "" && report != nil {
-		st := store.NewFS(*outDir)
-		if err := experiments.WriteArtifacts(st, report); err != nil {
+		var tel *experiments.Telemetry
+		if *telem {
+			tel = experiments.BuildTelemetry(report, taken)
+		}
+		if err := scenario.Seal(store.NewFS(*outDir), report, sets, tel); err != nil {
 			// Keep the campaign failure visible alongside the write
 			// failure.
-			return errors.Join(runErr, err)
-		}
-		if len(sets) > 0 {
-			// Embed the resolved scenarios so the run directory is
-			// replayable without the original files.
-			if err := scenario.WriteArtifact(st, sets); err != nil {
-				return errors.Join(runErr, err)
-			}
-		} else {
-			// A reused run directory must not keep a stale scenario
-			// embedding from an earlier campaign.
-			if err := st.Delete(scenario.ArtifactFile); err != nil {
-				return errors.Join(runErr, err)
-			}
-		}
-		if *telem {
-			if err := experiments.WriteTelemetry(st, experiments.BuildTelemetry(report, taken)); err != nil {
-				return errors.Join(runErr, err)
-			}
-		} else if err := st.Delete(experiments.TelemetryFile); err != nil {
-			// A reused run directory must not keep stale telemetry from
-			// an earlier campaign under the fresh manifest.
-			return errors.Join(runErr, err)
-		}
-		// Seal last so the Merkle root covers every blob above.
-		if err := experiments.WriteManifest(st, report); err != nil {
 			return errors.Join(runErr, err)
 		}
 		fmt.Fprintf(stdout, "artifacts written to %s\n", *outDir)
@@ -274,12 +236,9 @@ func writeTrace(path string, report *experiments.Report, taken map[uint64]obs.Ru
 	return errors.Join(err, f.Close())
 }
 
-// loadScenarios parses and compiles every scenario file named by the
-// comma-separated flag value, merging the variants with the built-in
-// registry under Register's collision rules (without mutating it, so
-// run stays re-entrant).
-func loadScenarios(flagValue string) ([]*scenario.Set, []experiments.Spec, error) {
-	all := experiments.Specs()
+// loadScenarios parses every scenario file named by the
+// comma-separated flag value.
+func loadScenarios(flagValue string) ([]*scenario.Set, error) {
 	var sets []*scenario.Set
 	for _, path := range strings.Split(flagValue, ",") {
 		if path = strings.TrimSpace(path); path == "" {
@@ -287,37 +246,11 @@ func loadScenarios(flagValue string) ([]*scenario.Set, []experiments.Spec, error
 		}
 		set, err := scenario.Load(path)
 		if err != nil {
-			return nil, nil, err
-		}
-		specs, err := set.Compile()
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if all, err = experiments.Merge(all, specs...); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
+			return nil, err
 		}
 		sets = append(sets, set)
 	}
-	return sets, all, nil
-}
-
-// activeSets filters scenario sets down to those with at least one
-// variant among the selected specs.
-func activeSets(sets []*scenario.Set, specs []experiments.Spec) []*scenario.Set {
-	selected := make(map[string]bool, len(specs))
-	for _, sp := range specs {
-		selected[sp.ID] = true
-	}
-	var out []*scenario.Set
-	for _, set := range sets {
-		for _, v := range set.Variants {
-			if selected[v.ID()] {
-				out = append(out, set)
-				break
-			}
-		}
-	}
-	return out
+	return sets, nil
 }
 
 // renderRegistry prints the experiment registry table (-list),

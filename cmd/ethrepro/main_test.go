@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -205,5 +206,65 @@ func TestScenarioRejectsBadFile(t *testing.T) {
 	path = writeScenario(t, "collide", `{"name": "network", "mode": "chain", "chain": {"blocks": 10}}`)
 	if err := run(context.Background(), []string{"-scenario", path, "-list"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("registry collision must fail")
+	}
+}
+
+// runInto runs the CLI into a fresh run directory (no telemetry, so the
+// directory is a pure function of the flags) and returns its files.
+func runInto(t *testing.T, args ...string) map[string]string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "run")
+	args = append(args, "-only", "T2", "-seed", "5", "-telemetry=false", "-out", dir)
+	if err := run(context.Background(), args, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[filepath.ToSlash(rel)] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestShardsFlagScopedToTheRun: -shards reaches the campaigns through
+// ETHREPRO_SHARDS, and run is re-entrant, so the variable must be back
+// the way it was found when run returns — or every later call in the
+// process silently joins the sharded artifact family.
+func TestShardsFlagScopedToTheRun(t *testing.T) {
+	t.Setenv("ETHREPRO_SHARDS", "") // restore the caller's value afterwards
+	os.Unsetenv("ETHREPRO_SHARDS")
+
+	oneLane := runInto(t)
+	two := runInto(t, "-shards", "2")
+	if v, had := os.LookupEnv("ETHREPRO_SHARDS"); had {
+		t.Fatalf("-shards 2 left ETHREPRO_SHARDS=%q behind", v)
+	}
+	six := runInto(t, "-shards", "6")
+	if !reflect.DeepEqual(two, six) {
+		t.Error("run directories differ between -shards 2 and -shards 6")
+	}
+	if two["outcomes.json"] == oneLane["outcomes.json"] {
+		t.Fatal("sharded and one-lane outcomes coincide; the test cannot tell the families apart")
+	}
+	if after := runInto(t); !reflect.DeepEqual(after, oneLane) {
+		t.Error("a run after -shards is not back in the one-lane family")
+	}
+
+	// A value the caller exported survives a -shards run too.
+	os.Setenv("ETHREPRO_SHARDS", "6")
+	if viaEnv := runInto(t); !reflect.DeepEqual(viaEnv, six) {
+		t.Error("ETHREPRO_SHARDS=6 and -shards 6 disagree")
+	}
+	runInto(t, "-shards", "2")
+	if v := os.Getenv("ETHREPRO_SHARDS"); v != "6" {
+		t.Fatalf("-shards 2 replaced the caller's ETHREPRO_SHARDS=6 with %q", v)
 	}
 }

@@ -45,7 +45,9 @@ var (
 	ErrNoNodes  = errors.New("analysis: no measurement nodes")
 )
 
-// MergeNodes builds a Dataset from live measurement nodes.
+// MergeNodes builds a Dataset from live measurement nodes: names in
+// attach order, retained block bodies, and whatever raw log the nodes
+// kept (none for streaming nodes, whose Records() is nil).
 func MergeNodes(nodes []*measure.Node) (*Dataset, error) {
 	if len(nodes) == 0 {
 		return nil, ErrNoNodes
@@ -295,7 +297,7 @@ func ViewFromTree(t *chain.BlockTree) (*ChainView, error) {
 	}
 	main := t.MainChain()
 	for _, b := range main[1:] { // skip genesis
-		meta := metaFromBlock(b)
+		meta := metaFromBlock(b, true)
 		v.Main = append(v.Main, meta)
 		v.MainSet[meta.Hash] = true
 		for i := range b.Uncles {
@@ -309,13 +311,16 @@ func ViewFromTree(t *chain.BlockTree) (*ChainView, error) {
 			if !ok {
 				continue
 			}
-			v.All[h] = metaFromBlock(b)
+			v.All[h] = metaFromBlock(b, true)
 		}
 	}
 	return v, nil
 }
 
-func metaFromBlock(b *types.Block) BlockMeta {
+// metaFromBlock is the skeleton of a block held in memory. txLinks
+// gates the transaction hash list, mirroring what a measurement node's
+// block records carry under its CaptureTxLinks setting.
+func metaFromBlock(b *types.Block, txLinks bool) BlockMeta {
 	meta := BlockMeta{
 		Hash:    b.Hash(),
 		Parent:  b.Header.ParentHash,
@@ -328,8 +333,10 @@ func metaFromBlock(b *types.Block) BlockMeta {
 	for i := range b.Uncles {
 		meta.Uncles = append(meta.Uncles, b.Uncles[i].Hash())
 	}
-	for _, tx := range b.Txs {
-		meta.TxHashes = append(meta.TxHashes, tx.Hash())
+	if txLinks {
+		for _, tx := range b.Txs {
+			meta.TxHashes = append(meta.TxHashes, tx.Hash())
+		}
 	}
 	return meta
 }

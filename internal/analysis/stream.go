@@ -5,13 +5,13 @@ import (
 	"repro/internal/types"
 )
 
-// IndexFromStreams builds the observation Index directly from
-// streaming measurement nodes, bypassing record materialization
-// entirely: no Record structs, no hex round-trips, no O(receptions)
-// log. It produces exactly the Index BuildIndex would compute from the
-// same nodes' raw logs — the streaming aggregates are the per-node
-// fixpoints of BuildIndex's scan — so every downstream analysis is
-// unchanged, byte for byte.
+// IndexFromStreams builds the observation Index directly from the
+// measurement nodes' per-item aggregates — the fold every node keeps
+// whether or not it also retains a raw log — without Record structs,
+// hex round-trips or an O(receptions) scan. It produces exactly the
+// Index BuildIndex computes from the same nodes' raw logs (the
+// aggregates are the per-node fixpoints of BuildIndex's scan), so
+// every downstream analysis is unchanged, byte for byte.
 func IndexFromStreams(nodes []*measure.Node) (*Index, error) {
 	if len(nodes) == 0 {
 		return nil, ErrNoNodes
@@ -71,7 +71,7 @@ func IndexFromStreams(nodes []*measure.Node) (*Index, error) {
 			if _, ok := idx.BlockMeta[h]; ok {
 				continue
 			}
-			idx.BlockMeta[h] = metaFromBlockLinks(b, links)
+			idx.BlockMeta[h] = metaFromBlock(b, links)
 		}
 	}
 	if !observed {
@@ -81,47 +81,4 @@ func IndexFromStreams(nodes []*measure.Node) (*Index, error) {
 		return nil, ErrNoBlocks
 	}
 	return idx, nil
-}
-
-// metaFromBlockLinks is metaFromBlock with the tx hash list gated on
-// the node's capture setting, mirroring what the node's records would
-// have carried.
-func metaFromBlockLinks(b *types.Block, captureTxLinks bool) BlockMeta {
-	meta := BlockMeta{
-		Hash:    b.Hash(),
-		Parent:  b.Header.ParentHash,
-		Number:  b.Header.Number,
-		Miner:   b.Header.MinerLabel,
-		TxCount: len(b.Txs),
-		Size:    b.EncodedSize(),
-		Extra:   b.Header.Extra,
-	}
-	for i := range b.Uncles {
-		meta.Uncles = append(meta.Uncles, b.Uncles[i].Hash())
-	}
-	if captureTxLinks {
-		for _, tx := range b.Txs {
-			meta.TxHashes = append(meta.TxHashes, tx.Hash())
-		}
-	}
-	return meta
-}
-
-// MergeNodeMeta builds a record-free Dataset shell (node names and
-// retained block bodies) for streaming campaigns, where the raw log
-// was never materialized.
-func MergeNodeMeta(nodes []*measure.Node) (*Dataset, error) {
-	if len(nodes) == 0 {
-		return nil, ErrNoNodes
-	}
-	ds := &Dataset{Blocks: make(map[types.Hash]*types.Block)}
-	for _, n := range nodes {
-		ds.NodeNames = append(ds.NodeNames, n.Name())
-		for h, b := range n.Blocks() {
-			if _, ok := ds.Blocks[h]; !ok {
-				ds.Blocks[h] = b
-			}
-		}
-	}
-	return ds, nil
 }

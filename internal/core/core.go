@@ -1,7 +1,7 @@
 // Package core orchestrates complete measurement campaigns: it builds
 // the simulated Ethereum network, runs mining pools and a transaction
 // workload over it, attaches geographically dispersed instrumented
-// measurement nodes, and hands the merged logs to the analysis
+// measurement nodes, and hands what they observed to the analysis
 // pipeline.
 //
 // This is the reproduction's top-level public API. A downstream user
@@ -91,14 +91,15 @@ type CampaignConfig struct {
 	// PerfectClocks disables NTP error (for ground-truth validation
 	// runs); the default samples the paper's NTP mixture.
 	PerfectClocks bool
-	// Streaming makes measurement nodes fold receptions into O(items)
-	// aggregates instead of retaining raw Records: campaign memory
-	// stays O(blocks + transactions) rather than O(receptions), and
-	// the analysis index is built without materializing a log. The
-	// resulting Index — and every analysis on it — is identical to the
-	// raw-log path; only CampaignResult.Dataset.Records is empty. Use
-	// the default (false) when the raw JSONL log itself is the product
-	// (cmd/ethmeasure).
+	// Streaming drops the measurement nodes' raw logs. Every node folds
+	// each reception once into O(items) aggregates and the campaign's
+	// Index is always built from that fold, so the Index — and every
+	// analysis on it — is identical either way; the flag only decides
+	// whether the nodes also retain one Record per reception. Set, it
+	// keeps campaign memory O(blocks + transactions) rather than
+	// O(receptions) and leaves CampaignResult.Dataset.Records empty.
+	// Leave the default (false) when the raw JSONL log itself is the
+	// product (cmd/ethmeasure).
 	Streaming bool
 	// CaptureTxLinks records per-block transaction hash lists,
 	// required for commit-time analyses.
@@ -149,9 +150,10 @@ func DefaultCampaignConfig(seed uint64) CampaignConfig {
 
 // CampaignResult bundles everything a campaign produced.
 type CampaignResult struct {
-	// Dataset is the merged measurement log.
+	// Dataset is the merged measurement log: node names and block
+	// bodies always, Records only when the raw log was retained.
 	Dataset *analysis.Dataset
-	// Index is the pre-built observation index.
+	// Index is the observation index, built from the nodes' fold.
 	Index *analysis.Index
 	// View is the chain view reconstructed from the logs (what the
 	// original study could compute) — use for log-based analyses.
@@ -570,29 +572,13 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 		Shard:    c.shardSample(),
 	})
 
-	var (
-		ds  *analysis.Dataset
-		idx *analysis.Index
-		err error
-	)
-	if c.cfg.Streaming {
-		ds, err = analysis.MergeNodeMeta(c.nodes)
-		if err != nil {
-			return nil, fmt.Errorf("core: merge logs: %w", err)
-		}
-		idx, err = analysis.IndexFromStreams(c.nodes)
-		if err != nil {
-			return nil, fmt.Errorf("core: index logs: %w", err)
-		}
-	} else {
-		ds, err = analysis.MergeNodes(c.nodes)
-		if err != nil {
-			return nil, fmt.Errorf("core: merge logs: %w", err)
-		}
-		idx, err = analysis.BuildIndex(ds)
-		if err != nil {
-			return nil, fmt.Errorf("core: index logs: %w", err)
-		}
+	ds, err := analysis.MergeNodes(c.nodes)
+	if err != nil {
+		return nil, fmt.Errorf("core: merge logs: %w", err)
+	}
+	idx, err := analysis.IndexFromStreams(c.nodes)
+	if err != nil {
+		return nil, fmt.Errorf("core: index logs: %w", err)
 	}
 	view, err := analysis.ViewFromIndex(idx)
 	if err != nil {

@@ -1,8 +1,16 @@
 // Package experiments packages every paper experiment as a callable
-// harness, shared by the benchmark suite (bench_test.go) and the
-// reproduction tool (cmd/ethrepro). Each experiment returns an Outcome
+// harness: a registry of specs, the parallel campaign runner (Run) and
+// the run-directory writers. Each experiment returns an Outcome
 // holding the rendered paper-style table/figure plus headline metrics
 // for EXPERIMENTS.md's paper-vs-measured comparison.
+//
+// Both front ends (cmd/ethrepro, internal/server) drive the runner and
+// then write and seal the run directory through scenario.Seal, which
+// calls WriteArtifacts, WriteTelemetry and WriteManifest in the one
+// order that keeps a directory verifiable; only the repo benchmark
+// (bench/) calls the writers directly, to time each step. The Go
+// benchmark suite (bench_test.go) drives the runner and specs, never
+// the seal path.
 package experiments
 
 import (

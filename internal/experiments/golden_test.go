@@ -40,12 +40,12 @@ var goldenShortScenarios = map[string]bool{
 	"relay-compare.json":  true,
 }
 
-// runGolden executes the specs at the given parallelism and writes a
-// run directory, sealed with its digest manifest — so the invariance
-// gate also covers the Merkle root. Failures inside any run are
-// fatal: a spec that cannot execute has no artifact to compare. The
-// returned report lets scenario runs embed scenario.json before
-// sealing.
+// runGolden executes the specs at the given parallelism and seals a
+// run directory the way both front ends do (scenario.Seal: artifacts,
+// the embedded scenario.json for scenario runs, the digest manifest) —
+// so the invariance gate also covers the Merkle root. Failures inside
+// any run are fatal: a spec that cannot execute has no artifact to
+// compare.
 func runGolden(t *testing.T, specs []experiments.Spec, dir string, parallel int, sets []*scenario.Set) {
 	t.Helper()
 	runGoldenAt(t, specs, dir, parallel, sets, experiments.ScaleSmall, 2)
@@ -66,16 +66,8 @@ func runGoldenAt(t *testing.T, specs []experiments.Spec, dir string, parallel in
 		t.Fatalf("campaign at parallel=%d: %v", parallel, err)
 	}
 	st := store.NewFS(dir)
-	if err := experiments.WriteArtifacts(st, report); err != nil {
-		t.Fatalf("write artifacts: %v", err)
-	}
-	if len(sets) > 0 {
-		if err := scenario.WriteArtifact(st, sets); err != nil {
-			t.Fatalf("write scenario artifact: %v", err)
-		}
-	}
-	if err := experiments.WriteManifest(st, report); err != nil {
-		t.Fatalf("write manifest: %v", err)
+	if err := scenario.Seal(st, report, sets, nil); err != nil {
+		t.Fatalf("seal run dir: %v", err)
 	}
 	if err := store.Verify(st); err != nil {
 		t.Fatalf("sealed run dir fails verification: %v", err)

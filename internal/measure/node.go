@@ -10,10 +10,10 @@ import (
 	"repro/internal/types"
 )
 
-// BlockObservation is the streaming aggregate for one block at one
-// node: the earliest local sighting (and its message kind) plus
-// per-kind reception counts — exactly what analysis.BuildIndex
-// derives for the node from its raw log.
+// BlockObservation is one node's aggregate for one block: the earliest
+// local sighting (and its message kind) plus per-kind reception counts
+// — exactly what analysis.BuildIndex derives for the node from its raw
+// log.
 type BlockObservation struct {
 	FirstLocal sim.Time
 	FirstKind  RecordKind
@@ -23,9 +23,8 @@ type BlockObservation struct {
 	Announces int
 }
 
-// TxObservation is the streaming aggregate for one transaction at one
-// node: earliest local sighting plus the identity the reordering
-// analysis needs.
+// TxObservation is one node's aggregate for one transaction: earliest
+// local sighting plus the identity the reordering analysis needs.
 type TxObservation struct {
 	FirstLocal sim.Time
 	Sender     string
@@ -33,31 +32,31 @@ type TxObservation struct {
 }
 
 // Node is an instrumented measurement client: a regular network peer
-// whose ingress is logged with a local (NTP-skewed) clock.
+// whose ingress is stamped with a local (NTP-skewed) clock.
 //
-// In the default (raw log) mode every reception appends a Record, like
-// the study's JSONL logs. In streaming mode the node instead folds
-// each reception into O(1) per-item aggregates, so campaign memory is
-// O(blocks + transactions) rather than O(receptions) — the difference
-// between a 600 GB log and a running summary.
+// There is one observer. It folds every reception once into O(1)
+// per-item aggregates (BlockObservations, TxObservations, the retained
+// block bodies, the quiet gap) — all the analysis index needs, in
+// O(blocks + transactions) memory. Unless Options.Streaming is set it
+// also appends the reception's Record(s) to a raw log, like the
+// study's JSONL logs: O(receptions), the difference between a running
+// summary and a 600 GB log.
 type Node struct {
 	name  string
 	peer  *p2p.Node
 	clock geo.Clock
 
-	records []Record
-	blocks  map[types.Hash]*types.Block
-
-	streaming bool
-	blockObs  map[types.Hash]*BlockObservation
-	txObs     map[types.Hash]*TxObservation
+	// keepLog retains the raw log (Options.Streaming unset).
+	keepLog  bool
+	records  []Record
+	blocks   map[types.Hash]*types.Block
+	blockObs map[types.Hash]*BlockObservation
+	txObs    map[types.Hash]*TxObservation
 
 	// Quiet-gap tracking: the longest local-clock interval between
 	// successive block-related receptions. A healthy overlay delivers
 	// something every few seconds; a long silence is the signature of
-	// an outage or partition on the node's side of the network. Folded
-	// incrementally, so it works identically in raw-log and streaming
-	// modes.
+	// an outage or partition on the node's side of the network.
 	lastBlockLocal sim.Time
 	blockSeen      bool
 	maxQuietGap    sim.Time
@@ -83,16 +82,16 @@ type Options struct {
 	MaxPeers int
 	// CaptureTxLinks records each block's transaction hash list.
 	CaptureTxLinks bool
-	// Streaming folds receptions into per-item aggregates instead of
-	// retaining raw Records (Records() then returns nil; use
-	// analysis.IndexFromStreams). Memory stays O(items) rather than
-	// O(receptions).
+	// Streaming drops the raw log. Receptions are folded into the
+	// per-item aggregates either way (analysis.IndexFromStreams reads
+	// those); with Streaming no Record is retained, Records() returns
+	// nil and memory stays O(items) rather than O(receptions).
 	Streaming bool
 }
 
 // Attach creates a measurement node, joins it to the network with the
-// requested peer count and installs the logging observer. The clock
-// should come from geo.NewClock for paper-faithful NTP error, or
+// requested peer count and installs the observer. The clock should
+// come from geo.NewClock for paper-faithful NTP error, or
 // geo.PerfectClock for ground-truth runs.
 func Attach(net *p2p.Network, opts Options, clock geo.Clock) (*Node, error) {
 	if net == nil {
@@ -114,17 +113,13 @@ func Attach(net *p2p.Network, opts Options, clock geo.Clock) (*Node, error) {
 		name:           opts.Name,
 		peer:           peer,
 		clock:          clock,
+		keepLog:        !opts.Streaming,
 		blocks:         make(map[types.Hash]*types.Block),
-		streaming:      opts.Streaming,
+		blockObs:       make(map[types.Hash]*BlockObservation),
+		txObs:          make(map[types.Hash]*TxObservation),
 		captureTxLinks: opts.CaptureTxLinks,
 	}
-	if opts.Streaming {
-		m.blockObs = make(map[types.Hash]*BlockObservation)
-		m.txObs = make(map[types.Hash]*TxObservation)
-		peer.SetObserver(m.observeStream)
-	} else {
-		peer.SetObserver(m.observe)
-	}
+	peer.SetObserver(m.observe)
 	return m, nil
 }
 
@@ -145,19 +140,16 @@ func (m *Node) Clock() geo.Clock { return m.clock }
 // log and return nil.
 func (m *Node) Records() []Record { return m.records }
 
-// Streaming reports whether the node aggregates instead of logging.
-func (m *Node) Streaming() bool { return m.streaming }
-
 // CaptureTxLinks reports whether block observations carry tx hash
 // lists.
 func (m *Node) CaptureTxLinks() bool { return m.captureTxLinks }
 
-// BlockObservations returns the streaming per-block aggregates (nil
-// in raw-log mode). The map is shared; callers must not mutate.
+// BlockObservations returns the per-block aggregates. The map is
+// shared; callers must not mutate.
 func (m *Node) BlockObservations() map[types.Hash]*BlockObservation { return m.blockObs }
 
-// TxObservations returns the streaming per-transaction aggregates
-// (nil in raw-log mode). The map is shared; callers must not mutate.
+// TxObservations returns the per-transaction aggregates. The map is
+// shared; callers must not mutate.
 func (m *Node) TxObservations() map[types.Hash]*TxObservation { return m.txObs }
 
 // Blocks returns the full content of every block observed, keyed by
@@ -167,8 +159,7 @@ func (m *Node) Blocks() map[types.Hash]*types.Block { return m.blocks }
 // MaxQuietGap returns the longest local-clock interval between
 // successive block-related receptions (blocks or announcements) — the
 // partition/outage signature the availability analysis reports. Zero
-// until two receptions have been observed. Available in both raw-log
-// and streaming modes.
+// until two receptions have been observed.
 func (m *Node) MaxQuietGap() sim.Time { return m.maxQuietGap }
 
 // noteBlockActivity folds one block-related reception into the
@@ -184,16 +175,38 @@ func (m *Node) noteBlockActivity(local sim.Time) {
 	m.lastBlockLocal = local
 }
 
-// observe is the instrumentation hook: one Record per message, stamped
-// with the local clock.
+// blockSighting folds one sighting of block h into its aggregate and
+// returns it for the caller to count. The earliest-sighting rule
+// matches analysis.BuildIndex's noteFirst exactly (strictly earlier
+// local time wins; ties keep the first reception), so the index built
+// from the aggregates is identical to one built from the raw records.
+func (m *Node) blockSighting(h types.Hash, local sim.Time, kind RecordKind) *BlockObservation {
+	o := m.blockObs[h]
+	if o == nil {
+		o = &BlockObservation{FirstLocal: local, FirstKind: kind}
+		m.blockObs[h] = o
+	} else if local < o.FirstLocal {
+		o.FirstLocal, o.FirstKind = local, kind
+	}
+	return o
+}
+
+// observe is the instrumentation hook: stamp the local clock, fold the
+// reception into the aggregates and, when the raw log is kept, append
+// one Record per item the message carries.
 func (m *Node) observe(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
 	local := m.clock.Read(now)
-	base := Record{
-		Node:        m.name,
-		Region:      m.peer.Region().String(),
-		LocalMillis: int64(local),
-		TrueMillis:  int64(now),
-		FromPeer:    int(from),
+	// record starts a log line with the fields every kind shares.
+	record := func(kind RecordKind, h types.Hash) Record {
+		return Record{
+			Node:        m.name,
+			Region:      m.peer.Region().String(),
+			Kind:        kind,
+			LocalMillis: int64(local),
+			TrueMillis:  int64(now),
+			FromPeer:    int(from),
+			Hash:        h.String(),
+		}
 	}
 	switch msg.Kind {
 	case p2p.MsgNewBlock, p2p.MsgCompactBlock:
@@ -205,9 +218,15 @@ func (m *Node) observe(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
 			return
 		}
 		m.noteBlockActivity(local)
-		rec := base
-		rec.Kind = KindBlock
-		rec.Hash = b.Hash().String()
+		h := b.Hash()
+		m.blockSighting(h, local, KindBlock).Blocks++
+		if _, seen := m.blocks[h]; !seen {
+			m.blocks[h] = b
+		}
+		if !m.keepLog {
+			return
+		}
+		rec := record(KindBlock, h)
 		rec.Number = b.Header.Number
 		rec.ParentHash = b.Header.ParentHash.String()
 		rec.Miner = b.Header.MinerLabel
@@ -225,74 +244,13 @@ func (m *Node) observe(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
 			}
 		}
 		m.records = append(m.records, rec)
-		if _, seen := m.blocks[b.Hash()]; !seen {
-			m.blocks[b.Hash()] = b
-		}
 	case p2p.MsgNewBlockHashes:
 		m.noteBlockActivity(local)
 		for _, h := range msg.Hashes {
-			rec := base
-			rec.Kind = KindAnnouncement
-			rec.Hash = h.String()
-			m.records = append(m.records, rec)
-		}
-	case p2p.MsgTransactions:
-		for _, tx := range msg.Txs {
-			if tx == nil {
-				continue
+			m.blockSighting(h, local, KindAnnouncement).Announces++
+			if m.keepLog {
+				m.records = append(m.records, record(KindAnnouncement, h))
 			}
-			rec := base
-			rec.Kind = KindTx
-			rec.Hash = tx.Hash().String()
-			rec.Sender = tx.Sender.String()
-			rec.Nonce = tx.Nonce
-			m.records = append(m.records, rec)
-		}
-	default:
-		// GetBlock requests carry no measurement value; the study's
-		// logs track blocks, announcements and transactions.
-	}
-}
-
-// observeStream is the streaming instrumentation hook: fold each
-// reception into the per-item aggregates. The earliest-sighting rule
-// matches analysis.BuildIndex's noteFirst exactly (strictly earlier
-// local time wins; ties keep the first reception), so the index built
-// from these aggregates is identical to one built from raw records.
-func (m *Node) observeStream(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
-	local := m.clock.Read(now)
-	switch msg.Kind {
-	case p2p.MsgNewBlock, p2p.MsgCompactBlock:
-		b := msg.Block
-		if b == nil {
-			return
-		}
-		m.noteBlockActivity(local)
-		h := b.Hash()
-		o := m.blockObs[h]
-		if o == nil {
-			o = &BlockObservation{FirstLocal: local, FirstKind: KindBlock}
-			m.blockObs[h] = o
-		} else if local < o.FirstLocal {
-			o.FirstLocal = local
-			o.FirstKind = KindBlock
-		}
-		o.Blocks++
-		if _, seen := m.blocks[h]; !seen {
-			m.blocks[h] = b
-		}
-	case p2p.MsgNewBlockHashes:
-		m.noteBlockActivity(local)
-		for _, h := range msg.Hashes {
-			o := m.blockObs[h]
-			if o == nil {
-				o = &BlockObservation{FirstLocal: local, FirstKind: KindAnnouncement}
-				m.blockObs[h] = o
-			} else if local < o.FirstLocal {
-				o.FirstLocal = local
-				o.FirstKind = KindAnnouncement
-			}
-			o.Announces++
 		}
 	case p2p.MsgTransactions:
 		for _, tx := range msg.Txs {
@@ -302,14 +260,19 @@ func (m *Node) observeStream(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
 			h := tx.Hash()
 			o := m.txObs[h]
 			if o == nil {
-				m.txObs[h] = &TxObservation{
-					FirstLocal: local,
-					Sender:     tx.Sender.String(),
-					Nonce:      tx.Nonce,
-				}
+				o = &TxObservation{FirstLocal: local, Sender: tx.Sender.String(), Nonce: tx.Nonce}
+				m.txObs[h] = o
 			} else if local < o.FirstLocal {
 				o.FirstLocal = local
 			}
+			if m.keepLog {
+				rec := record(KindTx, h)
+				rec.Sender, rec.Nonce = o.Sender, o.Nonce
+				m.records = append(m.records, rec)
+			}
 		}
+	default:
+		// GetBlock requests carry no measurement value; the study's
+		// logs track blocks, announcements and transactions.
 	}
 }

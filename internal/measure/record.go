@@ -1,12 +1,15 @@
 // Package measure implements the paper's measurement infrastructure:
-// instrumented client nodes that log every incoming network message
+// instrumented client nodes that stamp every incoming network message
 // with an NTP-synchronized local timestamp (§II), plus the JSONL
 // dataset format the logs are stored in.
 //
 // A measurement node is a protocol-conformant peer — it relays blocks
 // and transactions like any other client and is indistinguishable on
-// the wire — with an observer hooked at message ingress, exactly where
-// the original study added ~1,000 lines to Geth.
+// the wire — with one observer hooked at message ingress, exactly
+// where the original study added ~1,000 lines to Geth. The observer
+// folds each reception into per-item aggregates, which is what the
+// analysis index is built from; the raw log of Records is an optional
+// sink on that fold (Options.Streaming drops it).
 package measure
 
 import (

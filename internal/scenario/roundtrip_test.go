@@ -90,9 +90,8 @@ func TestRoundTripShipped(t *testing.T) {
 }
 
 // TestRoundTripRunDirectory runs a scenario campaign end to end the
-// way cmd/ethrepro does — runner, experiments.WriteArtifacts, scenario
-// artifact — and checks both halves of the run directory re-load
-// consistently.
+// way cmd/ethrepro does — runner, then Seal — and checks both halves
+// of the run directory re-load consistently.
 func TestRoundTripRunDirectory(t *testing.T) {
 	doc := `{
 	  "name": "rt",
@@ -119,13 +118,7 @@ func TestRoundTripRunDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := store.NewFS(t.TempDir())
-	if err := experiments.WriteArtifacts(st, report); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteArtifact(st, []*Set{set}); err != nil {
-		t.Fatal(err)
-	}
-	if err := experiments.WriteManifest(st, report); err != nil {
+	if err := Seal(st, report, []*Set{set}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Verify(st); err != nil {

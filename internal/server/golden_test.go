@@ -23,15 +23,15 @@ import (
 // Merkle root — at any parallelism.
 
 // cliRun executes a campaign exactly the way `ethrepro -scenario f
-// -out dir -parallel N` does: load, compile, run, write artifacts,
-// embed the scenario, seal.
+// -out dir -parallel N -telemetry=false` does: load, resolve, run,
+// seal.
 func cliRun(t *testing.T, scenarioPath, dir string, seed uint64, repeats, parallel int) {
 	t.Helper()
 	set, err := scenario.Load(scenarioPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := set.Compile()
+	specs, sets, _, err := scenario.Resolve(experiments.Specs(), []*scenario.Set{set}, nil, repeats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +41,7 @@ func cliRun(t *testing.T, scenarioPath, dir string, seed uint64, repeats, parall
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.NewFS(dir)
-	if err := experiments.WriteArtifacts(st, report); err != nil {
-		t.Fatal(err)
-	}
-	if err := scenario.WriteArtifact(st, []*scenario.Set{set}); err != nil {
-		t.Fatal(err)
-	}
-	if err := experiments.WriteManifest(st, report); err != nil {
+	if err := scenario.Seal(store.NewFS(dir), report, sets, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,6 +13,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -211,6 +212,9 @@ func (s *Server) Submit(req SubmitRequest) (Status, error) {
 	s.order = append(s.order, c.id)
 	s.mu.Unlock()
 
+	// Log "queued" before an executor can see the campaign: a fast run
+	// would otherwise finish first and the event log would end on it.
+	c.emit(Event{Type: "state", State: StateQueued})
 	select {
 	case s.queue <- c:
 	default:
@@ -224,7 +228,6 @@ func (s *Server) Submit(req SubmitRequest) (Status, error) {
 		return Status{}, errUnavailable(fmt.Sprintf("campaign queue full (%d waiting)", s.cfg.Queue))
 	}
 	s.metrics.submitted.Inc()
-	c.emit(Event{Type: "state", State: StateQueued})
 	s.cfg.Logf("server: %s queued: %d spec(s), seed %d, scale %s, %d repeat(s)",
 		c.id, len(c.specs), c.seed, c.scale, c.repeats)
 	return c.status(), nil
@@ -243,12 +246,17 @@ type badRequestError struct{ err error }
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
 
-// resolve turns a SubmitRequest into a ready-to-run campaign,
-// mirroring the ethrepro CLI's resolution rules exactly — same
-// registry merge, same scenario-variant default selection, same
-// suggested-repeats rule — so the two front ends cannot drift.
+// maxCampaignRuns bounds specs x repeats for one campaign. The runner
+// allocates per run before any of them starts, on the executor
+// goroutine, so an unbounded repeat count in one POST would take the
+// whole process — every tenant's queued and running campaign — down
+// with it.
+const maxCampaignRuns = 1 << 16
+
+// resolve turns a SubmitRequest into a ready-to-run campaign under the
+// ethrepro CLI's own resolution rules (scenario.Resolve). Every
+// failure is the submitter's: 400.
 func (s *Server) resolve(req SubmitRequest) (*campaign, error) {
-	all := s.cfg.Specs
 	var sets []*scenario.Set
 	switch {
 	case len(req.Scenario) > 0:
@@ -267,75 +275,28 @@ func (s *Server) resolve(req SubmitRequest) (*campaign, error) {
 		}
 		sets = append(sets, set)
 	}
-	for _, set := range sets {
-		specs, err := set.Compile()
-		if err != nil {
-			return nil, badRequestError{fmt.Errorf("scenario: %w", err)}
-		}
-		if all, err = experiments.Merge(all, specs...); err != nil {
-			return nil, badRequestError{err}
-		}
-	}
-	ids := req.Specs
-	if len(ids) == 0 && len(sets) > 0 {
-		for _, set := range sets {
-			for _, v := range set.Variants {
-				ids = append(ids, v.ID())
-			}
-		}
-	}
-	specs, err := experiments.SelectIn(all, ids)
+	specs, sets, repeats, err := scenario.Resolve(s.cfg.Specs, sets, req.Specs, req.Repeats)
 	if err != nil {
 		return nil, badRequestError{err}
 	}
-	scaleStr := req.Scale
-	if scaleStr == "" {
-		scaleStr = "small"
+	if repeats > maxCampaignRuns/max(len(specs), 1) {
+		return nil, badRequestError{fmt.Errorf("campaign of %d spec(s) x %d repeats exceeds the limit of %d runs",
+			len(specs), repeats, maxCampaignRuns)}
 	}
-	scale, err := experiments.ParseScale(scaleStr)
+	scale, err := experiments.ParseScale(cmp.Or(req.Scale, "small"))
 	if err != nil {
 		return nil, badRequestError{err}
-	}
-	repeats := req.Repeats
-	if repeats <= 0 {
-		repeats = 1
-		for _, set := range sets {
-			if set.Base.Repeats > repeats {
-				repeats = set.Base.Repeats
-			}
-		}
 	}
 
 	c := newCampaign("")
 	c.specs = specs
-	c.sets = activeSets(sets, specs)
+	c.sets = sets
 	c.seed = req.Seed
 	c.scale = scale
 	c.repeats = repeats
 	c.total = len(specs) * repeats
 	c.parallel = req.Parallel
 	return c, nil
-}
-
-// activeSets filters scenario sets down to those with at least one
-// variant among the selected specs (same rule as the CLI: an -only
-// style selection may exclude a whole scenario, and then its
-// suggested repeats and embedded document must not apply).
-func activeSets(sets []*scenario.Set, specs []experiments.Spec) []*scenario.Set {
-	selected := make(map[string]bool, len(specs))
-	for _, sp := range specs {
-		selected[sp.ID] = true
-	}
-	var out []*scenario.Set
-	for _, set := range sets {
-		for _, v := range set.Variants {
-			if selected[v.ID()] {
-				out = append(out, set)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // executor drains the campaign queue. Several run concurrently
@@ -454,32 +415,15 @@ func (s *Server) runCampaign(c *campaign) {
 	s.cfg.Logf("server: %s %s in %s", c.id, final, time.Since(start).Round(time.Millisecond))
 }
 
-// sealCampaign writes the run directory through the shared artifact
-// pipeline — experiments artifacts, the embedded scenario for
-// scenario campaigns, the opt-in telemetry record, then the digest
-// manifest last so the Merkle root covers every blob. Byte-identical
-// to `ethrepro -out` (telemetry and profiles aside, which the golden
-// gate runs without).
+// sealCampaign writes and seals the run directory with scenario.Seal,
+// the sequence `ethrepro -out` runs — byte-identical to it, telemetry
+// and profiles aside (the golden gate runs without them).
 func (s *Server) sealCampaign(c *campaign, report *experiments.Report) error {
-	if err := experiments.WriteArtifacts(c.st, report); err != nil {
-		return err
-	}
-	if len(c.sets) > 0 {
-		if err := scenario.WriteArtifact(c.st, c.sets); err != nil {
-			return err
-		}
-	} else if err := c.st.Delete(scenario.ArtifactFile); err != nil {
-		return err
-	}
+	var tel *experiments.Telemetry
 	if s.cfg.Telemetry {
-		tel := experiments.BuildTelemetry(report, obs.Default.Take(experiments.ReportSeeds(report)))
-		if err := experiments.WriteTelemetry(c.st, tel); err != nil {
-			return err
-		}
-	} else if err := c.st.Delete(experiments.TelemetryFile); err != nil {
-		return err
+		tel = experiments.BuildTelemetry(report, obs.Default.Take(experiments.ReportSeeds(report)))
 	}
-	if err := experiments.WriteManifest(c.st, report); err != nil {
+	if err := scenario.Seal(c.st, report, c.sets, tel); err != nil {
 		return err
 	}
 	m, err := store.ReadManifest(c.st)

@@ -242,6 +242,44 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestRunLimitRejectsOversizedCampaign: specs x repeats above
+// maxCampaignRuns is the submitter's error, not an allocation the
+// executor attempts — one POST must not be able to take the process,
+// and every other tenant's campaigns, down.
+func TestRunLimitRejectsOversizedCampaign(t *testing.T) {
+	_, ts, _ := testServer(t, Config{Specs: []experiments.Spec{fastSpec("A"), fastSpec("B")}})
+	for _, body := range []string{
+		`{"specs": ["A"], "repeats": 2000000000}`,
+		fmt.Sprintf(`{"specs": ["A"], "repeats": %d}`, maxCampaignRuns+1),
+		fmt.Sprintf(`{"repeats": %d}`, maxCampaignRuns/2+1), // two specs
+		`{"specs": ["A"], "repeats": 9223372036854775807}`,
+	} {
+		var errBody map[string]string
+		if code := doJSON(t, "POST", ts.URL+"/campaigns", body, &errBody); code != http.StatusBadRequest {
+			t.Fatalf("%s: HTTP %d, want 400 (%v)", body, code, errBody)
+		}
+		if !strings.Contains(errBody["error"], "exceeds the limit") {
+			t.Fatalf("%s: error %q does not name the limit", body, errBody["error"])
+		}
+	}
+	var health map[string]any
+	if code := doJSON(t, "GET", ts.URL+"/healthz", "", &health); code != http.StatusOK || health["status"] != "ok" {
+		t.Fatalf("healthz after the oversized POSTs: HTTP %d %v", code, health)
+	}
+	// The limit itself is allowed, and the service still runs campaigns.
+	var st Status
+	if code := doJSON(t, "POST", ts.URL+"/campaigns", `{"repeats": 3}`, &st); code != http.StatusAccepted {
+		t.Fatalf("submit after rejections: HTTP %d", code)
+	}
+	if final := waitState(t, ts.URL, st.ID, StateDone); final.Completed != 6 {
+		t.Fatalf("final status: %+v", final)
+	}
+	if _, err := (&Server{cfg: Config{Specs: []experiments.Spec{fastSpec("A")}}}).resolve(
+		SubmitRequest{Repeats: maxCampaignRuns}); err != nil {
+		t.Fatalf("a campaign of exactly the limit was rejected: %v", err)
+	}
+}
+
 func TestUnknownCampaignIs404(t *testing.T) {
 	_, ts, _ := testServer(t, Config{Specs: []experiments.Spec{fastSpec("A")}})
 	for _, url := range []string{
