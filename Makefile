@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race bench bench-smoke bench-contract-smoke bench-compare bench-baseline bench-stress bench-stress-compare fmt fmt-check vet loc examples examples-full validate-scenarios
+.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race profile bench bench-smoke bench-contract-smoke bench-compare bench-baseline bench-stress bench-stress-compare fmt fmt-check vet loc examples examples-full validate-scenarios
 
 build:
 	$(GO) build ./...
@@ -74,9 +74,11 @@ test-stress:
 
 # Sharded-execution gate. The conductor's window-loop invariants (lane
 # panic containment included), the engine queue's differential test
-# against the reference heap, the transport's lane-layout table (pools,
-# conservation, counter fold, merge time discipline, relay conformance
-# on region lanes), the campaign-level shard-count and
+# against the reference heap, the RNG fast path's draw-for-draw test
+# against math/rand/v2, the transport's lane-layout table (flight slab
+# reuse, observer views, parent interning at injection, conservation,
+# counter fold, merge time discipline, relay conformance on region
+# lanes), the campaign-level shard-count and
 # lookahead-bound invariance suites, the measurement fold's
 # raw-log-vs-streaming table (one-lane and region lanes) and the CLI's
 # -shards scoping test run under the race detector — they
@@ -89,8 +91,8 @@ test-stress:
 # the package timeout). The full-size 100k sharded golden lives in
 # test-stress (STRESS100K).
 test-shard:
-	$(GO) test -race -run 'TestConductor|TestEngineMatchesReferenceOrder' -v ./internal/sim/
-	$(GO) test -race -run 'TestSharded|TestMessagePoolReuse|TestTransportConservation|TestFoldLanes|TestMergeCross|TestProtocolConformance|TestStreamingMatchesRawLog|TestModesAgree|TestRawLogPinned' -v ./internal/p2p/... ./internal/core/ ./internal/measure/
+	$(GO) test -race -run 'TestConductor|TestEngineMatchesReferenceOrder|TestRNGFastPathMatchesRand' -v ./internal/sim/
+	$(GO) test -race -run 'TestSharded|TestMessagePoolReuse|TestFlightViewMatchesMessage|TestParentInternedAtInjection|TestTransportConservation|TestFoldLanes|TestMergeCross|TestProtocolConformance|TestStreamingMatchesRawLog|TestModesAgree|TestRawLogPinned' -v ./internal/p2p/... ./internal/core/ ./internal/measure/
 	$(GO) test -race -run 'TestShardsFlag' -v ./cmd/ethrepro/
 	SHARDGOLDEN=full $(GO) test -run 'TestGoldenShard' -v -timeout 90m ./internal/experiments
 
@@ -98,6 +100,7 @@ test-shard:
 # committed seed corpora (which already execute as regular tests).
 fuzz:
 	$(GO) test -fuzz FuzzEngineOrder -fuzztime 30s ./internal/sim/
+	$(GO) test -fuzz FuzzRNGFastPath -fuzztime 15s ./internal/sim/
 	$(GO) test -fuzz FuzzCompactReconstruct -fuzztime 30s ./internal/p2p/relay/
 	$(GO) test -fuzz FuzzAdjacencyChurn -fuzztime 30s ./internal/p2p/
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime 30s ./internal/scenario/
@@ -108,6 +111,18 @@ fuzz:
 # 10-minute package timeout, so the target carries its own.
 race:
 	$(GO) test -race -short -timeout 60m ./...
+
+# Where a big overlay run spends its time: the bench harness's
+# overlay-10k campaign (10,000 nodes, 40 blocks, one engine; three runs,
+# overlay build off the clock) under the CPU profiler, then the top 25
+# functions. docs/PERFORMANCE.md ("The message") keeps the tops this
+# printed before and after each change to the deliver/fan-out loop; the
+# stage benchmarks beside it are
+# `go test -run '^$' -bench 'DeliverRedundant|Fanout|Send' -benchmem ./internal/p2p/`.
+profile:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -run '^$$' -bench BenchmarkOverlay10k -benchtime 3x -cpuprofile "$$dir/cpu.prof" -o "$$dir/core.test" ./internal/core; \
+	$(GO) tool pprof -top -nodecount=25 "$$dir/core.test" "$$dir/cpu.prof"
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

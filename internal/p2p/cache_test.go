@@ -16,8 +16,8 @@ func cacheLen(n *Node) int { return len(n.net.cacheQ[n.idx()]) }
 
 // cacheHas reports whether node n can still serve the body for h.
 func cacheHas(n *Node, h types.Hash) bool {
-	_, ok := n.cachedBlock(h)
-	return ok
+	idx, ok := n.net.blockIdx.lookup(h)
+	return ok && n.net.cachedBits.get(n.idx(), idx)
 }
 
 // haveCount counts node n's dedup bits across all interned blocks.
@@ -82,7 +82,7 @@ func TestBlockCacheEvictionOrder(t *testing.T) {
 
 	// Fill to exactly the cap: every body must still be servable.
 	for i := 0; i < blockCacheCap; i++ {
-		a.rememberBlock(hashAt(i), testBlock(uint64(i+1), "Ethermine"))
+		net.rememberBlock(a.idx(), net.blockIdx.intern(hashAt(i)), testBlock(uint64(i+1), "Ethermine"))
 	}
 	if cacheLen(a) != blockCacheCap {
 		t.Fatalf("cache holds %d bodies at exactly cap inserts, want %d (on-insert eviction off-by-one)",
@@ -93,7 +93,7 @@ func TestBlockCacheEvictionOrder(t *testing.T) {
 	}
 
 	// One past the cap evicts exactly the first insert, nothing else.
-	a.rememberBlock(hashAt(blockCacheCap), testBlock(uint64(blockCacheCap+1), "Ethermine"))
+	net.rememberBlock(a.idx(), net.blockIdx.intern(hashAt(blockCacheCap)), testBlock(uint64(blockCacheCap+1), "Ethermine"))
 	if cacheLen(a) != blockCacheCap {
 		t.Fatalf("cache holds %d bodies past cap, want %d", cacheLen(a), blockCacheCap)
 	}
@@ -108,7 +108,7 @@ func TestBlockCacheEvictionOrder(t *testing.T) {
 	// after cap+k inserts exactly the first k are gone.
 	const extra = 37
 	for i := 1; i < extra; i++ {
-		a.rememberBlock(hashAt(blockCacheCap+i), testBlock(uint64(blockCacheCap+i+1), "Ethermine"))
+		net.rememberBlock(a.idx(), net.blockIdx.intern(hashAt(blockCacheCap+i)), testBlock(uint64(blockCacheCap+i+1), "Ethermine"))
 	}
 	for i := 0; i < extra; i++ {
 		if cacheHas(a, hashAt(i)) {
@@ -134,9 +134,12 @@ func TestBlockCacheEvictionOrder(t *testing.T) {
 }
 
 // TestMessagePoolReuse drives repeated dissemination and checks, per
-// lane, that the transport recycles message structs instead of growing
-// the pool per send, and that every delivery and announce slot is back
-// on its free list once the run drains.
+// lane, what replaced the message pool: the flight slab recycles its
+// slots — its length is bounded by the lane's peak number of events in
+// flight, not by the number of sends — every flight and announce slot
+// is back on its free list once the run drains, a freed slot keeps no
+// block or transaction-batch pointer alive, and the cross buffers are
+// empty.
 func TestMessagePoolReuse(t *testing.T) {
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
@@ -148,14 +151,27 @@ func TestMessagePoolReuse(t *testing.T) {
 			f.start(t)
 			for i, blk := range chainOf(50) {
 				nodes[(7*i)%len(nodes)].InjectBlock(f.now(), blk)
+				nodes[(5*i)%len(nodes)].InjectTx(f.now(), testTx(uint64(i)))
 				f.run(2)
 			}
 			f.net.FoldLanes()
-			pooled := 0
+			slots := 0
 			for i, ln := range f.net.all {
-				pooled += len(ln.msgFree)
-				if len(ln.delivFree) != len(ln.deliv) {
-					t.Errorf("lane %d delivery slab leak: %d slots, %d free", i, len(ln.deliv), len(ln.delivFree))
+				slots += len(ln.flights)
+				free := 0
+				for next := ln.freeFlight; next != 0; next = ln.flights[next-1].to {
+					free++
+				}
+				if free != len(ln.flights) {
+					t.Errorf("lane %d flight slab leak: %d slots, %d free", i, len(ln.flights), free)
+				}
+				for k, fl := range ln.flights {
+					if fl.kind != 0 || fl.b != nil || fl.txs != nil {
+						t.Errorf("lane %d freed flight slot %d still holds %+v", i, k, fl)
+					}
+				}
+				if peak := ln.engine.Stats().MaxPending; len(ln.flights) > peak {
+					t.Errorf("lane %d flight slab has %d slots for a peak of %d events in flight", i, len(ln.flights), peak)
 				}
 				if len(ln.annFree) != len(ln.ann) {
 					t.Errorf("lane %d announce slab leak: %d slots, %d free", i, len(ln.ann), len(ln.annFree))
@@ -163,22 +179,26 @@ func TestMessagePoolReuse(t *testing.T) {
 				if len(ln.cross) != 0 {
 					t.Errorf("lane %d cross buffer holds %d undelivered messages", i, len(ln.cross))
 				}
+				for k, cm := range ln.cross[:cap(ln.cross)] {
+					if cm.f.b != nil || cm.f.txs != nil {
+						t.Errorf("lane %d drained cross entry %d still holds a payload", i, k)
+					}
+				}
 			}
-			// All in-flight messages were delivered and released; the
-			// free pools now hold every message ever allocated.
-			if pooled == 0 {
-				t.Fatal("no pooled messages after 50 dissemination rounds")
+			if slots == 0 {
+				t.Fatal("no flight slots after 50 dissemination rounds")
 			}
-			if uint64(pooled) >= f.net.MessagesSent {
-				t.Fatalf("pools hold %d messages for %d sends: no reuse happened", pooled, f.net.MessagesSent)
+			if uint64(slots)*4 >= f.net.MessagesSent {
+				t.Fatalf("slabs hold %d slots for %d sends: no reuse happened", slots, f.net.MessagesSent)
 			}
 		})
 	}
 }
 
-// TestPooledMessagePayloadIntegrity checks that recycled announcement
-// messages carry the right hash even when many are in flight at once
-// (the inline hash1 buffer must be per-message, not shared).
+// TestPooledMessagePayloadIntegrity checks that announcements shown to
+// observers carry the right hash even when many for different blocks
+// are in flight at once: the lane's one reusable view must be refilled
+// from each flight's own block index.
 func TestPooledMessagePayloadIntegrity(t *testing.T) {
 	net := zeroLatencyNetwork(t, 5)
 	hub := addNode(t, net, geo.WesternEurope, 0)

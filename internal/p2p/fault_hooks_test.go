@@ -170,7 +170,7 @@ func TestParentPullRecoversMissedAncestry(t *testing.T) {
 		b := types.NewBlock(h, nil, nil)
 		chain = append(chain, b)
 		parent = b.Hash()
-		src.rememberBlock(b.Hash(), b)
+		net.rememberBlock(src.idx(), net.blockIdx.intern(b.Hash()), b)
 	}
 
 	// The lagger connects and receives only the tip.
@@ -178,9 +178,7 @@ func TestParentPullRecoversMissedAncestry(t *testing.T) {
 		t.Fatal(err)
 	}
 	tip := chain[4]
-	m := net.newMessage(src.idx(), MsgNewBlock)
-	m.Block = tip
-	net.send(0, src, lagger, m, -1)
+	net.send(0, &flight{to: lagger.idx(), from: src.idx(), srcPos: -1, kind: MsgNewBlock, block: net.blockIdx.mustLookup(tip.Hash()), b: tip})
 	net.Engine().Run()
 
 	for i, b := range chain {
@@ -194,14 +192,12 @@ func TestParentPullRecoversMissedAncestry(t *testing.T) {
 	src2 := addNode(t, net2, geo.WesternEurope, 0)
 	lag2 := addNode(t, net2, geo.WesternEurope, 0)
 	for _, b := range chain {
-		src2.rememberBlock(b.Hash(), b)
+		net2.rememberBlock(src2.idx(), net2.blockIdx.intern(b.Hash()), b)
 	}
 	if err := net2.Connect(src2, lag2); err != nil {
 		t.Fatal(err)
 	}
-	m2 := net2.newMessage(src2.idx(), MsgNewBlock)
-	m2.Block = tip
-	net2.send(0, src2, lag2, m2, -1)
+	net2.send(0, &flight{to: lag2.idx(), from: src2.idx(), srcPos: -1, kind: MsgNewBlock, block: net2.blockIdx.mustLookup(tip.Hash()), b: tip})
 	net2.Engine().Run()
 	if lag2.KnowsBlock(chain[0].Hash()) {
 		t.Fatal("parent pull ran with ParentPull disabled")

@@ -1,29 +1,52 @@
 package p2p
 
-import "repro/internal/types"
+import (
+	"fmt"
+
+	"repro/internal/types"
+)
 
 // Compact item indices for the struct-of-arrays node core.
 //
-// Blocks and transactions get a dense int32 index the first time the
-// network sees their hash (mining injection, relay receipt, or a bare
-// announcement). Per-node dedup state then lives in flat bit grids
-// keyed by (node index, item index) — one bit per pair instead of a
-// ~50-byte map entry per pair — and the 32-byte hashes survive only at
-// the wire and artifact boundaries, where messages and reports need
-// them.
+// Blocks and transactions get a dense int32 index when they are
+// injected into the network. Per-node dedup state then lives in flat
+// bit grids keyed by (node index, item index) — one bit per pair
+// instead of a ~50-byte map entry per pair — and the 32-byte hashes
+// survive only at the relay.Env and observer boundaries, where
+// protocols and reports need them.
 
-// itemIndex interns hashes to dense indices. One instance per item
-// family (blocks, transactions) per network; the map here is the
-// single hash-keyed structure the whole node core retains.
+// itemIndex interns hashes to dense indices, and keeps the way back:
+// hashes[i] is the hash interned as i. One instance per item family
+// (blocks, transactions) per network; the map here is the single
+// hash-keyed structure the whole node core retains.
+//
+// Interning happens only while the run is single-threaded — Inject*
+// (phase A on region lanes) — and covers every hash a flight can name:
+// an injected block's own and its parent's, an injected transaction's.
+// What a lane runs only reads: lookup/mustLookup, or for blocks no map
+// at all — the index travels in the flight and hashes gives it back.
 type itemIndex struct {
-	idx map[types.Hash]int32
-	n   int32
+	idx    map[types.Hash]int32
+	hashes []types.Hash
 }
 
 // lookup returns the index for h if it has been interned.
 func (x *itemIndex) lookup(h types.Hash) (int32, bool) {
 	i, ok := x.idx[h]
 	return i, ok
+}
+
+// mustLookup is lookup for a hash the interning invariant says is
+// present. A miss is a bug in whoever put the hash on the wire;
+// interning it here instead would be a concurrent map write on region
+// lanes. The panic is contained to the run.
+func (x *itemIndex) mustLookup(h types.Hash) int32 {
+	i, ok := x.idx[h]
+	if !ok {
+		panic(fmt.Sprintf("p2p: hash %v on the wire was never interned: every hash a flight can name "+
+			"must be interned by InjectBlock/InjectTx before a lane handles it", h))
+	}
+	return i
 }
 
 // intern returns h's index, assigning the next dense index on first
@@ -35,9 +58,9 @@ func (x *itemIndex) intern(h types.Hash) int32 {
 	if i, ok := x.idx[h]; ok {
 		return i
 	}
-	i := x.n
+	i := int32(len(x.hashes))
 	x.idx[h] = i
-	x.n++
+	x.hashes = append(x.hashes, h)
 	return i
 }
 

@@ -12,7 +12,7 @@ import "math/bits"
 //   - knowSlot is an N×64 ring of block indices (+1; 0 = empty slot):
 //     node i's recent-block window occupies
 //     knowSlot[i*knownPeerCap : (i+1)*knownPeerCap], a circular buffer
-//     advanced by knowHead/knowCount.
+//     advanced by the node row's knowHead/knowCount.
 //   - knowMask (in the adjacency arena, one word per directed edge)
 //     holds the per-peer bits: bit s set on edge (i→j) means node i
 //     knows that peer j has the block in window slot s.
@@ -34,14 +34,23 @@ type spillMark struct {
 	slot int32
 }
 
+// slotUnknown is a passed-along window slot nobody has scanned for yet
+// (-1 is a scan's "not in the window").
+const slotUnknown int32 = -2
+
 // windowSlot returns the slot of node i's window holding block idx, or
 // -1. Scans newest-first: marks overwhelmingly target the block
-// currently propagating.
+// currently propagating. A delivery scans at most once: markPeerKnows
+// returns the slot and the relayEnv keeps it for the fan-out.
 func (net *Network) windowSlot(i, idx int32) int32 {
-	base := i * knownPeerCap
-	head := int32(net.knowHead[i])
-	count := int32(net.knowCount[i])
+	row := &net.rows[i]
 	want := idx + 1
+	if row.newest == want {
+		return int32(row.newestSlot)
+	}
+	base := i * knownPeerCap
+	head := int32(row.knowHead)
+	count := int32(row.knowCount)
 	for k := count - 1; k >= 0; k-- {
 		s := (head + k) & (knownPeerCap - 1)
 		if net.knowSlot[base+s] == want {
@@ -56,16 +65,18 @@ func (net *Network) windowSlot(i, idx int32) int32 {
 // and returns the slot now holding idx.
 func (net *Network) windowAdd(i, idx int32) int32 {
 	base := i * knownPeerCap
-	if int32(net.knowCount[i]) == knownPeerCap {
-		evict := int32(net.knowHead[i])
+	row := &net.rows[i]
+	if row.knowCount == knownPeerCap {
+		evict := int32(row.knowHead)
 		net.clearSlot(i, evict)
 		net.knowSlot[base+evict] = 0
-		net.knowHead[i] = uint8((evict + 1) & (knownPeerCap - 1))
-		net.knowCount[i]--
+		row.knowHead = uint8((evict + 1) & (knownPeerCap - 1))
+		row.knowCount--
 	}
-	s := (int32(net.knowHead[i]) + int32(net.knowCount[i])) & (knownPeerCap - 1)
+	s := (int32(row.knowHead) + int32(row.knowCount)) & (knownPeerCap - 1)
 	net.knowSlot[base+s] = idx + 1
-	net.knowCount[i]++
+	row.knowCount++
+	row.newest, row.newestSlot = idx+1, uint8(s)
 	return s
 }
 
@@ -124,18 +135,19 @@ func (net *Network) spillEdgeMask(i, peer int32, mask uint64) {
 
 // markPeerKnows records that peer (at validated span position pos, or
 // -1 when not currently connected) has block idx, suppressing future
-// sends of it. The equivalent of the old per-node
-// peerKnows[hash][peer] = true.
-func (net *Network) markPeerKnows(i, idx, peer, pos int32) {
+// sends of it, and returns the block's window slot. The equivalent of
+// the old per-node peerKnows[hash][peer] = true.
+func (net *Network) markPeerKnows(i, idx, peer, pos int32) int32 {
 	s := net.windowSlot(i, idx)
 	if s < 0 {
 		s = net.windowAdd(i, idx)
 	}
 	if pos >= 0 {
 		net.top.knowMask[net.top.spans[i].off+pos] |= 1 << uint(s)
-		return
+	} else {
+		net.spillAdd(i, peer, s)
 	}
-	net.spillAdd(i, peer, s)
+	return s
 }
 
 // peerKnows reports whether node i knows that peer (at validated span

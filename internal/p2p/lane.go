@@ -3,7 +3,6 @@ package p2p
 import (
 	"repro/internal/p2p/relay"
 	"repro/internal/sim"
-	"repro/internal/types"
 )
 
 // transportCounters is the transport accounting one lane writes. The
@@ -46,12 +45,13 @@ func (c *transportCounters) moveInto(dst *transportCounters) {
 // netLane is the transport: everything a send, a delivery or an
 // announce wave touches beyond per-node state lives here — the engine
 // it schedules on, the RNG stream it draws from, the relay protocol
-// instance, counters, pools and fan-out scratch. It is the only
+// instance, counters, slabs and fan-out scratch. It is the only
 // sim.Handler in the package. A lane's engine is single-threaded, so
 // one set of scratch per lane is safe, and the steady state is
-// allocation-free: messages and delivery slots come from free lists,
-// deliveries and deferred announce waves are typed engine events (no
-// closure per send), and fan-out selection reuses the scratch buffers.
+// allocation-free: a message in flight is one slab record (flight),
+// deliveries and deferred announce waves are typed engine events
+// carrying a slot number (no closure per send), and fan-out selection
+// reuses the scratch buffers. Nothing is pooled beyond the slabs.
 //
 // A network runs on one of two lane layouts (Network.lanes): a single
 // home lane bound to the network's own engine and RNG stream, or one
@@ -66,17 +66,22 @@ type netLane struct {
 	// counter writes lane-local.
 	proto   relay.Protocol
 	compact relay.CompactHandler
-	// env is the reusable relay.Env view handed to the protocol.
-	env relayEnv
+	// env and view are the reusable relay.Env handed to the protocol
+	// and Message shown to observers (viewOf).
+	env  relayEnv
+	view Message
 
 	ctr *transportCounters
 
-	// Pooled transport state (see HandleEvent).
-	msgFree   []*Message
-	deliv     []delivery
-	delivFree []int32
-	ann       []announce
-	annFree   []int32
+	// flights is the slab of messages in flight to this lane's nodes: a
+	// slot is taken when the delivery is scheduled and freed when it
+	// fires, so the slab's length is the peak number in flight. Free
+	// slots form a list through their `to` field, by slot number + 1
+	// (0 ends it); freeFlight is its head.
+	flights    []flight
+	freeFlight int32
+	ann        []announce
+	annFree    []int32
 
 	// Fan-out scratch: candidate span positions and permutation order.
 	candBuf  []int32
@@ -98,9 +103,7 @@ type netLane struct {
 // newLane builds a lane on the given engine, RNG stream and counter
 // block; the caller installs its protocol (setProto).
 func newLane(net *Network, engine *sim.Engine, rng *sim.RNG, ctr *transportCounters) *netLane {
-	ln := &netLane{net: net, engine: engine, rng: rng, ctr: ctr}
-	ln.env = relayEnv{net: net, lane: ln, fromIdx: -1, fromPos: -1}
-	return ln
+	return &netLane{net: net, engine: engine, rng: rng, ctr: ctr}
 }
 
 // setProto installs the lane's relay protocol instance, caching the
@@ -117,66 +120,25 @@ func (net *Network) laneOf(i int32) *netLane { return net.lanes[net.regions[i]] 
 // Sharded reports whether the transport runs on more than one lane.
 func (net *Network) Sharded() bool { return len(net.all) > 1 }
 
-// acquireDeliv takes a delivery slot from the lane pool.
-func (ln *netLane) acquireDeliv() int32 {
-	if n := len(ln.delivFree); n > 0 {
-		idx := ln.delivFree[n-1]
-		ln.delivFree = ln.delivFree[:n-1]
-		return idx
+// putFlight copies f into a free slab slot and returns its number.
+func (ln *netLane) putFlight(f *flight) int32 {
+	idx := ln.freeFlight - 1
+	if idx < 0 {
+		ln.flights = append(ln.flights, *f)
+		return int32(len(ln.flights) - 1)
 	}
-	ln.deliv = append(ln.deliv, delivery{})
-	return int32(len(ln.deliv) - 1)
+	ln.freeFlight = ln.flights[idx].to
+	ln.flights[idx] = *f
+	return idx
 }
 
-// newMessage takes a message from the pool of the lane owning node i
-// (the handler running on node i's lane is the only writer of that
-// pool; a message may be released into a different lane's pool after a
-// cross-lane hop, which is fine — pools are plain free lists). The
-// caller fills exactly the payload field its kind requires; every other
-// payload field is zero.
-func (net *Network) newMessage(i int32, kind MsgKind) *Message {
-	ln := net.laneOf(i)
-	if n := len(ln.msgFree); n > 0 {
-		m := ln.msgFree[n-1]
-		ln.msgFree = ln.msgFree[:n-1]
-		m.Kind = kind
-		return m
-	}
-	return &Message{Kind: kind}
-}
-
-// release recycles a delivered message into the executing lane's pool.
-// Payload slices are dropped, not reused: a transaction batch is shared
-// by every fan-out copy, so its backing array must never be rewritten.
-// The inline single-hash buffer is owned by the message and is safely
-// rewritten on reuse.
-func (ln *netLane) release(m *Message) {
-	m.Block = nil
-	m.Hashes = nil
-	m.Txs = nil
-	m.Want = types.Hash{}
-	m.TxCount = 0
-	m.TxBytes = 0
-	ln.msgFree = append(ln.msgFree, m)
-}
-
-// drop counts and recycles an undeliverable message on the executing
-// lane.
-func (ln *netLane) drop(msg *Message) {
-	ln.ctr.MessagesDropped++
-	ln.release(msg)
-}
-
-// fanoutOrder fills the lane's permutation scratch with a random
-// ordering of [0, n), drawing exactly as rng.Perm(n) would from the
-// lane's stream.
-func (ln *netLane) fanoutOrder(n int) []int {
-	if cap(ln.orderBuf) < n {
-		ln.orderBuf = make([]int, n)
-	}
-	out := ln.orderBuf[:n]
-	ln.rng.PermInto(out)
-	return out
+// takeFlight frees slot idx (no payload pointer stays) and returns
+// what it held.
+func (ln *netLane) takeFlight(idx int32) flight {
+	f := ln.flights[idx]
+	ln.flights[idx] = flight{to: ln.freeFlight}
+	ln.freeFlight = idx + 1
+	return f
 }
 
 // HandleEvent implements sim.Handler: it dispatches the transport's
@@ -186,29 +148,26 @@ func (ln *netLane) HandleEvent(now sim.Time, op, idx uint64) {
 	net := ln.net
 	switch op {
 	case opDeliver:
-		d := ln.deliv[idx]
-		ln.deliv[idx] = delivery{}
-		ln.delivFree = append(ln.delivFree, int32(idx))
-		ti := d.to.idx()
-		if net.down[ti] {
+		f := ln.takeFlight(int32(idx))
+		if net.down[f.to] {
 			// The destination crashed while the message was in flight;
 			// its TCP connections are gone, so the bytes never arrive.
-			ln.drop(d.msg)
+			ln.ctr.MessagesDropped++
 			return
 		}
-		net.msgsIn[ti]++
-		net.bytesIn[ti] += uint64(d.size)
-		d.to.handle(now, d.from, d.srcPos, d.msg)
-		ln.release(d.msg)
+		row := &net.rows[f.to]
+		row.msgsIn++
+		row.bytesIn += uint64(f.size)
+		ln.handle(now, &f)
 	case opAnnounce:
 		a := ln.ann[idx]
-		ln.ann[idx] = announce{}
 		ln.annFree = append(ln.annFree, int32(idx))
-		if net.down[a.node.idx()] {
+		if net.down[a.node] {
 			// The wave was scheduled before the node crashed.
 			return
 		}
-		ln.proto.OnWave(net.envFor(a.node, now), now, a.hash, a.origin)
+		env := ln.envFor(a.node, now, -1, -1, a.block, slotUnknown)
+		ln.proto.OnWave(env, now, net.blockIdx.hashes[a.block], a.origin)
 	}
 }
 

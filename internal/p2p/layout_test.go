@@ -128,13 +128,13 @@ func chainOf(total int) []*types.Block {
 func (f *layoutFixture) inFlightTo(n *Node) int {
 	c := 0
 	for _, ln := range f.net.all {
-		for _, d := range ln.deliv {
-			if d.to == n {
+		for _, f := range ln.flights {
+			if f.kind != 0 && f.to == n.idx() {
 				c++
 			}
 		}
 		for _, cm := range ln.cross {
-			if cm.to == n {
+			if cm.f.to == n.idx() {
 				c++
 			}
 		}

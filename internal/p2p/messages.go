@@ -9,15 +9,23 @@
 // RLP encodings in internal/types), which the geo latency model turns
 // into transfer delay. The redundancy the paper measures in Table II
 // is an emergent property of this protocol.
+//
+// In flight a message is a flight: one 64-byte record in a lane's slab,
+// naming its block by interned index. There is no message pool. The
+// exported Message is what an Observer is shown — a per-lane view
+// rebuilt from the flight only for nodes that have an observer and
+// overwritten by the next, so observers must copy what they keep.
 package p2p
 
 import (
+	"unsafe"
+
 	"repro/internal/p2p/relay"
 	"repro/internal/types"
 )
 
 // MsgKind discriminates wire messages.
-type MsgKind int
+type MsgKind uint8
 
 // Wire message kinds: the eth/63 protocol subset the study logs, plus
 // the compact-relay family (sketches and the missing-transaction
@@ -67,13 +75,11 @@ func (k MsgKind) String() string {
 	}
 }
 
-// Message is a wire message instance. Exactly one payload field is
-// populated depending on Kind.
-//
-// Messages on the hot path are pooled: the network recycles a message
-// as soon as the receiving node's handler (and its observer) returns.
-// Observers must therefore copy — never retain — a message or its
-// payload slices.
+// Message is a wire message as an Observer sees it. Exactly one payload
+// field is populated depending on Kind. The transport does not carry
+// Messages (see flight): the lane fills one reusable Message per
+// observed delivery and overwrites it on the next. Observers must
+// therefore copy — never retain — a message or its Hashes slice.
 type Message struct {
 	Kind MsgKind
 	// Block is the payload of MsgNewBlock and — the sketch's identity
@@ -92,10 +98,56 @@ type Message struct {
 	TxCount int
 	TxBytes int
 
-	// hash1 backs the common single-hash announcement so each send
-	// does not allocate a one-element slice. (The sender travels in
-	// the pooled delivery slot, not in the message.)
+	// hash1 backs the single-hash announcement's Hashes.
 	hash1 [1]types.Hash
+}
+
+// flight is one message in flight — destination, sender, payload and
+// accounting in a single cache line. A lane keeps its flights in a slab
+// (netLane.flights) and a delivery event carries the slot number;
+// cross-lane sends carry the flight by value until the merge.
+//
+// Nodes are named by index (NodeID-1) and the block by its interned
+// index, so neither end hashes anything: the sender resolved the index
+// once for the whole fan-out, the receiver addresses its bit rows and
+// suppression window with it, and the hash is read back from
+// itemIndex.hashes only where a relay.Env or an observer needs it.
+// srcPos is the sender's position in the destination's peer span at
+// send time (-1 unknown); the receiver validates it and falls back to
+// a scan. size is the serialized size counted at send time, carried so
+// ingress accounting does not re-derive it. In a free slab slot kind
+// is 0 and `to` links the free list.
+type flight struct {
+	to, from int32
+	srcPos   int32
+	size     int32
+	// block is the interned index of the block the message carries,
+	// announces or asks for; -1 for MsgTransactions.
+	block int32
+	// txCount, txBytes, b and txs are Message's TxCount, TxBytes, Block
+	// and Txs; a batch is shared by every fan-out copy, never rewritten.
+	txCount, txBytes int32
+	kind             MsgKind
+	b                *types.Block
+	txs              []*types.Transaction
+}
+
+// The slab's point is one line per message.
+const _ = uint(64 - unsafe.Sizeof(flight{}))
+
+// viewOf fills the lane's observer view from a flight: field for field
+// the Message the flight stands for.
+func (ln *netLane) viewOf(f *flight) *Message {
+	m := &ln.view
+	*m = Message{Kind: f.kind, Block: f.b, Txs: f.txs, TxCount: int(f.txCount), TxBytes: int(f.txBytes)}
+	switch f.kind {
+	case MsgNewBlockHashes:
+		m.hash1[0] = ln.net.blockIdx.hashes[f.block]
+		m.Hashes = m.hash1[:1]
+	case MsgGetBlock, MsgGetCompact, MsgGetBlockTxns, MsgBlockTxns:
+		m.Want = ln.net.blockIdx.hashes[f.block]
+	}
+	return m
 }
 
 // Wire-size constants for the fixed-size message parts.
@@ -108,37 +160,41 @@ const (
 // Size returns the serialized message size in bytes, fed into the
 // latency model's transfer term.
 func (m *Message) Size() int {
-	switch m.Kind {
+	return wireSize(m.Kind, m.Block, len(m.Hashes), m.Txs, m.TxCount, m.TxBytes)
+}
+
+// wireSize is the one size function: Message.Size and send's sizing of
+// a flight (whose announcement names one hash) are both this.
+func wireSize(kind MsgKind, b *types.Block, hashes int, txs []*types.Transaction, txCount, txBytes int) int {
+	switch kind {
 	case MsgNewBlock:
-		if m.Block == nil {
+		if b == nil {
 			return msgHeaderBytes
 		}
-		return msgHeaderBytes + m.Block.EncodedSize()
+		return msgHeaderBytes + b.EncodedSize()
 	case MsgNewBlockHashes:
-		return msgHeaderBytes + len(m.Hashes)*hashEntryBytes
-	case MsgGetBlock:
+		return msgHeaderBytes + hashes*hashEntryBytes
+	case MsgGetBlock, MsgGetCompact:
 		return msgHeaderBytes + getBlockBodyBytes
 	case MsgTransactions:
 		n := msgHeaderBytes
-		for _, tx := range m.Txs {
+		for _, tx := range txs {
 			n += tx.EncodedSize()
 		}
 		return n
 	case MsgCompactBlock:
-		if m.Block == nil {
+		if b == nil {
 			return msgHeaderBytes
 		}
 		// Header and uncle references travel in full; the body is one
 		// short ID per transaction.
-		header := m.Block.EncodedSize() - m.Block.TxsSize()
-		return msgHeaderBytes + header + relay.SketchWireBytes(len(m.Block.Txs))
-	case MsgGetCompact:
-		return msgHeaderBytes + getBlockBodyBytes
+		header := b.EncodedSize() - b.TxsSize()
+		return msgHeaderBytes + header + relay.SketchWireBytes(len(b.Txs))
 	case MsgGetBlockTxns:
 		// Hash plus a count prefix and ~3-byte varint indexes.
-		return msgHeaderBytes + types.HashLen + 1 + 3*m.TxCount
+		return msgHeaderBytes + types.HashLen + 1 + 3*txCount
 	case MsgBlockTxns:
-		return msgHeaderBytes + types.HashLen + m.TxBytes
+		return msgHeaderBytes + types.HashLen + txBytes
 	default:
 		return msgHeaderBytes
 	}

@@ -13,22 +13,26 @@ import (
 // Network owns the overlay: node registry, random peer wiring, and
 // message transport over the geographic latency model.
 //
-// The node core is struct-of-arrays: every piece of per-node state —
-// region, peer limit, down flag, traffic counters, dedup bits, the
-// recent-block suppression window — lives in a dense Network-owned
-// slice indexed by NodeID-1 (IDs are assigned sequentially and never
-// reused). Peer adjacency is a CSR arena (adjacency.go), blocks and
-// transactions are interned to compact indices (items.go), and the
-// per-peer suppression state is one uint64 per directed edge
-// (know.go). A *Node is a thin stable handle into these arrays; at
-// 100k nodes the overlay is a handful of large allocations instead of
-// ~a million live maps.
+// The node core is flat: every piece of per-node state lives in a
+// dense Network-owned slice indexed by NodeID-1 (IDs are assigned
+// sequentially and never reused). regions and down are read across
+// lanes — send looks up the destination's, whichever lane owns it — so
+// they stay separate read-mostly byte arrays. Everything else is
+// private to the owning lane while a run is going: the scalars share
+// one nodeRow, so a delivery's bookkeeping lands on one line; dedup
+// bits, window ring, caches and pending fetches have their own arenas.
+// Peer adjacency is a CSR arena (adjacency.go), blocks and transactions
+// are interned to compact indices (items.go), and the per-peer
+// suppression state is one uint64 per directed edge (know.go). A *Node
+// is a thin stable handle into these arrays; at 100k nodes the overlay
+// is a handful of large allocations instead of ~a million live maps.
 //
 // Transport — sends, deliveries and announce waves — runs on lanes
 // (lane.go): a network built on a bare engine owns one home lane bound
 // to that engine and to its own RNG stream, and EnableSharding swaps in
 // one lane per region (shard.go). Both layouts run the same code; only
-// the lane table differs.
+// the lane table differs. A message in flight is a flight record in a
+// lane slab (messages.go); there is no message pool.
 type Network struct {
 	engine  *sim.Engine
 	rng     *sim.RNG
@@ -39,16 +43,11 @@ type Network struct {
 	// so AddNode never relocates an issued *Node.
 	handles [][]Node
 
-	// Flat per-node state, indexed by NodeID-1.
-	regions   []geo.Region
-	maxPeers  []int32 // 0 = unlimited
-	down      []bool
-	relayOn   []bool
-	observers []Observer
-	msgsIn    []uint64
-	msgsOut   []uint64
-	bytesIn   []uint64
-	bytesOut  []uint64
+	// Flat per-node state, indexed by NodeID-1: the two arrays every
+	// lane reads, and the rows only the owning lane touches.
+	regions []geo.Region
+	down    []bool
+	rows    []nodeRow
 
 	// top is the CSR adjacency (peer spans + per-edge suppression
 	// masks + reverse positions).
@@ -74,12 +73,10 @@ type Network struct {
 	pending [][]pendingEntry
 
 	// Recent-block suppression windows (know.go): an N×knownPeerCap
-	// ring of block indices plus head/count cursors, and the off-edge
+	// ring of block indices (cursors in the node row) and the off-edge
 	// spill marks.
-	knowSlot  []int32
-	knowHead  []uint8
-	knowCount []uint8
-	spill     [][]spillMark
+	knowSlot []int32
+	spill    [][]spillMark
 
 	// Transport totals (MessagesSent, BytesSent, MessagesDropped and the
 	// per-class breakdown). On the one-lane layout the home lane writes
@@ -125,24 +122,26 @@ type pendingEntry struct {
 	b   *types.Block
 }
 
-// delivery is one in-flight message: destination, sender, payload and
-// the serialized size counted at send time (carried so ingress
-// accounting does not re-derive it on arrival). srcPos is the sender's
-// position in the destination's peer span at send time (-1 unknown);
-// the receiver validates it and falls back to a scan, so per-peer
-// bookkeeping on receipt is O(1) even at measurement-node degrees.
-type delivery struct {
-	to     *Node
-	from   NodeID
-	msg    *Message
-	size   int32
-	srcPos int32
+// nodeRow is a node's lane-private scalar state: touched only by the
+// lane owning the node, or while every lane is idle.
+type nodeRow struct {
+	// Messages and serialized bytes received (successful deliveries)
+	// and sent (after fault filtering).
+	msgsIn, msgsOut, bytesIn, bytesOut uint64
+	observer                           Observer
+	maxPeers                           int32 // 0 = unlimited
+	// knowHead / knowCount are the suppression window's ring cursors;
+	// newest is the block (index+1) the window took in last, at
+	// newestSlot: the usual scan, for the block propagating now, ends here.
+	newest                          int32
+	knowHead, knowCount, newestSlot uint8
+	relayOn                         bool
 }
 
 // announce is one deferred announce wave (relayBlock's phase 2).
 type announce struct {
-	node   *Node
-	hash   types.Hash
+	node   int32
+	block  int32
 	origin bool
 }
 
@@ -216,30 +215,6 @@ func NewNetwork(engine *sim.Engine, rng *sim.RNG, latency geo.LatencyModel) *Net
 	return net
 }
 
-// envFor points the owning lane's reusable relay.Env view at a node
-// with no in-flight sender context. Calls are strictly nested within
-// one engine event, and each lane repoints its own env, so an instance
-// is never aliased across nodes concurrently.
-func (net *Network) envFor(n *Node, now sim.Time) *relayEnv {
-	return net.envForMsg(n, now, -1, -1)
-}
-
-// envForMsg points the env at a node while recording the sender of the
-// message being dispatched (validated span position pos, or -1), so
-// protocol pulls back to the sender reuse the position instead of
-// scanning. now is the virtual time of the enclosing event: protocols
-// schedule through the env relative to it, which must stay correct
-// even when the executing lane's clock trails global time (phase A).
-func (net *Network) envForMsg(n *Node, now sim.Time, fromIdx, pos int32) *relayEnv {
-	env := &net.laneOf(n.idx()).env
-	env.node = n
-	env.nodeIdx = n.idx()
-	env.fromIdx = fromIdx
-	env.fromPos = pos
-	env.now = now
-	return env
-}
-
 // AddNode registers a node in a region. maxPeers bounds how many
 // connections the node accepts (0 = unlimited, the paper's
 // measurement-node setting).
@@ -256,20 +231,12 @@ func (net *Network) AddNode(region geo.Region, maxPeers int) (*Node, error) {
 	n := &net.handles[c][len(net.handles[c])-1]
 
 	net.regions = append(net.regions, region)
-	net.maxPeers = append(net.maxPeers, int32(maxPeers))
 	net.down = append(net.down, false)
-	net.relayOn = append(net.relayOn, true)
-	net.observers = append(net.observers, nil)
-	net.msgsIn = append(net.msgsIn, 0)
-	net.msgsOut = append(net.msgsOut, 0)
-	net.bytesIn = append(net.bytesIn, 0)
-	net.bytesOut = append(net.bytesOut, 0)
+	net.rows = append(net.rows, nodeRow{maxPeers: int32(maxPeers), relayOn: true})
 	net.top.addNode()
 	net.cacheQ = append(net.cacheQ, nil)
 	net.pending = append(net.pending, nil)
 	net.knowSlot = append(net.knowSlot, make([]int32, knownPeerCap)...)
-	net.knowHead = append(net.knowHead, 0)
-	net.knowCount = append(net.knowCount, 0)
 	net.spill = append(net.spill, nil)
 	return n, nil
 }
@@ -315,6 +282,12 @@ func (net *Network) NodeAt(i int) *Node {
 // Engine exposes the simulation engine driving this network.
 func (net *Network) Engine() *sim.Engine { return net.engine }
 
+// atPeerLimit reports whether node i accepts no further connection.
+func (net *Network) atPeerLimit(i int32) bool {
+	limit := net.rows[i].maxPeers
+	return limit > 0 && net.top.degree(i) >= int(limit)
+}
+
 // Connect wires two nodes bidirectionally. Connecting an already
 // connected pair is a no-op. It fails when either node is at its peer
 // limit or on self-dial.
@@ -329,11 +302,11 @@ func (net *Network) Connect(a, b *Node) error {
 	if net.top.connected(i, j) {
 		return nil
 	}
-	if net.maxPeers[i] > 0 && net.top.degree(i) >= int(net.maxPeers[i]) {
-		return fmt.Errorf("p2p: node %d at peer limit %d", a.id, net.maxPeers[i])
+	if net.atPeerLimit(i) {
+		return fmt.Errorf("p2p: node %d at peer limit %d", a.id, net.rows[i].maxPeers)
 	}
-	if net.maxPeers[j] > 0 && net.top.degree(j) >= int(net.maxPeers[j]) {
-		return fmt.Errorf("p2p: node %d at peer limit %d", b.id, net.maxPeers[j])
+	if net.atPeerLimit(j) {
+		return fmt.Errorf("p2p: node %d at peer limit %d", b.id, net.rows[j].maxPeers)
 	}
 	net.top.link(i, j)
 	return nil
@@ -364,10 +337,10 @@ func (net *Network) WireRandom(degree int) error {
 			if j == i || net.top.connected(i, j) {
 				continue
 			}
-			if net.maxPeers[i] > 0 && net.top.degree(i) >= int(net.maxPeers[i]) {
+			if net.atPeerLimit(i) {
 				break
 			}
-			if net.maxPeers[j] > 0 && net.top.degree(j) >= int(net.maxPeers[j]) {
+			if net.atPeerLimit(j) {
 				continue
 			}
 			if err := net.Connect(node, target); err != nil {
@@ -513,32 +486,34 @@ func (net *Network) RecoverNode(n *Node) {
 	net.down[n.idx()] = false
 }
 
-// send schedules delivery of msg from a to b at the latency-model
-// sampled arrival time relative to `at`. The delivery is a typed
-// engine event referencing a pooled delivery slot — no closure.
-// srcPos is the sender's position in the destination's peer span when
-// the caller knows it (reverse-edge lookup), -1 otherwise; the
-// receiver re-validates it. Sends touching a down endpoint, or vetoed
-// by the fault filter, are dropped (released back to the pool and
-// counted in MessagesDropped).
-func (net *Network) send(at sim.Time, from, to *Node, msg *Message, srcPos int32) {
-	fi, ti := from.idx(), to.idx()
-	ln := net.laneOf(fi) // executing lane
+// send schedules delivery of flight f (everything but size set by the
+// caller) at the latency-model sampled arrival time relative to `at`.
+// The delivery is a typed engine event naming a slab slot — no
+// closure. f.srcPos is the sender's position in the destination's peer
+// span when the caller knows it (reverse-edge lookup), -1 otherwise;
+// the receiver re-validates it. Sends touching a down endpoint, or
+// vetoed by the fault filter, are dropped (counted in MessagesDropped).
+// It runs on the sender's lane and reads only the destination's region
+// and down flag.
+func (net *Network) send(at sim.Time, f *flight) {
+	fi, ti := f.from, f.to
+	rf, rt := net.regions[fi], net.regions[ti]
+	ln := net.lanes[rf] // executing lane
 	if net.down[fi] || net.down[ti] {
-		ln.drop(msg)
+		ln.ctr.MessagesDropped++
 		return
 	}
 	var extra sim.Time
 	if net.Fault != nil {
 		var err error
-		extra, err = net.Fault.FilterLink(at, from, to)
+		extra, err = net.Fault.FilterLink(at, net.NodeAt(int(fi)), net.NodeAt(int(ti)))
 		if err != nil {
-			ln.drop(msg)
+			ln.ctr.MessagesDropped++
 			return
 		}
 	}
-	size := msg.Size()
-	delay, err := net.latency.Sample(ln.rng, net.regions[fi], net.regions[ti], size)
+	size := wireSize(f.kind, f.b, 1, f.txs, int(f.txCount), int(f.txBytes))
+	delay, err := net.latency.Sample(ln.rng, rf, rt, size)
 	if err != nil {
 		// Regions are validated at AddNode; a failure here is a
 		// programming error. The old zero-delay fallback was a time
@@ -547,23 +522,23 @@ func (net *Network) send(at sim.Time, from, to *Node, msg *Message, srcPos int32
 		// violating the lookahead invariant mergeCross asserts. Clamp
 		// to the pair floor instead; if even that fails the regions
 		// really are invalid and continuing would corrupt the run.
-		if delay, err = net.latency.MinPairDelay(net.regions[fi], net.regions[ti]); err != nil {
-			panic(fmt.Sprintf("p2p: latency sample %v->%v: %v", net.regions[fi], net.regions[ti], err))
+		if delay, err = net.latency.MinPairDelay(rf, rt); err != nil {
+			panic(fmt.Sprintf("p2p: latency sample %v->%v: %v", rf, rt, err))
 		}
 		if delay < 1 {
 			delay = 1
 		}
 	}
+	f.size = int32(size)
 	ln.ctr.MessagesSent++
 	ln.ctr.BytesSent += uint64(size)
-	ln.ctr.classMsgs[msg.Kind]++
-	ln.ctr.classBytes[msg.Kind] += uint64(size)
-	net.msgsOut[fi]++
-	net.bytesOut[fi] += uint64(size)
-	if net.laneOf(ti) == ln {
-		idx := ln.acquireDeliv()
-		ln.deliv[idx] = delivery{to: to, from: from.id, msg: msg, size: int32(size), srcPos: srcPos}
-		ln.engine.ScheduleCallAt(at+delay+extra, ln, opDeliver, uint64(idx))
+	ln.ctr.classMsgs[f.kind]++
+	ln.ctr.classBytes[f.kind] += uint64(size)
+	row := &net.rows[fi]
+	row.msgsOut++
+	row.bytesOut += uint64(size)
+	if net.lanes[rt] == ln {
+		ln.engine.ScheduleCallAt(at+delay+extra, ln, opDeliver, uint64(ln.putFlight(f)))
 		return
 	}
 	// Cross-lane: never touch the destination lane from here — buffer
@@ -573,20 +548,17 @@ func (net *Network) send(at sim.Time, from, to *Node, msg *Message, srcPos int32
 	// lookahead matrix (faults only add delay or drop, never
 	// accelerate), so merging never back-dates an event — mergeCross
 	// asserts exactly this.
-	ln.cross = append(ln.cross, crossMsg{
-		at: at + delay + extra, to: to, from: from.id,
-		msg: msg, size: int32(size), srcPos: srcPos, seq: ln.emitSeq,
-	})
+	ln.cross = append(ln.cross, crossMsg{at: at + delay + extra, seq: ln.emitSeq, f: *f})
 	ln.emitSeq++
 }
 
-// scheduleAnnounce queues a node's deferred announce wave (relay
-// phase 2) through the typed dispatch path, at an absolute virtual
-// time. Announce waves always run on the node's own lane; absolute
-// scheduling keeps them correct when the lane clock trails the
+// scheduleAnnounce queues node i's deferred announce wave for a block
+// (relay phase 2) through the typed dispatch path, at an absolute
+// virtual time. Announce waves always run on the node's own lane;
+// absolute scheduling keeps them correct when the lane clock trails the
 // emitting event's time (phase A injections on region lanes).
-func (net *Network) scheduleAnnounce(at sim.Time, n *Node, h types.Hash, origin bool) {
-	ln := net.laneOf(n.idx())
+func (net *Network) scheduleAnnounce(at sim.Time, i, block int32, origin bool) {
+	ln := net.laneOf(i)
 	var idx int32
 	if k := len(ln.annFree); k > 0 {
 		idx = ln.annFree[k-1]
@@ -595,6 +567,6 @@ func (net *Network) scheduleAnnounce(at sim.Time, n *Node, h types.Hash, origin 
 		ln.ann = append(ln.ann, announce{})
 		idx = int32(len(ln.ann) - 1)
 	}
-	ln.ann[idx] = announce{node: n, hash: h, origin: origin}
+	ln.ann[idx] = announce{node: i, block: block, origin: origin}
 	ln.engine.ScheduleCallAt(at, ln, opAnnounce, uint64(idx))
 }

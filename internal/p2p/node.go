@@ -16,7 +16,8 @@ type NodeID int
 // Observer receives a callback for every message a node accepts from
 // the wire, before protocol processing. The measurement layer hooks
 // here — exactly where the paper's instrumented Geth placed its
-// logging.
+// logging. msg is the lane's reusable view of the message (see
+// Message): valid for the duration of the call only.
 type Observer func(now sim.Time, from NodeID, msg *Message)
 
 // Local protocol timing constants. The block-relay timings
@@ -79,19 +80,19 @@ func (n *Node) Down() bool { return n.net.down[n.idx()] }
 
 // Per-node transport accounting: messages and serialized bytes
 // received (successful deliveries) and sent (after fault filtering).
-func (n *Node) MessagesIn() uint64  { return n.net.msgsIn[n.idx()] }
-func (n *Node) MessagesOut() uint64 { return n.net.msgsOut[n.idx()] }
-func (n *Node) BytesIn() uint64     { return n.net.bytesIn[n.idx()] }
-func (n *Node) BytesOut() uint64    { return n.net.bytesOut[n.idx()] }
+func (n *Node) MessagesIn() uint64  { return n.net.rows[n.idx()].msgsIn }
+func (n *Node) MessagesOut() uint64 { return n.net.rows[n.idx()].msgsOut }
+func (n *Node) BytesIn() uint64     { return n.net.rows[n.idx()].bytesIn }
+func (n *Node) BytesOut() uint64    { return n.net.rows[n.idx()].bytesOut }
 
 // SetObserver installs a message observer (nil removes it).
-func (n *Node) SetObserver(obs Observer) { n.net.observers[n.idx()] = obs }
+func (n *Node) SetObserver(obs Observer) { n.net.rows[n.idx()].observer = obs }
 
 // setRelayEnabled controls whether this node forwards what it
 // receives. Measurement nodes relay like every other node (the
 // paper's clients are indistinguishable from regular peers); the knob
 // exists for ablations.
-func (n *Node) setRelayEnabled(v bool) { n.net.relayOn[n.idx()] = v }
+func (n *Node) setRelayEnabled(v bool) { n.net.rows[n.idx()].relayOn = v }
 
 // KnowsBlock reports whether the node has received the full block.
 func (n *Node) KnowsBlock(h types.Hash) bool {
@@ -99,47 +100,27 @@ func (n *Node) KnowsBlock(h types.Hash) bool {
 	return ok && n.net.haveBits.get(n.idx(), idx)
 }
 
-// rememberBlock records full-block receipt and caches the body for
-// GetBlock serving, evicting the oldest cached body past the cap.
-func (n *Node) rememberBlock(h types.Hash, b *types.Block) {
-	i := n.idx()
-	idx := n.net.blockIdx.intern(h)
-	for int(idx) >= len(n.net.blockBody) {
-		n.net.blockBody = append(n.net.blockBody, nil)
+// rememberBlock records node i's receipt of full block idx and caches
+// the body for serving pulls, evicting the oldest body past the cap.
+func (net *Network) rememberBlock(i, idx int32, b *types.Block) {
+	for int(idx) >= len(net.blockBody) {
+		net.blockBody = append(net.blockBody, nil)
 	}
-	n.net.haveBits.set(i, idx)
-	if n.net.blockBody[idx] == nil {
+	net.haveBits.set(i, idx)
+	if net.blockBody[idx] == nil {
 		// The canonical body pointer for idx is always the same object
 		// (blocks are built once by mining); setting it only on first
 		// sight keeps phase-B lanes read-only here — the origin's
 		// phase-A injection has already published it.
-		n.net.blockBody[idx] = b
+		net.blockBody[idx] = b
 	}
-	n.net.cacheQ[i] = append(n.net.cacheQ[i], idx)
-	n.net.cachedBits.set(i, idx)
-	if len(n.net.cacheQ[i]) > blockCacheCap {
-		evict := n.net.cacheQ[i][0]
-		n.net.cacheQ[i] = n.net.cacheQ[i][1:]
-		n.net.cachedBits.clear(i, evict)
+	net.cacheQ[i] = append(net.cacheQ[i], idx)
+	net.cachedBits.set(i, idx)
+	if len(net.cacheQ[i]) > blockCacheCap {
+		evict := net.cacheQ[i][0]
+		net.cacheQ[i] = net.cacheQ[i][1:]
+		net.cachedBits.clear(i, evict)
 	}
-}
-
-// cachedBlock returns the body for h if it is still in the node's
-// FIFO serving cache.
-func (n *Node) cachedBlock(h types.Hash) (*types.Block, bool) {
-	idx, ok := n.net.blockIdx.lookup(h)
-	if !ok || !n.net.cachedBits.get(n.idx(), idx) {
-		return nil, false
-	}
-	return n.net.blockBody[idx], true
-}
-
-// markPeerKnows records that a peer has (or will shortly have) the
-// block, suppressing future sends of it to that peer. pos is the
-// peer's validated position in this node's span, or -1 when the peer
-// is not (or no longer) connected.
-func (n *Node) markPeerKnows(h types.Hash, peer NodeID, pos int32) {
-	n.net.markPeerKnows(n.idx(), n.net.blockIdx.intern(h), int32(peer-1), pos)
 }
 
 // peerKnowsBlock reports whether the node knows that peer has h,
@@ -155,75 +136,90 @@ func (n *Node) peerKnowsBlock(h types.Hash, peer NodeID) bool {
 	return n.net.peerKnows(i, idx, pi, n.net.top.position(i, pi))
 }
 
-// handle processes one incoming message at virtual time now. srcPos
-// is the sender's position in this node's peer span as captured at
-// send time (-1 unknown); it is validated here — spans shift under
-// churn — and the validated position flows to every per-peer mark, so
-// bookkeeping stays O(1) per message even at measurement-node degrees.
-func (n *Node) handle(now sim.Time, from NodeID, srcPos int32, msg *Message) {
-	i := n.idx()
-	if n.net.down[i] {
-		return
+// handle processes one delivered flight at virtual time now, on the
+// destination's lane. It and everything under it name nodes by index:
+// a delivery never touches the *Node handle arena. f.srcPos is the
+// sender's position in the destination's peer span as captured at send
+// time (-1 unknown); it is validated here — spans shift under churn —
+// and the validated position flows to every per-peer mark, so
+// bookkeeping stays O(1) even at measurement-node degrees. The block is
+// addressed by f.block: no arm hashes or looks anything up, and the one
+// window scan an arm makes (markPeerKnows) is handed on to the
+// protocol's fan-out via the env.
+func (ln *netLane) handle(now sim.Time, f *flight) {
+	net := ln.net
+	i, fi := f.to, f.from
+	row := &net.rows[i]
+	if row.observer != nil {
+		row.observer(now, NodeID(fi+1), ln.viewOf(f))
 	}
-	if obs := n.net.observers[i]; obs != nil {
-		obs(now, from, msg)
+	pos := f.srcPos
+	sp := net.top.spans[i]
+	if pos < 0 || pos >= sp.len || net.top.adj[sp.off+pos] != fi {
+		pos = net.top.position(i, fi)
 	}
-	fi := int32(from - 1)
-	pos := srcPos
-	sp := n.net.top.spans[i]
-	if pos < 0 || pos >= sp.len || n.net.top.adj[sp.off+pos] != fi {
-		pos = n.net.top.position(i, fi)
-	}
-	switch msg.Kind {
+	switch f.kind {
 	case MsgNewBlock:
-		if msg.Block != nil {
-			n.markPeerKnows(msg.Block.Hash(), from, pos)
-			n.maybePullParent(now, from, pos, msg.Block)
+		if f.b == nil {
+			return
 		}
-		n.handleNewBlock(now, msg.Block)
+		slot := net.markPeerKnows(i, f.block, fi, pos)
+		if net.ParentPull {
+			net.maybePullParent(now, f, pos)
+		}
+		net.acceptBlock(i, now, f.b, f.block, slot, false)
 	case MsgNewBlockHashes:
-		n.handleAnnouncement(now, from, pos, msg.Hashes)
-	case MsgGetBlock:
-		n.handleGetBlock(now, from, pos, msg.Want)
+		// The announcer evidently has the block.
+		slot := net.markPeerKnows(i, f.block, fi, pos)
+		if !row.relayOn || net.seenBits.get(i, f.block) {
+			return
+		}
+		net.seenBits.set(i, f.block)
+		// Pull the unknown block from the announcer, in whatever form
+		// the relay discipline fetches bodies.
+		ln.proto.OnAnnouncePull(ln.envFor(i, now, fi, pos, f.block, slot), now, int(fi)+1, net.blockIdx.hashes[f.block])
+	case MsgGetBlock, MsgGetCompact, MsgGetBlockTxns:
+		ln.serve(now, f, pos)
 	case MsgTransactions:
-		n.handleTxs(now, from, msg.Txs)
+		net.handleTxs(i, now, fi, f.txs)
 	case MsgCompactBlock:
-		compact := n.net.laneOf(i).compact
-		if msg.Block == nil || compact == nil {
+		if f.b == nil || ln.compact == nil {
 			return
 		}
-		n.markPeerKnows(msg.Block.Hash(), from, pos)
-		n.maybePullParent(now, from, pos, msg.Block)
-		compact.OnCompact(n.net.envForMsg(n, now, fi, pos), now, int(from), msg.Block)
-	case MsgGetCompact:
-		n.handleGetCompact(now, from, pos, msg.Want)
-	case MsgGetBlockTxns:
-		n.handleGetBlockTxns(now, from, pos, msg)
+		slot := net.markPeerKnows(i, f.block, fi, pos)
+		if net.ParentPull {
+			net.maybePullParent(now, f, pos)
+		}
+		ln.compact.OnCompact(ln.envFor(i, now, fi, pos, f.block, slot), now, int(fi)+1, f.b)
 	case MsgBlockTxns:
-		compact := n.net.laneOf(i).compact
-		if compact == nil {
+		if ln.compact == nil {
 			return
 		}
-		compact.OnBlockTxns(n.net.envForMsg(n, now, fi, pos), now, int(from), msg.Want)
+		ln.compact.OnBlockTxns(ln.envFor(i, now, fi, pos, f.block, slotUnknown), now, int(fi)+1, net.blockIdx.hashes[f.block])
 	}
 }
 
-// respPos returns the srcPos to stamp on a reply to the sender whose
-// validated position in this node's span is pos: the reverse edge
-// knows where this node sits in the sender's span.
-func (n *Node) respPos(pos int32) int32 {
+// respPos returns the srcPos to stamp on node i's reply to the sender
+// whose validated position in i's span is pos: the reverse edge knows
+// where i sits in the sender's span.
+func (net *Network) respPos(i, pos int32) int32 {
 	if pos < 0 {
 		return -1
 	}
-	return n.net.top.revAdj[n.net.top.spans[n.idx()].off+pos]
+	return net.top.revAdj[net.top.spans[i].off+pos]
 }
 
 // InjectBlock makes this node the origin of a freshly mined block
 // (mining-pool gateways call this). The origin skips the import delay
 // before announcing: the miner already executed its own block. A down
 // node swallows the injection — the submitter hit a dead endpoint.
+//
+// This is where block hashes are interned (phase A on region lanes):
+// the block's own and its parent's — the one other hash a flight can
+// name (maybePullParent), and one no injection interned if a down
+// gateway swallowed the parent.
 func (n *Node) InjectBlock(now sim.Time, b *types.Block) {
-	if n.net.down[n.idx()] {
+	if b == nil || n.net.down[n.idx()] {
 		return
 	}
 	// Both steps below are for concurrent region lanes only; a single
@@ -236,13 +232,17 @@ func (n *Node) InjectBlock(now sim.Time, b *types.Block) {
 		// first-call cache fill from phase B would race.
 		precomputeSizes(b)
 	}
-	n.acceptBlock(now, b, true)
+	idx := n.net.blockIdx.intern(b.Hash())
+	if b.Header.Number >= 2 {
+		n.net.blockIdx.intern(b.Header.ParentHash)
+	}
+	n.net.acceptBlock(n.idx(), now, b, idx, slotUnknown, true)
 	if sharded {
-		// acceptBlock interned the new block; size the shared bit
-		// grids for it now, while lanes are idle. Growth from phase B
-		// would relocate grid storage under concurrent lane reads —
-		// conductor-driven runs presize again via AfterGlobal, but
-		// direct injections (workloads, tests) get no phase A.
+		// Size the shared bit grids for the new indices now, while lanes
+		// are idle. Growth from phase B would relocate grid storage
+		// under concurrent lane reads — conductor-driven runs presize
+		// again via AfterGlobal, but direct injections (workloads,
+		// tests) get no phase A.
 		n.net.presizeArenas()
 	}
 }
@@ -259,7 +259,9 @@ func (n *Node) InjectTx(now sim.Time, tx *types.Transaction) {
 		_ = tx.Hash()
 		_ = tx.EncodedSize()
 	}
-	n.handleTxs(now, n.id, []*types.Transaction{tx})
+	// The one place a transaction hash is interned (see InjectBlock).
+	n.net.txIdx.intern(tx.Hash())
+	n.net.handleTxs(n.idx(), now, n.idx(), []*types.Transaction{tx})
 	if sharded {
 		// Same phase-A presize rule as InjectBlock (txBits grew).
 		n.net.presizeArenas()
@@ -276,169 +278,106 @@ func (n *Node) InjectTx(now sim.Time, tx *types.Transaction) {
 // to the very faults it recovers from, so every received copy of a
 // gap's descendant retries it (a handful of redundant fetches, deduped
 // by haveBlocks on arrival) until the parent actually lands.
-func (n *Node) maybePullParent(now sim.Time, from NodeID, pos int32, b *types.Block) {
-	if !n.net.ParentPull || b.Header.Number < 2 {
+func (net *Network) maybePullParent(now sim.Time, f *flight, pos int32) {
+	if f.b.Header.Number < 2 {
 		return
 	}
-	parent := b.Header.ParentHash
-	if idx, ok := n.net.blockIdx.lookup(parent); ok && n.net.haveBits.get(n.idx(), idx) {
+	parent := net.blockIdx.mustLookup(f.b.Header.ParentHash)
+	if net.haveBits.get(f.to, parent) {
 		return
 	}
-	sender := n.net.nodeByID(from)
-	if sender == nil || sender.id == n.id {
-		return
-	}
-	m := n.net.newMessage(n.idx(), MsgGetBlock)
-	m.Want = parent
-	n.net.send(now+announceHandleMillis, n, sender, m, n.respPos(pos))
+	pull := flight{to: f.from, from: f.to, srcPos: net.respPos(f.to, pos), kind: MsgGetBlock, block: parent}
+	net.send(now+announceHandleMillis, &pull)
 }
 
-func (n *Node) handleNewBlock(now sim.Time, b *types.Block) {
-	n.acceptBlock(now, b, false)
-}
-
-// acceptBlock records receipt of a full block body and hands onward
-// dissemination to the network's relay protocol. origin marks the
-// block miner's own gateway, which pays no import delay before
-// announcing. This is the state half of the pre-extraction
-// relayBlock; the dissemination half (push wave, announce wave) lives
-// in the protocol's OnBlock/OnWave.
-func (n *Node) acceptBlock(now sim.Time, b *types.Block, origin bool) {
-	if b == nil {
+// acceptBlock records receipt of a full block body (interned as idx)
+// and hands onward dissemination to the network's relay protocol.
+// origin marks the block miner's own gateway, which pays no import
+// delay before announcing; slot is idx's suppression-window slot if
+// the caller scanned for it, else slotUnknown. This is the state half
+// of the pre-extraction relayBlock; the dissemination half (push wave,
+// announce wave) lives in the protocol's OnBlock/OnWave.
+func (net *Network) acceptBlock(i int32, now sim.Time, b *types.Block, idx, slot int32, origin bool) {
+	if net.haveBits.get(i, idx) {
 		return
 	}
-	h := b.Hash()
-	i := n.idx()
-	idx := n.net.blockIdx.intern(h)
-	if n.net.haveBits.get(i, idx) {
-		return
-	}
-	n.rememberBlock(h, b)
-	n.net.seenBits.set(i, idx)
-	if p := n.net.pending[i]; len(p) > 0 {
+	net.rememberBlock(i, idx, b)
+	net.seenBits.set(i, idx)
+	if p := net.pending[i]; len(p) > 0 {
 		// A body arriving through any path settles an in-flight
 		// compact fetch.
 		for k := range p {
 			if p[k].idx == idx {
 				p[k] = p[len(p)-1]
-				n.net.pending[i] = p[:len(p)-1]
+				net.pending[i] = p[:len(p)-1]
 				break
 			}
 		}
 	}
-	if !n.net.relayOn[i] || n.net.top.degree(i) == 0 {
+	if !net.rows[i].relayOn || net.top.degree(i) == 0 {
 		return
 	}
-	n.net.laneOf(i).proto.OnBlock(n.net.envFor(n, now), now, b, origin)
+	ln := net.laneOf(i)
+	ln.proto.OnBlock(ln.envFor(i, now, -1, -1, idx, slot), now, b, origin)
 }
 
-func (n *Node) handleAnnouncement(now sim.Time, from NodeID, pos int32, hashes []types.Hash) {
-	if n.net.nodeByID(from) == nil {
+// serve answers the three pulls — GetBlock with the body, GetCompact
+// with a sketch, GetBlockTxns with the missing-transaction response —
+// for a block still in the node's FIFO body cache; other requests are
+// dropped. The BlockTxns reply echoes the requester-computed count and
+// byte total: the simulation models the round trip's timing and
+// bandwidth, the content travels in the retained sketch's object graph.
+func (ln *netLane) serve(now sim.Time, f *flight, pos int32) {
+	net := ln.net
+	if !net.cachedBits.get(f.to, f.block) {
 		return
 	}
-	i := n.idx()
-	for _, h := range hashes {
-		// The announcer evidently has the block.
-		idx := n.net.blockIdx.intern(h)
-		n.net.markPeerKnows(i, idx, int32(from-1), pos)
-		if !n.net.relayOn[i] || n.net.seenBits.get(i, idx) {
-			continue
-		}
-		n.net.seenBits.set(i, idx)
-		// Pull the unknown block from the announcer, in whatever form
-		// the relay discipline fetches bodies.
-		n.net.laneOf(i).proto.OnAnnouncePull(n.net.envForMsg(n, now, int32(from-1), pos), now, int(from), h)
+	net.markPeerKnows(f.to, f.block, f.from, pos)
+	reply := flight{to: f.from, from: f.to, srcPos: net.respPos(f.to, pos), block: f.block}
+	switch f.kind {
+	case MsgGetBlock:
+		reply.kind, reply.b = MsgNewBlock, net.blockBody[f.block]
+	case MsgGetCompact:
+		// Pull responses count as sent sketches alongside the push
+		// wave's, keeping Counters.SketchesSent equal to the
+		// CompactBlock class counter.
+		ln.proto.Counters().SketchesSent++
+		reply.kind, reply.b = MsgCompactBlock, net.blockBody[f.block]
+	case MsgGetBlockTxns:
+		reply.kind, reply.txCount, reply.txBytes = MsgBlockTxns, f.txCount, f.txBytes
 	}
+	net.send(now+blockRequestRespondMs, &reply)
 }
 
-func (n *Node) handleGetBlock(now sim.Time, from NodeID, pos int32, want types.Hash) {
-	b, ok := n.cachedBlock(want)
-	if !ok {
-		return
-	}
-	requester := n.net.nodeByID(from)
-	if requester == nil {
-		return
-	}
-	n.markPeerKnows(want, from, pos)
-	m := n.net.newMessage(n.idx(), MsgNewBlock)
-	m.Block = b
-	n.net.send(now+blockRequestRespondMs, n, requester, m, n.respPos(pos))
-}
-
-// handleGetCompact serves a sketch pull (the compact discipline's
-// announce-side fetch). Requests for bodies outside the FIFO cache
-// window are dropped, like GetBlock.
-func (n *Node) handleGetCompact(now sim.Time, from NodeID, pos int32, want types.Hash) {
-	b, ok := n.cachedBlock(want)
-	if !ok {
-		return
-	}
-	requester := n.net.nodeByID(from)
-	if requester == nil {
-		return
-	}
-	n.markPeerKnows(want, from, pos)
-	// Pull responses count as sent sketches alongside the push wave's,
-	// keeping Counters.SketchesSent equal to the CompactBlock class
-	// counter.
-	n.net.laneOf(n.idx()).proto.Counters().SketchesSent++
-	m := n.net.newMessage(n.idx(), MsgCompactBlock)
-	m.Block = b
-	n.net.send(now+blockRequestRespondMs, n, requester, m, n.respPos(pos))
-}
-
-// handleGetBlockTxns serves the missing-transaction round trip. The
-// response echoes the requester-computed count and byte total — the
-// simulation models the round trip's timing and bandwidth, while the
-// body content travels in the retained sketch's object graph.
-func (n *Node) handleGetBlockTxns(now sim.Time, from NodeID, pos int32, req *Message) {
-	if _, ok := n.cachedBlock(req.Want); !ok {
-		return
-	}
-	requester := n.net.nodeByID(from)
-	if requester == nil {
-		return
-	}
-	n.markPeerKnows(req.Want, from, pos)
-	m := n.net.newMessage(n.idx(), MsgBlockTxns)
-	m.Want = req.Want
-	m.TxCount = req.TxCount
-	m.TxBytes = req.TxBytes
-	n.net.send(now+blockRequestRespondMs, n, requester, m, n.respPos(pos))
-}
-
-func (n *Node) handleTxs(now sim.Time, from NodeID, txs []*types.Transaction) {
-	i := n.idx()
+// handleTxs admits a transaction batch at node i from node `from` (i
+// itself for an injection) and gossips what was new to i's other peers.
+func (net *Network) handleTxs(i int32, now sim.Time, from int32, txs []*types.Transaction) {
 	var fresh []*types.Transaction
 	for _, tx := range txs {
 		if tx == nil {
 			continue
 		}
-		idx := n.net.txIdx.intern(tx.Hash())
-		if n.net.txBits.get(i, idx) {
+		idx := net.txIdx.mustLookup(tx.Hash())
+		if net.txBits.get(i, idx) {
 			continue
 		}
-		n.net.txBits.set(i, idx)
+		net.txBits.set(i, idx)
 		fresh = append(fresh, tx)
 	}
-	if len(fresh) == 0 || !n.net.relayOn[i] {
+	if len(fresh) == 0 || !net.rows[i].relayOn {
 		return
 	}
 	delay := sim.Time(1 + len(fresh)/100*txValidatePer100Txs)
-	s := n.net.top.spans[i]
-	fi := int32(from - 1)
+	s := net.top.spans[i]
+	// One flight, re-addressed per peer; the fresh batch slice is shared
+	// by every copy and never rewritten.
+	out := flight{from: i, kind: MsgTransactions, block: -1, txs: fresh}
 	for p := int32(0); p < s.len; p++ {
 		e := s.off + p
-		if n.net.top.adj[e] == fi {
+		if net.top.adj[e] == from {
 			continue
 		}
-		peer := n.net.NodeAt(int(n.net.top.adj[e]))
-		// Each peer gets its own pooled message; the fresh batch slice
-		// is shared by every copy (released messages drop, never
-		// rewrite, it).
-		m := n.net.newMessage(n.idx(), MsgTransactions)
-		m.Txs = fresh
-		n.net.send(now+delay, n, peer, m, n.net.top.revAdj[e])
+		out.to, out.srcPos = net.top.adj[e], net.top.revAdj[e]
+		net.send(now+delay, &out)
 	}
 }

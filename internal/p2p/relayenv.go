@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"fmt"
+
 	"repro/internal/p2p/relay"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -9,15 +11,18 @@ import (
 // relayEnv is the p2p implementation of relay.Env: the narrow,
 // allocation-free view of one node's network surface that relay
 // protocols drive. Each lane keeps a single instance and repoints it
-// per dispatch (envFor / envForMsg); protocol calls are strictly
-// nested inside one engine event, so the lane's scratch is never
-// aliased.
+// per dispatch (envFor); protocol calls are strictly nested inside one
+// engine event, so the lane's scratch is never aliased.
+//
+// relay.Env speaks hashes; the node core speaks interned indices. The
+// env bridges the two without hashing: it is pointed at the block the
+// dispatch is about, and a hash the protocol hands back is recognised
+// as that block by one 32-byte compare against the index→hash table.
 type relayEnv struct {
 	net *Network
-	// lane is the owning netLane: the source of scratch buffers, RNG
-	// draws and message pool for every call made through this env.
+	// lane is the owning netLane: the source of scratch buffers and RNG
+	// draws for every call made through this env.
 	lane    *netLane
-	node    *Node
 	nodeIdx int32
 	// now is the virtual time of the event this env was repointed for.
 	// Deferred scheduling (ScheduleWave) is anchored to it rather than
@@ -30,6 +35,14 @@ type relayEnv struct {
 	// O(1). -1 outside a message dispatch.
 	fromIdx int32
 	fromPos int32
+	// block is the interned index of the block the env last resolved —
+	// the dispatch's block, until Candidates is asked about another —
+	// and slot its slot in the node's suppression window (slotUnknown
+	// until something scanned for it, -1 when not in the window). No
+	// call between a scan and the fan-out using it changes the window,
+	// so the pushes set edge bits straight from slot.
+	block int32
+	slot  int32
 	// cand is the candidate view filled by Candidates — span positions
 	// into the node's adjacency window, backed by the lane's scratch
 	// buffer candBuf.
@@ -38,12 +51,42 @@ type relayEnv struct {
 
 var _ relay.Env = (*relayEnv)(nil)
 
+// envFor points the lane's reusable relay.Env view at its node i for a
+// dispatch at virtual time now about block (fields as in relayEnv;
+// fromIdx and pos are -1 outside a message dispatch).
+func (ln *netLane) envFor(i int32, now sim.Time, fromIdx, pos, block, slot int32) *relayEnv {
+	ln.env = relayEnv{
+		net: ln.net, lane: ln, nodeIdx: i, now: now,
+		fromIdx: fromIdx, fromPos: pos, block: block, slot: slot,
+	}
+	return &ln.env
+}
+
+// index resolves a block hash from the protocol to its interned index:
+// the block the env is pointed at costs one compare, any other a
+// read-only map lookup.
+func (e *relayEnv) index(h types.Hash) (int32, bool) {
+	if e.block >= 0 && e.net.blockIdx.hashes[e.block] == h {
+		return e.block, true
+	}
+	return e.net.blockIdx.lookup(h)
+}
+
+// mustIndex is index for a hash about to go on the wire or key state:
+// never interned is a panic (itemIndex.mustLookup).
+func (e *relayEnv) mustIndex(h types.Hash) int32 {
+	if idx, ok := e.index(h); ok {
+		return idx
+	}
+	return e.net.blockIdx.mustLookup(h)
+}
+
 // NodeID is the hosting node's identifier.
-func (e *relayEnv) NodeID() int { return int(e.node.id) }
+func (e *relayEnv) NodeID() int { return int(e.nodeIdx) + 1 }
 
 // HasBlock reports whether the node holds the full block.
 func (e *relayEnv) HasBlock(h types.Hash) bool {
-	idx, ok := e.net.blockIdx.lookup(h)
+	idx, ok := e.index(h)
 	return ok && e.net.haveBits.get(e.nodeIdx, idx)
 }
 
@@ -55,30 +98,33 @@ func (e *relayEnv) KnownTx(h types.Hash) bool {
 
 // Candidates fills the lane scratch with the span positions of the
 // node's peers not yet known to have h, in peer order, and returns the
-// count. One window lookup up front, then one mask bit per peer — no
-// per-peer hashing.
+// count. At most one window scan up front (none when the dispatch
+// already made it), then one mask bit per peer. It leaves the env
+// pointed at h's (index, slot) for the pushes that follow.
 func (e *relayEnv) Candidates(h types.Hash) int {
 	c := e.lane.candBuf[:0]
 	i := e.nodeIdx
 	s := e.net.top.spans[i]
-	slot := int32(-1)
-	if idx, ok := e.net.blockIdx.lookup(h); ok {
-		slot = e.net.windowSlot(i, idx)
+	idx, ok := e.index(h)
+	if !ok {
+		e.block, e.slot = -1, -1
+	} else if idx != e.block || e.slot == slotUnknown {
+		e.block, e.slot = idx, e.net.windowSlot(i, idx)
 	}
-	if slot < 0 {
+	if e.slot < 0 {
 		// Block outside the suppression window: every peer is a
 		// candidate.
 		for p := int32(0); p < s.len; p++ {
 			c = append(c, p)
 		}
 	} else {
-		bit := uint64(1) << uint(slot)
+		bit := uint64(1) << uint(e.slot)
 		spilled := len(e.net.spill[i]) > 0
 		for p := int32(0); p < s.len; p++ {
 			if e.net.top.knowMask[s.off+p]&bit != 0 {
 				continue
 			}
-			if spilled && e.net.spillHas(i, e.net.top.adj[s.off+p], slot) {
+			if spilled && e.net.spillHas(i, e.net.top.adj[s.off+p], e.slot) {
 				continue
 			}
 			c = append(c, p)
@@ -89,53 +135,52 @@ func (e *relayEnv) Candidates(h types.Hash) int {
 	return len(c)
 }
 
-// Fanout returns a lane-scratch random permutation of [0, n).
-func (e *relayEnv) Fanout(n int) []int { return e.lane.fanoutOrder(n) }
+// Fanout returns a lane-scratch random permutation of [0, n), drawn
+// exactly as rng.Perm(n) would be from the lane's stream.
+func (e *relayEnv) Fanout(n int) []int {
+	ln := e.lane
+	if cap(ln.orderBuf) < n {
+		ln.orderBuf = make([]int, n)
+	}
+	out := ln.orderBuf[:n]
+	ln.rng.PermInto(out)
+	return out
+}
 
-// peerAt resolves candidate i to its span position, edge index and
-// node handle.
-func (e *relayEnv) peerAt(i int) (pos, edge int32, peer *Node) {
-	pos = e.cand[i]
-	edge = e.net.top.spans[e.nodeIdx].off + pos
-	return pos, edge, e.net.NodeAt(int(e.net.top.adj[edge]))
+// push sends candidate i a message of the given kind about the block
+// Candidates enumerated for, marking the peer as knowing it: the edge
+// bit is set straight from the memoised slot, adding the block to the
+// window on the first push if it was not there.
+func (e *relayEnv) push(i int, at sim.Time, kind MsgKind, h types.Hash, b *types.Block) {
+	if e.block < 0 || e.net.blockIdx.hashes[e.block] != h {
+		panic(fmt.Sprintf("p2p: relay pushed %v to candidates enumerated for another block", h))
+	}
+	edge := e.net.top.spans[e.nodeIdx].off + e.cand[i]
+	if e.slot < 0 {
+		e.slot = e.net.windowAdd(e.nodeIdx, e.block)
+	}
+	e.net.top.knowMask[edge] |= 1 << uint(e.slot)
+	f := flight{
+		to: e.net.top.adj[edge], from: e.nodeIdx, srcPos: e.net.top.revAdj[edge],
+		kind: kind, block: e.block, b: b,
+	}
+	e.net.send(at, &f)
 }
 
 // PushBlock sends the full body to candidate i, marking it known.
 func (e *relayEnv) PushBlock(i int, at sim.Time, b *types.Block) {
-	pos, edge, peer := e.peerAt(i)
-	e.node.markPeerKnows(b.Hash(), peer.id, pos)
-	m := e.net.newMessage(e.nodeIdx, MsgNewBlock)
-	m.Block = b
-	e.net.send(at, e.node, peer, m, e.net.top.revAdj[edge])
+	e.push(i, at, MsgNewBlock, b.Hash(), b)
 }
 
 // PushCompact sends a short-ID sketch to candidate i, marking it
 // known (it will hold the block after reconstruction or fallback).
 func (e *relayEnv) PushCompact(i int, at sim.Time, b *types.Block) {
-	pos, edge, peer := e.peerAt(i)
-	e.node.markPeerKnows(b.Hash(), peer.id, pos)
-	m := e.net.newMessage(e.nodeIdx, MsgCompactBlock)
-	m.Block = b
-	e.net.send(at, e.node, peer, m, e.net.top.revAdj[edge])
+	e.push(i, at, MsgCompactBlock, b.Hash(), b)
 }
 
 // Announce sends a hash announcement to candidate i.
 func (e *relayEnv) Announce(i int, at sim.Time, h types.Hash) {
-	pos, edge, peer := e.peerAt(i)
-	e.node.markPeerKnows(h, peer.id, pos)
-	m := e.net.newMessage(e.nodeIdx, MsgNewBlockHashes)
-	m.hash1[0] = h
-	m.Hashes = m.hash1[:1]
-	e.net.send(at, e.node, peer, m, e.net.top.revAdj[edge])
-}
-
-// peerByID resolves a pull target, refusing self-sends.
-func (e *relayEnv) peerByID(peer int) *Node {
-	to := e.net.nodeByID(NodeID(peer))
-	if to == nil || to.id == e.node.id {
-		return nil
-	}
-	return to
+	e.push(i, at, MsgNewBlockHashes, h, nil)
 }
 
 // srcPosFor returns the position of the hosting node in the target's
@@ -149,56 +194,54 @@ func (e *relayEnv) srcPosFor(toIdx int32) int32 {
 	return -1
 }
 
-// RequestBlock asks peer for the full body (GetBlock).
-func (e *relayEnv) RequestBlock(peer int, at sim.Time, h types.Hash) {
-	to := e.peerByID(peer)
-	if to == nil {
+// request sends peer a pull of the given kind for block h; unknown
+// peers and self-sends are refused.
+func (e *relayEnv) request(peer int, at sim.Time, kind MsgKind, h types.Hash, count, bytes int) {
+	to := int32(peer - 1)
+	if e.net.nodeByID(NodeID(peer)) == nil || to == e.nodeIdx {
 		return
 	}
-	m := e.net.newMessage(e.nodeIdx, MsgGetBlock)
-	m.Want = h
-	e.net.send(at, e.node, to, m, e.srcPosFor(to.idx()))
+	f := flight{
+		to: to, from: e.nodeIdx, srcPos: e.srcPosFor(to),
+		kind: kind, block: e.mustIndex(h), txCount: int32(count), txBytes: int32(bytes),
+	}
+	e.net.send(at, &f)
+}
+
+// RequestBlock asks peer for the full body (GetBlock).
+func (e *relayEnv) RequestBlock(peer int, at sim.Time, h types.Hash) {
+	e.request(peer, at, MsgGetBlock, h, 0, 0)
 }
 
 // RequestCompact asks peer for a sketch (GetCompact).
 func (e *relayEnv) RequestCompact(peer int, at sim.Time, h types.Hash) {
-	to := e.peerByID(peer)
-	if to == nil {
-		return
-	}
-	m := e.net.newMessage(e.nodeIdx, MsgGetCompact)
-	m.Want = h
-	e.net.send(at, e.node, to, m, e.srcPosFor(to.idx()))
+	e.request(peer, at, MsgGetCompact, h, 0, 0)
 }
 
 // RequestTxns runs the missing-transaction round trip's request leg.
 func (e *relayEnv) RequestTxns(peer int, at sim.Time, h types.Hash, count, bytes int) {
-	to := e.peerByID(peer)
-	if to == nil {
-		return
-	}
-	m := e.net.newMessage(e.nodeIdx, MsgGetBlockTxns)
-	m.Want = h
-	m.TxCount = count
-	m.TxBytes = bytes
-	e.net.send(at, e.node, to, m, e.srcPosFor(to.idx()))
+	e.request(peer, at, MsgGetBlockTxns, h, count, bytes)
 }
 
 // ScheduleWave queues the node's deferred announce wave, anchored to
 // the event time this env was repointed for.
 func (e *relayEnv) ScheduleWave(delay sim.Time, h types.Hash, origin bool) {
-	e.net.scheduleAnnounce(e.now+delay, e.node, h, origin)
+	e.net.scheduleAnnounce(e.now+delay, e.nodeIdx, e.mustIndex(h), origin)
 }
 
 // AcceptBlock hands the node a fully available body.
 func (e *relayEnv) AcceptBlock(now sim.Time, b *types.Block) {
-	e.node.acceptBlock(now, b, false)
+	idx, slot := e.mustIndex(b.Hash()), slotUnknown
+	if idx == e.block {
+		slot = e.slot
+	}
+	e.net.acceptBlock(e.nodeIdx, now, b, idx, slot, false)
 }
 
 // SetPending records an in-flight reconstruction or fallback fetch.
 func (e *relayEnv) SetPending(h types.Hash, b *types.Block) bool {
 	i := e.nodeIdx
-	idx := e.net.blockIdx.intern(h)
+	idx := e.mustIndex(h)
 	for _, p := range e.net.pending[i] {
 		if p.idx == idx {
 			return false
@@ -210,7 +253,7 @@ func (e *relayEnv) SetPending(h types.Hash, b *types.Block) bool {
 
 // HasPending reports an in-flight fetch for h.
 func (e *relayEnv) HasPending(h types.Hash) bool {
-	idx, ok := e.net.blockIdx.lookup(h)
+	idx, ok := e.index(h)
 	if !ok {
 		return false
 	}
@@ -224,7 +267,7 @@ func (e *relayEnv) HasPending(h types.Hash) bool {
 
 // TakePending removes and returns the pending entry for h.
 func (e *relayEnv) TakePending(h types.Hash) (*types.Block, bool) {
-	idx, ok := e.net.blockIdx.lookup(h)
+	idx, ok := e.index(h)
 	if !ok {
 		return nil, false
 	}

@@ -17,12 +17,14 @@ import (
 //
 // Ownership rules (the whole memory model):
 //
-//   - Per-node state (bit rows, caches, suppression windows, traffic
-//     counters) is only ever written by the lane owning that node's
+//   - Per-node state (node rows, bit rows, caches, suppression
+//     windows) is only ever written — and, but for Network.regions and
+//     Network.down, only ever read — by the lane owning that node's
 //     region, or by the global lane while every region engine is idle
 //     (phase A). Shared arenas that grow by reallocation — the bit
 //     grids and the block-body table — are presized after each phase A
-//     (presizeArenas), so phase B only writes in place.
+//     (presizeArenas), so phase B only writes in place; the item
+//     indices (items.go) grow only in phase A and lanes only read them.
 //   - Everything else the transport touches is a netLane field, so it
 //     is lane-local by construction; the lane counters fold into the
 //     Network's public totals at FoldLanes.
@@ -32,16 +34,12 @@ import (
 //     ordered on the destination engine by (arrival, source lane,
 //     lifetime emission number) via the engine's ordered tie band.
 
-// crossMsg is one buffered cross-lane delivery, carrying everything
-// the destination lane needs to schedule it.
+// crossMsg is one buffered cross-lane delivery: the flight by value,
+// its arrival time, and the source lane's lifetime emission number.
 type crossMsg struct {
-	at     sim.Time
-	to     *Node
-	from   NodeID
-	msg    *Message
-	size   int32
-	srcPos int32
-	seq    uint64 // source lane's lifetime emission number
+	at  sim.Time
+	seq uint64
+	f   flight
 }
 
 // EnableSharding replaces the home lane with one lane per conductor
@@ -69,21 +67,21 @@ func (net *Network) EnableSharding(cond *sim.Conductor, newProto func() relay.Pr
 // shared bit grids and the block-body table to cover every node and
 // every item interned so far, so phase B lanes never trigger a
 // concurrent reallocation. New items only enter through phase A
-// (mining and workload injection); phase B interning always hits.
+// (mining and workload injection); phase B never interns.
 func (net *Network) presizeArenas() {
-	rows := int32(net.nextID)
-	net.haveBits.presize(rows, net.blockIdx.n)
-	net.seenBits.presize(rows, net.blockIdx.n)
-	net.cachedBits.presize(rows, net.blockIdx.n)
-	net.txBits.presize(rows, net.txIdx.n)
-	for int(net.blockIdx.n) > len(net.blockBody) {
+	rows, blocks := int32(net.nextID), int32(len(net.blockIdx.hashes))
+	net.haveBits.presize(rows, blocks)
+	net.seenBits.presize(rows, blocks)
+	net.cachedBits.presize(rows, blocks)
+	net.txBits.presize(rows, int32(len(net.txIdx.hashes)))
+	for int(blocks) > len(net.blockBody) {
 		net.blockBody = append(net.blockBody, nil)
 	}
 }
 
 // mergeCross is the conductor's Merge hook: it drains every lane's
-// cross buffer into the destination lanes' delivery queues. All lanes
-// are idle when it runs, so acquiring destination slots here is
+// cross buffer into the destination lanes' flight slabs. All lanes
+// are idle when it runs, so taking destination slots here is
 // single-threaded. Equal-time ordering on the destination engine comes
 // from the (source lane, lifetime emission number) tie key, a pure
 // function of each source lane's own execution — never of worker
@@ -91,12 +89,11 @@ func (net *Network) presizeArenas() {
 // matrix. Two sharded runs that differ only in window sizing therefore
 // build byte-identical destination schedules.
 func (net *Network) mergeCross() int {
-	net.levelMsgPools()
 	n := 0
 	for l, ln := range net.all {
 		for k := range ln.cross {
 			cm := &ln.cross[k]
-			dl := net.laneOf(cm.to.idx())
+			dl := net.laneOf(cm.f.to)
 			// Lookahead invariant: a cross-lane arrival is strictly in
 			// the destination lane's future — send guarantees delay >=
 			// the pair floor, and the conductor never ran the
@@ -107,59 +104,16 @@ func (net *Network) mergeCross() int {
 			// discipline is a panic, not a skew.
 			if now := dl.engine.Now(); cm.at <= now {
 				panic(fmt.Sprintf("p2p: cross-lane merge back-dates event: arrival %d <= lane %v clock %d",
-					cm.at, cm.to.Region(), now))
+					cm.at, net.regions[cm.f.to], now))
 			}
-			idx := dl.acquireDeliv()
-			dl.deliv[idx] = delivery{to: cm.to, from: cm.from, msg: cm.msg, size: cm.size, srcPos: cm.srcPos}
-			dl.engine.ScheduleCallAtOrdered(cm.at, dl, opDeliver, uint64(idx), uint64(l)<<48|cm.seq)
+			dl.engine.ScheduleCallAtOrdered(cm.at, dl, opDeliver, uint64(dl.putFlight(&cm.f)), uint64(l)<<48|cm.seq)
 			n++
 		}
 		// Zero drained entries so the backing array retains no payloads.
-		for k := range ln.cross {
-			ln.cross[k] = crossMsg{}
-		}
+		clear(ln.cross)
 		ln.cross = ln.cross[:0]
 	}
 	return n
-}
-
-// levelMsgPools evens the lane message free lists out to the mean.
-// A cross-lane delivery releases its message into the destination
-// lane's pool, so under asymmetric flows (one region originating most
-// blocks) the exporter lanes' free lists drain while the importers'
-// grow without bound — every exporter send then allocates a fresh
-// Message, which is where sharded runs used to pay ~3× the unsharded
-// allocation rate. All lanes are idle at the merge point, so moving
-// free messages between pools here is race-free; released messages
-// are fully zeroed and interchangeable, so which pool a send draws
-// from never affects simulation behavior or artifacts. The skim per
-// merge is bounded by the cross flow since the previous merge.
-func (net *Network) levelMsgPools() {
-	total := 0
-	for _, ln := range net.all {
-		total += len(ln.msgFree)
-	}
-	target := total / len(net.all)
-	d := 0
-	for _, ln := range net.all {
-		need := target - len(ln.msgFree)
-		for need > 0 {
-			donor := net.all[d]
-			excess := len(donor.msgFree) - target
-			if excess <= 0 {
-				d++
-				continue
-			}
-			k := min(excess, need)
-			n := len(donor.msgFree)
-			ln.msgFree = append(ln.msgFree, donor.msgFree[n-k:]...)
-			for j := n - k; j < n; j++ {
-				donor.msgFree[j] = nil
-			}
-			donor.msgFree = donor.msgFree[:n-k]
-			need -= k
-		}
-	}
 }
 
 // FoldLanes moves every lane's transport and protocol counters into

@@ -37,8 +37,7 @@ func TestMergeCrossBackdatePanics(t *testing.T) {
 	// arrival time, as a buggy deadline computation would.
 	dst.engine.RunUntil(100)
 
-	m := net.newMessage(a.idx(), MsgNewBlock)
-	src.cross = append(src.cross, crossMsg{at: 100, to: b, from: a.ID(), msg: m, size: 64, srcPos: -1})
+	src.cross = append(src.cross, crossMsg{at: 100, f: flight{to: b.idx(), from: a.idx(), kind: MsgNewBlock, size: 64, srcPos: -1}})
 
 	defer func() {
 		r := recover()
@@ -59,8 +58,7 @@ func TestMergeCrossFutureArrivalOK(t *testing.T) {
 	net, a, b, src, dst := shardedPair(t)
 	dst.engine.RunUntil(100)
 
-	m := net.newMessage(a.idx(), MsgNewBlock)
-	src.cross = append(src.cross, crossMsg{at: 101, to: b, from: a.ID(), msg: m, size: 64, srcPos: -1})
+	src.cross = append(src.cross, crossMsg{at: 101, f: flight{to: b.idx(), from: a.idx(), kind: MsgNewBlock, size: 64, srcPos: -1}})
 	if got := net.mergeCross(); got != 1 {
 		t.Fatalf("mergeCross merged %d messages, want 1", got)
 	}

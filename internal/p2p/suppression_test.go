@@ -6,7 +6,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/p2p/relay"
 	"repro/internal/sim"
-	"repro/internal/types"
 )
 
 // zeroLatency makes timing assertions exact.
@@ -142,11 +141,42 @@ func TestKnownPeerEviction(t *testing.T) {
 		a.InjectBlock(0, testBlock(uint64(i+1), "Ethermine"))
 		net.Engine().Run()
 	}
-	if got := int(net.knowCount[a.idx()]); got > knownPeerCap {
+	if got := int(net.rows[a.idx()].knowCount); got > knownPeerCap {
 		t.Fatalf("suppression window grew to %d entries (cap %d)", got, knownPeerCap)
 	}
 	if got := len(net.spill[a.idx()]); got != 0 {
 		t.Fatalf("healthy run produced %d spill marks", got)
+	}
+}
+
+// TestWindowSlotMatchesRing pins windowSlot — which answers for the
+// newest block from the node row without scanning — to the ring itself,
+// across wrap-around, eviction and marks that revisit older blocks.
+func TestWindowSlotMatchesRing(t *testing.T) {
+	net := zeroLatencyNetwork(t, 5)
+	a := addNode(t, net, geo.WesternEurope, 0)
+	b := addNode(t, net, geo.WesternEurope, 0)
+	if err := net.Connect(a, b); err != nil {
+		t.Fatal(err)
+	}
+	i := a.idx()
+	ring := net.knowSlot[i*knownPeerCap : (i+1)*knownPeerCap]
+	for blk := int32(0); blk < 3*knownPeerCap; blk++ {
+		net.markPeerKnows(i, blk, b.idx(), 0)
+		if blk%5 == 4 {
+			net.markPeerKnows(i, blk-3, b.idx(), 0) // an older block, still tracked
+		}
+		for probe := int32(0); probe <= blk+1; probe++ {
+			want := int32(-1)
+			for s, held := range ring {
+				if held == probe+1 {
+					want = int32(s)
+				}
+			}
+			if got := net.windowSlot(i, probe); got != want {
+				t.Fatalf("after block %d: windowSlot(%d) = %d, the ring says %d", blk, probe, got, want)
+			}
+		}
 	}
 }
 
@@ -161,7 +191,7 @@ func TestAnnouncementMarksSenderAsKnowing(t *testing.T) {
 	h := blk.Hash()
 	// b hears an announcement from a; b must record that a knows the
 	// block even before fetching it.
-	b.handle(0, a.ID(), -1, &Message{Kind: MsgNewBlockHashes, Hashes: []types.Hash{h}})
+	net.home.handle(0, &flight{to: b.idx(), from: a.idx(), srcPos: -1, kind: MsgNewBlockHashes, block: net.blockIdx.intern(h)})
 	if !b.peerKnowsBlock(h, a.ID()) {
 		t.Fatal("announcement did not mark sender knowledge")
 	}

@@ -755,14 +755,20 @@ func (t *Timer) When() (at Time, ok bool) {
 }
 
 // RNG is a deterministic random stream with the distribution helpers
-// the simulation model needs. It wraps PCG from math/rand/v2.
+// the simulation model needs: PCG from math/rand/v2. The hot draws
+// (Uint64, Float64, IntN, PermInto, Shuffle) call the concrete
+// generator, not rand.Rand through the rand.Source interface; only the
+// ziggurat samplers still go through r, which wraps the same src. The
+// stream is draw for draw rand.Rand's (TestRNGFastPathMatchesRand).
 type RNG struct {
-	r *rand.Rand
+	src *rand.PCG
+	r   *rand.Rand
 }
 
 // NewRNG creates a deterministic stream from a 64-bit seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	src := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
+	return &RNG{src: src, r: rand.New(src)}
 }
 
 // Fork derives an independent child stream. Using labeled forks keeps
@@ -774,17 +780,41 @@ func (g *RNG) Fork(label string) *RNG {
 		h ^= uint64(c)
 		h *= 1099511628211
 	}
-	return NewRNG(g.r.Uint64() ^ h)
+	return NewRNG(g.src.Uint64() ^ h)
 }
 
-// Float64 returns a uniform sample in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform sample in [0, 1), as rand.Rand.Float64.
+func (g *RNG) Float64() float64 {
+	return float64(g.src.Uint64()<<11>>11) / (1 << 53)
+}
+
+// uint64n returns a uniform sample in [0, n), n > 0: math/rand/v2's
+// (*Rand).uint64n on the concrete generator (its 32-bit branch yields
+// this same sequence, so one body serves every platform).
+func (g *RNG) uint64n(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return g.src.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(g.src.Uint64(), n)
+	if lo < n {
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(g.src.Uint64(), n)
+		}
+	}
+	return hi
+}
 
 // IntN returns a uniform sample in [0, n). n must be > 0.
-func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
+func (g *RNG) IntN(n int) int {
+	if n <= 0 {
+		panic("sim: invalid argument to IntN")
+	}
+	return int(g.uint64n(uint64(n)))
+}
 
 // Uint64 returns a uniform 64-bit sample.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+func (g *RNG) Uint64() uint64 { return g.src.Uint64() }
 
 // NormFloat64 returns a standard normal sample.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
@@ -819,7 +849,7 @@ func (g *RNG) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return g.r.Float64() < p
+	return g.Float64() < p
 }
 
 // Zipf draws from a Zipf distribution over [0, n) with exponent s > 1,
@@ -885,7 +915,7 @@ func (g *RNG) WeightedChoice(weights []float64) (int, error) {
 	if total <= 0 {
 		return 0, fmt.Errorf("sim: weighted choice over non-positive weights %v", weights)
 	}
-	u := g.r.Float64() * total
+	u := g.Float64() * total
 	var acc float64
 	for i, w := range weights {
 		if w <= 0 {
@@ -939,7 +969,7 @@ func NewWeighted(weights []float64) (*Weighted, error) {
 
 // Sample draws one index proportionally to the weights.
 func (w *Weighted) Sample(g *RNG) int {
-	u := g.r.Float64() * w.total
+	u := g.Float64() * w.total
 	// First positive-weight position with cdf >= u — the same index the
 	// linear scan in WeightedChoice stops at (its condition is u <= acc
 	// over the running sum of positive weights).
@@ -956,20 +986,30 @@ func (w *Weighted) Sample(g *RNG) int {
 }
 
 // Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	g.PermInto(p)
+	return p
+}
 
 // PermInto fills p with a random permutation of [0, len(p)), consuming
-// exactly the same RNG draws as Perm(len(p)) — a seeded run can switch
-// between them freely. It exists so hot paths can reuse a scratch
+// exactly the RNG draws rand.Rand.Perm(len(p)) would — the same
+// Fisher–Yates, inline. It exists so hot paths can reuse a scratch
 // buffer instead of allocating a fresh permutation per call.
 func (g *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	g.r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	for i := len(p) - 1; i > 0; i-- {
+		j := g.uint64n(uint64(i + 1))
+		p[i], p[j] = p[j], p[i]
+	}
 }
 
-// Shuffle permutes xs in place.
+// Shuffle permutes xs in place, draw for draw as rand.Rand.Shuffle.
 func Shuffle[T any](g *RNG, xs []T) {
-	g.r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	for i := len(xs) - 1; i > 0; i-- {
+		j := g.uint64n(uint64(i + 1))
+		xs[i], xs[j] = xs[j], xs[i]
+	}
 }
