@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race profile bench bench-smoke bench-contract-smoke bench-compare bench-baseline bench-stress bench-stress-compare fmt fmt-check vet loc examples examples-full validate-scenarios
+.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race profile profile-chain bench bench-smoke bench-contract-smoke bench-compare bench-baseline bench-stress bench-stress-compare fmt fmt-check vet loc examples examples-full validate-scenarios
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,8 @@ fuzz:
 	$(GO) test -fuzz FuzzAdjacencyChurn -fuzztime 30s ./internal/p2p/
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzSweepExpand -fuzztime 30s ./internal/scenario/
+	$(GO) test -fuzz FuzzSelectUncles -fuzztime 30s ./internal/chain/
+	$(GO) test -fuzz FuzzHeaderEncoding -fuzztime 15s ./internal/types/
 
 # The whole short tier under the race detector. internal/experiments
 # alone needs 530-890 s here on a 2-vCPU box, past go test's default
@@ -122,6 +124,17 @@ race:
 profile:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test -run '^$$' -bench BenchmarkOverlay10k -benchtime 3x -cpuprofile "$$dir/cpu.prof" -o "$$dir/core.test" ./internal/core; \
+	$(GO) tool pprof -top -nodecount=25 "$$dir/core.test" "$$dir/cpu.prof"
+
+# Where a mined block spends its time: the chain-only Monte-Carlo
+# (BenchmarkChainOnly, 50,000 blocks a run: mining race, uncle
+# selection, block assembly and hashing, tree insert, analysis view)
+# under the CPU profiler, then the top 25 functions. docs/PERFORMANCE.md
+# ("The block") keeps the tops this printed before and after the
+# per-block path was rebuilt.
+profile-chain:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -run '^$$' -bench BenchmarkChainOnly -benchtime 5x -cpuprofile "$$dir/cpu.prof" -o "$$dir/core.test" ./internal/core; \
 	$(GO) tool pprof -top -nodecount=25 "$$dir/core.test" "$$dir/cpu.prof"
 
 bench:

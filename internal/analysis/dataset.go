@@ -290,28 +290,32 @@ func ViewFromTree(t *chain.BlockTree) (*ChainView, error) {
 	if t == nil {
 		return nil, errors.New("analysis: nil tree")
 	}
-	v := &ChainView{
-		All:       make(map[types.Hash]BlockMeta),
-		UncleRefs: make(map[types.Hash]bool),
-		MainSet:   make(map[types.Hash]bool),
-	}
 	main := t.MainChain()
-	for _, b := range main[1:] { // skip genesis
-		meta := metaFromBlock(b, true)
-		v.Main = append(v.Main, meta)
-		v.MainSet[meta.Hash] = true
-		for i := range b.Uncles {
-			v.UncleRefs[b.Uncles[i].Hash()] = true
-		}
+	base := main[0].Header.Number
+	v := &ChainView{
+		Main:      make([]BlockMeta, 0, len(main)-1),
+		All:       make(map[types.Hash]BlockMeta, t.Len()-1),
+		UncleRefs: make(map[types.Hash]bool),
+		MainSet:   make(map[types.Hash]bool, len(main)-1),
 	}
-	maxHeight := t.MaxHeight()
-	for n := uint64(1); n <= maxHeight; n++ {
+	// One pass over the heights builds every block's meta once; the
+	// main-chain block of a height is the one MainChain holds there.
+	for n := base + 1; n <= t.MaxHeight(); n++ {
 		for _, h := range t.AtHeight(n) {
 			b, ok := t.Block(h)
 			if !ok {
 				continue
 			}
-			v.All[h] = metaFromBlock(b, true)
+			meta := metaFromBlock(b, true)
+			v.All[h] = meta
+			if b != main[n-base] {
+				continue
+			}
+			v.Main = append(v.Main, meta)
+			v.MainSet[h] = true
+			for _, u := range meta.Uncles {
+				v.UncleRefs[u] = true
+			}
 		}
 	}
 	return v, nil

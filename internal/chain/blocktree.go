@@ -4,7 +4,11 @@
 //
 // The package is deliberately a *tree*, not a list: the paper's fork
 // analysis (§III-C4), one-miner forks (§III-C5) and uncle recognition
-// (Table III) all live in the side branches.
+// (Table III) all live in the side branches. The tree is a slab: blocks
+// sit in arrival order beside their hash, cumulative difficulty and
+// parent index, one map resolves a hash to its index at the API
+// boundary, and ancestry, main-chain and uncle-selection walks follow
+// indices — mining a block hashes nothing but the new block itself.
 package chain
 
 import (
@@ -25,12 +29,23 @@ var (
 // BlockTree stores every observed block, tracks the heaviest
 // (total-difficulty) chain, and answers ancestry and fork queries.
 type BlockTree struct {
-	genesis   types.Hash
-	blocks    map[types.Hash]*types.Block
-	children  map[types.Hash][]types.Hash
-	byHeight  map[uint64][]types.Hash
-	totalDiff map[types.Hash]uint64
-	head      types.Hash
+	nodes []node
+	index map[types.Hash]int32
+	// byHeight[n-base] lists the blocks at height n in arrival order;
+	// base is the genesis height.
+	byHeight [][]int32
+	base     uint64
+	head     int32
+}
+
+// node is one stored block with what the walks need beside it: its
+// hash (so no walk re-derives one), the cumulative difficulty of the
+// chain ending at it, and its parent's slab index (-1 for genesis).
+type node struct {
+	block  *types.Block
+	hash   types.Hash
+	td     uint64
+	parent int32
 }
 
 // NewBlockTree creates a tree rooted at the given genesis block. The
@@ -38,12 +53,10 @@ type BlockTree struct {
 func NewBlockTree(genesis *types.Block) *BlockTree {
 	h := genesis.Hash()
 	return &BlockTree{
-		genesis:   h,
-		blocks:    map[types.Hash]*types.Block{h: genesis},
-		children:  make(map[types.Hash][]types.Hash),
-		byHeight:  map[uint64][]types.Hash{genesis.Header.Number: {h}},
-		totalDiff: map[types.Hash]uint64{h: genesis.Header.Difficulty},
-		head:      h,
+		nodes:    []node{{block: genesis, hash: h, td: genesis.Header.Difficulty, parent: -1}},
+		index:    map[types.Hash]int32{h: 0},
+		byHeight: [][]int32{{0}},
+		base:     genesis.Header.Number,
 	}
 }
 
@@ -60,34 +73,37 @@ func NewGenesis(difficulty, gasLimit uint64) *types.Block {
 }
 
 // Genesis returns the genesis hash.
-func (t *BlockTree) Genesis() types.Hash { return t.genesis }
+func (t *BlockTree) Genesis() types.Hash { return t.nodes[0].hash }
 
 // Len returns the number of blocks in the tree (including genesis).
-func (t *BlockTree) Len() int { return len(t.blocks) }
+func (t *BlockTree) Len() int { return len(t.nodes) }
 
 // Head returns the tip of the heaviest chain.
-func (t *BlockTree) Head() *types.Block { return t.blocks[t.head] }
+func (t *BlockTree) Head() *types.Block { return t.nodes[t.head].block }
 
 // Block returns a block by hash.
 func (t *BlockTree) Block(h types.Hash) (*types.Block, bool) {
-	b, ok := t.blocks[h]
-	return b, ok
+	i, ok := t.index[h]
+	if !ok {
+		return nil, false
+	}
+	return t.nodes[i].block, true
 }
 
 // Has reports whether the tree contains a block.
 func (t *BlockTree) Has(h types.Hash) bool {
-	_, ok := t.blocks[h]
+	_, ok := t.index[h]
 	return ok
 }
 
 // TotalDifficulty returns the cumulative difficulty of the chain
 // ending at h.
 func (t *BlockTree) TotalDifficulty(h types.Hash) (uint64, error) {
-	td, ok := t.totalDiff[h]
+	i, ok := t.index[h]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, h.Short())
 	}
-	return td, nil
+	return t.nodes[i].td, nil
 }
 
 // Add inserts a block. The parent must already be present. The head
@@ -95,121 +111,113 @@ func (t *BlockTree) TotalDifficulty(h types.Hash) (uint64, error) {
 // ties, like Geth). It reports whether the head moved.
 func (t *BlockTree) Add(b *types.Block) (reorged bool, err error) {
 	h := b.Hash()
-	if _, dup := t.blocks[h]; dup {
+	if _, dup := t.index[h]; dup {
 		return false, fmt.Errorf("%w: %s", ErrDuplicate, h.Short())
 	}
-	parent, ok := t.blocks[b.Header.ParentHash]
+	pi, ok := t.index[b.Header.ParentHash]
 	if !ok {
 		return false, fmt.Errorf("%w: block %s parent %s", ErrUnknownParent, h.Short(), b.Header.ParentHash.Short())
 	}
-	if b.Header.Number != parent.Header.Number+1 {
-		return false, fmt.Errorf("%w: %d after %d", ErrBadNumber, b.Header.Number, parent.Header.Number)
+	if parentNumber := t.number(pi); b.Header.Number != parentNumber+1 {
+		return false, fmt.Errorf("%w: %d after %d", ErrBadNumber, b.Header.Number, parentNumber)
 	}
-	t.blocks[h] = b
-	t.children[b.Header.ParentHash] = append(t.children[b.Header.ParentHash], h)
-	t.byHeight[b.Header.Number] = append(t.byHeight[b.Header.Number], h)
-	td := t.totalDiff[b.Header.ParentHash] + b.Header.Difficulty
-	t.totalDiff[h] = td
-	if td > t.totalDiff[t.head] {
-		t.head = h
+	i := int32(len(t.nodes))
+	td := t.nodes[pi].td + b.Header.Difficulty
+	t.nodes = append(t.nodes, node{block: b, hash: h, td: td, parent: pi})
+	t.index[h] = i
+	if slot := b.Header.Number - t.base; slot < uint64(len(t.byHeight)) {
+		t.byHeight[slot] = append(t.byHeight[slot], i)
+	} else {
+		t.byHeight = append(t.byHeight, []int32{i})
+	}
+	if td > t.nodes[t.head].td {
+		t.head = i
 		return true, nil
 	}
 	return false, nil
 }
 
+func (t *BlockTree) number(i int32) uint64 { return t.nodes[i].block.Header.Number }
+
+// atHeight returns the slab indices at height n, in arrival order.
+func (t *BlockTree) atHeight(n uint64) []int32 {
+	if slot := n - t.base; n >= t.base && slot < uint64(len(t.byHeight)) {
+		return t.byHeight[slot]
+	}
+	return nil
+}
+
 // AtHeight returns every block hash observed at the given height, in
 // arrival order.
 func (t *BlockTree) AtHeight(n uint64) []types.Hash {
-	hs := t.byHeight[n]
-	out := make([]types.Hash, len(hs))
-	copy(out, hs)
+	is := t.atHeight(n)
+	out := make([]types.Hash, len(is))
+	for k, i := range is {
+		out[k] = t.nodes[i].hash
+	}
 	return out
 }
 
 // MaxHeight returns the height of the current head.
-func (t *BlockTree) MaxHeight() uint64 { return t.blocks[t.head].Header.Number }
+func (t *BlockTree) MaxHeight() uint64 { return t.number(t.head) }
 
 // IsMain reports whether the block at h lies on the heaviest chain.
 func (t *BlockTree) IsMain(h types.Hash) bool {
-	b, ok := t.blocks[h]
+	i, ok := t.index[h]
 	if !ok {
 		return false
 	}
-	onMain, ok := t.mainAt(b.Header.Number)
-	return ok && onMain == h
+	onMain, ok := t.ancestorAt(t.head, t.number(i))
+	return ok && onMain == i
 }
 
-// mainAt returns the main-chain hash at a height by walking back from
-// the head.
-func (t *BlockTree) mainAt(n uint64) (types.Hash, bool) {
-	cur := t.head
-	for {
-		b := t.blocks[cur]
-		if b.Header.Number == n {
-			return cur, true
-		}
-		if b.Header.Number < n || cur == t.genesis {
-			return types.Hash{}, false
-		}
-		cur = b.Header.ParentHash
+// ancestorAt walks from tip back to the requested height along parent
+// links.
+func (t *BlockTree) ancestorAt(tip int32, n uint64) (int32, bool) {
+	height := t.number(tip)
+	if height < n || n < t.base {
+		return 0, false
 	}
+	for ; height > n; height-- {
+		tip = t.nodes[tip].parent
+	}
+	return tip, true
 }
 
 // MainChain returns the heaviest chain from genesis to head,
 // inclusive.
 func (t *BlockTree) MainChain() []*types.Block {
-	var rev []*types.Block
-	cur := t.head
-	for {
-		b := t.blocks[cur]
-		rev = append(rev, b)
-		if cur == t.genesis {
-			break
-		}
-		cur = b.Header.ParentHash
-	}
-	out := make([]*types.Block, len(rev))
-	for i, b := range rev {
-		out[len(rev)-1-i] = b
+	out := make([]*types.Block, t.MaxHeight()-t.base+1)
+	for i, k := t.head, len(out)-1; k >= 0; i, k = t.nodes[i].parent, k-1 {
+		out[k] = t.nodes[i].block
 	}
 	return out
 }
 
 // IsAncestor reports whether a is an ancestor of (or equal to) b.
 func (t *BlockTree) IsAncestor(a, b types.Hash) bool {
-	ba, ok := t.blocks[a]
+	ia, ok := t.index[a]
 	if !ok {
 		return false
 	}
-	cur, ok := t.blocks[b]
+	ib, ok := t.index[b]
 	if !ok {
 		return false
 	}
-	for {
-		if cur.Hash() == a {
-			return true
-		}
-		if cur.Header.Number <= ba.Header.Number || cur.Hash() == t.genesis {
-			return false
-		}
-		next, ok := t.blocks[cur.Header.ParentHash]
-		if !ok {
-			return false
-		}
-		cur = next
-	}
+	at, ok := t.ancestorAt(ib, t.number(ia))
+	return ok && at == ia
 }
 
 // ConfirmationDepth returns how many blocks on the main chain follow
 // the block at h (0 when h is the head). It returns an error when h is
 // not on the main chain.
 func (t *BlockTree) ConfirmationDepth(h types.Hash) (int, error) {
-	b, ok := t.blocks[h]
+	i, ok := t.index[h]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, h.Short())
 	}
 	if !t.IsMain(h) {
 		return 0, fmt.Errorf("chain: block %s not on main chain", h.Short())
 	}
-	return int(t.MaxHeight() - b.Header.Number), nil
+	return int(t.MaxHeight() - t.number(i)), nil
 }

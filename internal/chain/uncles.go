@@ -68,8 +68,11 @@ func (u *UncleTracker) Used(h types.Hash) bool { return u.used[h] }
 // ValidateUncle checks whether candidate can be referenced as an uncle
 // by a block extending parent (i.e. the new block will have height
 // parent.Number+1). tracker may be nil to skip the double-use check.
+// The candidate may be a header the tree has never stored, so it is
+// identified by hashing it; SelectUncles applies the same four
+// conditions to stored blocks without doing so.
 func (t *BlockTree) ValidateUncle(rules UncleRules, parent types.Hash, candidate types.Header, tracker *UncleTracker) error {
-	parentBlock, ok := t.blocks[parent]
+	pi, ok := t.index[parent]
 	if !ok {
 		return fmt.Errorf("%w: parent %s", ErrUnknownBlock, parent.Short())
 	}
@@ -77,7 +80,7 @@ func (t *BlockTree) ValidateUncle(rules UncleRules, parent types.Hash, candidate
 	if tracker != nil && tracker.Used(candHash) {
 		return ErrUncleAlreadyUsed
 	}
-	newHeight := parentBlock.Header.Number + 1
+	newHeight := t.number(pi) + 1
 	if candidate.Number >= newHeight {
 		return fmt.Errorf("%w: uncle height %d vs block height %d", ErrUncleTooDeep, candidate.Number, newHeight)
 	}
@@ -94,36 +97,11 @@ func (t *BlockTree) ValidateUncle(rules UncleRules, parent types.Hash, candidate
 		return fmt.Errorf("%w: uncle parent %s", ErrUncleUnknownParent, candidate.ParentHash.Short())
 	}
 	if rules.RestrictOneMinerUncles {
-		chainAt, ok := t.ancestorAt(parent, candidate.Number)
-		if ok {
-			if mainBlock := t.blocks[chainAt]; mainBlock.Header.Miner == candidate.Miner {
-				return ErrUncleSelfHeight
-			}
+		if chainAt, ok := t.ancestorAt(pi, candidate.Number); ok && t.nodes[chainAt].block.Header.Miner == candidate.Miner {
+			return ErrUncleSelfHeight
 		}
 	}
 	return nil
-}
-
-// ancestorAt walks from tip back to the requested height along parent
-// links.
-func (t *BlockTree) ancestorAt(tip types.Hash, n uint64) (types.Hash, bool) {
-	cur, ok := t.blocks[tip]
-	if !ok {
-		return types.Hash{}, false
-	}
-	for {
-		if cur.Header.Number == n {
-			return cur.Hash(), true
-		}
-		if cur.Header.Number < n || cur.Hash() == t.genesis {
-			return types.Hash{}, false
-		}
-		next, ok := t.blocks[cur.Header.ParentHash]
-		if !ok {
-			return types.Hash{}, false
-		}
-		cur = next
-	}
 }
 
 // SelectUncles returns up to rules.MaxPerBlock valid uncle headers for
@@ -132,37 +110,50 @@ func (t *BlockTree) ancestorAt(tip types.Hash, n uint64) (types.Hash, bool) {
 // consulted but NOT updated; callers mark selected uncles used once
 // the block is actually mined.
 func (t *BlockTree) SelectUncles(rules UncleRules, parent types.Hash, tracker *UncleTracker) []types.Header {
-	parentBlock, ok := t.blocks[parent]
-	if !ok {
+	var out []types.Header
+	for _, b := range t.SelectUncleBlocks(rules, parent, tracker) {
+		out = append(out, b.Header)
+	}
+	return out
+}
+
+// SelectUncleBlocks is SelectUncles returning the stored blocks, whose
+// cached hashes let the caller mark them used without re-hashing.
+//
+// It steps the extended branch's ancestors once, shallow to deep. At
+// each height a stored block is a valid uncle iff it is not that
+// height's ancestor, its parent is the ancestor one below, the tracker
+// has not used it and (restricted rule) its miner differs from the
+// ancestor's — ValidateUncle's conditions, read off slab indices.
+func (t *BlockTree) SelectUncleBlocks(rules UncleRules, parent types.Hash, tracker *UncleTracker) []*types.Block {
+	anc, ok := t.index[parent]
+	if !ok || rules.MaxPerBlock <= 0 {
 		return nil
 	}
-	newHeight := parentBlock.Header.Number + 1
-	var out []types.Header
-	// Scan recent heights from shallow to deep.
-	for depth := uint64(1); depth <= rules.MaxDepth && len(out) < rules.MaxPerBlock; depth++ {
-		if newHeight < depth+1 {
-			break
+	var out []*types.Block
+	height := t.number(anc)
+	for depth := uint64(1); depth <= rules.MaxDepth; depth++ {
+		below := t.nodes[anc].parent
+		if below < 0 {
+			break // genesis is nobody's uncle and has no siblings
 		}
-		height := newHeight - depth
-		for _, h := range t.byHeight[height] {
-			if len(out) >= rules.MaxPerBlock {
-				break
-			}
-			cand := t.blocks[h]
-			if err := t.ValidateUncle(rules, parent, cand.Header, tracker); err != nil {
+		for _, i := range t.atHeight(height) {
+			c := &t.nodes[i]
+			if i == anc || c.parent != below {
 				continue
 			}
-			dup := false
-			for i := range out {
-				if out[i].Hash() == h {
-					dup = true
-					break
-				}
+			if rules.RestrictOneMinerUncles && c.block.Header.Miner == t.nodes[anc].block.Header.Miner {
+				continue
 			}
-			if !dup {
-				out = append(out, cand.Header)
+			if tracker != nil && tracker.Used(c.hash) {
+				continue
+			}
+			out = append(out, c.block)
+			if len(out) >= rules.MaxPerBlock {
+				return out
 			}
 		}
+		anc, height = below, height-1
 	}
 	return out
 }

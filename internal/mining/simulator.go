@@ -106,6 +106,9 @@ type poolState struct {
 	// statically so partition support adds no RNG draws to the mining
 	// stream.
 	home geo.Region
+	// private is a withholding pool's unpublished chain, oldest first
+	// (always empty for honest pools).
+	private []*types.Block
 }
 
 // Simulator produces blocks onto a shared block tree according to the
@@ -137,7 +140,6 @@ type Simulator struct {
 	stopped    bool
 	doneFired  bool
 	multiTuple map[types.Hash]int // primary hash -> total versions
-	withheld   map[string]*withholdState
 }
 
 // visUpdate is one block's deferred visibility: pools that see the
@@ -181,7 +183,6 @@ func NewSimulator(engine *sim.Engine, rng *sim.RNG, cfg Config) (*Simulator, err
 		tree:       tree,
 		tracker:    chain.NewUncleTracker(),
 		multiTuple: make(map[types.Hash]int),
-		withheld:   make(map[string]*withholdState),
 	}
 	weights := make([]float64, 0, len(cfg.Pools))
 	for _, pc := range cfg.Pools {
@@ -309,7 +310,11 @@ func (s *Simulator) mineOne(now sim.Time) {
 
 	empty := s.rng.Bernoulli(pool.cfg.EmptyBlockProb)
 	txs := s.buildBody(empty)
-	uncles := s.tree.SelectUncles(s.cfg.Uncles, pool.head, s.tracker)
+	uncleBlocks := s.tree.SelectUncleBlocks(s.cfg.Uncles, pool.head, s.tracker)
+	var uncles []types.Header
+	for _, u := range uncleBlocks {
+		uncles = append(uncles, u.Header)
+	}
 
 	header := types.Header{
 		ParentHash: pool.head,
@@ -323,7 +328,7 @@ func (s *Simulator) mineOne(now sim.Time) {
 	}
 	primary := types.NewBlock(header, txs, uncles)
 	extended := s.insert(now, primary, pool)
-	for _, u := range uncles {
+	for _, u := range uncleBlocks {
 		s.tracker.MarkUsed(u.Hash())
 	}
 	if extended && s.cfg.TxPool != nil && len(txs) > 0 {
@@ -369,6 +374,12 @@ func (s *Simulator) mineExtraVersions(now sim.Time, pool *poolState, header type
 	s.multiTuple[primary.Hash()] = versions
 }
 
+// The synthetic filler transaction's endpoints.
+var (
+	fillerSender = types.AddressFromString("filler")
+	fillerSink   = types.AddressFromString("sink")
+)
+
 // buildBody assembles a block body: empty when the empty-block policy
 // fires, otherwise real transactions from the pool (when configured)
 // or a synthetic filler.
@@ -385,8 +396,8 @@ func (s *Simulator) buildBody(empty bool) []*types.Transaction {
 	}
 	s.fillerSeq++
 	return []*types.Transaction{{
-		Sender:   types.AddressFromString("filler"),
-		To:       types.AddressFromString("sink"),
+		Sender:   fillerSender,
+		To:       fillerSink,
 		Nonce:    s.fillerSeq,
 		Value:    1,
 		GasPrice: 1,

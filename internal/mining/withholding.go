@@ -23,51 +23,21 @@ import (
 // voluntary release (rewards must eventually be claimed).
 const withholdReleaseCap = 4
 
-// withholdState tracks one withholding pool's private chain.
-type withholdState struct {
-	blocks []*types.Block
-}
-
-// tip returns the private tip, or nil.
-func (w *withholdState) tip() *types.Block {
-	if len(w.blocks) == 0 {
-		return nil
-	}
-	return w.blocks[len(w.blocks)-1]
-}
-
 // mineWithheld builds a private block for a withholding pool and
 // decides whether the cap forces a release.
 func (s *Simulator) mineWithheld(now sim.Time, pool *poolState) {
-	priv := s.withheld[pool.cfg.Name]
-	if priv == nil {
-		priv = &withholdState{}
-		s.withheld[pool.cfg.Name] = priv
+	var parent *types.Block
+	if n := len(pool.private); n > 0 {
+		parent = pool.private[n-1]
+	} else if parent, _ = s.tree.Block(pool.head); parent == nil {
+		return
 	}
-	parentHash := pool.head
-	parentTime := sim.Time(0)
-	parentDifficulty := uint64(0)
-	parentNumber := uint64(0)
-	if tip := priv.tip(); tip != nil {
-		parentHash = tip.Hash()
-		parentTime = sim.Time(tip.Header.TimeMillis)
-		parentDifficulty = tip.Header.Difficulty
-		parentNumber = tip.Header.Number
-	} else {
-		parent, ok := s.tree.Block(pool.head)
-		if !ok {
-			return
-		}
-		parentTime = sim.Time(parent.Header.TimeMillis)
-		parentDifficulty = parent.Header.Difficulty
-		parentNumber = parent.Header.Number
-	}
-	gap := now - parentTime
-	difficulty := chain.NextDifficulty(s.cfg.Difficulty, parentDifficulty, gap, parentNumber+1)
+	gap := now - sim.Time(parent.Header.TimeMillis)
+	difficulty := chain.NextDifficulty(s.cfg.Difficulty, parent.Header.Difficulty, gap, parent.Header.Number+1)
 	txs := s.buildBody(s.rng.Bernoulli(pool.cfg.EmptyBlockProb))
 	header := types.Header{
-		ParentHash: parentHash,
-		Number:     parentNumber + 1,
+		ParentHash: parent.Hash(),
+		Number:     parent.Header.Number + 1,
 		Miner:      pool.address,
 		MinerLabel: pool.cfg.Name,
 		TimeMillis: uint64(now),
@@ -75,8 +45,8 @@ func (s *Simulator) mineWithheld(now sim.Time, pool *poolState) {
 		GasLimit:   s.cfg.GasLimit,
 		GasUsed:    uint64(len(txs)) * types.TxGas,
 	}
-	priv.blocks = append(priv.blocks, types.NewBlock(header, txs, nil))
-	if len(priv.blocks) >= withholdReleaseCap {
+	pool.private = append(pool.private, types.NewBlock(header, txs, nil))
+	if len(pool.private) >= withholdReleaseCap {
 		s.releaseWithheld(now, pool)
 	}
 }
@@ -84,12 +54,8 @@ func (s *Simulator) mineWithheld(now sim.Time, pool *poolState) {
 // releaseWithheld publishes a pool's entire private chain at one
 // instant — the burst signature.
 func (s *Simulator) releaseWithheld(now sim.Time, pool *poolState) {
-	priv := s.withheld[pool.cfg.Name]
-	if priv == nil || len(priv.blocks) == 0 {
-		return
-	}
-	blocks := priv.blocks
-	priv.blocks = nil
+	blocks := pool.private
+	pool.private = nil
 	for _, b := range blocks {
 		extended := s.insert(now, b, pool)
 		s.emit(BlockEvent{
@@ -106,19 +72,12 @@ func (s *Simulator) releaseWithheld(now sim.Time, pool *poolState) {
 // maybeTriggerReleases releases any private chain whose lead is
 // threatened: the public chain has caught up to (or passed) the
 // private tip's height, so holding longer risks losing everything.
+// Pools are visited in registry order: each release draws from the
+// mining RNG, so the order is part of the determinism contract.
 func (s *Simulator) maybeTriggerReleases(now sim.Time, publicHeight uint64) {
-	for name, priv := range s.withheld {
-		tip := priv.tip()
-		if tip == nil {
-			continue
-		}
-		if publicHeight+1 >= tip.Header.Number {
-			for _, p := range s.pools {
-				if p.cfg.Name == name {
-					s.releaseWithheld(now, p)
-					break
-				}
-			}
+	for _, p := range s.pools {
+		if n := len(p.private); n > 0 && publicHeight+1 >= p.private[n-1].Header.Number {
+			s.releaseWithheld(now, p)
 		}
 	}
 }

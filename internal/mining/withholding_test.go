@@ -98,15 +98,18 @@ func TestWithholderTriggersOnThreat(t *testing.T) {
 		}
 	}
 	// At most cap-1 private blocks may remain stuck at the very end.
-	leftover := s.withheld["Attacker"]
-	if leftover != nil && len(leftover.blocks) >= withholdReleaseCap {
-		t.Fatalf("private chain of %d never released", len(leftover.blocks))
+	for _, p := range s.pools {
+		if len(p.private) >= withholdReleaseCap {
+			t.Fatalf("%s: private chain of %d never released", p.cfg.Name, len(p.private))
+		}
 	}
 }
 
 func TestHonestPoolsHaveNoPrivateChains(t *testing.T) {
 	s := runSim(t, 23, 500, nil)
-	if len(s.withheld) != 0 {
-		t.Fatalf("honest run accumulated private chains: %d", len(s.withheld))
+	for _, p := range s.pools {
+		if len(p.private) != 0 {
+			t.Fatalf("honest pool %s accumulated a private chain of %d", p.cfg.Name, len(p.private))
+		}
 	}
 }

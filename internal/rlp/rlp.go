@@ -5,14 +5,20 @@
 // every real Ethereum client uses for block and transaction encoding.
 //
 // The data model is the standard RLP one: an Item is either a byte
-// string or a list of Items. Helpers convert Go integers to and from
-// big-endian minimal byte strings, matching the canonical integer
-// encoding.
+// string or a list of Items. There is one encoder: AppendString,
+// AppendUint and AppendList write into a caller's buffer (the block and
+// transaction hashes are taken over stack buffers that way), and Encode
+// walks an Item tree through the same three functions, so the
+// single-byte and long-form rules exist once. Decode returns the Item
+// tree; AsUint and Uint convert between Go integers and the canonical
+// minimal big-endian byte strings.
 package rlp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Kind discriminates the two RLP item kinds.
@@ -58,23 +64,19 @@ func List(items ...Item) Item { return Item{Kind: KindList, List: items} }
 // big-endian byte string with no leading zeroes (zero encodes as the
 // empty string).
 func Uint(v uint64) Item {
-	if v == 0 {
-		return String(nil)
-	}
 	var buf [8]byte
-	n := 0
-	for shift := 56; shift >= 0; shift -= 8 {
-		b := byte(v >> uint(shift))
-		if n == 0 && b == 0 {
-			continue
-		}
-		buf[n] = b
-		n++
-	}
-	out := make([]byte, n)
-	copy(out, buf[:n])
-	return String(out)
+	return String(append([]byte(nil), minimalBE(&buf, v)...))
 }
+
+// minimalBE writes v big-endian into buf and returns the suffix without
+// leading zero bytes (empty for zero).
+func minimalBE(buf *[8]byte, v uint64) []byte {
+	binary.BigEndian.PutUint64(buf[:], v)
+	return buf[8-beLen(v):]
+}
+
+// beLen is the length of v's minimal big-endian form.
+func beLen(v uint64) int { return (bits.Len64(v) + 7) / 8 }
 
 // AsUint interprets a string item as a canonical unsigned integer.
 func (it Item) AsUint() (uint64, error) {
@@ -110,27 +112,75 @@ func (it Item) AsList() ([]Item, error) {
 	return it.List, nil
 }
 
+// AppendString appends the encoding of a byte string to dst.
+func AppendString(dst, b []byte) []byte {
+	if len(b) == 1 && b[0] < 0x80 {
+		return append(dst, b[0])
+	}
+	return append(appendHeader(dst, 0x80, len(b)), b...)
+}
+
+// AppendUint appends the canonical encoding of an unsigned integer.
+func AppendUint(dst []byte, v uint64) []byte {
+	var buf [8]byte
+	return AppendString(dst, minimalBE(&buf, v))
+}
+
+// AppendList appends the header of a list whose items encode to
+// payload bytes in total; the caller appends the items next.
+func AppendList(dst []byte, payload int) []byte {
+	return appendHeader(dst, 0xc0, payload)
+}
+
+// StringLen returns the number of bytes AppendString(nil, b) writes.
+func StringLen(b []byte) int {
+	if len(b) == 1 && b[0] < 0x80 {
+		return 1
+	}
+	return headerLen(len(b)) + len(b)
+}
+
+// UintLen returns the number of bytes AppendUint(nil, v) writes.
+func UintLen(v uint64) int {
+	var buf [8]byte
+	return StringLen(minimalBE(&buf, v))
+}
+
+// ListLen returns the encoded length of a list, header included, whose
+// items encode to payload bytes in total.
+func ListLen(payload int) int { return headerLen(payload) + payload }
+
 // Encode serializes the item tree to its RLP byte representation.
 func Encode(it Item) []byte {
-	return appendItem(nil, it)
+	return appendItem(make([]byte, 0, EncodedLen(it)), it)
 }
 
 // EncodedLen returns the length of Encode(it) without allocating the
 // encoding.
 func EncodedLen(it Item) int {
-	switch it.Kind {
-	case KindList:
-		payload := 0
-		for _, child := range it.List {
-			payload += EncodedLen(child)
-		}
-		return headerLen(payload) + payload
-	default:
-		if len(it.Bytes) == 1 && it.Bytes[0] < 0x80 {
-			return 1
-		}
-		return headerLen(len(it.Bytes)) + len(it.Bytes)
+	if it.Kind == KindList {
+		return ListLen(payloadLen(it.List))
 	}
+	return StringLen(it.Bytes)
+}
+
+func payloadLen(items []Item) int {
+	n := 0
+	for _, child := range items {
+		n += EncodedLen(child)
+	}
+	return n
+}
+
+func appendItem(dst []byte, it Item) []byte {
+	if it.Kind != KindList {
+		return AppendString(dst, it.Bytes)
+	}
+	dst = AppendList(dst, payloadLen(it.List))
+	for _, child := range it.List {
+		dst = appendItem(dst, child)
+	}
+	return dst
 }
 
 func headerLen(payload int) int {
@@ -140,46 +190,13 @@ func headerLen(payload int) int {
 	return 1 + beLen(uint64(payload))
 }
 
-func beLen(v uint64) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 8
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
-func appendItem(dst []byte, it Item) []byte {
-	switch it.Kind {
-	case KindList:
-		var payload []byte
-		for _, child := range it.List {
-			payload = appendItem(payload, child)
-		}
-		dst = appendHeader(dst, 0xc0, len(payload))
-		return append(dst, payload...)
-	default:
-		if len(it.Bytes) == 1 && it.Bytes[0] < 0x80 {
-			return append(dst, it.Bytes[0])
-		}
-		dst = appendHeader(dst, 0x80, len(it.Bytes))
-		return append(dst, it.Bytes...)
-	}
-}
-
 func appendHeader(dst []byte, base byte, payload int) []byte {
 	if payload <= 55 {
 		return append(dst, base+byte(payload))
 	}
-	n := beLen(uint64(payload))
-	dst = append(dst, base+55+byte(n))
-	for shift := (n - 1) * 8; shift >= 0; shift -= 8 {
-		dst = append(dst, byte(payload>>uint(shift)))
-	}
-	return dst
+	var buf [8]byte
+	be := minimalBE(&buf, uint64(payload))
+	return append(append(dst, base+55+byte(len(be))), be...)
 }
 
 // Decode parses a single RLP value from b, requiring the whole input to

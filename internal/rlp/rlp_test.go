@@ -264,3 +264,43 @@ func reflectDeepEqualGuard(t *testing.T) {
 }
 
 func TestEqualityHelpers(t *testing.T) { reflectDeepEqualGuard(t) }
+
+// TestAppendMatchesEncode: the Append*/…Len functions and the Item-tree
+// front end are one encoder, so they agree on every boundary — the
+// single-byte rule, each integer width, the 55/56-byte header switch,
+// for strings and for lists.
+func TestAppendMatchesEncode(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0x7f, 0x80, 0xff, 0x100, 0xffff, 1 << 32, 1<<56 - 1, 1 << 56, 1<<64 - 1} {
+		want := Encode(Uint(v))
+		if got := AppendUint(nil, v); !bytes.Equal(got, want) || UintLen(v) != len(want) {
+			t.Fatalf("uint %#x: append %x (len %d), encode %x", v, got, UintLen(v), want)
+		}
+	}
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 54, 55, 56, 57, 255, 256, 300, 70_000} {
+		b := make([]byte, n)
+		r.Read(b)
+		for _, first := range []byte{0x00, 0x7f, 0x80, 0xff} {
+			if n > 0 {
+				b[0] = first
+			}
+			want := Encode(String(b))
+			if got := AppendString([]byte{0xaa}, b); !bytes.Equal(got[1:], want) || StringLen(b) != len(want) {
+				t.Fatalf("string of %d bytes (first %#x): append %x, encode %x", n, first, got[1:], want)
+			}
+		}
+		// A list whose payload is n bytes: n one-byte items.
+		items := make([]Item, n)
+		for i := range items {
+			items[i] = String([]byte{0x01})
+		}
+		want := Encode(List(items...))
+		got := AppendList(nil, n)
+		for range items {
+			got = AppendString(got, []byte{0x01})
+		}
+		if !bytes.Equal(got, want) || ListLen(n) != len(want) {
+			t.Fatalf("list with %d payload bytes: append %x, encode %x", n, got, want)
+		}
+	}
+}

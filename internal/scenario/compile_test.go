@@ -1,11 +1,14 @@
 package scenario
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/store"
 )
 
 // chainAllOutputs requests every chain-mode output.
@@ -202,5 +205,45 @@ func TestOutputCatalogConsistent(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("output %s does not validate in its own mode: %v", name, err)
 		}
+	}
+}
+
+// twoWithholders has two private-chain pools, so one public block can
+// threaten both at once.
+const twoWithholders = `{
+  "name": "two-withholders",
+  "mode": "chain",
+  "chain": {"blocks": 3000},
+  "pools": [
+    {"name": "A", "share": 0.3, "gateways": ["EA"], "withholder": true},
+    {"name": "B", "share": 0.3, "gateways": ["NA"], "withholder": true},
+    {"name": "C", "share": 0.4, "gateways": ["WE"]}
+  ],
+  "outputs": ["withholding", "sequences", "forks"]
+}`
+
+// TestTwoWithholdersDeterministic: the simulator used to release
+// threatened private chains in map-iteration order, and each release
+// draws from the mining RNG, so a scenario with two withholders gave a
+// different chain on every run of one seed. Two sealed runs must now
+// hold the same outcomes.json, byte for byte.
+func TestTwoWithholdersDeterministic(t *testing.T) {
+	specs := []experiments.Spec{compileOne(t, twoWithholders)}
+	var sealed [2][]byte
+	for i := range sealed {
+		report, err := experiments.Run(context.Background(), specs, experiments.RunnerConfig{Seed: 5, Scale: experiments.ScaleSmall, Repeats: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := store.NewMem()
+		if err := Seal(st, report, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if sealed[i], err = st.Get(experiments.OutcomesJSON); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(sealed[0], sealed[1]) {
+		t.Fatal("two runs of a two-withholder scenario at one seed sealed different outcomes.json")
 	}
 }

@@ -76,18 +76,24 @@ func TxRoot(txs []*Transaction) Hash { return txRoot(txs) }
 // root; it provides the same property the study needs (same tx set =>
 // same root), which drives the one-miner-fork same-content analysis.
 func txRoot(txs []*Transaction) Hash {
-	buf := make([]byte, 0, len(txs)*HashLen)
-	for _, tx := range txs {
-		h := tx.Hash()
-		buf = append(buf, h[:]...)
-	}
-	return HashBytes(buf)
+	return rootOf(len(txs), func(i int) Hash { return txs[i].Hash() })
 }
 
 func uncleRoot(uncles []Header) Hash {
-	buf := make([]byte, 0, len(uncles)*HashLen)
-	for i := range uncles {
-		h := uncles[i].Hash()
+	return rootOf(len(uncles), func(i int) Hash { return uncles[i].Hash() })
+}
+
+// rootOf hashes the concatenation of n hashes. A chain-only block has
+// one filler transaction and at most MaxUnclesPerBlock uncles, so small
+// roots are taken over a stack buffer.
+func rootOf(n int, at func(int) Hash) Hash {
+	var stack [4 * HashLen]byte
+	buf := stack[:0]
+	if n*HashLen > len(stack) {
+		buf = make([]byte, 0, n*HashLen)
+	}
+	for i := 0; i < n; i++ {
+		h := at(i)
 		buf = append(buf, h[:]...)
 	}
 	return HashBytes(buf)
@@ -104,7 +110,8 @@ func (b *Block) Hash() Hash {
 
 // Hash returns the content hash of the header's RLP encoding.
 func (h *Header) Hash() Hash {
-	return HashBytes(rlp.Encode(h.rlpItem()))
+	var buf [256]byte
+	return HashBytes(h.appendRLP(buf[:0]))
 }
 
 // EncodedSize returns the full serialized block size in bytes
@@ -112,7 +119,7 @@ func (h *Header) Hash() Hash {
 // time. The value is cached.
 func (b *Block) EncodedSize() int {
 	if !b.sizeSet {
-		b.sizeB = rlp.EncodedLen(b.rlpItem())
+		b.sizeB = rlp.ListLen(b.payloadLen(b.TxsSize(), b.unclesPayloadLen()))
 		b.sizeSet = true
 	}
 	return b.sizeB
@@ -136,36 +143,71 @@ func (b *Block) TxsSize() int {
 // paper's §III-C3 selfish-mining signal).
 func (b *Block) IsEmpty() bool { return len(b.Txs) == 0 }
 
-func (h *Header) rlpItem() rlp.Item {
-	return rlp.List(
-		rlp.String(h.ParentHash[:]),
-		rlp.Uint(h.Number),
-		rlp.String(h.Miner[:]),
-		rlp.String([]byte(h.MinerLabel)),
-		rlp.Uint(h.TimeMillis),
-		rlp.Uint(h.Difficulty),
-		rlp.Uint(h.GasLimit),
-		rlp.Uint(h.GasUsed),
-		rlp.String(h.TxRoot[:]),
-		rlp.String(h.UncleRoot[:]),
-		rlp.Uint(h.Extra),
-	)
+// payloadLen is the encoded length of the header's fields, i.e. of its
+// RLP list without the list header.
+func (h *Header) payloadLen() int {
+	return rlp.StringLen(h.ParentHash[:]) +
+		rlp.UintLen(h.Number) +
+		rlp.StringLen(h.Miner[:]) +
+		rlp.StringLen([]byte(h.MinerLabel)) +
+		rlp.UintLen(h.TimeMillis) +
+		rlp.UintLen(h.Difficulty) +
+		rlp.UintLen(h.GasLimit) +
+		rlp.UintLen(h.GasUsed) +
+		rlp.StringLen(h.TxRoot[:]) +
+		rlp.StringLen(h.UncleRoot[:]) +
+		rlp.UintLen(h.Extra)
 }
 
-func (b *Block) rlpItem() rlp.Item {
-	txItems := make([]rlp.Item, len(b.Txs))
-	for i, tx := range b.Txs {
-		txItems[i] = tx.rlpItem()
-	}
-	uncleItems := make([]rlp.Item, len(b.Uncles))
+func (h *Header) appendRLP(dst []byte) []byte {
+	dst = rlp.AppendList(dst, h.payloadLen())
+	dst = rlp.AppendString(dst, h.ParentHash[:])
+	dst = rlp.AppendUint(dst, h.Number)
+	dst = rlp.AppendString(dst, h.Miner[:])
+	dst = rlp.AppendString(dst, []byte(h.MinerLabel))
+	dst = rlp.AppendUint(dst, h.TimeMillis)
+	dst = rlp.AppendUint(dst, h.Difficulty)
+	dst = rlp.AppendUint(dst, h.GasLimit)
+	dst = rlp.AppendUint(dst, h.GasUsed)
+	dst = rlp.AppendString(dst, h.TxRoot[:])
+	dst = rlp.AppendString(dst, h.UncleRoot[:])
+	return rlp.AppendUint(dst, h.Extra)
+}
+
+func (b *Block) unclesPayloadLen() int {
+	n := 0
 	for i := range b.Uncles {
-		uncleItems[i] = b.Uncles[i].rlpItem()
+		n += rlp.ListLen(b.Uncles[i].payloadLen())
 	}
-	return rlp.List(b.Header.rlpItem(), rlp.List(txItems...), rlp.List(uncleItems...))
+	return n
 }
 
-// EncodeBlock serializes a block to RLP.
-func EncodeBlock(b *Block) []byte { return rlp.Encode(b.rlpItem()) }
+// payloadLen is the encoded length of the block's three parts — header,
+// transaction list, uncle list — given the two lists' payload lengths.
+func (b *Block) payloadLen(txsLen, unclesLen int) int {
+	return rlp.ListLen(b.Header.payloadLen()) + rlp.ListLen(txsLen) + rlp.ListLen(unclesLen)
+}
+
+// EncodeBlock serializes a block to RLP. It leaves the size caches of
+// the block and its transactions alone.
+func EncodeBlock(b *Block) []byte {
+	txsLen, unclesLen := 0, b.unclesPayloadLen()
+	for _, tx := range b.Txs {
+		txsLen += rlp.ListLen(tx.payloadLen())
+	}
+	payload := b.payloadLen(txsLen, unclesLen)
+	dst := rlp.AppendList(make([]byte, 0, rlp.ListLen(payload)), payload)
+	dst = b.Header.appendRLP(dst)
+	dst = rlp.AppendList(dst, txsLen)
+	for _, tx := range b.Txs {
+		dst = tx.appendRLP(dst)
+	}
+	dst = rlp.AppendList(dst, unclesLen)
+	for i := range b.Uncles {
+		dst = b.Uncles[i].appendRLP(dst)
+	}
+	return dst
+}
 
 // DecodeBlock parses a block from its RLP encoding.
 func DecodeBlock(raw []byte) (*Block, error) {

@@ -43,7 +43,8 @@ var (
 // computed and cached on first use.
 func (tx *Transaction) Hash() Hash {
 	if !tx.hashed {
-		tx.hash = HashBytes(tx.encodeRLP())
+		var buf [96]byte
+		tx.hash = HashBytes(tx.appendRLP(buf[:0]))
 		tx.hashed = true
 	}
 	return tx.hash
@@ -53,29 +54,33 @@ func (tx *Transaction) Hash() Hash {
 // network model to derive transfer delays. The value is cached.
 func (tx *Transaction) EncodedSize() int {
 	if !tx.sizeSet {
-		tx.sizeB = rlp.EncodedLen(tx.rlpItem())
+		tx.sizeB = rlp.ListLen(tx.payloadLen())
 		tx.sizeSet = true
 	}
 	return tx.sizeB
 }
 
-func (tx *Transaction) rlpItem() rlp.Item {
-	return rlp.List(
-		rlp.String(tx.Sender[:]),
-		rlp.String(tx.To[:]),
-		rlp.Uint(tx.Nonce),
-		rlp.Uint(tx.Value),
-		rlp.Uint(tx.GasPrice),
-		rlp.Uint(tx.Gas),
-	)
+func (tx *Transaction) payloadLen() int {
+	return rlp.StringLen(tx.Sender[:]) +
+		rlp.StringLen(tx.To[:]) +
+		rlp.UintLen(tx.Nonce) +
+		rlp.UintLen(tx.Value) +
+		rlp.UintLen(tx.GasPrice) +
+		rlp.UintLen(tx.Gas)
 }
 
-func (tx *Transaction) encodeRLP() []byte {
-	return rlp.Encode(tx.rlpItem())
+func (tx *Transaction) appendRLP(dst []byte) []byte {
+	dst = rlp.AppendList(dst, tx.payloadLen())
+	dst = rlp.AppendString(dst, tx.Sender[:])
+	dst = rlp.AppendString(dst, tx.To[:])
+	dst = rlp.AppendUint(dst, tx.Nonce)
+	dst = rlp.AppendUint(dst, tx.Value)
+	dst = rlp.AppendUint(dst, tx.GasPrice)
+	return rlp.AppendUint(dst, tx.Gas)
 }
 
 // EncodeTx serializes a transaction to RLP.
-func EncodeTx(tx *Transaction) []byte { return tx.encodeRLP() }
+func EncodeTx(tx *Transaction) []byte { return tx.appendRLP(nil) }
 
 // DecodeTx parses a transaction from its RLP encoding.
 func DecodeTx(b []byte) (*Transaction, error) {

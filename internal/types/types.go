@@ -1,6 +1,10 @@
 // Package types defines the chain data model of the reproduction:
 // hashes, addresses, transactions, headers and blocks, together with
-// their canonical RLP encodings and content hashes.
+// their canonical RLP encodings and content hashes. Each type has one
+// appendRLP method over rlp's append-only writer and one payloadLen
+// beside it: hashes are taken over stack buffers, sizes are computed
+// without encoding, and EncodeBlock/EncodeTx write into a buffer of
+// exactly that size.
 //
 // The real Ethereum uses Keccak-256; the module is stdlib-only, so
 // SHA-256 stands in (documented in DESIGN.md §2). Nothing in the study
