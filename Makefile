@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race profile profile-chain bench bench-smoke bench-contract-smoke bench-compare bench-baseline bench-stress bench-stress-compare fmt fmt-check vet loc examples examples-full validate-scenarios
+.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race profile profile-chain bench bench-contract-smoke fmt fmt-check vet loc examples examples-full validate-scenarios
 
 build:
 	$(GO) build ./...
@@ -65,9 +65,12 @@ test-obs:
 
 # Scale gate for the struct-of-arrays node core. Short tier: the
 # 10k-node bytes-per-node heap ceiling. Full tier: the 100k-node
-# scenario at its full size, byte-identical at -parallel 1 vs 8
-# (opt-in via STRESS100K, which this target sets), plus the committed
-# BenchmarkStress100k figures (BENCH_stress.json provenance).
+# scenario at its full size, byte-identical at -parallel 1 vs 8 and,
+# sharded, at 1 vs 6 workers with the run's exact event, window, stall
+# and merge counts pinned (opt-in via STRESS100K, which this target
+# sets). The tier's events/sec and bytes/node are columns of the
+# telemetry.json that `ethrepro -scenario
+# examples/scenarios/stress-100k.json -scale medium -out DIR` seals.
 test-stress:
 	$(GO) test -run TestBytesPerNodeCeiling -v ./internal/p2p/
 	STRESS100K=1 $(GO) test -run 'TestGoldenStress100kParallelInvariance|TestGoldenShardStress100kInvariance' -v -timeout 90m ./internal/experiments
@@ -114,6 +117,9 @@ fuzz:
 race:
 	$(GO) test -race -short -timeout 60m ./...
 
+# profile / profile-chain are tools, not gates: nothing compares their
+# output. The allocation gates are the tier-1 Test...Ceiling tests.
+#
 # Where a big overlay run spends its time: the bench harness's
 # overlay-10k campaign (10,000 nodes, 40 blocks, one engine; three runs,
 # overlay build off the clock) under the CPU profiler, then the top 25
@@ -137,12 +143,12 @@ profile-chain:
 	$(GO) test -run '^$$' -bench BenchmarkChainOnly -benchtime 5x -cpuprofile "$$dir/cpu.prof" -o "$$dir/core.test" ./internal/core; \
 	$(GO) tool pprof -top -nodecount=25 "$$dir/core.test" "$$dir/cpu.prof"
 
+# The repo benchmark (BENCHMARK.json), the one definition of a
+# performance number: by hand, an end-to-end set, a traced set and the
+# full rungs of all four workloads (several minutes). bench/README.md
+# has the contract-run flags, the metrics and how to pair two commits.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' .
-
-# One iteration per benchmark: proves every target still executes.
-bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+	$(GO) run ./bench
 
 # One traced contract run of the repo benchmark (BENCHMARK.json) on the
 # sharded 10k overlay, ~25 s. Tracing is what makes the rungs execute,
@@ -156,55 +162,6 @@ bench-contract-smoke:
 	tail -n 1 "$$tmp" | grep -q '"correct":true' || { echo "bench-contract-smoke: run not correct"; exit 1; }; \
 	tail -n 1 "$$tmp" | grep -q '"failed":0[,}]' || { echo "bench-contract-smoke: failed operations"; exit 1; }
 
-# Run every benchmark three times, keep the best-of-3 envelope and
-# diff its floor against the committed baseline; fails on any >20%
-# ns/op or allocs/op regression (improvements always pass). Gating on
-# the minimum of three runs keeps one noisy scheduler hiccup from
-# failing CI. BenchmarkEngineDispatch gates the observability
-# tentpole: a tracer-disabled engine must show no dispatch regression.
-# The relay and sharded allocation ceilings ride along for the hot
-# paths.
-bench-compare:
-	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp" "$$tmp.json"' EXIT; \
-	$(GO) test -bench=. -benchmem -benchtime=1x -count=3 -run='^$$' . > "$$tmp"; \
-	$(GO) run ./cmd/benchjson -best-of 3 < "$$tmp" > "$$tmp.json"; \
-	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json "$$tmp.json"
-	$(GO) test -run TestRelayAllocationCeiling -v ./internal/p2p/relay/
-	$(GO) test -run TestShardedAllocationCeiling -v ./internal/p2p/
-
-# Regenerate the committed benchmark snapshot (set BENCH_NOTE to record
-# the occasion). Two steps so a failing benchmark aborts instead of
-# being laundered into a partial snapshot.
-BENCH_NOTE ?= refreshed baseline
-bench-baseline:
-	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' . > "$$tmp"; \
-	$(GO) run ./cmd/benchjson -note "$(BENCH_NOTE)" < "$$tmp" > BENCH_baseline.json; \
-	echo "wrote BENCH_baseline.json"
-
-# Regenerate the committed 100k-tier snapshot (BenchmarkStress100k /
-# BenchmarkStress100kSharded: events/sec, bytes/node and
-# stalled_lane_windows for the full stress-100k scenario). Run on a
-# quiet machine; the figures are provenance for the scale tier — the
-# gate against them is bench-stress-compare.
-bench-stress:
-	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	STRESS100K=1 $(GO) test -bench BenchmarkStress100k -benchmem -benchtime=1x -run='^$$' -timeout 30m . > "$$tmp"; \
-	$(GO) run ./cmd/benchjson -note "$(BENCH_NOTE)" < "$$tmp" > BENCH_stress.json; \
-	echo "wrote BENCH_stress.json"
-
-# Diff a fresh 100k-tier run against the committed BENCH_stress.json.
-# On top of the ns/op, B/op and allocs/op gates this is where
-# stalled_lane_windows is enforced: the sharded conductor's
-# scheduling-quality metric is a deterministic event count, so any
-# >20% growth over the committed figure means the lookahead bounds or
-# the deadline computation regressed, even if wall-clock stayed flat.
-bench-stress-compare:
-	@set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp" "$$tmp.json"' EXIT; \
-	STRESS100K=1 $(GO) test -bench BenchmarkStress100k -benchmem -benchtime=1x -run='^$$' -timeout 30m . > "$$tmp"; \
-	$(GO) run ./cmd/benchjson < "$$tmp" > "$$tmp.json"; \
-	$(GO) run ./cmd/benchjson -compare BENCH_stress.json "$$tmp.json"
-
 # Build and execute every example program, downscaled (-short): each
 # is a documented entry point, so CI proves they all still run.
 examples:
@@ -214,8 +171,7 @@ examples:
 		$(GO) run "./$$d" -short; \
 	done
 
-# Full-size examples: every example at its full (non -short) scale,
-# including the complete 10,000-node stress scenario.
+# Full-size examples: every example at its full (non -short) scale.
 examples-full:
 	@set -e; for d in examples/*/; do \
 		[ -f "$$d/main.go" ] || continue; \

@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	ethrepro [-seed 42] [-scale small|medium|paper|stress] [-only F1,chain,...]
+//	ethrepro [-seed 42] [-scale small|medium|paper|stress|stress100k] [-only F1,chain,...]
 //	         [-parallel N] [-repeats N] [-shards N] [-out paper_runs/run1]
 //	         [-scenario file.json,...] [-list]
 //	         [-telemetry=false] [-trace trace.json]
@@ -73,7 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		seed     = fs.Uint64("seed", 42, "campaign base seed")
-		scaleStr = fs.String("scale", "small", "experiment scale: small|medium|paper|stress")
+		scaleStr = fs.String("scale", "small", "experiment scale: "+scaleNames())
 		only     = fs.String("only", "", "comma-separated experiment or outcome IDs (default: all)")
 		parallel = fs.Int("parallel", 0, "concurrent experiments (0 = GOMAXPROCS)")
 		shards   = fs.Int("shards", 0, "intra-run execution workers on the sharded conductor (0 = single engine; >=1 shards each run by region, byte-identical across values)")
@@ -86,6 +86,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards %d: want 0 (single engine) or a worker count >= 1", *shards)
 	}
 	sets, err := loadScenarios(*scenFlag)
 	if err != nil {
@@ -198,6 +201,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "ethrepro: done in %s\n", time.Since(start).Round(time.Millisecond))
 	return runErr
+}
+
+// scaleNames lists every -scale value: the Scale constants in order,
+// under the names ParseScale accepts.
+func scaleNames() string {
+	var names []string
+	for s := experiments.ScaleSmall; s.String() != "unknown"; s++ {
+		names = append(names, s.String())
+	}
+	return strings.Join(names, "|")
 }
 
 // emitReport prints the rendered outcomes (first repeat, registration

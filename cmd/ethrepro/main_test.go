@@ -104,8 +104,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run(context.Background(), []string{"-scale", "gigantic"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("bad scale must fail")
 	}
-	if err := run(context.Background(), []string{"-badflag"}, io.Discard, io.Discard); err == nil {
+	var usage strings.Builder
+	if err := run(context.Background(), []string{"-badflag"}, io.Discard, &usage); err == nil {
 		t.Fatal("bad flag must fail")
+	}
+	if want := "small|medium|paper|stress|stress100k"; !strings.Contains(usage.String(), want) {
+		t.Errorf("-scale help does not list %s:\n%s", want, usage.String())
 	}
 	if err := run(context.Background(), []string{"-only", "NOPE"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("unknown experiment must fail")
@@ -266,5 +270,17 @@ func TestShardsFlagScopedToTheRun(t *testing.T) {
 	runInto(t, "-shards", "2")
 	if v := os.Getenv("ETHREPRO_SHARDS"); v != "6" {
 		t.Fatalf("-shards 2 replaced the caller's ETHREPRO_SHARDS=6 with %q", v)
+	}
+
+	// A request that is not a worker count fails naming the value; it
+	// does not quietly run the one-lane family.
+	err := run(context.Background(), []string{"-shards", "-3", "-only", "T1"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-shards -3") {
+		t.Errorf("-shards -3: %v, want an error naming the value", err)
+	}
+	os.Setenv("ETHREPRO_SHARDS", "two")
+	err = run(context.Background(), []string{"-only", "T2"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `ETHREPRO_SHARDS="two"`) {
+		t.Errorf("ETHREPRO_SHARDS=two: %v, want an error naming the variable and value", err)
 	}
 }

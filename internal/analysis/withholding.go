@@ -165,15 +165,3 @@ func RenderWithholding(r *WithholdingResult) string {
 	}
 	return out
 }
-
-// ObservationTimes extracts each block's earliest observation time
-// from an index — the network-mode input for DetectWithholding.
-func ObservationTimes(idx *Index) map[types.Hash]sim.Time {
-	out := make(map[types.Hash]sim.Time, len(idx.BlockFirst))
-	for h, perNode := range idx.BlockFirst {
-		if first, ok := EarliestObservation(perNode); ok {
-			out[h] = first.Local
-		}
-	}
-	return out
-}

@@ -109,21 +109,3 @@ func TestDetectWithholdingSkipsUntimedRuns(t *testing.T) {
 		t.Fatalf("untimed run should not be flagged: %+v", res.Verdicts)
 	}
 }
-
-func TestObservationTimes(t *testing.T) {
-	b1 := h("ot-b1")
-	records := []struct {
-		node  string
-		local int64
-	}{{"NA", 100}, {"EA", 60}, {"WE", 80}}
-	idx := &Index{BlockFirst: map[types.Hash]map[string]Observation{
-		b1: {},
-	}}
-	for _, r := range records {
-		idx.BlockFirst[b1][r.node] = Observation{Node: r.node, Local: sim.Time(r.local)}
-	}
-	times := ObservationTimes(idx)
-	if times[b1] != 60 {
-		t.Fatalf("want earliest 60, got %v", times[b1])
-	}
-}

@@ -230,7 +230,10 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if len(cfg.Measurement) == 0 {
 		return nil, errors.New("core: campaign needs measurement nodes")
 	}
-	shards := resolveShards(cfg.Shards)
+	shards, err := resolveShards(cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
 	var cond *sim.Conductor
 	engine := sim.NewEngine()
 	if shards > 0 {
@@ -471,18 +474,22 @@ var uniformLookahead bool
 // resolveShards maps the Shards knob (with the ETHREPRO_SHARDS
 // fallback when unset) to a worker count: 0 single-engine, otherwise
 // clamped to [1, NumRegions] — more workers than lanes cannot help.
-func resolveShards(shards int) int {
+// A variable that is not a count is an error: falling back to one lane
+// would silently produce the other artifact family.
+func resolveShards(shards int) (int, error) {
 	if shards == 0 {
 		if v := os.Getenv("ETHREPRO_SHARDS"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil {
-				shards = n
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				return 0, fmt.Errorf("core: ETHREPRO_SHARDS=%q is not a worker count (want an integer >= 0)", v)
 			}
+			shards = n
 		}
 	}
 	if shards <= 0 {
-		return 0
+		return 0, nil
 	}
-	return min(shards, geo.NumRegions)
+	return min(shards, geo.NumRegions), nil
 }
 
 // submitTx delivers a workload transaction into the overlay at a node

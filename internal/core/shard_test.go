@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -175,20 +176,31 @@ func TestShardedLookaheadBoundsInvariance(t *testing.T) {
 }
 
 // TestShardedEnvKnob pins the ETHREPRO_SHARDS fallback: an unset
-// Shards field defers to the environment, an explicit field wins.
+// Shards field defers to the environment, an explicit field wins, and
+// a value that is not a count fails the campaign instead of selecting
+// the one-lane family.
 func TestShardedEnvKnob(t *testing.T) {
-	t.Setenv("ETHREPRO_SHARDS", "6")
-	if got := resolveShards(0); got != 6 {
-		t.Fatalf("resolveShards(0) with env = %d, want 6", got)
+	for _, tc := range []struct {
+		env    string
+		shards int
+		want   int
+	}{
+		{"6", 0, 6},
+		{"6", 2, 2}, // explicit beats env
+		{"6", 100, geo.NumRegions},
+		{"", 0, 0},
+		{"0", 0, 0},
+	} {
+		t.Setenv("ETHREPRO_SHARDS", tc.env)
+		if got, err := resolveShards(tc.shards); err != nil || got != tc.want {
+			t.Errorf("env %q: resolveShards(%d) = %d, %v; want %d", tc.env, tc.shards, got, err, tc.want)
+		}
 	}
-	if got := resolveShards(2); got != 2 {
-		t.Fatalf("resolveShards(2) = %d, want 2 (explicit beats env)", got)
-	}
-	if got := resolveShards(100); got != geo.NumRegions {
-		t.Fatalf("resolveShards(100) = %d, want clamp to %d", got, geo.NumRegions)
-	}
-	t.Setenv("ETHREPRO_SHARDS", "")
-	if got := resolveShards(0); got != 0 {
-		t.Fatalf("resolveShards(0) without env = %d, want 0", got)
+	for _, bad := range []string{"two", "-3"} {
+		t.Setenv("ETHREPRO_SHARDS", bad)
+		_, err := NewCampaign(DefaultCampaignConfig(1))
+		if err == nil || !strings.Contains(err.Error(), "ETHREPRO_SHARDS") || !strings.Contains(err.Error(), bad) {
+			t.Errorf("ETHREPRO_SHARDS=%q: NewCampaign error %v, want one naming the variable and value", bad, err)
+		}
 	}
 }

@@ -8,13 +8,12 @@
 // then write and seal the run directory through scenario.Seal, which
 // calls WriteArtifacts, WriteTelemetry and WriteManifest in the one
 // order that keeps a directory verifiable; only the repo benchmark
-// (bench/) calls the writers directly, to time each step. The Go
-// benchmark suite (bench_test.go) drives the runner and specs, never
-// the seal path.
+// (bench/) calls the writers directly, to time each step.
 package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -47,40 +46,26 @@ const (
 	ScaleStress100k
 )
 
+// scaleNames names the scales in constant order. ParseScale, its error
+// text, String and the CLI's -scale help all read this one list.
+var scaleNames = [...]string{"small", "medium", "paper", "stress", "stress100k"}
+
 // ParseScale parses a scale name as accepted by the CLIs.
 func ParseScale(s string) (Scale, error) {
-	switch s {
-	case "small":
-		return ScaleSmall, nil
-	case "medium":
-		return ScaleMedium, nil
-	case "paper":
-		return ScalePaper, nil
-	case "stress":
-		return ScaleStress, nil
-	case "stress100k":
-		return ScaleStress100k, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (small|medium|paper|stress|stress100k)", s)
+	for i, name := range scaleNames {
+		if s == name {
+			return Scale(i + 1), nil
+		}
 	}
+	return 0, fmt.Errorf("unknown scale %q (%s)", s, strings.Join(scaleNames[:], "|"))
 }
 
-// String names the scale.
+// String names the scale; "unknown" outside the declared constants.
 func (s Scale) String() string {
-	switch s {
-	case ScaleSmall:
-		return "small"
-	case ScaleMedium:
-		return "medium"
-	case ScalePaper:
-		return "paper"
-	case ScaleStress:
-		return "stress"
-	case ScaleStress100k:
-		return "stress100k"
-	default:
+	if s < ScaleSmall || int(s) > len(scaleNames) {
 		return "unknown"
 	}
+	return scaleNames[s-1]
 }
 
 // Outcome is one experiment's result.
@@ -374,8 +359,6 @@ func ChainExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
 		return nil, fmt.Errorf("censorship: %w", err)
 	}
 
-	zhizhuRate := res.View
-	_ = zhizhuRate
 	f6 := &Outcome{
 		ID:       "F6",
 		Title:    "Figure 6 — empty blocks per mining pool",

@@ -315,13 +315,20 @@ func TestScaleString(t *testing.T) {
 func TestParseScale(t *testing.T) {
 	for name, want := range map[string]Scale{
 		"small": ScaleSmall, "medium": ScaleMedium, "paper": ScalePaper,
+		"stress": ScaleStress, "stress100k": ScaleStress100k,
 	} {
 		got, err := ParseScale(name)
-		if err != nil || got != want {
+		if err != nil || got != want || got.String() != name {
 			t.Errorf("%q: %v, %v", name, got, err)
 		}
 	}
-	if _, err := ParseScale("gigantic"); err == nil {
-		t.Error("unknown scale must fail")
+	// The help a bad name gets lists every name that parses, and the
+	// list ends where the constants do.
+	_, err := ParseScale("gigantic")
+	if err == nil || !strings.HasSuffix(err.Error(), "(small|medium|paper|stress|stress100k)") {
+		t.Errorf("unknown scale: %v, want the full list of names", err)
+	}
+	if got := (ScaleStress100k + 1).String(); got != "unknown" {
+		t.Errorf("scale past the last constant is %q", got)
 	}
 }

@@ -53,8 +53,9 @@ func runGolden(t *testing.T, specs []experiments.Spec, dir string, parallel int,
 
 // runGoldenAt is runGolden with an explicit scale and repeat count —
 // the stress tier runs the 100k scenario at its full size with a
-// single repeat per parallelism setting.
-func runGoldenAt(t *testing.T, specs []experiments.Spec, dir string, parallel int, sets []*scenario.Set, scale experiments.Scale, repeats int) {
+// single repeat per parallelism setting. It returns the report so a
+// caller that turned telemetry on can Take its runs' rows.
+func runGoldenAt(t *testing.T, specs []experiments.Spec, dir string, parallel int, sets []*scenario.Set, scale experiments.Scale, repeats int) *experiments.Report {
 	t.Helper()
 	report, err := experiments.Run(context.Background(), specs, experiments.RunnerConfig{
 		Seed:     goldenSeed,
@@ -72,6 +73,7 @@ func runGoldenAt(t *testing.T, specs []experiments.Spec, dir string, parallel in
 	if err := store.Verify(st); err != nil {
 		t.Fatalf("sealed run dir fails verification: %v", err)
 	}
+	return report
 }
 
 // dirFiles returns every file under root as sorted relative paths.

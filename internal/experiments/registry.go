@@ -146,24 +146,12 @@ func init() {
 	})
 }
 
-// Register adds a spec compiled at runtime (scenario files) to the
-// registry, alongside the built-in paper specs. Unlike init-time
-// registration it reports collisions as errors: scenario names come
-// from user files, not code. Both the spec ID and every produced
-// outcome ID must be new — an outcome collision would make Lookup
-// ambiguous. Callers that must stay re-entrant (CLI test harnesses)
-// should compose with Merge instead of mutating the registry.
-func Register(s Spec) error {
-	merged, err := Merge(registry, s)
-	if err != nil {
-		return err
-	}
-	registry = merged
-	return nil
-}
-
-// Merge appends runtime specs to a base list under the same collision
-// rules as Register, without touching the global registry.
+// Merge appends specs compiled at runtime (scenario files) to a base
+// list without touching the registry, which is immutable after init.
+// Unlike init-time registration it reports collisions as errors:
+// scenario names come from user files, not code. Both the spec ID and
+// every produced outcome ID must be new — an outcome collision would
+// make Lookup ambiguous.
 func Merge(base []Spec, extra ...Spec) ([]Spec, error) {
 	out := make([]Spec, len(base), len(base)+len(extra))
 	copy(out, base)
@@ -245,12 +233,8 @@ func SelectIn(specs []Spec, ids []string) ([]Spec, error) {
 	return out, nil
 }
 
-// KnownIDs returns every selectable registry name: spec IDs plus the
+// knownIDsIn returns every selectable name in specs: spec IDs plus the
 // outcome IDs they produce, sorted.
-func KnownIDs() []string {
-	return knownIDsIn(registry)
-}
-
 func knownIDsIn(specs []Spec) []string {
 	seen := map[string]bool{}
 	var ids []string

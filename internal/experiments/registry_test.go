@@ -70,49 +70,31 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestKnownIDs(t *testing.T) {
-	ids := KnownIDs()
-	has := map[string]bool{}
-	for _, id := range ids {
-		if has[id] {
-			t.Fatalf("duplicate id %s", id)
-		}
-		has[id] = true
-	}
-	for _, want := range []string{"network", "chain", "commit", "F1", "T1", "W1"} {
-		if !has[want] {
-			t.Fatalf("KnownIDs missing %s: %v", want, ids)
-		}
-	}
-}
-
 func TestRegisterRuntimeSpecs(t *testing.T) {
-	// Register mutates the package-global registry; restore it so the
-	// test spec does not leak into later tests.
-	saved := make([]Spec, len(registry))
-	copy(saved, registry)
-	t.Cleanup(func() { registry = saved })
-
 	noop := func(uint64, Scale) ([]*Outcome, error) { return nil, nil }
-	if err := Register(Spec{ID: "", Run: noop}); err == nil {
+	if _, err := Merge(Specs(), Spec{ID: "", Run: noop}); err == nil {
 		t.Error("empty ID must fail")
 	}
-	if err := Register(Spec{ID: "runtime-x"}); err == nil {
+	if _, err := Merge(Specs(), Spec{ID: "runtime-x"}); err == nil {
 		t.Error("nil Run must fail")
 	}
-	if err := Register(Spec{ID: "network", Run: noop}); err == nil {
+	if _, err := Merge(Specs(), Spec{ID: "network", Run: noop}); err == nil {
 		t.Error("duplicate spec ID must fail")
 	}
-	if err := Register(Spec{ID: "runtime-x", Produces: []string{"F1"}, Run: noop}); err == nil {
+	if _, err := Merge(Specs(), Spec{ID: "runtime-x", Produces: []string{"F1"}, Run: noop}); err == nil {
 		t.Error("outcome ID collision must fail")
 	}
-	if err := Register(Spec{ID: "runtime-x", Produces: []string{"runtime-x/out"}, Run: noop}); err != nil {
+	merged, err := Merge(Specs(), Spec{ID: "runtime-x", Produces: []string{"runtime-x/out"}, Run: noop})
+	if err != nil {
 		t.Fatalf("valid runtime spec rejected: %v", err)
 	}
-	if _, ok := Lookup("runtime-x/out"); !ok {
-		t.Error("registered spec not selectable by outcome ID")
+	if _, ok := LookupIn(merged, "runtime-x/out"); !ok {
+		t.Error("merged spec not selectable by outcome ID")
 	}
-	if err := Register(Spec{ID: "RUNTIME-X", Run: noop}); err == nil {
+	if _, ok := Lookup("runtime-x"); ok {
+		t.Error("Merge must not touch the registry")
+	}
+	if _, err := Merge(merged, Spec{ID: "RUNTIME-X", Run: noop}); err == nil {
 		t.Error("case-insensitive duplicate must fail")
 	}
 }

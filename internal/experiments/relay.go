@@ -43,9 +43,9 @@ func relayCampaign(seed uint64, sc Scale, rc relay.Config, privateProb float64) 
 }
 
 // CompactRelaySpread runs one compact-relay overlay campaign with
-// moderately divergent mempools — the BenchmarkCompactRelaySpread
-// workload, exercising sketch pushes, reconstruction, missing-tx
-// round trips and the bandwidth accounting end to end.
+// moderately divergent mempools — the repo benchmark's `compact` spec
+// (bench/workloads.go), exercising sketch pushes, reconstruction,
+// missing-tx round trips and the bandwidth accounting end to end.
 func CompactRelaySpread(seed uint64, sc Scale) (*core.CampaignResult, error) {
 	return relayCampaign(seed, sc, relay.Config{Mode: relay.Compact}, 0.15)
 }

@@ -233,9 +233,6 @@ func (c *Collector) Disable() {
 // Enabled reports whether any collection is active.
 func (c *Collector) Enabled() bool { return c.telemetry.Load() }
 
-// Tracing reports whether engine tracing is active.
-func (c *Collector) Tracing() bool { return c.tracing.Load() }
-
 // RunScope tracks one engine run from construction to completion. A
 // nil scope (collection disabled) is valid and inert, so callers
 // never branch.

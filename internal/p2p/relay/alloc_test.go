@@ -88,8 +88,7 @@ const (
 )
 
 // TestRelayAllocationCeiling is the allocation-regression guard on
-// the relay hot path, wired into `make bench-compare` alongside the
-// ns/op gate.
+// the relay hot path; it runs in every tier of `go test`.
 func TestRelayAllocationCeiling(t *testing.T) {
 	cases := []struct {
 		mode    relay.Mode

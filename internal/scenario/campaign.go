@@ -15,7 +15,7 @@ import (
 // drift apart.
 
 // Extend compiles every set and merges its variants into the registry
-// under experiments.Register's collision rules, without mutating it.
+// under experiments.Merge's collision rules, without mutating it.
 func Extend(registry []experiments.Spec, sets []*Set) ([]experiments.Spec, error) {
 	for _, set := range sets {
 		specs, err := set.Compile()

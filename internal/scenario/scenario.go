@@ -10,7 +10,7 @@
 //
 //	set, err := scenario.Load("examples/scenarios/paper-baseline.json")
 //	specs, err := set.Compile()
-//	for _, sp := range specs { experiments.Register(sp) }
+//	all, err := experiments.Merge(experiments.Specs(), specs...)
 //
 // Every compiled Spec.Run is a pure function of (seed, scale), so
 // scenario campaigns inherit the runner's determinism contract:

@@ -236,9 +236,8 @@ func (s *Server) Submit(req SubmitRequest) (Status, error) {
 // errUnavailable marks errors the HTTP layer maps to 503.
 type unavailableError string
 
-func errUnavailable(msg string) error        { return unavailableError(msg) }
-func (e unavailableError) Error() string     { return string(e) }
-func (e unavailableError) Unavailable() bool { return true }
+func errUnavailable(msg string) error    { return unavailableError(msg) }
+func (e unavailableError) Error() string { return string(e) }
 
 // badRequestError marks validation errors the HTTP layer maps to 400.
 type badRequestError struct{ err error }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // FS is the filesystem backend: blobs are plain files under a root
@@ -22,9 +21,6 @@ type FS struct {
 // created lazily on first Put, so opening a store for reading never
 // litters the filesystem.
 func NewFS(dir string) *FS { return &FS{root: dir} }
-
-// Root returns the backing directory.
-func (f *FS) Root() string { return f.root }
 
 func (f *FS) path(name string) (string, error) {
 	cleaned, err := CleanName(name)
@@ -114,10 +110,3 @@ func (f *FS) Manifest() (*Manifest, error) { return buildManifest(f) }
 
 // ensure FS cannot silently drift from the interface.
 var _ Store = (*FS)(nil)
-
-// IsSubPath reports whether name is under prefix in slash-path terms
-// ("csv" covers "csv/outcomes.csv" but not "csvx"). Shared by servers
-// that map URL sub-trees onto store names.
-func IsSubPath(prefix, name string) bool {
-	return prefix == "" || name == prefix || strings.HasPrefix(name, prefix+"/")
-}

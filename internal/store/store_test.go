@@ -280,21 +280,3 @@ func TestVerifyLegacyManifest(t *testing.T) {
 		t.Fatalf("read on empty store: %v, want fs.ErrNotExist", err)
 	}
 }
-
-func TestIsSubPath(t *testing.T) {
-	cases := []struct {
-		prefix, name string
-		want         bool
-	}{
-		{"", "anything", true},
-		{"csv", "csv/outcomes.csv", true},
-		{"csv", "csv", true},
-		{"csv", "csvx", false},
-		{"csv/outcomes.csv", "csv", false},
-	}
-	for _, c := range cases {
-		if got := IsSubPath(c.prefix, c.name); got != c.want {
-			t.Errorf("IsSubPath(%q, %q) = %v, want %v", c.prefix, c.name, got, c.want)
-		}
-	}
-}
