@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race profile profile-chain profile-tx bench bench-contract-smoke fmt fmt-check vet loc examples examples-full validate-scenarios
+.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race profile profile-shard profile-chain profile-tx bench bench-contract-smoke fmt fmt-check vet loc examples examples-full validate-scenarios
 
 build:
 	$(GO) build ./...
@@ -76,7 +76,10 @@ test-stress:
 	STRESS100K=1 $(GO) test -run 'TestGoldenStress100kParallelInvariance|TestGoldenShardStress100kInvariance' -v -timeout 90m ./internal/experiments
 
 # Sharded-execution gate. The conductor's window-loop invariants (lane
-# panic containment included), the engine queue's differential test
+# panic containment included), its randomized differential test across
+# worker counts and that test's fuzz corpus, the warm barrier's
+# hygiene (no goroutine left behind, lowest-index panics, no spinning
+# beyond GOMAXPROCS), the engine queue's differential test
 # against the reference heap, the RNG fast path's draw-for-draw test
 # against math/rand/v2, the transport's lane-layout table (flight slab
 # reuse, observer views, parent interning at injection, conservation,
@@ -96,7 +99,7 @@ test-stress:
 # the package timeout). The full-size 100k sharded golden lives in
 # test-stress (STRESS100K).
 test-shard:
-	$(GO) test -race -run 'TestConductor|TestEngineMatchesReferenceOrder|TestRNGFastPathMatchesRand' -v ./internal/sim/
+	$(GO) test -race -run 'TestConductor|FuzzConductorOrder|TestEachOutsideRun|TestCrewSpins|TestEngineMatchesReferenceOrder|TestRNGFastPathMatchesRand' -v ./internal/sim/
 	$(GO) test -race -run 'TestSharded|TestMessagePoolReuse|TestFlightViewMatchesMessage|TestTxFloodPinned|TestParentInternedAtInjection|TestTransportConservation|TestFoldLanes|TestMergeCross|TestProtocolConformance|TestStreamingMatchesRawLog|TestModesAgree|TestRawLogPinned' -v ./internal/p2p/... ./internal/core/ ./internal/measure/
 	$(GO) test -race -run 'TestShardsFlag' -v ./cmd/ethrepro/
 	SHARDGOLDEN=full $(GO) test -run 'TestGoldenShard' -v -timeout 90m ./internal/experiments
@@ -106,6 +109,7 @@ test-shard:
 fuzz:
 	$(GO) test -fuzz FuzzEngineOrder -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzRNGFastPath -fuzztime 15s ./internal/sim/
+	$(GO) test -fuzz FuzzConductorOrder -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzCompactReconstruct -fuzztime 30s ./internal/p2p/relay/
 	$(GO) test -fuzz FuzzAdjacencyChurn -fuzztime 30s ./internal/p2p/
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime 30s ./internal/scenario/
@@ -121,8 +125,8 @@ fuzz:
 race:
 	$(GO) test -race -short -timeout 60m ./...
 
-# profile / profile-chain / profile-tx are tools, not gates: nothing compares their
-# output. The allocation gates are the tier-1 Test...Ceiling tests.
+# profile / profile-shard / profile-chain / profile-tx are tools, not
+# gates: nothing compares their output. The allocation gates are the tier-1 Test...Ceiling tests.
 #
 # Where a big overlay run spends its time: the bench harness's
 # overlay-10k campaign (10,000 nodes, 40 blocks, one engine; three runs,
@@ -133,7 +137,19 @@ race:
 # `go test -run '^$' -bench 'DeliverRedundant|Fanout|Send' -benchmem ./internal/p2p/`.
 profile:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) test -run '^$$' -bench BenchmarkOverlay10k -benchtime 3x -cpuprofile "$$dir/cpu.prof" -o "$$dir/core.test" ./internal/core; \
+	$(GO) test -run '^$$' -bench 'BenchmarkOverlay10k$$' -benchtime 3x -cpuprofile "$$dir/cpu.prof" -o "$$dir/core.test" ./internal/core; \
+	$(GO) tool pprof -top -nodecount=25 "$$dir/core.test" "$$dir/cpu.prof"
+
+# Where the sharded overlay run spends its time: the same campaign on
+# the conductor at two workers (BenchmarkOverlay10kSharded, the bench
+# harness's overlay-10k-sharded configuration; three runs, build off the
+# clock) under the CPU profiler, then the top 25 functions — window
+# loop, warm barrier, per-destination merge and ordered tie band
+# included. docs/PERFORMANCE.md ("Sharded execution") keeps the tops
+# this printed before and after the barrier was rebuilt.
+profile-shard:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -run '^$$' -bench BenchmarkOverlay10kSharded -benchtime 3x -cpuprofile "$$dir/cpu.prof" -o "$$dir/core.test" ./internal/core; \
 	$(GO) tool pprof -top -nodecount=25 "$$dir/core.test" "$$dir/cpu.prof"
 
 # Where a mined block spends its time: the chain-only Monte-Carlo

@@ -673,6 +673,9 @@ func (c *Campaign) shardSample() *obs.ShardSample {
 		LaneWindows:   cs.LaneWindows,
 		Stalled:       cs.Stalled,
 		Merged:        cs.Merged,
+		Work:          cs.Work,
+		Span:          cs.Span,
+		GlobalEvents:  cs.GlobalEvents,
 		Lanes:         c.laneStats(),
 		Pairs:         cs.Pairs,
 	}

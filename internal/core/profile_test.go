@@ -14,7 +14,17 @@ import (
 // only Campaign.Run — 97% of that workload's wall, nearly all of it the
 // deliver/fan-out loop — inside the timer. ns/msg is the per-message
 // constant docs/PERFORMANCE.md ("The message") tracks.
-func BenchmarkOverlay10k(b *testing.B) {
+func BenchmarkOverlay10k(b *testing.B) { benchOverlay10k(b, 0) }
+
+// BenchmarkOverlay10kSharded is the campaign `make profile-shard` runs
+// under -cpuprofile: the same run on the conductor at two workers, the
+// bench harness's overlay-10k-sharded configuration — window loop,
+// warm barrier, per-destination merge and ordered tie band included.
+func BenchmarkOverlay10kSharded(b *testing.B) { benchOverlay10k(b, 2) }
+
+// benchOverlay10k times Campaign.Run of the overlay-10k configuration
+// at the given shard setting (0 = one engine).
+func benchOverlay10k(b *testing.B, shards int) {
 	var msgs uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -22,6 +32,7 @@ func BenchmarkOverlay10k(b *testing.B) {
 		cfg.NetworkNodes = 10_000
 		cfg.Blocks = 40
 		cfg.Streaming = true
+		cfg.Shards = shards
 		c, err := NewCampaign(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -3,6 +3,7 @@ package experiments_test
 import (
 	"context"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -184,5 +185,22 @@ func TestTelemetrySealsIntoManifest(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("telemetry.json not covered by the sealed manifest")
+	}
+}
+
+// TestRenderTelemetryShardBound: a sharded row renders its exact
+// speed-up bound, (work + global) / (span + global), with its terms.
+func TestRenderTelemetryShardBound(t *testing.T) {
+	row := experiments.TelemetryRow{Spec: "overlay", ShardWorkers: 2, ShardWindows: 10,
+		ShardWork: 390, ShardSpan: 190, ShardGlobalEvents: 10}
+	if got := row.ShardBound(); got != 2 {
+		t.Fatalf("ShardBound = %v, want 2", got)
+	}
+	if got := (experiments.TelemetryRow{}).ShardBound(); got != 0 {
+		t.Fatalf("unsharded ShardBound = %v, want 0", got)
+	}
+	out := experiments.RenderTelemetry(&experiments.Telemetry{Runs: []experiments.TelemetryRow{row}})
+	if want := "speed-up bound 2.000 = (work 390 + global 10) / (span 190 + global 10)"; !strings.Contains(out, want) {
+		t.Fatalf("rendering lacks %q:\n%s", want, out)
 	}
 }

@@ -147,7 +147,10 @@ func TestGoldenShardScenarioArtifactsInvariance(t *testing.T) {
 // The conductor's window loop is deterministic, so the run's
 // telemetry row carries exact counts: a change to the lookahead bounds
 // or the deadline computation moves stalled / windows / merged at
-// every worker count, and nothing else does. They are pinned here for
+// every worker count, and nothing else does. So do the terms of the
+// exact speed-up bound, work / span / global — (42,079,868 + 655) /
+// (20,323,481 + 655) = 2.07 here: no worker count can run this tier
+// more than 2.07 times faster than one lane. They are pinned here for
 // goldenSeed; wall-clock figures for the tier are whatever
 // telemetry.json says on the machine at hand.
 func TestGoldenShardStress100kInvariance(t *testing.T) {
@@ -162,8 +165,9 @@ func TestGoldenShardStress100kInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type counts struct{ Stalled, Windows, Merged, Events uint64 }
-	want := counts{Stalled: 9_391, Windows: 15_835, Merged: 25_254_090, Events: 42_080_523}
+	type counts struct{ Stalled, Windows, Merged, Events, Work, Span, Global uint64 }
+	want := counts{Stalled: 9_391, Windows: 15_835, Merged: 25_254_090, Events: 42_080_523,
+		Work: 42_079_868, Span: 20_323_481, Global: 655}
 	obs.Default.EnableTelemetry()
 	defer obs.Default.Disable()
 	ref, six := filepath.Join(t.TempDir(), "s1"), filepath.Join(t.TempDir(), "s6")
@@ -175,7 +179,9 @@ func TestGoldenShardStress100kInvariance(t *testing.T) {
 			t.Fatalf("shards=%s: %d telemetry rows, want the campaign's one run", run.shards, len(rows))
 		}
 		for _, rt := range rows {
-			if got := (counts{rt.ShardStalled, rt.ShardWindows, rt.ShardMerged, rt.Events}); got != want {
+			got := counts{rt.ShardStalled, rt.ShardWindows, rt.ShardMerged, rt.Events,
+				rt.ShardWork, rt.ShardSpan, rt.ShardGlobalEvents}
+			if got != want {
 				t.Errorf("shards=%s: %+v, want %+v", run.shards, got, want)
 			}
 		}

@@ -64,11 +64,18 @@ type TelemetryRow struct {
 	// executed sharded (ETHREPRO_SHARDS / -shards); all omitted for
 	// single-engine runs. ShardStalled counts lane-windows lost to the
 	// conservative-lookahead bound — the sharding efficiency metric.
-	ShardWorkers int                 `json:"shard_workers,omitempty"`
-	ShardWindows uint64              `json:"shard_windows,omitempty"`
-	ShardStalled uint64              `json:"shard_stalled,omitempty"`
-	ShardMerged  uint64              `json:"shard_merged,omitempty"`
-	Lanes        []obs.LaneTelemetry `json:"lanes,omitempty"`
+	ShardWorkers int    `json:"shard_workers,omitempty"`
+	ShardWindows uint64 `json:"shard_windows,omitempty"`
+	ShardStalled uint64 `json:"shard_stalled,omitempty"`
+	ShardMerged  uint64 `json:"shard_merged,omitempty"`
+	// ShardWork, ShardSpan and ShardGlobalEvents are the conductor's
+	// per-window sums of region-lane events and of the busiest region
+	// lane's events, and the global lane's serial events
+	// (sim.ConductorStats); ShardBound is the speed-up they allow.
+	ShardWork         uint64              `json:"shard_work,omitempty"`
+	ShardSpan         uint64              `json:"shard_span,omitempty"`
+	ShardGlobalEvents uint64              `json:"shard_global_events,omitempty"`
+	Lanes             []obs.LaneTelemetry `json:"lanes,omitempty"`
 	// PairWindows is the conductor's per-lane-pair window-width
 	// histogram: which lane bound which lane's phase-B deadline, how
 	// often it stalled, and how wide the granted windows were — the
@@ -77,6 +84,19 @@ type TelemetryRow struct {
 	// Kinds is the per-event-kind dispatch profile (tracing runs
 	// only).
 	Kinds []obs.KindStats `json:"kinds,omitempty"`
+}
+
+// ShardBound is the exact speed-up bound of a sharded run's window
+// decomposition over one lane, (work + global) / (span + global): with
+// a barrier after every window, no number of workers finishes sooner
+// than the busiest lane of each window plus the serial global lane.
+// It is a pure function of the schedule — never of the host or the
+// worker count — and zero for a run that executed no window.
+func (r TelemetryRow) ShardBound() float64 {
+	if r.ShardSpan+r.ShardGlobalEvents == 0 {
+		return 0
+	}
+	return float64(r.ShardWork+r.ShardGlobalEvents) / float64(r.ShardSpan+r.ShardGlobalEvents)
 }
 
 // Telemetry is the telemetry.json document: per-run performance rows
@@ -141,6 +161,9 @@ func BuildTelemetry(r *Report, taken map[uint64]obs.RunTelemetry) *Telemetry {
 			row.ShardWindows = rt.ShardWindows
 			row.ShardStalled = rt.ShardStalled
 			row.ShardMerged = rt.ShardMerged
+			row.ShardWork = rt.ShardWork
+			row.ShardSpan = rt.ShardSpan
+			row.ShardGlobalEvents = rt.ShardGlobalEvents
 			row.Lanes = rt.Lanes
 			row.PairWindows = rt.PairWindows
 			row.Kinds = rt.Kinds
@@ -194,6 +217,8 @@ func RenderTelemetry(tel *Telemetry) string {
 		}
 		fmt.Fprintf(&b, "  shard %s/%d: %d workers, %d windows, %d stalled lane windows (%.1f%% of windows), %d merged\n",
 			row.Spec, row.Repeat, row.ShardWorkers, row.ShardWindows, row.ShardStalled, stallPct, row.ShardMerged)
+		fmt.Fprintf(&b, "    speed-up bound %.3f = (work %d + global %d) / (span %d + global %d)\n",
+			row.ShardBound(), row.ShardWork, row.ShardGlobalEvents, row.ShardSpan, row.ShardGlobalEvents)
 		if len(row.PairWindows) > 0 {
 			fmt.Fprintf(&b, "    %-9s %12s %10s %12s %10s\n", "src→dst", "windows", "stalled", "width ms", "mean ms")
 			for _, p := range row.PairWindows {

@@ -56,13 +56,16 @@ type RunSample struct {
 type ShardSample struct {
 	// Workers is the configured phase-B worker count.
 	Workers int
-	// Windows/GlobalWindows/LaneWindows/Stalled/Merged mirror
-	// sim.ConductorStats.
+	// Windows/GlobalWindows/LaneWindows/Stalled/Merged and
+	// Work/Span/GlobalEvents mirror sim.ConductorStats.
 	Windows       uint64
 	GlobalWindows uint64
 	LaneWindows   uint64
 	Stalled       uint64
 	Merged        uint64
+	Work          uint64
+	Span          uint64
+	GlobalEvents  uint64
 	// Lanes are the per-lane engine snapshots, global lane first, then
 	// region lanes in region order.
 	Lanes []sim.EngineStats
@@ -142,7 +145,13 @@ type RunTelemetry struct {
 	ShardWindows uint64
 	ShardStalled uint64
 	ShardMerged  uint64
-	Lanes        []LaneTelemetry
+	// ShardWork / ShardSpan / ShardGlobalEvents sum the conductor's
+	// per-window work, per-window span and serial global-lane events
+	// (sim.ConductorStats) across runs.
+	ShardWork         uint64
+	ShardSpan         uint64
+	ShardGlobalEvents uint64
+	Lanes             []LaneTelemetry
 	// PairWindows is the conductor's per-lane-pair window-width
 	// histogram summed across runs, sorted by (src, dst), zero-count
 	// pairs omitted.
@@ -319,6 +328,9 @@ func (s *RunScope) Finish(sample RunSample) {
 		r.ShardWindows += sh.Windows
 		r.ShardStalled += sh.Stalled
 		r.ShardMerged += sh.Merged
+		r.ShardWork += sh.Work
+		r.ShardSpan += sh.Span
+		r.ShardGlobalEvents += sh.GlobalEvents
 		for i, ls := range sh.Lanes {
 			if i >= len(r.Lanes) {
 				r.Lanes = append(r.Lanes, LaneTelemetry{})

@@ -175,12 +175,14 @@ func TestMessagePoolReuse(t *testing.T) {
 				if len(ln.annFree) != len(ln.ann) {
 					t.Errorf("lane %d announce slab leak: %d slots, %d free", i, len(ln.ann), len(ln.annFree))
 				}
-				if len(ln.cross) != 0 {
-					t.Errorf("lane %d cross buffer holds %d undelivered messages", i, len(ln.cross))
-				}
-				for k, cm := range ln.cross[:cap(ln.cross)] {
-					if cm.f.b != nil {
-						t.Errorf("lane %d drained cross entry %d still holds a payload", i, k)
+				for d, out := range ln.cross {
+					if len(out) != 0 {
+						t.Errorf("lane %d outbox to lane %d holds %d undelivered messages", i, d, len(out))
+					}
+					for k, cm := range out[:cap(out)] {
+						if cm.f.b != nil {
+							t.Errorf("lane %d drained outbox entry %d (to lane %d) still holds a payload", i, k, d)
+						}
 					}
 				}
 			}

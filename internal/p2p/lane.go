@@ -87,11 +87,17 @@ type netLane struct {
 	candBuf  []int32
 	orderBuf []int
 
+	// pos is the lane's index in Network.all.
+	pos int
+
 	// cross buffers this lane's sends to other lanes until the next
-	// conductor merge, each stamped with the lane-lifetime emission
-	// number that becomes its equal-time tie key on the destination
-	// engine. Always empty on the one-lane layout.
-	cross []crossMsg
+	// conductor merge, one outbox per destination lane (by pos), each
+	// send stamped with the lane-lifetime emission number that becomes
+	// its equal-time tie key on the destination engine. Nil on the
+	// one-lane layout.
+	cross [][]crossMsg
+	// merged is what the last merge moved into this lane.
+	merged int
 
 	// emitSeq counts this lane's cross-lane sends over the whole run.
 	// It never resets at merges: a per-batch index would make equal-time

@@ -133,9 +133,11 @@ func (f *layoutFixture) inFlightTo(n *Node) int {
 				c++
 			}
 		}
-		for _, cm := range ln.cross {
-			if cm.f.to == n.idx() {
-				c++
+		for _, out := range ln.cross {
+			for _, cm := range out {
+				if cm.f.to == n.idx() {
+					c++
+				}
 			}
 		}
 	}

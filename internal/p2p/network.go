@@ -96,6 +96,12 @@ type Network struct {
 	lanes [geo.NumRegions + 1]*netLane
 	all   []*netLane
 
+	// cond and mergeInto are the sharded layout's conductor and the
+	// merge's per-destination job (shard.go); nil on the one-lane
+	// layout.
+	cond      *sim.Conductor
+	mergeInto func(int)
+
 	// Fault, when non-nil, is consulted once per transport send: it can
 	// drop the message (partition, link loss) or stretch its delivery
 	// delay (degraded links). Healthy campaigns leave it nil, keeping
@@ -551,7 +557,8 @@ func (net *Network) send(at sim.Time, f *flight) {
 	// lookahead matrix (faults only add delay or drop, never
 	// accelerate), so merging never back-dates an event — mergeCross
 	// asserts exactly this.
-	ln.cross = append(ln.cross, crossMsg{at: at + delay + extra, seq: ln.emitSeq, f: *f})
+	out := &ln.cross[net.lanes[rt].pos]
+	*out = append(*out, crossMsg{at: at + delay + extra, seq: ln.emitSeq, f: *f})
 	ln.emitSeq++
 }
 

@@ -56,9 +56,12 @@ func (net *Network) EnableSharding(cond *sim.Conductor, newProto func() relay.Pr
 	for r := geo.Region(1); r <= geo.NumRegions; r++ {
 		ln := newLane(net, cond.Lane(int(r)-1), net.rng.Fork("lane-"+r.String()), new(transportCounters))
 		ln.setProto(newProto())
+		ln.pos = len(net.all)
+		ln.cross = make([][]crossMsg, geo.NumRegions)
 		net.lanes[r] = ln
 		net.all = append(net.all, ln)
 	}
+	net.cond, net.mergeInto = cond, net.mergeTo
 	cond.Merge = net.mergeCross
 	cond.AfterGlobal = net.presizeArenas
 }
@@ -80,20 +83,37 @@ func (net *Network) presizeArenas() {
 }
 
 // mergeCross is the conductor's Merge hook: it drains every lane's
-// cross buffer into the destination lanes' flight slabs. All lanes
-// are idle when it runs, so taking destination slots here is
-// single-threaded. Equal-time ordering on the destination engine comes
-// from the (source lane, lifetime emission number) tie key, a pure
-// function of each source lane's own execution — never of worker
-// interleaving, merge-batch composition, or the lookahead bound
-// matrix. Two sharded runs that differ only in window sizing therefore
-// build byte-identical destination schedules.
+// cross outboxes into the destination lanes' flight slabs, one job per
+// destination lane on the conductor's workers (sim.Conductor.Each).
+// All lanes are idle when it runs, and a job touches only its
+// destination's engine and slab and the outboxes addressed to it.
+// Equal-time ordering on the destination engine comes from the (source
+// lane, lifetime emission number) tie key, a pure function of each
+// source lane's own execution — never of worker interleaving,
+// merge-batch composition, or the lookahead bound matrix. Two sharded
+// runs that differ only in window sizing therefore build byte-identical
+// destination schedules.
 func (net *Network) mergeCross() int {
+	net.cond.Each(len(net.all), net.mergeInto)
+	n := 0
+	for _, ln := range net.all {
+		n += ln.merged
+	}
+	return n
+}
+
+// mergeTo drains every source lane's outbox for destination lane d, in
+// (source lane, emission number) order — the order a single pass over
+// all outboxes in lane order would reach them — so the destination's
+// slab slots and engine counters do not depend on how the merge is
+// split across workers.
+func (net *Network) mergeTo(d int) {
+	dl := net.all[d]
 	n := 0
 	for l, ln := range net.all {
-		for k := range ln.cross {
-			cm := &ln.cross[k]
-			dl := net.laneOf(cm.f.to)
+		out := ln.cross[d]
+		for k := range out {
+			cm := &out[k]
 			// Lookahead invariant: a cross-lane arrival is strictly in
 			// the destination lane's future — send guarantees delay >=
 			// the pair floor, and the conductor never ran the
@@ -107,13 +127,13 @@ func (net *Network) mergeCross() int {
 					cm.at, net.regions[cm.f.to], now))
 			}
 			dl.engine.ScheduleCallAtOrdered(cm.at, dl, opDeliver, uint64(dl.putFlight(&cm.f)), uint64(l)<<48|cm.seq)
-			n++
 		}
+		n += len(out)
 		// Zero drained entries so the backing array retains no payloads.
-		clear(ln.cross)
-		ln.cross = ln.cross[:0]
+		clear(out)
+		ln.cross[d] = out[:0]
 	}
-	return n
+	dl.merged = n
 }
 
 // FoldLanes moves every lane's transport and protocol counters into

@@ -37,7 +37,7 @@ func TestMergeCrossBackdatePanics(t *testing.T) {
 	// arrival time, as a buggy deadline computation would.
 	dst.engine.RunUntil(100)
 
-	src.cross = append(src.cross, crossMsg{at: 100, f: flight{to: b.idx(), from: a.idx(), kind: MsgNewBlock, size: 64, srcPos: -1}})
+	src.cross[dst.pos] = append(src.cross[dst.pos], crossMsg{at: 100, f: flight{to: b.idx(), from: a.idx(), kind: MsgNewBlock, size: 64, srcPos: -1}})
 
 	defer func() {
 		r := recover()
@@ -58,11 +58,11 @@ func TestMergeCrossFutureArrivalOK(t *testing.T) {
 	net, a, b, src, dst := shardedPair(t)
 	dst.engine.RunUntil(100)
 
-	src.cross = append(src.cross, crossMsg{at: 101, f: flight{to: b.idx(), from: a.idx(), kind: MsgNewBlock, size: 64, srcPos: -1}})
+	src.cross[dst.pos] = append(src.cross[dst.pos], crossMsg{at: 101, f: flight{to: b.idx(), from: a.idx(), kind: MsgNewBlock, size: 64, srcPos: -1}})
 	if got := net.mergeCross(); got != 1 {
 		t.Fatalf("mergeCross merged %d messages, want 1", got)
 	}
-	if len(src.cross) != 0 {
+	if len(src.cross[dst.pos]) != 0 {
 		t.Fatal("cross buffer not drained")
 	}
 }

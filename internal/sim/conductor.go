@@ -13,8 +13,9 @@
 //
 //  1. Merge: the owner-supplied Merge hook drains cross-lane traffic
 //     buffered during the previous window into the destination lanes'
-//     queues, in a deterministic order (the p2p layer sorts by
-//     (arrival, source lane, emission index)).
+//     queues, in a deterministic order (the p2p layer keys each
+//     arrival by (source lane, emission index)), spreading the work
+//     over the workers with Each when it splits by destination.
 //  2. Phase A: if the global lane owns the earliest event, it runs
 //     solo up to that timestamp. The global lane is a pure source
 //     (mining, workload, fault timers): it may touch any lane's state
@@ -31,7 +32,9 @@
 //
 // Region lanes never write each other's state; cross-lane sends go
 // into per-source buffers and wait for the next Merge. That, plus the
-// idle-engines rule in phase A, is the entire memory model.
+// idle-engines rule in phase A, is the entire memory model. Phase B
+// and merges run on one warm barrier per Run (barrier.go): the calling
+// goroutine is worker 0, helpers spin briefly between batches.
 package sim
 
 import (
@@ -39,7 +42,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime/debug"
-	"sync"
 )
 
 // maxTime is the "no constraint" sentinel for window deadlines.
@@ -102,6 +104,17 @@ type ConductorStats struct {
 	Stalled uint64
 	// Merged counts cross-lane messages moved into destination queues.
 	Merged uint64
+	// Work sums, over windows, the events all region lanes executed in
+	// the window's phase B; Span sums, over windows, the events of the
+	// window's busiest region lane; GlobalEvents counts the events the
+	// global lane executed, all of them serially in phase A. With
+	// barriers between windows no schedule can finish faster than
+	// Span + GlobalEvents event-times, so (Work + GlobalEvents) /
+	// (Span + GlobalEvents) is the exact speed-up bound of the run's
+	// window decomposition over one lane, at any worker count.
+	Work         uint64
+	Span         uint64
+	GlobalEvents uint64
 	// Pairs[src][dst] aggregates the windows in which lane src was the
 	// binding constraint on lane dst's deadline (lane indices: 0 is
 	// the global lane, 1..N the region lanes; dst row 0 is unused).
@@ -118,8 +131,9 @@ type Conductor struct {
 	lanes []*Engine
 
 	// Merge drains cross-lane buffers into destination lanes and
-	// returns how many messages it moved. Called single-threaded at
-	// every window start (all lanes idle). May be nil.
+	// returns how many messages it moved. Called on Run's goroutine at
+	// every window start, all lanes idle; it may spread its work over
+	// Run's workers with Each. May be nil.
 	Merge func() int
 
 	// AfterGlobal runs single-threaded after each phase A, before any
@@ -158,6 +172,14 @@ type Conductor struct {
 
 	stats ConductorStats
 	pairs [][]PairWindowStats
+
+	// Run's state: the warm barrier (nil outside Run), the window's
+	// phase-B jobs, runLane bound once (a method value made per window
+	// would allocate per window), and each lane's parked panic.
+	crew   *crew
+	jobs   []laneJob
+	runJob func(int)
+	failed []*LanePanic
 }
 
 // infTime marks "no path" entries in the bound closure. Kept well
@@ -320,11 +342,13 @@ func (c *Conductor) Frontier() Time {
 }
 
 // laneJob is one phase-B work item: run lane until deadline (or drain
-// it completely when drain is set).
+// it completely when drain is set). before is the lane's event count
+// when the window started.
 type laneJob struct {
 	lane     int
 	deadline Time
 	drain    bool
+	before   uint64
 }
 
 // LanePanic is what Run panics with when an event handler panicked on
@@ -341,14 +365,14 @@ func (p *LanePanic) Error() string {
 	return fmt.Sprintf("sim: panic on lane %d at %v: %v\n%s", p.Lane, p.Now, p.Value, p.Stack)
 }
 
-// runLane executes one phase-B job. A panic on a worker goroutine could
-// be recovered by nobody and would kill the process, so it is caught
-// here and parked in the lane's failed slot for Run to re-raise.
-func (c *Conductor) runLane(j laneJob, failed []*LanePanic) {
+// runLane executes phase-B job k. A panic is caught here and parked in
+// the lane's failed slot for Run to re-raise with the lane's clock.
+func (c *Conductor) runLane(k int) {
+	j := c.jobs[k]
 	e := c.lanes[j.lane]
 	defer func() {
 		if v := recover(); v != nil {
-			failed[j.lane] = &LanePanic{Lane: j.lane, Now: e.Now(), Value: v, Stack: debug.Stack()}
+			c.failed[j.lane] = &LanePanic{Lane: j.lane, Now: e.Now(), Value: v, Stack: debug.Stack()}
 		}
 	}()
 	if j.drain {
@@ -358,10 +382,31 @@ func (c *Conductor) runLane(j laneJob, failed []*LanePanic) {
 	}
 }
 
+// Each runs fn(0), …, fn(n−1) and returns once all have finished.
+// Called from a hook while Run executes it (Merge, AfterGlobal,
+// GlobalHorizon), it spreads the indices over Run's workers; called
+// anywhere else, it runs them inline, in order. The calls may run
+// concurrently, so each index must touch state no other index touches.
+// If any call panics, Each panics with the value of the lowest index
+// that did — whatever the worker timing.
+func (c *Conductor) Each(n int, fn func(int)) {
+	if c.crew == nil || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	if v := c.crew.run(n, fn); v != nil {
+		panic(v)
+	}
+}
+
 // Run executes the window loop until every lane drains and the Merge
 // hook has nothing left to move. workers bounds the goroutines that
-// execute phase B; it is clamped to [1, Regions()] and has no effect on
-// the schedule, only on wall-clock time.
+// execute phase B and merges — the calling goroutine plus up to
+// workers−1 helpers; it is clamped to [1, Regions()] and has no effect
+// on the schedule, only on wall-clock time. Run returns only after
+// every helper has exited.
 //
 // If a handler panics on a region lane, the window's other lanes still
 // finish, and Run then panics on the calling goroutine with a
@@ -369,30 +414,13 @@ func (c *Conductor) runLane(j laneJob, failed []*LanePanic) {
 // does not depend on worker timing.
 func (c *Conductor) Run(workers int) {
 	regions := len(c.lanes) - 1
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > regions {
-		workers = regions
-	}
-
-	jobs := make(chan laneJob)
-	failed := make([]*LanePanic, len(c.lanes)) // written by the lane's worker, read after the barrier
-	var window sync.WaitGroup                  // one phase B barrier per window
-	var pool sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		pool.Add(1)
-		go func() {
-			defer pool.Done()
-			for j := range jobs {
-				c.runLane(j, failed)
-				window.Done()
-			}
-		}()
-	}
+	workers = max(1, min(workers, regions))
+	c.runJob = c.runLane
+	c.failed = make([]*LanePanic, len(c.lanes))
+	c.crew = newCrew(workers)
 	defer func() {
-		close(jobs)
-		pool.Wait()
+		c.crew.stop()
+		c.crew = nil
 	}()
 
 	next := make([]Time, len(c.lanes))
@@ -430,7 +458,9 @@ func (c *Conductor) Run(workers int) {
 		// never write global state, so no region event at t can change
 		// what the global lane does at t.
 		if has[0] && next[0] <= t {
+			g := c.lanes[0].Processed()
 			c.lanes[0].RunUntil(t)
+			c.stats.GlobalEvents += c.lanes[0].Processed() - g
 			c.stats.GlobalWindows++
 			if c.AfterGlobal != nil {
 				c.AfterGlobal()
@@ -467,6 +497,7 @@ func (c *Conductor) Run(workers int) {
 				global = h
 			}
 		}
+		c.jobs = c.jobs[:0]
 		for i := 1; i < len(c.lanes); i++ {
 			if !has[i] {
 				continue
@@ -499,12 +530,24 @@ func (c *Conductor) Run(workers int) {
 			if src >= 0 {
 				c.recordPair(src, i, d-next[i]+1)
 			}
-			window.Add(1)
-			jobs <- laneJob{lane: i, deadline: d, drain: d == maxTime}
+			c.jobs = append(c.jobs, laneJob{lane: i, deadline: d, drain: d == maxTime, before: c.lanes[i].Processed()})
 		}
-		window.Wait()
-		for _, p := range failed {
+		// A window with one runnable lane runs it here, unpublished.
+		if len(c.jobs) == 1 {
+			c.runLane(0)
+		} else if len(c.jobs) > 1 {
+			c.crew.run(len(c.jobs), c.runJob)
+		}
+		var span uint64
+		for _, j := range c.jobs {
+			n := c.lanes[j.lane].Processed() - j.before
+			c.stats.Work += n
+			span = max(span, n)
+		}
+		c.stats.Span += span
+		for i, p := range c.failed {
 			if p != nil {
+				c.failed[i] = nil
 				panic(p)
 			}
 		}

@@ -110,6 +110,12 @@ func TestConductorMatchesAcrossWorkerCounts(t *testing.T) {
 	if refC.Merged == 0 {
 		t.Fatal("no cross-lane messages merged; the test is vacuous")
 	}
+	// The speed-up bound's terms are exact counts: every region event
+	// runs in some window's phase B, so Work is the region-event total;
+	// Span and GlobalEvents are pinned for this schedule.
+	if refC.Work != uint64(refTotal) || refC.Span != 258 || refC.GlobalEvents != 1 {
+		t.Fatalf("work/span/global = %d/%d/%d, want %d/258/1", refC.Work, refC.Span, refC.GlobalEvents, refTotal)
+	}
 	for _, workers := range []int{2, 4, 6, 16} {
 		total, stats, cs := runPingPong(6, workers)
 		if total != refTotal {

@@ -134,6 +134,20 @@ func (r *diffRun) op() {
 		if r.byte()%4 == 0 {
 			q.Stop()
 		}
+	case 10:
+		// A key from one of a few streams (key>>48), ascending within
+		// its stream as the conductor's merge delivers them — the case
+		// the engine drains without a comparison sort.
+		id := r.id()
+		q.ScheduleCallAtOrdered(q.Now()+r.delay(), r, id, 0, uint64(r.byte()%5)<<48|id)
+	case 11:
+		// A merge-like burst at one instant: streams interleaved, each
+		// ascending.
+		at := q.Now() + r.delay()
+		for n := r.byte() % 8; n > 0; n-- {
+			id := r.id()
+			q.ScheduleCallAtOrdered(at, r, id, 0, uint64(r.byte()%4)<<48|id)
+		}
 	}
 }
 

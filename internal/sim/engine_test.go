@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -399,6 +400,41 @@ func TestWeightedDistribution(t *testing.T) {
 		want := weights[i] / total
 		if got < want-0.01 || got > want+0.01 {
 			t.Fatalf("index %d frequency %.4f, want ~%.4f", i, got, want)
+		}
+	}
+}
+
+// TestOrderedBandDrainOrder pins the ordered tie band's drain on the
+// layouts its sort-free path splits by key stream (key>>48) — streams
+// interleaved and ascending, more streams than it keeps apart, and a
+// stream that arrived out of order — against plain key order.
+func TestOrderedBandDrainOrder(t *testing.T) {
+	cases := map[string][]uint64{}
+	var merge, many, late []uint64
+	for seq := uint64(0); seq < 8; seq++ {
+		for src := uint64(0); src < 6; src++ {
+			merge = append(merge, src<<48|seq)
+		}
+	}
+	for seq := uint64(0); seq < 3; seq++ {
+		for src := uint64(0); src < 2*maxOrdStreams; src++ {
+			many = append(many, src<<48|seq)
+		}
+	}
+	late = append(late, merge...)
+	late[7], late[19] = late[19], late[7] // stream 1 out of order
+	cases["merge"], cases["many streams"], cases["out of order"] = merge, many, late
+	for name, keys := range cases {
+		e := NewEngine()
+		var got []uint64
+		h := handlerFunc(func(_ Time, key, _ uint64) { got = append(got, key) })
+		for _, k := range keys {
+			e.ScheduleCallAtOrdered(5, h, k, 0, k)
+		}
+		e.Run()
+		want := slices.Sorted(slices.Values(keys))
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: drained %x, want %x", name, got, want)
 		}
 	}
 }

@@ -178,6 +178,17 @@ type ordKey struct {
 	i   int32
 }
 
+// ordStream is one tie-key stream (key>>48) of a bucket's ordered list
+// while sortOrdered splits it: its nodes relinked oldest first.
+type ordStream struct {
+	id         uint64
+	head, tail int32
+}
+
+// maxOrdStreams bounds the streams sortOrdered keeps apart; a bucket
+// holding more falls back to the comparison sort.
+const maxOrdStreams = 16
+
 // Engine is a single-threaded discrete-event executor. It is not safe
 // for concurrent use; the simulation model is sequential by design so
 // runs are deterministic.
@@ -210,6 +221,7 @@ type Engine struct {
 	free     int32
 	sortedAt Time // millisecond whose ordered list is in key order, -1 none
 	scratch  []ordKey
+	streams  []ordStream
 	far      []farEvent
 	occ      [wheelSize / 64]uint64
 	buckets  [wheelSize]bucket
@@ -356,10 +368,71 @@ func (e *Engine) release(bi uint, i int32) {
 // sortOrdered puts a bucket's ordered list into ascending key order.
 // Sorting once per drain instead of at insert matters under the
 // conductor: a bucket is fed by many merges in non-monotone key order.
+//
+// The list holds the events newest first. When every key stream
+// (key>>48) arrived in ascending order — the conductor merge's
+// contract, one stream per source lane — reversing each stream and
+// concatenating the streams by id is already key order, so the
+// comparison sort only runs on the rest: more than maxOrdStreams
+// streams, or a stream that arrived out of order.
 func (e *Engine) sortOrdered(bk *bucket) {
 	if e.nodes[bk.ord].next == 0 {
 		return
 	}
+	st := e.streams[:0]
+	cur := -1 // the stream of the node walked last
+	i := bk.ord
+	for i != 0 {
+		n := &e.nodes[i]
+		id := n.key >> 48
+		if cur < 0 || st[cur].id != id {
+			cur = -1
+			for k := range st {
+				if st[k].id == id {
+					cur = k
+					break
+				}
+			}
+			if cur < 0 {
+				if len(st) == maxOrdStreams {
+					break
+				}
+				st = append(st, ordStream{id: id})
+				cur = len(st) - 1
+			}
+		}
+		s := &st[cur]
+		if s.head != 0 && n.key > e.nodes[s.head].key {
+			break // walked newest first, so a stream's keys must descend
+		}
+		next := n.next
+		n.next, s.head = s.head, i
+		if s.tail == 0 {
+			s.tail = i
+		}
+		i = next
+	}
+	// Streams by id (a handful: insertion sort), linked head to tail;
+	// whatever the walk stopped at hangs off the end, unsorted.
+	for k := 1; k < len(st); k++ {
+		for j := k; j > 0 && st[j].id < st[j-1].id; j-- {
+			st[j], st[j-1] = st[j-1], st[j]
+		}
+	}
+	link := &bk.ord
+	for k := range st {
+		*link = st[k].head
+		link = &e.nodes[st[k].tail].next
+	}
+	*link = i
+	e.streams = st
+	if i != 0 {
+		e.sortKeys(bk)
+	}
+}
+
+// sortKeys comparison-sorts a bucket's ordered list by key.
+func (e *Engine) sortKeys(bk *bucket) {
 	s := e.scratch[:0]
 	for i := bk.ord; i != 0; i = e.nodes[i].next {
 		s = append(s, ordKey{e.nodes[i].key, i})
