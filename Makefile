@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race profile profile-shard profile-chain profile-tx bench bench-contract-smoke fmt fmt-check vet loc examples examples-full validate-scenarios
+.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race profile profile-shard profile-chain profile-tx profile-mem bench bench-contract-smoke fmt fmt-check vet loc examples examples-full validate-scenarios
 
 build:
 	$(GO) build ./...
@@ -125,8 +125,9 @@ fuzz:
 race:
 	$(GO) test -race -short -timeout 60m ./...
 
-# profile / profile-shard / profile-chain / profile-tx are tools, not
-# gates: nothing compares their output. The allocation gates are the tier-1 Test...Ceiling tests.
+# profile / profile-shard / profile-chain / profile-tx / profile-mem are
+# tools, not gates: nothing compares their output. The allocation and
+# heap gates are the tier-1 Test...Ceiling tests.
 #
 # Where a big overlay run spends its time: the bench harness's
 # overlay-10k campaign (10,000 nodes, 40 blocks, one engine; three runs,
@@ -174,6 +175,25 @@ profile-tx:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test -run '^$$' -bench BenchmarkCommit -benchtime 3x -cpuprofile "$$dir/cpu.prof" -o "$$dir/core.test" ./internal/core; \
 	$(GO) tool pprof -top -nodecount=25 "$$dir/core.test" "$$dir/cpu.prof"
+
+# What each paper-small spec costs in memory: one `ethrepro -only <id>
+# -scale small -seed 7` process per spec of the bench harness's
+# paper-small workload (the list is paperSmallSpecs in
+# bench/workloads.go; its bench-owned compact spec is not a registry
+# spec and is left out), printing the peak resident set each process's
+# telemetry.json recorded (obs.ProcessStats.PeakRSSMB, getrusage
+# ru_maxrss; 0 off Linux). docs/PERFORMANCE.md ("Memory: what a
+# chain-only run holds") keeps the table this printed.
+profile-mem:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/ethrepro" ./cmd/ethrepro; \
+	printf '%-8s %12s\n' spec 'peak RSS MB'; \
+	for id in T1 network T2 commit chain L1 W1 C1 INC A1 A2 D1 D2 D3; do \
+		"$$dir/ethrepro" -only $$id -scale small -seed 7 -out "$$dir/$$id" >/dev/null 2>&1 || \
+			{ echo "profile-mem: $$id failed"; exit 1; }; \
+		rss=$$(sed -n 's/.*"peak_rss_mb": *\([0-9.]*\).*/\1/p' "$$dir/$$id/telemetry.json"); \
+		printf '%-8s %12.1f\n' $$id "$$rss"; \
+	done
 
 # The repo benchmark (BENCHMARK.json), the one definition of a
 # performance number: by hand, an end-to-end set, a traced set and the

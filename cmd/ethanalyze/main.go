@@ -132,7 +132,7 @@ func run(args []string, w *os.File) error {
 	if om, err := analysis.OneMinerForks(view); err == nil {
 		fmt.Fprintln(w, analysis.RenderOneMinerForks(om))
 	}
-	if seq, err := analysis.Sequences(view); err == nil {
+	if seq, err := analysis.Sequences(view.Main); err == nil {
 		fmt.Fprintln(w, analysis.RenderSequences(seq, 6, 9))
 		if censor, err := analysis.CensorshipWindows(seq, 6, 13.3); err == nil {
 			fmt.Fprintln(w, analysis.RenderCensorship(censor))

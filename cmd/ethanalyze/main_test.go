@@ -149,7 +149,7 @@ func TestAnalyzeRunWithTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Run telemetry", "events/s", "T2"} {
+	for _, want := range []string{"Run telemetry", "events/s", "T2", "peak RSS"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("telemetry table missing %q:\n%s", want, text)
 		}

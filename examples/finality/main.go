@@ -38,7 +38,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	seq, err := analysis.Sequences(res.View)
+	view, err := analysis.ViewFromTree(res.Tree)
+	if err != nil {
+		return err
+	}
+	seq, err := analysis.Sequences(view.Main)
 	if err != nil {
 		return err
 	}

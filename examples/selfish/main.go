@@ -42,15 +42,19 @@ func analyze(restrict bool) error {
 	if err != nil {
 		return err
 	}
+	view, err := analysis.ViewFromTree(res.Tree)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("=== %s (%d blocks) ===\n", label, blocks)
 
-	empty, err := analysis.EmptyBlocks(res.View)
+	empty, err := analysis.EmptyBlocks(view)
 	if err != nil {
 		return err
 	}
 	fmt.Println(analysis.RenderEmptyBlocks(empty, 8))
 
-	oneMiner, err := analysis.OneMinerForks(res.View)
+	oneMiner, err := analysis.OneMinerForks(view)
 	if err != nil {
 		return err
 	}

@@ -190,7 +190,7 @@ func TestOneMinerForksTxHashComparison(t *testing.T) {
 
 func TestSequencesAndCDF(t *testing.T) {
 	view := buildView([]string{"A", "A", "A", "B", "A", "B", "B"}, nil, nil)
-	res, err := Sequences(view)
+	res, err := Sequences(view.Main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +208,13 @@ func TestSequencesAndCDF(t *testing.T) {
 		t.Fatal("missing pool CDF must be 0")
 	}
 	if _, err := Sequences(nil); !errors.Is(err, ErrNoBlocks) {
-		t.Fatal("nil view must fail")
+		t.Fatal("empty main chain must fail")
 	}
 }
 
 func TestCensorshipWindows(t *testing.T) {
 	view := buildView([]string{"A", "A", "A", "B", "A", "B", "B"}, nil, nil)
-	seq, err := Sequences(view)
+	seq, err := Sequences(view.Main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestCensorshipWindows(t *testing.T) {
 
 func TestWholeChainTail(t *testing.T) {
 	view := buildView([]string{"A", "A", "A", "B", "A", "A"}, nil, nil)
-	seq, err := Sequences(view)
+	seq, err := Sequences(view.Main)
 	if err != nil {
 		t.Fatal(err)
 	}

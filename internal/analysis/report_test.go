@@ -105,7 +105,7 @@ func TestRenderersProduceCompleteOutput(t *testing.T) {
 	}
 	mustContain(t, RenderOneMinerForks(om), "One-miner", "recognized")
 
-	seq, err := Sequences(view)
+	seq, err := Sequences(view.Main)
 	if err != nil {
 		t.Fatal(err)
 	}

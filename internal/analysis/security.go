@@ -23,14 +23,15 @@ type SequencesResult struct {
 	TotalMain int
 }
 
-// Sequences computes Fig. 7 over a chain view.
-func Sequences(view *ChainView) (*SequencesResult, error) {
-	if view == nil || len(view.Main) == 0 {
+// Sequences computes Fig. 7 over a main chain in height order (a
+// ChainView's Main). It reads only each block's Miner.
+func Sequences(main []BlockMeta) (*SequencesResult, error) {
+	if len(main) == 0 {
 		return nil, ErrNoBlocks
 	}
-	labels := make([]string, len(view.Main))
+	labels := make([]string, len(main))
 	counts := map[string]int{}
-	for i, meta := range view.Main {
+	for i, meta := range main {
 		labels[i] = meta.Miner
 		counts[meta.Miner]++
 	}
@@ -39,7 +40,7 @@ func Sequences(view *ChainView) (*SequencesResult, error) {
 		Runs:        runs,
 		MaxRun:      make(map[string]int, len(runs)),
 		BlockCounts: counts,
-		TotalMain:   len(view.Main),
+		TotalMain:   len(main),
 	}
 	for pool, rs := range runs {
 		res.MaxRun[pool] = stats.MaxRun(rs)

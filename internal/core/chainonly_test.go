@@ -7,6 +7,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/mining"
 	"repro/internal/sim"
+	"repro/internal/types"
 )
 
 // TestChainOnlyGoldenHashes pins the genesis hash and the first three
@@ -43,8 +44,11 @@ func TestChainOnlyGoldenHashes(t *testing.T) {
 // one public block can threaten both private chains, and each release
 // draws from the mining RNG. The release order used to follow a map
 // iteration, so the first of twenty same-seed repeats already differed.
+// Publish times are recorded through mining.Config.OnBlock, the path
+// the W1 spec and the scenario withholding output read them from.
 func TestChainOnlyTwoWithholdersDeterministic(t *testing.T) {
-	run := func() *ChainOnlyResult {
+	run := func() (*ChainOnlyResult, map[types.Hash]sim.Time) {
+		var publish map[types.Hash]sim.Time
 		res, err := RunChainOnly(5, 3000, func(c *mining.Config) {
 			pool := func(name string, share float64, region geo.Region, withhold bool) mining.PoolConfig {
 				return mining.PoolConfig{
@@ -58,22 +62,23 @@ func TestChainOnlyTwoWithholdersDeterministic(t *testing.T) {
 				pool("B", 0.3, geo.NorthAmerica, true),
 				pool("C", 0.4, geo.WesternEurope, false),
 			}
+			publish = mining.RecordPublishTimes(c)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, publish
 	}
-	first := run()
-	if len(first.MultiVersionTuples) == 0 || len(first.PublishTimes) < 3000 {
-		t.Fatalf("run too thin to compare: %d tuples, %d publish times", len(first.MultiVersionTuples), len(first.PublishTimes))
+	first, firstPublish := run()
+	if len(first.MultiVersionTuples) == 0 || len(firstPublish) < 3000 {
+		t.Fatalf("run too thin to compare: %d tuples, %d publish times", len(first.MultiVersionTuples), len(firstPublish))
 	}
 	for i := 1; i < 20; i++ {
-		again := run()
+		again, publish := run()
 		if again.Tree.Head().Hash() != first.Tree.Head().Hash() {
 			t.Fatalf("repeat %d: head %s, first run %s", i, again.Tree.Head().Hash().Short(), first.Tree.Head().Hash().Short())
 		}
-		if !reflect.DeepEqual(again.PublishTimes, first.PublishTimes) {
+		if !reflect.DeepEqual(publish, firstPublish) {
 			t.Fatalf("repeat %d: publish times differ", i)
 		}
 		if !reflect.DeepEqual(again.MultiVersionTuples, first.MultiVersionTuples) {

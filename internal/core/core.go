@@ -166,9 +166,6 @@ type CampaignResult struct {
 	// TxRecords is the workload ground truth (empty without a
 	// workload).
 	TxRecords []txgen.TxRecord
-	// MultiVersionTuples is the miner-side one-miner-fork ground
-	// truth.
-	MultiVersionTuples map[types.Hash]int
 	// MessagesSent / BytesSent are transport totals.
 	MessagesSent uint64
 	BytesSent    uint64
@@ -592,17 +589,16 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 		return nil, fmt.Errorf("core: reconstruct chain: %w", err)
 	}
 	res := &CampaignResult{
-		Dataset:            ds,
-		Index:              idx,
-		View:               view,
-		Tree:               c.miners.Tree(),
-		Nodes:              c.nodes,
-		MultiVersionTuples: c.miners.MultiVersionTuples(),
-		MessagesSent:       c.network.MessagesSent,
-		BytesSent:          c.network.BytesSent,
-		MessagesDropped:    c.network.MessagesDropped,
-		Bandwidth:          c.bandwidth(),
-		Duration:           c.now(),
+		Dataset:         ds,
+		Index:           idx,
+		View:            view,
+		Tree:            c.miners.Tree(),
+		Nodes:           c.nodes,
+		MessagesSent:    c.network.MessagesSent,
+		BytesSent:       c.network.BytesSent,
+		MessagesDropped: c.network.MessagesDropped,
+		Bandwidth:       c.bandwidth(),
+		Duration:        c.now(),
 	}
 	if c.injector != nil {
 		stats := c.injector.Stats()
@@ -731,15 +727,14 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 }
 
 // ChainOnlyResult is the output of a chain-level run (no network, no
-// measurement nodes): the ground-truth tree viewed directly.
+// measurement nodes): the ground-truth tree and the miner-side
+// one-miner-fork tuples, nothing derived from them. A caller that
+// needs the analysis view builds it with analysis.ViewFromTree; one
+// that needs publish times records them through mining.Config.OnBlock
+// in its mutate (mining.RecordPublishTimes).
 type ChainOnlyResult struct {
 	Tree               *chain.BlockTree
-	View               *analysis.ChainView
 	MultiVersionTuples map[types.Hash]int
-	// PublishTimes records when each block was published (for honest
-	// miners, its mining time; for withholders, the burst release
-	// time). Feed to analysis.DetectWithholding.
-	PublishTimes map[types.Hash]sim.Time
 }
 
 // RunChainOnly executes the mining model without a network overlay.
@@ -758,18 +753,6 @@ func RunChainOnly(seed uint64, blocks uint64, mutate func(*mining.Config)) (*Cha
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	// One published block per height, plus ~1% extra same-miner versions.
-	publish := make(map[types.Hash]sim.Time, blocks+blocks/32)
-	userHook := cfg.OnBlock
-	cfg.OnBlock = func(ev mining.BlockEvent) {
-		// Plain assignment keeps the first publish time: a hash can
-		// only repeat when one pool wins twice in the same millisecond
-		// on the same parent with the same body, i.e. at the same Now.
-		publish[ev.Block.Hash()] = ev.Now
-		if userHook != nil {
-			userHook(ev)
-		}
-	}
 	s, err := mining.NewSimulator(engine, rng, cfg)
 	if err != nil {
 		return nil, err
@@ -779,14 +762,8 @@ func RunChainOnly(seed uint64, blocks uint64, mutate func(*mining.Config)) (*Cha
 	s.Start()
 	engine.Run()
 	scope.Finish(obs.RunSample{Engine: engine.Stats()})
-	view, err := analysis.ViewFromTree(s.Tree())
-	if err != nil {
-		return nil, err
-	}
 	return &ChainOnlyResult{
 		Tree:               s.Tree(),
-		View:               view,
 		MultiVersionTuples: s.MultiVersionTuples(),
-		PublishTimes:       publish,
 	}, nil
 }

@@ -154,21 +154,25 @@ func TestRunChainOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	view, err := analysis.ViewFromTree(res.Tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// ~6-7% of produced heights fork off-main, so expect ~1860+.
-	if len(res.View.Main) < 1800 {
-		t.Fatalf("main chain: %d", len(res.View.Main))
+	if len(view.Main) < 1800 {
+		t.Fatalf("main chain: %d", len(view.Main))
 	}
 	// Chain-level analyses must all run.
-	if _, err := analysis.EmptyBlocks(res.View); err != nil {
+	if _, err := analysis.EmptyBlocks(view); err != nil {
 		t.Fatalf("fig6: %v", err)
 	}
-	if _, err := analysis.Forks(res.View); err != nil {
+	if _, err := analysis.Forks(view); err != nil {
 		t.Fatalf("table3: %v", err)
 	}
-	if _, err := analysis.Sequences(res.View); err != nil {
+	if _, err := analysis.Sequences(view.Main); err != nil {
 		t.Fatalf("fig7: %v", err)
 	}
-	if _, err := analysis.OneMinerForks(res.View); err != nil {
+	if _, err := analysis.OneMinerForks(view); err != nil {
 		t.Fatalf("one-miner: %v", err)
 	}
 	if _, err := RunChainOnly(5, 0, nil); err == nil {
@@ -184,8 +188,8 @@ func TestRunChainOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, meta := range res2.View.Main {
-		if meta.Miner != "Solo" {
+	for _, b := range res2.Tree.MainChain()[1:] {
+		if b.Header.MinerLabel != "Solo" {
 			t.Fatal("mutator ignored")
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/sim"
 	"repro/internal/txgen"
 )
@@ -99,7 +100,7 @@ func BenchmarkChainOnly(b *testing.B) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
-		if _, err := RunChainOnly(7, chainOnlyBlocks, nil); err != nil {
+		if err := chainOnlyWithView(7, chainOnlyBlocks); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,6 +108,17 @@ func BenchmarkChainOnly(b *testing.B) {
 	total := float64(b.N) * chainOnlyBlocks
 	b.ReportMetric(total/b.Elapsed().Seconds(), "blocks/s")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/block")
+}
+
+// chainOnlyWithView is the work a view-reading chain spec does per
+// run: the chain-only Monte-Carlo, then the analysis view of its tree.
+func chainOnlyWithView(seed, blocks uint64) error {
+	res, err := RunChainOnly(seed, blocks, nil)
+	if err != nil {
+		return err
+	}
+	_, err = analysis.ViewFromTree(res.Tree)
+	return err
 }
 
 // TestChainOnlyAllocCeiling keeps the per-block cost of the chain-only
@@ -118,7 +130,7 @@ func TestChainOnlyAllocCeiling(t *testing.T) {
 	const blocks = 5000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := RunChainOnly(7, blocks, nil); err != nil {
+	if err := chainOnlyWithView(7, blocks); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -128,4 +140,41 @@ func TestChainOnlyAllocCeiling(t *testing.T) {
 	if allocs > 12 || bytes > 4096 {
 		t.Fatalf("chain-only run costs %.1f allocs and %.0f B per block, ceiling 12 and 4096", allocs, bytes)
 	}
+}
+
+// chainOnlyHeapPerBlock is the live-heap ceiling of a finished
+// chain-only run, per block: the tree and the one-miner tuples, which
+// is all RunChainOnly hands back. docs/PERFORMANCE.md ("Memory: what a
+// chain-only run holds") explains the figure; raise it only with a
+// matching doc update.
+const chainOnlyHeapPerBlock = 900
+
+// TestChainOnlyHeapCeiling pins what a chain-only result keeps alive.
+// The tree measures ≈634 B per block; the eager analysis view and
+// publish-time map RunChainOnly used to build beside it brought the
+// result to ≈1,204, so either of them coming back fails here. Not
+// parallel: the readings are process-wide.
+func TestChainOnlyHeapCeiling(t *testing.T) {
+	const blocks = 20_000
+	before := liveHeap()
+	res, err := RunChainOnly(7, blocks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := liveHeap()
+	perBlock := (int64(after) - int64(before)) / blocks
+	t.Logf("chain-only result: %d bytes live, %d B/block (ceiling %d)", int64(after)-int64(before), perBlock, chainOnlyHeapPerBlock)
+	if perBlock > chainOnlyHeapPerBlock {
+		t.Fatalf("chain-only result holds %d B per block, ceiling %d", perBlock, chainOnlyHeapPerBlock)
+	}
+	runtime.KeepAlive(res)
+}
+
+// liveHeap settles the heap and reports live bytes.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

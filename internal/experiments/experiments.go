@@ -338,19 +338,23 @@ func ChainExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chain run: %w", err)
 	}
-	empty, err := analysis.EmptyBlocks(res.View)
+	view, err := analysis.ViewFromTree(res.Tree)
+	if err != nil {
+		return nil, fmt.Errorf("chain view: %w", err)
+	}
+	empty, err := analysis.EmptyBlocks(view)
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)
 	}
-	forks, err := analysis.Forks(res.View)
+	forks, err := analysis.Forks(view)
 	if err != nil {
 		return nil, fmt.Errorf("table3: %w", err)
 	}
-	oneMiner, err := analysis.OneMinerForks(res.View)
+	oneMiner, err := analysis.OneMinerForks(view)
 	if err != nil {
 		return nil, fmt.Errorf("one-miner: %w", err)
 	}
-	seq, err := analysis.Sequences(res.View)
+	seq, err := analysis.Sequences(view.Main)
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
@@ -432,7 +436,14 @@ func WholeChainExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("whole-chain run: %w", err)
 	}
-	seq, err := analysis.Sequences(res.View)
+	// The census reads only the main chain's miner labels (genesis
+	// excluded, as in a ChainView).
+	chainBlocks := res.Tree.MainChain()[1:]
+	main := make([]analysis.BlockMeta, len(chainBlocks))
+	for i, b := range chainBlocks {
+		main[i].Miner = b.Header.MinerLabel
+	}
+	seq, err := analysis.Sequences(main)
 	if err != nil {
 		return nil, err
 	}
@@ -440,8 +451,8 @@ func WholeChainExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	out := &Outcome{
 		ID:       "S2",
 		Title:    "§III-D — whole-chain sequence tail",
-		Rendered: analysis.RenderWholeChainTail(tail, len(res.View.Main)),
-		Metrics:  map[string]float64{"blocks": float64(len(res.View.Main))},
+		Rendered: analysis.RenderWholeChainTail(tail, len(main)),
+		Metrics:  map[string]float64{"blocks": float64(len(main))},
 	}
 	for l, n := range tail {
 		out.Metrics[fmt.Sprintf("len_%d", l)] = float64(n)
@@ -461,11 +472,15 @@ func Lesson1Experiment(seed uint64, sc Scale) (*Outcome, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		om, err := analysis.OneMinerForks(res.View)
+		view, err := analysis.ViewFromTree(res.Tree)
 		if err != nil {
 			return nil, nil, err
 		}
-		fk, err := analysis.Forks(res.View)
+		om, err := analysis.OneMinerForks(view)
+		if err != nil {
+			return nil, nil, err
+		}
+		fk, err := analysis.Forks(view)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -8,6 +8,8 @@ import (
 	"repro/internal/geo"
 	"repro/internal/mining"
 	"repro/internal/rewards"
+	"repro/internal/sim"
+	"repro/internal/types"
 )
 
 // WithholdingExperiment reproduces §III-D's exoneration argument: the
@@ -22,16 +24,30 @@ func WithholdingExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	const minRun = analysis.DefaultWithholdingMinRun
 	const threshold = analysis.DefaultWithholdingBurstRatio
 
-	honest, err := core.RunChainOnly(seed, blocks, nil)
+	// detect runs one chain and applies the burst test to it, with the
+	// publish times recorded through the run's block hook.
+	detect := func(mutate func(*mining.Config)) (*analysis.WithholdingResult, error) {
+		var publish map[types.Hash]sim.Time
+		res, err := core.RunChainOnly(seed, blocks, func(c *mining.Config) {
+			if mutate != nil {
+				mutate(c)
+			}
+			publish = mining.RecordPublishTimes(c)
+		})
+		if err != nil {
+			return nil, err
+		}
+		view, err := analysis.ViewFromTree(res.Tree)
+		if err != nil {
+			return nil, err
+		}
+		return analysis.DetectWithholding(view, publish, minRun, threshold)
+	}
+	honestRes, err := detect(nil)
 	if err != nil {
 		return nil, fmt.Errorf("honest run: %w", err)
 	}
-	honestRes, err := analysis.DetectWithholding(honest.View, honest.PublishTimes, minRun, threshold)
-	if err != nil {
-		return nil, fmt.Errorf("honest detection: %w", err)
-	}
-
-	attacked, err := core.RunChainOnly(seed, blocks, func(c *mining.Config) {
+	attackedRes, err := detect(func(c *mining.Config) {
 		c.Pools = []mining.PoolConfig{
 			{Name: "Attacker", HashrateShare: 0.30, GatewayRegions: []geo.Region{geo.EasternAsia},
 				SwitchDelayMean: mining.DefaultSwitchDelay, Withholder: true},
@@ -41,10 +57,6 @@ func WithholdingExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("attacked run: %w", err)
-	}
-	attackedRes, err := analysis.DetectWithholding(attacked.View, attacked.PublishTimes, minRun, threshold)
-	if err != nil {
-		return nil, fmt.Errorf("attacked detection: %w", err)
 	}
 	attackerFlagged, attackerRuns := 0, 0
 	for _, v := range attackedRes.Verdicts {
@@ -221,8 +233,12 @@ func RevenueExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	view, err := analysis.ViewFromTree(res.Tree)
+	if err != nil {
+		return nil, err
+	}
 	const meanGasPrice = 10_000_000_000
-	acct, err := rewards.Accounting(res.View, rewards.DefaultSchedule(), meanGasPrice)
+	acct, err := rewards.Accounting(view, rewards.DefaultSchedule(), meanGasPrice)
 	if err != nil {
 		return nil, err
 	}

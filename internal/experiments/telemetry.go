@@ -227,8 +227,8 @@ func RenderTelemetry(tel *Telemetry) string {
 			}
 		}
 	}
-	fmt.Fprintf(&b, "  process: heap %.1f MiB, %d GCs (%.1f ms pause), GOMAXPROCS %d\n",
-		float64(tel.Process.HeapAllocBytes)/(1<<20), tel.Process.NumGC,
+	fmt.Fprintf(&b, "  process: heap %.1f MiB, peak RSS %.1f MiB, %d GCs (%.1f ms pause), GOMAXPROCS %d\n",
+		float64(tel.Process.HeapAllocBytes)/(1<<20), tel.Process.PeakRSSMB, tel.Process.NumGC,
 		tel.Process.GCPauseTotalMS, tel.Process.GOMAXPROCS)
 	return b.String()
 }

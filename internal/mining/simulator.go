@@ -95,6 +95,27 @@ func DefaultConfig() Config {
 	}
 }
 
+// RecordPublishTimes chains an OnBlock hook onto c that records when
+// each block version was published — for honest miners its mining
+// time, for withholders the burst release time — and returns the map
+// it fills, the input analysis.DetectWithholding reads. Call it after
+// BlockLimit is set: the map is sized from it.
+func RecordPublishTimes(c *Config) map[types.Hash]sim.Time {
+	// One published block per height, plus ~1% extra same-miner versions.
+	publish := make(map[types.Hash]sim.Time, c.BlockLimit+c.BlockLimit/32)
+	next := c.OnBlock
+	c.OnBlock = func(ev BlockEvent) {
+		// Plain assignment keeps the first publish time: a hash can
+		// only repeat when one pool wins twice in the same millisecond
+		// on the same parent with the same body, i.e. at the same Now.
+		publish[ev.Block.Hash()] = ev.Now
+		if next != nil {
+			next(ev)
+		}
+	}
+	return publish
+}
+
 // poolState tracks one pool's runtime view.
 type poolState struct {
 	cfg     PoolConfig

@@ -439,6 +439,11 @@ type ProcessStats struct {
 	SysBytes       uint64  `json:"sys_bytes"`
 	NumGC          uint32  `json:"num_gc"`
 	GCPauseTotalMS float64 `json:"gc_pause_total_ms"`
+	// PeakRSSMB is the process's peak resident set size in MiB
+	// (getrusage ru_maxrss), 0 where the platform does not report it.
+	// It is the high-water mark of the whole process up to the
+	// snapshot, the same reading as the repo benchmark's peak_rss_mb.
+	PeakRSSMB float64 `json:"peak_rss_mb"`
 }
 
 // ProcessSnapshot reads the runtime counters.
@@ -455,5 +460,6 @@ func ProcessSnapshot() ProcessStats {
 		SysBytes:       m.Sys,
 		NumGC:          m.NumGC,
 		GCPauseTotalMS: float64(m.PauseTotalNs) / 1e6,
+		PeakRSSMB:      peakRSSMB(),
 	}
 }

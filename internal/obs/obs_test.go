@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -221,5 +222,9 @@ func TestProcessSnapshotSane(t *testing.T) {
 	ps := ProcessSnapshot()
 	if ps.GoVersion == "" || ps.NumCPU <= 0 || ps.HeapAllocBytes == 0 {
 		t.Fatalf("implausible process snapshot: %+v", ps)
+	}
+	// The resident set holds at least the live heap.
+	if runtime.GOOS == "linux" && ps.PeakRSSMB*(1<<20) < float64(ps.HeapAllocBytes) {
+		t.Fatalf("peak RSS %.1f MiB below the live heap %d B", ps.PeakRSSMB, ps.HeapAllocBytes)
 	}
 }

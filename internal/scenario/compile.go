@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/mining"
 	"repro/internal/sim"
 	"repro/internal/txgen"
+	"repro/internal/types"
 )
 
 // Floors applied after scale multipliers so downscaled variants stay
@@ -137,8 +139,12 @@ func (v *Variant) applyMining(cfg *mining.Config) error {
 // runChain executes a chain-only variant.
 func (v *Variant) runChain(seed uint64, sc experiments.Scale) ([]*experiments.Outcome, error) {
 	var mutateErr error
+	var publish map[types.Hash]sim.Time
 	res, err := core.RunChainOnly(seed, v.Scenario.scaledBlocks(sc), func(c *mining.Config) {
 		mutateErr = v.applyMining(c)
+		if slices.Contains(v.Scenario.outputs(), "withholding") {
+			publish = mining.RecordPublishTimes(c)
+		}
 	})
 	if mutateErr != nil {
 		return nil, mutateErr
@@ -146,13 +152,17 @@ func (v *Variant) runChain(seed uint64, sc experiments.Scale) ([]*experiments.Ou
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", v.ID(), err)
 	}
+	view, err := analysis.ViewFromTree(res.Tree)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", v.ID(), err)
+	}
 	return v.outcomes(func(name string) (*experiments.Outcome, error) {
-		if o, handled, err := v.viewOutcome(name, res.View); handled {
+		if o, handled, err := v.viewOutcome(name, view); handled {
 			return o, err
 		}
 		switch name {
 		case "withholding":
-			return v.withholdingOutcome(res)
+			return v.withholdingOutcome(view, publish)
 		}
 		return nil, fmt.Errorf("scenario %s: output %q unavailable in chain mode", v.ID(), name)
 	})
@@ -347,7 +357,7 @@ func (v *Variant) viewOutcome(name string, view *analysis.ChainView) (*experimen
 			"fraction_of_forks":   om.FractionOfForks,
 		}
 	case "sequences":
-		seq, err := analysis.Sequences(view)
+		seq, err := analysis.Sequences(view.Main)
 		if err != nil {
 			return nil, true, err
 		}
@@ -367,8 +377,8 @@ func (v *Variant) viewOutcome(name string, view *analysis.ChainView) (*experimen
 
 // withholdingOutcome applies the §III-D burst detector to a chain
 // run, at the same calibration as the registry's W1 spec.
-func (v *Variant) withholdingOutcome(res *core.ChainOnlyResult) (*experiments.Outcome, error) {
-	det, err := analysis.DetectWithholding(res.View, res.PublishTimes,
+func (v *Variant) withholdingOutcome(view *analysis.ChainView, publish map[types.Hash]sim.Time) (*experiments.Outcome, error) {
+	det, err := analysis.DetectWithholding(view, publish,
 		analysis.DefaultWithholdingMinRun, analysis.DefaultWithholdingBurstRatio)
 	if err != nil {
 		return nil, err
