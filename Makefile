@@ -58,7 +58,7 @@ test-server:
 # metrics/SSE/pprof handler tests — concurrency-heavy parts under the
 # race detector.
 test-obs:
-	$(GO) test -run 'TestGoldenTracingInvariance|TestTelemetry' -v ./internal/experiments
+	$(GO) test -run 'TestGoldenTracingInvariance|Telemetry' -v ./internal/experiments
 	$(GO) test -race -v ./internal/obs/
 	$(GO) test -race -run 'Metrics|SSE|Healthz|PProf|Profile|Telemetry|RetryAfter|Backpressure' -v ./internal/server/
 	$(GO) test -run 'Telemetry|Trace' -v ./cmd/ethrepro/ ./cmd/ethanalyze/

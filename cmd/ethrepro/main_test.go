@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestListRegistry(t *testing.T) {
@@ -88,6 +92,34 @@ func TestRunWritesTelemetryAndTrace(t *testing.T) {
 	}
 	if !strings.Contains(string(tr), `"traceEvents"`) || !strings.Contains(string(tr), "p2p.deliver") {
 		t.Fatalf("trace missing expected content (%d bytes)", len(tr))
+	}
+
+	// A sharded run carries every conductor counter: each integer field
+	// of sim.ConductorStats reaches the row as a non-zero
+	// shard_<snake_case> key, so none can be dropped on the way.
+	sharded := filepath.Join(t.TempDir(), "sharded")
+	if err := run(context.Background(), []string{"-only", "T2", "-shards", "2", "-out", sharded}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(sharded, "telemetry.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Runs []map[string]any }
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.Runs) != 1 {
+		t.Fatalf("telemetry.json: %v, %d rows", err, len(doc.Runs))
+	}
+	upper := regexp.MustCompile("[A-Z]")
+	fields := reflect.TypeOf(sim.ConductorStats{})
+	for i := 0; i < fields.NumField(); i++ {
+		f := fields.Field(i)
+		if f.Type.Kind() != reflect.Uint64 {
+			continue
+		}
+		key := "shard" + upper.ReplaceAllStringFunc(f.Name, func(c string) string { return "_" + strings.ToLower(c) })
+		if v, _ := doc.Runs[0][key].(float64); v == 0 {
+			t.Errorf("sharded telemetry row lacks a non-zero %s (sim.ConductorStats.%s)", key, f.Name)
+		}
 	}
 
 	// -telemetry=false on a reused directory removes the stale file.

@@ -4,16 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-)
 
-// BandwidthClass is one wire-message class's transport totals.
-type BandwidthClass struct {
-	// Name is the message kind ("NewBlock", "CompactBlock", ...).
-	Name string
-	// Messages / Bytes are the class's send totals.
-	Messages uint64
-	Bytes    uint64
-}
+	"repro/internal/p2p"
+	"repro/internal/p2p/relay"
+)
 
 // VantageBandwidth is one measurement node's ingress/egress totals.
 type VantageBandwidth struct {
@@ -22,37 +16,6 @@ type VantageBandwidth struct {
 	BytesIn     uint64
 	MessagesOut uint64
 	BytesOut    uint64
-}
-
-// Reconstruction is the compact-relay sketch accounting (all zero for
-// disciplines without sketches).
-type Reconstruction struct {
-	SketchesSent     uint64
-	SketchesReceived uint64
-	// Full / Partial / Fallback classify reconstruction attempts:
-	// rebuilt entirely from the pool, completed through a missing-tx
-	// round trip, or abandoned for a full-body fetch.
-	Full     uint64
-	Partial  uint64
-	Fallback uint64
-	// MissingTxs / MissingTxBytes total the round-trip-fetched
-	// transactions.
-	MissingTxs     uint64
-	MissingTxBytes uint64
-}
-
-// Attempts returns the number of sketches a receiver tried to
-// reconstruct.
-func (r Reconstruction) Attempts() uint64 { return r.Full + r.Partial + r.Fallback }
-
-// HitRate is the fraction of attempts that avoided a full-body
-// fallback. Zero when no sketches were processed.
-func (r Reconstruction) HitRate() float64 {
-	a := r.Attempts()
-	if a == 0 {
-		return 0
-	}
-	return float64(r.Full+r.Partial) / float64(a)
 }
 
 // Bandwidth is the per-protocol transport accounting of one campaign:
@@ -73,12 +36,13 @@ type Bandwidth struct {
 	// normalizer for per-block costs.
 	Blocks uint64
 	// Classes lists per-message-class totals in wire-kind order.
-	Classes []BandwidthClass
+	Classes []p2p.ClassTotal
 	// Vantages lists the measurement nodes' ingress/egress, in
 	// attachment order.
 	Vantages []VantageBandwidth
-	// Reconstruction is the sketch accounting.
-	Reconstruction Reconstruction
+	// Reconstruction is the relay protocol's sketch accounting (all
+	// zero for disciplines without sketches).
+	Reconstruction relay.Counters
 }
 
 // BytesPerBlock normalizes the byte total by the block budget.
@@ -113,7 +77,7 @@ func RenderBandwidth(b *Bandwidth) (string, error) {
 		if b.TotalBytes > 0 {
 			share = float64(c.Bytes) / float64(b.TotalBytes)
 		}
-		fmt.Fprintf(&sb, "  %-16s %12d %14d %7.1f%%\n", c.Name, c.Messages, c.Bytes, share*100)
+		fmt.Fprintf(&sb, "  %-16s %12d %14d %7.1f%%\n", c.Kind.String(), c.Messages, c.Bytes, share*100)
 	}
 	if len(b.Vantages) > 0 {
 		fmt.Fprintf(&sb, "  %-16s %12s %14s %12s %14s\n", "vantage", "msgs in", "bytes in", "msgs out", "bytes out")
@@ -123,8 +87,8 @@ func RenderBandwidth(b *Bandwidth) (string, error) {
 	}
 	if r := b.Reconstruction; r.Attempts() > 0 || r.SketchesSent > 0 {
 		fmt.Fprintf(&sb, "  reconstruction: %d sketches sent, %d received; full %d, round-trip %d, fallback %d (hit rate %.1f%%)\n",
-			r.SketchesSent, r.SketchesReceived, r.Full, r.Partial, r.Fallback, r.HitRate()*100)
-		if r.Partial > 0 {
+			r.SketchesSent, r.SketchesReceived, r.ReconstructFull, r.ReconstructPartial, r.ReconstructFallback, r.HitRate()*100)
+		if r.ReconstructPartial > 0 {
 			fmt.Fprintf(&sb, "  missing txs fetched: %d (%.2f MB)\n", r.MissingTxs, float64(r.MissingTxBytes)/1e6)
 		}
 	}

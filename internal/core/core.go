@@ -450,10 +450,6 @@ func lookaheadBounds(m geo.LatencyModel) [][]sim.Time {
 	for i, from := range geo.Regions() {
 		bounds[i] = make([]sim.Time, geo.NumRegions)
 		for j, to := range geo.Regions() {
-			if uniformLookahead {
-				bounds[i][j] = 1
-				continue
-			}
 			d, err := m.MinPairDelay(from, to)
 			if err != nil {
 				panic(err) // unreachable: Regions() only yields valid regions
@@ -463,10 +459,6 @@ func lookaheadBounds(m geo.LatencyModel) [][]sim.Time {
 	}
 	return bounds
 }
-
-// uniformLookahead forces the pre-topology uniform 1 ms matrix. Only
-// shard_test.go sets it.
-var uniformLookahead bool
 
 // resolveShards maps the Shards knob (with the ETHREPRO_SHARDS
 // fallback when unset) to a worker count: 0 single-engine, otherwise
@@ -567,14 +559,18 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 	if c.injector != nil {
 		c.injector.Finalize(c.now())
 	}
-	c.obsScope.Finish(obs.RunSample{
+	sample := obs.RunSample{
 		Engine:   c.engineStats(),
 		Messages: c.network.MessagesSent,
 		Bytes:    c.network.BytesSent,
 		Dropped:  c.network.MessagesDropped,
 		Nodes:    c.network.Len(),
-		Shard:    c.shardSample(),
-	})
+	}
+	if c.cond != nil {
+		cs := c.cond.Stats()
+		sample.Conductor, sample.Workers, sample.Lanes = &cs, c.shards, c.laneStats()
+	}
+	c.obsScope.Finish(sample)
 
 	ds, err := analysis.MergeNodes(c.nodes)
 	if err != nil {
@@ -655,28 +651,6 @@ func (c *Campaign) laneStats() []sim.EngineStats {
 	return out
 }
 
-// shardSample builds the telemetry record for a sharded run (nil
-// single-engine).
-func (c *Campaign) shardSample() *obs.ShardSample {
-	if c.cond == nil {
-		return nil
-	}
-	cs := c.cond.Stats()
-	return &obs.ShardSample{
-		Workers:       c.shards,
-		Windows:       cs.Windows,
-		GlobalWindows: cs.GlobalWindows,
-		LaneWindows:   cs.LaneWindows,
-		Stalled:       cs.Stalled,
-		Merged:        cs.Merged,
-		Work:          cs.Work,
-		Span:          cs.Span,
-		GlobalEvents:  cs.GlobalEvents,
-		Lanes:         c.laneStats(),
-		Pairs:         cs.Pairs,
-	}
-}
-
 // bandwidth assembles the per-protocol transport accounting from the
 // network's class counters, the measurement nodes' ingress/egress and
 // the relay protocol's reconstruction counters.
@@ -688,11 +662,8 @@ func (c *Campaign) bandwidth() *analysis.Bandwidth {
 		TotalBytes:      c.network.BytesSent,
 		DroppedMessages: c.network.MessagesDropped,
 		Blocks:          c.cfg.Blocks,
-	}
-	for _, ct := range c.network.ClassTotals() {
-		b.Classes = append(b.Classes, analysis.BandwidthClass{
-			Name: ct.Kind.String(), Messages: ct.Messages, Bytes: ct.Bytes,
-		})
+		Classes:         c.network.ClassTotals(),
+		Reconstruction:  *proto.Counters(),
 	}
 	for _, m := range c.nodes {
 		peer := m.Peer()
@@ -703,16 +674,6 @@ func (c *Campaign) bandwidth() *analysis.Bandwidth {
 			MessagesOut: peer.MessagesOut(),
 			BytesOut:    peer.BytesOut(),
 		})
-	}
-	ctr := proto.Counters()
-	b.Reconstruction = analysis.Reconstruction{
-		SketchesSent:     ctr.SketchesSent,
-		SketchesReceived: ctr.SketchesReceived,
-		Full:             ctr.ReconstructFull,
-		Partial:          ctr.ReconstructPartial,
-		Fallback:         ctr.ReconstructFallback,
-		MissingTxs:       ctr.MissingTxs,
-		MissingTxBytes:   ctr.MissingTxBytes,
 	}
 	return b
 }

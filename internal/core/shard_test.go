@@ -36,6 +36,10 @@ func digestOf(t *testing.T, cfg CampaignConfig) (shardDigest, *CampaignResult) {
 	if err != nil {
 		t.Fatalf("shards=%d: %v", cfg.Shards, err)
 	}
+	return digest(res), res
+}
+
+func digest(res *CampaignResult) shardDigest {
 	return shardDigest{
 		Messages: res.MessagesSent,
 		Bytes:    res.BytesSent,
@@ -44,7 +48,7 @@ func digestOf(t *testing.T, cfg CampaignConfig) (shardDigest, *CampaignResult) {
 		Records:  len(res.Dataset.Records),
 		Main:     len(res.View.Main),
 		TxCount:  len(res.TxRecords),
-	}, res
+	}
 }
 
 // shardCampaign is a small healthy campaign with a transaction
@@ -155,10 +159,32 @@ func TestShardedLookaheadBoundsInvariance(t *testing.T) {
 		{"faulted", shardFaultedCampaign(6)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() { uniformLookahead = false }()
-			want, wantRes := digestOf(t, tc.cfg)
-			uniformLookahead = true
-			got, gotRes := digestOf(t, tc.cfg)
+			// run returns the campaign's result and its stalled
+			// lane-windows, under the uniform 1 ms matrix if asked.
+			run := func(uniform bool) (*CampaignResult, uint64) {
+				c, err := NewCampaign(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if uniform {
+					ones := make([][]sim.Time, geo.NumRegions)
+					for i := range ones {
+						ones[i] = make([]sim.Time, geo.NumRegions)
+						for j := range ones[i] {
+							ones[i][j] = 1
+						}
+					}
+					c.cond.SetBounds(ones)
+				}
+				res, err := c.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, c.cond.Stats().Stalled
+			}
+			wantRes, wantStalled := run(false)
+			gotRes, gotStalled := run(true)
+			want, got := digest(wantRes), digest(gotRes)
 			if want.Records == 0 {
 				t.Fatalf("campaign too small to be meaningful: %+v", want)
 			}
@@ -170,6 +196,10 @@ func TestShardedLookaheadBoundsInvariance(t *testing.T) {
 			}
 			if !reflect.DeepEqual(gotRes.Faults, wantRes.Faults) {
 				t.Fatalf("fault stats %+v, want %+v", gotRes.Faults, wantRes.Faults)
+			}
+			// The override took effect only if the window schedule moved.
+			if gotStalled == wantStalled {
+				t.Fatalf("%d stalled lane-windows under both bound matrices: the uniform matrix was not installed", gotStalled)
 			}
 		})
 	}

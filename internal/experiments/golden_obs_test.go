@@ -189,7 +189,11 @@ func TestTelemetrySealsIntoManifest(t *testing.T) {
 }
 
 // TestRenderTelemetryShardBound: a sharded row renders its exact
-// speed-up bound, (work + global) / (span + global), with its terms.
+// speed-up bound, (work + global) / (span + global), with its terms,
+// and its stall share over every lane-window, stalled or run. The
+// second row is `ethrepro -only network -scale small -seed 7 -shards
+// 2`: its 22,571 windows hold 126,366 lane-windows, so a share taken
+// over windows would read 178.8%.
 func TestRenderTelemetryShardBound(t *testing.T) {
 	row := experiments.TelemetryRow{Spec: "overlay", ShardWorkers: 2, ShardWindows: 10,
 		ShardWork: 390, ShardSpan: 190, ShardGlobalEvents: 10}
@@ -199,8 +203,15 @@ func TestRenderTelemetryShardBound(t *testing.T) {
 	if got := (experiments.TelemetryRow{}).ShardBound(); got != 0 {
 		t.Fatalf("unsharded ShardBound = %v, want 0", got)
 	}
-	out := experiments.RenderTelemetry(&experiments.Telemetry{Runs: []experiments.TelemetryRow{row}})
-	if want := "speed-up bound 2.000 = (work 390 + global 10) / (span 190 + global 10)"; !strings.Contains(out, want) {
-		t.Fatalf("rendering lacks %q:\n%s", want, out)
+	network := experiments.TelemetryRow{Spec: "network", ShardWorkers: 2, ShardWindows: 22571,
+		ShardStalled: 40355, ShardLaneWindows: 86011}
+	out := experiments.RenderTelemetry(&experiments.Telemetry{Runs: []experiments.TelemetryRow{row, network}})
+	for _, want := range []string{
+		"speed-up bound 2.000 = (work 390 + global 10) / (span 190 + global 10)",
+		"40355 of 126366 lane-windows stalled (31.9%)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("rendering lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -138,12 +138,12 @@ func CompactDivergenceSweep(seed uint64, sc Scale) (*Outcome, error) {
 		r := bw.Reconstruction
 		rendered += fmt.Sprintf("  %8.0f%% %12.0f %10.1f %7.1f%% %10d %10d %10d %10d\n",
 			p*100, prop.Summary.Median, bw.BytesPerBlock()/1e3, r.HitRate()*100,
-			r.Full, r.Partial, r.Fallback, r.MissingTxs)
+			r.ReconstructFull, r.ReconstructPartial, r.ReconstructFallback, r.MissingTxs)
 		key := fmt.Sprintf("p%02.0f", p*100)
 		metrics[key+"_median_ms"] = prop.Summary.Median
 		metrics[key+"_kb_per_block"] = bw.BytesPerBlock() / 1e3
 		metrics[key+"_hit_rate"] = r.HitRate()
-		metrics[key+"_fallbacks"] = float64(r.Fallback)
+		metrics[key+"_fallbacks"] = float64(r.ReconstructFallback)
 	}
 	rendered += "  Reconstruction is a bet on mempool overlap: private order flow is\n" +
 		"  the knob that voids it.\n"

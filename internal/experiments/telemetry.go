@@ -22,82 +22,9 @@ const TelemetryFile = "telemetry.json"
 // TelemetrySchemaVersion versions the telemetry.json layout.
 const TelemetrySchemaVersion = 1
 
-// TelemetryRow is one (spec, repeat) run's performance record.
-type TelemetryRow struct {
-	Spec   string `json:"spec"`
-	Repeat int    `json:"repeat"`
-	Seed   uint64 `json:"seed"`
-	// Engines counts the simulation engines the run executed (sweep
-	// specs run several campaigns per run).
-	Engines int `json:"engines"`
-	// Events / Scheduled are summed engine dispatch and enqueue
-	// counters, FarScheduled the enqueues among them that landed beyond
-	// the engine's wheel horizon; PeakQueue and Slots (event-storage
-	// capacity, in events) are maxima across engines.
-	Events       uint64 `json:"events"`
-	Scheduled    uint64 `json:"scheduled"`
-	FarScheduled uint64 `json:"far_scheduled"`
-	PeakQueue    int    `json:"peak_queue"`
-	Slots        int    `json:"slots"`
-	// SimMS is the total virtual time simulated.
-	SimMS int64 `json:"sim_ms"`
-	// BuildMS / RunMS split the run's wall time into campaign
-	// construction and engine execution; ElapsedMS is the runner's
-	// whole-run measurement (includes analysis and rendering).
-	BuildMS   float64 `json:"build_ms"`
-	RunMS     float64 `json:"run_ms"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-	// EventsPerSec is dispatch throughput over engine-run wall time.
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Messages/Bytes/Dropped are transport totals.
-	Messages uint64 `json:"messages"`
-	Bytes    uint64 `json:"bytes"`
-	Dropped  uint64 `json:"dropped"`
-	// PeakHeapBytes is the largest live-heap reading across the run's
-	// engines; Nodes the largest overlay size; BytesPerNode their
-	// ratio (zero for chain-only runs) — the telemetry counterpart of
-	// the bytes-per-node ceiling test (docs/PERFORMANCE.md).
-	PeakHeapBytes uint64  `json:"peak_heap_bytes,omitempty"`
-	Nodes         int     `json:"nodes,omitempty"`
-	BytesPerNode  float64 `json:"bytes_per_node,omitempty"`
-	// Shard* describe the conductor's window loop when the run
-	// executed sharded (ETHREPRO_SHARDS / -shards); all omitted for
-	// single-engine runs. ShardStalled counts lane-windows lost to the
-	// conservative-lookahead bound — the sharding efficiency metric.
-	ShardWorkers int    `json:"shard_workers,omitempty"`
-	ShardWindows uint64 `json:"shard_windows,omitempty"`
-	ShardStalled uint64 `json:"shard_stalled,omitempty"`
-	ShardMerged  uint64 `json:"shard_merged,omitempty"`
-	// ShardWork, ShardSpan and ShardGlobalEvents are the conductor's
-	// per-window sums of region-lane events and of the busiest region
-	// lane's events, and the global lane's serial events
-	// (sim.ConductorStats); ShardBound is the speed-up they allow.
-	ShardWork         uint64              `json:"shard_work,omitempty"`
-	ShardSpan         uint64              `json:"shard_span,omitempty"`
-	ShardGlobalEvents uint64              `json:"shard_global_events,omitempty"`
-	Lanes             []obs.LaneTelemetry `json:"lanes,omitempty"`
-	// PairWindows is the conductor's per-lane-pair window-width
-	// histogram: which lane bound which lane's phase-B deadline, how
-	// often it stalled, and how wide the granted windows were — the
-	// observability surface for the topology-aware lookahead.
-	PairWindows []obs.PairWindowTelemetry `json:"pair_windows,omitempty"`
-	// Kinds is the per-event-kind dispatch profile (tracing runs
-	// only).
-	Kinds []obs.KindStats `json:"kinds,omitempty"`
-}
-
-// ShardBound is the exact speed-up bound of a sharded run's window
-// decomposition over one lane, (work + global) / (span + global): with
-// a barrier after every window, no number of workers finishes sooner
-// than the busiest lane of each window plus the serial global lane.
-// It is a pure function of the schedule — never of the host or the
-// worker count — and zero for a run that executed no window.
-func (r TelemetryRow) ShardBound() float64 {
-	if r.ShardSpan+r.ShardGlobalEvents == 0 {
-		return 0
-	}
-	return float64(r.ShardWork+r.ShardGlobalEvents) / float64(r.ShardSpan+r.ShardGlobalEvents)
-}
+// TelemetryRow is one (spec, repeat) run's performance record: the
+// collector's row itself, under the name the benchmark harness uses.
+type TelemetryRow = obs.RunTelemetry
 
 // Telemetry is the telemetry.json document: per-run performance rows
 // joined with a process runtime snapshot.
@@ -134,40 +61,9 @@ func BuildTelemetry(r *Report, taken map[uint64]obs.RunTelemetry) *Telemetry {
 		Process:       obs.ProcessSnapshot(),
 	}
 	for _, res := range r.Results {
-		row := TelemetryRow{
-			Spec:      res.Spec.ID,
-			Repeat:    res.Repeat,
-			Seed:      res.Seed,
-			ElapsedMS: float64(res.Elapsed.Nanoseconds()) / 1e6,
-		}
-		if rt, ok := taken[res.Seed]; ok {
-			row.Engines = rt.Engines
-			row.Events = rt.Events
-			row.Scheduled = rt.Scheduled
-			row.FarScheduled = rt.FarScheduled
-			row.PeakQueue = rt.PeakQueue
-			row.Slots = rt.Slots
-			row.SimMS = rt.SimMS
-			row.BuildMS = float64(rt.BuildNanos) / 1e6
-			row.RunMS = float64(rt.RunNanos) / 1e6
-			row.EventsPerSec = rt.EventsPerSec()
-			row.Messages = rt.Messages
-			row.Bytes = rt.Bytes
-			row.Dropped = rt.Dropped
-			row.PeakHeapBytes = rt.PeakHeapBytes
-			row.Nodes = rt.Nodes
-			row.BytesPerNode = rt.BytesPerNode()
-			row.ShardWorkers = rt.ShardWorkers
-			row.ShardWindows = rt.ShardWindows
-			row.ShardStalled = rt.ShardStalled
-			row.ShardMerged = rt.ShardMerged
-			row.ShardWork = rt.ShardWork
-			row.ShardSpan = rt.ShardSpan
-			row.ShardGlobalEvents = rt.ShardGlobalEvents
-			row.Lanes = rt.Lanes
-			row.PairWindows = rt.PairWindows
-			row.Kinds = rt.Kinds
-		}
+		row := taken[res.Seed]
+		row.Spec, row.Repeat, row.Seed = res.Spec.ID, res.Repeat, res.Seed
+		row.ElapsedMS = float64(res.Elapsed.Nanoseconds()) / 1e6
 		tel.Runs = append(tel.Runs, row)
 	}
 	return tel
@@ -211,12 +107,11 @@ func RenderTelemetry(tel *Telemetry) string {
 		if row.ShardWindows == 0 {
 			continue
 		}
-		stallPct := 0.0
-		if row.ShardWindows > 0 {
-			stallPct = 100 * float64(row.ShardStalled) / float64(row.ShardWindows)
-		}
-		fmt.Fprintf(&b, "  shard %s/%d: %d workers, %d windows, %d stalled lane windows (%.1f%% of windows), %d merged\n",
-			row.Spec, row.Repeat, row.ShardWorkers, row.ShardWindows, row.ShardStalled, stallPct, row.ShardMerged)
+		// A lane-window either ran (LaneWindows) or stalled.
+		laneWindows := row.ShardStalled + row.ShardLaneWindows
+		fmt.Fprintf(&b, "  shard %s/%d: %d workers, %d windows, %d of %d lane-windows stalled (%.1f%%), %d merged\n",
+			row.Spec, row.Repeat, row.ShardWorkers, row.ShardWindows, row.ShardStalled, laneWindows,
+			100*float64(row.ShardStalled)/float64(max(1, laneWindows)), row.ShardMerged)
 		fmt.Fprintf(&b, "    speed-up bound %.3f = (work %d + global %d) / (span %d + global %d)\n",
 			row.ShardBound(), row.ShardWork, row.ShardGlobalEvents, row.ShardSpan, row.ShardGlobalEvents)
 		if len(row.PairWindows) > 0 {

@@ -43,37 +43,14 @@ type RunSample struct {
 	// Nodes is the overlay's node count (zero for chain-only runs) —
 	// the denominator for the bytes-per-node memory figure.
 	Nodes int
-	// Shard describes the conductor's window loop when the run executed
-	// sharded (nil for single-engine runs). Engine above is then the
-	// cross-lane aggregate; Shard keeps the per-lane breakdown.
-	Shard *ShardSample
-}
-
-// ShardSample is one sharded run's conductor activity: window-loop
-// counters plus per-lane engine snapshots. Every field is a pure
-// function of the simulation — worker count appears only as the
-// configured knob, never as a source of variation.
-type ShardSample struct {
-	// Workers is the configured phase-B worker count.
-	Workers int
-	// Windows/GlobalWindows/LaneWindows/Stalled/Merged and
-	// Work/Span/GlobalEvents mirror sim.ConductorStats.
-	Windows       uint64
-	GlobalWindows uint64
-	LaneWindows   uint64
-	Stalled       uint64
-	Merged        uint64
-	Work          uint64
-	Span          uint64
-	GlobalEvents  uint64
-	// Lanes are the per-lane engine snapshots, global lane first, then
-	// region lanes in region order.
-	Lanes []sim.EngineStats
-	// Pairs is the conductor's per-lane-pair window-width histogram
-	// (sim.ConductorStats.Pairs): Pairs[src][dst] aggregates the
-	// phase-B windows in which lane src was the binding lookahead
-	// constraint on lane dst. Nil when the conductor recorded none.
-	Pairs [][]sim.PairWindowStats
+	// Conductor is the window loop's counters when the run executed
+	// sharded, nil for single-engine runs. Engine above is then the
+	// cross-lane aggregate; Workers is the configured phase-B worker
+	// count and Lanes the per-lane engine snapshots, global lane
+	// first, then region lanes in region order.
+	Conductor *sim.ConductorStats
+	Workers   int
+	Lanes     []sim.EngineStats
 }
 
 // PairWindowTelemetry is one (bounding lane → bounded lane) pair's
@@ -102,67 +79,93 @@ func (p PairWindowTelemetry) MeanWidth() float64 {
 }
 
 // RunTelemetry aggregates every engine run reporting under one seed —
-// the runner derives a unique seed per (spec, repeat), so this is the
-// per-run record telemetry.json is built from. Specs that execute
-// several campaigns per run (healthy-vs-faulted comparisons, sweeps)
-// fold them all into one record.
+// the runner derives a unique seed per (spec, repeat), so this is one
+// row of telemetry.json. Specs that execute several campaigns per run
+// (healthy-vs-faulted comparisons, sweeps) fold them all into one row.
+// The collector fills everything but Spec, Repeat and ElapsedMS, which
+// experiments.BuildTelemetry sets from the runner's result.
 type RunTelemetry struct {
-	Seed uint64
+	Spec   string `json:"spec"`
+	Repeat int    `json:"repeat"`
+	Seed   uint64 `json:"seed"`
 	// Engines counts the engine runs folded in.
-	Engines int
+	Engines int `json:"engines"`
 	// Events / Scheduled sum the engines' dispatch and enqueue
-	// counters; FarScheduled the enqueues that landed beyond the
-	// engine's wheel horizon.
-	Events       uint64
-	Scheduled    uint64
-	FarScheduled uint64
-	// PeakQueue is the largest queue-depth high-water mark across the
-	// engines; Slots the largest event-storage capacity.
-	PeakQueue int
-	Slots     int
+	// counters, FarScheduled the enqueues among them that landed beyond
+	// the engine's wheel horizon; PeakQueue and Slots (event-storage
+	// capacity, in events) are maxima across engines.
+	Events       uint64 `json:"events"`
+	Scheduled    uint64 `json:"scheduled"`
+	FarScheduled uint64 `json:"far_scheduled"`
+	PeakQueue    int    `json:"peak_queue"`
+	Slots        int    `json:"slots"`
 	// SimMS sums the engines' final virtual clocks.
-	SimMS int64
-	// BuildNanos sums wall time from campaign construction to engine
-	// start; RunNanos from engine start to completion.
-	BuildNanos int64
-	RunNanos   int64
+	SimMS int64 `json:"sim_ms"`
+	// BuildMS / RunMS sum wall time from campaign construction to
+	// engine start and from engine start to completion; ElapsedMS is
+	// the runner's whole-run measurement (includes analysis and
+	// rendering).
+	BuildMS   float64 `json:"build_ms"`
+	RunMS     float64 `json:"run_ms"`
+	ElapsedMS float64 `json:"elapsed_ms"`
+	// EventsPerSec is dispatch throughput over engine-run wall time.
+	EventsPerSec float64 `json:"events_per_sec"`
 	// Messages/Bytes/Dropped sum the transport counters.
-	Messages uint64
-	Bytes    uint64
-	Dropped  uint64
+	Messages uint64 `json:"messages"`
+	Bytes    uint64 `json:"bytes"`
+	Dropped  uint64 `json:"dropped"`
 	// PeakHeapBytes is the largest live-heap reading taken as each
 	// engine finished (the campaign's state is fully resident then);
-	// Nodes the largest overlay size among them. Process-wide heap, so
-	// concurrent campaigns inflate each other's reading — documented
-	// in docs/PERFORMANCE.md.
-	PeakHeapBytes uint64
-	Nodes         int
-	// Sharded-run aggregates, all zero when every folded run was
-	// single-engine: conductor counters summed across runs, the largest
-	// configured worker count, and per-lane engine stats merged by lane
-	// position (global lane first).
-	ShardWorkers int
-	ShardWindows uint64
-	ShardStalled uint64
-	ShardMerged  uint64
-	// ShardWork / ShardSpan / ShardGlobalEvents sum the conductor's
-	// per-window work, per-window span and serial global-lane events
-	// (sim.ConductorStats) across runs.
-	ShardWork         uint64
-	ShardSpan         uint64
-	ShardGlobalEvents uint64
-	Lanes             []LaneTelemetry
+	// Nodes the largest overlay size among them; BytesPerNode their
+	// ratio (zero for chain-only runs) — the telemetry counterpart of
+	// the bytes-per-node ceiling test. Process-wide heap, so concurrent
+	// campaigns inflate each other's reading (docs/PERFORMANCE.md).
+	PeakHeapBytes uint64  `json:"peak_heap_bytes,omitempty"`
+	Nodes         int     `json:"nodes,omitempty"`
+	BytesPerNode  float64 `json:"bytes_per_node,omitempty"`
+	// Shard* sum sim.ConductorStats across the folded sharded runs
+	// (ShardWorkers is the largest configured worker count); all zero
+	// and omitted when every run was single-engine. ShardStalled counts
+	// lane-windows lost to the conservative-lookahead bound,
+	// ShardLaneWindows the region-lane executions, so the stall share
+	// is stalled ÷ (stalled + lane-windows).
+	ShardWorkers       int    `json:"shard_workers,omitempty"`
+	ShardWindows       uint64 `json:"shard_windows,omitempty"`
+	ShardGlobalWindows uint64 `json:"shard_global_windows,omitempty"`
+	ShardLaneWindows   uint64 `json:"shard_lane_windows,omitempty"`
+	ShardStalled       uint64 `json:"shard_stalled,omitempty"`
+	ShardMerged        uint64 `json:"shard_merged,omitempty"`
+	ShardWork          uint64 `json:"shard_work,omitempty"`
+	ShardSpan          uint64 `json:"shard_span,omitempty"`
+	ShardGlobalEvents  uint64 `json:"shard_global_events,omitempty"`
+	// Lanes merges the per-lane engine stats by lane position (global
+	// lane first).
+	Lanes []LaneTelemetry `json:"lanes,omitempty"`
 	// PairWindows is the conductor's per-lane-pair window-width
 	// histogram summed across runs, sorted by (src, dst), zero-count
-	// pairs omitted.
-	PairWindows []PairWindowTelemetry
+	// pairs omitted: which lane bound which lane's phase-B deadline,
+	// how often it stalled, and how wide the granted windows were.
+	PairWindows []PairWindowTelemetry `json:"pair_windows,omitempty"`
 	// Kinds is the per-event-kind dispatch profile, merged across
 	// engines by kind name, sorted by descending wall time. Empty
 	// unless tracing was enabled.
-	Kinds []KindStats
+	Kinds []KindStats `json:"kinds,omitempty"`
 	// Tracers holds each engine's full tracer (ring spans and progress
 	// samples) when tracing was enabled, in completion order.
-	Tracers []*Tracer
+	Tracers []*Tracer `json:"-"`
+}
+
+// ShardBound is the exact speed-up bound of a sharded run's window
+// decomposition over one lane, (work + global) / (span + global): with
+// a barrier after every window, no number of workers finishes sooner
+// than the busiest lane of each window plus the serial global lane.
+// It is a pure function of the schedule — never of the host or the
+// worker count — and zero for a run that executed no window.
+func (r RunTelemetry) ShardBound() float64 {
+	if r.ShardSpan+r.ShardGlobalEvents == 0 {
+		return 0
+	}
+	return float64(r.ShardWork+r.ShardGlobalEvents) / float64(r.ShardSpan+r.ShardGlobalEvents)
 }
 
 // LaneTelemetry is one conductor lane's contribution across the folded
@@ -173,24 +176,6 @@ type LaneTelemetry struct {
 	Scheduled uint64 `json:"scheduled"`
 	SimMS     int64  `json:"sim_ms"`
 	PeakQueue int    `json:"peak_queue"`
-}
-
-// EventsPerSec is the run's dispatch throughput over its engine-run
-// wall time.
-func (r *RunTelemetry) EventsPerSec() float64 {
-	if r.RunNanos <= 0 {
-		return 0
-	}
-	return float64(r.Events) / (float64(r.RunNanos) / 1e9)
-}
-
-// BytesPerNode is the peak-heap cost per overlay node, the telemetry
-// counterpart of the committed bytes-per-node ceiling test.
-func (r *RunTelemetry) BytesPerNode() float64 {
-	if r.Nodes <= 0 {
-		return 0
-	}
-	return float64(r.PeakHeapBytes) / float64(r.Nodes)
 }
 
 // Collector accumulates RunTelemetry per seed. The zero value is
@@ -311,8 +296,11 @@ func (s *RunScope) Finish(sample RunSample) {
 	r.PeakQueue = max(r.PeakQueue, sample.Engine.MaxPending)
 	r.Slots = max(r.Slots, sample.Engine.Slots)
 	r.SimMS += int64(sample.Engine.Now)
-	r.BuildNanos += s.runStart.Sub(s.created).Nanoseconds()
-	r.RunNanos += now.Sub(s.runStart).Nanoseconds()
+	r.BuildMS += float64(s.runStart.Sub(s.created).Nanoseconds()) / 1e6
+	r.RunMS += float64(now.Sub(s.runStart).Nanoseconds()) / 1e6
+	if r.RunMS > 0 {
+		r.EventsPerSec = float64(r.Events) / (r.RunMS / 1e3)
+	}
 	r.Messages += sample.Messages
 	r.Bytes += sample.Bytes
 	r.Dropped += sample.Dropped
@@ -323,15 +311,20 @@ func (s *RunScope) Finish(sample RunSample) {
 	runtime.ReadMemStats(&m)
 	r.PeakHeapBytes = max(r.PeakHeapBytes, m.HeapAlloc)
 	r.Nodes = max(r.Nodes, sample.Nodes)
-	if sh := sample.Shard; sh != nil {
-		r.ShardWorkers = max(r.ShardWorkers, sh.Workers)
-		r.ShardWindows += sh.Windows
-		r.ShardStalled += sh.Stalled
-		r.ShardMerged += sh.Merged
-		r.ShardWork += sh.Work
-		r.ShardSpan += sh.Span
-		r.ShardGlobalEvents += sh.GlobalEvents
-		for i, ls := range sh.Lanes {
+	if r.Nodes > 0 {
+		r.BytesPerNode = float64(r.PeakHeapBytes) / float64(r.Nodes)
+	}
+	if cs := sample.Conductor; cs != nil {
+		r.ShardWorkers = max(r.ShardWorkers, sample.Workers)
+		r.ShardWindows += cs.Windows
+		r.ShardGlobalWindows += cs.GlobalWindows
+		r.ShardLaneWindows += cs.LaneWindows
+		r.ShardStalled += cs.Stalled
+		r.ShardMerged += cs.Merged
+		r.ShardWork += cs.Work
+		r.ShardSpan += cs.Span
+		r.ShardGlobalEvents += cs.GlobalEvents
+		for i, ls := range sample.Lanes {
 			if i >= len(r.Lanes) {
 				r.Lanes = append(r.Lanes, LaneTelemetry{})
 			}
@@ -340,9 +333,9 @@ func (s *RunScope) Finish(sample RunSample) {
 			r.Lanes[i].SimMS += int64(ls.Now)
 			r.Lanes[i].PeakQueue = max(r.Lanes[i].PeakQueue, ls.MaxPending)
 		}
-		for src := range sh.Pairs {
-			for dst := range sh.Pairs[src] {
-				p := sh.Pairs[src][dst]
+		for src := range cs.Pairs {
+			for dst := range cs.Pairs[src] {
+				p := cs.Pairs[src][dst]
 				if p.Count == 0 {
 					continue
 				}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -119,12 +120,87 @@ func TestCollectorAggregatesPerSeed(t *testing.T) {
 	if r.Engines != 2 || r.Events != 4 || r.Messages != 6 || r.Bytes != 200 {
 		t.Fatalf("aggregate = %+v", r)
 	}
-	if r.RunNanos <= 0 {
-		t.Fatalf("RunNanos = %d, want > 0", r.RunNanos)
+	if r.RunMS <= 0 {
+		t.Fatalf("RunMS = %v, want > 0", r.RunMS)
 	}
 	// Taken once, gone after.
 	if again := c.Take([]uint64{77}); len(again) != 0 {
 		t.Fatalf("second Take returned %v", again)
+	}
+
+	// Sharded: two conductor runs under one seed. Counters sum, the
+	// worker count is the largest configured, lanes merge by position
+	// and pair windows come out sorted by (src, dst) without the
+	// zero-count pairs.
+	pairs := func(cells map[[2]int]sim.PairWindowStats) [][]sim.PairWindowStats {
+		p := make([][]sim.PairWindowStats, 3)
+		for i := range p {
+			p[i] = make([]sim.PairWindowStats, 3)
+		}
+		for at, w := range cells {
+			p[at[0]][at[1]] = w
+		}
+		return p
+	}
+	samples := []RunSample{{
+		Engine: sim.EngineStats{Processed: 30}, Bytes: 500, Nodes: 10, Workers: 2,
+		Conductor: &sim.ConductorStats{Windows: 5, GlobalWindows: 2, LaneWindows: 7, Stalled: 3, Merged: 11,
+			Work: 20, Span: 12, GlobalEvents: 4, Pairs: pairs(map[[2]int]sim.PairWindowStats{
+				{2, 1}: {Count: 2, Stalled: 1, WidthSum: 9, Widths: [sim.WindowWidthBuckets]uint64{1, 0, 0, 0, 1}},
+				{0, 2}: {Count: 1, WidthSum: 3, Widths: [sim.WindowWidthBuckets]uint64{0, 0, 1}},
+				{1, 2}: {}, // zero count: omitted
+			})},
+		Lanes: []sim.EngineStats{{Processed: 4, Scheduled: 5, Now: 100, MaxPending: 3}, {Processed: 26, Now: 90, MaxPending: 8}},
+	}, {
+		Engine: sim.EngineStats{Processed: 50}, Bytes: 700, Nodes: 20, Workers: 6,
+		Conductor: &sim.ConductorStats{Windows: 8, GlobalWindows: 3, LaneWindows: 9, Stalled: 1, Merged: 13,
+			Work: 40, Span: 30, GlobalEvents: 6, Pairs: pairs(map[[2]int]sim.PairWindowStats{
+				{2, 1}: {Count: 1, WidthSum: 4, Widths: [sim.WindowWidthBuckets]uint64{0, 0, 0, 1}},
+				{1, 2}: {Count: 3, Stalled: 3, Widths: [sim.WindowWidthBuckets]uint64{3}},
+			})},
+		Lanes: []sim.EngineStats{{Processed: 6, Now: 50, MaxPending: 2}, {Processed: 40, Now: 80, MaxPending: 1}, {Processed: 4}},
+	}}
+	c.EnableTelemetry()
+	for _, sample := range samples {
+		s := c.StartRun(88, nil)
+		s.RunStarted()
+		s.Finish(sample)
+	}
+	r = c.Take([]uint64{88})[88]
+	widths := func(b ...uint64) []uint64 {
+		return append(b, make([]uint64, sim.WindowWidthBuckets-len(b))...)
+	}
+	shard := RunTelemetry{
+		ShardWorkers: 6, ShardWindows: 13, ShardGlobalWindows: 5, ShardLaneWindows: 16, ShardStalled: 4,
+		ShardMerged: 24, ShardWork: 60, ShardSpan: 42, ShardGlobalEvents: 10,
+		Lanes: []LaneTelemetry{
+			{Events: 10, Scheduled: 5, SimMS: 150, PeakQueue: 3},
+			{Events: 66, SimMS: 170, PeakQueue: 8},
+			{Events: 4},
+		},
+		PairWindows: []PairWindowTelemetry{
+			{Src: 0, Dst: 2, Count: 1, WidthSum: 3, Widths: widths(0, 0, 1)},
+			{Src: 1, Dst: 2, Count: 3, Stalled: 3, Widths: widths(3)},
+			{Src: 2, Dst: 1, Count: 3, Stalled: 1, WidthSum: 13, Widths: widths(1, 0, 0, 1, 1)},
+		},
+	}
+	fold := RunTelemetry{
+		ShardWorkers: r.ShardWorkers, ShardWindows: r.ShardWindows, ShardGlobalWindows: r.ShardGlobalWindows,
+		ShardLaneWindows: r.ShardLaneWindows, ShardStalled: r.ShardStalled, ShardMerged: r.ShardMerged,
+		ShardWork: r.ShardWork, ShardSpan: r.ShardSpan, ShardGlobalEvents: r.ShardGlobalEvents,
+		Lanes: r.Lanes, PairWindows: r.PairWindows,
+	}
+	if !reflect.DeepEqual(fold, shard) {
+		t.Fatalf("sharded fold = %+v\nwant %+v", fold, shard)
+	}
+	if r.Engines != 2 || r.Events != 80 || r.Bytes != 1200 || r.Nodes != 20 {
+		t.Fatalf("sharded aggregate = %+v", r)
+	}
+	if want := float64(r.Events) / (r.RunMS / 1e3); r.RunMS <= 0 || r.EventsPerSec != want {
+		t.Fatalf("EventsPerSec = %v over %v ms, want %v", r.EventsPerSec, r.RunMS, want)
+	}
+	if want := float64(r.PeakHeapBytes) / 20; r.BytesPerNode != want {
+		t.Fatalf("BytesPerNode = %v, want %v", r.BytesPerNode, want)
 	}
 }
 

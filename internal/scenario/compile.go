@@ -480,13 +480,13 @@ func (v *Variant) networkOutcome(name string, res *core.CampaignResult, sc exper
 			"bytes_per_block": bw.BytesPerBlock(),
 		}
 		for _, c := range bw.Classes {
-			o.Metrics["class_"+c.Name+"_bytes"] = float64(c.Bytes)
+			o.Metrics["class_"+c.Kind.String()+"_bytes"] = float64(c.Bytes)
 		}
 		if r := bw.Reconstruction; r.Attempts() > 0 {
 			o.Metrics["reconstruct_hit_rate"] = r.HitRate()
-			o.Metrics["reconstruct_full"] = float64(r.Full)
-			o.Metrics["reconstruct_roundtrip"] = float64(r.Partial)
-			o.Metrics["reconstruct_fallback"] = float64(r.Fallback)
+			o.Metrics["reconstruct_full"] = float64(r.ReconstructFull)
+			o.Metrics["reconstruct_roundtrip"] = float64(r.ReconstructPartial)
+			o.Metrics["reconstruct_fallback"] = float64(r.ReconstructFallback)
 		}
 	case "commit_times":
 		commit, err := analysis.CommitTimes(res.Index, res.View)
