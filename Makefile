@@ -25,11 +25,14 @@ test-faults:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/ethrepro -only D1 -scale small -repeats 2 -parallel 4 -out "$$dir/d1"
 
-# Relay gate: the full protocol-conformance suite (liveness,
-# duplicate-fetch, bandwidth-accounting and determinism invariants for
-# every registered relay protocol), the R1/R2 + relay-compare golden
-# invariance harness, a `go test -cover` summary for internal/p2p/...,
-# and one R1 shoot-out campaign run through the real CLI.
+# Relay gate: the conformance suite in internal/p2p/relay (liveness,
+# duplicate-fetch, bandwidth-accounting and determinism invariants plus
+# a pinned digest per relay discipline and lane layout, driving the
+# disciplines in internal/p2p/relay.go through a real network) and its
+# zero-allocation ceiling, the R1/R2 + relay-compare golden invariance
+# harness, a `go test -cover` summary for internal/p2p/... (which runs
+# the transport tests too), and one R1 shoot-out campaign run through
+# the real CLI.
 test-relay:
 	$(GO) test -v ./internal/p2p/relay/
 	$(GO) test -run 'TestGoldenRelaySpecsParallelInvariance|TestGoldenScenarioArtifactsParallelInvariance/relay-compare.json' -v -timeout 30m ./internal/experiments

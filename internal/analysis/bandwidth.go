@@ -87,7 +87,7 @@ func RenderBandwidth(b *Bandwidth) (string, error) {
 	}
 	if r := b.Reconstruction; r.Attempts() > 0 || r.SketchesSent > 0 {
 		fmt.Fprintf(&sb, "  reconstruction: %d sketches sent, %d received; full %d, round-trip %d, fallback %d (hit rate %.1f%%)\n",
-			r.SketchesSent, r.SketchesReceived, r.ReconstructFull, r.ReconstructPartial, r.ReconstructFallback, r.HitRate()*100)
+			r.SketchesSent, r.Attempts(), r.ReconstructFull, r.ReconstructPartial, r.ReconstructFallback, r.HitRate()*100)
 		if r.ReconstructPartial > 0 {
 			fmt.Fprintf(&sb, "  missing txs fetched: %d (%.2f MB)\n", r.MissingTxs, float64(r.MissingTxBytes)/1e6)
 		}

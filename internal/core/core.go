@@ -421,9 +421,7 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		if cfg.Workload == nil && cfg.Faults == nil {
 			cond.GlobalHorizon = miners.NextInjectionAt
 		}
-		c.network.EnableSharding(cond, func() relay.Protocol {
-			return relay.MustNew(cfg.Relay)
-		})
+		c.network.EnableSharding(cond)
 		if c.injector != nil {
 			c.injector.EnableSharding()
 		}
@@ -552,7 +550,7 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 	} else {
 		c.engine.Run()
 	}
-	// Region lanes count privately: move their transport and protocol
+	// Region lanes count privately: move their transport and relay
 	// counters into the network's public accounting before anything
 	// reads it.
 	c.network.FoldLanes()
@@ -653,17 +651,16 @@ func (c *Campaign) laneStats() []sim.EngineStats {
 
 // bandwidth assembles the per-protocol transport accounting from the
 // network's class counters, the measurement nodes' ingress/egress and
-// the relay protocol's reconstruction counters.
+// the relay counters.
 func (c *Campaign) bandwidth() *analysis.Bandwidth {
-	proto := c.network.Relay()
 	b := &analysis.Bandwidth{
-		Protocol:        proto.Mode().String(),
+		Protocol:        c.cfg.Relay.Mode.String(),
 		TotalMessages:   c.network.MessagesSent,
 		TotalBytes:      c.network.BytesSent,
 		DroppedMessages: c.network.MessagesDropped,
 		Blocks:          c.cfg.Blocks,
 		Classes:         c.network.ClassTotals(),
-		Reconstruction:  *proto.Counters(),
+		Reconstruction:  c.network.RelayCounters,
 	}
 	for _, m := range c.nodes {
 		peer := m.Peer()

@@ -19,7 +19,7 @@ func sameMessage(a, b *Message) bool {
 
 // TestFlightViewMatchesMessage sends one message of every kind from a
 // to b through the code that really builds each flight — the relay
-// env's pushes and requests, the pull server, transaction gossip — and
+// fan-out and pulls, the pull server, transaction gossip — and
 // checks that b's observer is shown, field for field, the Message the
 // pooled-message transport delivered for it, and that the bytes the
 // flight was accounted at are that Message's Size. A transaction
@@ -60,22 +60,25 @@ func TestFlightViewMatchesMessage(t *testing.T) {
 	})
 
 	ln := net.home
-	at := func(k MsgKind, n *Node) *relayEnv {
-		env := ln.envFor(n.idx(), 0, -1, -1, idx[k], slotUnknown)
-		if n == a && env.Candidates(hash(k)) != 1 {
+	push := func(k MsgKind, body *types.Block) {
+		cand, slot := ln.candidates(a.idx(), idx[k], slotUnknown)
+		if len(cand) != 1 {
 			t.Fatalf("%v: b is not a candidate", k)
 		}
-		return env
+		ln.fanOut(a.idx(), idx[k], slot, cand, 1, 0, k, body)
 	}
-	at(MsgNewBlock, a).PushBlock(0, 0, blk(MsgNewBlock))
-	at(MsgNewBlockHashes, a).Announce(0, 0, hash(MsgNewBlockHashes))
-	at(MsgCompactBlock, a).PushCompact(0, 0, blk(MsgCompactBlock))
-	at(MsgGetBlock, a).RequestBlock(int(b.ID()), 0, hash(MsgGetBlock))
-	at(MsgGetCompact, a).RequestCompact(int(b.ID()), 0, hash(MsgGetCompact))
-	at(MsgGetBlockTxns, a).RequestTxns(int(b.ID()), 0, hash(MsgGetBlockTxns), 3, 333)
+	pull := func(from, to *Node, kind, k MsgKind, count, bytes int) {
+		net.request(from.idx(), to.idx(), net.top.position(from.idx(), to.idx()), 0, kind, idx[k], count, bytes)
+	}
+	push(MsgNewBlock, blk(MsgNewBlock))
+	push(MsgNewBlockHashes, nil)
+	push(MsgCompactBlock, blk(MsgCompactBlock))
+	pull(a, b, MsgGetBlock, MsgGetBlock, 0, 0)
+	pull(a, b, MsgGetCompact, MsgGetCompact, 0, 0)
+	pull(a, b, MsgGetBlockTxns, MsgGetBlockTxns, 3, 333)
 	// BlockTxns only ever travels as the pull server's reply.
 	net.rememberBlock(a.idx(), idx[MsgBlockTxns], blk(MsgBlockTxns))
-	at(MsgBlockTxns, b).RequestTxns(int(a.ID()), 0, hash(MsgBlockTxns), 4, 444)
+	pull(b, a, MsgGetBlockTxns, MsgBlockTxns, 4, 444)
 	a.InjectTx(0, txs[1])
 	net.Engine().Run()
 

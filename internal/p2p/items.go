@@ -12,8 +12,8 @@ import (
 // injected into the network. Per-node dedup state then lives in flat
 // bit grids keyed by (node index, item index) — one bit per pair
 // instead of a ~50-byte map entry per pair — and the 32-byte hashes
-// survive only at the relay.Env and observer boundaries, where
-// protocols and reports need them.
+// survive only at the observer boundary, where reports need them, and
+// in compact reconstruction's check of a sketch against the pool.
 
 // itemIndex interns hashes to dense indices, and keeps the way back:
 // hashes[i] is the hash interned as i. One instance per item family

@@ -26,6 +26,8 @@ type transportCounters struct {
 	// relay conformance suite asserts it.
 	classMsgs  [msgKindCount]uint64
 	classBytes [msgKindCount]uint64
+	// RelayCounters is the relay discipline's sketch accounting.
+	RelayCounters relay.Counters
 }
 
 // moveInto adds c to dst and zeroes c. It copies before clearing, so
@@ -40,14 +42,15 @@ func (c *transportCounters) moveInto(dst *transportCounters) {
 		dst.classMsgs[k] += v.classMsgs[k]
 		dst.classBytes[k] += v.classBytes[k]
 	}
+	dst.RelayCounters.Add(v.RelayCounters)
 }
 
 // netLane is the transport: everything a send, a delivery or an
 // announce wave touches beyond per-node state lives here — the engine
-// it schedules on, the RNG stream it draws from, the relay protocol
-// instance, counters, slabs and fan-out scratch. It is the only
-// sim.Handler in the package. A lane's engine is single-threaded, so
-// one set of scratch per lane is safe, and the steady state is
+// it schedules on, the RNG stream it draws from, the relay discipline
+// it runs (relay.go), counters, slabs and fan-out scratch. It is the
+// only sim.Handler in the package. A lane's engine is single-threaded,
+// so one set of scratch per lane is safe, and the steady state is
 // allocation-free: a message in flight is one slab record (flight),
 // deliveries and deferred announce waves are typed engine events
 // carrying a slot number (no closure per send), and fan-out selection
@@ -61,14 +64,10 @@ type netLane struct {
 	engine *sim.Engine
 	rng    *sim.RNG
 
-	// Relay protocol instance. Protocols are stateless beyond their
-	// counters, so per-lane instances behave identically while keeping
-	// counter writes lane-local.
-	proto   relay.Protocol
-	compact relay.CompactHandler
-	// env and view are the reusable relay.Env handed to the protocol
-	// and Message shown to observers (viewOf).
-	env  relayEnv
+	// relay is the block-relay discipline the lane's nodes run; region
+	// lanes copy the home lane's.
+	relay relay.Discipline
+	// view is the reusable Message shown to observers (viewOf).
 	view Message
 
 	ctr *transportCounters
@@ -107,17 +106,9 @@ type netLane struct {
 }
 
 // newLane builds a lane on the given engine, RNG stream and counter
-// block; the caller installs its protocol (setProto).
-func newLane(net *Network, engine *sim.Engine, rng *sim.RNG, ctr *transportCounters) *netLane {
-	return &netLane{net: net, engine: engine, rng: rng, ctr: ctr}
-}
-
-// setProto installs the lane's relay protocol instance, caching the
-// compact-family interface assertion so per-message dispatch pays no
-// type switch.
-func (ln *netLane) setProto(p relay.Protocol) {
-	ln.proto = p
-	ln.compact, _ = p.(relay.CompactHandler)
+// block, running discipline d.
+func newLane(net *Network, engine *sim.Engine, rng *sim.RNG, ctr *transportCounters, d relay.Discipline) *netLane {
+	return &netLane{net: net, engine: engine, rng: rng, ctr: ctr, relay: d}
 }
 
 // laneOf returns the lane owning node index i.
@@ -172,8 +163,7 @@ func (ln *netLane) HandleEvent(now sim.Time, op, idx uint64) {
 			// The wave was scheduled before the node crashed.
 			return
 		}
-		env := ln.envFor(a.node, now, -1, -1, a.block, slotUnknown)
-		ln.proto.OnWave(env, now, net.blockIdx.hashes[a.block], a.origin)
+		ln.announceWave(a.node, now, a.block, a.origin)
 	}
 }
 

@@ -26,14 +26,13 @@ var laneLayouts = []struct {
 type layoutFixture struct {
 	net  *Network
 	cond *sim.Conductor // nil on the one-lane layout
-	mode relay.Mode
 }
 
 // newLayoutFixture returns an empty default-latency network under the
 // given relay discipline. Add and wire nodes, then call start.
 func newLayoutFixture(t testing.TB, regionLanes bool, seed uint64, mode relay.Mode) *layoutFixture {
 	t.Helper()
-	f := &layoutFixture{mode: mode}
+	f := &layoutFixture{}
 	engine := sim.NewEngine()
 	if regionLanes {
 		f.cond = sim.NewConductor(geo.NumRegions)
@@ -83,9 +82,7 @@ func (f *layoutFixture) start(t testing.TB) {
 		}
 	}
 	f.cond.SetBounds(bounds)
-	f.net.EnableSharding(f.cond, func() relay.Protocol {
-		return relay.MustNew(relay.Config{Mode: f.mode})
-	})
+	f.net.EnableSharding(f.cond)
 }
 
 // run drains the layout's scheduler. It does not fold lane counters.
@@ -213,7 +210,8 @@ func TestTransportConservation(t *testing.T) {
 // TestFoldLanesIdempotent is the regression test for the lane→network
 // counter fold: it used to add without clearing, so a second call
 // double-counted. The fold moves counts, so however often it runs the
-// public surface equals the sum the lanes held before the first fold.
+// public surface — relay counters included — equals the sum the lanes
+// held before the first fold.
 func TestFoldLanesIdempotent(t *testing.T) {
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
@@ -228,22 +226,17 @@ func TestFoldLanesIdempotent(t *testing.T) {
 				f.run(2)
 			}
 			var want transportCounters
-			var wantProto relay.Counters
 			for _, ln := range f.net.all {
 				c := *ln.ctr
 				c.moveInto(&want)
-				wantProto.Add(*ln.proto.Counters())
 			}
-			if want.MessagesSent == 0 || wantProto.SketchesSent == 0 {
-				t.Fatalf("fixture too quiet: %d sends, %d sketches", want.MessagesSent, wantProto.SketchesSent)
+			if want.MessagesSent == 0 || want.RelayCounters.SketchesSent == 0 {
+				t.Fatalf("fixture too quiet: %d sends, %d sketches", want.MessagesSent, want.RelayCounters.SketchesSent)
 			}
 			for round := 1; round <= 2; round++ {
 				f.net.FoldLanes()
 				if f.net.transportCounters != want {
-					t.Fatalf("after fold %d: transport totals %+v, want %+v", round, f.net.transportCounters, want)
-				}
-				if got := *f.net.Relay().Counters(); got != wantProto {
-					t.Fatalf("after fold %d: protocol counters %+v, want %+v", round, got, wantProto)
+					t.Fatalf("after fold %d: totals %+v, want %+v", round, f.net.transportCounters, want)
 				}
 			}
 		})

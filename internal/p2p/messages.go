@@ -3,7 +3,9 @@
 // propagate either as direct NewBlock pushes (header + body) to a
 // square-root subset of peers or as NewBlockHashes announcements to
 // the rest, with announcement receivers pulling unknown blocks via
-// GetBlock. Transactions are broadcast to all peers.
+// GetBlock — the default relay discipline, which relay.go runs beside
+// the four alternatives relay.Mode names. Transactions are broadcast
+// to all peers.
 //
 // Every message carries a realistic serialized size (derived from the
 // RLP encodings in internal/types), which the geo latency model turns
@@ -115,8 +117,7 @@ type Message struct {
 // neither end hashes anything: the sender resolved the index once for
 // the whole fan-out, the receiver addresses its bit rows and
 // suppression window with it, and the hash (or transaction) is read
-// back from the network's tables only where a relay.Env or an observer
-// needs it. srcPos is the sender's position in the destination's peer
+// back from the network's tables only where an observer needs it. srcPos is the sender's position in the destination's peer
 // span at send time (-1 unknown); the receiver validates it and falls
 // back to a scan. size is the serialized size counted at send time,
 // carried so ingress accounting does not re-derive it. In a free slab

@@ -81,17 +81,18 @@ type Network struct {
 	knowSlot []int32
 	spill    [][]spillMark
 
-	// Transport totals (MessagesSent, BytesSent, MessagesDropped and the
-	// per-class breakdown). On the one-lane layout the home lane writes
-	// them directly, so they are live; region lanes count privately and
-	// FoldLanes moves their counts here once the run has drained.
+	// Transport totals (MessagesSent, BytesSent, MessagesDropped, the
+	// per-class breakdown and RelayCounters). On the one-lane layout
+	// the home lane writes them directly, so they are live; region
+	// lanes count privately and FoldLanes moves their counts here once
+	// the run has drained.
 	transportCounters
 
-	// home is the lane a bare-engine network runs on. It carries the
-	// primary relay protocol instance (Relay) whichever layout is
-	// active. lanes maps a region to the lane owning its nodes (1-based;
-	// slot 0 unused) and all is the dense view for iteration: every
-	// slot aliases home until EnableSharding installs the region lanes.
+	// home is the lane a bare-engine network runs on. It holds the
+	// network's relay discipline (SetRelay) whichever layout is active.
+	// lanes maps a region to the lane owning its nodes (1-based; slot 0
+	// unused) and all is the dense view for iteration: every slot
+	// aliases home until EnableSharding installs the region lanes.
 	home  *netLane
 	lanes [geo.NumRegions + 1]*netLane
 	all   []*netLane
@@ -160,14 +161,11 @@ const (
 	opAnnounce
 )
 
-// Relay returns the active block-relay protocol.
-func (net *Network) Relay() relay.Protocol { return net.home.proto }
-
-// SetRelay installs a block-relay protocol (construct one fresh per
-// network with relay.New — protocol counters are per-campaign state).
-// Call it before EnableSharding, which builds the region lanes' own
-// instances.
-func (net *Network) SetRelay(p relay.Protocol) { net.home.setProto(p) }
+// SetRelay switches the network to block-relay discipline d. Call it
+// before EnableSharding, whose region lanes copy it; on the one-lane
+// layout it may switch between runs. The relay counters
+// (RelayCounters) are the network's and carry on across a switch.
+func (net *Network) SetRelay(d relay.Discipline) { net.home.relay = d }
 
 // ClassTotal is one message class's transport accounting.
 type ClassTotal struct {
@@ -215,12 +213,11 @@ func NewNetwork(engine *sim.Engine, rng *sim.RNG, latency geo.LatencyModel) *Net
 		rng:     rng,
 		latency: latency,
 	}
-	net.home = newLane(net, engine, rng, &net.transportCounters)
+	net.home = newLane(net, engine, rng, &net.transportCounters, relay.MustNew(relay.Config{}))
 	net.all = []*netLane{net.home}
 	for r := range net.lanes {
 		net.lanes[r] = net.home
 	}
-	net.SetRelay(relay.MustNew(relay.Config{}))
 	return net
 }
 

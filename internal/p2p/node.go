@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"repro/internal/geo"
+	"repro/internal/p2p/relay"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -20,12 +21,10 @@ type NodeID int
 // Message): valid for the duration of the call only.
 type Observer func(now sim.Time, from NodeID, msg *Message)
 
-// Local protocol timing constants. The block-relay timings
-// (validate, import, announce handling) moved to internal/p2p/relay
-// with the dissemination logic; what remains here covers the
-// protocol-independent serving and transaction paths.
+// Local protocol timing constants. The block-relay timings (validate,
+// import, announce handling) are the relay package's; these cover the
+// discipline-independent serving and transaction paths.
 const (
-	announceHandleMillis  = 1
 	txValidateMillis      = 1
 	blockRequestRespondMs = 1
 )
@@ -145,7 +144,7 @@ func (n *Node) peerKnowsBlock(h types.Hash, peer NodeID) bool {
 // bookkeeping stays O(1) even at measurement-node degrees. The block or
 // transaction is addressed by f.item: no arm hashes or looks anything
 // up, and the one window scan an arm makes (markPeerKnows) is handed on
-// to the protocol's fan-out via the env.
+// to the relay fan-out.
 func (ln *netLane) handle(now sim.Time, f *flight) {
 	net := ln.net
 	i, fi := f.to, f.from
@@ -176,30 +175,33 @@ func (ln *netLane) handle(now sim.Time, f *flight) {
 		net.acceptBlock(i, now, f.b, f.item, slot, false)
 	case MsgNewBlockHashes:
 		// The announcer evidently has the block.
-		slot := net.markPeerKnows(i, f.item, fi, pos)
+		net.markPeerKnows(i, f.item, fi, pos)
 		if !row.relayOn || net.seenBits.get(i, f.item) {
 			return
 		}
 		net.seenBits.set(i, f.item)
-		// Pull the unknown block from the announcer, in whatever form
-		// the relay discipline fetches bodies.
-		ln.proto.OnAnnouncePull(ln.envFor(i, now, fi, pos, f.item, slot), now, int(fi)+1, net.blockIdx.hashes[f.item])
+		ln.announcePull(i, now, fi, pos, f.item)
 	case MsgGetBlock, MsgGetCompact, MsgGetBlockTxns:
 		ln.serve(now, f, pos)
 	case MsgCompactBlock:
-		if f.b == nil || ln.compact == nil {
+		if f.b == nil || ln.relay.Mode != relay.Compact {
 			return
 		}
 		slot := net.markPeerKnows(i, f.item, fi, pos)
 		if net.ParentPull {
 			net.maybePullParent(now, f, pos)
 		}
-		ln.compact.OnCompact(ln.envFor(i, now, fi, pos, f.item, slot), now, int(fi)+1, f.b)
+		ln.reconstruct(now, f, pos, slot)
 	case MsgBlockTxns:
-		if ln.compact == nil {
+		if ln.relay.Mode != relay.Compact {
 			return
 		}
-		ln.compact.OnBlockTxns(ln.envFor(i, now, fi, pos, f.item, slotUnknown), now, int(fi)+1, net.blockIdx.hashes[f.item])
+		// The missing transactions complete a pending reconstruction.
+		// The retained sketch block carries the full body in the
+		// simulation's object graph, so completion is acceptance.
+		if b := net.takePending(i, f.item); b != nil && !net.haveBits.get(i, f.item) {
+			net.acceptBlock(i, now, b, f.item, slotUnknown, false)
+		}
 	}
 }
 
@@ -299,38 +301,27 @@ func (net *Network) maybePullParent(now sim.Time, f *flight, pos int32) {
 		return
 	}
 	pull := flight{to: f.from, from: f.to, srcPos: net.respPos(f.to, pos), kind: MsgGetBlock, item: parent}
-	net.send(now+announceHandleMillis, &pull)
+	net.send(now+relay.AnnounceHandleDelay, &pull)
 }
 
 // acceptBlock records receipt of a full block body (interned as idx)
-// and hands onward dissemination to the network's relay protocol.
+// and hands onward dissemination to the node's lane (relayBlock).
 // origin marks the block miner's own gateway, which pays no import
 // delay before announcing; slot is idx's suppression-window slot if
-// the caller scanned for it, else slotUnknown. This is the state half
-// of the pre-extraction relayBlock; the dissemination half (push wave,
-// announce wave) lives in the protocol's OnBlock/OnWave.
+// the caller scanned for it, else slotUnknown.
 func (net *Network) acceptBlock(i int32, now sim.Time, b *types.Block, idx, slot int32, origin bool) {
 	if net.haveBits.get(i, idx) {
 		return
 	}
 	net.rememberBlock(i, idx, b)
 	net.seenBits.set(i, idx)
-	if p := net.pending[i]; len(p) > 0 {
-		// A body arriving through any path settles an in-flight
-		// compact fetch.
-		for k := range p {
-			if p[k].idx == idx {
-				p[k] = p[len(p)-1]
-				net.pending[i] = p[:len(p)-1]
-				break
-			}
-		}
-	}
+	// A body arriving through any path settles an in-flight compact
+	// fetch.
+	net.takePending(i, idx)
 	if !net.rows[i].relayOn || net.top.degree(i) == 0 {
 		return
 	}
-	ln := net.laneOf(i)
-	ln.proto.OnBlock(ln.envFor(i, now, -1, -1, idx, slot), now, b, origin)
+	net.laneOf(i).relayBlock(i, now, b, idx, slot, origin)
 }
 
 // serve answers the three pulls — GetBlock with the body, GetCompact
@@ -351,9 +342,9 @@ func (ln *netLane) serve(now sim.Time, f *flight, pos int32) {
 		reply.kind, reply.b = MsgNewBlock, net.blockBody[f.item]
 	case MsgGetCompact:
 		// Pull responses count as sent sketches alongside the push
-		// wave's, keeping Counters.SketchesSent equal to the
-		// CompactBlock class counter.
-		ln.proto.Counters().SketchesSent++
+		// wave's, keeping SketchesSent equal to the CompactBlock class
+		// counter.
+		ln.ctr.RelayCounters.SketchesSent++
 		reply.kind, reply.b = MsgCompactBlock, net.blockBody[f.item]
 	case MsgGetBlockTxns:
 		reply.kind, reply.txCount, reply.txBytes = MsgBlockTxns, f.txCount, f.txBytes

@@ -1,6 +1,8 @@
 package relay_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -24,9 +26,12 @@ import (
 //     each sum exactly to Network.BytesSent (and ingress matches on a
 //     healthy, fully drained network);
 //  4. determinism: two fresh runs at the same seed produce identical
-//     delivery traces and counters. (The -parallel 1 vs 8 gate for
-//     relay campaigns lives in internal/experiments/golden_test.go,
-//     which covers R1, R2 and relay-compare.json.)
+//     delivery traces and counters, and that run's digest — trace,
+//     class totals and relay counters — matches the value pinned in
+//     conformancePins, so behaviour is held across commits, not only
+//     across reruns. (The -parallel 1 vs 8 gate for relay campaigns
+//     lives in internal/experiments/golden_test.go, which covers R1,
+//     R2 and relay-compare.json.)
 //
 // The transport is one piece of code on two lane layouts, so the lane
 // layout is a fixture input and the suite runs on both.
@@ -88,7 +93,7 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64, regionLanes bool) *
 		t.Fatal(err)
 	}
 	if regionLanes {
-		net.EnableSharding(cond, func() relay.Protocol { return relay.MustNew(cfg) })
+		net.EnableSharding(cond)
 	}
 	for _, n := range res.nodes {
 		n := n
@@ -180,13 +185,13 @@ func TestProtocolConformance(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			for _, lay := range laneLayouts {
 				lay := lay
-				t.Run(lay.name, func(t *testing.T) { checkConformance(t, mode, lay.regionLanes) })
+				t.Run(lay.name, func(t *testing.T) { checkConformance(t, mode, lay.name, lay.regionLanes) })
 			}
 		})
 	}
 }
 
-func checkConformance(t *testing.T, mode relay.Mode, regionLanes bool) {
+func checkConformance(t *testing.T, mode relay.Mode, layout string, regionLanes bool) {
 	res := runFixture(t, relay.Config{Mode: mode}, conformanceSeed, regionLanes)
 
 	// 1. Liveness: every node holds every block.
@@ -236,7 +241,13 @@ func checkConformance(t *testing.T, mode relay.Mode, regionLanes bool) {
 	// The compact discipline must actually exercise its
 	// reconstruction paths on this fixture (pool hits and the
 	// private-tx round trips/fallbacks).
-	ctr := res.net.Relay().Counters()
+	ctr := res.net.RelayCounters
+	// Every sketch on the wire — pushed or served — is counted once,
+	// so the counter equals the CompactBlock class (zero for the
+	// disciplines without sketches).
+	if sketches := classMessages(res.net, p2p.MsgCompactBlock); ctr.SketchesSent != sketches {
+		t.Errorf("SketchesSent %d, want the CompactBlock class count %d", ctr.SketchesSent, sketches)
+	}
 	if mode == relay.Compact {
 		if ctr.ReconstructFull == 0 {
 			t.Error("compact fixture produced no full reconstructions")
@@ -245,7 +256,7 @@ func checkConformance(t *testing.T, mode relay.Mode, regionLanes bool) {
 			t.Error("compact fixture never exercised missing-tx handling")
 		}
 	} else if ctr.Attempts() != 0 || ctr.SketchesSent != 0 {
-		t.Errorf("%s reported sketch activity: %+v", mode, *ctr)
+		t.Errorf("%s reported sketch activity: %+v", mode, ctr)
 	}
 
 	// 4. Determinism: a fresh run at the same seed replays the
@@ -262,6 +273,50 @@ func checkConformance(t *testing.T, mode relay.Mode, regionLanes bool) {
 	if again.net.BytesSent != res.net.BytesSent {
 		t.Fatalf("rerun bytes %d, want %d", again.net.BytesSent, res.net.BytesSent)
 	}
+	if got, want := res.digest(), conformancePins[mode.String()+"/"+layout]; got != want {
+		t.Errorf("fixture digest %s, pinned %s: the discipline's sends, their times or its counters changed", got, want)
+	}
+}
+
+// conformancePins is the SHA-256 of each (discipline, lane layout)
+// fixture run (fixtureResult.digest), recorded before the disciplines
+// moved from this package into the transport.
+var conformancePins = map[string]string{
+	"sqrt-push/one-lane":         "ef61ec8c59477bb9d56572399e077282fde280f4822344fd4f7b7211f9becb7f",
+	"sqrt-push/region-lanes":     "cca60753855a446217a35744e8d39f2fb3159123f0b327cdec9385c9ce375247",
+	"push-all/one-lane":          "4642d56765e2484f2e80f6eb625cddb20b2bc52cab129a4ac118d0876f351f59",
+	"push-all/region-lanes":      "fd098d51e8b16ac0939dba6c083bc0f9cf2b28909dc8f0fc1fd89f680f7c31dc",
+	"announce-only/one-lane":     "79fd61042b110dab7783119c45a6eace0be01e2add0aa10c4c2617b69a9e5137",
+	"announce-only/region-lanes": "2141a77e08a42e38754a591a0c8d0b294ededb6d0b09f418d237fb4f69d1d304",
+	"compact/one-lane":           "d5bb28b459b0814f77a2a575d1f143742476f0848943369cc10e4ab53dcae354",
+	"compact/region-lanes":       "a17e873d820d90181748d0dcaf6e4e1f800354b61dbc502b47a70de3a3d1307c",
+	"hybrid/one-lane":            "3f6e0bef14c8008897f014f66e3ccfddf3de4dc0f026e8a9dfe296c8c7f891f5",
+	"hybrid/region-lanes":        "2fcb8132573d94d1476a893e5491e5e7142bc9e6b2c572ff151d1dbdcf46dcc8",
+}
+
+// digest hashes the run's delivery trace, its per-class transport
+// totals and its relay counters.
+func (r *fixtureResult) digest() string {
+	h := sha256.New()
+	for _, line := range r.trace {
+		fmt.Fprintln(h, line)
+	}
+	for _, ct := range r.net.ClassTotals() {
+		fmt.Fprintln(h, ct.Kind, ct.Messages, ct.Bytes)
+	}
+	c := r.net.RelayCounters
+	fmt.Fprintln(h, c.SketchesSent, c.ReconstructFull, c.ReconstructPartial, c.ReconstructFallback, c.MissingTxs, c.MissingTxBytes)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// classMessages returns the message count of one class.
+func classMessages(net *p2p.Network, kind p2p.MsgKind) uint64 {
+	for _, ct := range net.ClassTotals() {
+		if ct.Kind == kind {
+			return ct.Messages
+		}
+	}
+	return 0
 }
 
 // TestHybridPushFraction checks the hybrid knob actually moves the
@@ -269,12 +324,7 @@ func checkConformance(t *testing.T, mode relay.Mode, regionLanes bool) {
 func TestHybridPushFraction(t *testing.T) {
 	bodies := func(fraction float64) uint64 {
 		res := runFixture(t, relay.Config{Mode: relay.Hybrid, PushFraction: fraction}, 77, false)
-		for _, ct := range res.net.ClassTotals() {
-			if ct.Kind == p2p.MsgNewBlock {
-				return ct.Messages
-			}
-		}
-		return 0
+		return classMessages(res.net, p2p.MsgNewBlock)
 	}
 	low, high := bodies(0.1), bodies(0.9)
 	if high <= low {
@@ -287,7 +337,7 @@ func TestHybridPushFraction(t *testing.T) {
 // missing-tx round trips.
 func TestCompactFallbackThreshold(t *testing.T) {
 	res := runFixture(t, relay.Config{Mode: relay.Compact, FallbackThreshold: 0.001}, 99, false)
-	ctr := res.net.Relay().Counters()
+	ctr := res.net.RelayCounters
 	if ctr.ReconstructPartial != 0 {
 		t.Fatalf("threshold 0.001 still ran %d missing-tx round trips", ctr.ReconstructPartial)
 	}

@@ -1,27 +1,25 @@
-// Package relay implements pluggable block-relay protocols for the
-// simulated overlay: the dissemination discipline that was previously
-// hard-wired into internal/p2p is expressed as a Protocol driven
-// through a narrow Env interface the host network implements.
+// Package relay is the block-relay vocabulary the simulated overlay
+// and its configuration share: the disciplines (Mode), their knobs
+// (Config) and accounting (Counters), the protocol timing constants,
+// and the compact-block Sketch codec.
 //
-// The package deliberately does not import internal/p2p — protocols
-// are pure dissemination logic over an abstract environment, so p2p
-// can host them (it implements Env) and tests can drive them against
-// fixture environments without an import cycle.
-//
-// Four disciplines ship: the legacy sqrt-push and announce-only rules
-// (moved here byte-identically — a legacy scenario produces the same
-// artifacts it did before the extraction), push-all, a BIP152-shaped
-// compact-block protocol (short-ID sketches reconstructed from the
-// receiver's transaction pool with a deterministic missing-tx round
-// trip and full-body fallback), and a push/pull hybrid with a
-// configurable push fan-out fraction.
+// Five disciplines ship: the eth/63 sqrt-push rule the paper's
+// network runs, its push-all and announce-only ablation endpoints, a
+// BIP152-shaped compact-block protocol (short-ID sketches
+// reconstructed from the receiver's transaction pool with a
+// deterministic missing-tx round trip and full-body fallback), and a
+// push/pull hybrid with a configurable push fan-out fraction. The
+// transport runs them (internal/p2p, relay.go there); this package
+// does not import it, so configuration code names a discipline
+// without pulling in the overlay. Its conformance suite drives every
+// discipline through a real p2p.Network on both lane layouts and pins
+// each run to a recorded digest.
 package relay
 
 import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/types"
 )
 
 // Protocol timing constants, shared by every relay discipline. They
@@ -40,105 +38,14 @@ const (
 	AnnounceHandleDelay sim.Time = 1
 )
 
-// Env is the per-node view of the host network a protocol drives. The
-// host (internal/p2p) implements it with zero allocations on the push
-// path: candidate enumeration and fan-out permutations fill shared
-// scratch buffers, exactly as the pre-extraction hot path did.
-//
-// Candidate indexes returned by Candidates/Fanout are only valid until
-// the next Candidates call. Peer identifiers (the `peer` arguments)
-// are the host's stable node IDs.
-type Env interface {
-	// NodeID is the hosting node's stable identifier.
-	NodeID() int
-	// HasBlock reports whether the node already holds the full block.
-	HasBlock(h types.Hash) bool
-	// KnownTx reports whether the node's transaction pool has seen the
-	// transaction — the receiver-side visibility compact reconstruction
-	// runs on.
-	KnownTx(h types.Hash) bool
-
-	// Candidates fills the host's shared scratch with the node's up
-	// peers not yet known to have h, in stable peer order, and returns
-	// the count.
-	Candidates(h types.Hash) int
-	// Fanout returns a random permutation of [0, n) drawn from the
-	// network RNG — the draw-identical successor of rng.Perm(n).
-	Fanout(n int) []int
-
-	// PushBlock sends the full block to candidate i at virtual time
-	// `at`, marking the peer as knowing it.
-	PushBlock(i int, at sim.Time, b *types.Block)
-	// PushCompact sends a short-ID sketch of the block to candidate i.
-	PushCompact(i int, at sim.Time, b *types.Block)
-	// Announce sends a hash announcement to candidate i.
-	Announce(i int, at sim.Time, h types.Hash)
-
-	// RequestBlock asks peer for the full block body (GetBlock).
-	RequestBlock(peer int, at sim.Time, h types.Hash)
-	// RequestCompact asks peer for a compact sketch of the block.
-	RequestCompact(peer int, at sim.Time, h types.Hash)
-	// RequestTxns asks peer for `count` missing transactions of block h
-	// totalling `bytes` serialized bytes (the deterministic missing-tx
-	// round trip; the byte total sizes the response message).
-	RequestTxns(peer int, at sim.Time, h types.Hash, count, bytes int)
-
-	// ScheduleWave queues the node's deferred announce wave for h,
-	// `delay` after now.
-	ScheduleWave(delay sim.Time, h types.Hash, origin bool)
-	// AcceptBlock hands a fully available block body to the node: it
-	// is recorded, measurement-visible state updates, and the
-	// protocol's OnBlock runs for onward dissemination.
-	AcceptBlock(now sim.Time, b *types.Block)
-
-	// SetPending records an in-flight reconstruction or fallback fetch
-	// for h (b may be nil for a full-body fallback). It reports false,
-	// without overwriting, when one is already pending.
-	SetPending(h types.Hash, b *types.Block) bool
-	// HasPending reports whether a fetch/reconstruction is in flight.
-	HasPending(h types.Hash) bool
-	// TakePending removes and returns the pending entry for h.
-	TakePending(h types.Hash) (*types.Block, bool)
-}
-
-// Protocol is one block-relay discipline. A Protocol instance belongs
-// to exactly one network (its counters are per-campaign state); New
-// constructs a fresh instance per campaign.
-type Protocol interface {
-	// Mode identifies the discipline.
-	Mode() Mode
-	// OnBlock runs dissemination phase 1 after the hosting node accepts
-	// a full block. origin marks the mining gateway that built it.
-	OnBlock(env Env, now sim.Time, b *types.Block, origin bool)
-	// OnWave runs the deferred announce wave scheduled by OnBlock.
-	OnWave(env Env, now sim.Time, h types.Hash, origin bool)
-	// OnAnnouncePull fetches a block the node first learned of through
-	// a hash announcement from peer `from`.
-	OnAnnouncePull(env Env, now sim.Time, from int, h types.Hash)
-	// Counters exposes the protocol's accounting (shared struct,
-	// updated in place).
-	Counters() *Counters
-}
-
-// CompactHandler is implemented by protocols that speak the compact
-// message family (sketches, missing-tx round trips). The host network
-// routes those message kinds here.
-type CompactHandler interface {
-	// OnCompact processes a received short-ID sketch for b.
-	OnCompact(env Env, now sim.Time, from int, b *types.Block)
-	// OnBlockTxns processes the missing transactions of block h
-	// arriving from the sketch sender, completing reconstruction.
-	OnBlockTxns(env Env, now sim.Time, from int, h types.Hash)
-}
-
-// Counters is the per-protocol accounting the bandwidth analysis
-// reports. Only the compact protocol populates the reconstruction
-// fields; every field is zero for disciplines it does not apply to.
+// Counters is the relay accounting the bandwidth analysis reports.
+// Only the compact discipline populates it; every field is zero for
+// the disciplines without sketches.
 type Counters struct {
-	// SketchesSent / SketchesReceived count compact sketches on the
-	// wire (pushes, pull responses).
-	SketchesSent     uint64
-	SketchesReceived uint64
+	// SketchesSent counts compact sketches put on the wire (pushes and
+	// pull responses). A sketch received and not discarded as already
+	// held or pending is one reconstruction attempt (Attempts).
+	SketchesSent uint64
 	// ReconstructFull counts sketches reconstructed entirely from the
 	// receiver's transaction pool (the hit case).
 	ReconstructFull uint64
@@ -154,10 +61,10 @@ type Counters struct {
 	MissingTxBytes uint64
 }
 
-// Add accumulates o into c (per-lane instances fold into the primary).
+// Add accumulates o into c (region lanes fold into the network's
+// totals).
 func (c *Counters) Add(o Counters) {
 	c.SketchesSent += o.SketchesSent
-	c.SketchesReceived += o.SketchesReceived
 	c.ReconstructFull += o.ReconstructFull
 	c.ReconstructPartial += o.ReconstructPartial
 	c.ReconstructFallback += o.ReconstructFallback
@@ -181,7 +88,7 @@ func (c *Counters) HitRate() float64 {
 	return float64(c.ReconstructFull+c.ReconstructPartial) / float64(a)
 }
 
-// Config selects and parameterizes a relay protocol. The zero value
+// Config selects and parameterizes a relay discipline. The zero value
 // is the paper's sqrt-push discipline with default knobs.
 type Config struct {
 	// Mode selects the discipline.
@@ -219,37 +126,29 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// New constructs a fresh protocol instance for one network. Zero
-// knobs take their defaults.
-func New(cfg Config) (Protocol, error) {
+// Discipline is a Config that New validated and gave its default
+// knobs: the value a network runs (p2p.Network.SetRelay).
+type Discipline Config
+
+// New validates cfg and fills its zero knobs with the defaults.
+func New(cfg Config) (Discipline, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Discipline{}, err
 	}
-	switch cfg.Mode {
-	case SqrtPush, PushAll, AnnounceOnly:
-		return &pushRelay{mode: cfg.Mode}, nil
-	case Hybrid:
-		f := cfg.PushFraction
-		if f == 0 {
-			f = DefaultPushFraction
-		}
-		return &pushRelay{mode: Hybrid, fraction: f}, nil
-	case Compact:
-		t := cfg.FallbackThreshold
-		if t == 0 {
-			t = DefaultFallbackThreshold
-		}
-		return &compactRelay{fallback: t}, nil
-	default:
-		return nil, fmt.Errorf("relay: unknown mode %s", cfg.Mode)
+	if cfg.PushFraction == 0 {
+		cfg.PushFraction = DefaultPushFraction
 	}
+	if cfg.FallbackThreshold == 0 {
+		cfg.FallbackThreshold = DefaultFallbackThreshold
+	}
+	return Discipline(cfg), nil
 }
 
 // MustNew is New for known-good configurations (tests, fixtures).
-func MustNew(cfg Config) Protocol {
-	p, err := New(cfg)
+func MustNew(cfg Config) Discipline {
+	d, err := New(cfg)
 	if err != nil {
 		panic(err)
 	}
-	return p
+	return d
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/geo"
-	"repro/internal/p2p/relay"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -43,19 +42,17 @@ type crossMsg struct {
 }
 
 // EnableSharding replaces the home lane with one lane per conductor
-// region lane. newProto constructs one relay protocol instance per
-// lane (same configuration as the network's primary — per-lane
-// counters fold back into the primary at FoldLanes). Call it after the
-// overlay is built and before the run starts; per-lane RNG streams
-// fork from the network RNG here, after all wiring draws.
-func (net *Network) EnableSharding(cond *sim.Conductor, newProto func() relay.Protocol) {
+// region lane, each running the home lane's relay discipline and
+// counting privately until FoldLanes. Call it after the overlay is
+// built and before the run starts; per-lane RNG streams fork from the
+// network RNG here, after all wiring draws.
+func (net *Network) EnableSharding(cond *sim.Conductor) {
 	if cond.Regions() != geo.NumRegions {
 		panic("p2p: conductor must have one lane per region")
 	}
 	net.all = nil
 	for r := geo.Region(1); r <= geo.NumRegions; r++ {
-		ln := newLane(net, cond.Lane(int(r)-1), net.rng.Fork("lane-"+r.String()), new(transportCounters))
-		ln.setProto(newProto())
+		ln := newLane(net, cond.Lane(int(r)-1), net.rng.Fork("lane-"+r.String()), new(transportCounters), net.home.relay)
 		ln.pos = len(net.all)
 		ln.cross = make([][]crossMsg, geo.NumRegions)
 		net.lanes[r] = ln
@@ -136,21 +133,15 @@ func (net *Network) mergeTo(d int) {
 	dl.merged = n
 }
 
-// FoldLanes moves every lane's transport and protocol counters into
-// the Network's public totals and the primary relay protocol's
-// counters, so the accounting surface (ClassTotals, MessagesSent,
-// Relay().Counters()) covers region lanes too. Counts are moved, not
+// FoldLanes moves every lane's counters into the Network's public
+// totals, so the accounting surface (ClassTotals, MessagesSent,
+// RelayCounters) covers region lanes too. Counts are moved, not
 // copied — each is zeroed at its source — so folding again is a no-op,
 // and on the one-lane layout, where the home lane already writes the
 // public totals, it changes nothing. Call it after the run drains.
 func (net *Network) FoldLanes() {
-	pc := net.home.proto.Counters()
 	for _, ln := range net.all {
 		ln.ctr.moveInto(&net.transportCounters)
-		lc := ln.proto.Counters()
-		v := *lc
-		*lc = relay.Counters{}
-		pc.Add(v)
 	}
 }
 

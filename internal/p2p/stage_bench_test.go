@@ -86,30 +86,29 @@ func BenchmarkDeliverRedundant(b *testing.B) {
 	}
 }
 
-// BenchmarkFanout is a node's push wave: Candidates, the Fanout
-// permutation and sqrt(degree) PushBlock sends, at a regular node's
+// BenchmarkFanout is a node's push wave: the candidate scan, the
+// permutation and sqrt(degree) NewBlock sends, at a regular node's
 // degree and at a measurement node's. The pushed edges' suppression
 // bits are cleared again so every wave sees the full candidate list.
 func BenchmarkFanout(b *testing.B) {
 	for _, degree := range []int{16, 3333} {
 		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
 			s := newStageFixture(b, degree)
-			h := s.blk.Hash()
+			hub := s.hub.idx()
 			pushes := int(math.Sqrt(float64(degree)))
-			off := s.net.top.spans[s.hub.idx()].off
+			off := s.net.top.spans[hub].off
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now := s.net.Engine().Now()
-				env := s.ln.envFor(s.hub.idx(), now, -1, -1, s.idx, slotUnknown)
-				c := env.Candidates(h)
-				if c != degree {
-					b.Fatalf("%d candidates, want %d", c, degree)
+				cand, slot := s.ln.candidates(hub, s.idx, slotUnknown)
+				if len(cand) != degree {
+					b.Fatalf("%d candidates, want %d", len(cand), degree)
 				}
-				order := env.Fanout(c)
-				for k := 0; k < pushes; k++ {
-					env.PushBlock(order[k], now, s.blk)
-					s.net.top.knowMask[off+env.cand[order[k]]] = 0
+				s.ln.fanOut(hub, s.idx, slot, cand, pushes, now, MsgNewBlock, s.blk)
+				// fanOut leaves its permutation in the lane scratch.
+				for _, c := range s.ln.orderBuf[:pushes] {
+					s.net.top.knowMask[off+cand[c]] = 0
 				}
 				if (i+1)*pushes%drainEvery < pushes {
 					s.drain(b)

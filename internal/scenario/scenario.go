@@ -107,8 +107,8 @@ type NetworkSection struct {
 	NodeShare map[string]float64 `json:"node_share,omitempty"`
 }
 
-// RelaySection configures the pluggable block-relay protocol
-// (internal/p2p/relay in schema form).
+// RelaySection configures the block-relay discipline (relay.Config in
+// schema form).
 type RelaySection struct {
 	// Protocol names the discipline: sqrt-push (default), push-all,
 	// announce-only, compact or hybrid.
