@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzSweepExpand -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzSelectUncles -fuzztime 30s ./internal/chain/
+	$(GO) test -fuzz FuzzSettledMainChain -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzHeaderEncoding -fuzztime 15s ./internal/types/
 	$(GO) test -fuzz FuzzSampleExact -fuzztime 15s ./internal/geo/
 	$(GO) test -fuzz FuzzClosest -fuzztime 15s ./internal/discovery/
@@ -185,17 +186,22 @@ profile-tx:
 # bench/workloads.go; its bench-owned compact spec is not a registry
 # spec and is left out), printing the peak resident set each process's
 # telemetry.json recorded (obs.ProcessStats.PeakRSSMB, getrusage
-# ru_maxrss; 0 off Linux). docs/PERFORMANCE.md ("Memory: what a
-# chain-only run holds") keeps the table this printed.
+# ru_maxrss; 0 off Linux). A last row runs S2 (1,000,000 blocks) at
+# -scale medium, the probe of the settled path's flat memory.
+# docs/PERFORMANCE.md ("Memory: what a chain-only run holds") keeps
+# the table this printed.
 profile-mem:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/ethrepro" ./cmd/ethrepro; \
-	printf '%-8s %12s\n' spec 'peak RSS MB'; \
-	for id in T1 network T2 commit chain L1 W1 C1 INC A1 A2 D1 D2 D3; do \
-		"$$dir/ethrepro" -only $$id -scale small -seed 7 -out "$$dir/$$id" >/dev/null 2>&1 || \
+	printf '%-12s %12s\n' spec 'peak RSS MB'; \
+	for run in T1:small network:small T2:small commit:small chain:small L1:small W1:small \
+		C1:small INC:small A1:small A2:small D1:small D2:small D3:small S2:medium; do \
+		id=$${run%%:*}; scale=$${run#*:}; \
+		"$$dir/ethrepro" -only $$id -scale $$scale -seed 7 -out "$$dir/$$id" >/dev/null 2>&1 || \
 			{ echo "profile-mem: $$id failed"; exit 1; }; \
 		rss=$$(sed -n 's/.*"peak_rss_mb": *\([0-9.]*\).*/\1/p' "$$dir/$$id/telemetry.json"); \
-		printf '%-8s %12.1f\n' $$id "$$rss"; \
+		label=$$id; [ $$scale = small ] || label="$$id $$scale"; \
+		printf '%-12s %12.1f\n' "$$label" "$$rss"; \
 	done
 
 # The repo benchmark (BENCHMARK.json), the one definition of a

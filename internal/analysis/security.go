@@ -26,21 +26,43 @@ type SequencesResult struct {
 // Sequences computes Fig. 7 over a main chain in height order (a
 // ChainView's Main). It reads only each block's Miner.
 func Sequences(main []BlockMeta) (*SequencesResult, error) {
-	if len(main) == 0 {
+	var f SequenceFold
+	for _, meta := range main {
+		f.Add(meta.Miner)
+	}
+	return f.Result()
+}
+
+// SequenceFold is Sequences one main-chain block at a time, in height
+// order, for a chain too long to hold: the zero value is an empty
+// fold.
+type SequenceFold struct {
+	runs   stats.RunFold
+	counts map[string]int
+	total  int
+}
+
+// Add appends the miner of the next main-chain block.
+func (f *SequenceFold) Add(miner string) {
+	if f.counts == nil {
+		f.counts = map[string]int{}
+	}
+	f.runs.Add(miner)
+	f.counts[miner]++
+	f.total++
+}
+
+// Result ends the fold.
+func (f *SequenceFold) Result() (*SequencesResult, error) {
+	if f.total == 0 {
 		return nil, ErrNoBlocks
 	}
-	labels := make([]string, len(main))
-	counts := map[string]int{}
-	for i, meta := range main {
-		labels[i] = meta.Miner
-		counts[meta.Miner]++
-	}
-	runs := stats.RunLengths(labels)
+	runs, counts := f.runs.Runs(), f.counts
 	res := &SequencesResult{
 		Runs:        runs,
 		MaxRun:      make(map[string]int, len(runs)),
 		BlockCounts: counts,
-		TotalMain:   len(main),
+		TotalMain:   f.total,
 	}
 	for pool, rs := range runs {
 		res.MaxRun[pool] = stats.MaxRun(rs)

@@ -252,7 +252,7 @@ func (w *treeTwin) selectAt(parent types.Hash, mark bool) {
 	}
 	if mark {
 		for _, u := range w.ref.selectUncles(w.rules, parent, w.tracker) {
-			w.tracker.MarkUsed(u.Hash())
+			w.tracker.MarkUsed(u.Hash(), u.Number)
 		}
 	}
 }

@@ -51,19 +51,33 @@ func DefaultUncleRules() UncleRules {
 // to resurrect an uncle reference do not occur at the observed fork
 // lengths (max 3).
 type UncleTracker struct {
-	used map[types.Hash]bool
+	used map[types.Hash]uint64 // uncle hash -> its height
 }
 
 // NewUncleTracker creates an empty tracker.
 func NewUncleTracker() *UncleTracker {
-	return &UncleTracker{used: make(map[types.Hash]bool)}
+	return &UncleTracker{used: make(map[types.Hash]uint64)}
 }
 
-// MarkUsed records that an uncle hash was referenced.
-func (u *UncleTracker) MarkUsed(h types.Hash) { u.used[h] = true }
+// MarkUsed records that the uncle h at the given height was referenced.
+func (u *UncleTracker) MarkUsed(h types.Hash, height uint64) { u.used[h] = height }
 
 // Used reports whether the hash was already referenced.
-func (u *UncleTracker) Used(h types.Hash) bool { return u.used[h] }
+func (u *UncleTracker) Used(h types.Hash) bool {
+	_, ok := u.used[h]
+	return ok
+}
+
+// Forget drops the marks of uncles below the given height. A settling
+// tree calls it with its Base: no block it can still take has an
+// uncle window reaching a retired height.
+func (u *UncleTracker) Forget(below uint64) {
+	for h, n := range u.used {
+		if n < below {
+			delete(u.used, h)
+		}
+	}
+}
 
 // ValidateUncle checks whether candidate can be referenced as an uncle
 // by a block extending parent (i.e. the new block will have height
@@ -97,7 +111,7 @@ func (t *BlockTree) ValidateUncle(rules UncleRules, parent types.Hash, candidate
 		return fmt.Errorf("%w: uncle parent %s", ErrUncleUnknownParent, candidate.ParentHash.Short())
 	}
 	if rules.RestrictOneMinerUncles {
-		if chainAt, ok := t.ancestorAt(pi, candidate.Number); ok && t.nodes[chainAt].block.Header.Miner == candidate.Miner {
+		if chainAt, ok := t.ancestorAt(pi, candidate.Number); ok && t.node(chainAt).block.Header.Miner == candidate.Miner {
 			return ErrUncleSelfHeight
 		}
 	}
@@ -124,7 +138,9 @@ func (t *BlockTree) SelectUncles(rules UncleRules, parent types.Hash, tracker *U
 // each height a stored block is a valid uncle iff it is not that
 // height's ancestor, its parent is the ancestor one below, the tracker
 // has not used it and (restricted rule) its miner differs from the
-// ancestor's — ValidateUncle's conditions, read off slab indices.
+// ancestor's — ValidateUncle's conditions, read off slab indices. On a
+// tree that has retired heights the walk stops at the lowest stored
+// height (MinerParent tells a miner whose window reaches past it).
 func (t *BlockTree) SelectUncleBlocks(rules UncleRules, parent types.Hash, tracker *UncleTracker) []*types.Block {
 	anc, ok := t.index[parent]
 	if !ok || rules.MaxPerBlock <= 0 {
@@ -132,17 +148,17 @@ func (t *BlockTree) SelectUncleBlocks(rules UncleRules, parent types.Hash, track
 	}
 	var out []*types.Block
 	height := t.number(anc)
-	for depth := uint64(1); depth <= rules.MaxDepth; depth++ {
-		below := t.nodes[anc].parent
+	for depth := uint64(1); depth <= rules.MaxDepth && height >= t.base; depth++ {
+		below := t.node(anc).parent
 		if below < 0 {
 			break // genesis is nobody's uncle and has no siblings
 		}
 		for _, i := range t.atHeight(height) {
-			c := &t.nodes[i]
+			c := t.node(i)
 			if i == anc || c.parent != below {
 				continue
 			}
-			if rules.RestrictOneMinerUncles && c.block.Header.Miner == t.nodes[anc].block.Header.Miner {
+			if rules.RestrictOneMinerUncles && c.block.Header.Miner == t.node(anc).block.Header.Miner {
 				continue
 			}
 			if tracker != nil && tracker.Used(c.hash) {

@@ -80,7 +80,7 @@ func TestValidateUncleRejectsDoubleUse(t *testing.T) {
 	tree, bs := buildForkedTree(t)
 	rules := DefaultUncleRules()
 	tracker := NewUncleTracker()
-	tracker.MarkUsed(bs["b1"].Hash())
+	tracker.MarkUsed(bs["b1"].Hash(), bs["b1"].Header.Number)
 	if err := tree.ValidateUncle(rules, bs["a3"].Hash(), bs["b1"].Header, tracker); !errors.Is(err, ErrUncleAlreadyUsed) {
 		t.Fatalf("double use: %v", err)
 	}
@@ -158,7 +158,7 @@ func TestSelectUncles(t *testing.T) {
 	// With a tracker marking all side blocks used, selection is empty.
 	tracker := NewUncleTracker()
 	for _, b := range []*types.Block{b1, c1, d1} {
-		tracker.MarkUsed(b.Hash())
+		tracker.MarkUsed(b.Hash(), b.Header.Number)
 	}
 	if got := tree.SelectUncles(rules, a2.Hash(), tracker); len(got) != 0 {
 		t.Fatalf("tracked uncles reselected: %d", len(got))

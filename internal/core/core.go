@@ -569,6 +569,9 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 		sample.Conductor, sample.Workers, sample.Lanes = &cs, c.shards, c.laneStats()
 	}
 	c.obsScope.Finish(sample)
+	if err := c.miners.Err(); err != nil {
+		return nil, fmt.Errorf("core: mining: %w", err)
+	}
 
 	ds, err := analysis.MergeNodes(c.nodes)
 	if err != nil {
@@ -689,7 +692,9 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 // one-miner-fork tuples, nothing derived from them. A caller that
 // needs the analysis view builds it with analysis.ViewFromTree; one
 // that needs publish times records them through mining.Config.OnBlock
-// in its mutate (mining.RecordPublishTimes).
+// in its mutate (mining.RecordPublishTimes). A settled run
+// (mining.Config.OnSettled) hands its main chain to the hook instead
+// and returns neither.
 type ChainOnlyResult struct {
 	Tree               *chain.BlockTree
 	MultiVersionTuples map[types.Hash]int
@@ -700,9 +705,22 @@ type ChainOnlyResult struct {
 // III, §III-C5, §III-D) are chain-level properties; skipping gossip
 // lets these experiments run at the paper's 200k-block (and beyond)
 // scale.
+//
+// When the mutate sets OnSettled, the hook sees every main-chain
+// block exactly once, genesis first, in height order: settled blocks
+// during the run and the unsettled tip once the engine drains. A
+// block or pool head that reaches below the settled height fails the
+// run with the *chain.ReorgError naming its depth.
 func RunChainOnly(seed uint64, blocks uint64, mutate func(*mining.Config)) (*ChainOnlyResult, error) {
+	res, _, _, err := runChainOnly(seed, blocks, mutate)
+	return res, err
+}
+
+// runChainOnly is RunChainOnly handing back its engine and mining RNG
+// too, which the settled-path tests compare across the two paths.
+func runChainOnly(seed uint64, blocks uint64, mutate func(*mining.Config)) (*ChainOnlyResult, *sim.Engine, *sim.RNG, error) {
 	if blocks == 0 {
-		return nil, errors.New("core: chain-only run needs blocks > 0")
+		return nil, nil, nil, errors.New("core: chain-only run needs blocks > 0")
 	}
 	engine := sim.NewEngine()
 	rng := sim.NewRNG(seed)
@@ -713,15 +731,24 @@ func RunChainOnly(seed uint64, blocks uint64, mutate func(*mining.Config)) (*Cha
 	}
 	s, err := mining.NewSimulator(engine, rng, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	scope := obs.Default.StartRun(seed, engine)
 	scope.RunStarted()
 	s.Start()
 	engine.Run()
 	scope.Finish(obs.RunSample{Engine: engine.Stats()})
+	if err := s.Err(); err != nil {
+		return nil, engine, rng, fmt.Errorf("core: chain-only run: %w", err)
+	}
+	if cfg.OnSettled != nil {
+		for _, b := range s.Tree().MainChain() {
+			cfg.OnSettled(b)
+		}
+		return &ChainOnlyResult{}, engine, rng, nil
+	}
 	return &ChainOnlyResult{
 		Tree:               s.Tree(),
 		MultiVersionTuples: s.MultiVersionTuples(),
-	}, nil
+	}, engine, rng, nil
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/p2p/relay"
 	"repro/internal/sim"
 	"repro/internal/txgen"
+	"repro/internal/types"
 )
 
 // Scale selects experiment sizing.
@@ -422,7 +423,10 @@ func ChainExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
 // look beyond the one-month window).
 func WholeChainExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	blocks := wholeChainScale(sc)
-	res, err := core.RunChainOnly(seed, blocks, func(c *mining.Config) {
+	// The census reads only the main chain's miner labels (genesis
+	// excluded, as in a ChainView), one settled block at a time.
+	var census analysis.SequenceFold
+	_, err := core.RunChainOnly(seed, blocks, func(c *mining.Config) {
 		// Sequence statistics need no forks, uncles or bodies: strip
 		// the model to the mining race so millions of blocks stay
 		// cheap.
@@ -432,18 +436,16 @@ func WholeChainExperiment(seed uint64, sc Scale) (*Outcome, error) {
 			c.Pools[i].SwitchDelayMean = 0
 		}
 		c.GatewayDelay = 0
+		c.OnSettled = func(b *types.Block) {
+			if b.Header.Number > 0 {
+				census.Add(b.Header.MinerLabel)
+			}
+		}
 	})
 	if err != nil {
 		return nil, fmt.Errorf("whole-chain run: %w", err)
 	}
-	// The census reads only the main chain's miner labels (genesis
-	// excluded, as in a ChainView).
-	chainBlocks := res.Tree.MainChain()[1:]
-	main := make([]analysis.BlockMeta, len(chainBlocks))
-	for i, b := range chainBlocks {
-		main[i].Miner = b.Header.MinerLabel
-	}
-	seq, err := analysis.Sequences(main)
+	seq, err := census.Result()
 	if err != nil {
 		return nil, err
 	}
@@ -451,8 +453,8 @@ func WholeChainExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	out := &Outcome{
 		ID:       "S2",
 		Title:    "§III-D — whole-chain sequence tail",
-		Rendered: analysis.RenderWholeChainTail(tail, len(main)),
-		Metrics:  map[string]float64{"blocks": float64(len(main))},
+		Rendered: analysis.RenderWholeChainTail(tail, seq.TotalMain),
+		Metrics:  map[string]float64{"blocks": float64(seq.TotalMain)},
 	}
 	for l, n := range tail {
 		out.Metrics[fmt.Sprintf("len_%d", l)] = float64(n)

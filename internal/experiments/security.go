@@ -102,7 +102,9 @@ func ConstantinopleExperiment(seed uint64, sc Scale) (*Outcome, error) {
 		blocks = 60_000
 	}
 	run := func(delayed bool) (meanGap float64, err error) {
-		res, err := core.RunChainOnly(seed, blocks, func(c *mining.Config) {
+		// The ablation reads only the main chain's header times.
+		times := make([]uint64, 0, blocks+1)
+		_, err = core.RunChainOnly(seed, blocks, func(c *mining.Config) {
 			// Compressed bomb schedule so the effect is visible
 			// within the run: the doubling period is chosen so the
 			// bomb term reaches difficulty magnitude (2^38 vs 3e11)
@@ -122,20 +124,20 @@ func ConstantinopleExperiment(seed uint64, sc Scale) (*Outcome, error) {
 				c.Pools[i].SwitchDelayMean = 0
 			}
 			c.GatewayDelay = 0
+			c.OnSettled = func(b *types.Block) { times = append(times, b.Header.TimeMillis) }
 		})
 		if err != nil {
 			return 0, err
 		}
-		main := res.Tree.MainChain()
-		if len(main) < 3 {
+		if len(times) < 3 {
 			return 0, fmt.Errorf("chain too short")
 		}
 		// Mean gap over the final third, where the bomb has grown.
-		start := 2 * len(main) / 3
+		start := 2 * len(times) / 3
 		var sum float64
 		n := 0
-		for i := start + 1; i < len(main); i++ {
-			sum += float64(main[i].Header.TimeMillis) - float64(main[i-1].Header.TimeMillis)
+		for i := start + 1; i < len(times); i++ {
+			sum += float64(times[i]) - float64(times[i-1])
 			n++
 		}
 		return sum / float64(n) / 1000, nil

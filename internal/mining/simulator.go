@@ -80,6 +80,13 @@ type Config struct {
 	// OnDone, when set, fires once when BlockLimit heights have been
 	// produced (never fires for unlimited runs).
 	OnDone func(now sim.Time)
+	// OnSettled, when set, makes the run keep only the unsettled tip
+	// of the chain: each main-chain block is handed to it once its
+	// height lies chain.SettleDepth below the head, lowest height
+	// first, and that height's blocks are dropped. The caller hands it
+	// the rest of the main chain when the run ends (Simulator.Tree's
+	// MainChain). Nil keeps every block in the tree.
+	OnSettled func(*types.Block)
 }
 
 // DefaultConfig returns the paper-calibrated configuration.
@@ -105,9 +112,6 @@ func RecordPublishTimes(c *Config) map[types.Hash]sim.Time {
 	publish := make(map[types.Hash]sim.Time, c.BlockLimit+c.BlockLimit/32)
 	next := c.OnBlock
 	c.OnBlock = func(ev BlockEvent) {
-		// Plain assignment keeps the first publish time: a hash can
-		// only repeat when one pool wins twice in the same millisecond
-		// on the same parent with the same body, i.e. at the same Now.
 		publish[ev.Block.Hash()] = ev.Now
 		if next != nil {
 			next(ev)
@@ -161,6 +165,9 @@ type Simulator struct {
 	stopped    bool
 	doneFired  bool
 	multiTuple map[types.Hash]int // primary hash -> total versions
+	// err is the first block the tree refused, or the first pool head
+	// it no longer holds; production stops at it.
+	err error
 }
 
 // visUpdate is one block's deferred visibility: pools that see the
@@ -247,6 +254,19 @@ func (s *Simulator) NextInjectionAt() sim.Time {
 	return sim.Never
 }
 
+// Err returns the failure that stopped production, nil for a run that
+// ran to its block limit. On a settled run (Config.OnSettled) it is a
+// *chain.ReorgError naming the depth a block or a pool's head reached
+// below the settled height; on a whole-tree run nothing can fail.
+func (s *Simulator) Err() error { return s.err }
+
+func (s *Simulator) fail(err error) {
+	if s.err == nil {
+		s.err = err
+		s.Stop()
+	}
+}
+
 // Produced returns the number of block heights attempted so far.
 func (s *Simulator) Produced() uint64 { return s.produced }
 
@@ -301,6 +321,9 @@ func (s *Simulator) raceWin(now sim.Time) {
 		return
 	}
 	s.mineOne(now)
+	if s.cfg.OnSettled != nil && s.tree.Settle(s.cfg.OnSettled) {
+		s.tracker.Forget(s.tree.Base())
+	}
 	s.scheduleNext()
 }
 
@@ -321,8 +344,9 @@ func (s *Simulator) mineOne(now sim.Time) {
 		s.mineWithheld(now, pool)
 		return
 	}
-	parent, ok := s.tree.Block(pool.head)
-	if !ok {
+	parent, err := s.tree.MinerParent(pool.head, s.cfg.Uncles.MaxDepth)
+	if err != nil {
+		s.fail(fmt.Errorf("mining: pool %s: %w", pool.cfg.Name, err))
 		return
 	}
 
@@ -348,9 +372,12 @@ func (s *Simulator) mineOne(now sim.Time) {
 		GasUsed:    uint64(len(txs)) * types.TxGas,
 	}
 	primary := types.NewBlock(header, txs, uncles)
-	extended := s.insert(now, primary, pool)
+	extended, ok := s.insert(now, primary, pool)
+	if !ok {
+		return
+	}
 	for _, u := range uncleBlocks {
-		s.tracker.MarkUsed(u.Hash())
+		s.tracker.MarkUsed(u.Hash(), u.Header.Number)
 	}
 	if extended && s.cfg.TxPool != nil && len(txs) > 0 {
 		// Main-chain extension: consume the included transactions.
@@ -389,10 +416,15 @@ func (s *Simulator) mineExtraVersions(now sim.Time, pool *poolState, header type
 		}
 		// Extra versions reference no uncles; they are the uncles.
 		vb := types.NewBlock(vh, vtxs, nil)
-		extended := s.insert(now, vb, pool)
+		extended, ok := s.insert(now, vb, pool)
+		if !ok {
+			return
+		}
 		s.emit(BlockEvent{Now: now, Block: vb, Pool: pool.cfg.Name, Gateway: s.gateway(pool), Version: v, ExtendedHead: extended})
 	}
-	s.multiTuple[primary.Hash()] = versions
+	if s.cfg.OnSettled == nil { // a settled run keeps nothing per block
+		s.multiTuple[primary.Hash()] = versions
+	}
 }
 
 // The synthetic filler transaction's endpoints.
@@ -427,15 +459,26 @@ func (s *Simulator) buildBody(empty bool) []*types.Transaction {
 }
 
 // insert adds a block to the tree and schedules per-pool visibility
-// updates. It reports whether the global head moved.
-func (s *Simulator) insert(now sim.Time, b *types.Block, miner *poolState) bool {
+// updates. It reports whether the global head moved, and ok = false
+// when the tree refused the block, which fails the run.
+//
+// No refusal is benign. A duplicate would need one pool to mine twice
+// on one parent with one body, but a pool adopts its own block as head
+// the moment it mines it (and a withholder builds on its private tip),
+// so its next block always has a new parent; other pools differ in
+// Miner, extra versions in Extra. An unknown parent needs a pool head
+// or private-chain base the tree no longer holds, which only a settled
+// run's retired heights can produce.
+func (s *Simulator) insert(now sim.Time, b *types.Block, miner *poolState) (reorged, ok bool) {
 	reorged, err := s.tree.Add(b)
 	if err != nil {
-		return false
+		s.fail(fmt.Errorf("mining: pool %s: %w", miner.cfg.Name, err))
+		return false, false
 	}
-	td, tdErr := s.tree.TotalDifficulty(b.Hash())
-	if tdErr != nil {
-		return reorged
+	td, err := s.tree.TotalDifficulty(b.Hash())
+	if err != nil {
+		s.fail(err)
+		return false, false
 	}
 	// The miner sees its own block instantly.
 	if td > miner.headTD {
@@ -463,7 +506,7 @@ func (s *Simulator) insert(now sim.Time, b *types.Block, miner *poolState) bool 
 			s.engine.ScheduleCall(delay, s, uint64(pi), uint64(idx))
 		}
 	}
-	return reorged
+	return reorged, true
 }
 
 // HandleEvent implements sim.Handler: apply one pool's deferred

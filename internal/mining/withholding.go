@@ -1,6 +1,8 @@
 package mining
 
 import (
+	"fmt"
+
 	"repro/internal/chain"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -29,8 +31,13 @@ func (s *Simulator) mineWithheld(now sim.Time, pool *poolState) {
 	var parent *types.Block
 	if n := len(pool.private); n > 0 {
 		parent = pool.private[n-1]
-	} else if parent, _ = s.tree.Block(pool.head); parent == nil {
-		return
+	} else {
+		var err error
+		// A private block names no uncles: the window is its parent.
+		if parent, err = s.tree.MinerParent(pool.head, 1); err != nil {
+			s.fail(fmt.Errorf("mining: pool %s: %w", pool.cfg.Name, err))
+			return
+		}
 	}
 	gap := now - sim.Time(parent.Header.TimeMillis)
 	difficulty := chain.NextDifficulty(s.cfg.Difficulty, parent.Header.Difficulty, gap, parent.Header.Number+1)
@@ -57,7 +64,10 @@ func (s *Simulator) releaseWithheld(now sim.Time, pool *poolState) {
 	blocks := pool.private
 	pool.private = nil
 	for _, b := range blocks {
-		extended := s.insert(now, b, pool)
+		extended, ok := s.insert(now, b, pool)
+		if !ok {
+			return
+		}
 		s.emit(BlockEvent{
 			Now:          now,
 			Block:        b,

@@ -58,26 +58,54 @@ func MonthsUntilSequence(p float64, k, blocksPerMonth int) (float64, error) {
 
 // RunLengths scans a sequence of labels and returns, per label, the
 // multiset of maximal-run lengths, e.g. labels a,a,b,a yields
-// {a:[2,1], b:[1]}. The analysis pipeline feeds main-chain miner
-// labels through this to build Fig. 7.
+// {a:[2,1], b:[1]}. The analysis pipeline folds main-chain miner
+// labels through RunFold to build Fig. 7.
 func RunLengths(labels []string) map[string][]int {
-	out := make(map[string][]int)
-	if len(labels) == 0 {
-		return out
+	var f RunFold
+	for _, l := range labels {
+		f.Add(l)
 	}
-	cur := labels[0]
-	run := 1
-	for _, l := range labels[1:] {
-		if l == cur {
-			run++
-			continue
-		}
-		out[cur] = append(out[cur], run)
-		cur = l
-		run = 1
+	return f.Runs()
+}
+
+// RunFold is RunLengths one label at a time, for a sequence too long
+// to hold: the zero value is an empty fold.
+type RunFold struct {
+	runs map[string][]int
+	cur  string
+	run  int
+}
+
+// Add appends the next label.
+func (f *RunFold) Add(l string) {
+	if f.run > 0 && l == f.cur {
+		f.run++
+		return
 	}
-	out[cur] = append(out[cur], run)
-	return out
+	f.close()
+	f.cur, f.run = l, 1
+}
+
+// close files the open run.
+func (f *RunFold) close() {
+	if f.run == 0 {
+		return
+	}
+	if f.runs == nil {
+		f.runs = make(map[string][]int)
+	}
+	f.runs[f.cur] = append(f.runs[f.cur], f.run)
+	f.run = 0
+}
+
+// Runs ends the fold and returns, per label, the lengths of its
+// maximal runs in order of occurrence.
+func (f *RunFold) Runs() map[string][]int {
+	f.close()
+	if f.runs == nil {
+		f.runs = make(map[string][]int)
+	}
+	return f.runs
 }
 
 // MaxRun returns the longest run in a run-length multiset, or 0 when
