@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz race profile profile-shard profile-chain profile-tx profile-mem bench bench-contract-smoke fmt fmt-check vet loc examples examples-full validate-scenarios
+.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz fuzz-smoke race profile profile-shard profile-chain profile-tx profile-mem bench bench-contract-smoke fmt fmt-check vet loc examples examples-full validate-scenarios
 
 build:
 	$(GO) build ./...
@@ -119,9 +119,16 @@ fuzz:
 	$(GO) test -fuzz FuzzSweepExpand -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzSelectUncles -fuzztime 30s ./internal/chain/
 	$(GO) test -fuzz FuzzSettledMainChain -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzChainFold -fuzztime 30s ./internal/analysis/
 	$(GO) test -fuzz FuzzHeaderEncoding -fuzztime 15s ./internal/types/
 	$(GO) test -fuzz FuzzSampleExact -fuzztime 15s ./internal/geo/
 	$(GO) test -fuzz FuzzClosest -fuzztime 15s ./internal/discovery/
+
+# The fuzz targets CI runs past their seed corpora: the settled
+# chain-only path against the whole tree, main chain and analysis fold.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzChainFold -fuzztime 20s ./internal/analysis/
+	$(GO) test -run '^$$' -fuzz FuzzSettledMainChain -fuzztime 20s ./internal/core/
 
 # The whole short tier under the race detector. internal/experiments
 # alone needs 530-890 s here on a 2-vCPU box, past go test's default
@@ -186,8 +193,9 @@ profile-tx:
 # bench/workloads.go; its bench-owned compact spec is not a registry
 # spec and is left out), printing the peak resident set each process's
 # telemetry.json recorded (obs.ProcessStats.PeakRSSMB, getrusage
-# ru_maxrss; 0 off Linux). A last row runs S2 (1,000,000 blocks) at
-# -scale medium, the probe of the settled path's flat memory.
+# ru_maxrss; 0 off Linux). The last rows run chain (201,086 blocks)
+# and S2 (1,000,000 blocks) at -scale medium, the probes of the
+# settled path's flat memory.
 # docs/PERFORMANCE.md ("Memory: what a chain-only run holds") keeps
 # the table this printed.
 profile-mem:
@@ -195,7 +203,7 @@ profile-mem:
 	$(GO) build -o "$$dir/ethrepro" ./cmd/ethrepro; \
 	printf '%-12s %12s\n' spec 'peak RSS MB'; \
 	for run in T1:small network:small T2:small commit:small chain:small L1:small W1:small \
-		C1:small INC:small A1:small A2:small D1:small D2:small D3:small S2:medium; do \
+		C1:small INC:small A1:small A2:small D1:small D2:small D3:small chain:medium S2:medium; do \
 		id=$${run%%:*}; scale=$${run#*:}; \
 		"$$dir/ethrepro" -only $$id -scale $$scale -seed 7 -out "$$dir/$$id" >/dev/null 2>&1 || \
 			{ echo "profile-mem: $$id failed"; exit 1; }; \

@@ -123,16 +123,17 @@ func run(args []string, w *os.File) error {
 	} else {
 		fmt.Fprintf(w, "figure 5 unavailable: %v\n", err)
 	}
-	if empty, err := analysis.EmptyBlocks(view); err == nil {
+	fold := analysis.FoldView(view)
+	if empty, err := fold.EmptyBlocks(); err == nil {
 		fmt.Fprintln(w, analysis.RenderEmptyBlocks(empty, 16))
 	}
-	if forks, err := analysis.Forks(view); err == nil {
+	if forks, err := fold.Forks(); err == nil {
 		fmt.Fprintln(w, analysis.RenderForks(forks))
 	}
-	if om, err := analysis.OneMinerForks(view); err == nil {
+	if om, err := fold.OneMinerForks(); err == nil {
 		fmt.Fprintln(w, analysis.RenderOneMinerForks(om))
 	}
-	if seq, err := analysis.Sequences(view.Main); err == nil {
+	if seq, err := fold.Sequences(); err == nil {
 		fmt.Fprintln(w, analysis.RenderSequences(seq, 6, 9))
 		if censor, err := analysis.CensorshipWindows(seq, 6, 13.3); err == nil {
 			fmt.Fprintln(w, analysis.RenderCensorship(censor))

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/mining"
 	"repro/internal/stats"
 )
 
@@ -34,15 +35,14 @@ func run() error {
 		blocks = 20_000
 	}
 	fmt.Printf("simulating one month of mining (%d blocks)...\n\n", blocks)
-	res, err := core.RunChainOnly(123, blocks, nil)
+	// The run hands each settled height to the fold and keeps only
+	// the unsettled tip of its chain.
+	var fold analysis.ChainFold
+	_, err := core.RunChainOnly(123, blocks, func(c *mining.Config) { c.OnSettled = fold.Settled })
 	if err != nil {
 		return err
 	}
-	view, err := analysis.ViewFromTree(res.Tree)
-	if err != nil {
-		return err
-	}
-	seq, err := analysis.Sequences(view.Main)
+	seq, err := fold.Sequences()
 	if err != nil {
 		return err
 	}

@@ -36,25 +36,25 @@ func analyze(restrict bool) error {
 	if *short {
 		blocks = 10_000
 	}
-	res, err := core.RunChainOnly(99, blocks, func(c *mining.Config) {
+	// The run hands each settled height to the fold and keeps only
+	// the unsettled tip of its chain.
+	var fold analysis.ChainFold
+	_, err := core.RunChainOnly(99, blocks, func(c *mining.Config) {
 		c.Uncles.RestrictOneMinerUncles = restrict
+		c.OnSettled = fold.Settled
 	})
-	if err != nil {
-		return err
-	}
-	view, err := analysis.ViewFromTree(res.Tree)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("=== %s (%d blocks) ===\n", label, blocks)
 
-	empty, err := analysis.EmptyBlocks(view)
+	empty, err := fold.EmptyBlocks()
 	if err != nil {
 		return err
 	}
 	fmt.Println(analysis.RenderEmptyBlocks(empty, 8))
 
-	oneMiner, err := analysis.OneMinerForks(view)
+	oneMiner, err := fold.OneMinerForks()
 	if err != nil {
 		return err
 	}

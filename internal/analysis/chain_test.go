@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/chain"
@@ -12,7 +13,8 @@ import (
 // buildView constructs a ChainView by hand. mainMiners describes the
 // main chain in height order; forks lists off-main blocks as
 // (height, miner, parentOffset) where parentOffset is the main index
-// of the parent.
+// of the parent. A recognized fork block is named as an uncle by the
+// main-chain block one height above it.
 type forkSpec struct {
 	miner     string
 	parentIdx int // index into main chain (parent height = idx)
@@ -50,6 +52,11 @@ func buildView(mainMiners []string, mainTxCounts []int, forks []forkSpec) *Chain
 		meta := BlockMeta{Hash: hash, Parent: parentHash, Number: uint64(f.parentIdx + 2), Miner: f.miner, TxCount: f.txCount}
 		v.All[hash] = meta
 		if f.recognize {
+			// Named as an uncle by the main-chain block one height
+			// above it, as UncleRefs records.
+			namer := &v.Main[f.parentIdx+2]
+			namer.Uncles = append(namer.Uncles, hash)
+			v.All[namer.Hash] = *namer
 			v.UncleRefs[hash] = true
 		}
 	}
@@ -467,5 +474,58 @@ func TestReordering(t *testing.T) {
 	}
 	if _, err := Reordering(nil, view); err == nil {
 		t.Fatal("nil index must fail")
+	}
+}
+
+// TestForksGenesisParentQuirk pins a quirk both Forks paths share: a
+// view excludes genesis from the main chain, so an off-main block
+// whose parent is genesis hangs from no main-chain block. It is
+// counted — here as a recognized uncle — but opens no branch, and
+// Table III's length-1 row misses it. The settled fold skips genesis
+// too and reproduces the quirk byte for byte.
+func TestForksGenesisParentQuirk(t *testing.T) {
+	g := chain.NewGenesis(1000, 8_000_000)
+	tree := chain.NewBlockTree(g)
+	mk := func(parent *types.Block, miner string, difficulty uint64, uncles ...types.Header) *types.Block {
+		b := types.NewBlock(types.Header{ParentHash: parent.Hash(), Number: parent.Header.Number + 1,
+			MinerLabel: miner, Difficulty: difficulty, GasLimit: 8_000_000}, nil, uncles)
+		if _, err := tree.Add(b); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b1 := mk(g, "A", 1000)
+	onGenesis := mk(g, "B", 900)
+	b2 := mk(b1, "A", 1000, onGenesis.Header)
+	onMain := mk(b1, "C", 900)
+	mk(b2, "A", 1000)
+
+	view, err := ViewFromTree(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks, err := Forks(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forks.MainBlocks != 3 || forks.UncleBlocks != 1 || forks.UnrecognizedBlocks != 1 {
+		t.Fatalf("main %d uncles %d unrecognized %d, want 3, 1 (the block on genesis), 1",
+			forks.MainBlocks, forks.UncleBlocks, forks.UnrecognizedBlocks)
+	}
+	if len(forks.Branches) != 1 || forks.Branches[0].Blocks[0] != onMain.Hash() {
+		t.Fatalf("branches %+v: want only the one off b1", forks.Branches)
+	}
+	if got := forks.ByLength[1]; got != (ForkLengthCount{Total: 1, Unrecognized: 1}) {
+		t.Fatalf("length-1 row %+v", got)
+	}
+
+	var fold ChainFold
+	tree.Flush(fold.Settled)
+	settled, err := fold.Forks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(settled, forks) {
+		t.Fatalf("settled fold %+v, view %+v", settled, forks)
 	}
 }

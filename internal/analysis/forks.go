@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"repro/internal/types"
-)
+import "repro/internal/types"
 
 // EmptyBlocksResult reproduces Fig. 6 and the §III-C3 headline: empty
 // main-chain blocks overall and per mining pool.
@@ -37,32 +33,7 @@ func (c PoolEmptyCount) Rate() float64 {
 
 // EmptyBlocks computes Fig. 6 over a chain view.
 func EmptyBlocks(view *ChainView) (*EmptyBlocksResult, error) {
-	if view == nil || len(view.Main) == 0 {
-		return nil, ErrNoBlocks
-	}
-	res := &EmptyBlocksResult{PerPool: make(map[string]PoolEmptyCount)}
-	for _, meta := range view.Main {
-		res.TotalMain++
-		c := res.PerPool[meta.Miner]
-		c.Mined++
-		if meta.TxCount == 0 {
-			res.TotalEmpty++
-			c.Empty++
-		}
-		res.PerPool[meta.Miner] = c
-	}
-	res.Fraction = float64(res.TotalEmpty) / float64(res.TotalMain)
-	for p := range res.PerPool {
-		res.Pools = append(res.Pools, p)
-	}
-	sort.Slice(res.Pools, func(i, j int) bool {
-		a, b := res.PerPool[res.Pools[i]], res.PerPool[res.Pools[j]]
-		if a.Mined != b.Mined {
-			return a.Mined > b.Mined
-		}
-		return res.Pools[i] < res.Pools[j]
-	})
-	return res, nil
+	return FoldView(view).EmptyBlocks()
 }
 
 // ForkBranch is one maximal off-main chain segment.
@@ -103,72 +74,7 @@ type ForkLengthCount struct {
 // Forks computes Table III from a chain view: group off-main blocks
 // into parent-linked branches rooted at a main-chain block.
 func Forks(view *ChainView) (*ForksResult, error) {
-	if view == nil || len(view.Main) == 0 {
-		return nil, ErrNoBlocks
-	}
-	res := &ForksResult{ByLength: make(map[int]ForkLengthCount)}
-
-	// children index over off-main blocks.
-	children := make(map[types.Hash][]types.Hash)
-	var roots []types.Hash
-	for h, meta := range view.All {
-		if view.MainSet[h] {
-			res.MainBlocks++
-			continue
-		}
-		if view.UncleRefs[h] {
-			res.UncleBlocks++
-		} else {
-			res.UnrecognizedBlocks++
-		}
-		if view.MainSet[meta.Parent] {
-			roots = append(roots, h)
-		} else {
-			children[meta.Parent] = append(children[meta.Parent], h)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return lessHash(roots[i], roots[j]) })
-	for k := range children {
-		hs := children[k]
-		sort.Slice(hs, func(i, j int) bool { return lessHash(hs[i], hs[j]) })
-	}
-
-	// Each root starts a branch; branches follow the (rare) chains of
-	// off-main children. A fork point with multiple off-main children
-	// forms one branch per child path.
-	var walk func(h types.Hash, acc []types.Hash)
-	walk = func(h types.Hash, acc []types.Hash) {
-		acc = append(acc, h)
-		kids := children[h]
-		if len(kids) == 0 {
-			branch := ForkBranch{Blocks: append([]types.Hash(nil), acc...), Length: len(acc)}
-			branch.Recognized = true
-			for _, bh := range branch.Blocks {
-				if view.UncleRefs[bh] {
-					branch.AnyRecognized = true
-				} else {
-					branch.Recognized = false
-				}
-			}
-			res.Branches = append(res.Branches, branch)
-			c := res.ByLength[branch.Length]
-			c.Total++
-			if branch.Recognized {
-				c.Recognized++
-			} else {
-				c.Unrecognized++
-			}
-			res.ByLength[branch.Length] = c
-			return
-		}
-		for _, kid := range kids {
-			walk(kid, acc)
-		}
-	}
-	for _, root := range roots {
-		walk(root, nil)
-	}
-	return res, nil
+	return FoldView(view).Forks()
 }
 
 // OneMinerForkResult reproduces §III-C5: heights where one miner
@@ -192,73 +98,7 @@ type OneMinerForkResult struct {
 // is a height with >= 2 blocks from the same miner; versions off the
 // main chain are the "extra" blocks.
 func OneMinerForks(view *ChainView) (*OneMinerForkResult, error) {
-	if view == nil || len(view.Main) == 0 {
-		return nil, ErrNoBlocks
-	}
-	type heightKey struct {
-		number uint64
-		miner  string
-	}
-	byHeightMiner := map[heightKey][]BlockMeta{}
-	forkHeights := map[uint64]bool{}
-	for h, meta := range view.All {
-		byHeightMiner[heightKey{meta.Number, meta.Miner}] = append(byHeightMiner[heightKey{meta.Number, meta.Miner}], meta)
-		if !view.MainSet[h] {
-			forkHeights[meta.Number] = true
-		}
-	}
-	res := &OneMinerForkResult{TupleCounts: make(map[int]int)}
-	extrasTotal, extrasRecognized := 0, 0
-	pairsTotal, pairsSameTx := 0, 0
-	oneMinerHeights := 0
-	for _, metas := range byHeightMiner {
-		if len(metas) < 2 {
-			continue
-		}
-		oneMinerHeights++
-		res.TupleCounts[len(metas)]++
-		// Extra versions: the off-main ones.
-		sort.Slice(metas, func(i, j int) bool { return lessHash(metas[i].Hash, metas[j].Hash) })
-		var mainMeta *BlockMeta
-		for i := range metas {
-			if view.MainSet[metas[i].Hash] {
-				mainMeta = &metas[i]
-			}
-		}
-		for i := range metas {
-			if view.MainSet[metas[i].Hash] {
-				continue
-			}
-			if len(metas) <= 3 {
-				extrasTotal++
-				if view.UncleRefs[metas[i].Hash] {
-					extrasRecognized++
-				}
-			}
-			// Same-content comparison against the surviving version
-			// (or the first version when none survived).
-			ref := mainMeta
-			if ref == nil {
-				ref = &metas[0]
-			}
-			if ref.Hash != metas[i].Hash {
-				pairsTotal++
-				if sameTxSet(ref, &metas[i]) {
-					pairsSameTx++
-				}
-			}
-		}
-	}
-	if extrasTotal > 0 {
-		res.RecognizedFraction = float64(extrasRecognized) / float64(extrasTotal)
-	}
-	if pairsTotal > 0 {
-		res.SameTxSetFraction = float64(pairsSameTx) / float64(pairsTotal)
-	}
-	if len(forkHeights) > 0 {
-		res.FractionOfForks = float64(oneMinerHeights) / float64(len(forkHeights))
-	}
-	return res, nil
+	return FoldView(view).OneMinerForks()
 }
 
 // sameTxSet compares transaction sets, preferring explicit hash lists

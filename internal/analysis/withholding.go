@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -62,92 +62,13 @@ type WithholdingResult struct {
 // DetectWithholding scans the main chain for same-miner runs of at
 // least minRun blocks and classifies each by its burst ratio against
 // burstThreshold (the paper's reasoning uses "average inter-block
-// time" as the honest baseline; 0.3 is a conservative default).
+// time" as the honest baseline; 0.3 is a conservative default). It
+// leaves times as it found it.
 func DetectWithholding(view *ChainView, times map[types.Hash]sim.Time, minRun int, burstThreshold float64) (*WithholdingResult, error) {
-	if view == nil || len(view.Main) < 2 {
-		return nil, ErrNoBlocks
-	}
-	if minRun < 2 {
-		return nil, fmt.Errorf("analysis: minRun %d < 2", minRun)
-	}
-	if burstThreshold <= 0 || burstThreshold >= 1 {
-		return nil, fmt.Errorf("analysis: burst threshold %v outside (0,1)", burstThreshold)
-	}
-	// Global mean gap over observed consecutive main blocks.
-	var gaps []float64
-	for i := 1; i < len(view.Main); i++ {
-		a, okA := times[view.Main[i-1].Hash]
-		b, okB := times[view.Main[i].Hash]
-		if !okA || !okB {
-			continue
-		}
-		g := float64(b - a)
-		if g < 0 {
-			g = 0
-		}
-		gaps = append(gaps, g)
-	}
-	if len(gaps) == 0 {
-		return nil, fmt.Errorf("analysis: no timed consecutive blocks")
-	}
-	var sum float64
-	for _, g := range gaps {
-		sum += g
-	}
-	globalMean := sum / float64(len(gaps))
-	if globalMean <= 0 {
-		return nil, fmt.Errorf("analysis: degenerate global gap %v", globalMean)
-	}
-
-	res := &WithholdingResult{}
-	i := 0
-	for i < len(view.Main) {
-		j := i
-		for j+1 < len(view.Main) && view.Main[j+1].Miner == view.Main[i].Miner {
-			j++
-		}
-		runLen := j - i + 1
-		if runLen >= minRun {
-			verdict := WithholdingVerdict{
-				Pool:                view.Main[i].Miner,
-				StartHeight:         view.Main[i].Number,
-				Length:              runLen,
-				GlobalMeanGapMillis: globalMean,
-			}
-			var intra []float64
-			for k := i + 1; k <= j; k++ {
-				a, okA := times[view.Main[k-1].Hash]
-				b, okB := times[view.Main[k].Hash]
-				if !okA || !okB {
-					continue
-				}
-				g := float64(b - a)
-				if g < 0 {
-					g = 0
-				}
-				intra = append(intra, g)
-			}
-			if len(intra) > 0 {
-				var is float64
-				for _, g := range intra {
-					is += g
-				}
-				verdict.MeanIntraGapMillis = is / float64(len(intra))
-				verdict.BurstRatio = verdict.MeanIntraGapMillis / globalMean
-				verdict.Flagged = verdict.BurstRatio < burstThreshold
-				res.Verdicts = append(res.Verdicts, verdict)
-				res.RunsExamined++
-				if verdict.Flagged {
-					res.FlaggedRuns++
-				}
-			}
-		}
-		i = j + 1
-	}
-	sort.Slice(res.Verdicts, func(a, b int) bool {
-		return res.Verdicts[a].StartHeight < res.Verdicts[b].StartHeight
-	})
-	return res, nil
+	var f ChainFold
+	f.TestWithholding(maps.Clone(times), minRun, burstThreshold)
+	f.AddView(view)
+	return f.Withholding()
 }
 
 // RenderWithholding prints the verdict table.

@@ -11,10 +11,11 @@
 // indices — mining a block hashes nothing but the new block itself.
 //
 // A tree keeps every block until its owner calls Settle. A run that
-// reads only the main chain calls it after each block: heights more
-// than SettleDepth below the head are then handed to a sink and
-// dropped, and the slab compacts the dropped prefix, so the tree holds
-// a window of heights instead of the whole chain.
+// reads the chain one height at a time calls it after each block:
+// heights more than SettleDepth below the head are then handed to a
+// sink, main-chain block and side blocks together, and dropped, and
+// the slab compacts the dropped prefix, so the tree holds a window of
+// heights instead of the whole chain.
 package chain
 
 import (
@@ -256,32 +257,60 @@ func (t *BlockTree) MinerParent(h types.Hash, window uint64) (*types.Block, erro
 	return t.node(i).block, nil
 }
 
+// Height is one retired height as Settle hands it to its sink: the
+// main-chain block and every block stored at the height, the main
+// block included, in arrival order. Blocks is reused from one height
+// to the next; a sink that keeps it copies it.
+type Height struct {
+	Main   *types.Block
+	Blocks []*types.Block
+}
+
 // Settle retires settled heights: once the stored heights span
 // 2×SettleDepth, every height more than SettleDepth below the head is
-// retired, lowest first — its main-chain block handed to sink, then
-// all its blocks dropped from the index, the height slots and the
-// slab. Retiring a batch at a time keeps the walk to the settled
-// heights' main chain at two steps per height. It reports whether it
-// retired anything; a tree whose owner never calls it keeps every
-// block.
-func (t *BlockTree) Settle(sink func(*types.Block)) bool {
+// retired, lowest first — handed to sink, then all its blocks dropped
+// from the index, the height slots and the slab. Retiring a batch at a
+// time keeps the walk to the settled heights' main chain at two steps
+// per height. It reports whether it retired anything; a tree whose
+// owner never calls it keeps every block.
+func (t *BlockTree) Settle(sink func(Height)) bool {
 	head := t.MaxHeight()
 	if head-t.base < 2*SettleDepth {
 		return false
 	}
-	through := head - SettleDepth
+	t.retire(head-SettleDepth, sink)
+	return true
+}
+
+// Flush retires every stored height up to the head's, the unsettled
+// tip Settle keeps, handing each to sink. It is the owner's last call
+// on the tree. Blocks above the head's height (a branch longer but
+// lighter than the main chain) are not handed over: no main-chain
+// block stands at their heights.
+func (t *BlockTree) Flush(sink func(Height)) {
+	t.retire(t.MaxHeight(), sink)
+}
+
+// retire hands every stored height from the base through the given
+// one to sink and drops their blocks.
+func (t *BlockTree) retire(through uint64, sink func(Height)) {
 	n := int(through - t.base + 1)
 	main := make([]int32, n)
 	i := t.head
-	for h := head; h > through; h-- {
+	for h := t.MaxHeight(); h > through; h-- {
 		i = t.node(i).parent
 	}
 	for k := n - 1; k >= 0; k-- {
 		main[k] = i
 		i = t.node(i).parent
 	}
+	var height Height
 	for k, mi := range main {
-		sink(t.node(mi).block)
+		height.Main, height.Blocks = t.node(mi).block, height.Blocks[:0]
+		for _, j := range t.byHeight[k] {
+			height.Blocks = append(height.Blocks, t.node(j).block)
+		}
+		sink(height)
 		for _, j := range t.byHeight[k] {
 			nd := t.node(j)
 			delete(t.index, nd.hash)
@@ -303,7 +332,6 @@ func (t *BlockTree) Settle(sink func(*types.Block)) bool {
 	clear(t.nodes[kept:])
 	t.nodes = t.nodes[:kept]
 	t.off += int32(dead)
-	return true
 }
 
 // Base returns the lowest stored height: the genesis height until

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/types"
@@ -9,7 +10,7 @@ import (
 
 // settleTo extends cur to height n with heavy blocks, calling Settle
 // after each one like a settled run does, and returns the new tip.
-func settleTo(t *testing.T, tree *BlockTree, cur *types.Block, n uint64, sink func(*types.Block)) *types.Block {
+func settleTo(t *testing.T, tree *BlockTree, cur *types.Block, n uint64, sink func(Height)) *types.Block {
 	t.Helper()
 	for cur.Header.Number < n {
 		cur = mkBlock(cur, "Ethermine", 1000, 0)
@@ -19,15 +20,22 @@ func settleTo(t *testing.T, tree *BlockTree, cur *types.Block, n uint64, sink fu
 	return cur
 }
 
-// TestSettleStreamsMainChain: Settle hands the main chain to the sink
-// in height order, a batch at a time, and drops every block at the
-// retired heights, side blocks included; the stored tail completes the
+// TestSettleStreamsMainChain: Settle hands the heights to the sink in
+// height order, a batch at a time, each with its main-chain block and
+// all its blocks, and drops every block at the retired heights, side
+// blocks included; Flush hands over the stored tail and completes the
 // stream.
 func TestSettleStreamsMainChain(t *testing.T) {
 	g := testGenesis()
 	tree := NewBlockTree(g)
 	var stream []*types.Block
-	sink := func(b *types.Block) { stream = append(stream, b) }
+	var side1 []*types.Block
+	sink := func(h Height) {
+		stream = append(stream, h.Main)
+		if h.Main.Header.Number == 1 {
+			side1 = append(side1, h.Blocks...)
+		}
+	}
 	side := mkBlock(g, "Sparkpool", 500, 0)
 	mustAdd(t, tree, side)
 	head := settleTo(t, tree, g, 2*SettleDepth-1, sink)
@@ -41,7 +49,14 @@ func TestSettleStreamsMainChain(t *testing.T) {
 	if tree.Has(side.Hash()) || tree.Has(g.Hash()) || tree.Len() != 2*SettleDepth {
 		t.Fatalf("retired heights still stored: side %v genesis %v, %d blocks", tree.Has(side.Hash()), tree.Has(g.Hash()), tree.Len())
 	}
-	stream = append(stream, tree.MainChain()...)
+	if len(side1) != 2 || side1[0] != side || side1[1] != stream[1] {
+		t.Fatalf("height 1 handed over as %d blocks, want the side block then the main one", len(side1))
+	}
+	tail := tree.MainChain()
+	tree.Flush(sink)
+	if got := stream[len(stream)-len(tail):]; !slices.Equal(got, tail) {
+		t.Fatal("Flush handed over a different tail than the stored main chain")
+	}
 	if len(stream) != 3*SettleDepth+1 || stream[0] != g || stream[len(stream)-1] != head {
 		t.Fatalf("stream of %d blocks", len(stream))
 	}
@@ -64,7 +79,7 @@ func TestSettleStreamsMainChain(t *testing.T) {
 func TestSettleRefusesReorgBelowSettled(t *testing.T) {
 	g := testGenesis()
 	tree := NewBlockTree(g)
-	sink := func(*types.Block) {}
+	sink := func(Height) {}
 	fork := settleTo(t, tree, g, 10, sink)
 	var sideBlocks []*types.Block
 	side := fork

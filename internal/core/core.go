@@ -693,8 +693,9 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 // needs the analysis view builds it with analysis.ViewFromTree; one
 // that needs publish times records them through mining.Config.OnBlock
 // in its mutate (mining.RecordPublishTimes). A settled run
-// (mining.Config.OnSettled) hands its main chain to the hook instead
-// and returns neither.
+// (mining.Config.OnSettled, analysis.ChainFold's Settled for the
+// chain-level analyses) hands its heights to the hook instead and
+// returns neither.
 type ChainOnlyResult struct {
 	Tree               *chain.BlockTree
 	MultiVersionTuples map[types.Hash]int
@@ -706,11 +707,12 @@ type ChainOnlyResult struct {
 // lets these experiments run at the paper's 200k-block (and beyond)
 // scale.
 //
-// When the mutate sets OnSettled, the hook sees every main-chain
-// block exactly once, genesis first, in height order: settled blocks
-// during the run and the unsettled tip once the engine drains. A
-// block or pool head that reaches below the settled height fails the
-// run with the *chain.ReorgError naming its depth.
+// When the mutate sets OnSettled, the hook sees every height up to the
+// head's exactly once, genesis first, in height order, with its
+// main-chain block and all its blocks: settled heights during the run
+// and the unsettled tip once the engine drains. A block or pool head
+// that reaches below the settled height fails the run with the
+// *chain.ReorgError naming its depth.
 func RunChainOnly(seed uint64, blocks uint64, mutate func(*mining.Config)) (*ChainOnlyResult, error) {
 	res, _, _, err := runChainOnly(seed, blocks, mutate)
 	return res, err
@@ -742,9 +744,7 @@ func runChainOnly(seed uint64, blocks uint64, mutate func(*mining.Config)) (*Cha
 		return nil, engine, rng, fmt.Errorf("core: chain-only run: %w", err)
 	}
 	if cfg.OnSettled != nil {
-		for _, b := range s.Tree().MainChain() {
-			cfg.OnSettled(b)
-		}
+		s.Tree().Flush(cfg.OnSettled)
 		return &ChainOnlyResult{}, engine, rng, nil
 	}
 	return &ChainOnlyResult{

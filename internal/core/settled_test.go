@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/chain"
 	"repro/internal/geo"
 	"repro/internal/mining"
@@ -77,7 +79,7 @@ func FuzzSettledMainChain(f *testing.F) {
 			if mutate != nil {
 				mutate(c)
 			}
-			c.OnSettled = func(b *types.Block) { stream = append(stream, b.Hash()) }
+			c.OnSettled = func(h chain.Height) { stream = append(stream, h.Main.Hash()) }
 		})
 		if err != nil {
 			t.Fatalf("settled run: %v", err)
@@ -127,7 +129,7 @@ func TestSettledChainHeapFlat(t *testing.T) {
 	heapAt := func(blocks uint64) int64 {
 		var live uint64
 		_, err := RunChainOnly(7, blocks, func(c *mining.Config) {
-			c.OnSettled = func(*types.Block) {}
+			c.OnSettled = func(chain.Height) {}
 			c.OnDone = func(sim.Time) { live = liveHeap() }
 		})
 		if err != nil {
@@ -139,5 +141,63 @@ func TestSettledChainHeapFlat(t *testing.T) {
 	t.Logf("live heap at the last height: %d B at 20k blocks, %d B at 200k (%+d)", short, long, long-short)
 	if long-short > settledHeapSlack {
 		t.Fatalf("200k-block settled run holds %d B more than a 20k one, slack %d", long-short, settledHeapSlack)
+	}
+}
+
+// foldHeapSlack is how far TestSettledChainFoldHeapFlat lets a
+// 200,000-block fold-fed run's window — the live heap at the last
+// height less the results the fold returns — stand above a
+// 20,000-block run's. It is settledHeapSlack's bound for the same
+// reason: the fold adds a window of 7 pending heights and the open
+// fork roots, a few KB whatever the length, to the tree's 64–128
+// heights, and seeds 1–8 read +6 to +41 KB in all. Anything the fold
+// kept per height would cost at least a hash (32 B) for each of the
+// 180,000 extra blocks, 5.8 MB; a kept block skeleton (≈200 B) 36 MB.
+const foldHeapSlack = 64 << 10
+
+// TestSettledChainFoldHeapFlat holds the chain spec's settled path
+// flat in the run's length: a default-model run feeding an
+// analysis.ChainFold, at 20,000 and at 200,000 blocks. Its results
+// grow with the chain (Fig. 7's run lengths and Table III's branches,
+// ≈17 B per block), so the gate reads the live heap when the last
+// height is mined (OnDone) less the live heap of those results alone
+// once the run is over: what the tree, the engine and the fold's
+// window hold. Not parallel: the readings are process-wide.
+func TestSettledChainFoldHeapFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("200,000-block run")
+	}
+	window := func(blocks uint64) int64 {
+		fold := &analysis.ChainFold{}
+		var atDone uint64
+		_, err := RunChainOnly(7, blocks, func(c *mining.Config) {
+			c.OnSettled = fold.Settled
+			c.OnDone = func(sim.Time) { atDone = liveHeap() }
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var results [5]any
+		var errs [5]error
+		results[0], errs[0] = fold.EmptyBlocks()
+		results[1], errs[1] = fold.Forks()
+		results[2], errs[2] = fold.OneMinerForks()
+		results[3], errs[3] = fold.Sequences()
+		results[4], errs[4] = fold.Rewards()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		fold = nil
+		held := liveHeap()
+		runtime.KeepAlive(results)
+		t.Logf("%d blocks: %d B live at the last height, %d B of results", blocks, atDone, held)
+		return int64(atDone) - int64(held)
+	}
+	short, long := window(20_000), window(200_000)
+	t.Logf("window: %d B at 20k blocks, %d B at 200k (%+d)", short, long, long-short)
+	if long-short > foldHeapSlack {
+		t.Fatalf("200k-block fold-fed run holds %d B more than a 20k one beyond its results, slack %d", long-short, foldHeapSlack)
 	}
 }

@@ -16,13 +16,13 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/mining"
 	"repro/internal/p2p/relay"
 	"repro/internal/sim"
 	"repro/internal/txgen"
-	"repro/internal/types"
 )
 
 // Scale selects experiment sizing.
@@ -331,31 +331,44 @@ func CommitExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
 	return []*Outcome{f4, f5}, nil
 }
 
+// settledFold runs a settling chain-only simulation into a fresh
+// analysis.ChainFold and returns it, every height fed. mutate, when
+// set, adjusts the mining model first, and may arm the fold.
+func settledFold(seed, blocks uint64, mutate func(*mining.Config, *analysis.ChainFold)) (*analysis.ChainFold, error) {
+	fold := &analysis.ChainFold{}
+	_, err := core.RunChainOnly(seed, blocks, func(c *mining.Config) {
+		if mutate != nil {
+			mutate(c, fold)
+		}
+		c.OnSettled = fold.Settled
+	})
+	if err != nil {
+		return nil, err
+	}
+	return fold, nil
+}
+
 // ChainExperiments runs one chain-level simulation at the paper's
 // month scale and derives Fig. 6, Table III, the one-miner-fork
 // analysis, Fig. 7 and the censorship comparison.
 func ChainExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
-	res, err := core.RunChainOnly(seed, chainScale(sc), nil)
+	fold, err := settledFold(seed, chainScale(sc), nil)
 	if err != nil {
 		return nil, fmt.Errorf("chain run: %w", err)
 	}
-	view, err := analysis.ViewFromTree(res.Tree)
-	if err != nil {
-		return nil, fmt.Errorf("chain view: %w", err)
-	}
-	empty, err := analysis.EmptyBlocks(view)
+	empty, err := fold.EmptyBlocks()
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)
 	}
-	forks, err := analysis.Forks(view)
+	forks, err := fold.Forks()
 	if err != nil {
 		return nil, fmt.Errorf("table3: %w", err)
 	}
-	oneMiner, err := analysis.OneMinerForks(view)
+	oneMiner, err := fold.OneMinerForks()
 	if err != nil {
 		return nil, fmt.Errorf("one-miner: %w", err)
 	}
-	seq, err := analysis.Sequences(view.Main)
+	seq, err := fold.Sequences()
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
@@ -424,7 +437,7 @@ func ChainExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
 func WholeChainExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	blocks := wholeChainScale(sc)
 	// The census reads only the main chain's miner labels (genesis
-	// excluded, as in a ChainView), one settled block at a time.
+	// excluded, as in a ChainView), one settled height at a time.
 	var census analysis.SequenceFold
 	_, err := core.RunChainOnly(seed, blocks, func(c *mining.Config) {
 		// Sequence statistics need no forks, uncles or bodies: strip
@@ -436,9 +449,9 @@ func WholeChainExperiment(seed uint64, sc Scale) (*Outcome, error) {
 			c.Pools[i].SwitchDelayMean = 0
 		}
 		c.GatewayDelay = 0
-		c.OnSettled = func(b *types.Block) {
-			if b.Header.Number > 0 {
-				census.Add(b.Header.MinerLabel)
+		c.OnSettled = func(h chain.Height) {
+			if h.Main.Header.Number > 0 {
+				census.Add(h.Main.Header.MinerLabel)
 			}
 		}
 	})
@@ -468,21 +481,17 @@ func WholeChainExperiment(seed uint64, sc Scale) (*Outcome, error) {
 func Lesson1Experiment(seed uint64, sc Scale) (*Outcome, error) {
 	blocks := chainScale(sc) / 4
 	run := func(restrict bool) (*analysis.OneMinerForkResult, *analysis.ForksResult, error) {
-		res, err := core.RunChainOnly(seed, blocks, func(c *mining.Config) {
+		fold, err := settledFold(seed, blocks, func(c *mining.Config, _ *analysis.ChainFold) {
 			c.Uncles.RestrictOneMinerUncles = restrict
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		view, err := analysis.ViewFromTree(res.Tree)
+		om, err := fold.OneMinerForks()
 		if err != nil {
 			return nil, nil, err
 		}
-		om, err := analysis.OneMinerForks(view)
-		if err != nil {
-			return nil, nil, err
-		}
-		fk, err := analysis.Forks(view)
+		fk, err := fold.Forks()
 		if err != nil {
 			return nil, nil, err
 		}

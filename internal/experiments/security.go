@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/mining"
 	"repro/internal/rewards"
-	"repro/internal/sim"
-	"repro/internal/types"
 )
 
 // WithholdingExperiment reproduces §III-D's exoneration argument: the
@@ -27,21 +26,16 @@ func WithholdingExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	// detect runs one chain and applies the burst test to it, with the
 	// publish times recorded through the run's block hook.
 	detect := func(mutate func(*mining.Config)) (*analysis.WithholdingResult, error) {
-		var publish map[types.Hash]sim.Time
-		res, err := core.RunChainOnly(seed, blocks, func(c *mining.Config) {
+		fold, err := settledFold(seed, blocks, func(c *mining.Config, fold *analysis.ChainFold) {
 			if mutate != nil {
 				mutate(c)
 			}
-			publish = mining.RecordPublishTimes(c)
+			fold.TestWithholding(mining.RecordPublishTimes(c), minRun, threshold)
 		})
 		if err != nil {
 			return nil, err
 		}
-		view, err := analysis.ViewFromTree(res.Tree)
-		if err != nil {
-			return nil, err
-		}
-		return analysis.DetectWithholding(view, publish, minRun, threshold)
+		return fold.Withholding()
 	}
 	honestRes, err := detect(nil)
 	if err != nil {
@@ -124,7 +118,7 @@ func ConstantinopleExperiment(seed uint64, sc Scale) (*Outcome, error) {
 				c.Pools[i].SwitchDelayMean = 0
 			}
 			c.GatewayDelay = 0
-			c.OnSettled = func(b *types.Block) { times = append(times, b.Header.TimeMillis) }
+			c.OnSettled = func(h chain.Height) { times = append(times, h.Main.Header.TimeMillis) }
 		})
 		if err != nil {
 			return 0, err
@@ -231,16 +225,16 @@ func EmptyBlockSpreadExperiment(seed uint64, sc Scale) (*Outcome, error) {
 // income, and the empty-block fee tradeoff.
 func RevenueExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	blocks := chainScale(sc) / 4
-	res, err := core.RunChainOnly(seed, blocks, nil)
+	fold, err := settledFold(seed, blocks, nil)
 	if err != nil {
 		return nil, err
 	}
-	view, err := analysis.ViewFromTree(res.Tree)
+	tallies, err := fold.Rewards()
 	if err != nil {
 		return nil, err
 	}
 	const meanGasPrice = 10_000_000_000
-	acct, err := rewards.Accounting(view, rewards.DefaultSchedule(), meanGasPrice)
+	acct, err := rewards.Revenue(tallies, rewards.DefaultSchedule(), meanGasPrice)
 	if err != nil {
 		return nil, err
 	}

@@ -81,12 +81,12 @@ type Config struct {
 	// produced (never fires for unlimited runs).
 	OnDone func(now sim.Time)
 	// OnSettled, when set, makes the run keep only the unsettled tip
-	// of the chain: each main-chain block is handed to it once its
-	// height lies chain.SettleDepth below the head, lowest height
-	// first, and that height's blocks are dropped. The caller hands it
-	// the rest of the main chain when the run ends (Simulator.Tree's
-	// MainChain). Nil keeps every block in the tree.
-	OnSettled func(*types.Block)
+	// of the chain: each height is handed to it, its main-chain block
+	// and all its blocks, once it lies chain.SettleDepth below the
+	// head, lowest height first, and its blocks are dropped. The
+	// caller hands it the rest when the run ends (Simulator.Tree's
+	// Flush). Nil keeps every block in the tree.
+	OnSettled func(chain.Height)
 }
 
 // DefaultConfig returns the paper-calibrated configuration.
@@ -105,11 +105,12 @@ func DefaultConfig() Config {
 // RecordPublishTimes chains an OnBlock hook onto c that records when
 // each block version was published — for honest miners its mining
 // time, for withholders the burst release time — and returns the map
-// it fills, the input analysis.DetectWithholding reads. Call it after
-// BlockLimit is set: the map is sized from it.
+// it fills, the input of the withholding test (analysis.ChainFold's
+// TestWithholding, analysis.DetectWithholding). A settled run's fold
+// deletes each retired height's entries, so the map holds a window;
+// it is not sized up front for that reason.
 func RecordPublishTimes(c *Config) map[types.Hash]sim.Time {
-	// One published block per height, plus ~1% extra same-miner versions.
-	publish := make(map[types.Hash]sim.Time, c.BlockLimit+c.BlockLimit/32)
+	publish := make(map[types.Hash]sim.Time)
 	next := c.OnBlock
 	c.OnBlock = func(ev BlockEvent) {
 		publish[ev.Block.Hash()] = ev.Now

@@ -110,51 +110,38 @@ func Accounting(view *analysis.ChainView, s Schedule, meanGasPriceWei uint64) (m
 	if view == nil || len(view.Main) == 0 {
 		return nil, ErrNoView
 	}
-	out := make(map[string]*PoolRevenue)
-	get := func(pool string) *PoolRevenue {
-		r, ok := out[pool]
-		if !ok {
-			r = &PoolRevenue{Pool: pool}
-			out[pool] = r
+	tallies, err := analysis.FoldView(view).Rewards()
+	if err != nil {
+		return nil, err
+	}
+	return Revenue(tallies, s, meanGasPriceWei)
+}
+
+// Revenue prices each pool's reward tally (analysis.ChainFold's
+// Rewards) under a schedule: the static reward per main-chain block,
+// fees at meanGasPriceWei per transaction's gas, the nephew bonus per
+// named uncle, and each of the pool's uncles at the depth it was first
+// named from.
+func Revenue(tallies map[string]*analysis.RewardTally, s Schedule, meanGasPriceWei uint64) (map[string]*PoolRevenue, error) {
+	out := make(map[string]*PoolRevenue, len(tallies))
+	for pool, t := range tallies {
+		r := &PoolRevenue{
+			Pool:            pool,
+			BlocksMined:     t.Mined,
+			BlockRewardGwei: uint64(t.Mined) * s.BlockRewardGwei,
+			FeeGwei:         t.Txs * types.TxGas * (meanGasPriceWei / WeiPerGwei),
+			NephewGwei:      t.Nephews * s.NephewReward(),
 		}
-		return r
-	}
-	// Height index of main-chain miners for the one-miner split.
-	mainMinerAt := make(map[uint64]string, len(view.Main))
-	for _, meta := range view.Main {
-		mainMinerAt[meta.Number] = meta.Miner
-	}
-	// Uncle inclusion heights: map uncle hash -> including height.
-	includedAt := make(map[types.Hash]uint64)
-	for _, meta := range view.Main {
-		for _, u := range meta.Uncles {
-			if _, dup := includedAt[u]; !dup {
-				includedAt[u] = meta.Number
+		for depth := uint64(1); depth <= types.MaxUncleDepth; depth++ {
+			reward, err := s.UncleReward(0, depth)
+			if err != nil {
+				return nil, err
 			}
+			r.UnclesRewarded += t.Uncles[depth]
+			r.UncleGwei += uint64(t.Uncles[depth]) * reward
+			r.OneMinerUncleGwei += uint64(t.OneMinerUncles[depth]) * reward
 		}
-	}
-	for _, meta := range view.Main {
-		r := get(meta.Miner)
-		r.BlocksMined++
-		r.BlockRewardGwei += s.BlockRewardGwei
-		r.FeeGwei += uint64(meta.TxCount) * types.TxGas * (meanGasPriceWei / WeiPerGwei)
-		r.NephewGwei += uint64(len(meta.Uncles)) * s.NephewReward()
-	}
-	for h, include := range includedAt {
-		uncle, ok := view.All[h]
-		if !ok {
-			continue
-		}
-		reward, err := s.UncleReward(uncle.Number, include)
-		if err != nil {
-			return nil, err
-		}
-		r := get(uncle.Miner)
-		r.UnclesRewarded++
-		r.UncleGwei += reward
-		if mainMinerAt[uncle.Number] == uncle.Miner {
-			r.OneMinerUncleGwei += reward
-		}
+		out[pool] = r
 	}
 	return out, nil
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/mining"
 	"repro/internal/sim"
 	"repro/internal/txgen"
-	"repro/internal/types"
 )
 
 // Floors applied after scale multipliers so downscaled variants stay
@@ -136,14 +135,17 @@ func (v *Variant) applyMining(cfg *mining.Config) error {
 	return nil
 }
 
-// runChain executes a chain-only variant.
+// runChain executes a chain-only variant: the settling run feeds one
+// analysis.ChainFold, which every chain-mode output reads.
 func (v *Variant) runChain(seed uint64, sc experiments.Scale) ([]*experiments.Outcome, error) {
 	var mutateErr error
-	var publish map[types.Hash]sim.Time
-	res, err := core.RunChainOnly(seed, v.Scenario.scaledBlocks(sc), func(c *mining.Config) {
+	fold := &analysis.ChainFold{}
+	_, err := core.RunChainOnly(seed, v.Scenario.scaledBlocks(sc), func(c *mining.Config) {
 		mutateErr = v.applyMining(c)
+		c.OnSettled = fold.Settled
 		if slices.Contains(v.Scenario.outputs(), "withholding") {
-			publish = mining.RecordPublishTimes(c)
+			fold.TestWithholding(mining.RecordPublishTimes(c),
+				analysis.DefaultWithholdingMinRun, analysis.DefaultWithholdingBurstRatio)
 		}
 	})
 	if mutateErr != nil {
@@ -152,17 +154,13 @@ func (v *Variant) runChain(seed uint64, sc experiments.Scale) ([]*experiments.Ou
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", v.ID(), err)
 	}
-	view, err := analysis.ViewFromTree(res.Tree)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", v.ID(), err)
-	}
 	return v.outcomes(func(name string) (*experiments.Outcome, error) {
-		if o, handled, err := v.viewOutcome(name, view); handled {
+		if o, handled, err := v.foldOutcome(name, fold); handled {
 			return o, err
 		}
 		switch name {
 		case "withholding":
-			return v.withholdingOutcome(view, publish)
+			return v.withholdingOutcome(fold)
 		}
 		return nil, fmt.Errorf("scenario %s: output %q unavailable in chain mode", v.ID(), name)
 	})
@@ -250,8 +248,9 @@ func (v *Variant) runNetwork(seed uint64, sc experiments.Scale) ([]*experiments.
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", v.ID(), err)
 	}
+	fold := analysis.FoldView(res.View)
 	return v.outcomes(func(name string) (*experiments.Outcome, error) {
-		if o, handled, err := v.viewOutcome(name, res.View); handled {
+		if o, handled, err := v.foldOutcome(name, fold); handled {
 			return o, err
 		}
 		return v.networkOutcome(name, res, sc)
@@ -321,20 +320,20 @@ func OutputNames() []string {
 	return names
 }
 
-// viewOutcome builds the chain-view outputs shared by both modes.
-// handled reports whether name is a view output at all.
-func (v *Variant) viewOutcome(name string, view *analysis.ChainView) (*experiments.Outcome, bool, error) {
+// foldOutcome builds the chain-level outputs shared by both modes from
+// the run's fold. handled reports whether name is one of them.
+func (v *Variant) foldOutcome(name string, fold *analysis.ChainFold) (*experiments.Outcome, bool, error) {
 	o := &experiments.Outcome{Title: outputDefs[name].title}
 	switch name {
 	case "empty_blocks":
-		empty, err := analysis.EmptyBlocks(view)
+		empty, err := fold.EmptyBlocks()
 		if err != nil {
 			return nil, true, err
 		}
 		o.Rendered = analysis.RenderEmptyBlocks(empty, 16)
 		o.Metrics = map[string]float64{"empty_fraction": empty.Fraction}
 	case "forks":
-		forks, err := analysis.Forks(view)
+		forks, err := fold.Forks()
 		if err != nil {
 			return nil, true, err
 		}
@@ -346,7 +345,7 @@ func (v *Variant) viewOutcome(name string, view *analysis.ChainView) (*experimen
 			"uncle_blocks": float64(forks.UncleBlocks),
 		}
 	case "one_miner_forks":
-		om, err := analysis.OneMinerForks(view)
+		om, err := fold.OneMinerForks()
 		if err != nil {
 			return nil, true, err
 		}
@@ -357,7 +356,7 @@ func (v *Variant) viewOutcome(name string, view *analysis.ChainView) (*experimen
 			"fraction_of_forks":   om.FractionOfForks,
 		}
 	case "sequences":
-		seq, err := analysis.Sequences(view.Main)
+		seq, err := fold.Sequences()
 		if err != nil {
 			return nil, true, err
 		}
@@ -375,11 +374,10 @@ func (v *Variant) viewOutcome(name string, view *analysis.ChainView) (*experimen
 	return o, true, nil
 }
 
-// withholdingOutcome applies the §III-D burst detector to a chain
-// run, at the same calibration as the registry's W1 spec.
-func (v *Variant) withholdingOutcome(view *analysis.ChainView, publish map[types.Hash]sim.Time) (*experiments.Outcome, error) {
-	det, err := analysis.DetectWithholding(view, publish,
-		analysis.DefaultWithholdingMinRun, analysis.DefaultWithholdingBurstRatio)
+// withholdingOutcome reads the §III-D burst detector's verdicts on a
+// chain run, armed at the same calibration as the registry's W1 spec.
+func (v *Variant) withholdingOutcome(fold *analysis.ChainFold) (*experiments.Outcome, error) {
+	det, err := fold.Withholding()
 	if err != nil {
 		return nil, err
 	}
