@@ -125,10 +125,13 @@ fuzz:
 	$(GO) test -fuzz FuzzClosest -fuzztime 15s ./internal/discovery/
 
 # The fuzz targets CI runs past their seed corpora: the settled
-# chain-only path against the whole tree, main chain and analysis fold.
+# chain-only path against the whole tree (main chain and analysis
+# fold), and the adjacency arena — span relocation and in-place
+# compaction under churn — against its ordered-list reference model.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChainFold -fuzztime 20s ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzSettledMainChain -fuzztime 20s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzAdjacencyChurn -fuzztime 20s ./internal/p2p/
 
 # The whole short tier under the race detector. internal/experiments
 # alone needs 530-890 s here on a 2-vCPU box, past go test's default
@@ -193,23 +196,26 @@ profile-tx:
 # bench/workloads.go; its bench-owned compact spec is not a registry
 # spec and is left out), printing the peak resident set each process's
 # telemetry.json recorded (obs.ProcessStats.PeakRSSMB, getrusage
-# ru_maxrss; 0 off Linux). The last rows run chain (201,086 blocks)
-# and S2 (1,000,000 blocks) at -scale medium, the probes of the
-# settled path's flat memory.
+# ru_maxrss; 0 off Linux). The chain:medium and S2:medium rows run
+# chain (201,086 blocks) and S2 (1,000,000 blocks), the probes of the
+# settled path's flat memory; the last row runs network at -scale
+# stress, the 10k-node overlay whose build (hub attachment, adjacency
+# arena) sets its peak.
 # docs/PERFORMANCE.md ("Memory: what a chain-only run holds") keeps
 # the table this printed.
 profile-mem:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/ethrepro" ./cmd/ethrepro; \
-	printf '%-12s %12s\n' spec 'peak RSS MB'; \
+	printf '%-14s %12s\n' spec 'peak RSS MB'; \
 	for run in T1:small network:small T2:small commit:small chain:small L1:small W1:small \
-		C1:small INC:small A1:small A2:small D1:small D2:small D3:small chain:medium S2:medium; do \
+		C1:small INC:small A1:small A2:small D1:small D2:small D3:small chain:medium S2:medium \
+		network:stress; do \
 		id=$${run%%:*}; scale=$${run#*:}; \
 		"$$dir/ethrepro" -only $$id -scale $$scale -seed 7 -out "$$dir/$$id" >/dev/null 2>&1 || \
 			{ echo "profile-mem: $$id failed"; exit 1; }; \
 		rss=$$(sed -n 's/.*"peak_rss_mb": *\([0-9.]*\).*/\1/p' "$$dir/$$id/telemetry.json"); \
 		label=$$id; [ $$scale = small ] || label="$$id $$scale"; \
-		printf '%-12s %12.1f\n' "$$label" "$$rss"; \
+		printf '%-14s %12.1f\n' "$$label" "$$rss"; \
 	done
 
 # The repo benchmark (BENCHMARK.json), the one definition of a

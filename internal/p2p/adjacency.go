@@ -1,5 +1,10 @@
 package p2p
 
+import (
+	"cmp"
+	"slices"
+)
+
 // CSR-style adjacency for the struct-of-arrays node core.
 //
 // All peer lists live in one shared arena: node i owns the contiguous
@@ -20,10 +25,26 @@ package p2p
 //     slot s of the owning node's recent-block window (see know.go).
 //
 // Growth is the mutable overflow path churn and rewiring need: a full
-// span relocates to the arena tail with doubled capacity. Relocation
-// leaves the old window dead, bounding arena garbage at roughly the
-// live edge count; campaigns wire once and churn lightly, so the arena
-// stays compact in practice.
+// span relocates to the arena tail with doubled capacity, leaving its
+// old window dead. Hub attachment makes that the common case, not the
+// exception: a pool gateway or measurement node wired to thousands of
+// peers pushes most of their spans past capacity, and without reuse
+// the 10k-node campaign's arena held 918,632 cells (1,079,296 of slice
+// capacity) for 379,982 live edges. So grow first compacts the arena
+// in place whenever its dead cells exceed a fixed share of the spans'
+// summed capacity (compact, adjCompactShare); docs/PERFORMANCE.md
+// ("Memory layout") has the cell counts measured since.
+
+// adjCompactShare bounds arena garbage: grow compacts once the dead
+// cells exceed capSum/adjCompactShare. Every cell a relocation kills is
+// matched by at least as much new capacity (doubling a span kills its
+// old cap and adds as much again), so from one compaction to the next
+// capSum grows by more than 1/(adjCompactShare-1) — a third at 4 — and
+// the copying stays amortised O(1) per cell. A quarter holds the arena
+// to 1.25× its windows (plus the window being relocated) for about one
+// full copy per 4/3× of growth; small arenas are cheap to copy, so
+// there is no absolute floor.
+const adjCompactShare = 4
 
 // span is one node's window into the adjacency arena.
 type span struct {
@@ -36,6 +57,9 @@ type adjacency struct {
 	adj      []int32  // peer node indices (NodeID-1)
 	revAdj   []int32  // position of the reverse edge in the peer's span
 	knowMask []uint64 // per-edge recent-window suppression bits
+	// capSum is the sum of the spans' capacities: every arena cell
+	// beyond it is a dead window.
+	capSum int
 }
 
 const adjInitialCap = 8
@@ -78,7 +102,12 @@ func (t *adjacency) connected(i, j int32) bool {
 
 // grow relocates node i's span to the arena tail with at least double
 // the capacity, copying edges, reverse positions and suppression masks.
+// It compacts first when the arena's garbage passes its bound.
 func (t *adjacency) grow(i int32) {
+	if len(t.adj)-t.capSum > t.capSum/adjCompactShare {
+		t.compact()
+	}
+	// Read the span only now: compaction moves every window.
 	s := t.spans[i]
 	newCap := s.cap * 2
 	if newCap < adjInitialCap {
@@ -92,6 +121,42 @@ func (t *adjacency) grow(i int32) {
 	copy(t.revAdj[newOff:newOff+s.len], t.revAdj[s.off:s.off+s.len])
 	copy(t.knowMask[newOff:newOff+s.len], t.knowMask[s.off:s.off+s.len])
 	t.spans[i] = span{off: newOff, len: s.len, cap: newCap}
+	t.capSum += int(newCap - s.cap)
+}
+
+// compact slides every window down over the dead cells, in offset
+// order, keeping each span's capacity; the arena's backing arrays are
+// reused, so the relocation that follows appends into the freed tail.
+// Cells move with their edges — positions, reverse positions and masks
+// are per-span, so only the offsets change and no reader sees a
+// different peer, mask or draw.
+//
+// Compaction rewrites every node's offset, so it is sound only while
+// no lane is running: link, grow's one caller, runs while the overlay
+// is built and in phase A (fault rewiring, churn joins), when every
+// region lane is idle.
+func (t *adjacency) compact() {
+	order := make([]int32, 0, len(t.spans))
+	for i, s := range t.spans {
+		if s.cap > 0 {
+			order = append(order, int32(i))
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(t.spans[a].off, t.spans[b].off) })
+	var w int32
+	for _, i := range order {
+		s := &t.spans[i]
+		// w never passes s.off: every window before this one ended
+		// at or below it, so each copy moves cells down or not at all.
+		copy(t.adj[w:w+s.len], t.adj[s.off:s.off+s.len])
+		copy(t.revAdj[w:w+s.len], t.revAdj[s.off:s.off+s.len])
+		copy(t.knowMask[w:w+s.len], t.knowMask[s.off:s.off+s.len])
+		s.off = w
+		w += s.cap
+	}
+	t.adj = t.adj[:w]
+	t.revAdj = t.revAdj[:w]
+	t.knowMask = t.knowMask[:w]
 }
 
 // link appends the undirected edge i<->j, wiring both reverse

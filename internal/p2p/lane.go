@@ -82,9 +82,11 @@ type netLane struct {
 	ann        []announce
 	annFree    []int32
 
-	// Fan-out scratch: candidate span positions and permutation order.
+	// Fan-out scratch: candidate span positions, permutation order and
+	// the spilled peers known to have the block being relayed.
 	candBuf  []int32
 	orderBuf []int
+	spillBuf []int32
 
 	// pos is the lane's index in Network.all.
 	pos int

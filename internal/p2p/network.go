@@ -117,8 +117,10 @@ type Network struct {
 	ParentPull bool
 
 	// memberBits is the membership bitmap ConnectSampleBiased uses to
-	// filter candidates in O(1) per node.
-	memberBits []uint64
+	// filter candidates in O(1) per node; sampleLocal and sampleGlobal
+	// are its candidate pools, reused from call to call.
+	memberBits                []uint64
+	sampleLocal, sampleGlobal []NodeID
 }
 
 // handleChunk sizes the node-handle arena chunks.
@@ -387,7 +389,7 @@ func (net *Network) ConnectSampleBiased(node *Node, k int, regionBias float64) e
 		j := net.top.adj[s.off+p]
 		member[j>>6] |= 1 << (uint(j) & 63)
 	}
-	var local, global []NodeID
+	local, global := net.sampleLocal[:0], net.sampleGlobal[:0]
 	for id := NodeID(1); id <= net.nextID; id++ {
 		j := int32(id - 1)
 		if j == i || member[j>>6]&(1<<(uint(j)&63)) != 0 {
@@ -403,6 +405,7 @@ func (net *Network) ConnectSampleBiased(node *Node, k int, regionBias float64) e
 		j := net.top.adj[s.off+p]
 		member[j>>6] &^= 1 << (uint(j) & 63)
 	}
+	net.sampleLocal, net.sampleGlobal = local[:0], global[:0]
 	sim.Shuffle(net.rng, local)
 	sim.Shuffle(net.rng, global)
 	connected := 0

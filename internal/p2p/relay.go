@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/p2p/relay"
 	"repro/internal/sim"
@@ -98,15 +99,20 @@ func (ln *netLane) candidates(i, idx, slot int32) ([]int32, int32) {
 		}
 	} else {
 		bit := uint64(1) << uint(slot)
-		spilled := len(net.spill[i]) > 0
+		// The spill marks for slot, filtered once: the peer test below
+		// scans this short list, not the node's whole spill.
+		known := ln.spillBuf[:0]
+		for _, m := range net.spill[i] {
+			if m.slot == slot {
+				known = append(known, m.peer)
+			}
+		}
+		ln.spillBuf = known[:0]
 		for p := int32(0); p < s.len; p++ {
-			if net.top.knowMask[s.off+p]&bit != 0 {
-				continue
+			e := s.off + p
+			if net.top.knowMask[e]&bit == 0 && !slices.Contains(known, net.top.adj[e]) {
+				c = append(c, p)
 			}
-			if spilled && net.spillHas(i, net.top.adj[s.off+p], slot) {
-				continue
-			}
-			c = append(c, p)
 		}
 	}
 	ln.candBuf = c[:0]
