@@ -114,7 +114,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRNGFastPath -fuzztime 15s ./internal/sim/
 	$(GO) test -fuzz FuzzConductorOrder -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzCompactReconstruct -fuzztime 30s ./internal/p2p/relay/
-	$(GO) test -fuzz FuzzAdjacencyChurn -fuzztime 30s ./internal/p2p/
+	$(GO) test -fuzz FuzzAdjacencyChurn -fuzztime 30s -fuzzminimizetime 2s ./internal/p2p/
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzSweepExpand -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzSelectUncles -fuzztime 30s ./internal/chain/
@@ -128,10 +128,12 @@ fuzz:
 # chain-only path against the whole tree (main chain and analysis
 # fold), and the adjacency arena — span relocation and in-place
 # compaction under churn — against its ordered-list reference model.
+# FuzzAdjacencyChurn caps minimization at 2 s per input: minimizing its
+# long churn scripts otherwise eats the whole burst.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChainFold -fuzztime 20s ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzSettledMainChain -fuzztime 20s ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzAdjacencyChurn -fuzztime 20s ./internal/p2p/
+	$(GO) test -run '^$$' -fuzz FuzzAdjacencyChurn -fuzztime 20s -fuzzminimizetime 2s ./internal/p2p/
 
 # The whole short tier under the race detector. internal/experiments
 # alone needs 530-890 s here on a 2-vCPU box, past go test's default

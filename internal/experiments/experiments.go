@@ -129,74 +129,36 @@ func wholeChainScale(sc Scale) uint64 {
 	}
 }
 
-// networkCampaign runs the shared Figs. 1-3 campaign. Registry
-// campaigns always run streaming: the analyses consume the index, not
-// the raw log, so memory stays O(items) at any scale.
-func networkCampaign(seed uint64, sc Scale) (*core.CampaignResult, error) {
+// paperVantages are the paper's four vantage points in its figures'
+// column order.
+var paperVantages = []string{"EA", "NA", "WE", "CE"}
+
+// The built-in "campaign plus outputs" specs: each runs one campaign and
+// reads the named rows of the output table from it.
+var (
+	networkOutputs = []string{"propagation", "first_observation", "pool_first_observation"}
+	table2Outputs  = []string{"redundancy"}
+	commitOutputs  = []string{"commit_times", "reordering"}
+	chainOutputs   = []string{"empty_blocks", "forks", "one_miner_forks", "sequences"}
+)
+
+// networkConfig is the shared Figs. 1-3 campaign. Registry campaigns
+// always run streaming: the analyses consume the index, not the raw
+// log, so memory stays O(items) at any scale.
+func networkConfig(seed uint64, sc Scale) core.CampaignConfig {
 	nodes, blocks, peers := networkScale(sc)
 	cfg := core.DefaultCampaignConfig(seed)
 	cfg.NetworkNodes = nodes
 	cfg.Blocks = blocks
 	cfg.Measurement = core.PaperMeasurementSpecs(peers)
 	cfg.Streaming = true
-	return core.RunCampaign(cfg)
+	return cfg
 }
 
 // NetworkExperiments runs one campaign and derives Figs. 1, 2 and 3
 // from it (the paper computes all three from the same month of logs).
 func NetworkExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
-	res, err := networkCampaign(seed, sc)
-	if err != nil {
-		return nil, fmt.Errorf("network campaign: %w", err)
-	}
-	prop, err := analysis.PropagationDelays(res.Index)
-	if err != nil {
-		return nil, fmt.Errorf("fig1: %w", err)
-	}
-	first, err := analysis.FirstObservations(res.Index)
-	if err != nil {
-		return nil, fmt.Errorf("fig2: %w", err)
-	}
-	pools, err := analysis.PoolFirstObservations(res.Index, 15)
-	if err != nil {
-		return nil, fmt.Errorf("fig3: %w", err)
-	}
-	f1 := &Outcome{
-		ID:       "F1",
-		Title:    "Figure 1 — block propagation delay",
-		Rendered: analysis.RenderPropagation(prop),
-		Metrics: map[string]float64{
-			"median_ms": prop.Summary.Median,
-			"mean_ms":   prop.Summary.Mean,
-			"p95_ms":    prop.Summary.P95,
-			"p99_ms":    prop.Summary.P99,
-		},
-	}
-	f2 := &Outcome{
-		ID:       "F2",
-		Title:    "Figure 2 — first observation share per region",
-		Rendered: analysis.RenderFirstObservations(first),
-		Metrics: map[string]float64{
-			"EA_share": first.Share["EA"],
-			"NA_share": first.Share["NA"],
-			"WE_share": first.Share["WE"],
-			"CE_share": first.Share["CE"],
-		},
-	}
-	eaPoolShare := 0.0
-	if m, ok := pools.FirstShare["Sparkpool"]; ok {
-		eaPoolShare = m["EA"]
-	}
-	f3 := &Outcome{
-		ID:       "F3",
-		Title:    "Figure 3 — first observation per mining pool",
-		Rendered: analysis.RenderPoolObservations(pools, []string{"EA", "NA", "WE", "CE"}),
-		Metrics: map[string]float64{
-			"sparkpool_EA_first": eaPoolShare,
-			"pools":              float64(len(pools.Pools)),
-		},
-	}
-	return []*Outcome{f1, f2, f3}, nil
+	return CampaignOutputs(networkConfig(seed, sc), paperVantages, networkOutputs)
 }
 
 // Table1 renders the static infrastructure table.
@@ -211,41 +173,18 @@ func Table1() *Outcome {
 
 // Table2 runs the subsidiary 25-peer redundancy measurement (§II's
 // May 2-9 campaign) and renders Table II.
-func Table2(seed uint64, sc Scale) (*Outcome, error) {
-	nodes, blocks, _ := networkScale(sc)
-	cfg := core.DefaultCampaignConfig(seed)
-	cfg.NetworkNodes = nodes
-	cfg.Blocks = blocks
-	cfg.Streaming = true
+func Table2(seed uint64, sc Scale) ([]*Outcome, error) {
+	cfg := networkConfig(seed, sc)
 	// One default-configuration node alongside the four primaries,
 	// exactly like the paper's subsidiary measurement.
 	cfg.Measurement = append(core.PaperMeasurementSpecs(0),
 		core.MeasurementSpec{Name: "WE-default", Region: geo.WesternEurope, Peers: 25})
-	res, err := core.RunCampaign(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("redundancy campaign: %w", err)
-	}
-	red, err := analysis.Redundancy(res.Index, "WE-default")
-	if err != nil {
-		return nil, fmt.Errorf("table2: %w", err)
-	}
-	return &Outcome{
-		ID:       "T2",
-		Title:    "Table II — redundant block receptions",
-		Rendered: analysis.RenderRedundancy(red),
-		Metrics: map[string]float64{
-			"announce_mean": red.Announcements.Mean,
-			"whole_mean":    red.WholeBlocks.Mean,
-			"combined_mean": red.Combined.Mean,
-			"combined_p99":  red.Combined.P99,
-		},
-	}, nil
+	return CampaignOutputs(cfg, []string{"WE-default"}, table2Outputs)
 }
 
-// workloadCampaign runs the Figs. 4-5 campaign: a smaller overlay with
-// a live transaction workload and tx-link capture. mutate, when
-// non-nil, adjusts the mining configuration (scenario experiments).
-func workloadCampaign(seed uint64, sc Scale, mutate func(*mining.Config)) (*core.CampaignResult, error) {
+// workloadConfig is the Figs. 4-5 campaign: a smaller overlay with a
+// live transaction workload and tx-link capture.
+func workloadConfig(seed uint64, sc Scale) core.CampaignConfig {
 	cfg := core.DefaultCampaignConfig(seed)
 	switch sc {
 	case ScaleMedium:
@@ -271,64 +210,12 @@ func workloadCampaign(seed uint64, sc Scale, mutate func(*mining.Config)) (*core
 	wl.Senders = 600
 	wl.MeanInterArrival = 500 * sim.Millisecond // ~2 tx/s, ~26 tx/block
 	cfg.Workload = &wl
-	if mutate != nil {
-		mutate(&cfg.Mining)
-	}
-	return core.RunCampaign(cfg)
+	return cfg
 }
 
 // CommitExperiments runs one workload campaign and derives Figs. 4-5.
 func CommitExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
-	res, err := workloadCampaign(seed, sc, nil)
-	if err != nil {
-		return nil, fmt.Errorf("workload campaign: %w", err)
-	}
-	commit, err := analysis.CommitTimes(res.Index, res.View)
-	if err != nil {
-		return nil, fmt.Errorf("fig4: %w", err)
-	}
-	reorder, err := analysis.Reordering(res.Index, res.View)
-	if err != nil {
-		return nil, fmt.Errorf("fig5: %w", err)
-	}
-	med := func(e interface {
-		Value(float64) (float64, error)
-	}, q float64) float64 {
-		v, err := e.Value(q)
-		if err != nil {
-			return -1
-		}
-		return v
-	}
-	f4 := &Outcome{
-		ID:       "F4",
-		Title:    "Figure 4 — transaction inclusion and commit times",
-		Rendered: analysis.RenderCommit(commit),
-		Metrics: map[string]float64{
-			"inclusion_median_s": med(commit.Inclusion, 0.5),
-			"txs":                float64(commit.Txs),
-		},
-	}
-	if conf12, ok := commit.Confirmations[12]; ok {
-		f4.Metrics["conf12_median_s"] = med(conf12, 0.5)
-	}
-	f5 := &Outcome{
-		ID:       "F5",
-		Title:    "Figure 5 — commit delay by observed ordering",
-		Rendered: analysis.RenderReordering(reorder),
-		Metrics: map[string]float64{
-			"ooo_fraction": reorder.OutOfOrderFraction,
-		},
-	}
-	if reorder.InOrder.Len() > 0 {
-		f5.Metrics["inorder_median_s"] = med(reorder.InOrder, 0.5)
-		f5.Metrics["inorder_p90_s"] = med(reorder.InOrder, 0.9)
-	}
-	if reorder.OutOfOrder.Len() > 0 {
-		f5.Metrics["ooo_median_s"] = med(reorder.OutOfOrder, 0.5)
-		f5.Metrics["ooo_p90_s"] = med(reorder.OutOfOrder, 0.9)
-	}
-	return []*Outcome{f4, f5}, nil
+	return CampaignOutputs(workloadConfig(seed, sc), paperVantages, commitOutputs)
 }
 
 // settledFold runs a settling chain-only simulation into a fresh
@@ -350,86 +237,9 @@ func settledFold(seed, blocks uint64, mutate func(*mining.Config, *analysis.Chai
 
 // ChainExperiments runs one chain-level simulation at the paper's
 // month scale and derives Fig. 6, Table III, the one-miner-fork
-// analysis, Fig. 7 and the censorship comparison.
+// analysis and Fig. 7 with its censorship comparison.
 func ChainExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
-	fold, err := settledFold(seed, chainScale(sc), nil)
-	if err != nil {
-		return nil, fmt.Errorf("chain run: %w", err)
-	}
-	empty, err := fold.EmptyBlocks()
-	if err != nil {
-		return nil, fmt.Errorf("fig6: %w", err)
-	}
-	forks, err := fold.Forks()
-	if err != nil {
-		return nil, fmt.Errorf("table3: %w", err)
-	}
-	oneMiner, err := fold.OneMinerForks()
-	if err != nil {
-		return nil, fmt.Errorf("one-miner: %w", err)
-	}
-	seq, err := fold.Sequences()
-	if err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
-	}
-	censor, err := analysis.CensorshipWindows(seq, 6, 13.3)
-	if err != nil {
-		return nil, fmt.Errorf("censorship: %w", err)
-	}
-
-	f6 := &Outcome{
-		ID:       "F6",
-		Title:    "Figure 6 — empty blocks per mining pool",
-		Rendered: analysis.RenderEmptyBlocks(empty, 16),
-		Metrics: map[string]float64{
-			"empty_fraction": empty.Fraction,
-			"zhizhu_rate":    empty.PerPool["Zhizhu"].Rate(),
-			"nanopool_empty": float64(empty.PerPool["Nanopool"].Empty),
-		},
-	}
-	t3 := &Outcome{
-		ID:       "T3",
-		Title:    "Table III — fork types and lengths",
-		Rendered: analysis.RenderForks(forks),
-		Metrics: map[string]float64{
-			"len1_total":      float64(forks.ByLength[1].Total),
-			"len1_recognized": float64(forks.ByLength[1].Recognized),
-			"len2_total":      float64(forks.ByLength[2].Total),
-			"len3_total":      float64(forks.ByLength[3].Total),
-			"main_blocks":     float64(forks.MainBlocks),
-			"uncle_blocks":    float64(forks.UncleBlocks),
-			"unrecognized":    float64(forks.UnrecognizedBlocks),
-		},
-	}
-	s1 := &Outcome{
-		ID:       "S1",
-		Title:    "§III-C5 — one-miner forks",
-		Rendered: analysis.RenderOneMinerForks(oneMiner),
-		Metrics: map[string]float64{
-			"pairs":               float64(oneMiner.TupleCounts[2]),
-			"triples":             float64(oneMiner.TupleCounts[3]),
-			"recognized_fraction": oneMiner.RecognizedFraction,
-			"same_tx_fraction":    oneMiner.SameTxSetFraction,
-			"fraction_of_forks":   oneMiner.FractionOfForks,
-		},
-	}
-	maxRun := 0
-	for _, r := range seq.MaxRun {
-		if r > maxRun {
-			maxRun = r
-		}
-	}
-	f7 := &Outcome{
-		ID:       "F7",
-		Title:    "Figure 7 — consecutive main-chain sequences per pool",
-		Rendered: analysis.RenderSequences(seq, 6, 9) + analysis.RenderCensorship(censor),
-		Metrics: map[string]float64{
-			"max_run":           float64(maxRun),
-			"ethermine_max_run": float64(seq.MaxRun["Ethermine"]),
-			"sparkpool_max_run": float64(seq.MaxRun["Sparkpool"]),
-		},
-	}
-	return []*Outcome{f6, t3, s1, f7}, nil
+	return ChainOutputs(seed, chainScale(sc), nil, chainOutputs)
 }
 
 // WholeChainExperiment runs the long-horizon sequence census (§III-D's

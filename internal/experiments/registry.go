@@ -59,22 +59,22 @@ func init() {
 	})
 	register(Spec{
 		ID: "network", Title: "Figs. 1-3 — propagation, first observation, pool influence",
-		Produces: []string{"F1", "F2", "F3"},
+		Produces: outputIDs(networkOutputs),
 		Run:      NetworkExperiments,
 	})
 	register(Spec{
 		ID: "T2", Title: "Table II — redundant block receptions",
-		Produces: []string{"T2"},
-		Run:      wrap(Table2),
+		Produces: outputIDs(table2Outputs),
+		Run:      Table2,
 	})
 	register(Spec{
 		ID: "commit", Title: "Figs. 4-5 — commit times and reordering",
-		Produces: []string{"F4", "F5"},
+		Produces: outputIDs(commitOutputs),
 		Run:      CommitExperiments,
 	})
 	register(Spec{
 		ID: "chain", Title: "Fig. 6, Table III, §III-C5, Fig. 7 — chain-level statistics",
-		Produces: []string{"F6", "T3", "S1", "F7"},
+		Produces: outputIDs(chainOutputs),
 		Run:      ChainExperiments,
 	})
 	register(Spec{

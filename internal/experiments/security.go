@@ -168,13 +168,13 @@ func ConstantinopleExperiment(seed uint64, sc Scale) (*Outcome, error) {
 // every pool mines 30% of its blocks empty.
 func EmptyBlockSpreadExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	measure := func(emptyProb float64) (median, p90 float64, err error) {
-		res, err := workloadCampaign(seed, sc, func(c *mining.Config) {
-			if emptyProb >= 0 {
-				for i := range c.Pools {
-					c.Pools[i].EmptyBlockProb = emptyProb
-				}
+		cfg := workloadConfig(seed, sc)
+		if emptyProb >= 0 {
+			for i := range cfg.Mining.Pools {
+				cfg.Mining.Pools[i].EmptyBlockProb = emptyProb
 			}
-		})
+		}
+		res, err := core.RunCampaign(cfg)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -3,7 +3,9 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,8 +13,8 @@ import (
 	"repro/internal/store"
 )
 
-// chainAllOutputs requests every chain-mode output.
-const chainAllOutputs = `{
+// chainAllOutputs requests every chain-mode row of the output table.
+var chainAllOutputs = `{
   "name": "chain-all",
   "mode": "chain",
   "chain": {"blocks": 2000},
@@ -20,19 +22,82 @@ const chainAllOutputs = `{
     {"name": "Attacker", "share": 0.3, "gateways": ["EA"], "withholder": true},
     {"name": "Honest", "share": 0.7, "gateways": ["WE"], "empty_block_prob": 0.05, "multi_version_prob": 0.05, "multi_version_same_tx_prob": 0.5}
   ],
-  "outputs": ["withholding", "sequences", "forks", "empty_blocks", "one_miner_forks"]
+  "outputs": ` + outputsIn(ModeChain) + `
 }`
 
-// networkAllOutputs requests every network-mode output.
-const networkAllOutputs = `{
+// networkAllOutputs requests every network-mode row of the output
+// table, with the workload and fault sections some of them need.
+var networkAllOutputs = `{
   "name": "net-all",
   "network": {"nodes": 80, "degree": 6, "push": "all"},
   "chain": {"blocks": 80},
   "workload": {"senders": 200, "mean_interarrival_ms": 400},
-  "outputs": ["propagation", "first_observation", "pool_first_observation",
-              "redundancy", "transport", "commit_times", "reordering",
-              "empty_blocks", "forks", "sequences"]
+  "faults": {"loss": {"drop_prob": 0.01}},
+  "outputs": ` + outputsIn(ModeNetwork) + `
 }`
+
+// outputsIn lists, as a JSON array, every output the table declares
+// for mode.
+func outputsIn(mode string) string {
+	var names []string
+	for _, name := range experiments.OutputNames() {
+		if o, _ := experiments.LookupOutput(name); mode == ModeChain && o.Chain || mode == ModeNetwork && o.Network {
+			names = append(names, name)
+		}
+	}
+	b, err := json.Marshal(names)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
+// runAllOutputs runs a document requesting every output of one mode at
+// two seeds. Every output must be rendered, carry its variant-qualified
+// ID, and emit the same metric keys at both seeds: a key that only some
+// runs emit skews the cross-repeat mean. It returns the first run's
+// outcomes by output name.
+func runAllOutputs(t *testing.T, doc string) map[string]*experiments.Outcome {
+	t.Helper()
+	sp := compileOne(t, doc)
+	var runs [2]map[string]*experiments.Outcome
+	for i, seed := range []uint64{7, 8} {
+		outs, err := sp.Run(seed, experiments.ScaleSmall)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outs) != len(sp.Produces) {
+			t.Fatalf("seed %d: %d outcomes, want %d", seed, len(outs), len(sp.Produces))
+		}
+		runs[i] = map[string]*experiments.Outcome{}
+		for j, o := range outs {
+			if o.ID != sp.Produces[j] {
+				t.Errorf("outcome %d ID %q, want %q", j, o.ID, sp.Produces[j])
+			}
+			if o.Rendered == "" {
+				t.Errorf("outcome %s not rendered", o.ID)
+			}
+			runs[i][strings.TrimPrefix(o.ID, sp.ID+"/")] = o
+		}
+	}
+	for name, o := range runs[0] {
+		a, b := metricKeys(o), metricKeys(runs[1][name])
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("output %s emits different metric keys across seeds: %v vs %v", name, a, b)
+		}
+	}
+	return runs[0]
+}
+
+// metricKeys lists an outcome's metric names, sorted.
+func metricKeys(o *experiments.Outcome) []string {
+	keys := make([]string, 0, len(o.Metrics))
+	for k := range o.Metrics {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
 
 // compileOne parses a single-variant document and returns its spec.
 func compileOne(t *testing.T, doc string) experiments.Spec {
@@ -52,25 +117,8 @@ func compileOne(t *testing.T, doc string) experiments.Spec {
 }
 
 func TestCompileChainAllOutputs(t *testing.T) {
-	sp := compileOne(t, chainAllOutputs)
-	if sp.ID != "chain-all" {
-		t.Fatalf("spec ID: %s", sp.ID)
-	}
-	outs, err := sp.Run(7, experiments.ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 5 {
-		t.Fatalf("outcomes: %d", len(outs))
-	}
-	byID := map[string]*experiments.Outcome{}
-	for _, o := range outs {
-		byID[o.ID] = o
-	}
-	wh := byID["chain-all/withholding"]
-	if wh == nil {
-		t.Fatalf("missing withholding outcome: %v", outs)
-	}
+	byName := runAllOutputs(t, chainAllOutputs)
+	wh := byName["withholding"]
 	// A 30% withholder over 500 blocks must trip the burst detector;
 	// the honest pool must still report a (zero-valued) metric so
 	// cross-repeat aggregation sees every repeat.
@@ -80,8 +128,11 @@ func TestCompileChainAllOutputs(t *testing.T) {
 	if _, ok := wh.Metrics["pool_Honest_flagged"]; !ok {
 		t.Errorf("per-pool metric missing for unflagged pool: %v", wh.Metrics)
 	}
-	if byID["chain-all/forks"].Metrics["main_blocks"] == 0 {
+	if byName["forks"].Metrics["main_blocks"] == 0 {
 		t.Error("forks outcome empty")
+	}
+	if !strings.Contains(byName["sequences"].Rendered, "observed vs expected") {
+		t.Errorf("sequences output lacks the censorship table:\n%s", byName["sequences"].Rendered)
 	}
 }
 
@@ -89,21 +140,37 @@ func TestCompileNetworkAllOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full network campaign with workload")
 	}
-	sp := compileOne(t, networkAllOutputs)
-	outs, err := sp.Run(7, experiments.ScaleSmall)
+	runAllOutputs(t, networkAllOutputs)
+}
+
+// TestFirstObservationEmitsEveryVantage: a vantage that never sees a
+// block first still reports its (zero) share, so its cross-repeat mean
+// is taken over every repeat rather than only the ones it won. Every
+// block enters the overlay in EA, where the hub vantage peers with
+// every node; the one-peer leaf in SA never hears of one first.
+func TestFirstObservationEmitsEveryVantage(t *testing.T) {
+	sp := compileOne(t, `{
+  "name": "one-loser",
+  "network": {"nodes": 80},
+  "chain": {"blocks": 40},
+  "pools": [{"name": "Solo", "share": 1, "gateways": ["EA"]}],
+  "measurement": [
+    {"name": "hub", "region": "EA", "peers": 0},
+    {"name": "leaf", "region": "SA", "peers": 1}
+  ],
+  "outputs": ["first_observation"]
+}`)
+	outs, err := sp.Run(1, experiments.ScaleSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 10 {
-		t.Fatalf("outcomes: %d", len(outs))
+	m := outs[0].Metrics
+	share, ok := m["leaf_share"]
+	if !ok {
+		t.Fatalf("no leaf_share key for the vantage that never observed first: %v", m)
 	}
-	for _, o := range outs {
-		if !strings.HasPrefix(o.ID, "net-all/") {
-			t.Errorf("outcome ID not variant-qualified: %s", o.ID)
-		}
-		if o.Rendered == "" {
-			t.Errorf("outcome %s not rendered", o.ID)
-		}
+	if share != 0 || m["hub_share"] != 1 {
+		t.Fatalf("the leaf vantage won blocks, so this run does not test the zero key: %v", m)
 	}
 }
 
@@ -178,32 +245,85 @@ func TestStressScaleFactor(t *testing.T) {
 	}
 }
 
-// TestOutputCatalogConsistent ensures every cataloged output name is
-// actually implemented by a compile function (and vice versa for mode
-// support): each output is requested in a scenario for its supported
-// mode and must validate.
+// TestOutputCatalogConsistent walks the output table: every row has a
+// title, validates alone in each mode it declares (with the sections it
+// needs) and is rejected in the modes it does not declare.
 func TestOutputCatalogConsistent(t *testing.T) {
-	for _, name := range OutputNames() {
-		def := outputDefs[name]
-		s := Scenario{
-			Name:    "cat",
-			Chain:   &ChainSection{Blocks: 10},
-			Outputs: []string{name},
+	for _, name := range experiments.OutputNames() {
+		o, _ := experiments.LookupOutput(name)
+		if o.Title == "" {
+			t.Errorf("output %s has no title", name)
 		}
-		if def.chainMode {
-			s.Mode = ModeChain
-		} else {
-			s.Mode = ModeNetwork
-			s.Network = &NetworkSection{Nodes: 40}
-			if def.needsWorkload {
-				s.Workload = &WorkloadSection{}
+		for mode, declared := range map[string]bool{ModeChain: o.Chain, ModeNetwork: o.Network} {
+			s := Scenario{
+				Name:    "cat",
+				Mode:    mode,
+				Chain:   &ChainSection{Blocks: 10},
+				Outputs: []string{name},
 			}
-			if def.needsFaults {
-				s.Faults = &FaultsSection{Loss: &LossSection{DropProb: 0.01}}
+			if mode == ModeNetwork {
+				s.Network = &NetworkSection{Nodes: 40}
+				if o.NeedsWorkload {
+					s.Workload = &WorkloadSection{}
+				}
+				if o.NeedsFaults {
+					s.Faults = &FaultsSection{Loss: &LossSection{DropProb: 0.01}}
+				}
+			}
+			err := s.Validate()
+			if declared && err != nil {
+				t.Errorf("output %s does not validate in %s mode: %v", name, mode, err)
+			}
+			if !declared && err == nil {
+				t.Errorf("output %s validates in %s mode, which it does not declare", name, mode)
 			}
 		}
-		if err := s.Validate(); err != nil {
-			t.Errorf("output %s does not validate in its own mode: %v", name, err)
+	}
+}
+
+// TestPaperBaselineMatchesNetwork pins the shipped paper-baseline.json
+// to the built-in network spec at medium scale, as its description
+// claims: at one seed both run the same campaign, so Figs. 1-3 agree on
+// every metric the scenario emits. F3's rendering differs only in
+// column order (the built-in prints the paper's EA, NA, WE, CE).
+func TestPaperBaselineMatchesNetwork(t *testing.T) {
+	set, err := Load("../../examples/scenarios/paper-baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := set.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	network, ok := experiments.Lookup("network")
+	if !ok {
+		t.Fatal("no network spec")
+	}
+	const seed = 7
+	got, err := specs[0].Run(seed, experiments.ScaleMedium)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := network.Run(seed, experiments.ScaleMedium)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]*experiments.Outcome{}
+	for _, o := range got {
+		byID[o.ID] = o
+	}
+	for i, name := range []string{"propagation", "first_observation", "pool_first_observation"} {
+		s, b := byID["paper-baseline/"+name], want[i]
+		if s == nil {
+			t.Fatalf("paper-baseline has no %s output", name)
+		}
+		for k, v := range s.Metrics {
+			if bv, ok := b.Metrics[k]; !ok || bv != v {
+				t.Errorf("%s %s: paper-baseline %v, network %v (present %v)", b.ID, k, v, bv, ok)
+			}
+		}
+		if b.ID != "F3" && s.Rendered != b.Rendered {
+			t.Errorf("%s rendering differs:\n%s\nvs\n%s", b.ID, s.Rendered, b.Rendered)
 		}
 	}
 }

@@ -70,7 +70,7 @@ type Scenario struct {
 	// Faults injects dependability events into the campaign (network
 	// mode only): crash/recover, partitions, link loss, churn.
 	Faults *FaultsSection `json:"faults,omitempty"`
-	// Outputs selects the analyses to run; see OutputNames. Default:
+	// Outputs selects the analyses to run; see experiments.OutputNames. Default:
 	// propagation+first_observation (network), forks+sequences
 	// (chain).
 	Outputs []string `json:"outputs,omitempty"`

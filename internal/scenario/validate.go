@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/geo"
 	"repro/internal/mining"
@@ -229,18 +230,18 @@ func (s *Scenario) validateOutputs() error {
 			return fmt.Errorf("scenario %s: output %q listed twice", s.Name, name)
 		}
 		seen[name] = true
-		def, ok := outputDefs[name]
+		o, ok := experiments.LookupOutput(name)
 		if !ok {
 			return fmt.Errorf("scenario %s: unknown output %q (known: %s)",
-				s.Name, name, strings.Join(OutputNames(), ", "))
+				s.Name, name, strings.Join(experiments.OutputNames(), ", "))
 		}
-		if !def.supports(s.RunMode()) {
+		if s.RunMode() == ModeChain && !o.Chain || s.RunMode() == ModeNetwork && !o.Network {
 			return fmt.Errorf("scenario %s: output %q unavailable in %s mode", s.Name, name, s.RunMode())
 		}
-		if def.needsWorkload && s.Workload == nil {
+		if o.NeedsWorkload && s.Workload == nil {
 			return fmt.Errorf("scenario %s: output %q needs a workload section", s.Name, name)
 		}
-		if def.needsFaults && s.Faults == nil {
+		if o.NeedsFaults && s.Faults == nil {
 			return fmt.Errorf("scenario %s: output %q needs a faults section", s.Name, name)
 		}
 	}
