@@ -18,10 +18,12 @@ test-full:
 
 # Dependability gate: the full golden-artifact invariance harness
 # (every built-in spec and shipped scenario byte-identical at
-# -parallel 1 vs 8) plus a short D1 crash/recover campaign run through
-# the real CLI.
+# -parallel 1 vs 8), the whole grid pin set (every cross-run ablation's
+# metrics held bit-equal to the bespoke bodies the grids replaced,
+# including the workload grids E1/R1/R2 that -short skips) plus a short
+# D1 crash/recover campaign run through the real CLI.
 test-faults:
-	$(GO) test -run 'Golden' -v ./internal/experiments
+	$(GO) test -run 'Golden|TestGridMetricsPinned' -v ./internal/experiments
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/ethrepro -only D1 -scale small -repeats 2 -parallel 4 -out "$$dir/d1"
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/mining"
-	"repro/internal/p2p/relay"
 	"repro/internal/sim"
 	"repro/internal/txgen"
 )
@@ -243,8 +242,9 @@ func ChainExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
 }
 
 // WholeChainExperiment runs the long-horizon sequence census (§III-D's
-// look beyond the one-month window).
-func WholeChainExperiment(seed uint64, sc Scale) (*Outcome, error) {
+// look beyond the one-month window). It stays bespoke: a census of one
+// run, not a comparison of variants.
+func WholeChainExperiment(seed uint64, sc Scale) ([]*Outcome, error) {
 	blocks := wholeChainScale(sc)
 	// The census reads only the main chain's miner labels (genesis
 	// excluded, as in a ChainView), one settled height at a time.
@@ -282,160 +282,5 @@ func WholeChainExperiment(seed uint64, sc Scale) (*Outcome, error) {
 	for l, n := range tail {
 		out.Metrics[fmt.Sprintf("len_%d", l)] = float64(n)
 	}
-	return out, nil
-}
-
-// Lesson1Experiment ablates the §V uncle restriction: identical seeds
-// with the rule off and on, comparing one-miner uncle rewards and the
-// mining power spent on recognized forks.
-func Lesson1Experiment(seed uint64, sc Scale) (*Outcome, error) {
-	blocks := chainScale(sc) / 4
-	run := func(restrict bool) (*analysis.OneMinerForkResult, *analysis.ForksResult, error) {
-		fold, err := settledFold(seed, blocks, func(c *mining.Config, _ *analysis.ChainFold) {
-			c.Uncles.RestrictOneMinerUncles = restrict
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		om, err := fold.OneMinerForks()
-		if err != nil {
-			return nil, nil, err
-		}
-		fk, err := fold.Forks()
-		if err != nil {
-			return nil, nil, err
-		}
-		return om, fk, nil
-	}
-	stdOM, stdFK, err := run(false)
-	if err != nil {
-		return nil, fmt.Errorf("standard run: %w", err)
-	}
-	resOM, resFK, err := run(true)
-	if err != nil {
-		return nil, fmt.Errorf("restricted run: %w", err)
-	}
-	rendered := fmt.Sprintf(`Lesson 1 (§V) — restricted one-miner uncle rule ablation (%d blocks)
-  standard:   one-miner versions recognized %.0f%%, uncle blocks %d
-  restricted: one-miner versions recognized %.0f%%, uncle blocks %d
-  The restriction removes the reward for mining multiple versions of
-  one's own block, reclaiming the ~1%% of mining power the paper
-  estimates is spent on one-miner forks.
-`, blocks,
-		stdOM.RecognizedFraction*100, stdFK.UncleBlocks,
-		resOM.RecognizedFraction*100, resFK.UncleBlocks)
-	return &Outcome{
-		ID:       "L1",
-		Title:    "Lesson 1 — restricted uncle rule",
-		Rendered: rendered,
-		Metrics: map[string]float64{
-			"standard_recognized":   stdOM.RecognizedFraction,
-			"restricted_recognized": resOM.RecognizedFraction,
-			"standard_uncles":       float64(stdFK.UncleBlocks),
-			"restricted_uncles":     float64(resFK.UncleBlocks),
-		},
-	}, nil
-}
-
-// AblationFanout compares dissemination policies (sqrt-push vs
-// push-all vs announce-only) on propagation delay and redundancy —
-// the design choice behind Fig. 1 and Table II.
-func AblationFanout(seed uint64, sc Scale) (*Outcome, error) {
-	nodes, blocks, _ := networkScale(ScaleSmall)
-	if sc != ScaleSmall {
-		nodes, blocks = 500, 250
-	}
-	type row struct {
-		policy relay.Mode
-		median float64
-		whole  float64
-		bytes  uint64
-	}
-	var rows []row
-	for _, policy := range []relay.Mode{relay.SqrtPush, relay.PushAll, relay.AnnounceOnly} {
-		cfg := core.DefaultCampaignConfig(seed)
-		cfg.NetworkNodes = nodes
-		cfg.Blocks = blocks
-		cfg.Streaming = true
-		cfg.Measurement = append(core.PaperMeasurementSpecs(40),
-			core.MeasurementSpec{Name: "D25", Region: geo.WesternEurope, Peers: 25})
-		cfg.Relay = relay.Config{Mode: policy}
-		res, err := core.RunCampaign(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("fanout %v: %w", policy, err)
-		}
-		prop, err := analysis.PropagationDelays(res.Index)
-		if err != nil {
-			return nil, err
-		}
-		red, err := analysis.Redundancy(res.Index, "D25")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row{policy: policy, median: prop.Summary.Median, whole: red.WholeBlocks.Mean, bytes: res.BytesSent})
-	}
-	rendered := "Ablation — dissemination fan-out policy\n"
-	rendered += fmt.Sprintf("  %-14s %12s %16s %12s\n", "policy", "median (ms)", "whole blks/blk", "total MB")
-	metrics := map[string]float64{}
-	for _, r := range rows {
-		rendered += fmt.Sprintf("  %-14s %12.0f %16.2f %12.1f\n", r.policy, r.median, r.whole, float64(r.bytes)/1e6)
-		metrics[r.policy.String()+"_median_ms"] = r.median
-		metrics[r.policy.String()+"_receptions"] = r.whole
-		metrics[r.policy.String()+"_mb"] = float64(r.bytes) / 1e6
-	}
-	return &Outcome{ID: "A1", Title: "Ablation — fan-out policy", Rendered: rendered, Metrics: metrics}, nil
-}
-
-// AblationGateways compares the paper's concentrated gateway placement
-// with a counterfactual fully dispersed placement — the mechanism the
-// paper identifies behind Figs. 2-3.
-func AblationGateways(seed uint64, sc Scale) (*Outcome, error) {
-	nodes, blocks, peers := networkScale(ScaleSmall)
-	if sc != ScaleSmall {
-		nodes, blocks, peers = 600, 300, 60
-	}
-	run := func(disperse bool) (map[string]float64, error) {
-		cfg := core.DefaultCampaignConfig(seed)
-		cfg.NetworkNodes = nodes
-		cfg.Blocks = blocks
-		cfg.Streaming = true
-		cfg.Measurement = core.PaperMeasurementSpecs(peers)
-		if disperse {
-			everywhere := geo.Regions()
-			for i := range cfg.Mining.Pools {
-				cfg.Mining.Pools[i].GatewayRegions = everywhere
-			}
-		}
-		res, err := core.RunCampaign(cfg)
-		if err != nil {
-			return nil, err
-		}
-		first, err := analysis.FirstObservations(res.Index)
-		if err != nil {
-			return nil, err
-		}
-		return first.Share, nil
-	}
-	paper, err := run(false)
-	if err != nil {
-		return nil, fmt.Errorf("concentrated: %w", err)
-	}
-	dispersed, err := run(true)
-	if err != nil {
-		return nil, fmt.Errorf("dispersed: %w", err)
-	}
-	rendered := "Ablation — mining-pool gateway placement (share of first observations)\n"
-	rendered += fmt.Sprintf("  %-12s %8s %8s %8s %8s\n", "placement", "EA", "NA", "WE", "CE")
-	rendered += fmt.Sprintf("  %-12s %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n", "paper", paper["EA"]*100, paper["NA"]*100, paper["WE"]*100, paper["CE"]*100)
-	rendered += fmt.Sprintf("  %-12s %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n", "dispersed", dispersed["EA"]*100, dispersed["NA"]*100, dispersed["WE"]*100, dispersed["CE"]*100)
-	rendered += "  Concentrated Asian gateways produce the EA first-observation\n  advantage; dispersing gateways flattens it (the paper's Fig. 2 cause).\n"
-	return &Outcome{
-		ID:       "A2",
-		Title:    "Ablation — gateway placement",
-		Rendered: rendered,
-		Metrics: map[string]float64{
-			"paper_EA":     paper["EA"],
-			"dispersed_EA": dispersed["EA"],
-		},
-	}, nil
+	return []*Outcome{out}, nil
 }

@@ -271,8 +271,8 @@ func TestWholeChainShape(t *testing.T) {
 
 func TestLesson1Shape(t *testing.T) {
 	o := specOutcomes(t, "L1")["L1"]
-	std := o.Metrics["standard_recognized"]
-	res := o.Metrics["restricted_recognized"]
+	std := o.Metrics["standard_recognized_fraction"]
+	res := o.Metrics["restricted_recognized_fraction"]
 	if std <= 0 {
 		t.Skip("no one-miner forks recognized in the standard run")
 	}
@@ -286,9 +286,9 @@ func TestAblationFanoutShape(t *testing.T) {
 	o := specOutcomes(t, "A1")["A1"]
 	// Push-all floods more copies than sqrt-push; announce-only the
 	// fewest direct bodies (it trades redundancy for pull latency).
-	if o.Metrics["push-all_receptions"] <= o.Metrics["sqrt-push_receptions"] {
+	if o.Metrics["push-all_whole_mean"] <= o.Metrics["sqrt-push_whole_mean"] {
 		t.Fatalf("push-all %v should exceed sqrt %v",
-			o.Metrics["push-all_receptions"], o.Metrics["sqrt-push_receptions"])
+			o.Metrics["push-all_whole_mean"], o.Metrics["sqrt-push_whole_mean"])
 	}
 	if o.Metrics["announce-only_median_ms"] <= o.Metrics["push-all_median_ms"] {
 		t.Fatalf("announce-only median %v should exceed push-all %v",
@@ -299,9 +299,9 @@ func TestAblationFanoutShape(t *testing.T) {
 func TestAblationGatewaysShape(t *testing.T) {
 	o := specOutcomes(t, "A2")["A2"]
 	// Dispersing every pool's gateways erases most of EA's advantage.
-	if o.Metrics["dispersed_EA"] >= o.Metrics["paper_EA"] {
+	if o.Metrics["dispersed_EA_share"] >= o.Metrics["paper_EA_share"] {
 		t.Fatalf("dispersed EA %v should fall below paper EA %v",
-			o.Metrics["dispersed_EA"], o.Metrics["paper_EA"])
+			o.Metrics["dispersed_EA_share"], o.Metrics["paper_EA_share"])
 	}
 }
 

@@ -130,6 +130,7 @@ var outputs = []Output{
 			}
 			return analysis.RenderCommit(commit), map[string]float64{
 				"inclusion_median_s": quantile(commit.Inclusion, 0.5),
+				"inclusion_p90_s":    quantile(commit.Inclusion, 0.9),
 				"conf12_median_s":    quantile(commit.Confirmations[12], 0.5),
 				"txs":                float64(commit.Txs),
 			}, nil
@@ -166,6 +167,11 @@ var outputs = []Output{
 			if err != nil {
 				return "", nil, err
 			}
+			// fork_rate counts off-main blocks per 100 main blocks.
+			rate := 0.0
+			if forks.MainBlocks > 0 {
+				rate = 100 * float64(forks.UncleBlocks+forks.UnrecognizedBlocks) / float64(forks.MainBlocks)
+			}
 			return analysis.RenderForks(forks), map[string]float64{
 				"len1_total":      float64(forks.ByLength[1].Total),
 				"len1_recognized": float64(forks.ByLength[1].Recognized),
@@ -174,6 +180,7 @@ var outputs = []Output{
 				"main_blocks":     float64(forks.MainBlocks),
 				"uncle_blocks":    float64(forks.UncleBlocks),
 				"unrecognized":    float64(forks.UnrecognizedBlocks),
+				"fork_rate":       rate,
 			}, nil
 		}},
 	{Name: "one_miner_forks", ID: "S1", Title: "§III-C5 — one-miner forks", Network: true, Chain: true,
@@ -274,15 +281,27 @@ var outputs = []Output{
 			// The pool_ prefix keeps per-pool keys disjoint from the
 			// aggregates above whatever the pool is named.
 			for _, p := range s.Pools {
+				m["pool_"+p+"_runs"] = 0
 				m["pool_"+p+"_flagged"] = 0
 			}
 			for _, v := range det.Verdicts {
+				m["pool_"+v.Pool+"_runs"]++
 				if v.Flagged {
 					m["pool_"+v.Pool+"_flagged"]++
 				}
 			}
 			return analysis.RenderWithholding(det), m, nil
 		}},
+}
+
+// availabilityFrom assembles the availability summary of a faulted
+// campaign result.
+func availabilityFrom(res *core.CampaignResult, nodes int) (*analysis.AvailabilityResult, error) {
+	quiet := make(map[string]sim.Time, len(res.Nodes))
+	for _, n := range res.Nodes {
+		quiet[n.Name()] = n.MaxQuietGap()
+	}
+	return analysis.Availability(res.Faults, nodes, res.Duration, res.MessagesDropped, quiet)
 }
 
 // quantile reads the q-quantile of e; an empty sample reads -1.

@@ -38,17 +38,6 @@ func register(s Spec) {
 	registry = append(registry, s)
 }
 
-// wrap lifts a single-outcome experiment into a Spec runner.
-func wrap(run func(uint64, Scale) (*Outcome, error)) func(uint64, Scale) ([]*Outcome, error) {
-	return func(seed uint64, sc Scale) ([]*Outcome, error) {
-		o, err := run(seed, sc)
-		if err != nil {
-			return nil, err
-		}
-		return []*Outcome{o}, nil
-	}
-}
-
 func init() {
 	register(Spec{
 		ID: "T1", Title: "Table I — measurement infrastructure",
@@ -80,70 +69,29 @@ func init() {
 	register(Spec{
 		ID: "S2", Title: "§III-D — whole-chain sequence tail",
 		Produces: []string{"S2"},
-		Run:      wrap(WholeChainExperiment),
-	})
-	register(Spec{
-		ID: "L1", Title: "Lesson 1 — restricted uncle rule ablation",
-		Produces: []string{"L1"},
-		Run:      wrap(Lesson1Experiment),
+		Run:      WholeChainExperiment,
 	})
 	register(Spec{
 		ID: "W1", Title: "§III-D — withholding burst test",
 		Produces: []string{"W1"},
-		Run:      wrap(WithholdingExperiment),
+		Run:      WithholdingExperiment,
 	})
 	register(Spec{
 		ID: "C1", Title: "§III-C1 — Constantinople bomb-delay ablation",
 		Produces: []string{"C1"},
-		Run:      wrap(ConstantinopleExperiment),
-	})
-	register(Spec{
-		ID: "E1", Title: "§III-C3 — empty-block spread scenario",
-		Produces: []string{"E1"},
-		Run:      wrap(EmptyBlockSpreadExperiment),
+		Run:      ConstantinopleExperiment,
 	})
 	register(Spec{
 		// INC was historically registered as R1; it was renamed when
 		// R1/R2 became the relay-protocol specs.
 		ID: "INC", Title: "Incentive accounting (§III-C3, §III-C5)",
 		Produces: []string{"INC"},
-		Run:      wrap(RevenueExperiment),
+		Run:      RevenueExperiment,
 	})
-	register(Spec{
-		ID: "A1", Title: "Ablation — dissemination fan-out policy",
-		Produces: []string{"A1"},
-		Run:      wrap(AblationFanout),
-	})
-	register(Spec{
-		ID: "A2", Title: "Ablation — gateway placement",
-		Produces: []string{"A2"},
-		Run:      wrap(AblationGateways),
-	})
-	register(Spec{
-		ID: "D1", Title: "Dependability — crash/recover propagation delay",
-		Produces: []string{"D1"},
-		Run:      wrap(CrashRecoverExperiment),
-	})
-	register(Spec{
-		ID: "D2", Title: "Dependability — partition-heal fork rate",
-		Produces: []string{"D2"},
-		Run:      wrap(PartitionHealExperiment),
-	})
-	register(Spec{
-		ID: "D3", Title: "Dependability — churn sweep",
-		Produces: []string{"D3"},
-		Run:      wrap(ChurnSweepExperiment),
-	})
-	register(Spec{
-		ID: "R1", Title: "Relay protocols — bandwidth/delay shoot-out",
-		Produces: []string{"R1"},
-		Run:      wrap(RelayShootout),
-	})
-	register(Spec{
-		ID: "R2", Title: "Relay protocols — compact-relay mempool-divergence sweep",
-		Produces: []string{"R2"},
-		Run:      wrap(CompactDivergenceSweep),
-	})
+	for i := range grids {
+		g := &grids[i]
+		register(Spec{ID: g.id, Title: g.title, Produces: []string{g.id}, Run: g.run})
+	}
 }
 
 // Merge appends specs compiled at runtime (scenario files) to a base

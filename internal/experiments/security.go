@@ -16,73 +16,45 @@ import (
 // mining rate, like Sparkpool's) from a block-withholding release. It
 // runs the paper's honest pool mix and a counterfactual containing a
 // real withholding attacker, and applies the same detector to both.
-func WithholdingExperiment(seed uint64, sc Scale) (*Outcome, error) {
+// It stays bespoke: its attacker columns exist only in the attacked
+// run, whose pool mix differs from the honest one.
+func WithholdingExperiment(seed uint64, sc Scale) ([]*Outcome, error) {
 	blocks := chainScale(sc) / 4
-	// See analysis.DefaultWithholdingMinRun for the calibration
-	// rationale; scenario-file withholding outputs share it.
-	const minRun = analysis.DefaultWithholdingMinRun
-	const threshold = analysis.DefaultWithholdingBurstRatio
-
-	// detect runs one chain and applies the burst test to it, with the
-	// publish times recorded through the run's block hook.
-	detect := func(mutate func(*mining.Config)) (*analysis.WithholdingResult, error) {
-		fold, err := settledFold(seed, blocks, func(c *mining.Config, fold *analysis.ChainFold) {
-			if mutate != nil {
-				mutate(c)
-			}
-			fold.TestWithholding(mining.RecordPublishTimes(c), minRun, threshold)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return fold.Withholding()
-	}
-	honestRes, err := detect(nil)
+	// Both runs read the withholding row, whose detector is calibrated
+	// by analysis.DefaultWithholdingMinRun and DefaultWithholdingBurstRatio.
+	rows := []string{"withholding"}
+	honest, err := ChainOutputs(seed, blocks, nil, rows)
 	if err != nil {
 		return nil, fmt.Errorf("honest run: %w", err)
 	}
-	attackedRes, err := detect(func(c *mining.Config) {
+	attacked, err := ChainOutputs(seed, blocks, func(c *mining.Config) error {
 		c.Pools = []mining.PoolConfig{
 			{Name: "Attacker", HashrateShare: 0.30, GatewayRegions: []geo.Region{geo.EasternAsia},
 				SwitchDelayMean: mining.DefaultSwitchDelay, Withholder: true},
 			{Name: "Honest", HashrateShare: 0.70, GatewayRegions: []geo.Region{geo.WesternEurope},
 				SwitchDelayMean: mining.DefaultSwitchDelay},
 		}
-	})
+		return nil
+	}, rows)
 	if err != nil {
 		return nil, fmt.Errorf("attacked run: %w", err)
 	}
-	attackerFlagged, attackerRuns := 0, 0
-	for _, v := range attackedRes.Verdicts {
-		if v.Pool != "Attacker" {
-			continue
-		}
-		attackerRuns++
-		if v.Flagged {
-			attackerFlagged++
-		}
+	h, a := honest[0].Metrics, attacked[0].Metrics
+	m := map[string]float64{
+		"honest_runs":      h["runs_examined"],
+		"honest_flagged":   h["flagged_runs"],
+		"attacker_runs":    a["pool_Attacker_runs"],
+		"attacker_flagged": a["pool_Attacker_flagged"],
 	}
-
 	rendered := fmt.Sprintf(`Withholding burst test (§III-D), %d blocks, runs >= %d
-  honest pool mix:   %d runs examined, %d flagged
-  with attacker:     %d attacker runs, %d flagged as withheld
+  honest pool mix:   %.0f runs examined, %.0f flagged
+  with attacker:     %.0f attacker runs, %.0f flagged as withheld
   The paper applies exactly this test to Sparkpool's 9-block sequences:
   spaced at the average inter-block time => "unlikely that Sparkpool
   performed such an attack".
-`, blocks, minRun,
-		honestRes.RunsExamined, honestRes.FlaggedRuns,
-		attackerRuns, attackerFlagged)
-	return &Outcome{
-		ID:       "W1",
-		Title:    "§III-D — withholding burst test",
-		Rendered: rendered,
-		Metrics: map[string]float64{
-			"honest_runs":      float64(honestRes.RunsExamined),
-			"honest_flagged":   float64(honestRes.FlaggedRuns),
-			"attacker_runs":    float64(attackerRuns),
-			"attacker_flagged": float64(attackerFlagged),
-		},
-	}, nil
+`, blocks, analysis.DefaultWithholdingMinRun,
+		m["honest_runs"], m["honest_flagged"], m["attacker_runs"], m["attacker_flagged"])
+	return []*Outcome{{ID: "W1", Title: "§III-D — withholding burst test", Rendered: rendered, Metrics: m}}, nil
 }
 
 // ConstantinopleExperiment reproduces the §III-C1 explanation for the
@@ -90,7 +62,9 @@ func WithholdingExperiment(seed uint64, sc Scale) (*Outcome, error) {
 // inter-block time, and delaying it (EIP-1234) restores the base
 // equilibrium, shortening the 12-confirmation wait from ~200 s to
 // ~189 s. The closed-loop difficulty model regenerates both regimes.
-func ConstantinopleExperiment(seed uint64, sc Scale) (*Outcome, error) {
+// It stays bespoke: it reads header times under bomb-schedule knobs no
+// output row carries.
+func ConstantinopleExperiment(seed uint64, sc Scale) ([]*Outcome, error) {
 	blocks := chainScale(sc)
 	if sc == ScaleSmall {
 		blocks = 60_000
@@ -149,7 +123,7 @@ func ConstantinopleExperiment(seed uint64, sc Scale) (*Outcome, error) {
   bomb delayed:  mean inter-block %.1f s  -> 12-conf wait ~%.0f s
   paper: pre-Constantinople 14.3 s (12-conf 200 s), post 13.3 s (189 s)
 `, bombed, 12*bombed+bombed/2, delayed, 12*delayed+delayed/2)
-	return &Outcome{
+	return []*Outcome{{
 		ID:       "C1",
 		Title:    "§III-C1 — Constantinople bomb-delay ablation",
 		Rendered: rendered,
@@ -157,73 +131,14 @@ func ConstantinopleExperiment(seed uint64, sc Scale) (*Outcome, error) {
 			"bombed_interblock_s":  bombed,
 			"delayed_interblock_s": delayed,
 		},
-	}, nil
-}
-
-// EmptyBlockSpreadExperiment quantifies §III-C3's warning: "if a
-// dominant number of miners switched to the selfish strategy of
-// occasionally mining empty blocks, it would be disastrous for the
-// platform". It compares transaction inclusion delay between the
-// measured empty-block rates (~1.45%) and a spread scenario where
-// every pool mines 30% of its blocks empty.
-func EmptyBlockSpreadExperiment(seed uint64, sc Scale) (*Outcome, error) {
-	measure := func(emptyProb float64) (median, p90 float64, err error) {
-		cfg := workloadConfig(seed, sc)
-		if emptyProb >= 0 {
-			for i := range cfg.Mining.Pools {
-				cfg.Mining.Pools[i].EmptyBlockProb = emptyProb
-			}
-		}
-		res, err := core.RunCampaign(cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		commit, err := analysis.CommitTimes(res.Index, res.View)
-		if err != nil {
-			return 0, 0, err
-		}
-		m, err := commit.Inclusion.Value(0.5)
-		if err != nil {
-			return 0, 0, err
-		}
-		p, err := commit.Inclusion.Value(0.9)
-		if err != nil {
-			return 0, 0, err
-		}
-		return m, p, nil
-	}
-	todayMed, todayP90, err := measure(-1) // paper-calibrated rates
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	spreadMed, spreadP90, err := measure(0.30)
-	if err != nil {
-		return nil, fmt.Errorf("spread scenario: %w", err)
-	}
-	rendered := fmt.Sprintf(`Empty-block spread scenario (§III-C3 projection)
-  measured rates (~1.45%% empty): inclusion median %.0f s, p90 %.0f s
-  every pool 30%% empty:          inclusion median %.0f s, p90 %.0f s
-  Empty blocks push waiting transactions to later blocks; at today's
-  rates the damage is small, which is the paper's point — the incentive
-  is unchecked, and the penalty grows with adoption.
-`, todayMed, todayP90, spreadMed, spreadP90)
-	return &Outcome{
-		ID:       "E1",
-		Title:    "§III-C3 — empty-block spread scenario",
-		Rendered: rendered,
-		Metrics: map[string]float64{
-			"today_median_s":  todayMed,
-			"today_p90_s":     todayP90,
-			"spread_median_s": spreadMed,
-			"spread_p90_s":    spreadP90,
-		},
-	}, nil
+	}}, nil
 }
 
 // RevenueExperiment quantifies the incentive arguments behind the
 // selfish behaviors: per-pool revenue including one-miner uncle
-// income, and the empty-block fee tradeoff.
-func RevenueExperiment(seed uint64, sc Scale) (*Outcome, error) {
+// income, and the empty-block fee tradeoff. It stays bespoke: a pricing
+// table over one run, not a comparison of variants.
+func RevenueExperiment(seed uint64, sc Scale) ([]*Outcome, error) {
 	blocks := chainScale(sc) / 4
 	fold, err := settledFold(seed, blocks, nil)
 	if err != nil {
@@ -255,7 +170,7 @@ func RevenueExperiment(seed uint64, sc Scale) (*Outcome, error) {
 		float64(oneMinerGwei)/rewards.GweiPerETH,
 		100*float64(oneMinerGwei)/float64(totalGwei),
 		float64(forgone)/rewards.GweiPerETH, frac*100)
-	return &Outcome{
+	return []*Outcome{{
 		ID:       "INC",
 		Title:    "Incentive accounting (§III-C3, §III-C5)",
 		Rendered: rendered,
@@ -263,5 +178,5 @@ func RevenueExperiment(seed uint64, sc Scale) (*Outcome, error) {
 			"one_miner_eth":      float64(oneMinerGwei) / rewards.GweiPerETH,
 			"empty_fee_fraction": frac,
 		},
-	}, nil
+	}}, nil
 }

@@ -42,11 +42,11 @@ func TestEmptyBlockSpreadShape(t *testing.T) {
 	skipInShort(t) // two workload campaigns, ~1 min
 	o := specOutcomes(t, "E1")["E1"]
 	// Widespread empty mining must lengthen the inclusion tail.
-	if o.Metrics["spread_p90_s"] <= o.Metrics["today_p90_s"] {
+	if o.Metrics["spread_inclusion_p90_s"] <= o.Metrics["today_inclusion_p90_s"] {
 		t.Fatalf("spread p90 %v should exceed today's %v",
-			o.Metrics["spread_p90_s"], o.Metrics["today_p90_s"])
+			o.Metrics["spread_inclusion_p90_s"], o.Metrics["today_inclusion_p90_s"])
 	}
-	if o.Metrics["today_median_s"] <= 0 {
+	if o.Metrics["today_inclusion_median_s"] <= 0 {
 		t.Fatal("baseline median missing")
 	}
 }
