@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-faults test-relay test-server test-obs test-stress test-shard fuzz fuzz-smoke race profile profile-shard profile-chain profile-tx profile-mem bench bench-contract-smoke fmt fmt-check vet loc examples examples-full validate-scenarios
+.PHONY: build test test-full test-faults test-relay test-server dataset-smoke test-obs test-stress test-shard fuzz fuzz-smoke race profile profile-shard profile-chain profile-tx profile-mem bench bench-contract-smoke fmt fmt-check vet loc examples examples-full validate-scenarios
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,21 @@ test-server:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/ethrepro -only T1 -repeats 2 -out "$$dir/run"; \
 	$(GO) run ./cmd/ethanalyze -verify "$$dir/run"
+
+# The open-data path end to end: ethmeasure writes a small sealed JSONL
+# dataset (tx links and a 2 tx/s workload, so every figure has data),
+# ethanalyze -verify checks its digests, and ethanalyze -in must print
+# Figures 1 through 7 from the logs alone.
+dataset-smoke:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./cmd/ethmeasure ./cmd/ethanalyze; \
+	"$$dir/ethmeasure" -nodes 120 -blocks 40 -txlinks -txrate 2 -out "$$dir/ds"; \
+	"$$dir/ethanalyze" -verify "$$dir/ds"; \
+	"$$dir/ethanalyze" -in "$$dir/ds" > "$$dir/out.txt"; \
+	for n in 1 2 3 4 5 6 7; do \
+		grep -q "^Figure $$n " "$$dir/out.txt" || { cat "$$dir/out.txt"; echo "dataset-smoke: Figure $$n missing"; exit 1; }; \
+	done; \
+	echo "dataset-smoke: Figures 1-7 printed"
 
 # Observability gate: the tracing-on-vs-off golden invariance harness
 # (byte-identical artifacts and equal Merkle roots with the tracer
@@ -122,18 +137,22 @@ fuzz:
 	$(GO) test -fuzz FuzzSelectUncles -fuzztime 30s ./internal/chain/
 	$(GO) test -fuzz FuzzSettledMainChain -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzChainFold -fuzztime 30s ./internal/analysis/
+	$(GO) test -fuzz FuzzBuildIndex -fuzztime 30s ./internal/analysis/
 	$(GO) test -fuzz FuzzHeaderEncoding -fuzztime 15s ./internal/types/
 	$(GO) test -fuzz FuzzSampleExact -fuzztime 15s ./internal/geo/
 	$(GO) test -fuzz FuzzClosest -fuzztime 15s ./internal/discovery/
 
 # The fuzz targets CI runs past their seed corpora: the settled
 # chain-only path against the whole tree (main chain and analysis
-# fold), and the adjacency arena — span relocation and in-place
-# compaction under churn — against its ordered-list reference model.
+# fold), the JSONL index build (the replay through measure.Fold)
+# against the log scan it replaced, and the adjacency arena — span
+# relocation and in-place compaction under churn — against its
+# ordered-list reference model.
 # FuzzAdjacencyChurn caps minimization at 2 s per input: minimizing its
 # long churn scripts otherwise eats the whole burst.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChainFold -fuzztime 20s ./internal/analysis/
+	$(GO) test -run '^$$' -fuzz FuzzBuildIndex -fuzztime 20s ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzSettledMainChain -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzAdjacencyChurn -fuzztime 20s -fuzzminimizetime 2s ./internal/p2p/
 

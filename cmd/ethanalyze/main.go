@@ -83,62 +83,28 @@ func run(args []string, w *os.File) error {
 	if err != nil {
 		return err
 	}
-
-	// Network-level figures.
-	if prop, err := analysis.PropagationDelays(idx); err == nil {
-		fmt.Fprintln(w, analysis.RenderPropagation(prop))
-	} else {
-		fmt.Fprintf(w, "figure 1 unavailable: %v\n", err)
-	}
-	if first, err := analysis.FirstObservations(idx); err == nil {
-		fmt.Fprintln(w, analysis.RenderFirstObservations(first))
-	} else {
-		fmt.Fprintf(w, "figure 2 unavailable: %v\n", err)
-	}
-	if pools, err := analysis.PoolFirstObservations(idx, 15); err == nil {
-		fmt.Fprintln(w, analysis.RenderPoolObservations(pools, ds.NodeNames))
-	} else {
-		fmt.Fprintf(w, "figure 3 unavailable: %v\n", err)
-	}
-	if *redNode != "" {
-		if red, err := analysis.Redundancy(idx, *redNode); err == nil {
-			fmt.Fprintln(w, analysis.RenderRedundancy(red))
-		} else {
-			fmt.Fprintf(w, "table II unavailable: %v\n", err)
-		}
-	}
-
-	// Chain-level figures from the reconstructed chain.
 	view, err := analysis.ViewFromIndex(idx)
 	if err != nil {
 		return fmt.Errorf("reconstruct chain: %w", err)
 	}
-	if commit, err := analysis.CommitTimes(idx, view); err == nil {
-		fmt.Fprintln(w, analysis.RenderCommit(commit))
-	} else {
-		fmt.Fprintf(w, "figure 4 unavailable: %v\n", err)
-	}
-	if reorder, err := analysis.Reordering(idx, view); err == nil {
-		fmt.Fprintln(w, analysis.RenderReordering(reorder))
-	} else {
-		fmt.Fprintf(w, "figure 5 unavailable: %v\n", err)
-	}
-	fold := analysis.FoldView(view)
-	if empty, err := fold.EmptyBlocks(); err == nil {
-		fmt.Fprintln(w, analysis.RenderEmptyBlocks(empty, 16))
-	}
-	if forks, err := fold.Forks(); err == nil {
-		fmt.Fprintln(w, analysis.RenderForks(forks))
-	}
-	if om, err := fold.OneMinerForks(); err == nil {
-		fmt.Fprintln(w, analysis.RenderOneMinerForks(om))
-	}
-	if seq, err := fold.Sequences(); err == nil {
-		fmt.Fprintln(w, analysis.RenderSequences(seq, 6, 9))
-		if censor, err := analysis.CensorshipWindows(seq, 6, 13.3); err == nil {
-			fmt.Fprintln(w, analysis.RenderCensorship(censor))
+	// The paper's figures are rows of the experiments' output table, so
+	// a dataset prints what the campaign that wrote it renders. Table
+	// II reports on one vantage; the others on every node.
+	show := func(vantages []string, names ...string) {
+		outs, errs := experiments.IndexOutputs(idx, view, vantages, names)
+		for i, out := range outs {
+			if errs[i] != nil {
+				fmt.Fprintf(w, "%s unavailable: %v\n", out.ID, errs[i])
+			} else {
+				fmt.Fprintln(w, out.Rendered)
+			}
 		}
 	}
+	show(ds.NodeNames, "propagation", "first_observation", "pool_first_observation")
+	if *redNode != "" {
+		show([]string{*redNode}, "redundancy")
+	}
+	show(ds.NodeNames, "commit_times", "reordering", "empty_blocks", "forks", "one_miner_forks", "sequences")
 	return nil
 }
 

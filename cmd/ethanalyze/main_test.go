@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -15,20 +17,26 @@ import (
 	"repro/internal/txgen"
 )
 
-// writeDataset runs a small campaign and writes its logs like
-// ethmeasure would.
-func writeDataset(t *testing.T, dir string) {
-	t.Helper()
+// datasetConfig is a small campaign with a transaction workload and
+// a 25-peer vantage beside the paper's four, with or without tx links.
+func datasetConfig(txLinks bool) core.CampaignConfig {
 	cfg := core.DefaultCampaignConfig(9)
 	cfg.NetworkNodes = 120
 	cfg.Blocks = 60
 	cfg.Measurement = append(core.PaperMeasurementSpecs(30),
 		core.MeasurementSpec{Name: "WE-default", Region: cfg.Measurement[2].Region, Peers: 25})
-	cfg.CaptureTxLinks = true
+	cfg.CaptureTxLinks = txLinks
 	wl := txgen.DefaultConfig()
 	wl.Senders = 50
 	wl.MeanInterArrival = 1000
 	cfg.Workload = &wl
+	return cfg
+}
+
+// writeDataset runs the campaign and writes its logs like ethmeasure
+// would.
+func writeDataset(t *testing.T, dir string, cfg core.CampaignConfig) {
+	t.Helper()
 	res, err := core.RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,31 +55,61 @@ func writeDataset(t *testing.T, dir string) {
 	}
 }
 
+// TestAnalyzeDataset pins ethanalyze -in to the output table: after
+// the loaded lines, it prints exactly the Rendered text
+// experiments.CampaignOutputs gives for the campaign that wrote the
+// dataset, vantages sorted, F1 … F7 in table order (Table II on the
+// first vantage). Without tx links F4 and F5 print unavailable and
+// every other row still prints.
 func TestAnalyzeDataset(t *testing.T) {
-	dir := t.TempDir()
-	writeDataset(t, dir)
-	out, err := os.CreateTemp(t.TempDir(), "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	if err := run([]string{"-in", dir, "-redundancy-node", "WE-default"}, out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := out.Seek(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1<<20)
-	n, _ := out.Read(buf)
-	text := string(buf[:n])
-	for _, want := range []string{
-		"Figure 1", "Figure 2", "Figure 3", "Table II",
-		"Figure 4", "Figure 5", "Figure 6", "Table III",
-		"One-miner forks", "Figure 7",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("analysis output missing %q:\n%s", want, text[:min(len(text), 2000)])
-		}
+	for _, txLinks := range []bool{true, false} {
+		t.Run(fmt.Sprintf("txlinks=%v", txLinks), func(t *testing.T) {
+			cfg := datasetConfig(txLinks)
+			dir := t.TempDir()
+			writeDataset(t, dir, cfg)
+			var vantages []string
+			for _, m := range cfg.Measurement {
+				vantages = append(vantages, m.Name)
+			}
+			sort.Strings(vantages)
+			text, err := capture(t, []string{"-in", dir, "-redundancy-node", vantages[0]})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			names := []string{"propagation", "first_observation", "pool_first_observation", "redundancy",
+				"empty_blocks", "forks", "one_miner_forks", "sequences"}
+			if txLinks {
+				names = append(names, "commit_times", "reordering")
+			}
+			outs, err := experiments.CampaignOutputs(cfg, vantages, names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rendered := map[string]string{}
+			for _, o := range outs {
+				rendered[o.ID] = o.Rendered
+			}
+			var want strings.Builder
+			for _, id := range []string{"F1", "F2", "F3", "T2", "F4", "F5", "F6", "T3", "S1", "F7"} {
+				if r, ok := rendered[id]; ok {
+					want.WriteString(r + "\n")
+				} else {
+					fmt.Fprintf(&want, "%s unavailable: analysis: dataset has no tx-to-block links (enable CaptureTxLinks)\n", id)
+				}
+			}
+			got := text
+			for range vantages {
+				line, rest, _ := strings.Cut(got, "\n")
+				if !strings.HasPrefix(line, "loaded ") {
+					t.Fatalf("want %d loaded lines first, got %q", len(vantages), line)
+				}
+				got = rest
+			}
+			if got != want.String() {
+				t.Fatalf("ethanalyze -in differs from the output table\n got:\n%s\nwant:\n%s", got, want.String())
+			}
+		})
 	}
 }
 

@@ -58,7 +58,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(analysis.RenderPoolObservations(pools, paper.Dataset.NodeNames))
+	var vantages []string
+	for _, n := range paper.Nodes {
+		vantages = append(vantages, n.Name())
+	}
+	fmt.Println(analysis.RenderPoolObservations(pools, vantages))
 
 	fmt.Println("=== Counterfactual: every pool gateways everywhere ===")
 	dispersed, err := campaign(true)

@@ -69,7 +69,7 @@ func TestEmptyBlocks(t *testing.T) {
 		[]int{1, 0, 2, 0, 0},
 		nil,
 	)
-	res, err := EmptyBlocks(view)
+	res, err := FoldView(view).EmptyBlocks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestEmptyBlocks(t *testing.T) {
 	if res.Pools[0] != "A" && res.Pools[0] != "B" {
 		t.Fatalf("pool order: %v", res.Pools)
 	}
-	if _, err := EmptyBlocks(nil); !errors.Is(err, ErrNoBlocks) {
+	if _, err := FoldView(nil).EmptyBlocks(); !errors.Is(err, ErrNoBlocks) {
 		t.Fatal("nil view must fail")
 	}
 }
@@ -114,7 +114,7 @@ func TestForksTableIII(t *testing.T) {
 	view.All[f2.Hash] = f2
 	view.All[f3.Hash] = f3
 
-	res, err := Forks(view)
+	res, err := FoldView(view).Forks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestForksTableIII(t *testing.T) {
 	if len(res.Branches) != 3 {
 		t.Fatalf("branches: %d", len(res.Branches))
 	}
-	if _, err := Forks(nil); !errors.Is(err, ErrNoBlocks) {
+	if _, err := FoldView(nil).Forks(); !errors.Is(err, ErrNoBlocks) {
 		t.Fatal("nil view must fail")
 	}
 }
@@ -150,7 +150,7 @@ func TestOneMinerForks(t *testing.T) {
 			{miner: "B", parentIdx: 3, txCount: 1, recognize: false},
 		},
 	)
-	res, err := OneMinerForks(view)
+	res, err := FoldView(view).OneMinerForks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestOneMinerForks(t *testing.T) {
 	if !almost(res.FractionOfForks, 1) {
 		t.Fatalf("fraction of forks: %v", res.FractionOfForks)
 	}
-	if _, err := OneMinerForks(nil); !errors.Is(err, ErrNoBlocks) {
+	if _, err := FoldView(nil).OneMinerForks(); !errors.Is(err, ErrNoBlocks) {
 		t.Fatal("nil view must fail")
 	}
 }
@@ -186,7 +186,7 @@ func TestOneMinerForksTxHashComparison(t *testing.T) {
 		Miner: "A", TxCount: 2, TxHashes: []types.Hash{h("t1"), h("t3")},
 	}
 	view.All[fork.Hash] = fork
-	res, err := OneMinerForks(view)
+	res, err := FoldView(view).OneMinerForks()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestOneMinerForksTxHashComparison(t *testing.T) {
 
 func TestSequencesAndCDF(t *testing.T) {
 	view := buildView([]string{"A", "A", "A", "B", "A", "B", "B"}, nil, nil)
-	res, err := Sequences(view.Main)
+	res, err := FoldView(view).Sequences()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,14 +214,14 @@ func TestSequencesAndCDF(t *testing.T) {
 	if res.CDF("missing", 5) != 0 {
 		t.Fatal("missing pool CDF must be 0")
 	}
-	if _, err := Sequences(nil); !errors.Is(err, ErrNoBlocks) {
+	if _, err := FoldView(nil).Sequences(); !errors.Is(err, ErrNoBlocks) {
 		t.Fatal("empty main chain must fail")
 	}
 }
 
 func TestCensorshipWindows(t *testing.T) {
 	view := buildView([]string{"A", "A", "A", "B", "A", "B", "B"}, nil, nil)
-	seq, err := Sequences(view.Main)
+	seq, err := FoldView(view).Sequences()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestCensorshipWindows(t *testing.T) {
 
 func TestWholeChainTail(t *testing.T) {
 	view := buildView([]string{"A", "A", "A", "B", "A", "A"}, nil, nil)
-	seq, err := Sequences(view.Main)
+	seq, err := FoldView(view).Sequences()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestForksGenesisParentQuirk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forks, err := Forks(view)
+	forks, err := FoldView(view).Forks()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,10 @@ import (
 )
 
 // Dataset is the merged input of an analysis run: the union of all
-// measurement nodes' logs, plus (optionally) full block content.
+// measurement nodes' logs.
 type Dataset struct {
 	// Records holds every log line from every node.
 	Records []measure.Record
-	// Blocks maps hashes to full content when available (in-memory
-	// campaigns); log-only datasets reconstruct skeletons instead.
-	Blocks map[types.Hash]*types.Block
 	// NodeNames lists measurement nodes in a stable order.
 	NodeNames []string
 }
@@ -45,32 +42,12 @@ var (
 	ErrNoNodes  = errors.New("analysis: no measurement nodes")
 )
 
-// MergeNodes builds a Dataset from live measurement nodes: names in
-// attach order, retained block bodies, and whatever raw log the nodes
-// kept (none for streaming nodes, whose Records() is nil).
-func MergeNodes(nodes []*measure.Node) (*Dataset, error) {
-	if len(nodes) == 0 {
-		return nil, ErrNoNodes
-	}
-	ds := &Dataset{Blocks: make(map[types.Hash]*types.Block)}
-	for _, n := range nodes {
-		ds.NodeNames = append(ds.NodeNames, n.Name())
-		ds.Records = append(ds.Records, n.Records()...)
-		for h, b := range n.Blocks() {
-			if _, ok := ds.Blocks[h]; !ok {
-				ds.Blocks[h] = b
-			}
-		}
-	}
-	return ds, nil
-}
-
 // FromRecords builds a Dataset from parsed JSONL logs.
 func FromRecords(records []measure.Record) (*Dataset, error) {
 	if len(records) == 0 {
 		return nil, measure.ErrEmptyLog
 	}
-	ds := &Dataset{Records: records, Blocks: make(map[types.Hash]*types.Block)}
+	ds := &Dataset{Records: records}
 	seen := map[string]bool{}
 	for _, r := range records {
 		if !seen[r.Node] {
@@ -127,69 +104,56 @@ type BlockMeta struct {
 	TxHashes []types.Hash
 }
 
-// BuildIndex scans the dataset once and builds all observation maps.
+// BuildIndex replays the dataset's records, in order, through one
+// measure.Fold per node — the reception rule every live measurement
+// node applies at ingress — and takes each block's skeleton from its
+// first block record, so a log read back from JSONL indexes exactly
+// like the campaign that wrote it (IndexFromStreams).
 func BuildIndex(ds *Dataset) (*Index, error) {
 	if ds == nil || len(ds.Records) == 0 {
 		return nil, measure.ErrEmptyLog
 	}
-	idx := &Index{
-		BlockFirst:      make(map[types.Hash]map[string]Observation),
-		BlockReceptions: make(map[types.Hash]map[string]map[measure.RecordKind]int),
-		TxFirst:         make(map[types.Hash]map[string]Observation),
-		TxMeta:          make(map[types.Hash]TxMeta),
-		BlockMeta:       make(map[types.Hash]BlockMeta),
-	}
+	var names []string
+	byNode := map[string]*measure.Fold{}
+	meta := make(map[types.Hash]BlockMeta)
+	// ids keeps each transaction's identity as its first record carries
+	// it, so every node's fold agrees on it.
+	ids := make(map[types.Hash]TxMeta)
 	for _, r := range ds.Records {
 		h, err := parseHash(r.Hash)
 		if err != nil {
 			return nil, fmt.Errorf("record from %s: %w", r.Node, err)
 		}
+		f := byNode[r.Node]
+		if f == nil {
+			f = measure.NewFold()
+			byNode[r.Node] = f
+			names = append(names, r.Node)
+		}
 		switch r.Kind {
 		case measure.KindBlock, measure.KindAnnouncement:
-			noteFirst(idx.BlockFirst, h, r)
-			perNode := idx.BlockReceptions[h]
-			if perNode == nil {
-				perNode = make(map[string]map[measure.RecordKind]int)
-				idx.BlockReceptions[h] = perNode
-			}
-			perKind := perNode[r.Node]
-			if perKind == nil {
-				perKind = make(map[measure.RecordKind]int)
-				perNode[r.Node] = perKind
-			}
-			perKind[r.Kind]++
-			if r.Kind == measure.KindBlock {
-				if _, ok := idx.BlockMeta[h]; !ok {
-					meta, err := blockMetaFromRecord(h, r)
-					if err != nil {
-						return nil, err
-					}
-					idx.BlockMeta[h] = meta
+			f.Block(r.LocalTime(), r.Kind, h)
+			if _, ok := meta[h]; !ok && r.Kind == measure.KindBlock {
+				if meta[h], err = blockMetaFromRecord(h, r); err != nil {
+					return nil, err
 				}
 			}
 		case measure.KindTx:
-			noteFirst(idx.TxFirst, h, r)
-			if _, ok := idx.TxMeta[h]; !ok {
-				idx.TxMeta[h] = TxMeta{Sender: r.Sender, Nonce: r.Nonce}
+			if o, first := f.Tx(r.LocalTime(), h); first {
+				id, ok := ids[h]
+				if !ok {
+					id = TxMeta{Sender: r.Sender, Nonce: r.Nonce}
+					ids[h] = id
+				}
+				o.Sender, o.Nonce = id.Sender, id.Nonce
 			}
 		}
 	}
-	if len(idx.BlockFirst) == 0 {
-		return nil, ErrNoBlocks
+	folds := make([]*measure.Fold, len(names))
+	for i, name := range names {
+		folds[i] = byNode[name]
 	}
-	return idx, nil
-}
-
-func noteFirst(m map[types.Hash]map[string]Observation, h types.Hash, r measure.Record) {
-	perNode := m[h]
-	if perNode == nil {
-		perNode = make(map[string]Observation)
-		m[h] = perNode
-	}
-	prev, ok := perNode[r.Node]
-	if !ok || r.LocalTime() < prev.Local {
-		perNode[r.Node] = Observation{Node: r.Node, Local: r.LocalTime(), Kind: r.Kind}
-	}
+	return assemble(names, folds, meta)
 }
 
 func blockMetaFromRecord(h types.Hash, r measure.Record) (BlockMeta, error) {

@@ -31,11 +31,6 @@ func (c PoolEmptyCount) Rate() float64 {
 	return float64(c.Empty) / float64(c.Mined)
 }
 
-// EmptyBlocks computes Fig. 6 over a chain view.
-func EmptyBlocks(view *ChainView) (*EmptyBlocksResult, error) {
-	return FoldView(view).EmptyBlocks()
-}
-
 // ForkBranch is one maximal off-main chain segment.
 type ForkBranch struct {
 	// Blocks lists the branch's block hashes from fork point outward.
@@ -71,12 +66,6 @@ type ForkLengthCount struct {
 	Unrecognized int
 }
 
-// Forks computes Table III from a chain view: group off-main blocks
-// into parent-linked branches rooted at a main-chain block.
-func Forks(view *ChainView) (*ForksResult, error) {
-	return FoldView(view).Forks()
-}
-
 // OneMinerForkResult reproduces §III-C5: heights where one miner
 // produced several blocks.
 type OneMinerForkResult struct {
@@ -92,13 +81,6 @@ type OneMinerForkResult struct {
 	// FractionOfForks is one-miner forks / all forked heights (paper:
 	// >11% of forks).
 	FractionOfForks float64
-}
-
-// OneMinerForks computes §III-C5 over a chain view. A one-miner fork
-// is a height with >= 2 blocks from the same miner; versions off the
-// main chain are the "extra" blocks.
-func OneMinerForks(view *ChainView) (*OneMinerForkResult, error) {
-	return FoldView(view).OneMinerForks()
 }
 
 // sameTxSet compares transaction sets, preferring explicit hash lists

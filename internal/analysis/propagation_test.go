@@ -86,8 +86,8 @@ func TestBuildIndexErrors(t *testing.T) {
 	}
 }
 
-func TestMergeNodesRequiresNodes(t *testing.T) {
-	if _, err := MergeNodes(nil); !errors.Is(err, ErrNoNodes) {
+func TestIndexFromStreamsRequiresNodes(t *testing.T) {
+	if _, err := IndexFromStreams(nil); !errors.Is(err, ErrNoNodes) {
 		t.Fatalf("want ErrNoNodes, got %v", err)
 	}
 }

@@ -4,22 +4,28 @@ package analysis_test
 // replaced them: whole-view bodies over a ChainView's maps. They are
 // kept here as the references the fold is pinned against —
 // FuzzChainFold on settled chain-only runs, TestChainFoldMeasuredViews
-// on measured views.
+// on measured views. Below them, the log scan BuildIndex was before it
+// replayed records through measure.Fold, pinned by FuzzBuildIndex and
+// TestBuildIndexReferenceRealLog.
 
 import (
+	"encoding/hex"
 	"fmt"
 	"maps"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/geo"
+	"repro/internal/measure"
 	"repro/internal/mining"
 	"repro/internal/rewards"
 	"repro/internal/sim"
+	"repro/internal/txgen"
 	"repro/internal/types"
 )
 
@@ -350,6 +356,16 @@ func refAccounting(view *analysis.ChainView, s rewards.Schedule, meanGasPriceWei
 	return out, nil
 }
 
+// refSequences is Fig. 7 over a main chain in height order, one
+// SequenceFold fed straight from the view.
+func refSequences(main []analysis.BlockMeta) (*analysis.SequencesResult, error) {
+	var f analysis.SequenceFold
+	for _, meta := range main {
+		f.Add(meta.Miner)
+	}
+	return f.Result()
+}
+
 // The withholding test's calibration and the fee price INC uses.
 const (
 	refMinRun    = analysis.DefaultWithholdingMinRun
@@ -383,7 +399,7 @@ func checkFold(t *testing.T, fold *analysis.ChainFold, view *analysis.ChainView,
 	wantOM, wantErr := refOneMinerForks(view)
 	same(t, "OneMinerForks", om, err, wantOM, wantErr)
 	seq, err := fold.Sequences()
-	wantSeq, wantErr := analysis.Sequences(view.Main)
+	wantSeq, wantErr := refSequences(view.Main)
 	same(t, "Sequences", seq, err, wantSeq, wantErr)
 	wh, err := fold.Withholding()
 	wantWH, wantErr := refDetectWithholding(view, times, refMinRun, refThreshold)
@@ -408,13 +424,13 @@ func checkView(t *testing.T, view *analysis.ChainView, times map[types.Hash]sim.
 	fold.AddView(view)
 	checkFold(t, fold, view, times)
 
-	empty, err := analysis.EmptyBlocks(view)
+	empty, err := analysis.FoldView(view).EmptyBlocks()
 	wantEmpty, wantErr := refEmptyBlocks(view)
 	same(t, "EmptyBlocks(view)", empty, err, wantEmpty, wantErr)
-	forks, err := analysis.Forks(view)
+	forks, err := analysis.FoldView(view).Forks()
 	wantForks, wantErr := refForks(view)
 	same(t, "Forks(view)", forks, err, wantForks, wantErr)
-	om, err := analysis.OneMinerForks(view)
+	om, err := analysis.FoldView(view).OneMinerForks()
 	wantOM, wantErr := refOneMinerForks(view)
 	same(t, "OneMinerForks(view)", om, err, wantOM, wantErr)
 	wh, err := analysis.DetectWithholding(view, times, refMinRun, refThreshold)
@@ -598,4 +614,295 @@ func withoutMain(view *analysis.ChainView, k int) *analysis.ChainView {
 		}
 	}
 	return v
+}
+
+// refBuildIndex is BuildIndex as a single scan of the records: each
+// record updates its node's first sighting (refNoteFirst) and
+// reception count directly, the first record of an item supplies its
+// skeleton or identity, and the first malformed hash in record order
+// fails the scan.
+func refBuildIndex(ds *analysis.Dataset) (*analysis.Index, error) {
+	if ds == nil || len(ds.Records) == 0 {
+		return nil, measure.ErrEmptyLog
+	}
+	idx := &analysis.Index{
+		BlockFirst:      make(map[types.Hash]map[string]analysis.Observation),
+		BlockReceptions: make(map[types.Hash]map[string]map[measure.RecordKind]int),
+		TxFirst:         make(map[types.Hash]map[string]analysis.Observation),
+		TxMeta:          make(map[types.Hash]analysis.TxMeta),
+		BlockMeta:       make(map[types.Hash]analysis.BlockMeta),
+	}
+	for _, r := range ds.Records {
+		h, err := refParseHash(r.Hash)
+		if err != nil {
+			return nil, fmt.Errorf("record from %s: %w", r.Node, err)
+		}
+		switch r.Kind {
+		case measure.KindBlock, measure.KindAnnouncement:
+			refNoteFirst(idx.BlockFirst, h, r)
+			perNode := idx.BlockReceptions[h]
+			if perNode == nil {
+				perNode = make(map[string]map[measure.RecordKind]int)
+				idx.BlockReceptions[h] = perNode
+			}
+			perKind := perNode[r.Node]
+			if perKind == nil {
+				perKind = make(map[measure.RecordKind]int)
+				perNode[r.Node] = perKind
+			}
+			perKind[r.Kind]++
+			if r.Kind == measure.KindBlock {
+				if _, ok := idx.BlockMeta[h]; !ok {
+					meta, err := refBlockMeta(h, r)
+					if err != nil {
+						return nil, err
+					}
+					idx.BlockMeta[h] = meta
+				}
+			}
+		case measure.KindTx:
+			refNoteFirst(idx.TxFirst, h, r)
+			if _, ok := idx.TxMeta[h]; !ok {
+				idx.TxMeta[h] = analysis.TxMeta{Sender: r.Sender, Nonce: r.Nonce}
+			}
+		}
+	}
+	if len(idx.BlockFirst) == 0 {
+		return nil, analysis.ErrNoBlocks
+	}
+	return idx, nil
+}
+
+func refNoteFirst(m map[types.Hash]map[string]analysis.Observation, h types.Hash, r measure.Record) {
+	perNode := m[h]
+	if perNode == nil {
+		perNode = make(map[string]analysis.Observation)
+		m[h] = perNode
+	}
+	prev, ok := perNode[r.Node]
+	if !ok || r.LocalTime() < prev.Local {
+		perNode[r.Node] = analysis.Observation{Node: r.Node, Local: r.LocalTime(), Kind: r.Kind}
+	}
+}
+
+func refBlockMeta(h types.Hash, r measure.Record) (analysis.BlockMeta, error) {
+	parent, err := refParseHash(r.ParentHash)
+	if err != nil {
+		return analysis.BlockMeta{}, fmt.Errorf("block %s parent: %w", r.Hash, err)
+	}
+	meta := analysis.BlockMeta{
+		Hash:    h,
+		Parent:  parent,
+		Number:  r.Number,
+		Miner:   r.Miner,
+		TxCount: r.TxCount,
+		Size:    r.SizeBytes,
+		Extra:   r.Extra,
+	}
+	for _, u := range r.Uncles {
+		uh, err := refParseHash(u)
+		if err != nil {
+			return analysis.BlockMeta{}, fmt.Errorf("block %s uncle: %w", r.Hash, err)
+		}
+		meta.Uncles = append(meta.Uncles, uh)
+	}
+	for _, txh := range r.TxHashes {
+		th, err := refParseHash(txh)
+		if err != nil {
+			return analysis.BlockMeta{}, fmt.Errorf("block %s tx: %w", r.Hash, err)
+		}
+		meta.TxHashes = append(meta.TxHashes, th)
+	}
+	return meta, nil
+}
+
+// refParseHash decodes the 0x-prefixed hex form of types.Hash.String,
+// either case.
+func refParseHash(s string) (types.Hash, error) {
+	var h types.Hash
+	if len(s) != 2+2*types.HashLen || s[:2] != "0x" {
+		return h, fmt.Errorf("analysis: malformed hash %q", s)
+	}
+	if _, err := hex.Decode(h[:], []byte(s[2:])); err != nil {
+		return types.Hash{}, fmt.Errorf("analysis: malformed hash %q", s)
+	}
+	return h, nil
+}
+
+// sameIndex fails t unless BuildIndex over ds DeepEquals the
+// reference scan, errors included.
+func sameIndex(t *testing.T, ds *analysis.Dataset) *analysis.Index {
+	t.Helper()
+	got, err := analysis.BuildIndex(ds)
+	want, wantErr := refBuildIndex(ds)
+	if !reflect.DeepEqual(err, wantErr) {
+		t.Fatalf("BuildIndex error %v, reference %v", err, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("BuildIndex differs from the reference scan\n got %+v\nwant %+v", got, want)
+	}
+	return got
+}
+
+// fuzzNodes and fuzzHashes are the small alphabets fuzzed logs draw
+// from, so nodes and items repeat.
+var (
+	fuzzNodes  = []string{"NA", "EA", "WE", "CE", ""}
+	fuzzKinds  = []measure.RecordKind{measure.KindBlock, measure.KindAnnouncement, measure.KindTx, "other"}
+	fuzzHashes = func() []string {
+		out := make([]string, 6)
+		for i := range out {
+			out[i] = types.HashBytes([]byte{byte(i)}).String()
+		}
+		// Upper-case hex is a valid spelling of the same hash.
+		out[5] = "0x" + strings.ToUpper(out[0][2:])
+		return out
+	}()
+	fuzzMalformed = []string{"", "nope", "0x12", "1x" + fuzzHashes[1][2:], fuzzHashes[1][:65] + "g"}
+)
+
+// fuzzRecords decodes a log from data, four bytes a record: node and
+// kind; item; local time (eight values, so ties are common); and the
+// bits that pick the block fields, the sender and nonce, and which
+// hash — the item's, the parent's, an uncle's or a tx link's — is
+// malformed, if any.
+func fuzzRecords(data []byte) []measure.Record {
+	var out []measure.Record
+	hash := func(b byte) string { return fuzzHashes[int(b)%len(fuzzHashes)] }
+	for ; len(data) >= 4; data = data[4:] {
+		b0, b1, b2, b3 := data[0], data[1], data[2], data[3]
+		r := measure.Record{
+			Node:        fuzzNodes[int(b0)%len(fuzzNodes)],
+			Kind:        fuzzKinds[int(b0>>4)%len(fuzzKinds)],
+			Hash:        hash(b1),
+			LocalMillis: int64(b2 % 8),
+			TrueMillis:  int64(b2),
+		}
+		switch r.Kind {
+		case measure.KindBlock:
+			r.ParentHash = hash(b1 + 1)
+			r.Number = uint64(b1 % 8)
+			r.Miner = fuzzNodes[int(b3)%len(fuzzNodes)]
+			r.TxCount = int(b3 % 3)
+			r.SizeBytes = 500 + int(b2)
+			r.Extra = uint64(b3 >> 7)
+			if b3&0x08 != 0 {
+				r.Uncles = []string{hash(b1 + 2)}
+			}
+			for i := 0; i < r.TxCount; i++ {
+				r.TxHashes = append(r.TxHashes, hash(b3+byte(i)))
+			}
+		case measure.KindTx:
+			r.Sender, r.Nonce = fuzzNodes[int(b3)%len(fuzzNodes)], uint64(b3>>5)
+		}
+		if bad := fuzzMalformed[int(b2>>3)%len(fuzzMalformed)]; b2&0xc0 == 0xc0 {
+			switch b3 % 4 {
+			case 0:
+				r.Hash = bad
+			case 1:
+				r.ParentHash = bad
+			case 2:
+				r.Uncles = append(r.Uncles, bad)
+			case 3:
+				r.TxHashes = append(r.TxHashes, bad)
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// FuzzBuildIndex pins BuildIndex — the replay through measure.Fold —
+// against the reference scan on decoded logs: several nodes (one
+// unnamed), repeated items under both hex spellings, tied local times,
+// announcements before and after a block's record, items seen as both
+// block and transaction, one transaction under two identities,
+// tx-only and unknown-kind-only logs, and malformed item, parent,
+// uncle and tx-link hashes. Index and error must DeepEqual.
+func FuzzBuildIndex(f *testing.F) {
+	for _, seed := range [][]byte{
+		nil,
+		// Announcement before the block, at another node.
+		{0x11, 0, 5, 0, 0x00, 0, 6, 0x08, 0x02, 0, 6, 0},
+		// Tied local times across nodes and kinds.
+		{0x00, 1, 3, 1, 0x11, 1, 3, 0, 0x02, 1, 3, 0, 0x13, 1, 3, 0},
+		// Tx-only log; the same tx under two identities.
+		{0x20, 2, 4, 0x21, 0x21, 2, 1, 0xe3, 0x22, 3, 7, 0},
+		// NA logs first, but CE logs a tx before NA logs it under
+		// another identity: the log's first identity wins.
+		{0x00, 0, 1, 0, 0x21, 2, 2, 0x01, 0x23, 2, 3, 0x02},
+		// Unknown kind only.
+		{0x30, 0, 0, 0, 0x31, 1, 1, 1},
+		// Upper-case spelling of a block seen in lower case.
+		{0x00, 0, 4, 0, 0x01, 5, 2, 0, 0x12, 5, 1, 0},
+		// A malformed item hash after a good record.
+		{0x00, 0, 4, 0, 0x01, 1, 0xc0, 0},
+		// A malformed parent, uncle or tx link on a block's first
+		// record, each before a good record.
+		{0x02, 2, 0xc8, 1, 0x10, 2, 1, 0},
+		{0x00, 3, 0xd2, 0x0a, 0x10, 3, 1, 0},
+		{0x01, 4, 0xe1, 0x0b, 0x10, 4, 1, 0},
+		// A bad hash on an unknown-kind record still fails the log.
+		{0x00, 0, 1, 0, 0x30, 1, 0xc0, 0},
+		// Uncles, tx links and a malformed tx link after the meta.
+		{0x00, 0, 2, 0x0a, 0x01, 0, 1, 0x0a, 0x02, 0, 0xc3, 0x03, 0x22, 1, 0, 0x40},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds := &analysis.Dataset{Records: fuzzRecords(data)}
+		sameIndex(t, ds)
+	})
+}
+
+// TestBuildIndexReferenceRealLog pins the reference scan, BuildIndex
+// and the campaign's own Index (the nodes' live fold) on one real log:
+// a small campaign with tx links, a transaction workload and all four
+// fault classes, on the one-lane layout and on region lanes.
+func TestBuildIndexReferenceRealLog(t *testing.T) {
+	horizon := 40 * 13300 * sim.Millisecond
+	cfg := core.DefaultCampaignConfig(13)
+	cfg.NetworkNodes = 80
+	cfg.Blocks = 40
+	cfg.Degree = 5
+	cfg.Measurement = core.PaperMeasurementSpecs(20)
+	cfg.CaptureTxLinks = true
+	wl := txgen.DefaultConfig()
+	wl.Senders = 30
+	wl.MeanInterArrival = 500 * sim.Millisecond
+	cfg.Workload = &wl
+	cfg.Faults = &faults.Config{
+		Crash: &faults.Crash{MeanBetween: horizon / 20, MeanDowntime: 30 * sim.Second},
+		Partitions: []faults.Partition{{
+			Start:    horizon / 4,
+			Duration: horizon / 4,
+			Regions:  []geo.Region{geo.EasternAsia, geo.Oceania},
+		}},
+		Loss:  &faults.Loss{DropProb: 0.01, ExtraDelayMean: 10 * sim.Millisecond},
+		Churn: &faults.Churn{MeanBetween: horizon / 30},
+	}
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg.Shards = shards
+			res, err := core.RunCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var records []measure.Record
+			for _, n := range res.Nodes {
+				records = append(records, n.Records()...)
+			}
+			ds, err := analysis.FromRecords(records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := sameIndex(t, ds)
+			if !reflect.DeepEqual(idx, res.Index) {
+				t.Fatal("reference scan of the raw log differs from the campaign's Index")
+			}
+			if len(idx.TxFirst) == 0 || res.MessagesDropped == 0 {
+				t.Fatalf("log too thin to pin: %d txs, %d dropped messages", len(idx.TxFirst), res.MessagesDropped)
+			}
+		})
+	}
 }

@@ -87,25 +87,25 @@ func TestRenderersProduceCompleteOutput(t *testing.T) {
 	}
 	mustContain(t, RenderReordering(reorder), "Figure 5", "out-of-order")
 
-	empty, err := EmptyBlocks(view)
+	empty, err := FoldView(view).EmptyBlocks()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustContain(t, RenderEmptyBlocks(empty, 5), "Figure 6", "Ethermine")
 
-	forks, err := Forks(view)
+	forks, err := FoldView(view).Forks()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustContain(t, RenderForks(forks), "Table III", "Fork Length")
 
-	om, err := OneMinerForks(view)
+	om, err := FoldView(view).OneMinerForks()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustContain(t, RenderOneMinerForks(om), "One-miner", "recognized")
 
-	seq, err := Sequences(view.Main)
+	seq, err := FoldView(view).Sequences()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,19 +23,9 @@ type SequencesResult struct {
 	TotalMain int
 }
 
-// Sequences computes Fig. 7 over a main chain in height order (a
-// ChainView's Main). It reads only each block's Miner.
-func Sequences(main []BlockMeta) (*SequencesResult, error) {
-	var f SequenceFold
-	for _, meta := range main {
-		f.Add(meta.Miner)
-	}
-	return f.Result()
-}
-
-// SequenceFold is Sequences one main-chain block at a time, in height
-// order, for a chain too long to hold: the zero value is an empty
-// fold.
+// SequenceFold computes Fig. 7 one main-chain block at a time, in
+// height order, reading only each block's Miner: the zero value is an
+// empty fold.
 type SequenceFold struct {
 	runs   stats.RunFold
 	counts map[string]int

@@ -5,29 +5,51 @@ import (
 	"repro/internal/types"
 )
 
-// IndexFromStreams builds the observation Index directly from the
-// measurement nodes' per-item aggregates — the fold every node keeps
-// whether or not it also retains a raw log — without Record structs,
-// hex round-trips or an O(receptions) scan. It produces exactly the
-// Index BuildIndex computes from the same nodes' raw logs (the
-// aggregates are the per-node fixpoints of BuildIndex's scan), so
-// every downstream analysis is unchanged, byte for byte.
+// IndexFromStreams builds the observation Index from live measurement
+// nodes: each node's Fold — which it keeps whether or not it also
+// retains a raw log — and the block bodies it retained, without Record
+// structs, hex round-trips or an O(receptions) scan. BuildIndex over
+// the same nodes' raw logs replays them through the same Fold, so the
+// two agree, byte for byte.
 func IndexFromStreams(nodes []*measure.Node) (*Index, error) {
 	if len(nodes) == 0 {
 		return nil, ErrNoNodes
 	}
+	names := make([]string, len(nodes))
+	folds := make([]*measure.Fold, len(nodes))
+	// A block's skeleton is a pure function of its body, so which node
+	// supplies it is immaterial.
+	meta := make(map[types.Hash]BlockMeta)
+	observed := false
+	for i, n := range nodes {
+		names[i], folds[i] = n.Name(), n.Fold()
+		observed = observed || len(folds[i].Blocks) > 0 || len(folds[i].Txs) > 0
+		for h, b := range n.Blocks() {
+			if _, ok := meta[h]; !ok {
+				meta[h] = metaFromBlock(b, n.CaptureTxLinks())
+			}
+		}
+	}
+	if !observed {
+		return nil, measure.ErrEmptyLog
+	}
+	return assemble(names, folds, meta)
+}
+
+// assemble builds the Index from per-vantage folds — folds[i] is
+// names[i]'s — and the block skeletons meta, which it keeps. A
+// transaction's identity comes from the first fold that saw it.
+func assemble(names []string, folds []*measure.Fold, meta map[types.Hash]BlockMeta) (*Index, error) {
 	idx := &Index{
 		BlockFirst:      make(map[types.Hash]map[string]Observation),
 		BlockReceptions: make(map[types.Hash]map[string]map[measure.RecordKind]int),
 		TxFirst:         make(map[types.Hash]map[string]Observation),
 		TxMeta:          make(map[types.Hash]TxMeta),
-		BlockMeta:       make(map[types.Hash]BlockMeta),
+		BlockMeta:       meta,
 	}
-	observed := false
-	for _, n := range nodes {
-		name := n.Name()
-		for h, o := range n.BlockObservations() {
-			observed = true
+	for i, f := range folds {
+		name := names[i]
+		for h, o := range f.Blocks {
 			perNode := idx.BlockFirst[h]
 			if perNode == nil {
 				perNode = make(map[string]Observation)
@@ -48,8 +70,7 @@ func IndexFromStreams(nodes []*measure.Node) (*Index, error) {
 			}
 			perRecv[name] = perKind
 		}
-		for h, o := range n.TxObservations() {
-			observed = true
+		for h, o := range f.Txs {
 			perNode := idx.TxFirst[h]
 			if perNode == nil {
 				perNode = make(map[string]Observation)
@@ -60,22 +81,6 @@ func IndexFromStreams(nodes []*measure.Node) (*Index, error) {
 				idx.TxMeta[h] = TxMeta{Sender: o.Sender, Nonce: o.Nonce}
 			}
 		}
-	}
-	// Block skeletons come straight from the retained bodies — the
-	// same content a raw-log scan would reparse from the first full
-	// reception's record (meta is a pure function of the block, so
-	// which node supplies it is immaterial).
-	for _, n := range nodes {
-		links := n.CaptureTxLinks()
-		for h, b := range n.Blocks() {
-			if _, ok := idx.BlockMeta[h]; ok {
-				continue
-			}
-			idx.BlockMeta[h] = metaFromBlock(b, links)
-		}
-	}
-	if !observed {
-		return nil, measure.ErrEmptyLog
 	}
 	if len(idx.BlockFirst) == 0 {
 		return nil, ErrNoBlocks

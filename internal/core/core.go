@@ -97,7 +97,7 @@ type CampaignConfig struct {
 	// analysis on it — is identical either way; the flag only decides
 	// whether the nodes also retain one Record per reception. Set, it
 	// keeps campaign memory O(blocks + transactions) rather than
-	// O(receptions) and leaves CampaignResult.Dataset.Records empty.
+	// O(receptions) and every node's Records() is nil.
 	// Leave the default (false) when the raw JSONL log itself is the
 	// product (cmd/ethmeasure).
 	Streaming bool
@@ -150,17 +150,11 @@ func DefaultCampaignConfig(seed uint64) CampaignConfig {
 
 // CampaignResult bundles everything a campaign produced.
 type CampaignResult struct {
-	// Dataset is the merged measurement log: node names and block
-	// bodies always, Records only when the raw log was retained.
-	Dataset *analysis.Dataset
 	// Index is the observation index, built from the nodes' fold.
 	Index *analysis.Index
 	// View is the chain view reconstructed from the logs (what the
 	// original study could compute) — use for log-based analyses.
 	View *analysis.ChainView
-	// Tree is the simulation's ground-truth block tree (not available
-	// to the original study; used for validation).
-	Tree *chain.BlockTree
 	// Nodes are the measurement nodes (logs, clocks).
 	Nodes []*measure.Node
 	// TxRecords is the workload ground truth (empty without a
@@ -573,10 +567,6 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 		return nil, fmt.Errorf("core: mining: %w", err)
 	}
 
-	ds, err := analysis.MergeNodes(c.nodes)
-	if err != nil {
-		return nil, fmt.Errorf("core: merge logs: %w", err)
-	}
 	idx, err := analysis.IndexFromStreams(c.nodes)
 	if err != nil {
 		return nil, fmt.Errorf("core: index logs: %w", err)
@@ -586,10 +576,8 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 		return nil, fmt.Errorf("core: reconstruct chain: %w", err)
 	}
 	res := &CampaignResult{
-		Dataset:         ds,
 		Index:           idx,
 		View:            view,
-		Tree:            c.miners.Tree(),
 		Nodes:           c.nodes,
 		MessagesSent:    c.network.MessagesSent,
 		BytesSent:       c.network.BytesSent,

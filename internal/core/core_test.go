@@ -5,10 +5,38 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/chain"
 	"repro/internal/geo"
+	"repro/internal/measure"
 	"repro/internal/mining"
 	"repro/internal/txgen"
 )
+
+// records concatenates the measurement nodes' raw logs in attach
+// order.
+func records(res *CampaignResult) []measure.Record {
+	var out []measure.Record
+	for _, n := range res.Nodes {
+		out = append(out, n.Records()...)
+	}
+	return out
+}
+
+// runWithTree runs a campaign and returns its result with the
+// simulation's ground-truth block tree, which the original study could
+// not see.
+func runWithTree(t *testing.T, cfg CampaignConfig) (*CampaignResult, *chain.BlockTree) {
+	t.Helper()
+	c, err := NewCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, c.miners.Tree()
+}
 
 // smallCampaign returns a fast configuration for tests.
 func smallCampaign(seed uint64) CampaignConfig {
@@ -38,14 +66,11 @@ func TestNewCampaignValidation(t *testing.T) {
 }
 
 func TestCampaignEndToEnd(t *testing.T) {
-	res, err := RunCampaign(smallCampaign(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, tree := runWithTree(t, smallCampaign(2))
 	if len(res.Nodes) != 4 {
 		t.Fatalf("nodes: %d", len(res.Nodes))
 	}
-	if len(res.Dataset.Records) == 0 {
+	if len(records(res)) == 0 {
 		t.Fatal("no records")
 	}
 	if res.MessagesSent == 0 || res.BytesSent == 0 {
@@ -53,7 +78,7 @@ func TestCampaignEndToEnd(t *testing.T) {
 	}
 	// The log-reconstructed chain must agree with ground truth on the
 	// main chain, modulo the unstable tip.
-	truthMain := res.Tree.MainChain()
+	truthMain := tree.MainChain()
 	viewMain := res.View.Main
 	if len(viewMain) < len(truthMain)-3 {
 		t.Fatalf("reconstructed chain too short: %d vs %d", len(viewMain), len(truthMain))
@@ -116,18 +141,12 @@ func TestCampaignWithWorkload(t *testing.T) {
 }
 
 func TestCampaignDeterministicReplay(t *testing.T) {
-	r1, err := RunCampaign(smallCampaign(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RunCampaign(smallCampaign(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Tree.Head().Hash() != r2.Tree.Head().Hash() {
+	r1, t1 := runWithTree(t, smallCampaign(7))
+	r2, t2 := runWithTree(t, smallCampaign(7))
+	if t1.Head().Hash() != t2.Head().Hash() {
 		t.Fatal("chains diverged")
 	}
-	if len(r1.Dataset.Records) != len(r2.Dataset.Records) {
+	if len(records(r1)) != len(records(r2)) {
 		t.Fatal("logs diverged")
 	}
 	if r1.MessagesSent != r2.MessagesSent {
@@ -142,7 +161,7 @@ func TestCampaignPerfectClocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Dataset.Records {
+	for _, r := range records(res) {
 		if r.LocalMillis != r.TrueMillis {
 			t.Fatal("perfect clocks must not skew")
 		}
@@ -163,16 +182,17 @@ func TestRunChainOnly(t *testing.T) {
 		t.Fatalf("main chain: %d", len(view.Main))
 	}
 	// Chain-level analyses must all run.
-	if _, err := analysis.EmptyBlocks(view); err != nil {
+	fold := analysis.FoldView(view)
+	if _, err := fold.EmptyBlocks(); err != nil {
 		t.Fatalf("fig6: %v", err)
 	}
-	if _, err := analysis.Forks(view); err != nil {
+	if _, err := fold.Forks(); err != nil {
 		t.Fatalf("table3: %v", err)
 	}
-	if _, err := analysis.Sequences(view.Main); err != nil {
+	if _, err := fold.Sequences(); err != nil {
 		t.Fatalf("fig7: %v", err)
 	}
-	if _, err := analysis.OneMinerForks(view); err != nil {
+	if _, err := fold.OneMinerForks(); err != nil {
 		t.Fatalf("one-miner: %v", err)
 	}
 	if _, err := RunChainOnly(5, 0, nil); err == nil {

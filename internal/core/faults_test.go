@@ -68,7 +68,7 @@ func TestFaultedCampaignEndToEnd(t *testing.T) {
 	}
 	quiet := make(map[string]sim.Time, len(res.Nodes))
 	for _, n := range res.Nodes {
-		quiet[n.Name()] = n.MaxQuietGap()
+		quiet[n.Name()] = n.Fold().MaxQuietGap()
 	}
 	avail, err := analysis.Availability(st, 120, res.Duration, res.MessagesDropped, quiet)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestPartitionRaisesForkRate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		forks, err := analysis.Forks(res.View)
+		forks, err := analysis.FoldView(res.View).Forks()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func digest(res *CampaignResult) shardDigest {
 		Bytes:    res.BytesSent,
 		Dropped:  res.MessagesDropped,
 		Duration: res.Duration,
-		Records:  len(res.Dataset.Records),
+		Records:  len(records(res)),
 		Main:     len(res.View.Main),
 		TxCount:  len(res.TxRecords),
 	}
@@ -83,7 +83,7 @@ func TestShardedCampaignInvariantAcrossShardCounts(t *testing.T) {
 		if got != ref {
 			t.Fatalf("shards=%d digest %+v, want %+v", shards, got, ref)
 		}
-		if !reflect.DeepEqual(res.Dataset.Records, refRes.Dataset.Records) {
+		if !reflect.DeepEqual(records(res), records(refRes)) {
 			t.Fatalf("shards=%d: measurement records differ from shards=1", shards)
 		}
 	}
@@ -126,7 +126,7 @@ func TestShardedFaultedCampaignInvariance(t *testing.T) {
 		if *res.Faults != refStats {
 			t.Fatalf("shards=%d fault stats %+v, want %+v", shards, *res.Faults, refStats)
 		}
-		if !reflect.DeepEqual(res.Dataset.Records, refRes.Dataset.Records) {
+		if !reflect.DeepEqual(records(res), records(refRes)) {
 			t.Fatalf("shards=%d: measurement records differ from shards=1", shards)
 		}
 	}
@@ -191,7 +191,7 @@ func TestShardedLookaheadBoundsInvariance(t *testing.T) {
 			if got != want {
 				t.Fatalf("uniform-lookahead digest %+v, want %+v", got, want)
 			}
-			if !reflect.DeepEqual(gotRes.Dataset.Records, wantRes.Dataset.Records) {
+			if !reflect.DeepEqual(records(gotRes), records(wantRes)) {
 				t.Fatal("measurement records differ between bound matrices")
 			}
 			if !reflect.DeepEqual(gotRes.Faults, wantRes.Faults) {

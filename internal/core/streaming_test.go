@@ -1,23 +1,26 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/measure"
 	"repro/internal/sim"
 	"repro/internal/txgen"
 )
 
 // TestStreamingMatchesRawLog runs the identical campaign once keeping
-// the raw log and once streaming, and pins the measurement fold three
-// ways on the whole Index: the raw-log run's Index (built from the
-// fold, like every campaign's) equals analysis.BuildIndex over that
-// run's own records — the independent reference, which re-derives
-// everything from the log lines — and equals the streaming run's
-// Index. That is the contract that lets the experiment registry run
-// streaming unconditionally. The classes cover tx links, the three
+// the raw log and once streaming, and pins the measurement fold across
+// the serialization boundary on the whole Index: the raw-log run's
+// records, written to JSONL and read back (measure.WriteJSONL →
+// ReadJSONL → analysis.FromRecords → BuildIndex, the ethanalyze -in
+// path), index exactly like both runs' Index (built from the nodes'
+// live fold, like every campaign's). That is the contract that lets
+// the experiment registry run streaming unconditionally and a
+// published dataset reproduce the campaign's figures. The classes cover tx links, the three
 // deadline paths of the sharded conductor and all four fault classes,
 // each on the one-lane layout and on region lanes.
 func TestStreamingMatchesRawLog(t *testing.T) {
@@ -59,33 +62,47 @@ func TestStreamingMatchesRawLog(t *testing.T) {
 				}
 				raw, str := run(false), run(true)
 
-				if len(raw.Dataset.Records) == 0 {
+				if len(records(raw)) == 0 {
 					t.Fatal("raw-log campaign kept no records")
 				}
-				if len(str.Dataset.Records) != 0 {
+				if len(records(str)) != 0 {
 					t.Fatal("streaming campaign retained records")
 				}
 				// Both modes list nodes in attach order — element for
 				// element, not just in length.
-				if !reflect.DeepEqual(raw.Dataset.NodeNames, str.Dataset.NodeNames) {
-					t.Fatalf("node names differ: %v vs %v", raw.Dataset.NodeNames, str.Dataset.NodeNames)
+				for i, n := range raw.Nodes {
+					if n.Name() != str.Nodes[i].Name() {
+						t.Fatalf("node %d: %s raw-log, %s streaming", i, n.Name(), str.Nodes[i].Name())
+					}
 				}
 
-				ref, err := analysis.BuildIndex(raw.Dataset)
+				var buf bytes.Buffer
+				if err := measure.WriteJSONL(&buf, records(raw)); err != nil {
+					t.Fatal(err)
+				}
+				read, err := measure.ReadJSONL(&buf)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(raw.Index, ref) {
-					t.Error("raw-log run: Index from the fold differs from BuildIndex over its records")
+				ds, err := analysis.FromRecords(read)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(str.Index, ref) {
-					t.Error("streaming run: Index differs from BuildIndex over the raw-log run's records")
+				replayed, err := analysis.BuildIndex(ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(raw.Index, replayed) {
+					t.Error("raw-log run: Index differs from BuildIndex over its records read back from JSONL")
+				}
+				if !reflect.DeepEqual(str.Index, replayed) {
+					t.Error("streaming run: Index differs from BuildIndex over the raw-log run's records read back from JSONL")
 				}
 				if !reflect.DeepEqual(raw.View, str.View) {
 					t.Error("chain views diverged between raw-log and streaming runs")
 				}
 				for i, n := range raw.Nodes {
-					if a, b := n.MaxQuietGap(), str.Nodes[i].MaxQuietGap(); a != b {
+					if a, b := n.Fold().MaxQuietGap(), str.Nodes[i].Fold().MaxQuietGap(); a != b {
 						t.Errorf("%s: quiet gap %v raw-log, %v streaming", n.Name(), a, b)
 					}
 				}

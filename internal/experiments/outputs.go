@@ -43,11 +43,18 @@ type Output struct {
 
 // source is what the output rows read from one run.
 type source struct {
-	// Res is the overlay campaign's result; nil for a chain-only run.
+	// Index and View are the run's observation index and the chain
+	// reconstructed from it: an overlay campaign's, or a measurement
+	// log's read back from JSONL. Nil for a chain-only run.
+	Index *analysis.Index
+	View  *analysis.ChainView
+	// Res is the overlay campaign's result, which the transport,
+	// bandwidth and availability rows read; nil for a chain-only run
+	// and for a measurement log.
 	Res *core.CampaignResult
 	// Fold is the run's chain fold. A chain-only run feeds it as it
-	// settles; an overlay run folds Res.View when a chain row first
-	// asks, so runs that request none never pay for it.
+	// settles; otherwise View is folded when a chain row first asks,
+	// so runs that request none never pay for it.
 	Fold *analysis.ChainFold
 	// Vantages names the measurement nodes the rows report on, in
 	// display order: first_observation emits a share for each,
@@ -66,7 +73,7 @@ type source struct {
 // fold returns the chain fold, building it from the view on first use.
 func (s *source) fold() *analysis.ChainFold {
 	if s.Fold == nil {
-		s.Fold = analysis.FoldView(s.Res.View)
+		s.Fold = analysis.FoldView(s.View)
 	}
 	return s.Fold
 }
@@ -75,7 +82,7 @@ func (s *source) fold() *analysis.ChainFold {
 var outputs = []Output{
 	{Name: "propagation", ID: "F1", Title: "Figure 1 — block propagation delay", Network: true,
 		extract: func(s *source) (string, map[string]float64, error) {
-			prop, err := analysis.PropagationDelays(s.Res.Index)
+			prop, err := analysis.PropagationDelays(s.Index)
 			if err != nil {
 				return "", nil, err
 			}
@@ -88,7 +95,7 @@ var outputs = []Output{
 		}},
 	{Name: "first_observation", ID: "F2", Title: "Figure 2 — first observation share per region", Network: true,
 		extract: func(s *source) (string, map[string]float64, error) {
-			first, err := analysis.FirstObservations(s.Res.Index)
+			first, err := analysis.FirstObservations(s.Index)
 			if err != nil {
 				return "", nil, err
 			}
@@ -100,7 +107,7 @@ var outputs = []Output{
 		}},
 	{Name: "pool_first_observation", ID: "F3", Title: "Figure 3 — first observation per mining pool", Network: true,
 		extract: func(s *source) (string, map[string]float64, error) {
-			pools, err := analysis.PoolFirstObservations(s.Res.Index, 15)
+			pools, err := analysis.PoolFirstObservations(s.Index, 15)
 			if err != nil {
 				return "", nil, err
 			}
@@ -111,7 +118,7 @@ var outputs = []Output{
 		}},
 	{Name: "redundancy", ID: "T2", Title: "Table II — redundant block receptions", Network: true,
 		extract: func(s *source) (string, map[string]float64, error) {
-			red, err := analysis.Redundancy(s.Res.Index, s.Vantages[0])
+			red, err := analysis.Redundancy(s.Index, s.Vantages[0])
 			if err != nil {
 				return "", nil, err
 			}
@@ -124,7 +131,7 @@ var outputs = []Output{
 		}},
 	{Name: "commit_times", ID: "F4", Title: "Figure 4 — transaction inclusion and commit times", Network: true, NeedsWorkload: true,
 		extract: func(s *source) (string, map[string]float64, error) {
-			commit, err := analysis.CommitTimes(s.Res.Index, s.Res.View)
+			commit, err := analysis.CommitTimes(s.Index, s.View)
 			if err != nil {
 				return "", nil, err
 			}
@@ -137,7 +144,7 @@ var outputs = []Output{
 		}},
 	{Name: "reordering", ID: "F5", Title: "Figure 5 — commit delay by observed ordering", Network: true, NeedsWorkload: true,
 		extract: func(s *source) (string, map[string]float64, error) {
-			reorder, err := analysis.Reordering(s.Res.Index, s.Res.View)
+			reorder, err := analysis.Reordering(s.Index, s.View)
 			if err != nil {
 				return "", nil, err
 			}
@@ -299,7 +306,7 @@ var outputs = []Output{
 func availabilityFrom(res *core.CampaignResult, nodes int) (*analysis.AvailabilityResult, error) {
 	quiet := make(map[string]sim.Time, len(res.Nodes))
 	for _, n := range res.Nodes {
-		quiet[n.Name()] = n.MaxQuietGap()
+		quiet[n.Name()] = n.Fold().MaxQuietGap()
 	}
 	return analysis.Availability(res.Faults, nodes, res.Duration, res.MessagesDropped, quiet)
 }
@@ -345,26 +352,50 @@ func outputIDs(names []string) []string {
 	return ids
 }
 
+// extract runs the named row over src.
+func (src *source) extract(name string) (*Outcome, error) {
+	o, ok := LookupOutput(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown output %q", name)
+	}
+	id := o.ID
+	if id == "" {
+		id = name
+	}
+	rendered, metrics, err := o.extract(src)
+	return &Outcome{ID: id, Title: o.Title, Rendered: rendered, Metrics: metrics}, err
+}
+
 // extractOutputs runs the named rows over one run, in order. Each
 // outcome carries the row's paper ID, or its name when it has none.
 func extractOutputs(src *source, names []string) ([]*Outcome, error) {
 	out := make([]*Outcome, 0, len(names))
 	for _, name := range names {
-		o, ok := LookupOutput(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown output %q", name)
-		}
-		rendered, metrics, err := o.extract(src)
+		o, err := src.extract(name)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		id := o.ID
-		if id == "" {
-			id = name
-		}
-		out = append(out, &Outcome{ID: id, Title: o.Title, Rendered: rendered, Metrics: metrics})
+		out = append(out, o)
 	}
 	return out, nil
+}
+
+// IndexOutputs extracts the named rows from a measurement log: its
+// observation index and the chain reconstructed from it, reporting on
+// the given vantages as CampaignOutputs does. Only rows that read the
+// index and the chain apply: the rows with a paper ID (the others read
+// a campaign). The censorship window is priced at the default mean
+// inter-block time. Each row runs on its own: errs[i] is row i's
+// failure, and outs[i] then carries only its ID and title (nil for an
+// unknown name).
+func IndexOutputs(idx *analysis.Index, view *analysis.ChainView, vantages, names []string) (outs []*Outcome, errs []error) {
+	src := &source{Index: idx, View: view, Vantages: vantages,
+		InterBlock: mining.DefaultConfig().InterBlockMean}
+	outs, errs = make([]*Outcome, len(names)), make([]error, len(names))
+	for i, name := range names {
+		outs[i], errs[i] = src.extract(name)
+	}
+	return outs, errs
 }
 
 // CampaignOutputs runs one overlay campaign and extracts the named
@@ -380,8 +411,8 @@ func CampaignOutputs(cfg core.CampaignConfig, vantages []string, names []string)
 			vantages = append(vantages, m.Name)
 		}
 	}
-	return extractOutputs(&source{Res: res, Vantages: vantages, Nodes: cfg.NetworkNodes,
-		InterBlock: cfg.Mining.InterBlockMean}, names)
+	return extractOutputs(&source{Index: res.Index, View: res.View, Res: res, Vantages: vantages,
+		Nodes: cfg.NetworkNodes, InterBlock: cfg.Mining.InterBlockMean}, names)
 }
 
 // ChainOutputs runs one settling chain-only simulation of blocks

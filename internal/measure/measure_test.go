@@ -92,7 +92,7 @@ func TestObserveBlocksAndAnnouncements(t *testing.T) {
 		net.Nodes()[0].InjectBlock(0, blk)
 		net.Engine().Run()
 
-		o := m.BlockObservations()[blk.Hash()]
+		o := m.Fold().Blocks[blk.Hash()]
 		// With 25 peers the node must see several redundant deliveries
 		// (Table II's phenomenon).
 		if o == nil || o.Blocks+o.Announces < 3 {
@@ -140,7 +140,7 @@ func TestObserveTransactions(t *testing.T) {
 		}
 		net.Nodes()[0].InjectTx(0, tx)
 		net.Engine().Run()
-		if o := m.TxObservations()[tx.Hash()]; o == nil || o.Nonce != 7 || o.Sender != tx.Sender.String() {
+		if o := m.Fold().Txs[tx.Hash()]; o == nil || o.Nonce != 7 || o.Sender != tx.Sender.String() {
 			t.Fatalf("bad tx observation: %+v", o)
 		}
 		wantLog(t, m, streaming)
@@ -166,7 +166,7 @@ func TestClockSkewAppliedToLocalTime(t *testing.T) {
 			return m
 		}
 		m, exact := run(geo.ClockWithOffset(42)), run(geo.PerfectClock())
-		skewed, truth := m.BlockObservations()[blk.Hash()], exact.BlockObservations()[blk.Hash()]
+		skewed, truth := m.Fold().Blocks[blk.Hash()], exact.Fold().Blocks[blk.Hash()]
 		if skewed == nil || truth == nil || skewed.FirstLocal-truth.FirstLocal != 42 {
 			t.Fatalf("skew not applied to the fold: %+v vs %+v", skewed, truth)
 		}
@@ -276,20 +276,20 @@ func TestModesAgree(t *testing.T) {
 			t.Fatalf("mix has no %v message: %v", k, kinds)
 		}
 	}
-	if len(raw.BlockObservations()) != 3 || len(raw.TxObservations()) != 6 {
-		t.Fatalf("fold saw %d blocks, %d txs", len(raw.BlockObservations()), len(raw.TxObservations()))
+	if len(raw.Fold().Blocks) != 3 || len(raw.Fold().Txs) != 6 {
+		t.Fatalf("fold saw %d blocks, %d txs", len(raw.Fold().Blocks), len(raw.Fold().Txs))
 	}
-	if !reflect.DeepEqual(raw.BlockObservations(), str.BlockObservations()) {
+	if !reflect.DeepEqual(raw.Fold().Blocks, str.Fold().Blocks) {
 		t.Error("block aggregates differ between modes")
 	}
-	if !reflect.DeepEqual(raw.TxObservations(), str.TxObservations()) {
+	if !reflect.DeepEqual(raw.Fold().Txs, str.Fold().Txs) {
 		t.Error("tx aggregates differ between modes")
 	}
 	if !reflect.DeepEqual(raw.Blocks(), str.Blocks()) {
 		t.Error("retained bodies differ between modes")
 	}
-	if raw.MaxQuietGap() == 0 || raw.MaxQuietGap() != str.MaxQuietGap() {
-		t.Errorf("quiet gap %v raw, %v streaming", raw.MaxQuietGap(), str.MaxQuietGap())
+	if raw.Fold().MaxQuietGap() == 0 || raw.Fold().MaxQuietGap() != str.Fold().MaxQuietGap() {
+		t.Errorf("quiet gap %v raw, %v streaming", raw.Fold().MaxQuietGap(), str.Fold().MaxQuietGap())
 	}
 	wantLog(t, raw, false)
 	wantLog(t, str, true)

@@ -10,56 +10,25 @@ import (
 	"repro/internal/types"
 )
 
-// BlockObservation is one node's aggregate for one block: the earliest
-// local sighting (and its message kind) plus per-kind reception counts
-// — exactly what analysis.BuildIndex derives for the node from its raw
-// log.
-type BlockObservation struct {
-	FirstLocal sim.Time
-	FirstKind  RecordKind
-	// Blocks counts full-block receptions, Announces hash
-	// announcements.
-	Blocks    int
-	Announces int
-}
-
-// TxObservation is one node's aggregate for one transaction: earliest
-// local sighting plus the identity the reordering analysis needs.
-type TxObservation struct {
-	FirstLocal sim.Time
-	Sender     string
-	Nonce      uint64
-}
-
 // Node is an instrumented measurement client: a regular network peer
 // whose ingress is stamped with a local (NTP-skewed) clock.
 //
-// There is one observer. It folds every reception once into O(1)
-// per-item aggregates (BlockObservations, TxObservations, the retained
-// block bodies, the quiet gap) — all the analysis index needs, in
-// O(blocks + transactions) memory. Unless Options.Streaming is set it
-// also appends the reception's Record(s) to a raw log, like the
-// study's JSONL logs: O(receptions), the difference between a running
-// summary and a 600 GB log.
+// There is one observer. It feeds every reception once to the node's
+// Fold and keeps each block body it sees — all the analysis index
+// needs, in O(blocks + transactions) memory. Unless Options.Streaming
+// is set it also appends the reception's Record(s) to a raw log, like
+// the study's JSONL logs: O(receptions), the difference between a
+// running summary and a 600 GB log.
 type Node struct {
 	name  string
 	peer  *p2p.Node
 	clock geo.Clock
 
 	// keepLog retains the raw log (Options.Streaming unset).
-	keepLog  bool
-	records  []Record
-	blocks   map[types.Hash]*types.Block
-	blockObs map[types.Hash]*BlockObservation
-	txObs    map[types.Hash]*TxObservation
-
-	// Quiet-gap tracking: the longest local-clock interval between
-	// successive block-related receptions. A healthy overlay delivers
-	// something every few seconds; a long silence is the signature of
-	// an outage or partition on the node's side of the network.
-	lastBlockLocal sim.Time
-	blockSeen      bool
-	maxQuietGap    sim.Time
+	keepLog bool
+	records []Record
+	blocks  map[types.Hash]*types.Block
+	fold    *Fold
 
 	// captureTxLinks controls whether block records carry the full
 	// transaction hash list (needed for commit-time analysis; costs
@@ -83,9 +52,9 @@ type Options struct {
 	// CaptureTxLinks records each block's transaction hash list.
 	CaptureTxLinks bool
 	// Streaming drops the raw log. Receptions are folded into the
-	// per-item aggregates either way (analysis.IndexFromStreams reads
-	// those); with Streaming no Record is retained, Records() returns
-	// nil and memory stays O(items) rather than O(receptions).
+	// node's Fold either way (analysis.IndexFromStreams reads it);
+	// with Streaming no Record is retained, Records() returns nil and
+	// memory stays O(items) rather than O(receptions).
 	Streaming bool
 }
 
@@ -115,8 +84,7 @@ func Attach(net *p2p.Network, opts Options, clock geo.Clock) (*Node, error) {
 		clock:          clock,
 		keepLog:        !opts.Streaming,
 		blocks:         make(map[types.Hash]*types.Block),
-		blockObs:       make(map[types.Hash]*BlockObservation),
-		txObs:          make(map[types.Hash]*TxObservation),
+		fold:           NewFold(),
 		captureTxLinks: opts.CaptureTxLinks,
 	}
 	peer.SetObserver(m.observe)
@@ -144,52 +112,13 @@ func (m *Node) Records() []Record { return m.records }
 // lists.
 func (m *Node) CaptureTxLinks() bool { return m.captureTxLinks }
 
-// BlockObservations returns the per-block aggregates. The map is
-// shared; callers must not mutate.
-func (m *Node) BlockObservations() map[types.Hash]*BlockObservation { return m.blockObs }
-
-// TxObservations returns the per-transaction aggregates. The map is
-// shared; callers must not mutate.
-func (m *Node) TxObservations() map[types.Hash]*TxObservation { return m.txObs }
+// Fold returns the node's per-item aggregates. It is shared; callers
+// must not mutate it.
+func (m *Node) Fold() *Fold { return m.fold }
 
 // Blocks returns the full content of every block observed, keyed by
 // hash. The map is shared; callers must not mutate.
 func (m *Node) Blocks() map[types.Hash]*types.Block { return m.blocks }
-
-// MaxQuietGap returns the longest local-clock interval between
-// successive block-related receptions (blocks or announcements) — the
-// partition/outage signature the availability analysis reports. Zero
-// until two receptions have been observed.
-func (m *Node) MaxQuietGap() sim.Time { return m.maxQuietGap }
-
-// noteBlockActivity folds one block-related reception into the
-// quiet-gap aggregate. The node's clock offset is constant, so local
-// deltas are exact true-time deltas.
-func (m *Node) noteBlockActivity(local sim.Time) {
-	if m.blockSeen {
-		if gap := local - m.lastBlockLocal; gap > m.maxQuietGap {
-			m.maxQuietGap = gap
-		}
-	}
-	m.blockSeen = true
-	m.lastBlockLocal = local
-}
-
-// blockSighting folds one sighting of block h into its aggregate and
-// returns it for the caller to count. The earliest-sighting rule
-// matches analysis.BuildIndex's noteFirst exactly (strictly earlier
-// local time wins; ties keep the first reception), so the index built
-// from the aggregates is identical to one built from the raw records.
-func (m *Node) blockSighting(h types.Hash, local sim.Time, kind RecordKind) *BlockObservation {
-	o := m.blockObs[h]
-	if o == nil {
-		o = &BlockObservation{FirstLocal: local, FirstKind: kind}
-		m.blockObs[h] = o
-	} else if local < o.FirstLocal {
-		o.FirstLocal, o.FirstKind = local, kind
-	}
-	return o
-}
 
 // observe is the instrumentation hook: stamp the local clock, fold the
 // reception into the aggregates and, when the raw log is kept, append
@@ -217,9 +146,8 @@ func (m *Node) observe(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
 		if b == nil {
 			return
 		}
-		m.noteBlockActivity(local)
 		h := b.Hash()
-		m.blockSighting(h, local, KindBlock).Blocks++
+		m.fold.Block(local, KindBlock, h)
 		if _, seen := m.blocks[h]; !seen {
 			m.blocks[h] = b
 		}
@@ -245,12 +173,12 @@ func (m *Node) observe(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
 		}
 		m.records = append(m.records, rec)
 	case p2p.MsgNewBlockHashes:
-		m.noteBlockActivity(local)
+		m.fold.Block(local, KindAnnouncement, msg.Hashes...)
+		if !m.keepLog {
+			return
+		}
 		for _, h := range msg.Hashes {
-			m.blockSighting(h, local, KindAnnouncement).Announces++
-			if m.keepLog {
-				m.records = append(m.records, record(KindAnnouncement, h))
-			}
+			m.records = append(m.records, record(KindAnnouncement, h))
 		}
 	case p2p.MsgTransactions:
 		for _, tx := range msg.Txs {
@@ -258,12 +186,9 @@ func (m *Node) observe(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
 				continue
 			}
 			h := tx.Hash()
-			o := m.txObs[h]
-			if o == nil {
-				o = &TxObservation{FirstLocal: local, Sender: tx.Sender.String(), Nonce: tx.Nonce}
-				m.txObs[h] = o
-			} else if local < o.FirstLocal {
-				o.FirstLocal = local
+			o, first := m.fold.Tx(local, h)
+			if first {
+				o.Sender, o.Nonce = tx.Sender.String(), tx.Nonce
 			}
 			if m.keepLog {
 				rec := record(KindTx, h)

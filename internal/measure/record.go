@@ -7,9 +7,10 @@
 // and transactions like any other client and is indistinguishable on
 // the wire — with one observer hooked at message ingress, exactly
 // where the original study added ~1,000 lines to Geth. The observer
-// folds each reception into per-item aggregates, which is what the
+// feeds each reception to the node's Fold, the per-item aggregates the
 // analysis index is built from; the raw log of Records is an optional
-// sink on that fold (Options.Streaming drops it).
+// sink beside it (Options.Streaming drops it), and analysis.BuildIndex
+// replays a log read back from JSONL through the same Fold.
 package measure
 
 import (
