@@ -84,7 +84,9 @@ test-obs:
 	$(GO) test -run 'Telemetry|Trace' -v ./cmd/ethrepro/ ./cmd/ethanalyze/
 
 # Scale gate for the struct-of-arrays node core. Short tier: the
-# 10k-node bytes-per-node heap ceiling. Full tier: the 100k-node
+# 10k-node bytes-per-node heap ceiling and the 10k campaign build's
+# garbage ceiling (what NewCampaign allocates against what it keeps,
+# Network.Reserve included). Full tier: the 100k-node
 # scenario at its full size, byte-identical at -parallel 1 vs 8 and,
 # sharded, at 1 vs 6 workers with the run's exact event, window, stall
 # and merge counts pinned (opt-in via STRESS100K, which this target
@@ -93,6 +95,7 @@ test-obs:
 # examples/scenarios/stress-100k.json -scale medium -out DIR` seals.
 test-stress:
 	$(GO) test -run TestBytesPerNodeCeiling -v ./internal/p2p/
+	$(GO) test -run TestOverlayBuildGarbage -v ./internal/core/
 	STRESS100K=1 $(GO) test -run 'TestGoldenStress100kParallelInvariance|TestGoldenShardStress100kInvariance' -v -timeout 90m ./internal/experiments
 
 # Sharded-execution gate. The conductor's window-loop invariants (lane
@@ -221,9 +224,9 @@ profile-tx:
 # telemetry.json recorded (obs.ProcessStats.PeakRSSMB, getrusage
 # ru_maxrss; 0 off Linux). The chain:medium and S2:medium rows run
 # chain (201,086 blocks) and S2 (1,000,000 blocks), the probes of the
-# settled path's flat memory; the last row runs network at -scale
-# stress, the 10k-node overlay whose build (hub attachment, adjacency
-# arena) sets its peak.
+# settled path's flat memory; the last two rows run network at -scale
+# stress and -scale stress100k, the 10k- and 100k-node overlays whose
+# build (hub attachment, adjacency arena) sets their peak.
 # docs/PERFORMANCE.md ("Memory: what a chain-only run holds") keeps
 # the table this printed.
 profile-mem:
@@ -232,7 +235,7 @@ profile-mem:
 	printf '%-14s %12s\n' spec 'peak RSS MB'; \
 	for run in T1:small network:small T2:small commit:small chain:small L1:small W1:small \
 		C1:small INC:small A1:small A2:small D1:small D2:small D3:small chain:medium S2:medium \
-		network:stress; do \
+		network:stress network:stress100k; do \
 		id=$${run%%:*}; scale=$${run#*:}; \
 		"$$dir/ethrepro" -only $$id -scale $$scale -seed 7 -out "$$dir/$$id" >/dev/null 2>&1 || \
 			{ echo "profile-mem: $$id failed"; exit 1; }; \

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/measure"
 )
 
@@ -93,17 +95,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	view, err := analysis.ViewFromIndex(idx)
+	if err != nil {
+		return err
+	}
+	// Figures 1 and 2 are rows of the experiments' output table: the
+	// dataset reads exactly what the campaign that wrote it renders.
+	outs, errs := experiments.IndexOutputs(idx, view, ds.NodeNames, []string{"propagation", "first_observation"})
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
 	fmt.Println()
-	prop, err := analysis.PropagationDelays(idx)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("from the on-disk dataset alone: %d blocks, median propagation %.0f ms\n",
-		len(idx.BlockFirst), prop.Summary.Median)
-	first, err := analysis.FirstObservations(idx)
-	if err != nil {
-		return err
-	}
-	fmt.Println(analysis.RenderFirstObservations(first))
+		len(idx.BlockFirst), outs[0].Metrics["median_ms"])
+	fmt.Println(outs[1].Rendered)
 	return nil
 }

@@ -257,6 +257,7 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		share = geo.DefaultNodeShare
 	}
 	c.network = p2p.NewNetwork(engine, rootRNG.Fork("network"), cfg.Latency)
+	c.network.Reserve(overlaySize(cfg))
 	proto, err := relay.New(cfg.Relay)
 	if err != nil {
 		return nil, fmt.Errorf("core: relay: %w", err)
@@ -291,14 +292,10 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		if cfg.PerfectClocks {
 			clock = geo.PerfectClock()
 		}
-		peers := spec.Peers
-		if peers <= 0 {
-			peers = cfg.NetworkNodes / 2
-		}
 		m, err := measure.Attach(c.network, measure.Options{
 			Name:           spec.Name,
 			Region:         spec.Region,
-			Peers:          peers,
+			Peers:          vantagePeers(cfg, spec),
 			CaptureTxLinks: cfg.CaptureTxLinks,
 			Streaming:      cfg.Streaming,
 		}, clock)
@@ -312,10 +309,7 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	// pools place gateways in several locations to disseminate their
 	// blocks). A gateway's dense peering makes the first dissemination
 	// wave regional — the mechanism behind Figs. 2-3.
-	gatewayPeers := cfg.NetworkNodes / 3
-	if gatewayPeers < 2*cfg.Degree {
-		gatewayPeers = 2 * cfg.Degree
-	}
+	peers := gatewayPeers(cfg)
 	c.poolIdx = make(map[string]int32, len(cfg.Mining.Pools))
 	for _, pool := range cfg.Mining.Pools {
 		var perRegion [geo.NumRegions + 1]*p2p.Node
@@ -324,7 +318,7 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: gateway %s/%v: %w", pool.Name, r, err)
 			}
-			if err := c.network.ConnectSampleBiased(gw, gatewayPeers, 0.5); err != nil {
+			if err := c.network.ConnectSampleBiased(gw, peers, 0.5); err != nil {
 				return nil, fmt.Errorf("core: wire gateway %s/%v: %w", pool.Name, r, err)
 			}
 			perRegion[r] = gw
@@ -421,6 +415,37 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		}
 	}
 	return c, nil
+}
+
+// vantagePeers is the connection count a measurement node dials:
+// "unlimited" is half the overlay.
+func vantagePeers(cfg CampaignConfig, spec MeasurementSpec) int {
+	if spec.Peers <= 0 {
+		return cfg.NetworkNodes / 2
+	}
+	return spec.Peers
+}
+
+// gatewayPeers is the connection count a pool gateway dials.
+func gatewayPeers(cfg CampaignConfig) int {
+	return max(cfg.NetworkNodes/3, 2*cfg.Degree)
+}
+
+// overlaySize counts what NewCampaign builds, for Network.Reserve: the
+// overlay, measurement and gateway nodes, and two adjacency cells per
+// connection they dial. Churn joins and fault rewiring come on top; the
+// network grows past its reservation for them.
+func overlaySize(cfg CampaignConfig) (nodes, cells int) {
+	nodes = cfg.NetworkNodes + len(cfg.Measurement)
+	edges := cfg.NetworkNodes * cfg.Degree
+	for _, spec := range cfg.Measurement {
+		edges += vantagePeers(cfg, spec)
+	}
+	for _, pool := range cfg.Mining.Pools {
+		nodes += len(pool.GatewayRegions)
+		edges += len(pool.GatewayRegions) * gatewayPeers(cfg)
+	}
+	return nodes, 2 * edges
 }
 
 // lookaheadBounds derives the conductor's per-lane-pair lookahead

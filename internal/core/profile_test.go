@@ -29,12 +29,7 @@ func benchOverlay10k(b *testing.B, shards int) {
 	var msgs uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg := DefaultCampaignConfig(7)
-		cfg.NetworkNodes = 10_000
-		cfg.Blocks = 40
-		cfg.Streaming = true
-		cfg.Shards = shards
-		c, err := NewCampaign(cfg)
+		c, err := NewCampaign(overlay10kConfig(shards))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,4 +172,46 @@ func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// overlay10kConfig is the bench harness's overlay-10k campaign
+// (BenchmarkOverlay10k's): 10,000 nodes, 40 blocks, streaming
+// measurement, at the given shard setting (0 = one engine).
+func overlay10kConfig(shards int) CampaignConfig {
+	cfg := DefaultCampaignConfig(7)
+	cfg.NetworkNodes = 10_000
+	cfg.Blocks = 40
+	cfg.Streaming = true
+	cfg.Shards = shards
+	return cfg
+}
+
+// buildGarbageRatio bounds what building the overlay may allocate, as a
+// multiple of the heap the built campaign keeps alive.
+const buildGarbageRatio = 1.5
+
+// TestOverlayBuildGarbage pins the build's transient garbage: building
+// the overlay-10k campaign through NewCampaign — so the one
+// Network.Reserve call is covered — may allocate at most
+// buildGarbageRatio times the heap the built campaign retains. Growing
+// every per-node slice and the adjacency arena by append's ~1.25×
+// steps instead allocated 74.4 MB to keep 15.9 MB (4.7×). Not
+// parallel: the readings are process-wide.
+func TestOverlayBuildGarbage(t *testing.T) {
+	before := liveHeap()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	c, err := NewCampaign(overlay10kConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms1)
+	retained := liveHeap() - before
+	built := ms1.TotalAlloc - ms0.TotalAlloc
+	t.Logf("overlay-10k build: %.1f MB allocated, %.1f MB retained (%.2f×, ceiling %.1f×)",
+		float64(built)/1e6, float64(retained)/1e6, float64(built)/float64(retained), buildGarbageRatio)
+	if float64(built) > buildGarbageRatio*float64(retained) {
+		t.Fatalf("building overlay-10k allocated %d bytes to retain %d, more than %.1f×", built, retained, buildGarbageRatio)
+	}
+	runtime.KeepAlive(c)
 }

@@ -240,10 +240,12 @@ type Universe struct {
 	tables map[NodeID]*Table
 	order  []NodeID
 	k      int
-	// Lookup's scratch: the candidate list, one findNode answer and the
-	// asked set, reused from lookup to lookup.
-	cand, found []keyed
-	asked       map[NodeID]bool
+	// Lookup's scratch, reused from lookup to lookup: the candidate
+	// list and the buffer the next one is merged into, one findNode
+	// answer, the round's queried IDs and the asked set.
+	cand, next, found []keyed
+	queried           []NodeID
+	asked             map[NodeID]bool
 }
 
 // Universe errors.
@@ -289,8 +291,10 @@ func (u *Universe) Table(id NodeID) (*Table, error) {
 // Lookup performs an iterative Kademlia lookup from a node toward a
 // target, returning the k closest IDs found and inserting everything
 // learned into the searcher's table (how discv4 fills buckets).
-// Candidates carry their distance keys, so each round is one sort of
-// (key, ID) pairs and a pass dropping adjacent duplicates.
+// Candidates carry their distance keys and stay sorted: each findNode
+// answer arrives sorted and is merged in, dropping the IDs already
+// listed. Distinct IDs have distinct distances, so the merged order is
+// the one exact order a sort would give.
 func (u *Universe) Lookup(from, target NodeID, alpha int) ([]NodeID, error) {
 	self, ok := u.tables[from]
 	if !ok {
@@ -305,22 +309,24 @@ func (u *Universe) Lookup(from, target NodeID, alpha int) ([]NodeID, error) {
 	asked := u.asked
 	clear(asked)
 	asked[from] = true
-	candidates := self.closest(target, u.k, u.cand)
+	candidates, next := self.closest(target, u.k, u.cand), u.next
 	for round := 0; round < 24; round++ {
-		progressed := false
 		// Query the alpha closest unasked candidates (the FindNode RPC:
 		// each answers with its own closest entries to the target).
-		queried := 0
+		queried := u.queried[:0]
 		for _, c := range candidates {
-			if queried >= alpha {
+			if len(queried) >= alpha {
 				break
 			}
-			if asked[c.id] {
-				continue
+			if !asked[c.id] {
+				asked[c.id] = true
+				queried = append(queried, c.id)
 			}
-			asked[c.id] = true
-			queried++
-			t, ok := u.tables[c.id]
+		}
+		u.queried = queried
+		progressed := false
+		for _, q := range queried {
+			t, ok := u.tables[q]
 			if !ok {
 				continue
 			}
@@ -332,21 +338,54 @@ func (u *Universe) Lookup(from, target NodeID, alpha int) ([]NodeID, error) {
 				// Stored or bucket-full, the ID can still advance the
 				// lookup frontier.
 				_, _ = self.Add(learned.id)
-				candidates = append(candidates, learned)
 				progressed = true
 			}
+			next = mergeUnique(next, candidates, u.found, from, 4*u.k)
+			candidates, next = next, candidates
 		}
-		if queried == 0 || !progressed {
+		if len(queried) == 0 || !progressed {
 			break
 		}
-		candidates = sortUnique(candidates)
-		if len(candidates) > 4*u.k {
-			candidates = candidates[:4*u.k]
+	}
+	u.cand, u.next = candidates, next
+	return ids(candidates[:min(len(candidates), u.k)]), nil
+}
+
+// mergeUnique writes the first n entries of the union of a and b over
+// dst, nearest first, leaving out skip. Both inputs are sorted by
+// distance and free of duplicates; an ID in both is written once.
+func mergeUnique(dst, a, b []keyed, skip NodeID, n int) []keyed {
+	dst = dst[:0]
+	i, j := 0, 0
+	for len(dst) < n {
+		if j < len(b) && b[j].id == skip {
+			j++
+			continue
+		}
+		var c int
+		switch {
+		case i == len(a) && j == len(b):
+			return dst
+		case i == len(a):
+			c = 1
+		case j == len(b):
+			c = -1
+		default:
+			c = compareKeyed(a[i], b[j])
+		}
+		switch {
+		case c < 0:
+			dst = append(dst, a[i])
+			i++
+		case c > 0:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i, j = i+1, j+1
 		}
 	}
-	candidates = sortUnique(candidates)
-	u.cand = candidates
-	return ids(candidates[:min(len(candidates), u.k)]), nil
+	return dst
 }
 
 // Bootstrap seeds every node with `seeds` random contacts and runs

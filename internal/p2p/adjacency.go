@@ -33,7 +33,10 @@ import (
 // capacity) for 379,982 live edges. So grow first compacts the arena
 // in place whenever its dead cells exceed a fixed share of the spans'
 // summed capacity (compact, adjCompactShare); docs/PERFORMANCE.md
-// ("Memory layout") has the cell counts measured since.
+// ("Memory layout") has the cell counts measured since. The arena's
+// three arrays are allocated once, at the size Network.Reserve derives
+// from the campaign's edge count (arenaCells); an arena that outgrows
+// it doubles.
 
 // adjCompactShare bounds arena garbage: grow compacts once the dead
 // cells exceed capSum/adjCompactShare. Every cell a relocation kills is
@@ -45,6 +48,21 @@ import (
 // full copy per 4/3× of growth; small arenas are cheap to copy, so
 // there is no absolute floor.
 const adjCompactShare = 4
+
+// arenaCells is the arena length a network holding live edge cells
+// stays within, the size Network.Reserve gives the arena. Spans double
+// when full, so a span's capacity is at most twice its length (for any
+// span of at least adjInitialCap/2 peers, i.e. every node that dials
+// four or more), and capSum at most twice the live cells; grow keeps
+// the dead cells within capSum/adjCompactShare. So the arena holds at
+// most 2 × (1 + 1/adjCompactShare) = 5/2 cells per live cell, plus the
+// one window a relocation has just killed. The 10k-node campaign
+// reaches 556,264 cells for 379,982 live (1.46 per live cell). Nothing
+// writes the reserved tail before a window lands in it, so on pages
+// fresh from the OS it costs address space rather than resident memory.
+func arenaCells(live int) int {
+	return live * 2 * (adjCompactShare + 1) / adjCompactShare
+}
 
 // span is one node's window into the adjacency arena.
 type span struct {
@@ -114,14 +132,27 @@ func (t *adjacency) grow(i int32) {
 		newCap = adjInitialCap
 	}
 	newOff := int32(len(t.adj))
-	t.adj = append(t.adj, make([]int32, newCap)...)
-	t.revAdj = append(t.revAdj, make([]int32, newCap)...)
-	t.knowMask = append(t.knowMask, make([]uint64, newCap)...)
+	end := int(newOff + newCap)
+	if end > cap(t.adj) {
+		t.reserve(max(end, 2*cap(t.adj)))
+	}
+	// The new window's cells past s.len are not cleared: link writes
+	// all three arrays before any reader looks past a span's length.
+	t.adj = t.adj[:end]
+	t.revAdj = t.revAdj[:end]
+	t.knowMask = t.knowMask[:end]
 	copy(t.adj[newOff:newOff+s.len], t.adj[s.off:s.off+s.len])
 	copy(t.revAdj[newOff:newOff+s.len], t.revAdj[s.off:s.off+s.len])
 	copy(t.knowMask[newOff:newOff+s.len], t.knowMask[s.off:s.off+s.len])
 	t.spans[i] = span{off: newOff, len: s.len, cap: newCap}
 	t.capSum += int(newCap - s.cap)
+}
+
+// reserve gives the arena's three arrays capacity for cells cells.
+func (t *adjacency) reserve(cells int) {
+	t.adj = grownTo(t.adj, cells)
+	t.revAdj = grownTo(t.revAdj, cells)
+	t.knowMask = grownTo(t.knowMask, cells)
 }
 
 // compact slides every window down over the dead cells, in offset

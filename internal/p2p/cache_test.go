@@ -128,7 +128,7 @@ func TestBlockCacheEvictionOrder(t *testing.T) {
 		t.Fatalf("eviction queue length %d, want %d", cacheLen(a), blockCacheCap)
 	}
 	headIdx, ok := net.blockIdx.lookup(hashAt(extra))
-	if !ok || net.cacheQ[a.idx()][0] != headIdx {
+	if !ok || net.cacheQ[a.idx()][net.rows[a.idx()].cacheHead] != headIdx {
 		t.Fatal("eviction queue head is not the oldest retained insert")
 	}
 }

@@ -68,12 +68,23 @@ func (x *itemIndex) intern(h types.Hash) int32 {
 // bitGrid is a dense 2-D bitmap: one row per node, one column per
 // item. Rows are node indices (NodeID-1), columns item indices. The
 // grid grows in both directions — columns as items are interned (the
-// stride doubles, re-laying rows out), rows as churn adds nodes — so a
-// campaign never sizes it up front.
+// stride doubles, re-laying rows out), rows as churn adds nodes. Its
+// row count is reserved with the network's nodes (Network.Reserve), so
+// each re-layout leaves room for every reserved row and only rows past
+// the reservation double the words.
 type bitGrid struct {
 	words  []uint64
 	stride int32 // words per row
 	rows   int32
+	// rowCap is the reserved row count: each re-layout gives the words
+	// capacity for max(rows, rowCap) rows.
+	rowCap int32
+}
+
+// reserveRows reserves room for n rows.
+func (g *bitGrid) reserveRows(n int32) {
+	g.rowCap = max(g.rowCap, n)
+	g.words = grownTo(g.words, int(g.rowCap)*int(g.stride))
 }
 
 // set marks (row, col), growing the grid as needed.
@@ -116,7 +127,7 @@ func (g *bitGrid) growStride(need int32) {
 	if ns < 2 {
 		ns = 2
 	}
-	nw := make([]uint64, int(g.rows)*int(ns))
+	nw := make([]uint64, int(g.rows)*int(ns), int(max(g.rows, g.rowCap))*int(ns))
 	for r := int32(0); r < g.rows; r++ {
 		copy(nw[r*ns:r*ns+g.stride], g.words[r*g.stride:(r+1)*g.stride])
 	}
@@ -131,8 +142,11 @@ func (g *bitGrid) growRows(need int32) {
 		return
 	}
 	total := int(need) * int(g.stride)
-	if total > len(g.words) {
-		g.words = append(g.words, make([]uint64, total-len(g.words))...)
+	if total > cap(g.words) {
+		g.words = grownTo(g.words, max(total, 2*cap(g.words)))
 	}
+	old := len(g.words)
+	g.words = g.words[:total]
+	clear(g.words[old:])
 	g.rows = need
 }

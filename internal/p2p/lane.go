@@ -123,7 +123,7 @@ func (net *Network) Sharded() bool { return len(net.all) > 1 }
 func (ln *netLane) putFlight(f *flight) int32 {
 	idx := ln.freeFlight - 1
 	if idx < 0 {
-		ln.flights = append(ln.flights, *f)
+		ln.flights = push(ln.flights, *f)
 		return int32(len(ln.flights) - 1)
 	}
 	ln.freeFlight = ln.flights[idx].to

@@ -71,7 +71,9 @@ type Network struct {
 	cachedBits bitGrid
 
 	// cacheQ is each node's FIFO body-cache eviction order (block
-	// indices); pending tracks in-flight compact-relay fetches.
+	// indices): a ring that grows by doubling up to blockCacheCap, then
+	// wraps at the row's cacheHead. pending tracks in-flight
+	// compact-relay fetches.
 	cacheQ  [][]int32
 	pending [][]pendingEntry
 
@@ -148,6 +150,8 @@ type nodeRow struct {
 	newest                          int32
 	knowHead, knowCount, newestSlot uint8
 	relayOn                         bool
+	// cacheHead is the oldest slot of the full body-cache ring cacheQ.
+	cacheHead uint16
 }
 
 // announce is one deferred announce wave (relayBlock's phase 2).
@@ -238,6 +242,10 @@ func (net *Network) AddNode(region geo.Region, maxPeers int) (*Node, error) {
 	net.handles[c] = append(net.handles[c], Node{id: net.nextID, net: net})
 	n := &net.handles[c][len(net.handles[c])-1]
 
+	if len(net.rows) == cap(net.rows) {
+		// Past the reservation: double every per-node array at once.
+		net.Reserve(max(2*len(net.rows), minGrow), 0)
+	}
 	net.regions = append(net.regions, region)
 	net.down = append(net.down, false)
 	net.rows = append(net.rows, nodeRow{maxPeers: int32(maxPeers), relayOn: true})
@@ -247,6 +255,61 @@ func (net *Network) AddNode(region geo.Region, maxPeers int) (*Node, error) {
 	net.knowSlot = append(net.knowSlot, make([]int32, knownPeerCap)...)
 	net.spill = append(net.spill, nil)
 	return n, nil
+}
+
+// Reserve lays the overlay out for nodes nodes holding cells live
+// adjacency cells (two per connection), so a build that stays within
+// those counts allocates every per-node array, the bit grids' rows and
+// the adjacency arena once. core.NewCampaign calls it with the counts
+// its configuration fixes. Reserve only adds capacity: it never
+// changes a length, and no offset, slot number or compaction decision
+// reads a capacity, so a reservation of any size runs the same
+// simulation. A network that outgrows its reservation (churn joins,
+// fault rewiring) doubles the full array instead.
+func (net *Network) Reserve(nodes, cells int) {
+	if nodes > cap(net.rows) {
+		net.regions = grownTo(net.regions, nodes)
+		net.down = grownTo(net.down, nodes)
+		net.rows = grownTo(net.rows, nodes)
+		net.cacheQ = grownTo(net.cacheQ, nodes)
+		net.pending = grownTo(net.pending, nodes)
+		net.knowSlot = grownTo(net.knowSlot, nodes*knownPeerCap)
+		net.spill = grownTo(net.spill, nodes)
+		net.top.spans = grownTo(net.top.spans, nodes)
+		net.sampleLocal = grownTo(net.sampleLocal, nodes)
+		net.sampleGlobal = grownTo(net.sampleGlobal, nodes)
+		for _, g := range []*bitGrid{&net.haveBits, &net.seenBits, &net.txBits, &net.cachedBits} {
+			g.reserveRows(int32(nodes))
+		}
+	}
+	net.top.reserve(arenaCells(cells))
+}
+
+// minGrow is the smallest capacity an array growing past its
+// reservation (or without one) takes.
+const minGrow = 8
+
+// grownTo returns s with capacity for at least n elements, moving it to
+// a new backing array only when it must. It is the overlay's one growth
+// rule: Reserve calls it with the counts a campaign fixes, and an array
+// full past its reservation with twice its capacity, so growth leaves
+// at most the array's final size behind as garbage, where append's
+// ~1.25× steps on large arrays leave about four times it.
+func grownTo[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), n)
+	copy(t, s)
+	return t
+}
+
+// push appends v to s by the same rule: doubling when s is full.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = grownTo(s, max(2*cap(s), minGrow))
+	}
+	return append(s, v)
 }
 
 // nodeByID resolves an ID to its stable handle, nil when unknown.
@@ -574,7 +637,7 @@ func (net *Network) scheduleAnnounce(at sim.Time, i, block int32, origin bool) {
 		idx = ln.annFree[k-1]
 		ln.annFree = ln.annFree[:k-1]
 	} else {
-		ln.ann = append(ln.ann, announce{})
+		ln.ann = push(ln.ann, announce{})
 		idx = int32(len(ln.ann) - 1)
 	}
 	ln.ann[idx] = announce{node: i, block: block, origin: origin}

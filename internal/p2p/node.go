@@ -113,13 +113,19 @@ func (net *Network) rememberBlock(i, idx int32, b *types.Block) {
 		// phase-A injection has already published it.
 		net.blockBody[idx] = b
 	}
-	net.cacheQ[i] = append(net.cacheQ[i], idx)
-	net.cachedBits.set(i, idx)
-	if len(net.cacheQ[i]) > blockCacheCap {
-		evict := net.cacheQ[i][0]
-		net.cacheQ[i] = net.cacheQ[i][1:]
-		net.cachedBits.clear(i, evict)
+	q := net.cacheQ[i]
+	if len(q) < blockCacheCap {
+		net.cacheQ[i] = push(q, idx)
+		net.cachedBits.set(i, idx)
+		return
 	}
+	// Full: the new body takes the oldest one's slot.
+	row := &net.rows[i]
+	evict := q[row.cacheHead]
+	q[row.cacheHead] = idx
+	row.cacheHead = uint16((int(row.cacheHead) + 1) % blockCacheCap)
+	net.cachedBits.set(i, idx)
+	net.cachedBits.clear(i, evict)
 }
 
 // peerKnowsBlock reports whether the node knows that peer has h,

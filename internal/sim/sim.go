@@ -303,6 +303,15 @@ func (e *Engine) place(at Time, seq uint64, h Handler, a, b uint64) {
 	if i != 0 {
 		e.free = e.nodes[i].next
 	} else {
+		if len(e.nodes) == cap(e.nodes) {
+			// Double at the full point: the arrays left behind then
+			// add up to less than the arena's final size, where
+			// append's ~1.25× steps leave about four times it. Stats
+			// reads the arena's length, never its capacity.
+			nodes := make([]node, len(e.nodes), 2*cap(e.nodes))
+			copy(nodes, e.nodes)
+			e.nodes = nodes
+		}
 		e.nodes = append(e.nodes, node{})
 		i = int32(len(e.nodes) - 1)
 	}
