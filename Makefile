@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-full test-faults test-relay test-server dataset-smoke test-obs test-stress test-shard fuzz fuzz-smoke race profile profile-shard profile-chain profile-tx profile-mem bench bench-contract-smoke fmt fmt-check vet loc examples examples-full validate-scenarios
+.PHONY: build test test-full test-faults test-relay test-server dataset-smoke test-obs test-stress test-shard fuzz fuzz-smoke race profile profile-shard profile-chain profile-tx profile-mem bench bench-contract-smoke fmt fmt-check vet loc reach examples examples-full validate-scenarios
 
 build:
 	$(GO) build ./...
@@ -133,7 +133,6 @@ fuzz:
 	$(GO) test -fuzz FuzzEngineOrder -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzRNGFastPath -fuzztime 15s ./internal/sim/
 	$(GO) test -fuzz FuzzConductorOrder -fuzztime 30s ./internal/sim/
-	$(GO) test -fuzz FuzzCompactReconstruct -fuzztime 30s ./internal/p2p/relay/
 	$(GO) test -fuzz FuzzAdjacencyChurn -fuzztime 30s -fuzzminimizetime 2s ./internal/p2p/
 	$(GO) test -fuzz FuzzScenarioParse -fuzztime 30s ./internal/scenario/
 	$(GO) test -fuzz FuzzSweepExpand -fuzztime 30s ./internal/scenario/
@@ -148,9 +147,10 @@ fuzz:
 # The fuzz targets CI runs past their seed corpora: the settled
 # chain-only path against the whole tree (main chain and analysis
 # fold), the JSONL index build (the replay through measure.Fold)
-# against the log scan it replaced, and the adjacency arena — span
+# against the log scan it replaced, the adjacency arena — span
 # relocation and in-place compaction under churn — against its
-# ordered-list reference model.
+# ordered-list reference model, and the Kademlia table's bucket-ordered
+# nearest-n walk against a sort of every stored ID.
 # FuzzAdjacencyChurn caps minimization at 2 s per input: minimizing its
 # long churn scripts otherwise eats the whole burst.
 fuzz-smoke:
@@ -158,6 +158,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBuildIndex -fuzztime 20s ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzSettledMainChain -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzAdjacencyChurn -fuzztime 20s -fuzzminimizetime 2s ./internal/p2p/
+	$(GO) test -run '^$$' -fuzz FuzzClosest -fuzztime 20s ./internal/discovery/
 
 # The whole short tier under the race detector. internal/experiments
 # alone needs 530-890 s here on a 2-vCPU box, past go test's default
@@ -262,6 +263,52 @@ bench-contract-smoke:
 	$(GO) run ./bench --workload overlay-10k-sharded --seed 1 --seconds 10 --trace 1 | tee "$$tmp"; \
 	tail -n 1 "$$tmp" | grep -q '"correct":true' || { echo "bench-contract-smoke: run not correct"; exit 1; }; \
 	tail -n 1 "$$tmp" | grep -q '"failed":0[,}]' || { echo "bench-contract-smoke: failed operations"; exit 1; }
+
+# Which functions the program's own traffic never enters. Builds the
+# four CLIs and the examples with coverage over every package, runs the
+# traffic set — every registry spec at -scale small, every shipped
+# scenario but the two big stress files at -scale small -shards 2 into
+# run directories, ethmeasure into ethanalyze -verify / -in / -run, one
+# traced ethrepro run, ethrepro -list, every example at -short and one
+# ethserve campaign over localhost with a /metrics scrape — and prints
+# every non-test function the set left at 0%, then a count per package.
+# A tool for deciding what to delete, not a gate (~2 min on 2 vCPUs).
+reach:
+	@set -e; dir=$$(mktemp -d); pid=; \
+	trap '[ -z "$$pid" ] || kill $$pid 2>/dev/null; rm -rf "$$dir"' EXIT; \
+	b="$$dir/bin"; mkdir -p "$$b" "$$dir/cov"; \
+	$(GO) build -cover -coverpkg=./... -o "$$b/" ./cmd/... ./examples/...; \
+	export GOCOVERDIR="$$dir/cov"; \
+	"$$b/ethrepro" -scale small -out "$$dir/run" >/dev/null; \
+	for f in examples/scenarios/*.json; do \
+		case "$$f" in *stress-10k.json|*stress-100k.json) continue;; esac; \
+		"$$b/ethrepro" -scenario "$$f" -scale small -shards 2 -out "$$dir/sc/$$(basename "$$f")" >/dev/null; \
+	done; \
+	"$$b/ethmeasure" -nodes 120 -blocks 40 -txlinks -txrate 2 -out "$$dir/ds" >/dev/null 2>&1; \
+	"$$b/ethanalyze" -verify "$$dir/ds" >/dev/null; \
+	"$$b/ethanalyze" -in "$$dir/ds" >/dev/null; \
+	for d in "$$dir/run" "$$dir"/sc/*; do "$$b/ethanalyze" -run "$$d" >/dev/null; done; \
+	"$$b/ethrepro" -only network,D1 -trace "$$dir/trace.json" >/dev/null 2>&1; \
+	"$$b/ethrepro" -list >/dev/null; \
+	for d in examples/*/; do \
+		[ -f "$$d/main.go" ] || continue; "$$b/$$(basename "$$d")" -short >/dev/null; \
+	done; \
+	"$$b/ethserve" -addr 127.0.0.1:0 -store "$$dir/store" 2>"$$dir/serve.log" & pid=$$!; \
+	for i in $$(seq 50); do grep -q 'listening on' "$$dir/serve.log" && break; sleep 0.2; done; \
+	addr=$$(sed -n 's/.*listening on \([^,]*\),.*/\1/p' "$$dir/serve.log"); \
+	id=$$(curl -sf "http://$$addr/campaigns" -d '{"specs":["T1","chain"],"scale":"small"}' | \
+		sed -n 's/.*"id": *"\([^"]*\)".*/\1/p'); \
+	for i in $$(seq 300); do \
+		curl -sf "http://$$addr/campaigns/$$id" | grep -q '"state": *"done"' && break; sleep 0.2; \
+	done; \
+	curl -sf "http://$$addr/campaigns/$$id/artifacts/outcomes.json" >/dev/null; \
+	curl -sf "http://$$addr/metrics" >/dev/null; \
+	kill -INT $$pid; wait $$pid; pid=; \
+	$(GO) tool covdata func -i "$$dir/cov" | awk '$$NF == "0.0%" { print $$1, $$2 }' | sort > "$$dir/zero"; \
+	cat "$$dir/zero"; echo; \
+	awk '{ pkg = $$1; sub(/\/[^\/]*$$/, "", pkg); n[pkg]++ } \
+		END { for (p in n) printf "%6d  %s\n", n[p], p }' "$$dir/zero" | sort -k2; \
+	printf '%6d  total at 0%%\n' $$(wc -l < "$$dir/zero")
 
 # Build and execute every example program, downscaled (-short): each
 # is a documented entry point, so CI proves they all still run.

@@ -34,7 +34,7 @@
 // written and sealed alongside the artifacts; -telemetry=false omits
 // it. -trace additionally captures per-event dispatch spans and
 // writes a Chrome trace-event file (load in chrome://tracing or
-// Perfetto; use a .jsonl suffix for line-delimited JSON). Neither
+// Perfetto). Neither
 // consumes simulation RNG: the science artifacts stay byte-identical
 // with observability on or off.
 package main
@@ -82,7 +82,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		scenFlag = fs.String("scenario", "", "comma-separated scenario files to compile into the registry")
 		list     = fs.Bool("list", false, "list registered experiments and exit")
 		telem    = fs.Bool("telemetry", true, "write telemetry.json (engine stats, throughput) into the -out run directory")
-		traceOut = fs.String("trace", "", "write an engine dispatch trace to this file (Chrome trace-event JSON; .jsonl for JSONL)")
+		traceOut = fs.String("trace", "", "write an engine dispatch trace to this file (Chrome trace-event JSON)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -223,8 +223,7 @@ func emitReport(w io.Writer, report *experiments.Report) {
 }
 
 // writeTrace exports the campaign's engine dispatch spans, one trace
-// process per (spec, repeat) run, to a Chrome trace-event file (or
-// JSONL when the path ends in .jsonl).
+// process per (spec, repeat) run, to a Chrome trace-event file.
 func writeTrace(path string, report *experiments.Report, taken map[uint64]obs.RunTelemetry) error {
 	var runs []obs.TraceRun
 	for _, res := range report.Results {
@@ -241,12 +240,7 @@ func writeTrace(path string, report *experiments.Report, taken map[uint64]obs.Ru
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = obs.WriteTraceJSONL(f, runs)
-	} else {
-		err = obs.WriteChromeTrace(f, runs)
-	}
-	return errors.Join(err, f.Close())
+	return errors.Join(obs.WriteChromeTrace(f, runs), f.Close())
 }
 
 // loadScenarios parses every scenario file named by the

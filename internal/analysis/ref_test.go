@@ -10,6 +10,7 @@ package analysis_test
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"maps"
 	"reflect"
@@ -305,9 +306,13 @@ func refDetectWithholding(view *analysis.ChainView, times map[types.Hash]sim.Tim
 	return res, nil
 }
 
+// errNoView is refAccounting's answer for a nil or empty view; a fold
+// over one reports no rewards.
+var errNoView = errors.New("rewards: nil or empty chain view")
+
 func refAccounting(view *analysis.ChainView, s rewards.Schedule, meanGasPriceWei uint64) (map[string]*rewards.PoolRevenue, error) {
 	if view == nil || len(view.Main) == 0 {
-		return nil, rewards.ErrNoView
+		return nil, errNoView
 	}
 	out := make(map[string]*rewards.PoolRevenue)
 	get := func(pool string) *rewards.PoolRevenue {
@@ -404,15 +409,18 @@ func checkFold(t *testing.T, fold *analysis.ChainFold, view *analysis.ChainView,
 	wh, err := fold.Withholding()
 	wantWH, wantErr := refDetectWithholding(view, times, refMinRun, refThreshold)
 	same(t, "Withholding", wh, err, wantWH, wantErr)
-	var revenue map[string]*rewards.PoolRevenue
-	tallies, err := fold.Rewards()
-	if err == nil {
-		revenue, err = rewards.Revenue(tallies, rewards.DefaultSchedule(), refGasPrice)
-	} else {
-		err = rewards.ErrNoView
-	}
+	revenue, err := foldRevenue(fold)
 	wantRevenue, wantErr := refAccounting(view, rewards.DefaultSchedule(), refGasPrice)
 	same(t, "Rewards", revenue, err, wantRevenue, wantErr)
+}
+
+// foldRevenue prices a fold's reward tallies the way INC does.
+func foldRevenue(fold *analysis.ChainFold) (map[string]*rewards.PoolRevenue, error) {
+	tallies, err := fold.Rewards()
+	if err != nil {
+		return nil, errNoView
+	}
+	return rewards.Revenue(tallies, rewards.DefaultSchedule(), refGasPrice)
 }
 
 // checkView pins the analyses over a view — the fold fed from the
@@ -436,9 +444,9 @@ func checkView(t *testing.T, view *analysis.ChainView, times map[types.Hash]sim.
 	wh, err := analysis.DetectWithholding(view, times, refMinRun, refThreshold)
 	wantWH, wantErr := refDetectWithholding(view, times, refMinRun, refThreshold)
 	same(t, "DetectWithholding(view)", wh, err, wantWH, wantErr)
-	acct, err := rewards.Accounting(view, rewards.DefaultSchedule(), refGasPrice)
+	acct, err := foldRevenue(analysis.FoldView(view))
 	wantAcct, wantErr := refAccounting(view, rewards.DefaultSchedule(), refGasPrice)
-	same(t, "Accounting(view)", acct, err, wantAcct, wantErr)
+	same(t, "Rewards(view)", acct, err, wantAcct, wantErr)
 }
 
 // foldPool builds one pool of the hand-made models below.

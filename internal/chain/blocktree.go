@@ -410,17 +410,3 @@ func (t *BlockTree) IsAncestor(a, b types.Hash) bool {
 	at, ok := t.ancestorAt(ib, t.number(ia))
 	return ok && at == ia
 }
-
-// ConfirmationDepth returns how many blocks on the main chain follow
-// the block at h (0 when h is the head). It returns an error when h is
-// not on the main chain.
-func (t *BlockTree) ConfirmationDepth(h types.Hash) (int, error) {
-	i, ok := t.index[h]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownBlock, h.Short())
-	}
-	if !t.IsMain(h) {
-		return 0, fmt.Errorf("chain: block %s not on main chain", h.Short())
-	}
-	return int(t.MaxHeight() - t.number(i)), nil
-}

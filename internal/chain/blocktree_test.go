@@ -176,35 +176,6 @@ func TestIsAncestor(t *testing.T) {
 	}
 }
 
-func TestConfirmationDepth(t *testing.T) {
-	g := testGenesis()
-	tree := NewBlockTree(g)
-	blocks := []*types.Block{g}
-	cur := g
-	for i := 0; i < 13; i++ {
-		cur = mkBlock(cur, "A", 1000, 0)
-		mustAdd(t, tree, cur)
-		blocks = append(blocks, cur)
-	}
-	d, err := tree.ConfirmationDepth(blocks[1].Hash())
-	if err != nil || d != 12 {
-		t.Fatalf("depth: %d, %v", d, err)
-	}
-	d, err = tree.ConfirmationDepth(cur.Hash())
-	if err != nil || d != 0 {
-		t.Fatalf("head depth: %d, %v", d, err)
-	}
-	// Fork block depth is an error.
-	side := mkBlock(blocks[5], "B", 1000, 0)
-	mustAdd(t, tree, side)
-	if _, err := tree.ConfirmationDepth(side.Hash()); err == nil {
-		t.Fatal("side block depth must error")
-	}
-	if _, err := tree.ConfirmationDepth(types.HashBytes([]byte("x"))); !errors.Is(err, ErrUnknownBlock) {
-		t.Fatalf("unknown block: %v", err)
-	}
-}
-
 func TestDeepReorg(t *testing.T) {
 	g := testGenesis()
 	tree := NewBlockTree(g)

@@ -80,12 +80,6 @@ type CampaignConfig struct {
 	// Relay selects and parameterizes the block-relay protocol (the
 	// zero value is the paper's eth/63 sqrt-push rule).
 	Relay relay.Config
-	// KademliaWiring builds the overlay through the devp2p-style
-	// discovery substrate (internal/discovery) instead of uniform
-	// random wiring. Both produce location-independent neighbor
-	// relationships (§III-B1); a test asserts the geographic findings
-	// agree.
-	KademliaWiring bool
 	// Measurement lists the instrumented nodes to attach.
 	Measurement []MeasurementSpec
 	// PerfectClocks disables NTP error (for ground-truth validation
@@ -206,6 +200,15 @@ type Campaign struct {
 	obsScope *obs.RunScope
 }
 
+// wireOverlay wires the overlay nodes NewCampaign placed, given the
+// campaign's root stream. It is uniform random wiring, which draws
+// nothing from that stream; kademlia_test.go swaps in the devp2p
+// discovery wiring to show the geographic findings do not depend on
+// it (§III-B1: neighbours are location-independent either way).
+var wireOverlay = func(network *p2p.Network, _ *sim.RNG, degree int) error {
+	return network.WireRandom(degree)
+}
+
 // NewCampaign validates the configuration and builds the network,
 // pools, workload and measurement nodes (nothing runs yet).
 func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
@@ -274,14 +277,8 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		}
 		c.byRegn[r] = append(c.byRegn[r], n)
 	}
-	if cfg.KademliaWiring {
-		if err := wireKademlia(c.network, rootRNG.Fork("discovery"), cfg.Degree); err != nil {
-			return nil, fmt.Errorf("core: wire overlay (kademlia): %w", err)
-		}
-	} else {
-		if err := c.network.WireRandom(cfg.Degree); err != nil {
-			return nil, fmt.Errorf("core: wire overlay: %w", err)
-		}
+	if err := wireOverlay(c.network, rootRNG, cfg.Degree); err != nil {
+		return nil, fmt.Errorf("core: wire overlay: %w", err)
 	}
 
 	// Measurement nodes (attached before traffic starts, like the

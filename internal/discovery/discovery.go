@@ -5,10 +5,10 @@
 // Ethereum derives neighbor relationships from these random IDs, which
 // is why the paper can assert that peer selection is independent of
 // geographic location (§III-B1). The reproduction wires its overlay
-// either uniformly at random (a statistical shortcut) or through this
-// substrate (CampaignConfig.KademliaWiring); a core test checks both
-// wirings produce the same geographic findings, validating the
-// shortcut.
+// uniformly at random (a statistical shortcut); a core test wires it
+// through this substrate instead and checks both wirings produce the
+// same geographic findings, validating the shortcut. The fault
+// injector's churn joins redial through converged tables.
 package discovery
 
 import (
@@ -143,6 +143,10 @@ type Table struct {
 	k       int
 	buckets [NumBuckets + 1][]NodeID
 	present map[NodeID]bool
+	// lo and hi bound the non-empty buckets (lo > hi: none). Buckets
+	// only grow, and a table of m IDs fills little more than the top
+	// log2(m) of them, so closest walks that span, not all 257.
+	lo, hi int
 }
 
 // Table errors.
@@ -156,11 +160,8 @@ func NewTable(self NodeID, k int) (*Table, error) {
 	if k < 1 {
 		return nil, ErrBadK
 	}
-	return &Table{self: self, k: k, present: make(map[NodeID]bool)}, nil
+	return &Table{self: self, k: k, present: make(map[NodeID]bool), lo: NumBuckets + 1}, nil
 }
-
-// Self returns the table owner's ID.
-func (t *Table) Self() NodeID { return t.self }
 
 // Len returns the number of stored IDs.
 func (t *Table) Len() int { return len(t.present) }
@@ -184,6 +185,7 @@ func (t *Table) Add(id NodeID) (bool, error) {
 	}
 	t.buckets[b] = append(t.buckets[b], id)
 	t.present[id] = true
+	t.lo, t.hi = min(t.lo, b), max(t.hi, b)
 	return true, nil
 }
 
@@ -197,38 +199,62 @@ func (t *Table) Closest(target NodeID, n int) []NodeID {
 }
 
 // closest writes the n stored IDs nearest target, nearest first, over
-// best (n >= 1). It walks the buckets once, keeping the nearest so far
-// in a bounded insertion buffer.
+// best (n >= 1). Bucket b holds the IDs whose distance x to self has
+// its top bit at b-1, and the buckets' distances to target lie in
+// disjoint ranges. With l = LogDist(self, target), bucket l's IDs are
+// the nearest (their top bits cancel). A bucket b below l keeps the
+// bits of self^target above b-1 and flips bit b-1, so it is nearer
+// than every bucket below it iff self^target has bit b-1 set: those
+// come next, from l-1 down, then the rest from 1 up. A bucket b above
+// l lies at [2^(b-1), 2^b), beyond all of them, in increasing order.
+// The walk takes the non-empty span of buckets in that order and stops
+// at the first one it reaches with n IDs in hand, each nearer than
+// anything left. Distinct IDs have distinct distances, so the result is
+// exact.
 func (t *Table) closest(target NodeID, n int, best []keyed) []keyed {
-	best = best[:0]
-	for b := range t.buckets {
-		for _, id := range t.buckets[b] {
-			e := keyed{distanceKey(target, id), id}
-			if len(best) == n && compareKeyed(e, best[n-1]) >= 0 {
-				continue
-			}
-			if len(best) < n {
-				best = append(best, e)
-			}
-			i := len(best) - 1
-			for ; i > 0 && compareKeyed(e, best[i-1]) < 0; i-- {
-				best[i] = best[i-1]
-			}
-			best[i] = e
+	l := LogDist(t.self, target)
+	best = nearest(best[:0], t.buckets[l], target, n)
+	for b := min(l-1, t.hi); b >= t.lo && len(best) < n; b-- {
+		if xorBit(t.self, target, b-1) {
+			best = nearest(best, t.buckets[b], target, n)
 		}
+	}
+	for b := t.lo; b < l && b <= t.hi && len(best) < n; b++ {
+		if !xorBit(t.self, target, b-1) {
+			best = nearest(best, t.buckets[b], target, n)
+		}
+	}
+	for b := max(l+1, t.lo); b <= t.hi && len(best) < n; b++ {
+		best = nearest(best, t.buckets[b], target, n)
 	}
 	return best
 }
 
-// Entries returns every stored ID, in bucket order and, within a
-// bucket, insertion order: identical insert sequences give identical
-// slices.
-func (t *Table) Entries() []NodeID {
-	out := make([]NodeID, 0, len(t.present))
-	for b := range t.buckets {
-		out = append(out, t.buckets[b]...)
+// xorBit reports whether bit i (0: the least significant) of a^b is
+// set.
+func xorBit(a, b NodeID, i int) bool {
+	j := IDLen - 1 - i/8
+	return (a[j]^b[j])>>(i%8)&1 == 1
+}
+
+// nearest merges ids into best, the at most n IDs nearest target so
+// far in a bounded insertion buffer, nearest first.
+func nearest(best []keyed, ids []NodeID, target NodeID, n int) []keyed {
+	for _, id := range ids {
+		e := keyed{distanceKey(target, id), id}
+		if len(best) == n && compareKeyed(e, best[n-1]) >= 0 {
+			continue
+		}
+		if len(best) < n {
+			best = append(best, e)
+		}
+		i := len(best) - 1
+		for ; i > 0 && compareKeyed(e, best[i-1]) < 0; i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = e
 	}
-	return out
+	return best
 }
 
 // Universe is the simulated discovery network: every participant's

@@ -81,51 +81,96 @@ type Outcome struct {
 	Metrics map[string]float64
 }
 
-// networkScale returns overlay sizing per scale.
-func networkScale(sc Scale) (nodes int, blocks uint64, peers int) {
-	switch sc {
-	case ScaleMedium:
-		return 800, 500, 0
-	case ScalePaper:
-		return 2000, 1500, 0
-	case ScaleStress:
+// sizing is one scale's every size decision: each experiment family
+// reads its own fields, and nothing else in the package switches on a
+// Scale.
+type sizing struct {
+	// nodes and blocks size the Figs. 1-3 overlay campaign; peers caps
+	// each vantage's peering (0: unlimited).
+	nodes  int
+	blocks uint64
+	peers  int
+	// chainBlocks is the chain-only Monte-Carlo's length.
+	chainBlocks uint64
+	// wholeChainBlocks sizes the long-horizon Monte-Carlo (§III-D's
+	// whole-chain sweep; mainnet had ~7.7M blocks at measurement time).
+	wholeChainBlocks uint64
+	// workloadNodes and workloadBlocks size the Figs. 4-5 transaction
+	// workload campaign.
+	workloadNodes  int
+	workloadBlocks uint64
+	// faultNodes and faultBlocks size the dependability campaigns:
+	// small enough that the healthy+faulted pair stays CI-friendly,
+	// large enough that region structure and fan-out redundancy are
+	// representative.
+	faultNodes  int
+	faultBlocks uint64
+	// relayNodes and relayBlocks size the relay grids' campaign: the
+	// network overlay's, with the block budget capped at 400, since
+	// each grid runs one campaign per protocol or divergence point.
+	relayNodes  int
+	relayBlocks uint64
+}
+
+// sizes holds each Scale's sizing, in constant order.
+var sizes = [...]sizing{
+	ScaleSmall - 1: {
+		nodes: 250, blocks: 150,
+		chainBlocks: 20_000, wholeChainBlocks: 100_000,
+		workloadNodes: 100, workloadBlocks: 150,
+		faultNodes: 150, faultBlocks: 60,
+		// Transaction gossip dominates a relay campaign's cost, so the
+		// small tier shrinks below the network overlay.
+		relayNodes: 120, relayBlocks: 60,
+	},
+	ScaleMedium - 1: {
+		nodes: 800, blocks: 500,
+		// 201,086 blocks: the paper's one-month main-chain length.
+		chainBlocks: 201_086, wholeChainBlocks: 1_000_000,
+		workloadNodes: 200, workloadBlocks: 400,
+		faultNodes: 400, faultBlocks: 240,
+		relayNodes: 800, relayBlocks: 400,
+	},
+	ScalePaper - 1: {
+		nodes: 2000, blocks: 1500,
+		chainBlocks: 201_086, wholeChainBlocks: 7_680_658,
+		workloadNodes: 400, workloadBlocks: 800,
+		faultNodes: 1000, faultBlocks: 500,
+		relayNodes: 2000, relayBlocks: 400,
+	},
+	ScaleStress - 1: {
 		// An order of magnitude past the paper's overlay: the pooled
 		// event engine holds this in memory because measurement is
 		// streaming and per-node caches are bounded.
-		return 10_000, 200, 0
-	case ScaleStress100k:
+		nodes: 10_000, blocks: 200,
+		chainBlocks: 201_086, wholeChainBlocks: 2_000_000,
+		// The workload tier measures commit latency, not overlay scale.
+		workloadNodes: 1000, workloadBlocks: 1200,
+		faultNodes: 4000, faultBlocks: 120,
+		relayNodes: 10_000, relayBlocks: 200,
+	},
+	ScaleStress100k - 1: {
 		// Mainnet-order overlay over a short horizon. Measurement
 		// peering is capped (not "unlimited") so vantage reception
 		// volume stays bounded while the overlay does the scaling.
-		return 100_000, 40, 2000
-	default:
-		return 250, 150, 0
-	}
+		nodes: 100_000, blocks: 40, peers: 2000,
+		chainBlocks: 201_086, wholeChainBlocks: 2_000_000,
+		// The 100k tier stresses the network experiments only.
+		workloadNodes: 1000, workloadBlocks: 1200,
+		// The dependability campaigns have no 100k tier: they run at
+		// the small tier's size.
+		faultNodes: 150, faultBlocks: 60,
+		relayNodes: 100_000, relayBlocks: 40,
+	},
 }
 
-// chainScale returns chain-only block counts per scale.
-func chainScale(sc Scale) uint64 {
-	switch sc {
-	case ScaleMedium, ScalePaper, ScaleStress, ScaleStress100k:
-		return 201_086 // the paper's one-month main-chain length
-	default:
-		return 20_000
+// size returns the scale's sizing; a value outside the declared scales
+// sizes as ScaleSmall.
+func (s Scale) size() sizing {
+	if s < ScaleSmall || int(s) > len(sizes) {
+		s = ScaleSmall
 	}
-}
-
-// wholeChainScale sizes the long-horizon Monte-Carlo (§III-D's
-// whole-chain sweep; mainnet had ~7.7M blocks at measurement time).
-func wholeChainScale(sc Scale) uint64 {
-	switch sc {
-	case ScaleMedium:
-		return 1_000_000
-	case ScalePaper:
-		return 7_680_658
-	case ScaleStress, ScaleStress100k:
-		return 2_000_000
-	default:
-		return 100_000
-	}
+	return sizes[s-1]
 }
 
 // paperVantages are the paper's four vantage points in its figures'
@@ -145,11 +190,11 @@ var (
 // always run streaming: the analyses consume the index, not the raw
 // log, so memory stays O(items) at any scale.
 func networkConfig(seed uint64, sc Scale) core.CampaignConfig {
-	nodes, blocks, peers := networkScale(sc)
+	size := sc.size()
 	cfg := core.DefaultCampaignConfig(seed)
-	cfg.NetworkNodes = nodes
-	cfg.Blocks = blocks
-	cfg.Measurement = core.PaperMeasurementSpecs(peers)
+	cfg.NetworkNodes = size.nodes
+	cfg.Blocks = size.blocks
+	cfg.Measurement = core.PaperMeasurementSpecs(size.peers)
 	cfg.Streaming = true
 	return cfg
 }
@@ -185,22 +230,7 @@ func Table2(seed uint64, sc Scale) ([]*Outcome, error) {
 // live transaction workload and tx-link capture.
 func workloadConfig(seed uint64, sc Scale) core.CampaignConfig {
 	cfg := core.DefaultCampaignConfig(seed)
-	switch sc {
-	case ScaleMedium:
-		cfg.NetworkNodes = 200
-		cfg.Blocks = 400
-	case ScalePaper:
-		cfg.NetworkNodes = 400
-		cfg.Blocks = 800
-	case ScaleStress, ScaleStress100k:
-		// The workload tier measures commit latency, not overlay
-		// scale; the 100k tier stresses the network experiments only.
-		cfg.NetworkNodes = 1000
-		cfg.Blocks = 1200
-	default:
-		cfg.NetworkNodes = 100
-		cfg.Blocks = 150
-	}
+	cfg.NetworkNodes, cfg.Blocks = sc.size().workloadNodes, sc.size().workloadBlocks
 	cfg.Degree = 6
 	cfg.Measurement = core.PaperMeasurementSpecs(30)
 	cfg.CaptureTxLinks = true
@@ -238,14 +268,14 @@ func settledFold(seed, blocks uint64, mutate func(*mining.Config, *analysis.Chai
 // month scale and derives Fig. 6, Table III, the one-miner-fork
 // analysis and Fig. 7 with its censorship comparison.
 func ChainExperiments(seed uint64, sc Scale) ([]*Outcome, error) {
-	return ChainOutputs(seed, chainScale(sc), nil, chainOutputs)
+	return ChainOutputs(seed, sc.size().chainBlocks, nil, chainOutputs)
 }
 
 // WholeChainExperiment runs the long-horizon sequence census (§III-D's
 // look beyond the one-month window). It stays bespoke: a census of one
 // run, not a comparison of variants.
 func WholeChainExperiment(seed uint64, sc Scale) ([]*Outcome, error) {
-	blocks := wholeChainScale(sc)
+	blocks := sc.size().wholeChainBlocks
 	// The census reads only the main chain's miner labels (genesis
 	// excluded, as in a ChainView), one settled height at a time.
 	var census analysis.SequenceFold

@@ -22,7 +22,7 @@ import (
 // `<variant>_<metric>` keys.
 //
 // Grids are Go values rather than scenario files: their sizes are
-// per-scale step tables (faultScale, the relay block cap) that one
+// per-scale step tables (the fault and relay columns of sizes) that one
 // scale multiplier cannot express, D1/D2's fault schedules are
 // fractions of the horizon, and scenario imports this package.
 type grid struct {
@@ -69,7 +69,7 @@ var unitScale = map[string]float64{"kb": 1e3, "mb": 1e6}
 // grids is every registered cross-run ablation, in catalog order.
 var grids = []grid{
 	{id: "L1", title: "Lesson 1 — restricted uncle rule ablation",
-		blocks: func(sc Scale) uint64 { return chainScale(sc) / 4 },
+		blocks: func(sc Scale) uint64 { return sc.size().chainBlocks / 4 },
 		variants: []variant{
 			{"standard", nil},
 			{"restricted", func(c *core.CampaignConfig) { c.Mining.Uncles.RestrictOneMinerUncles = true }},
@@ -321,26 +321,10 @@ func renderCells(cells [][]string) string {
 	return b.String()
 }
 
-// faultScale sizes the dependability campaigns: small enough that the
-// healthy+faulted pair stays CI-friendly, large enough that region
-// structure and fan-out redundancy are representative.
-func faultScale(sc Scale) (nodes int, blocks uint64) {
-	switch sc {
-	case ScaleMedium:
-		return 400, 240
-	case ScalePaper:
-		return 1000, 500
-	case ScaleStress:
-		return 4000, 120
-	default:
-		return 150, 60
-	}
-}
-
 // faultCampaignConfig is the dependability grids' healthy baseline.
 func faultCampaignConfig(seed uint64, sc Scale) core.CampaignConfig {
 	cfg := core.DefaultCampaignConfig(seed)
-	cfg.NetworkNodes, cfg.Blocks = faultScale(sc)
+	cfg.NetworkNodes, cfg.Blocks = sc.size().faultNodes, sc.size().faultBlocks
 	cfg.Streaming = true
 	return cfg
 }
@@ -354,16 +338,10 @@ func horizonFor(cfg core.CampaignConfig) sim.Time {
 
 // relayConfig is the relay grids' campaign: an overlay with a live
 // transaction workload (compact reconstruction is only interesting when
-// blocks carry transactions). Each grid runs one campaign per
-// protocol or divergence point, so the small tier shrinks further
-// (transaction gossip dominates the cost) and the block budget is
-// capped at every scale.
+// blocks carry transactions).
 func relayConfig(seed uint64, sc Scale) core.CampaignConfig {
 	cfg := networkConfig(seed, sc)
-	if sc == ScaleSmall {
-		cfg.NetworkNodes, cfg.Blocks = 120, 60
-	}
-	cfg.Blocks = min(cfg.Blocks, 400)
+	cfg.NetworkNodes, cfg.Blocks = sc.size().relayNodes, sc.size().relayBlocks
 	cfg.Measurement = core.PaperMeasurementSpecs(40)
 	wl := txgen.DefaultConfig()
 	wl.Senders = 600

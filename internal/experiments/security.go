@@ -19,7 +19,7 @@ import (
 // It stays bespoke: its attacker columns exist only in the attacked
 // run, whose pool mix differs from the honest one.
 func WithholdingExperiment(seed uint64, sc Scale) ([]*Outcome, error) {
-	blocks := chainScale(sc) / 4
+	blocks := sc.size().chainBlocks / 4
 	// Both runs read the withholding row, whose detector is calibrated
 	// by analysis.DefaultWithholdingMinRun and DefaultWithholdingBurstRatio.
 	rows := []string{"withholding"}
@@ -65,7 +65,7 @@ func WithholdingExperiment(seed uint64, sc Scale) ([]*Outcome, error) {
 // It stays bespoke: it reads header times under bomb-schedule knobs no
 // output row carries.
 func ConstantinopleExperiment(seed uint64, sc Scale) ([]*Outcome, error) {
-	blocks := chainScale(sc)
+	blocks := sc.size().chainBlocks
 	if sc == ScaleSmall {
 		blocks = 60_000
 	}
@@ -139,7 +139,7 @@ func ConstantinopleExperiment(seed uint64, sc Scale) ([]*Outcome, error) {
 // income, and the empty-block fee tradeoff. It stays bespoke: a pricing
 // table over one run, not a comparison of variants.
 func RevenueExperiment(seed uint64, sc Scale) ([]*Outcome, error) {
-	blocks := chainScale(sc) / 4
+	blocks := sc.size().chainBlocks / 4
 	fold, err := settledFold(seed, blocks, nil)
 	if err != nil {
 		return nil, err

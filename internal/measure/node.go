@@ -100,9 +100,6 @@ func (m *Node) Region() geo.Region { return m.peer.Region() }
 // Peer exposes the underlying network node.
 func (m *Node) Peer() *p2p.Node { return m.peer }
 
-// Clock exposes the node's clock (for error-bar computations).
-func (m *Node) Clock() geo.Clock { return m.clock }
-
 // Records returns the log lines collected so far (not copied: the log
 // can be large; callers must not mutate). Streaming nodes keep no raw
 // log and return nil.

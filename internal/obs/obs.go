@@ -6,7 +6,7 @@
 //
 //   - Tracer: a ring-buffered sim.Probe recording per-event-kind
 //     counts, dispatch wall-nanos and sim-vs-wall progress, exportable
-//     as a Chrome trace or JSONL (`ethrepro -trace out.json`).
+//     as a Chrome trace (`ethrepro -trace out.json`).
 //   - Collector: a process-wide sink the simulation core reports
 //     per-run engine statistics into; cmd/ethrepro and ethserve drain
 //     it into each run directory's telemetry.json.
@@ -223,9 +223,6 @@ func (c *Collector) Disable() {
 	c.runs = nil
 	c.mu.Unlock()
 }
-
-// Enabled reports whether any collection is active.
-func (c *Collector) Enabled() bool { return c.telemetry.Load() }
 
 // RunScope tracks one engine run from construction to completion. A
 // nil scope (collection disabled) is valid and inert, so callers

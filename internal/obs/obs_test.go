@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -259,28 +258,6 @@ func TestWriteChromeTraceIsValidJSON(t *testing.T) {
 	}
 	if doc.TraceEvents[0]["ph"] != "M" {
 		t.Fatalf("first event should be metadata, got %v", doc.TraceEvents[0])
-	}
-}
-
-func TestWriteTraceJSONL(t *testing.T) {
-	tr, _ := runTracedEngine(t, 5, 0)
-	run := RunTelemetry{Seed: 1, Tracers: []*Tracer{tr}}
-	var buf bytes.Buffer
-	if err := WriteTraceJSONL(&buf, []TraceRun{{Label: "spec/0", Run: run}}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("got %d JSONL lines, want 5", len(lines))
-	}
-	for _, line := range lines {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
-		if rec["run"] != "spec/0" {
-			t.Fatalf("run label = %v", rec["run"])
-		}
 	}
 }
 

@@ -243,40 +243,3 @@ func WriteChromeTrace(w io.Writer, runs []TraceRun) error {
 	}
 	return bw.Flush()
 }
-
-// jsonlSpan is the flat per-span record of the JSONL trace export.
-type jsonlSpan struct {
-	Run       string   `json:"run"`
-	Engine    int      `json:"engine"`
-	Kind      string   `json:"kind"`
-	StartNano int64    `json:"start_nano"`
-	DurNano   int64    `json:"dur_nano"`
-	SimMS     sim.Time `json:"sim_ms"`
-}
-
-// WriteTraceJSONL writes the runs' spans as newline-delimited JSON,
-// one record per span — friendlier to jq/DuckDB than the Chrome
-// format.
-func WriteTraceJSONL(w io.Writer, runs []TraceRun) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetEscapeHTML(false)
-	for _, tr := range runs {
-		for tid, tracer := range tr.Run.Tracers {
-			for _, sp := range tracer.Spans() {
-				rec := jsonlSpan{
-					Run:       tr.Label,
-					Engine:    tid,
-					Kind:      tracer.stats[sp.Kind].Name,
-					StartNano: sp.Start,
-					DurNano:   sp.Dur,
-					SimMS:     sp.Sim,
-				}
-				if err := enc.Encode(rec); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -78,6 +78,9 @@ type adjacency struct {
 	// capSum is the sum of the spans' capacities: every arena cell
 	// beyond it is a dead window.
 	capSum int
+	// order is compact's scratch (the spans in offset order), kept so
+	// that each compaction reuses it.
+	order []int32
 }
 
 const adjInitialCap = 8
@@ -167,7 +170,7 @@ func (t *adjacency) reserve(cells int) {
 // is built and in phase A (fault rewiring, churn joins), when every
 // region lane is idle.
 func (t *adjacency) compact() {
-	order := make([]int32, 0, len(t.spans))
+	order := grownTo(t.order[:0], len(t.spans))
 	for i, s := range t.spans {
 		if s.cap > 0 {
 			order = append(order, int32(i))
@@ -188,6 +191,7 @@ func (t *adjacency) compact() {
 	t.adj = t.adj[:w]
 	t.revAdj = t.revAdj[:w]
 	t.knowMask = t.knowMask[:w]
+	t.order = order
 }
 
 // link appends the undirected edge i<->j, wiring both reverse

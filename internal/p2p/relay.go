@@ -168,12 +168,10 @@ func (ln *netLane) announcePull(i int32, now sim.Time, from, pos, idx int32) {
 // round trip with the sender, or fetch the full body when more than the
 // fallback threshold of its transactions is missing.
 //
-// The short-ID layer is exact here: a sketch transaction is in the pool
-// iff the receiver's pool has seen its hash. Collision detection,
-// refusal to guess and TxRoot verification live in relay.Sketch, where
-// FuzzCompactReconstruct shows reconstruction never fabricates a body
-// that mismatches its header; at 48-bit IDs a collision is ~2^-48 per
-// pair, which this path rounds to zero as BIP152 deployments do.
+// The short-ID layer is modelled exact, with no codec: a sketch
+// transaction is in the pool iff the receiver's pool has seen its
+// hash. At 48-bit IDs a collision is ~2^-48 per pair, which this path
+// rounds to zero as BIP152 deployments do.
 func (ln *netLane) reconstruct(now sim.Time, f *flight, pos, slot int32) {
 	net := ln.net
 	i, idx, b := f.to, f.item, f.b

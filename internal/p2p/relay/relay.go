@@ -1,7 +1,7 @@
 // Package relay is the block-relay vocabulary the simulated overlay
 // and its configuration share: the disciplines (Mode), their knobs
 // (Config) and accounting (Counters), the protocol timing constants,
-// and the compact-block Sketch codec.
+// and the compact sketch's wire-size model.
 //
 // Five disciplines ship: the eth/63 sqrt-push rule the paper's
 // network runs, its push-all and announce-only ablation endpoints, a
@@ -37,6 +37,20 @@ const (
 	// sketch (scheduling the pull).
 	AnnounceHandleDelay sim.Time = 1
 )
+
+// ShortIDBytes is the wire size of one transaction short identifier
+// (BIP152 uses 6-byte siphash-derived IDs). The transport models the
+// short-ID layer as exact — a sketch transaction resolves iff the
+// receiver's pool holds its hash; at 48 bits a collision is ~2^-48 per
+// pair — so only the identifiers' size is modelled, never their values.
+const ShortIDBytes = 6
+
+// SketchWireBytes returns the serialized size a sketch of n
+// transactions adds beyond the block header: a count prefix plus one
+// short ID per transaction.
+func SketchWireBytes(n int) int {
+	return 2 + n*ShortIDBytes
+}
 
 // Counters is the relay accounting the bandwidth analysis reports.
 // Only the compact discipline populates it; every field is zero for

@@ -16,7 +16,6 @@
 package rewards
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -97,24 +96,6 @@ type PoolRevenue struct {
 // Total returns the pool's total income.
 func (r PoolRevenue) Total() uint64 {
 	return r.BlockRewardGwei + r.FeeGwei + r.NephewGwei + r.UncleGwei
-}
-
-// Accounting errors.
-var ErrNoView = errors.New("rewards: nil or empty chain view")
-
-// Accounting computes per-pool revenue from a chain view. Fee income
-// uses each block's GasUsed-weighted transaction gas prices when full
-// transactions are available; the simulation's chain view carries tx
-// hashes only, so fees are approximated as gasUsed * meanGasPriceWei.
-func Accounting(view *analysis.ChainView, s Schedule, meanGasPriceWei uint64) (map[string]*PoolRevenue, error) {
-	if view == nil || len(view.Main) == 0 {
-		return nil, ErrNoView
-	}
-	tallies, err := analysis.FoldView(view).Rewards()
-	if err != nil {
-		return nil, err
-	}
-	return Revenue(tallies, s, meanGasPriceWei)
 }
 
 // Revenue prices each pool's reward tally (analysis.ChainFold's

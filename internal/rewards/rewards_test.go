@@ -1,7 +1,6 @@
 package rewards
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/analysis"
@@ -90,11 +89,17 @@ func buildRevenueView() *analysis.ChainView {
 	return v
 }
 
+// TestAccounting prices a hand-built view the way INC does: the
+// fold's reward tallies through Revenue.
 func TestAccounting(t *testing.T) {
 	const gasPrice = 10_000_000_000
 	view := buildRevenueView()
 	s := DefaultSchedule()
-	rev, err := Accounting(view, s, gasPrice)
+	tallies, err := analysis.FoldView(view).Rewards()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := Revenue(tallies, s, gasPrice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +146,6 @@ func TestAccounting(t *testing.T) {
 	// Totals add up.
 	if a.Total() != a.BlockRewardGwei+a.FeeGwei+a.NephewGwei+a.UncleGwei {
 		t.Fatal("total wrong")
-	}
-}
-
-func TestAccountingErrors(t *testing.T) {
-	if _, err := Accounting(nil, DefaultSchedule(), 1); !errors.Is(err, ErrNoView) {
-		t.Fatalf("nil view: %v", err)
-	}
-	if _, err := Accounting(&analysis.ChainView{}, DefaultSchedule(), 1); !errors.Is(err, ErrNoView) {
-		t.Fatalf("empty view: %v", err)
 	}
 }
 

@@ -9,15 +9,12 @@
 // AppendUint and AppendList write into a caller's buffer (the block and
 // transaction hashes are taken over stack buffers that way), and Encode
 // walks an Item tree through the same three functions, so the
-// single-byte and long-form rules exist once. Decode returns the Item
-// tree; AsUint and Uint convert between Go integers and the canonical
-// minimal big-endian byte strings.
+// single-byte and long-form rules exist once. The program only hashes
+// and sizes what it encodes, so there is no decoder.
 package rlp
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"math/bits"
 )
 
@@ -38,20 +35,6 @@ type Item struct {
 	Bytes []byte
 	List  []Item
 }
-
-// Decoding errors. They are exported so callers (e.g. the wire codec)
-// can distinguish malformed input classes.
-var (
-	ErrEmptyInput       = errors.New("rlp: empty input")
-	ErrTrailingBytes    = errors.New("rlp: trailing bytes after value")
-	ErrTruncated        = errors.New("rlp: input truncated")
-	ErrNonCanonical     = errors.New("rlp: non-canonical encoding")
-	ErrLengthOverflow   = errors.New("rlp: length overflows int")
-	ErrNotString        = errors.New("rlp: item is not a string")
-	ErrNotList          = errors.New("rlp: item is not a list")
-	ErrIntegerTooLarge  = errors.New("rlp: integer larger than uint64")
-	ErrLeadingZeroBytes = errors.New("rlp: integer has leading zero bytes")
-)
 
 // String constructs a string item. The byte slice is used as-is; the
 // caller must not mutate it afterwards.
@@ -77,40 +60,6 @@ func minimalBE(buf *[8]byte, v uint64) []byte {
 
 // beLen is the length of v's minimal big-endian form.
 func beLen(v uint64) int { return (bits.Len64(v) + 7) / 8 }
-
-// AsUint interprets a string item as a canonical unsigned integer.
-func (it Item) AsUint() (uint64, error) {
-	if it.Kind != KindString {
-		return 0, ErrNotString
-	}
-	if len(it.Bytes) > 8 {
-		return 0, ErrIntegerTooLarge
-	}
-	if len(it.Bytes) > 0 && it.Bytes[0] == 0 {
-		return 0, ErrLeadingZeroBytes
-	}
-	var v uint64
-	for _, b := range it.Bytes {
-		v = v<<8 | uint64(b)
-	}
-	return v, nil
-}
-
-// AsBytes returns the payload of a string item.
-func (it Item) AsBytes() ([]byte, error) {
-	if it.Kind != KindString {
-		return nil, ErrNotString
-	}
-	return it.Bytes, nil
-}
-
-// AsList returns the children of a list item.
-func (it Item) AsList() ([]Item, error) {
-	if it.Kind != KindList {
-		return nil, ErrNotList
-	}
-	return it.List, nil
-}
 
 // AppendString appends the encoding of a byte string to dst.
 func AppendString(dst, b []byte) []byte {
@@ -197,109 +146,4 @@ func appendHeader(dst []byte, base byte, payload int) []byte {
 	var buf [8]byte
 	be := minimalBE(&buf, uint64(payload))
 	return append(append(dst, base+55+byte(len(be))), be...)
-}
-
-// Decode parses a single RLP value from b, requiring the whole input to
-// be consumed.
-func Decode(b []byte) (Item, error) {
-	if len(b) == 0 {
-		return Item{}, ErrEmptyInput
-	}
-	it, rest, err := decodeOne(b)
-	if err != nil {
-		return Item{}, err
-	}
-	if len(rest) != 0 {
-		return Item{}, ErrTrailingBytes
-	}
-	return it, nil
-}
-
-func decodeOne(b []byte) (Item, []byte, error) {
-	if len(b) == 0 {
-		return Item{}, nil, ErrTruncated
-	}
-	tag := b[0]
-	switch {
-	case tag < 0x80: // single byte
-		return String(b[:1]), b[1:], nil
-	case tag <= 0xb7: // short string
-		n := int(tag - 0x80)
-		if len(b) < 1+n {
-			return Item{}, nil, ErrTruncated
-		}
-		payload := b[1 : 1+n]
-		if n == 1 && payload[0] < 0x80 {
-			return Item{}, nil, fmt.Errorf("%w: single byte below 0x80 must self-encode", ErrNonCanonical)
-		}
-		return String(payload), b[1+n:], nil
-	case tag <= 0xbf: // long string
-		lenN := int(tag - 0xb7)
-		payload, rest, err := decodeLongPayload(b[1:], lenN, 55)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return String(payload), rest, nil
-	case tag <= 0xf7: // short list
-		n := int(tag - 0xc0)
-		if len(b) < 1+n {
-			return Item{}, nil, ErrTruncated
-		}
-		items, err := decodeListPayload(b[1 : 1+n])
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return List(items...), b[1+n:], nil
-	default: // long list
-		lenN := int(tag - 0xf7)
-		payload, rest, err := decodeLongPayload(b[1:], lenN, 55)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		items, err := decodeListPayload(payload)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return List(items...), rest, nil
-	}
-}
-
-// decodeLongPayload reads a lenN-byte big-endian length followed by
-// that many payload bytes. minLen is the smallest payload length that
-// legitimately requires the long form (anything smaller is
-// non-canonical).
-func decodeLongPayload(b []byte, lenN, minLen int) (payload, rest []byte, err error) {
-	if len(b) < lenN {
-		return nil, nil, ErrTruncated
-	}
-	if b[0] == 0 {
-		return nil, nil, fmt.Errorf("%w: length has leading zero", ErrNonCanonical)
-	}
-	var n uint64
-	for _, c := range b[:lenN] {
-		if n > (1<<56)-1 {
-			return nil, nil, ErrLengthOverflow
-		}
-		n = n<<8 | uint64(c)
-	}
-	if n <= uint64(minLen) {
-		return nil, nil, fmt.Errorf("%w: long form used for short payload", ErrNonCanonical)
-	}
-	if uint64(len(b)-lenN) < n {
-		return nil, nil, ErrTruncated
-	}
-	return b[lenN : lenN+int(n)], b[lenN+int(n):], nil
-}
-
-func decodeListPayload(b []byte) ([]Item, error) {
-	var items []Item
-	for len(b) > 0 {
-		it, rest, err := decodeOne(b)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, it)
-		b = rest
-	}
-	return items, nil
 }

@@ -154,7 +154,6 @@ func (v *Variant) campaignConfig(seed uint64, sc experiments.Scale) (core.Campai
 		return cfg, err
 	}
 	cfg.Relay = rc
-	cfg.KademliaWiring = s.Network.Kademlia
 	if s.Network.NodeShare != nil {
 		share, err := s.nodeShare()
 		if err != nil {

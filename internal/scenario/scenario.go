@@ -98,9 +98,6 @@ type NetworkSection struct {
 	// fields are sweepable (e.g. a "network.relay.protocol" axis runs
 	// one scenario file across protocols).
 	Relay *RelaySection `json:"relay,omitempty"`
-	// Kademlia wires the overlay through the discovery substrate
-	// instead of uniform random wiring.
-	Kademlia bool `json:"kademlia,omitempty"`
 	// NodeShare distributes nodes across regions, keyed by region
 	// abbreviation (NA, EA, WE, CE, SA, OC). Shares must sum to ~1;
 	// default geo.DefaultNodeShare.

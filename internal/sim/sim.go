@@ -46,12 +46,6 @@ func (t Time) Seconds() float64 { return float64(t) / 1000 }
 // String renders the timestamp as a duration offset.
 func (t Time) String() string { return t.Duration().String() }
 
-// FromDuration converts a wall duration into virtual Time, rounding to
-// milliseconds.
-func FromDuration(d time.Duration) Time {
-	return Time(d.Milliseconds())
-}
-
 // Event is a scheduled callback. Events run exactly once, at their
 // scheduled virtual time.
 type Event func(now Time)
@@ -927,18 +921,9 @@ func (g *RNG) Bernoulli(p float64) bool {
 	return g.Float64() < p
 }
 
-// Zipf draws from a Zipf distribution over [0, n) with exponent s > 1,
-// used to skew transaction-sender activity (a few accounts produce
-// most traffic). For repeated draws with the same parameters prefer
-// NewZipf, which precomputes the CDF.
-func (g *RNG) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
-	return NewZipf(g, n, s).Sample()
-}
-
-// Zipf is a precomputed discrete Zipf sampler over [0, n).
+// Zipf is a precomputed discrete Zipf sampler over [0, n), used to
+// skew transaction-sender activity (a few accounts produce most
+// traffic).
 type Zipf struct {
 	rng *RNG
 	cdf []float64

@@ -17,9 +17,6 @@ func TestTimeConversions(t *testing.T) {
 	if (1500 * Millisecond).Seconds() != 1.5 {
 		t.Fatal("seconds conversion wrong")
 	}
-	if FromDuration(3*time.Second+500*time.Millisecond) != 3500 {
-		t.Fatal("FromDuration wrong")
-	}
 	if (Second).String() != "1s" {
 		t.Fatalf("string: %q", Second.String())
 	}
@@ -287,13 +284,14 @@ func TestBernoulli(t *testing.T) {
 func TestZipfSkew(t *testing.T) {
 	g := NewRNG(5)
 	counts := make([]int, 10)
+	z := NewZipf(g, 10, 1.2)
 	for i := 0; i < 50000; i++ {
-		counts[g.Zipf(10, 1.2)]++
+		counts[z.Sample()]++
 	}
 	if counts[0] <= counts[9] {
 		t.Fatalf("zipf not skewed: first %d last %d", counts[0], counts[9])
 	}
-	if g.Zipf(1, 1.2) != 0 || g.Zipf(0, 1.2) != 0 {
+	if NewZipf(g, 1, 1.2).Sample() != 0 || NewZipf(g, 0, 1.2).Sample() != 0 {
 		t.Fatal("degenerate zipf must return 0")
 	}
 }

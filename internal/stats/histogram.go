@@ -117,15 +117,6 @@ func (h *Histogram) Density(i int) float64 {
 	return float64(h.counts[i]) / float64(h.total)
 }
 
-// Densities returns the probability mass of every bin.
-func (h *Histogram) Densities() []float64 {
-	out := make([]float64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.Density(i)
-	}
-	return out
-}
-
 // Render draws a textual histogram (one row per bin) sized to width
 // characters, matching the presentation style of the paper's Fig. 1.
 func (h *Histogram) Render(width int) string {
@@ -197,14 +188,4 @@ func (e *ECDF) Value(q float64) (float64, error) {
 		idx = n - 1
 	}
 	return e.sorted[idx], nil
-}
-
-// Series samples the CDF at the given x positions, returning the
-// cumulative probability for each. Useful for rendering figure series.
-func (e *ECDF) Series(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = e.P(x)
-	}
-	return out
 }

@@ -40,36 +40,11 @@ func ExpectedSequences(p float64, k, n int) (float64, error) {
 	return prob * float64(n), nil
 }
 
-// MonthsUntilSequence returns the expected number of month-long
-// observation windows (blocksPerMonth blocks each) until one k-length
-// sequence by a pool with share p is expected, i.e.
-// 1 / (blocksPerMonth * p^k). The paper computes Sparkpool's 9-block
-// sequence this way ("at least three months").
-func MonthsUntilSequence(p float64, k, blocksPerMonth int) (float64, error) {
-	expected, err := ExpectedSequences(p, k, blocksPerMonth)
-	if err != nil {
-		return 0, err
-	}
-	if expected == 0 {
-		return math.Inf(1), nil
-	}
-	return 1 / expected, nil
-}
-
-// RunLengths scans a sequence of labels and returns, per label, the
-// multiset of maximal-run lengths, e.g. labels a,a,b,a yields
-// {a:[2,1], b:[1]}. The analysis pipeline folds main-chain miner
-// labels through RunFold to build Fig. 7.
-func RunLengths(labels []string) map[string][]int {
-	var f RunFold
-	for _, l := range labels {
-		f.Add(l)
-	}
-	return f.Runs()
-}
-
-// RunFold is RunLengths one label at a time, for a sequence too long
-// to hold: the zero value is an empty fold.
+// RunFold scans a sequence of labels one at a time and returns, per
+// label, the multiset of maximal-run lengths, e.g. labels a,a,b,a
+// yields {a:[2,1], b:[1]}, without holding the sequence. The analysis
+// pipeline folds main-chain miner labels through it to build Fig. 7.
+// The zero value is an empty fold.
 type RunFold struct {
 	runs map[string][]int
 	cur  string

@@ -41,24 +41,6 @@ func TestExpectedSequencesPaperValues(t *testing.T) {
 	}
 }
 
-func TestMonthsUntilSequence(t *testing.T) {
-	// Sparkpool: ~1/0.3 ≈ 3+ months for one 9-sequence.
-	m, err := MonthsUntilSequence(0.2269, 9, 201086)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m < 2.8 || m > 4.0 {
-		t.Fatalf("sparkpool months until 9-seq ~3, got %v", m)
-	}
-	inf, err := MonthsUntilSequence(0, 5, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(inf, 1) {
-		t.Fatalf("zero share should never sequence, got %v", inf)
-	}
-}
-
 func TestSequenceProbabilityErrors(t *testing.T) {
 	if _, err := SequenceProbability(-0.1, 2); err == nil {
 		t.Error("negative share: want error")
@@ -74,8 +56,17 @@ func TestSequenceProbabilityErrors(t *testing.T) {
 	}
 }
 
+// runLengths folds a whole label sequence through RunFold.
+func runLengths(labels []string) map[string][]int {
+	var f RunFold
+	for _, l := range labels {
+		f.Add(l)
+	}
+	return f.Runs()
+}
+
 func TestRunLengths(t *testing.T) {
-	got := RunLengths([]string{"a", "a", "b", "a", "c", "c", "c"})
+	got := runLengths([]string{"a", "a", "b", "a", "c", "c", "c"})
 	want := map[string][]int{
 		"a": {2, 1},
 		"b": {1},
@@ -87,13 +78,13 @@ func TestRunLengths(t *testing.T) {
 }
 
 func TestRunLengthsEmpty(t *testing.T) {
-	if got := RunLengths(nil); len(got) != 0 {
+	if got := runLengths(nil); len(got) != 0 {
 		t.Fatalf("want empty map, got %v", got)
 	}
 }
 
 func TestRunLengthsSingle(t *testing.T) {
-	got := RunLengths([]string{"x"})
+	got := runLengths([]string{"x"})
 	if !reflect.DeepEqual(got, map[string][]int{"x": {1}}) {
 		t.Fatalf("got %v", got)
 	}
@@ -106,7 +97,7 @@ func TestRunLengthsSumProperty(t *testing.T) {
 		for i, r := range raw {
 			labels[i] = string(rune('a' + r%3))
 		}
-		runs := RunLengths(labels)
+		runs := runLengths(labels)
 		sum := 0
 		for _, rs := range runs {
 			for _, r := range rs {

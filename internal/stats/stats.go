@@ -85,23 +85,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return quantileSorted(sortedCopy(xs), q), nil
 }
 
-// Mean returns the arithmetic mean of xs, or ErrNoSamples.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrNoSamples
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
-}
-
 func sortedCopy(xs []float64) []float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)

@@ -94,16 +94,16 @@ func TestQuantileDoesNotMutateInput(t *testing.T) {
 }
 
 func TestMeanMedian(t *testing.T) {
-	if _, err := Mean(nil); err != ErrNoSamples {
+	if _, err := Summarize(nil); err != ErrNoSamples {
 		t.Errorf("mean empty: %v", err)
 	}
-	m, err := Mean([]float64{1, 2, 3, 4})
-	if err != nil || m != 2.5 {
-		t.Errorf("mean: got %v, %v", m, err)
+	s, err := Summarize([]float64{1, 2, 3, 4})
+	if err != nil || s.Mean != 2.5 {
+		t.Errorf("mean: got %v, %v", s.Mean, err)
 	}
-	med, err := Median([]float64{1, 3, 2})
-	if err != nil || med != 2 {
-		t.Errorf("median: got %v, %v", med, err)
+	s, err = Summarize([]float64{1, 3, 2})
+	if err != nil || s.Median != 2 {
+		t.Errorf("median: got %v, %v", s.Median, err)
 	}
 }
 

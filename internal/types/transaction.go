@@ -1,11 +1,6 @@
 package types
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/rlp"
-)
+import "repro/internal/rlp"
 
 // Transaction is a simplified Ethereum transaction: a value transfer
 // with a per-sender monotonically increasing nonce, a gas price bid
@@ -33,11 +28,6 @@ type Transaction struct {
 // TxGas is the intrinsic gas cost of a plain value transfer, matching
 // Ethereum's G_transaction = 21,000.
 const TxGas = 21_000
-
-// Decode errors for transactions.
-var (
-	errTxShape = errors.New("types: transaction RLP shape mismatch")
-)
 
 // Hash returns the content hash of the transaction's RLP encoding,
 // computed and cached on first use.
@@ -77,66 +67,4 @@ func (tx *Transaction) appendRLP(dst []byte) []byte {
 	dst = rlp.AppendUint(dst, tx.Value)
 	dst = rlp.AppendUint(dst, tx.GasPrice)
 	return rlp.AppendUint(dst, tx.Gas)
-}
-
-// EncodeTx serializes a transaction to RLP.
-func EncodeTx(tx *Transaction) []byte { return tx.appendRLP(nil) }
-
-// DecodeTx parses a transaction from its RLP encoding.
-func DecodeTx(b []byte) (*Transaction, error) {
-	it, err := rlp.Decode(b)
-	if err != nil {
-		return nil, fmt.Errorf("decode tx: %w", err)
-	}
-	return txFromItem(it)
-}
-
-func txFromItem(it rlp.Item) (*Transaction, error) {
-	fields, err := it.AsList()
-	if err != nil {
-		return nil, fmt.Errorf("decode tx: %w", err)
-	}
-	if len(fields) != 6 {
-		return nil, fmt.Errorf("%w: %d fields", errTxShape, len(fields))
-	}
-	var tx Transaction
-	if err := copyAddress(&tx.Sender, fields[0]); err != nil {
-		return nil, fmt.Errorf("decode tx sender: %w", err)
-	}
-	if err := copyAddress(&tx.To, fields[1]); err != nil {
-		return nil, fmt.Errorf("decode tx to: %w", err)
-	}
-	uints := []*uint64{&tx.Nonce, &tx.Value, &tx.GasPrice, &tx.Gas}
-	for i, dst := range uints {
-		v, err := fields[2+i].AsUint()
-		if err != nil {
-			return nil, fmt.Errorf("decode tx field %d: %w", 2+i, err)
-		}
-		*dst = v
-	}
-	return &tx, nil
-}
-
-func copyAddress(dst *Address, it rlp.Item) error {
-	b, err := it.AsBytes()
-	if err != nil {
-		return err
-	}
-	if len(b) != AddressLen {
-		return fmt.Errorf("%w: address is %d bytes", errTxShape, len(b))
-	}
-	copy(dst[:], b)
-	return nil
-}
-
-func copyHash(dst *Hash, it rlp.Item) error {
-	b, err := it.AsBytes()
-	if err != nil {
-		return err
-	}
-	if len(b) != HashLen {
-		return fmt.Errorf("%w: hash is %d bytes", errTxShape, len(b))
-	}
-	copy(dst[:], b)
-	return nil
 }
