@@ -58,13 +58,14 @@ test-server:
 	$(GO) run ./cmd/ethanalyze -verify "$$dir/run"
 
 # The open-data path end to end: ethmeasure writes a small sealed JSONL
-# dataset (tx links and a 2 tx/s workload, so every figure has data),
+# dataset (a 2 tx/s workload, whose block records carry tx links, so
+# every figure has data),
 # ethanalyze -verify checks its digests, and ethanalyze -in must print
 # Figures 1 through 7 from the logs alone.
 dataset-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/" ./cmd/ethmeasure ./cmd/ethanalyze; \
-	"$$dir/ethmeasure" -nodes 120 -blocks 40 -txlinks -txrate 2 -out "$$dir/ds"; \
+	"$$dir/ethmeasure" -nodes 120 -blocks 40 -txrate 2 -out "$$dir/ds"; \
 	"$$dir/ethanalyze" -verify "$$dir/ds"; \
 	"$$dir/ethanalyze" -in "$$dir/ds" > "$$dir/out.txt"; \
 	for n in 1 2 3 4 5 6 7; do \
@@ -142,15 +143,13 @@ fuzz:
 	$(GO) test -fuzz FuzzBuildIndex -fuzztime 30s ./internal/analysis/
 	$(GO) test -fuzz FuzzHeaderEncoding -fuzztime 15s ./internal/types/
 	$(GO) test -fuzz FuzzSampleExact -fuzztime 15s ./internal/geo/
-	$(GO) test -fuzz FuzzClosest -fuzztime 15s ./internal/discovery/
 
 # The fuzz targets CI runs past their seed corpora: the settled
 # chain-only path against the whole tree (main chain and analysis
 # fold), the JSONL index build (the replay through measure.Fold)
-# against the log scan it replaced, the adjacency arena — span
+# against the log scan it replaced, and the adjacency arena — span
 # relocation and in-place compaction under churn — against its
-# ordered-list reference model, and the Kademlia table's bucket-ordered
-# nearest-n walk against a sort of every stored ID.
+# ordered-list reference model.
 # FuzzAdjacencyChurn caps minimization at 2 s per input: minimizing its
 # long churn scripts otherwise eats the whole burst.
 fuzz-smoke:
@@ -158,7 +157,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBuildIndex -fuzztime 20s ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzSettledMainChain -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzAdjacencyChurn -fuzztime 20s -fuzzminimizetime 2s ./internal/p2p/
-	$(GO) test -run '^$$' -fuzz FuzzClosest -fuzztime 20s ./internal/discovery/
 
 # The whole short tier under the race detector. internal/experiments
 # alone needs 530-890 s here on a 2-vCPU box, past go test's default
@@ -209,7 +207,7 @@ profile-chain:
 # campaign (BenchmarkCommit: 100 nodes, 150 blocks, 600 senders; three
 # runs, build off the clock) under the CPU profiler, then the top 25.
 # docs/PERFORMANCE.md ("The transaction") keeps the tops this printed
-# before and after the tx path, the sampler and discovery were rebuilt;
+# before and after the tx path and the sampler were rebuilt;
 # the stage benchmarks are
 # `go test -run '^$' -bench 'TxDeliverRedundant|TxFanout' -benchmem ./internal/p2p/`.
 profile-tx:
@@ -284,7 +282,7 @@ reach:
 		case "$$f" in *stress-10k.json|*stress-100k.json) continue;; esac; \
 		"$$b/ethrepro" -scenario "$$f" -scale small -shards 2 -out "$$dir/sc/$$(basename "$$f")" >/dev/null; \
 	done; \
-	"$$b/ethmeasure" -nodes 120 -blocks 40 -txlinks -txrate 2 -out "$$dir/ds" >/dev/null 2>&1; \
+	"$$b/ethmeasure" -nodes 120 -blocks 40 -txrate 2 -out "$$dir/ds" >/dev/null 2>&1; \
 	"$$b/ethanalyze" -verify "$$dir/ds" >/dev/null; \
 	"$$b/ethanalyze" -in "$$dir/ds" >/dev/null; \
 	for d in "$$dir/run" "$$dir"/sc/*; do "$$b/ethanalyze" -run "$$d" >/dev/null; done; \

@@ -17,15 +17,15 @@ import (
 	"repro/internal/txgen"
 )
 
-// datasetConfig is a small campaign with a transaction workload and
-// a 25-peer vantage beside the paper's four, with or without tx links.
-func datasetConfig(txLinks bool) core.CampaignConfig {
+// datasetConfig is a small campaign with a transaction workload (so
+// its block records carry tx links) and a 25-peer vantage beside the
+// paper's four.
+func datasetConfig() core.CampaignConfig {
 	cfg := core.DefaultCampaignConfig(9)
 	cfg.NetworkNodes = 120
 	cfg.Blocks = 60
 	cfg.Measurement = append(core.PaperMeasurementSpecs(30),
 		core.MeasurementSpec{Name: "WE-default", Region: cfg.Measurement[2].Region, Peers: 25})
-	cfg.CaptureTxLinks = txLinks
 	wl := txgen.DefaultConfig()
 	wl.Senders = 50
 	wl.MeanInterArrival = 1000
@@ -34,19 +34,27 @@ func datasetConfig(txLinks bool) core.CampaignConfig {
 }
 
 // writeDataset runs the campaign and writes its logs like ethmeasure
-// would.
-func writeDataset(t *testing.T, dir string, cfg core.CampaignConfig) {
+// would. Without txLinks it strips every block record's tx hash list,
+// the shape of an outside log that never recorded them.
+func writeDataset(t *testing.T, dir string, cfg core.CampaignConfig, txLinks bool) {
 	t.Helper()
 	res, err := core.RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, node := range res.Nodes {
+		records := node.Records()
+		if !txLinks {
+			records = append([]measure.Record(nil), records...)
+			for i := range records {
+				records[i].TxHashes = nil
+			}
+		}
 		f, err := os.Create(filepath.Join(dir, node.Name()+".jsonl"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := measure.WriteJSONL(f, node.Records()); err != nil {
+		if err := measure.WriteJSONL(f, records); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -64,9 +72,9 @@ func writeDataset(t *testing.T, dir string, cfg core.CampaignConfig) {
 func TestAnalyzeDataset(t *testing.T) {
 	for _, txLinks := range []bool{true, false} {
 		t.Run(fmt.Sprintf("txlinks=%v", txLinks), func(t *testing.T) {
-			cfg := datasetConfig(txLinks)
+			cfg := datasetConfig()
 			dir := t.TempDir()
-			writeDataset(t, dir, cfg)
+			writeDataset(t, dir, cfg, txLinks)
 			var vantages []string
 			for _, m := range cfg.Measurement {
 				vantages = append(vantages, m.Name)
@@ -95,7 +103,7 @@ func TestAnalyzeDataset(t *testing.T) {
 				if r, ok := rendered[id]; ok {
 					want.WriteString(r + "\n")
 				} else {
-					fmt.Fprintf(&want, "%s unavailable: analysis: dataset has no tx-to-block links (enable CaptureTxLinks)\n", id)
+					fmt.Fprintf(&want, "%s unavailable: analysis: dataset has no tx-to-block links (record the dataset with ethmeasure -txrate > 0)\n", id)
 				}
 			}
 			got := text

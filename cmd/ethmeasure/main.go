@@ -5,11 +5,13 @@
 // Usage:
 //
 //	ethmeasure -out dataset/ [-seed 42] [-nodes 800] [-blocks 500]
-//	           [-peers 100] [-degree 8] [-txlinks] [-txrate 0]
+//	           [-peers 100] [-degree 8] [-txrate 0]
 //	           [-relay sqrt-push|push-all|announce-only|compact|hybrid]
 //
 // One JSONL file is written per measurement node (NA, EA, WE, CE),
-// mirroring the study's per-machine raw logs. The dataset is sealed
+// mirroring the study's per-machine raw logs. With a transaction
+// workload (-txrate > 0) every block record carries its transaction
+// hash list, which the commit-time analyses need. The dataset is sealed
 // with a digest manifest, so `ethanalyze -verify dataset/` proves it
 // unmodified offline.
 package main
@@ -46,8 +48,7 @@ func run(args []string) error {
 		blocks   = fs.Uint64("blocks", 500, "block heights to produce")
 		peers    = fs.Int("peers", 100, "measurement-node peer count")
 		degree   = fs.Int("degree", 8, "overlay dial-out degree")
-		txlinks  = fs.Bool("txlinks", false, "record per-block tx hash lists (needed for commit analyses)")
-		txrate   = fs.Float64("txrate", 0, "transaction workload rate in tx/s (0 disables)")
+		txrate   = fs.Float64("txrate", 0, "transaction workload rate in tx/s (0 disables; >0 also records per-block tx hash lists)")
 		relayArg = fs.String("relay", "", "block-relay protocol: sqrt-push (default)|push-all|announce-only|compact|hybrid")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -63,7 +64,6 @@ func run(args []string) error {
 	cfg.Blocks = *blocks
 	cfg.Degree = *degree
 	cfg.Measurement = core.PaperMeasurementSpecs(*peers)
-	cfg.CaptureTxLinks = *txlinks
 	if *txrate > 0 {
 		wl := txgen.DefaultConfig()
 		wl.MeanInterArrival = sim.Time(1000 / *txrate)

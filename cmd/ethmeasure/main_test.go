@@ -50,7 +50,6 @@ func TestRunWithWorkloadAndTxLinks(t *testing.T) {
 		"-nodes", "100",
 		"-blocks", "30",
 		"-peers", "20",
-		"-txlinks",
 		"-txrate", "1",
 	})
 	if err != nil {
@@ -78,7 +77,7 @@ func TestRunWithWorkloadAndTxLinks(t *testing.T) {
 		t.Fatal("no transaction records despite workload")
 	}
 	if !sawLinks {
-		t.Fatal("no tx links despite -txlinks")
+		t.Fatal("no tx links despite the workload")
 	}
 }
 

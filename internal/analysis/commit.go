@@ -50,8 +50,9 @@ func blockObservationTimes(idx *Index, view *ChainView) []sim.Time {
 }
 
 // resolveInclusions maps every observed transaction to the main-chain
-// block that first includes it. Requires tx hash lists (CaptureTxLinks
-// or full block content).
+// block that first includes it. Requires tx hash lists, which a
+// measurement node records when its campaign runs a transaction
+// workload.
 func resolveInclusions(idx *Index, view *ChainView) ([]txInclusion, error) {
 	txToMain := make(map[types.Hash]int)
 	linked := false
@@ -66,7 +67,7 @@ func resolveInclusions(idx *Index, view *ChainView) ([]txInclusion, error) {
 		}
 	}
 	if !linked {
-		return nil, fmt.Errorf("analysis: dataset has no tx-to-block links (enable CaptureTxLinks)")
+		return nil, fmt.Errorf("analysis: dataset has no tx-to-block links (record the dataset with ethmeasure -txrate > 0)")
 	}
 	var out []txInclusion
 	for th, perNode := range idx.TxFirst {

@@ -287,7 +287,7 @@ func ViewFromTree(t *chain.BlockTree) (*ChainView, error) {
 
 // metaFromBlock is the skeleton of a block held in memory. txLinks
 // gates the transaction hash list, mirroring what a measurement node's
-// block records carry under its CaptureTxLinks setting.
+// block records carry under its measure.Options.CaptureTxLinks setting.
 func metaFromBlock(b *types.Block, txLinks bool) BlockMeta {
 	meta := BlockMeta{
 		Hash:    b.Hash(),

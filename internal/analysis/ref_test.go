@@ -874,7 +874,6 @@ func TestBuildIndexReferenceRealLog(t *testing.T) {
 	cfg.Blocks = 40
 	cfg.Degree = 5
 	cfg.Measurement = core.PaperMeasurementSpecs(20)
-	cfg.CaptureTxLinks = true
 	wl := txgen.DefaultConfig()
 	wl.Senders = 30
 	wl.MeanInterArrival = 500 * sim.Millisecond

@@ -82,9 +82,6 @@ type CampaignConfig struct {
 	Relay relay.Config
 	// Measurement lists the instrumented nodes to attach.
 	Measurement []MeasurementSpec
-	// PerfectClocks disables NTP error (for ground-truth validation
-	// runs); the default samples the paper's NTP mixture.
-	PerfectClocks bool
 	// Streaming drops the measurement nodes' raw logs. Every node folds
 	// each reception once into O(items) aggregates and the campaign's
 	// Index is always built from that fold, so the Index — and every
@@ -95,16 +92,15 @@ type CampaignConfig struct {
 	// Leave the default (false) when the raw JSONL log itself is the
 	// product (cmd/ethmeasure).
 	Streaming bool
-	// CaptureTxLinks records per-block transaction hash lists,
-	// required for commit-time analyses.
-	CaptureTxLinks bool
 	// Mining configures pools and block production. Mining.OnBlock is
 	// overridden by the campaign (blocks are injected at gateways).
 	Mining mining.Config
 	// Blocks is the number of block heights to produce.
 	Blocks uint64
 	// Workload optionally runs a transaction workload. Workload.Submit
-	// is overridden by the campaign. Nil disables transactions.
+	// is overridden by the campaign. Nil disables transactions. With a
+	// workload the measurement nodes record each block's transaction
+	// hash list, which the commit-time analyses need.
 	Workload *txgen.Config
 	// Faults optionally injects dependability events (crash/recover,
 	// partitions, link loss, churn) into the running campaign.
@@ -200,14 +196,10 @@ type Campaign struct {
 	obsScope *obs.RunScope
 }
 
-// wireOverlay wires the overlay nodes NewCampaign placed, given the
-// campaign's root stream. It is uniform random wiring, which draws
-// nothing from that stream; kademlia_test.go swaps in the devp2p
-// discovery wiring to show the geographic findings do not depend on
-// it (§III-B1: neighbours are location-independent either way).
-var wireOverlay = func(network *p2p.Network, _ *sim.RNG, degree int) error {
-	return network.WireRandom(degree)
-}
+// newClock samples a measurement node's clock from the campaign's
+// clock stream: the paper's NTP error mixture. Tests swap in a perfect
+// clock for ground-truth runs.
+var newClock = geo.NewClock
 
 // NewCampaign validates the configuration and builds the network,
 // pools, workload and measurement nodes (nothing runs yet).
@@ -277,7 +269,7 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		}
 		c.byRegn[r] = append(c.byRegn[r], n)
 	}
-	if err := wireOverlay(c.network, rootRNG, cfg.Degree); err != nil {
+	if err := c.network.WireRandom(cfg.Degree); err != nil {
 		return nil, fmt.Errorf("core: wire overlay: %w", err)
 	}
 
@@ -285,15 +277,12 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	// study's month-long deployment).
 	clockRNG := rootRNG.Fork("clocks")
 	for _, spec := range cfg.Measurement {
-		clock := geo.NewClock(clockRNG)
-		if cfg.PerfectClocks {
-			clock = geo.PerfectClock()
-		}
+		clock := newClock(clockRNG)
 		m, err := measure.Attach(c.network, measure.Options{
 			Name:           spec.Name,
 			Region:         spec.Region,
 			Peers:          vantagePeers(cfg, spec),
-			CaptureTxLinks: cfg.CaptureTxLinks,
+			CaptureTxLinks: cfg.Workload != nil,
 			Streaming:      cfg.Streaming,
 		}, clock)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/measure"
 	"repro/internal/mining"
+	"repro/internal/sim"
 	"repro/internal/txgen"
 )
 
@@ -107,7 +108,6 @@ func TestCampaignEndToEnd(t *testing.T) {
 
 func TestCampaignWithWorkload(t *testing.T) {
 	cfg := smallCampaign(3)
-	cfg.CaptureTxLinks = true
 	cfg.Blocks = 80
 	wl := txgen.DefaultConfig()
 	wl.Senders = 100
@@ -154,10 +154,22 @@ func TestCampaignDeterministicReplay(t *testing.T) {
 	}
 }
 
+// withPerfectClocks gives every measurement node a perfect clock until
+// the test ends. The NTP draw still happens, so every other stream
+// keeps its position.
+func withPerfectClocks(t *testing.T) {
+	t.Helper()
+	sampled := newClock
+	newClock = func(rng *sim.RNG) geo.Clock {
+		sampled(rng)
+		return geo.PerfectClock()
+	}
+	t.Cleanup(func() { newClock = sampled })
+}
+
 func TestCampaignPerfectClocks(t *testing.T) {
-	cfg := smallCampaign(4)
-	cfg.PerfectClocks = true
-	res, err := RunCampaign(cfg)
+	withPerfectClocks(t)
+	res, err := RunCampaign(smallCampaign(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,6 @@ func BenchmarkCommit(b *testing.B) {
 		cfg.Blocks = 150
 		cfg.Degree = 6
 		cfg.Measurement = PaperMeasurementSpecs(30)
-		cfg.CaptureTxLinks = true
 		cfg.Streaming = true
 		wl := txgen.DefaultConfig()
 		wl.Senders = 600

@@ -29,7 +29,6 @@ func TestStreamingMatchesRawLog(t *testing.T) {
 	txlinks.Blocks = 40
 	txlinks.Degree = 5
 	txlinks.Measurement = PaperMeasurementSpecs(20)
-	txlinks.CaptureTxLinks = true
 	wl := txgen.DefaultConfig()
 	wl.Senders = 50
 	wl.MeanInterArrival = 400 * sim.Millisecond

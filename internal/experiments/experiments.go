@@ -227,13 +227,12 @@ func Table2(seed uint64, sc Scale) ([]*Outcome, error) {
 }
 
 // workloadConfig is the Figs. 4-5 campaign: a smaller overlay with a
-// live transaction workload and tx-link capture.
+// live transaction workload (which turns on tx-link capture).
 func workloadConfig(seed uint64, sc Scale) core.CampaignConfig {
 	cfg := core.DefaultCampaignConfig(seed)
 	cfg.NetworkNodes, cfg.Blocks = sc.size().workloadNodes, sc.size().workloadBlocks
 	cfg.Degree = 6
 	cfg.Measurement = core.PaperMeasurementSpecs(30)
-	cfg.CaptureTxLinks = true
 	cfg.Streaming = true
 	wl := txgen.DefaultConfig()
 	wl.Senders = 600

@@ -104,9 +104,9 @@ var gridPins = map[string][2]string{
 	"E1": {"407b004d14dc72837fc6c2a991ae53498291bcfaa053034f0442163cd3fd1511", "7005a1795f4e0e4ef143fb0ee509ad81a90a664bb3099e2e2b02488e87091f45"},
 	"A1": {"402fa04e1118a59ea24f29f2e76cf3c4e04918891942cdd5601245461d6a3e2b", "c6a1485b8e1d03d8ca9bece8eb3bbc7a37968c3be8842c08c873357e6ad7fa8f"},
 	"A2": {"e9d30fb26b9cb20e9136a1c416c237f83ef44780798de62974e9b678eeacfc55", "1f2b0bf71923d8d7f274699c57c356cbf18ac7b709e118d811b04de6b58111f9"},
-	"D1": {"b7b94a3ad7e4891ca4aa1fba8ecdfd199691a8aedd15ebc59ebb59dc19e260f6", "e628cf40d47a74367feb6eb59c1b86eb235b66f7739f8deecbce27e53e88515b"},
+	"D1": {"945e33e8f6c6bc825964d43617024b578bb9e49475f16112a0aa1b5a0055a203", "61b0c1eba9b73705bd2227562e5960edbabe4ef6050228f310fad98b943cc24f"},
 	"D2": {"6c0d23d699f39eb54a79870f7ea5e7fd557f1c25195abc5de38bbf7b649b1b01", "696c3d7b6c51cfca4b297855b1b4eee0438bf55b60e4443ea847b93411e61d7c"},
-	"D3": {"01b5aaabf461cae114cc355fe5849388b5fa27c1a17b4755d1d3dee49a878c26", "db83ef98b607609271882cc7fceb1d82ebd82adcfaeddd235835c41cf4ee2899"},
+	"D3": {"082d9b8dac45d9802b08fa99135eafafb6591d06f81f8c0c43b080f1a302ff67", "b530de00da3d4b0ff7384322bdffe776bf979039a1484b1c07a998dbbf919638"},
 	"R1": {"8a3fa6def8b74e1d91571909ab97c17a1b348f3520d54b1a25eaa99c574960d6", "fabf16eb33265c9a37a35aee9e7cbc6699ff2529da3c46b1f2b7aa00eaad62a8"},
 	"R2": {"d3b939c944c03a07d51e7f70fcdfc01bdb4a949badeb206298d8f68e7860fc69", "873506af8e91b0ca36b61a0e7cbb1770e27ff215992a7b8923018a26a61a81d7"},
 	"W1": {"8926831b8c804d0614262b725c8771117691969ce3dbe2de3d9afb1639c34ab7", "9b7c96730c8a449453a7ecf9cb1052bd540152360d3379f44dcd075eeab51fc7"},

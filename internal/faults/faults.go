@@ -1,8 +1,9 @@
 // Package faults injects dependability events into running campaigns:
-// node crash/recover cycles with discovery-driven peer-table rewiring,
-// region-level network partitions that heal, per-link message loss and
-// latency degradation layered over the geographic model, and
-// continuous peer churn (nodes joining and leaving the overlay).
+// node crash/recover cycles whose recovered nodes redial uniformly
+// sampled live peers, region-level network partitions that heal,
+// per-link message loss and latency degradation layered over the
+// geographic model, and continuous peer churn (nodes joining and
+// leaving the overlay).
 //
 // The source paper measures Ethereum's overlay only while healthy;
 // this package opens the degraded-network scenario families (specs
@@ -44,7 +45,8 @@ type Config struct {
 
 // Crash configures the crash/recover process: at exponential
 // intervals a uniformly chosen eligible node goes down, and recovers
-// after an exponential outage, redialing peers through discovery.
+// after an exponential outage, redialing `degree` uniformly sampled
+// live peers.
 type Crash struct {
 	// MeanBetween is the mean interval between crash events across the
 	// whole overlay.
@@ -108,8 +110,8 @@ type Loss struct {
 }
 
 // Churn configures continuous overlay membership change: at
-// exponential intervals a node either joins (a fresh node dials into
-// the overlay through discovery) or leaves permanently.
+// exponential intervals a node either joins (a fresh node dials
+// `degree` uniformly sampled live peers) or leaves permanently.
 type Churn struct {
 	// MeanBetween is the mean interval between churn events.
 	MeanBetween sim.Time

@@ -168,6 +168,44 @@ func TestCrashRecoverCycle(t *testing.T) {
 	}
 }
 
+// TestRewireDialsDegreeLivePeers pins the one peer-selection rule of
+// recovery and joins: an isolated node that rewires in an overlay with
+// at least `degree` live nodes it is not connected to ends up with
+// exactly `degree` peers, every one of them up.
+func TestRewireDialsDegreeLivePeers(t *testing.T) {
+	engine, net, nodes := buildNetwork(t, 20)
+	const degree = 4
+	cfg := Config{Crash: &Crash{MeanBetween: sim.Second, MeanDowntime: sim.Second}}
+	inj, err := New(engine, sim.NewRNG(13), net, cfg, degree, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A third of the overlay stays down, so the uniform samples keep
+	// landing on nodes rewire must skip.
+	down := len(nodes) / 3
+	for _, n := range nodes[:down] {
+		net.CrashNode(n)
+	}
+	for _, n := range nodes[down:] {
+		net.CrashNode(n)
+		net.RecoverNode(n)
+		inj.rewire(n)
+		peers := 0
+		for _, m := range nodes {
+			if !net.Connected(n, m) {
+				continue
+			}
+			peers++
+			if m.Down() {
+				t.Fatalf("node %d rewired to down node %d", n.ID(), m.ID())
+			}
+		}
+		if peers != degree || n.PeerCount() != degree {
+			t.Fatalf("node %d rewired to %d peers (PeerCount %d), want %d", n.ID(), peers, n.PeerCount(), degree)
+		}
+	}
+}
+
 // TestProtectedNodesNeverCrash pins the measurement/gateway exemption.
 func TestProtectedNodesNeverCrash(t *testing.T) {
 	engine, net, nodes := buildNetwork(t, 4)

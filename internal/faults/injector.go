@@ -2,9 +2,7 @@ package faults
 
 import (
 	"errors"
-	"strconv"
 
-	"repro/internal/discovery"
 	"repro/internal/geo"
 	"repro/internal/p2p"
 	"repro/internal/sim"
@@ -39,16 +37,6 @@ type Injector struct {
 	eligible []*p2p.Node
 	pos      []int32
 
-	// Discovery substrate for peer-table rewiring: recovered and
-	// freshly joined nodes redial through converged Kademlia tables,
-	// the way a restarted devp2p client refills its peer set. toDisc
-	// is dense (hasDisc marks registered nodes); fromDisc stays a map
-	// because discovery IDs are hashes, not dense indices.
-	universe *discovery.Universe
-	toDisc   []discovery.NodeID
-	hasDisc  []bool
-	fromDisc map[discovery.NodeID]*p2p.Node
-
 	crashTimer *sim.Timer
 	churnTimer *sim.Timer
 	stopped    bool
@@ -79,8 +67,6 @@ func (inj *Injector) slot(id p2p.NodeID) int32 {
 		inj.protected = append(inj.protected, false)
 		inj.pos = append(inj.pos, -1)
 		inj.downSince = append(inj.downSince, -1)
-		inj.toDisc = append(inj.toDisc, discovery.NodeID{})
-		inj.hasDisc = append(inj.hasDisc, false)
 	}
 	return i
 }
@@ -132,46 +118,7 @@ func New(engine *sim.Engine, rng *sim.RNG, net *p2p.Network, cfg Config, degree 
 		inj.pos[s] = int32(len(inj.eligible))
 		inj.eligible = append(inj.eligible, n)
 	}
-	// The discovery universe is only needed when membership changes
-	// (crash rewiring, churn dialing); partition/loss-only campaigns
-	// skip the bootstrap cost entirely.
-	if cfg.Crash != nil || cfg.Churn != nil {
-		if err := inj.buildUniverse(); err != nil {
-			return nil, err
-		}
-	}
 	return inj, nil
-}
-
-// buildUniverse joins every current overlay node into a discovery
-// universe and converges it, in insertion order for determinism.
-func (inj *Injector) buildUniverse() error {
-	u, err := discovery.NewUniverse(discovery.DefaultBucketSize)
-	if err != nil {
-		return err
-	}
-	inj.universe = u
-	inj.fromDisc = make(map[discovery.NodeID]*p2p.Node, inj.net.Len())
-	for i := 0; i < inj.net.Len(); i++ {
-		n := inj.net.NodeAt(i)
-		if err := inj.joinUniverse(n); err != nil {
-			return err
-		}
-	}
-	return inj.universe.Bootstrap(inj.rng, 3, 1)
-}
-
-// joinUniverse registers one node with the discovery substrate.
-func (inj *Injector) joinUniverse(n *p2p.Node) error {
-	id := discovery.IDFromLabel("fault-node-" + strconv.Itoa(int(n.ID())))
-	if err := inj.universe.Join(id); err != nil {
-		return err
-	}
-	s := inj.slot(n.ID())
-	inj.toDisc[s] = id
-	inj.hasDisc[s] = true
-	inj.fromDisc[id] = n
-	return nil
 }
 
 // Start schedules the recurring fault processes. Partitions need no
@@ -275,40 +222,23 @@ func (inj *Injector) recover(now sim.Time, n *p2p.Node) {
 	inj.addEligible(n)
 }
 
-// rewire redials a node's peer table: discovery-table samples first
-// (the restarted client's stored neighbors), random top-up after, so
-// a node always comes back with close to `degree` connections even
-// when its remembered neighbors are down.
+// rewire redials a node's peer table the way WireRandom built the
+// overlay: uniformly sampled live peers until `degree` new edges or
+// the attempt budget run out. Neighbours are location-independent
+// (§III-B1), so a recovered or joining node dials like any other.
 func (inj *Injector) rewire(n *p2p.Node) {
 	dialed := 0
-	// Connect treats an already-connected pair as a nil-error no-op, so
-	// count only dials that add a new edge — otherwise repeat picks
-	// would leave the node systematically under-connected.
-	dial := func(target *p2p.Node) {
+	for attempts := 0; dialed < inj.degree && attempts < rewireAttemptFactor*inj.degree; attempts++ {
+		target := inj.net.NodeAt(inj.rng.IntN(inj.net.Len()))
+		// Connect treats an already-connected pair as a nil-error
+		// no-op, so count only dials that add a new edge — otherwise
+		// repeat picks would leave the node under-connected.
 		if target.ID() == n.ID() || target.Down() || inj.net.Connected(n, target) {
-			return
+			continue
 		}
 		if err := inj.net.Connect(n, target); err == nil {
 			dialed++
 		}
-	}
-	if inj.universe != nil {
-		if s := inj.slot(n.ID()); inj.hasDisc[s] {
-			peers, err := inj.universe.SamplePeers(inj.rng, inj.toDisc[s], 2*inj.degree)
-			if err == nil {
-				for _, pid := range peers {
-					if dialed >= inj.degree {
-						break
-					}
-					if target, ok := inj.fromDisc[pid]; ok {
-						dial(target)
-					}
-				}
-			}
-		}
-	}
-	for attempts := 0; dialed < inj.degree && attempts < rewireAttemptFactor*inj.degree; attempts++ {
-		dial(inj.net.NodeAt(inj.rng.IntN(inj.net.Len())))
 	}
 }
 
@@ -332,9 +262,8 @@ func (inj *Injector) churnTick(now sim.Time) {
 
 // join adds a fresh node to the overlay: its region follows the live
 // population (sampled from the eligible pool, which holds exactly the
-// up, unprotected nodes — departed nodes never skew the mix), it
-// learns the network through a discovery lookup, and dials `degree`
-// peers.
+// up, unprotected nodes — departed nodes never skew the mix), and it
+// dials `degree` peers through rewire.
 func (inj *Injector) join(now sim.Time) {
 	var region geo.Region
 	if len(inj.eligible) > 0 {
@@ -347,24 +276,6 @@ func (inj *Injector) join(now sim.Time) {
 		return
 	}
 	inj.stats.Joins++
-	if inj.universe != nil {
-		if err := inj.joinUniverse(n); err == nil {
-			id := inj.toDisc[inj.slot(n.ID())]
-			table, err := inj.universe.Table(id)
-			if err == nil {
-				// Seed the newcomer with bootstrap contacts, then one
-				// self-lookup to converge its buckets — the discv4 join
-				// sequence in miniature.
-				for s := 0; s < 3 && inj.net.Len() > 1; s++ {
-					contact := inj.net.NodeAt(inj.rng.IntN(inj.net.Len()))
-					if cs := inj.slot(contact.ID()); inj.hasDisc[cs] && inj.toDisc[cs] != id {
-						_, _ = table.Add(inj.toDisc[cs])
-					}
-				}
-				_, _ = inj.universe.Lookup(id, id, 3)
-			}
-		}
-	}
 	inj.rewire(n)
 	inj.addEligible(n)
 }

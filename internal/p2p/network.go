@@ -550,7 +550,7 @@ func (net *Network) CrashNode(n *Node) {
 }
 
 // RecoverNode brings a crashed node back up with an empty peer table;
-// the caller rewires it (fault injection redials through discovery).
+// the caller rewires it (fault injection redials sampled live peers).
 func (net *Network) RecoverNode(n *Node) {
 	if n == nil {
 		return

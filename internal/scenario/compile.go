@@ -202,7 +202,6 @@ func (v *Variant) campaignConfig(seed uint64, sc experiments.Scale) (core.Campai
 			wl.PrivateProb = *w.PrivateProb
 		}
 		cfg.Workload = &wl
-		cfg.CaptureTxLinks = true
 	}
 	return cfg, nil
 }
