@@ -21,13 +21,15 @@
 //	         [-scenario file.json,...] [-list]
 //	         [-telemetry=false] [-trace trace.json]
 //
-// -shards N (or the ETHREPRO_SHARDS environment variable) runs each
-// campaign on the sharded conductor: one event lane per geographic
-// region advanced concurrently by N workers under conservative
-// lookahead. Artifacts are byte-identical across every -shards value
-// >= 1 (and across -parallel, as always); they form a separate
-// deterministic family from -shards 0, the single-engine default.
-// See docs/PERFORMANCE.md, "Sharded execution".
+// -shards sets only how each campaign executes, never its artifacts,
+// which are byte-identical across every -shards value (and across
+// -parallel, as always). A campaign always runs one event lane per
+// geographic region beside a global lane. -shards 0, the default, runs
+// them all on one goroutine, the fewest CPU-seconds; -shards N (or the
+// ETHREPRO_SHARDS environment variable) advances the region lanes
+// concurrently on the sharded conductor with N workers under
+// conservative lookahead, the shortest wall clock when cores are
+// spare. See docs/PERFORMANCE.md, "Sharded execution".
 //
 // With -out, a telemetry.json performance record (events/sec, wall
 // time per phase, peak queue depth, transport counters, GC stats) is
@@ -76,7 +78,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		scaleStr = fs.String("scale", "small", "experiment scale: "+scaleNames())
 		only     = fs.String("only", "", "comma-separated experiment or outcome IDs (default: all)")
 		parallel = fs.Int("parallel", 0, "concurrent experiments (0 = GOMAXPROCS)")
-		shards   = fs.Int("shards", 0, "intra-run execution workers on the sharded conductor (0 = single engine; >=1 shards each run by region, byte-identical across values)")
+		shards   = fs.Int("shards", 0, "intra-run execution workers on the sharded conductor (0 = one goroutine, same artifacts; >=1 runs each campaign's region lanes concurrently)")
 		repeats  = fs.Int("repeats", 0, "independent repeats per experiment (0 = 1, or a scenario's suggested count)")
 		outDir   = fs.String("out", "", "run directory for CSV/JSON artifacts (default: none)")
 		scenFlag = fs.String("scenario", "", "comma-separated scenario files to compile into the registry")
@@ -88,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *shards < 0 {
-		return fmt.Errorf("-shards %d: want 0 (single engine) or a worker count >= 1", *shards)
+		return fmt.Errorf("-shards %d: want 0 (one goroutine) or a worker count >= 1", *shards)
 	}
 	sets, err := loadScenarios(*scenFlag)
 	if err != nil {

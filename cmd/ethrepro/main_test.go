@@ -270,42 +270,73 @@ func runInto(t *testing.T, args ...string) map[string]string {
 	return files
 }
 
+// shardWorkers runs the CLI with telemetry into a fresh directory and
+// returns the phase-B worker count telemetry.json records for its one
+// campaign (0: the serial loop, which records none).
+func shardWorkers(t *testing.T, args ...string) int {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "run")
+	args = append(args, "-only", "T2", "-seed", "5", "-out", dir)
+	if err := run(context.Background(), args, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "telemetry.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Runs []struct {
+			ShardWorkers int `json:"shard_workers"`
+		}
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.Runs) != 1 {
+		t.Fatalf("telemetry.json: %v, %d rows", err, len(doc.Runs))
+	}
+	return doc.Runs[0].ShardWorkers
+}
+
 // TestShardsFlagScopedToTheRun: -shards reaches the campaigns through
 // ETHREPRO_SHARDS, and run is re-entrant, so the variable must be back
 // the way it was found when run returns — or every later call in the
-// process silently joins the sharded artifact family.
+// process silently runs on the conductor. Artifacts are the same at
+// every -shards value, so the scope shows in telemetry.json's
+// shard_workers.
 func TestShardsFlagScopedToTheRun(t *testing.T) {
 	t.Setenv("ETHREPRO_SHARDS", "") // restore the caller's value afterwards
 	os.Unsetenv("ETHREPRO_SHARDS")
 
-	oneLane := runInto(t)
-	two := runInto(t, "-shards", "2")
+	if w := shardWorkers(t); w != 0 {
+		t.Fatalf("a run without -shards used %d conductor workers", w)
+	}
+	if w := shardWorkers(t, "-shards", "2"); w != 2 {
+		t.Fatalf("-shards 2 ran on %d workers", w)
+	}
 	if v, had := os.LookupEnv("ETHREPRO_SHARDS"); had {
 		t.Fatalf("-shards 2 left ETHREPRO_SHARDS=%q behind", v)
 	}
-	six := runInto(t, "-shards", "6")
-	if !reflect.DeepEqual(two, six) {
-		t.Error("run directories differ between -shards 2 and -shards 6")
+	if w := shardWorkers(t); w != 0 {
+		t.Errorf("a run after -shards 2 still used %d conductor workers", w)
 	}
-	if two["outcomes.json"] == oneLane["outcomes.json"] {
-		t.Fatal("sharded and one-lane outcomes coincide; the test cannot tell the families apart")
-	}
-	if after := runInto(t); !reflect.DeepEqual(after, oneLane) {
-		t.Error("a run after -shards is not back in the one-lane family")
+	serial := runInto(t)
+	for _, n := range []string{"2", "6"} {
+		if got := runInto(t, "-shards", n); !reflect.DeepEqual(got, serial) {
+			t.Errorf("run directories differ between -shards 0 and -shards %s", n)
+		}
 	}
 
 	// A value the caller exported survives a -shards run too.
 	os.Setenv("ETHREPRO_SHARDS", "6")
-	if viaEnv := runInto(t); !reflect.DeepEqual(viaEnv, six) {
-		t.Error("ETHREPRO_SHARDS=6 and -shards 6 disagree")
+	if w := shardWorkers(t); w != 6 {
+		t.Errorf("ETHREPRO_SHARDS=6 ran on %d workers", w)
 	}
-	runInto(t, "-shards", "2")
+	if w := shardWorkers(t, "-shards", "2"); w != 2 {
+		t.Errorf("-shards 2 under ETHREPRO_SHARDS=6 ran on %d workers", w)
+	}
 	if v := os.Getenv("ETHREPRO_SHARDS"); v != "6" {
 		t.Fatalf("-shards 2 replaced the caller's ETHREPRO_SHARDS=6 with %q", v)
 	}
 
-	// A request that is not a worker count fails naming the value; it
-	// does not quietly run the one-lane family.
+	// A request that is not a worker count fails naming the value.
 	err := run(context.Background(), []string{"-shards", "-3", "-only", "T1"}, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-shards -3") {
 		t.Errorf("-shards -3: %v, want an error naming the value", err)

@@ -866,7 +866,7 @@ func FuzzBuildIndex(f *testing.F) {
 // TestBuildIndexReferenceRealLog pins the reference scan, BuildIndex
 // and the campaign's own Index (the nodes' live fold) on one real log:
 // a small campaign with tx links, a transaction workload and all four
-// fault classes, on the one-lane layout and on region lanes.
+// fault classes, on the serial loop and on the conductor.
 func TestBuildIndexReferenceRealLog(t *testing.T) {
 	horizon := 40 * 13300 * sim.Millisecond
 	cfg := core.DefaultCampaignConfig(13)

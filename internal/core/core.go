@@ -108,18 +108,17 @@ type CampaignConfig struct {
 	// paper's always-on infrastructure. Nil keeps the campaign healthy
 	// — and byte-identical to the pre-fault engine.
 	Faults *faults.Config
-	// Shards picks the transport's lane layout and scheduler. 0 (the
-	// default) runs the whole overlay as one lane on one engine; when
-	// 0, the ETHREPRO_SHARDS environment variable (a positive integer)
-	// supplies the value instead. Any value >= 1 runs one lane per
-	// region under a sim.Conductor, advanced concurrently under
-	// conservative lookahead by up to Shards worker goroutines; those
-	// artifacts are byte-identical across all Shards values — the lane
-	// decomposition is fixed by the region enum, and Shards only sets
-	// the worker count (clamped to the region count). The two layouts
-	// run the same transport code but are separate artifact families:
-	// region lanes draw from per-lane RNG streams forked off the single
-	// stream the one-lane layout uses.
+	// Shards sets how the run executes, never what it computes: the
+	// transport always runs one lane per region, each with its own RNG
+	// stream, beside a global engine for mining, the workload and
+	// faults, and every Shards value yields byte-identical artifacts.
+	// 0 (the default) runs the lanes on one engine on one goroutine
+	// (sim.RunSerial), the fewest CPU-seconds; when 0, the
+	// ETHREPRO_SHARDS environment variable (a non-negative integer)
+	// supplies the value instead. Any value >= 1 advances the lanes on
+	// a sim.Conductor under conservative lookahead with up to Shards
+	// worker goroutines (clamped to the region count), the shortest
+	// wall clock when cores are spare.
 	Shards int
 }
 
@@ -169,12 +168,13 @@ type CampaignResult struct {
 
 // Campaign is a configured, runnable measurement campaign.
 type Campaign struct {
-	cfg    CampaignConfig
-	engine *sim.Engine
-	// cond drives the region-lane layout (nil: one lane on engine);
-	// shards is the resolved worker count. engine is then the
-	// conductor's global lane — mining, workload and fault timers all
-	// live there.
+	cfg CampaignConfig
+	// engines are the run's engines, global first: mining, workload and
+	// fault timers live on engines[0]; the region lanes share
+	// engines[1] at shards 0 and run on the conductor cond's region
+	// lanes otherwise (cond is nil at shards 0). shards is the resolved
+	// worker count.
+	engines []*sim.Engine
 	cond    *sim.Conductor
 	shards  int
 	rng     *sim.RNG
@@ -220,30 +220,38 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One lane per region plus the global lane every centrally
+	// scheduled subsystem (mining, workload, faults, injection) runs
+	// on. The decomposition is fixed — shards only picks the scheduler
+	// and its worker count — so artifacts are identical at every
+	// shards value. The run's tracer sees every engine RunSerial
+	// drives; on the conductor, whose lanes run concurrently, only the
+	// global lane.
 	var cond *sim.Conductor
-	engine := sim.NewEngine()
+	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	traced := engines
 	if shards > 0 {
-		// Sharded: one lane per region plus the global lane every
-		// centrally scheduled subsystem (mining, workload, faults,
-		// injection) runs on. The decomposition is fixed — shards only
-		// sets phase-B worker concurrency — so artifacts are identical
-		// at every shards value.
 		cond = sim.NewConductor(geo.NumRegions)
-		engine = cond.Global()
+		engines = []*sim.Engine{cond.Global()}
+		for r := 0; r < cond.Regions(); r++ {
+			engines = append(engines, cond.Lane(r))
+		}
+		traced = engines[:1]
 	}
+	engine := engines[0]
 	rootRNG := sim.NewRNG(cfg.Seed)
 
 	c := &Campaign{
-		cfg:    cfg,
-		engine: engine,
-		cond:   cond,
-		shards: shards,
-		rng:    rootRNG,
+		cfg:     cfg,
+		engines: engines,
+		cond:    cond,
+		shards:  shards,
+		rng:     rootRNG,
 		// Observability reads engine counters and wall clocks only —
 		// it touches no RNG, so a traced campaign replays the untraced
 		// one byte for byte. A nil scope (collection disabled) is
 		// inert.
-		obsScope: obs.Default.StartRun(cfg.Seed, engine),
+		obsScope: obs.Default.StartRun(cfg.Seed, traced...),
 	}
 
 	// Overlay.
@@ -251,7 +259,7 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	if share == nil {
 		share = geo.DefaultNodeShare
 	}
-	c.network = p2p.NewNetwork(engine, rootRNG.Fork("network"), cfg.Latency)
+	c.network = p2p.NewNetwork(engines[1], rootRNG.Fork("network"), cfg.Latency)
 	c.network.Reserve(overlaySize(cfg))
 	proto, err := relay.New(cfg.Relay)
 	if err != nil {
@@ -378,10 +386,10 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	}
 	c.miners = miners
 
-	// Shard the transport last, after every build-time RNG draw
-	// (wiring, gateways, fault schedule): per-lane streams fork from
-	// the network RNG here, at a point that is the same no matter what
-	// the rest of the configuration did.
+	// Put the lanes on the conductor last, after every build-time RNG
+	// draw (wiring, gateways): the lanes' streams fork from the network
+	// RNG there — at shards 0 at the first injection, the same point,
+	// since nothing draws from it in between.
 	if cond != nil {
 		cond.SetBounds(lookaheadBounds(cfg.Latency))
 		// The global lane's only lane-touching events are block
@@ -396,9 +404,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 			cond.GlobalHorizon = miners.NextInjectionAt
 		}
 		c.network.EnableSharding(cond)
-		if c.injector != nil {
-			c.injector.EnableSharding()
-		}
 	}
 	return c, nil
 }
@@ -464,10 +469,9 @@ func lookaheadBounds(m geo.LatencyModel) [][]sim.Time {
 }
 
 // resolveShards maps the Shards knob (with the ETHREPRO_SHARDS
-// fallback when unset) to a worker count: 0 single-engine, otherwise
-// clamped to [1, NumRegions] — more workers than lanes cannot help.
-// A variable that is not a count is an error: falling back to one lane
-// would silently produce the other artifact family.
+// fallback when unset) to a worker count: 0 serial, otherwise clamped
+// to [1, NumRegions] — more workers than lanes cannot help. A variable
+// that is not a count is an error rather than a silent fallback.
 func resolveShards(shards int) (int, error) {
 	if shards == 0 {
 		if v := os.Getenv("ETHREPRO_SHARDS"); v != "" {
@@ -553,9 +557,9 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 	if c.cond != nil {
 		c.cond.Run(c.shards)
 	} else {
-		c.engine.Run()
+		sim.RunSerial(c.engines[0], c.engines[1])
 	}
-	// Region lanes count privately: move their transport and relay
+	// Conductor lanes count privately: move their transport and relay
 	// counters into the network's public accounting before anything
 	// reads it.
 	c.network.FoldLanes()
@@ -568,10 +572,11 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 		Bytes:    c.network.BytesSent,
 		Dropped:  c.network.MessagesDropped,
 		Nodes:    c.network.Len(),
+		Lanes:    c.laneStats(),
 	}
 	if c.cond != nil {
 		cs := c.cond.Stats()
-		sample.Conductor, sample.Workers, sample.Lanes = &cs, c.shards, c.laneStats()
+		sample.Conductor, sample.Workers = &cs, c.shards
 	}
 	c.obsScope.Finish(sample)
 	if err := c.miners.Err(); err != nil {
@@ -606,26 +611,25 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 	return res, nil
 }
 
-// now returns the run's time frontier: the last executed event across
-// lanes when sharded, the engine clock otherwise. The sharded branch
-// deliberately avoids Conductor.Now — final lane clocks sit at granted
-// deadlines, whose overshoot past the last event depends on the
-// lookahead bound matrix, and this frontier feeds artifacts (campaign
-// Duration, fault-outage truncation) that must not.
+// now returns the run's time frontier: the last event executed on any
+// engine. Engine clocks are the wrong end-of-run time — a conductor
+// lane's final clock sits at its granted deadline, whose overshoot past
+// the last event depends on the lookahead bound matrix, and RunSerial's
+// region engine coasts to the global lane's last event — and this
+// frontier feeds artifacts (campaign Duration, fault-outage truncation)
+// that must not.
 func (c *Campaign) now() sim.Time {
-	if c.cond != nil {
-		return c.cond.Frontier()
+	var t sim.Time
+	for _, e := range c.engines {
+		t = max(t, e.LastEventAt())
 	}
-	return c.engine.Now()
+	return t
 }
 
-// engineStats snapshots the run's engine counters: the single engine's
-// unsharded, or the cross-lane aggregate — counter sums, max clock,
-// summed queue high-water marks (total in-flight depth) — sharded.
+// engineStats snapshots the run's engine counters, aggregated across
+// its engines: counter sums, max clock, summed queue high-water marks
+// (total in-flight depth).
 func (c *Campaign) engineStats() sim.EngineStats {
-	if c.cond == nil {
-		return c.engine.Stats()
-	}
 	var agg sim.EngineStats
 	for _, s := range c.laneStats() {
 		agg.Processed += s.Processed
@@ -641,12 +645,11 @@ func (c *Campaign) engineStats() sim.EngineStats {
 	return agg
 }
 
-// laneStats returns per-lane engine snapshots, global lane first.
+// laneStats returns per-engine snapshots, global engine first.
 func (c *Campaign) laneStats() []sim.EngineStats {
-	out := make([]sim.EngineStats, 0, geo.NumRegions+1)
-	out = append(out, c.cond.Global().Stats())
-	for r := 0; r < c.cond.Regions(); r++ {
-		out = append(out, c.cond.Lane(r).Stats())
+	out := make([]sim.EngineStats, 0, len(c.engines))
+	for _, e := range c.engines {
+		out = append(out, e.Stats())
 	}
 	return out
 }

@@ -14,9 +14,10 @@ import (
 // The sharded-execution determinism contract at the campaign level:
 // every artifact — measurement records, transport totals, fault books,
 // virtual duration — is a pure function of the configuration, never of
-// the shard (worker) count. Run with -race these tests also exercise
-// the cross-lane merge, the phase-A/phase-B barrier, and the lane-
-// local pools under real concurrency; `make test-shard` selects them.
+// the scheduler (the serial loop at shards 0, the conductor otherwise)
+// or its worker count. Run with -race these tests also exercise the
+// cross-lane merge, the phase-A/phase-B barrier, and the lane-local
+// pools under real concurrency; `make test-shard` selects them.
 
 // shardDigest is the cross-shard comparison surface: everything a
 // campaign reports that could conceivably wobble under concurrency.
@@ -66,17 +67,15 @@ func shardCampaign(seed uint64) CampaignConfig {
 }
 
 // TestShardedCampaignInvariantAcrossShardCounts: identical artifacts
-// at shards 1, 2 and 6 — the lane decomposition is fixed by the region
-// enum, so the worker count must be invisible in every output,
-// including the exact per-record reception times.
+// at shards 0, 1, 2 and 6 — the lane decomposition is fixed by the
+// region enum, so the scheduler and its worker count must be invisible
+// in every output, including the exact per-record reception times.
 func TestShardedCampaignInvariantAcrossShardCounts(t *testing.T) {
-	base := shardCampaign(23)
-	base.Shards = 1
-	ref, refRes := digestOf(t, base)
+	ref, refRes := digestOf(t, shardCampaign(23))
 	if ref.Records == 0 || ref.Main < 10 || ref.TxCount == 0 {
-		t.Fatalf("reference sharded campaign too small to be meaningful: %+v", ref)
+		t.Fatalf("reference campaign too small to be meaningful: %+v", ref)
 	}
-	for _, shards := range []int{2, 6} {
+	for _, shards := range []int{1, 2, 6} {
 		cfg := shardCampaign(23)
 		cfg.Shards = shards
 		got, res := digestOf(t, cfg)
@@ -84,7 +83,7 @@ func TestShardedCampaignInvariantAcrossShardCounts(t *testing.T) {
 			t.Fatalf("shards=%d digest %+v, want %+v", shards, got, ref)
 		}
 		if !reflect.DeepEqual(records(res), records(refRes)) {
-			t.Fatalf("shards=%d: measurement records differ from shards=1", shards)
+			t.Fatalf("shards=%d: measurement records differ from shards=0", shards)
 		}
 	}
 }
@@ -108,17 +107,17 @@ func shardFaultedCampaign(shards int) CampaignConfig {
 	return cfg
 }
 
-// TestShardedFaultedCampaignInvariance runs all four fault classes
-// sharded and asserts shard-count invariance: partitions, loss draws,
-// crash/churn timing and the catch-up fetch must all come out of
-// region-keyed streams, never worker-keyed ones.
+// TestShardedFaultedCampaignInvariance runs all four fault classes and
+// asserts shard-count invariance: partitions, loss draws, crash/churn
+// timing and the catch-up fetch must all come out of region-keyed
+// streams, never worker-keyed ones.
 func TestShardedFaultedCampaignInvariance(t *testing.T) {
-	ref, refRes := digestOf(t, shardFaultedCampaign(1))
+	ref, refRes := digestOf(t, shardFaultedCampaign(0))
 	if ref.Dropped == 0 {
 		t.Fatal("faulted reference dropped nothing; the test is vacuous")
 	}
 	refStats := *refRes.Faults
-	for _, shards := range []int{2, 6} {
+	for _, shards := range []int{1, 2, 6} {
 		got, res := digestOf(t, shardFaultedCampaign(shards))
 		if got != ref {
 			t.Fatalf("shards=%d digest %+v, want %+v", shards, got, ref)
@@ -127,7 +126,7 @@ func TestShardedFaultedCampaignInvariance(t *testing.T) {
 			t.Fatalf("shards=%d fault stats %+v, want %+v", shards, *res.Faults, refStats)
 		}
 		if !reflect.DeepEqual(records(res), records(refRes)) {
-			t.Fatalf("shards=%d: measurement records differ from shards=1", shards)
+			t.Fatalf("shards=%d: measurement records differ from shards=0", shards)
 		}
 	}
 }
@@ -207,8 +206,8 @@ func TestShardedLookaheadBoundsInvariance(t *testing.T) {
 
 // TestShardedEnvKnob pins the ETHREPRO_SHARDS fallback: an unset
 // Shards field defers to the environment, an explicit field wins, and
-// a value that is not a count fails the campaign instead of selecting
-// the one-lane family.
+// a value that is not a count fails the campaign instead of silently
+// running serially.
 func TestShardedEnvKnob(t *testing.T) {
 	for _, tc := range []struct {
 		env    string

@@ -22,7 +22,7 @@ import (
 // the experiment registry run streaming unconditionally and a
 // published dataset reproduce the campaign's figures. The classes cover tx links, the three
 // deadline paths of the sharded conductor and all four fault classes,
-// each on the one-lane layout and on region lanes.
+// each on the serial loop and on the conductor.
 func TestStreamingMatchesRawLog(t *testing.T) {
 	txlinks := DefaultCampaignConfig(7)
 	txlinks.NetworkNodes = 60

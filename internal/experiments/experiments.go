@@ -157,9 +157,9 @@ var sizes = [...]sizing{
 		chainBlocks: 201_086, wholeChainBlocks: 2_000_000,
 		// The 100k tier stresses the network experiments only.
 		workloadNodes: 1000, workloadBlocks: 1200,
-		// The dependability campaigns have no 100k tier: they run at
-		// the small tier's size.
-		faultNodes: 150, faultBlocks: 60,
+		// The dependability campaigns have no 100k tier of their own:
+		// they run at the stress tier's size, the largest one they have.
+		faultNodes: 4000, faultBlocks: 120,
 		relayNodes: 100_000, relayBlocks: 40,
 	},
 }

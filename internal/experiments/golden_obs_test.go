@@ -28,7 +28,7 @@ func runGoldenSpecs(t *testing.T, dir string, parallel int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runGolden(t, specs, dir, parallel, nil)
+	runGoldenAt(t, specs, dir, goldenCombo{0, parallel}, nil, experiments.ScaleSmall, 2)
 }
 
 // TestGoldenTracingInvariance runs the same campaign with collection
@@ -59,7 +59,7 @@ func TestGoldenTracingInvariance(t *testing.T) {
 			tc.enable()
 			dir := filepath.Join(base, tc.name)
 			runGoldenSpecs(t, dir, tc.workers)
-			assertDirsIdentical(t, plain, dir)
+			assertDirsIdentical(t, plain, dir, goldenCombo{0, tc.workers})
 		})
 	}
 }

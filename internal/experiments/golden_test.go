@@ -3,6 +3,7 @@ package experiments_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -15,14 +16,57 @@ import (
 )
 
 // The golden-artifact invariant harness: every spec's run directory
-// must be byte-identical at -parallel 1 and -parallel 8. This promotes
-// the hot-path overhaul's manual `diff -r` gate into a permanent test:
-// any change that makes an experiment's output depend on worker count,
-// scheduling, or map iteration order fails here, for the built-in
-// paper specs, the new D1-D3 fault specs, and every shipped scenario
-// file (fault schedules included).
+// must be byte-identical at every point of one matrix, the runner's
+// campaign-level parallelism (-parallel ∈ {1, 8}) crossed with the
+// intra-run scheduler (-shards ∈ {0, 1, 2, 6}: the serial loop, or the
+// conductor at that many workers), against the reference -shards 0
+// -parallel 1. This promotes the manual `diff -r` gate into a
+// permanent test: any change that makes an experiment's output depend
+// on worker count, scheduler, or map iteration order fails here, for
+// the built-in paper specs, the D1-D3 fault specs, and every shipped
+// scenario file (fault schedules included). The scheduler reaches the
+// campaigns through the ETHREPRO_SHARDS knob CampaignConfig falls back
+// to, so the exact artifact surface of `ethrepro -shards n` is what is
+// pinned.
+//
+// The default matrix checks the corners that cross every mechanism:
+// runner parallelism on the serial loop (0, 8), the two-lane conductor
+// (2, 1), and the six-lane merge under runner parallelism (6, 8).
+// SHARDGOLDEN=full, which `make test-shard` sets with a timeout sized
+// for it, runs the whole matrix.
 
 const goldenSeed = 977
+
+// goldenCombo is one point of the matrix.
+type goldenCombo struct {
+	shards   int
+	parallel int
+}
+
+func (c goldenCombo) String() string { return fmt.Sprintf("shards=%d parallel=%d", c.shards, c.parallel) }
+
+// goldenMatrix returns the points compared against the reference
+// (shards 0, parallel 1).
+func goldenMatrix() []goldenCombo {
+	if os.Getenv("SHARDGOLDEN") == "full" {
+		return []goldenCombo{{0, 8}, {1, 1}, {1, 8}, {2, 1}, {2, 8}, {6, 1}, {6, 8}}
+	}
+	return []goldenCombo{{0, 8}, {2, 1}, {6, 8}}
+}
+
+// assertGoldenMatrix runs specs at the reference point and at every
+// point of the matrix, and requires every run directory to be
+// byte-identical to the reference's.
+func assertGoldenMatrix(t *testing.T, specs []experiments.Spec, sets []*scenario.Set) {
+	t.Helper()
+	ref := filepath.Join(t.TempDir(), "s0p1")
+	runGoldenAt(t, specs, ref, goldenCombo{0, 1}, sets, experiments.ScaleSmall, 2)
+	for _, c := range goldenMatrix() {
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%dp%d", c.shards, c.parallel))
+		runGoldenAt(t, specs, dir, c, sets, experiments.ScaleSmall, 2)
+		assertDirsIdentical(t, ref, dir, c)
+	}
+}
 
 // goldenShortSpecs is the -short tier: the cheap core of the registry
 // plus all three dependability specs. The full tier runs everything.
@@ -40,31 +84,24 @@ var goldenShortScenarios = map[string]bool{
 	"relay-compare.json":  true,
 }
 
-// runGolden executes the specs at the given parallelism and seals a
-// run directory the way both front ends do (scenario.Seal: artifacts,
-// the embedded scenario.json for scenario runs, the digest manifest) —
-// so the invariance gate also covers the Merkle root. Failures inside
-// any run are fatal: a spec that cannot execute has no artifact to
-// compare.
-func runGolden(t *testing.T, specs []experiments.Spec, dir string, parallel int, sets []*scenario.Set) {
-	t.Helper()
-	runGoldenAt(t, specs, dir, parallel, sets, experiments.ScaleSmall, 2)
-}
-
-// runGoldenAt is runGolden with an explicit scale and repeat count —
-// the stress tier runs the 100k scenario at its full size with a
-// single repeat per parallelism setting. It returns the report so a
+// runGoldenAt executes the specs at one matrix point, scale and repeat
+// count, and seals a run directory the way both front ends do
+// (scenario.Seal: artifacts, the embedded scenario.json for scenario
+// runs, the digest manifest) — so the invariance gate also covers the
+// Merkle root. Failures inside any run are fatal: a spec that cannot
+// execute has no artifact to compare. It returns the report so a
 // caller that turned telemetry on can Take its runs' rows.
-func runGoldenAt(t *testing.T, specs []experiments.Spec, dir string, parallel int, sets []*scenario.Set, scale experiments.Scale, repeats int) *experiments.Report {
+func runGoldenAt(t *testing.T, specs []experiments.Spec, dir string, c goldenCombo, sets []*scenario.Set, scale experiments.Scale, repeats int) *experiments.Report {
 	t.Helper()
+	t.Setenv("ETHREPRO_SHARDS", fmt.Sprint(c.shards))
 	report, err := experiments.Run(context.Background(), specs, experiments.RunnerConfig{
 		Seed:     goldenSeed,
 		Scale:    scale,
 		Repeats:  repeats,
-		Parallel: parallel,
+		Parallel: c.parallel,
 	})
 	if err != nil {
-		t.Fatalf("campaign at parallel=%d: %v", parallel, err)
+		t.Fatalf("campaign at %v: %v", c, err)
 	}
 	st := store.NewFS(dir)
 	if err := scenario.Seal(st, report, sets, nil); err != nil {
@@ -100,16 +137,17 @@ func dirFiles(t *testing.T, root string) []string {
 	return files
 }
 
-// assertDirsIdentical compares two run directories byte for byte.
-func assertDirsIdentical(t *testing.T, a, b string) {
+// assertDirsIdentical compares two run directories byte for byte; c
+// names the point b ran at.
+func assertDirsIdentical(t *testing.T, a, b string, c goldenCombo) {
 	t.Helper()
 	filesA, filesB := dirFiles(t, a), dirFiles(t, b)
 	if len(filesA) != len(filesB) {
-		t.Fatalf("run directories differ in file count: %d vs %d\n%v\n%v", len(filesA), len(filesB), filesA, filesB)
+		t.Fatalf("%v: run directories differ in file count: %d vs %d\n%v\n%v", c, len(filesA), len(filesB), filesA, filesB)
 	}
 	for i, rel := range filesA {
 		if filesB[i] != rel {
-			t.Fatalf("run directories differ in layout: %s vs %s", rel, filesB[i])
+			t.Fatalf("%v: run directories differ in layout: %s vs %s", c, rel, filesB[i])
 		}
 		da, err := os.ReadFile(filepath.Join(a, rel))
 		if err != nil {
@@ -120,14 +158,14 @@ func assertDirsIdentical(t *testing.T, a, b string) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(da, db) {
-			t.Errorf("%s differs between the compared runs (%d vs %d bytes)", rel, len(da), len(db))
+			t.Errorf("%v: %s differs from the reference run's (%d vs %d bytes)", c, rel, len(db), len(da))
 		}
 	}
 }
 
 // TestGoldenBuiltinSpecsParallelInvariance runs the built-in registry
-// (the full set, or the short tier under -short) at both parallelism
-// settings and asserts byte-identical run directories.
+// (the full set, or the short tier under -short) over the matrix and
+// asserts byte-identical run directories.
 func TestGoldenBuiltinSpecsParallelInvariance(t *testing.T) {
 	var specs []experiments.Spec
 	for _, s := range experiments.Specs() {
@@ -145,17 +183,15 @@ func TestGoldenBuiltinSpecsParallelInvariance(t *testing.T) {
 	if len(specs) == 0 {
 		t.Fatal("no specs selected")
 	}
-	seq, par := filepath.Join(t.TempDir(), "p1"), filepath.Join(t.TempDir(), "p8")
-	runGolden(t, specs, seq, 1, nil)
-	runGolden(t, specs, par, 8, nil)
-	assertDirsIdentical(t, seq, par)
+	assertGoldenMatrix(t, specs, nil)
 }
 
 // TestGoldenScenarioArtifactsParallelInvariance compiles every shipped
 // scenario file (sweep variants and fault schedules included) and
 // asserts the same invariance, per file, with the embedded
 // scenario.json included in the comparison — the full `ethrepro
-// -scenario f.json -out dir` surface.
+// -scenario f.json -out dir` surface. The 100k file runs here at small
+// scale; its full size is the STRESS100K tier (stress_test.go).
 func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
 	pattern := filepath.Join("..", "..", "examples", "scenarios", "*.json")
 	paths, err := filepath.Glob(pattern)
@@ -187,10 +223,7 @@ func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, par := filepath.Join(t.TempDir(), "p1"), filepath.Join(t.TempDir(), "p8")
-			runGolden(t, specs, seq, 1, []*scenario.Set{set})
-			runGolden(t, specs, par, 8, []*scenario.Set{set})
-			assertDirsIdentical(t, seq, par)
+			assertGoldenMatrix(t, specs, []*scenario.Set{set})
 		})
 	}
 	if !sawPartitionHeal {
@@ -203,7 +236,7 @@ func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
 
 // TestGoldenRelaySpecsParallelInvariance pins the relay subsystem's
 // registry specs — R1's per-protocol shoot-out and R2's
-// mempool-divergence sweep — to the parallel-invariance contract.
+// mempool-divergence sweep — to the same matrix.
 // Skipped under -short (each spec runs a multi-campaign sweep); the
 // full tier and `make test-relay` run it.
 func TestGoldenRelaySpecsParallelInvariance(t *testing.T) {
@@ -214,8 +247,5 @@ func TestGoldenRelaySpecsParallelInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, par := filepath.Join(t.TempDir(), "p1"), filepath.Join(t.TempDir(), "p8")
-	runGolden(t, specs, seq, 1, nil)
-	runGolden(t, specs, par, 8, nil)
-	assertDirsIdentical(t, seq, par)
+	assertGoldenMatrix(t, specs, nil)
 }

@@ -98,17 +98,20 @@ var gridConstants = map[string]map[string]struct {
 
 // gridPins is the SHA-256 of each moved spec's metrics before it became
 // a grid (sorted key=value lines, values in shortest round-trip form),
-// at ScaleSmall and seeds 42 and 7.
+// at ScaleSmall and seeds 42 and 7. The overlay grids' values are the
+// region-lane schedule's, which every -shards value has run since the
+// home-lane layout went: the bespoke bodies' metrics under the
+// conductor.
 var gridPins = map[string][2]string{
 	"L1": {"30f3427b49bc207ebcfa978c2ca461140649c4e391e90911ad6ba291acb29cc4", "ef37efd871f961b6b3df8dd46c4146e526f186976f6a8c2bdc1c5db8370b91b6"},
-	"E1": {"407b004d14dc72837fc6c2a991ae53498291bcfaa053034f0442163cd3fd1511", "7005a1795f4e0e4ef143fb0ee509ad81a90a664bb3099e2e2b02488e87091f45"},
-	"A1": {"402fa04e1118a59ea24f29f2e76cf3c4e04918891942cdd5601245461d6a3e2b", "c6a1485b8e1d03d8ca9bece8eb3bbc7a37968c3be8842c08c873357e6ad7fa8f"},
-	"A2": {"e9d30fb26b9cb20e9136a1c416c237f83ef44780798de62974e9b678eeacfc55", "1f2b0bf71923d8d7f274699c57c356cbf18ac7b709e118d811b04de6b58111f9"},
-	"D1": {"945e33e8f6c6bc825964d43617024b578bb9e49475f16112a0aa1b5a0055a203", "61b0c1eba9b73705bd2227562e5960edbabe4ef6050228f310fad98b943cc24f"},
-	"D2": {"6c0d23d699f39eb54a79870f7ea5e7fd557f1c25195abc5de38bbf7b649b1b01", "696c3d7b6c51cfca4b297855b1b4eee0438bf55b60e4443ea847b93411e61d7c"},
-	"D3": {"082d9b8dac45d9802b08fa99135eafafb6591d06f81f8c0c43b080f1a302ff67", "b530de00da3d4b0ff7384322bdffe776bf979039a1484b1c07a998dbbf919638"},
-	"R1": {"8a3fa6def8b74e1d91571909ab97c17a1b348f3520d54b1a25eaa99c574960d6", "fabf16eb33265c9a37a35aee9e7cbc6699ff2529da3c46b1f2b7aa00eaad62a8"},
-	"R2": {"d3b939c944c03a07d51e7f70fcdfc01bdb4a949badeb206298d8f68e7860fc69", "873506af8e91b0ca36b61a0e7cbb1770e27ff215992a7b8923018a26a61a81d7"},
+	"E1": {"e40cd2223303f6cb3b76a3ed078f51e8b84465b740c4dc10f504ee935bf264e3", "443724fd84fdb77deb9d5c6cff50c0728f88a67f2388049242007ad5af38b84f"},
+	"A1": {"d0902c4f1e89b88e24c8b836de123c3b8ca31ddf3d66937e31a4fd158747060d", "8ed1173b6d0755319bac3026c71e7d570b1f767e541135b4cffc3833ebc4155d"},
+	"A2": {"48e1868bb6a1049dc2ec663bebb148430f73a2c2a7fb02129930438a989d1379", "1c4a39eea526c7283e63cf145098006841f4ac77c3ab015465561fc620a868ce"},
+	"D1": {"6451f8a99efca6ee0991114d085c9890c905fba2745d381e98ed91ebe1307d2c", "7aeaa6c415ea9523876e7a1ed55ccd2a51167473f2cc034573c43361a24c4e35"},
+	"D2": {"0a05b5eda26f7b4089f4cfeaf6efd0b7d6f77de8d111b5d87682211583b53705", "b348b63b25fda2652a05fdcab9a1baefc7bdbd013bed497f659410847723f667"},
+	"D3": {"8a447fa3b43f520446eccee44fb7a96f24451eead0c6040912007864d6149ccd", "73239717b4ba4bd541811db66d5bd6370ab96506902f8cb11fe0f6b4949a012d"},
+	"R1": {"aca3aa8cd641784cec198a44a59f298b397d688dcd791678059afb1237f0704c", "a14bdeaa9b08be4a5532cd99fa51d8547970c05c141d3b2e4221268648049cc7"},
+	"R2": {"fabd3d0ff77d2ca28871f141ad2be0cc8178188cf0d828db3d140ff4f65340f9", "b7a7c0442ac69c5bebb6272a2968f7cc14b3db32d7d2c03bf26a72228b993c51"},
 	"W1": {"8926831b8c804d0614262b725c8771117691969ce3dbe2de3d9afb1639c34ab7", "9b7c96730c8a449453a7ecf9cb1052bd540152360d3379f44dcd075eeab51fc7"},
 }
 

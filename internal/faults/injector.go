@@ -48,12 +48,12 @@ type Injector struct {
 	stats     Stats
 
 	// FilterLink state, indexed by the sender's geo.Region (slot 0
-	// unused): the loss-model RNG stream and the partition/loss drop
-	// counts, which Stats sums. A region lane only ever sends for its
-	// own nodes, and the global lane's phase-A sends run while every
-	// region engine is idle, so region-keyed state is single-writer even
-	// when region lanes call FilterLink concurrently. Every laneRNG slot
-	// is the injector's own stream until EnableSharding forks them.
+	// unused): the loss-model RNG stream (`loss-<region>`, forked from
+	// the injector's stream at New) and the partition/loss drop counts,
+	// which Stats sums. A region lane only ever sends for its own nodes,
+	// and the global lane's phase-A sends run while every region engine
+	// is idle, so region-keyed state is single-writer even when
+	// conductor lanes call FilterLink concurrently.
 	laneRNG  [geo.NumRegions + 1]*sim.RNG
 	lanePart [geo.NumRegions + 1]uint64
 	laneLoss [geo.NumRegions + 1]uint64
@@ -101,8 +101,8 @@ func New(engine *sim.Engine, rng *sim.RNG, net *p2p.Network, cfg Config, degree 
 		cfg:    cfg,
 		degree: degree,
 	}
-	for r := range inj.laneRNG {
-		inj.laneRNG[r] = rng
+	for r := geo.Region(1); r <= geo.NumRegions; r++ {
+		inj.laneRNG[r] = rng.Fork("loss-" + r.String())
 	}
 	for _, n := range protected {
 		if n != nil {
@@ -336,17 +336,6 @@ func (inj *Injector) FilterLink(now sim.Time, from, to *p2p.Node) (sim.Time, err
 		}
 	}
 	return extra, nil
-}
-
-// EnableSharding prepares FilterLink for concurrent region-lane calls
-// by forking one loss-model RNG stream per sender region — keyed by
-// region, never by worker, so the fault schedule stays invariant across
-// shard settings. Call it once, after construction, before the run
-// starts.
-func (inj *Injector) EnableSharding() {
-	for r := geo.Region(1); r <= geo.NumRegions; r++ {
-		inj.laneRNG[r] = inj.rng.Fork("loss-" + r.String())
-	}
 }
 
 // VisibilityDeferral is the mining-side partition hook

@@ -295,16 +295,18 @@ func TestModesAgree(t *testing.T) {
 	wantLog(t, str, true)
 }
 
-// TestRawLogPinned holds the raw log of the mixed run to the bytes the
-// two-observer implementation wrote for it: folding first must not
-// reorder, drop or re-field a single line.
+// TestRawLogPinned holds the raw log of the mixed run to fixed bytes:
+// folding first must not reorder, drop or re-field a single line. The
+// two-observer implementation wrote the run's log on the home lane the
+// transport then had; the pin is the same fold's log once the network's
+// region lanes carried the run.
 func TestRawLogPinned(t *testing.T) {
 	m, _ := mixedRun(t, false)
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, m.Records()); err != nil {
 		t.Fatal(err)
 	}
-	const want = "2f142e8fd5bada2e3b0c3eb96fed89de2bcc94eb2044c7e52032bde371085174"
+	const want = "4f1e463707f5669bd4312996978110f764c7dbfbbd9aee12df8422147b4f71f8"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("raw log of the pinned run changed: %d records, sha256 %s, want %s", len(m.Records()), got, want)
 	}

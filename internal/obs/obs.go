@@ -236,21 +236,26 @@ type RunScope struct {
 	done     bool
 }
 
-// StartRun opens a scope for one engine run under the given seed,
-// attaching a tracer probe to the engine when tracing is enabled.
+// StartRun opens a scope for one run under the given seed, attaching
+// one tracer probe to the given engines when tracing is enabled — the
+// engines one goroutine executes, since a tracer is single-threaded.
 // Returns nil when collection is disabled.
-func (c *Collector) StartRun(seed uint64, engine *sim.Engine) *RunScope {
+func (c *Collector) StartRun(seed uint64, engines ...*sim.Engine) *RunScope {
 	if c == nil || !c.telemetry.Load() {
 		return nil
 	}
 	s := &RunScope{c: c, seed: seed, created: time.Now()}
 	s.runStart = s.created
-	if c.tracing.Load() && engine != nil {
+	if c.tracing.Load() && len(engines) > 0 {
 		c.mu.Lock()
 		cap := c.spanCap
 		c.mu.Unlock()
 		s.tracer = NewTracer(cap)
-		engine.SetProbe(s.tracer)
+		for _, e := range engines {
+			if e != nil {
+				e.SetProbe(s.tracer)
+			}
+		}
 	}
 	return s
 }

@@ -142,7 +142,7 @@ func TestBlockCacheEvictionOrder(t *testing.T) {
 func TestMessagePoolReuse(t *testing.T) {
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
-			f := newLayoutFixture(t, lay.regionLanes, 4, relay.SqrtPush)
+			f := newLayoutFixture(t, lay.conductor, 4, relay.SqrtPush)
 			nodes := f.addSpread(t, 12)
 			if err := f.net.WireRandom(4); err != nil {
 				t.Fatal(err)

@@ -59,7 +59,8 @@ func TestFlightViewMatchesMessage(t *testing.T) {
 		bytesIn = b.BytesIn()
 	})
 
-	ln := net.home
+	net.forkLanes()
+	ln := net.laneOf(a.idx())
 	push := func(k MsgKind, body *types.Block) {
 		cand, slot := ln.candidates(a.idx(), idx[k], slotUnknown)
 		if len(cand) != 1 {
@@ -121,16 +122,12 @@ func TestFlightViewMatchesMessage(t *testing.T) {
 // — a lane must never intern (a concurrent map write under -race on the
 // region lanes) and a lookup miss there panics. The pulls are sent,
 // counted and ignored exactly as the pooled-message transport did: the
-// totals below were recorded on it, per layout (the layouts draw from
-// different RNG streams).
+// totals below were recorded on it, on region lanes.
 func TestParentInternedAtInjection(t *testing.T) {
-	want := map[string]struct{ sent, bytes, pulls uint64 }{
-		"one-lane":     {sent: 348, bytes: 34638, pulls: 72},
-		"region-lanes": {sent: 345, bytes: 34708, pulls: 73},
-	}
+	want := struct{ sent, bytes, pulls uint64 }{sent: 345, bytes: 34708, pulls: 73}
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
-			f := newLayoutFixture(t, lay.regionLanes, 21, relay.SqrtPush)
+			f := newLayoutFixture(t, lay.conductor, 21, relay.SqrtPush)
 			nodes := f.addSpread(t, 24)
 			if err := f.net.WireRandom(4); err != nil {
 				t.Fatal(err)
@@ -167,7 +164,7 @@ func TestParentInternedAtInjection(t *testing.T) {
 					t.Fatalf("node %d missed the tip", n.ID())
 				}
 			}
-			w := want[lay.name]
+			w := want
 			if f.net.MessagesSent != w.sent || f.net.BytesSent != w.bytes || pulls != w.pulls {
 				t.Errorf("sent %d messages / %d bytes, %d parent pulls; the pooled-message transport sent %d / %d, %d",
 					f.net.MessagesSent, f.net.BytesSent, pulls, w.sent, w.bytes, w.pulls)

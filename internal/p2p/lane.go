@@ -6,10 +6,10 @@ import (
 )
 
 // transportCounters is the transport accounting one lane writes. The
-// Network embeds one as its public totals; the home lane of a
-// bare-engine network writes that instance directly, so the totals are
-// live, while each region lane writes its own and FoldLanes moves them
-// over after the run.
+// Network embeds one as its public totals. Lanes sharing one engine
+// all write that instance directly, so the totals are live; a lane
+// bound to a conductor writes its own, and FoldLanes moves them over
+// after the run.
 type transportCounters struct {
 	// MessagesSent counts transport-level sends, for redundancy and
 	// overhead accounting.
@@ -31,7 +31,8 @@ type transportCounters struct {
 }
 
 // moveInto adds c to dst and zeroes c. It copies before clearing, so
-// moving the home lane's counters — which are dst — is the identity.
+// moving a lane's counters that are dst — a one-engine network's — is
+// the identity.
 func (c *transportCounters) moveInto(dst *transportCounters) {
 	v := *c
 	*c = transportCounters{}
@@ -56,16 +57,17 @@ func (c *transportCounters) moveInto(dst *transportCounters) {
 // carrying a slot number (no closure per send), and fan-out selection
 // reuses the scratch buffers. Nothing is pooled beyond the slabs.
 //
-// A network runs on one of two lane layouts (Network.lanes): a single
-// home lane bound to the network's own engine and RNG stream, or one
-// lane per region under a sim.Conductor (shard.go).
+// A network runs one lane per region (Network.lanes). The lanes share
+// the network's engine, or each runs on its own region lane of a
+// sim.Conductor (shard.go); either way every lane draws from its own
+// RNG stream.
 type netLane struct {
 	net    *Network
 	engine *sim.Engine
 	rng    *sim.RNG
 
-	// relay is the block-relay discipline the lane's nodes run; region
-	// lanes copy the home lane's.
+	// relay is the block-relay discipline the lane's nodes run
+	// (Network.SetRelay sets every lane's).
 	relay relay.Discipline
 	// view is the reusable Message shown to observers (viewOf).
 	view Message
@@ -94,8 +96,9 @@ type netLane struct {
 	// cross buffers this lane's sends to other lanes until the next
 	// conductor merge, one outbox per destination lane (by pos), each
 	// send stamped with the lane-lifetime emission number that becomes
-	// its equal-time tie key on the destination engine. Nil on the
-	// one-lane layout.
+	// its equal-time tie key on the destination engine. Nil while the
+	// lanes share one engine: a cross-lane send then takes that key
+	// straight into the engine's ordered tie band.
 	cross [][]crossMsg
 	// merged is what the last merge moved into this lane.
 	merged int
@@ -107,17 +110,8 @@ type netLane struct {
 	emitSeq uint64
 }
 
-// newLane builds a lane on the given engine, RNG stream and counter
-// block, running discipline d.
-func newLane(net *Network, engine *sim.Engine, rng *sim.RNG, ctr *transportCounters, d relay.Discipline) *netLane {
-	return &netLane{net: net, engine: engine, rng: rng, ctr: ctr, relay: d}
-}
-
 // laneOf returns the lane owning node index i.
 func (net *Network) laneOf(i int32) *netLane { return net.lanes[net.regions[i]] }
-
-// Sharded reports whether the transport runs on more than one lane.
-func (net *Network) Sharded() bool { return len(net.all) > 1 }
 
 // putFlight copies f into a free slab slot and returns its number.
 func (ln *netLane) putFlight(f *flight) int32 {

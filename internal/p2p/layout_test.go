@@ -9,36 +9,40 @@ import (
 	"repro/internal/types"
 )
 
-// The lane layout is a test input: the transport is one piece of code,
-// so every transport-level invariant below runs over both layouts it
-// can be driven on.
+// The scheduler is a test input: the transport's region lanes run on
+// one engine beside the fixture's own (the serial loop of -shards 0),
+// or each on its own conductor lane, and every transport-level
+// invariant below runs on both.
 var laneLayouts = []struct {
-	name        string
-	regionLanes bool
+	name      string
+	conductor bool
 }{
-	{"one-lane", false},
+	{"one-engine", false},
 	{"region-lanes", true},
 }
 
-// layoutFixture is a network on one of the two lane layouts together
-// with the scheduler that drives it: a bare engine for the home lane, a
-// conductor for the region lanes.
+// layoutFixture is a network together with the scheduler that drives
+// it. global carries the fixture's own scheduled events (injections,
+// crashes): a second engine run beside the lanes' by sim.RunSerial, or
+// the conductor's global lane.
 type layoutFixture struct {
-	net  *Network
-	cond *sim.Conductor // nil on the one-lane layout
+	net    *Network
+	global *sim.Engine
+	cond   *sim.Conductor // nil when the lanes share one engine
 }
 
 // newLayoutFixture returns an empty default-latency network under the
 // given relay discipline. Add and wire nodes, then call start.
-func newLayoutFixture(t testing.TB, regionLanes bool, seed uint64, mode relay.Mode) *layoutFixture {
+func newLayoutFixture(t testing.TB, conductor bool, seed uint64, mode relay.Mode) *layoutFixture {
 	t.Helper()
-	f := &layoutFixture{}
-	engine := sim.NewEngine()
-	if regionLanes {
+	f := &layoutFixture{global: sim.NewEngine()}
+	lanes := sim.NewEngine()
+	if conductor {
 		f.cond = sim.NewConductor(geo.NumRegions)
-		engine = f.cond.Global()
+		f.global = f.cond.Global()
+		lanes = f.global
 	}
-	f.net = NewNetwork(engine, sim.NewRNG(seed).Fork("network"), geo.DefaultLatencyModel())
+	f.net = NewNetwork(lanes, sim.NewRNG(seed).Fork("network"), geo.DefaultLatencyModel())
 	f.net.SetRelay(relay.MustNew(relay.Config{Mode: mode}))
 	return f
 }
@@ -59,10 +63,10 @@ func (f *layoutFixture) addSpread(t testing.TB, n int) []*Node {
 	return nodes
 }
 
-// start ends the build phase. On the region-lane layout it installs the
-// lanes with per-pair lookahead bounds from the latency model, as core
-// wires them, so the topology-aware deadline path and its pair-window
-// accounting are what runs.
+// start ends the build phase. On a conductor it installs the lanes with
+// per-pair lookahead bounds from the latency model, as core wires them,
+// so the topology-aware deadline path and its pair-window accounting
+// are what runs.
 func (f *layoutFixture) start(t testing.TB) {
 	t.Helper()
 	if f.cond == nil {
@@ -85,13 +89,13 @@ func (f *layoutFixture) start(t testing.TB) {
 	f.net.EnableSharding(f.cond)
 }
 
-// run drains the layout's scheduler. It does not fold lane counters.
+// run drains the scheduler. It does not fold lane counters.
 func (f *layoutFixture) run(workers int) {
 	if f.cond != nil {
 		f.cond.Run(workers)
 		return
 	}
-	f.net.Engine().Run()
+	sim.RunSerial(f.global, f.net.Engine())
 }
 
 // now is the time to stamp the next injection with.
@@ -99,7 +103,7 @@ func (f *layoutFixture) now() sim.Time {
 	if f.cond != nil {
 		return f.cond.Now()
 	}
-	return f.net.Engine().Now()
+	return max(f.global.Now(), f.net.Engine().Now())
 }
 
 // chainOf builds a linked chain of empty blocks.
@@ -156,7 +160,7 @@ func TestTransportConservation(t *testing.T) {
 	const crashAt = 120 * sim.Millisecond
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
-			f := newLayoutFixture(t, lay.regionLanes, 9, relay.SqrtPush)
+			f := newLayoutFixture(t, lay.conductor, 9, relay.SqrtPush)
 			nodes := f.addSpread(t, 30)
 			if err := f.net.WireRandom(6); err != nil {
 				t.Fatal(err)
@@ -166,13 +170,12 @@ func TestTransportConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.start(t)
-			// Crash the victim from the scheduler's own engine (phase A
-			// on region lanes: every lane idle) while the first spread
-			// still has traffic on the wire to it; the later blocks run
-			// into the hole it leaves.
+			// Crash the victim from the fixture's global engine (every
+			// lane idle) while the first spread still has traffic on the
+			// wire to it; the later blocks run into the hole it leaves.
 			blocks := chainOf(3)
 			inFlight := 0
-			engine := f.net.Engine()
+			engine := f.global
 			engine.Schedule(0, func(now sim.Time) { nodes[0].InjectBlock(now, blocks[0]) })
 			engine.Schedule(crashAt, func(sim.Time) {
 				inFlight = f.inFlightTo(victim)
@@ -215,7 +218,7 @@ func TestTransportConservation(t *testing.T) {
 func TestFoldLanesIdempotent(t *testing.T) {
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
-			f := newLayoutFixture(t, lay.regionLanes, 7, relay.Compact)
+			f := newLayoutFixture(t, lay.conductor, 7, relay.Compact)
 			nodes := f.addSpread(t, 30)
 			if err := f.net.WireRandom(6); err != nil {
 				t.Fatal(err)
@@ -225,10 +228,15 @@ func TestFoldLanesIdempotent(t *testing.T) {
 				nodes[(7*i)%len(nodes)].InjectBlock(f.now(), blk)
 				f.run(2)
 			}
+			// Lanes sharing one engine share one counter block.
 			var want transportCounters
+			seen := map[*transportCounters]bool{}
 			for _, ln := range f.net.all {
-				c := *ln.ctr
-				c.moveInto(&want)
+				if !seen[ln.ctr] {
+					seen[ln.ctr] = true
+					c := *ln.ctr
+					c.moveInto(&want)
+				}
 			}
 			if want.MessagesSent == 0 || want.RelayCounters.SketchesSent == 0 {
 				t.Fatalf("fixture too quiet: %d sends, %d sketches", want.MessagesSent, want.RelayCounters.SketchesSent)

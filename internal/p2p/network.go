@@ -27,12 +27,13 @@ import (
 // is a thin stable handle into these arrays; at 100k nodes the overlay
 // is a handful of large allocations instead of ~a million live maps.
 //
-// Transport — sends, deliveries and announce waves — runs on lanes
-// (lane.go): a network built on a bare engine owns one home lane bound
-// to that engine and to its own RNG stream, and EnableSharding swaps in
-// one lane per region (shard.go). Both layouts run the same code; only
-// the lane table differs. A message in flight is a flight record in a
-// lane slab (messages.go); there is no message pool.
+// Transport — sends, deliveries and announce waves — runs on one lane
+// per region (lane.go). The lanes share the engine the network is built
+// on, with cross-lane deliveries in its ordered tie band, until
+// EnableSharding moves each onto its own conductor lane (shard.go); the
+// schedule, and so every artifact, is the same either way. A message in
+// flight is a flight record in a lane slab (messages.go); there is no
+// message pool.
 type Network struct {
 	engine  *sim.Engine
 	rng     *sim.RNG
@@ -84,24 +85,22 @@ type Network struct {
 	spill    [][]spillMark
 
 	// Transport totals (MessagesSent, BytesSent, MessagesDropped, the
-	// per-class breakdown and RelayCounters). On the one-lane layout
-	// the home lane writes them directly, so they are live; region
-	// lanes count privately and FoldLanes moves their counts here once
-	// the run has drained.
+	// per-class breakdown and RelayCounters). Lanes sharing one engine
+	// write them directly, so they are live; conductor lanes count
+	// privately and FoldLanes moves their counts here once the run has
+	// drained.
 	transportCounters
 
-	// home is the lane a bare-engine network runs on. It holds the
-	// network's relay discipline (SetRelay) whichever layout is active.
 	// lanes maps a region to the lane owning its nodes (1-based; slot 0
-	// unused) and all is the dense view for iteration: every slot
-	// aliases home until EnableSharding installs the region lanes.
-	home  *netLane
-	lanes [geo.NumRegions + 1]*netLane
-	all   []*netLane
+	// unused) and all is the dense view for iteration, in region order.
+	// forked records that the lanes hold their RNG streams (forkLanes).
+	lanes  [geo.NumRegions + 1]*netLane
+	all    []*netLane
+	forked bool
 
-	// cond and mergeInto are the sharded layout's conductor and the
-	// merge's per-destination job (shard.go); nil on the one-lane
-	// layout.
+	// cond and mergeInto are the conductor and the merge's
+	// per-destination job (shard.go); nil while the lanes share one
+	// engine.
 	cond      *sim.Conductor
 	mergeInto func(int)
 
@@ -167,11 +166,14 @@ const (
 	opAnnounce
 )
 
-// SetRelay switches the network to block-relay discipline d. Call it
-// before EnableSharding, whose region lanes copy it; on the one-lane
-// layout it may switch between runs. The relay counters
-// (RelayCounters) are the network's and carry on across a switch.
-func (net *Network) SetRelay(d relay.Discipline) { net.home.relay = d }
+// SetRelay switches every lane to block-relay discipline d. It may
+// switch between runs; the relay counters (RelayCounters) are the
+// network's and carry on across a switch.
+func (net *Network) SetRelay(d relay.Discipline) {
+	for _, ln := range net.all {
+		ln.relay = d
+	}
+}
 
 // ClassTotal is one message class's transport accounting.
 type ClassTotal struct {
@@ -211,20 +213,38 @@ var (
 	ErrSelfDial    = errors.New("p2p: node cannot dial itself")
 )
 
-// NewNetwork creates an empty overlay bound to a simulation engine,
-// running the default sqrt-push relay discipline.
+// NewNetwork creates an empty overlay whose region lanes all schedule
+// on engine, running the default sqrt-push relay discipline. rng is
+// the build stream (wiring draws); each lane forks its own stream from
+// it when traffic starts (forkLanes).
 func NewNetwork(engine *sim.Engine, rng *sim.RNG, latency geo.LatencyModel) *Network {
 	net := &Network{
 		engine:  engine,
 		rng:     rng,
 		latency: latency,
 	}
-	net.home = newLane(net, engine, rng, &net.transportCounters, relay.MustNew(relay.Config{}))
-	net.all = []*netLane{net.home}
-	for r := range net.lanes {
-		net.lanes[r] = net.home
+	d := relay.MustNew(relay.Config{})
+	for r := geo.Region(1); r <= geo.NumRegions; r++ {
+		ln := &netLane{net: net, engine: engine, ctr: &net.transportCounters, relay: d, pos: len(net.all)}
+		net.lanes[r] = ln
+		net.all = append(net.all, ln)
 	}
 	return net
+}
+
+// forkLanes gives each lane its RNG stream, forked from the network
+// stream in region order, once: at the first injection or at
+// EnableSharding, whichever comes first — after every build-time draw
+// (wiring, measurement and gateway peering), so the streams do not
+// depend on how the build went about its draws.
+func (net *Network) forkLanes() {
+	if net.forked {
+		return
+	}
+	net.forked = true
+	for r := geo.Region(1); r <= geo.NumRegions; r++ {
+		net.lanes[r].rng = net.rng.Fork("lane-" + r.String())
+	}
 }
 
 // AddNode registers a node in a region. maxPeers bounds how many
@@ -350,7 +370,8 @@ func (net *Network) NodeAt(i int) *Node {
 	return &net.handles[i/handleChunk][i%handleChunk]
 }
 
-// Engine exposes the simulation engine driving this network.
+// Engine exposes the engine the network was built on, which its lanes
+// schedule on until EnableSharding.
 func (net *Network) Engine() *sim.Engine { return net.engine }
 
 // atPeerLimit reports whether node i accepts no further connection.
@@ -589,11 +610,11 @@ func (net *Network) send(at sim.Time, f *flight) {
 	if err != nil {
 		// Regions are validated at AddNode; a failure here is a
 		// programming error. The old zero-delay fallback was a time
-		// bomb: on region lanes a zero-delay cross-lane message can
-		// arrive at or before the destination lane's clock, silently
-		// violating the lookahead invariant mergeCross asserts. Clamp
-		// to the pair floor instead; if even that fails the regions
-		// really are invalid and continuing would corrupt the run.
+		// bomb: a zero-delay cross-lane message can arrive at or before
+		// the destination lane's clock, silently violating the
+		// lookahead invariant mergeCross asserts. Clamp to the pair
+		// floor instead; if even that fails the regions really are
+		// invalid and continuing would corrupt the run.
 		if delay, err = net.latency.MinPairDelay(rf, rt); err != nil {
 			panic(fmt.Sprintf("p2p: latency sample %v->%v: %v", rf, rt, err))
 		}
@@ -609,19 +630,26 @@ func (net *Network) send(at sim.Time, f *flight) {
 	row := &net.rows[fi]
 	row.msgsOut++
 	row.bytesOut += uint64(size)
-	if net.lanes[rt] == ln {
-		ln.engine.ScheduleCallAt(at+delay+extra, ln, opDeliver, uint64(ln.putFlight(f)))
+	at += delay + extra
+	dl := net.lanes[rt]
+	if dl == ln {
+		ln.engine.ScheduleCallAt(at, ln, opDeliver, uint64(ln.putFlight(f)))
 		return
 	}
-	// Cross-lane: never touch the destination lane from here — buffer
-	// for the next conductor merge. Arrival is always strictly in the
-	// destination's future: delay >= LatencyModel.MinPairDelay(from,
-	// to), the per-pair floor backing the conductor's SetBounds
-	// lookahead matrix (faults only add delay or drop, never
-	// accelerate), so merging never back-dates an event — mergeCross
-	// asserts exactly this.
-	out := &ln.cross[net.lanes[rt].pos]
-	*out = append(*out, crossMsg{at: at + delay + extra, seq: ln.emitSeq, f: *f})
+	// Cross-lane: the delivery's equal-time tie key is (source lane,
+	// lifetime emission number). On a shared engine it goes straight
+	// into the ordered tie band. On a conductor, never touch the
+	// destination lane from here — buffer for the next merge. Arrival
+	// is always strictly in the destination's future: delay >=
+	// LatencyModel.MinPairDelay(from, to), the per-pair floor backing
+	// the conductor's SetBounds lookahead matrix (faults only add delay
+	// or drop, never accelerate), so merging never back-dates an event
+	// — mergeCross asserts exactly this.
+	if dl.engine == ln.engine {
+		dl.engine.ScheduleCallAtOrdered(at, dl, opDeliver, uint64(dl.putFlight(f)), uint64(ln.pos)<<48|ln.emitSeq)
+	} else {
+		ln.cross[dl.pos] = append(ln.cross[dl.pos], crossMsg{at: at, seq: ln.emitSeq, f: *f})
+	}
 	ln.emitSeq++
 }
 
@@ -629,7 +657,7 @@ func (net *Network) send(at sim.Time, f *flight) {
 // (relay phase 2) through the typed dispatch path, at an absolute
 // virtual time. Announce waves always run on the node's own lane;
 // absolute scheduling keeps them correct when the lane clock trails the
-// emitting event's time (phase A injections on region lanes).
+// emitting event's time (phase A injections on conductor lanes).
 func (net *Network) scheduleAnnounce(at sim.Time, i, block int32, origin bool) {
 	ln := net.laneOf(i)
 	var idx int32

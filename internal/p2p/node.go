@@ -226,66 +226,58 @@ func (net *Network) respPos(i, pos int32) int32 {
 // before announcing: the miner already executed its own block. A down
 // node swallows the injection — the submitter hit a dead endpoint.
 //
-// This is where block hashes are interned (phase A on region lanes):
-// the block's own and its parent's — the one other hash a flight can
-// name (maybePullParent), and one no injection interned if a down
-// gateway swallowed the parent.
+// This is where block hashes are interned (phase A on conductor
+// lanes): the block's own and its parent's — the one other hash a
+// flight can name (maybePullParent), and one no injection interned if a
+// down gateway swallowed the parent. The first injection forks the
+// lanes' RNG streams (forkLanes).
 func (n *Node) InjectBlock(now sim.Time, b *types.Block) {
-	if b == nil || n.net.down[n.idx()] {
+	net := n.net
+	if b == nil || net.down[n.idx()] {
 		return
 	}
-	// Both steps below are for concurrent region lanes only; a single
-	// lane keeps its lazy fills and grow-on-demand arenas.
-	sharded := n.net.Sharded()
-	if sharded {
-		// Force the block's lazily cached derived values while still
-		// single-threaded (injection runs in phase A). Peers in
-		// different lanes may serve the body concurrently later, and a
-		// first-call cache fill from phase B would race.
-		precomputeSizes(b)
-	}
-	idx := n.net.blockIdx.intern(b.Hash())
+	net.forkLanes()
+	// Force the block's lazily cached derived values while still
+	// single-threaded (injection runs in phase A). Peers in different
+	// lanes may serve the body concurrently later, and a first-call
+	// cache fill from phase B would race.
+	precomputeSizes(b)
+	idx := net.blockIdx.intern(b.Hash())
 	if b.Header.Number >= 2 {
-		n.net.blockIdx.intern(b.Header.ParentHash)
+		net.blockIdx.intern(b.Header.ParentHash)
 	}
-	n.net.acceptBlock(n.idx(), now, b, idx, slotUnknown, true)
-	if sharded {
-		// Size the shared bit grids for the new indices now, while lanes
-		// are idle. Growth from phase B would relocate grid storage
-		// under concurrent lane reads — conductor-driven runs presize
-		// again via AfterGlobal, but direct injections (workloads,
-		// tests) get no phase A.
-		n.net.presizeArenas()
-	}
+	net.acceptBlock(n.idx(), now, b, idx, slotUnknown, true)
+	// Size the shared bit grids for the new indices now, while lanes
+	// are idle. Growth from phase B would relocate grid storage under
+	// concurrent lane reads — conductor-driven runs presize again via
+	// AfterGlobal, but direct injections (workloads, tests) get no
+	// phase A.
+	net.presizeArenas()
 }
 
 // InjectTx makes this node the origin of a new transaction. Like
 // InjectBlock, a nil transaction is a no-op and a down node loses the
 // submission.
 //
-// This is the one place a transaction is interned (phase A on region
-// lanes): its hash, and on first sight the object itself into the
-// network's index→transaction table, which lanes only read.
+// This is the one place a transaction is interned (phase A on
+// conductor lanes): its hash, and on first sight the object itself
+// into the network's index→transaction table, which lanes only read.
 func (n *Node) InjectTx(now sim.Time, tx *types.Transaction) {
 	net := n.net
 	if tx == nil || net.down[n.idx()] {
 		return
 	}
-	sharded := net.Sharded()
-	if sharded {
-		// Same phase-A cache-fill rule as InjectBlock (intern fills the
-		// hash).
-		_ = tx.EncodedSize()
-	}
+	net.forkLanes()
+	// Same phase-A cache-fill rule as InjectBlock (intern fills the
+	// hash).
+	_ = tx.EncodedSize()
 	idx := net.txIdx.intern(tx.Hash())
 	if int(idx) == len(net.txs) {
 		net.txs = append(net.txs, tx)
 	}
 	net.handleTx(n.idx(), now, n.idx(), idx)
-	if sharded {
-		// Same phase-A presize rule as InjectBlock (txBits grew).
-		net.presizeArenas()
-	}
+	// Same phase-A presize rule as InjectBlock (txBits grew).
+	net.presizeArenas()
 }
 
 // maybePullParent is the catch-up fetch (Network.ParentPull): a block

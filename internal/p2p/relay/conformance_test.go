@@ -33,15 +33,17 @@ import (
 //     lives in internal/experiments/golden_test.go, which covers R1,
 //     R2 and relay-compare.json.)
 //
-// The transport is one piece of code on two lane layouts, so the lane
-// layout is a fixture input and the suite runs on both.
+// The transport's region lanes run on one engine (the serial loop of
+// -shards 0) or each on its own conductor lane, to the same schedule,
+// so the scheduler is a fixture input, the suite runs on both, and
+// both must reproduce one pinned digest per discipline.
 
-// laneLayouts names the two layouts a network can be driven on.
+// laneLayouts names the two schedulers a network can be driven by.
 var laneLayouts = []struct {
-	name        string
-	regionLanes bool
+	name      string
+	conductor bool
 }{
-	{"one-lane", false},
+	{"one-engine", false},
 	{"region-lanes", true},
 }
 
@@ -50,7 +52,10 @@ type fixtureResult struct {
 	net    *p2p.Network
 	nodes  []*p2p.Node
 	blocks []*types.Block
-	// trace is the full delivery log: one line per observed message.
+	// trace is the full delivery log: one line per observed message,
+	// node by node in node order, each node's in delivery order — the
+	// order a node sees its messages in is the schedule's, while the
+	// interleaving of different nodes' deliveries is the scheduler's.
 	trace []string
 	// requests counts pull-request receptions per (requester, block,
 	// kind) — the duplicate-fetch invariant's evidence.
@@ -59,20 +64,21 @@ type fixtureResult struct {
 
 // runFixture builds a fresh overlay under the given protocol, gossips
 // a transaction population, then injects a chain of blocks whose
-// bodies overlap the gossiped pool, and drains the run: on a bare
-// engine (the one-lane layout), or with region lanes under a conductor
-// whose global lane carries the injections.
-func runFixture(t *testing.T, cfg relay.Config, seed uint64, regionLanes bool) *fixtureResult {
+// bodies overlap the gossiped pool, and drains the run. A global engine
+// carries the injections: beside the lanes' shared engine under
+// sim.RunSerial, or as the global lane of a conductor.
+func runFixture(t *testing.T, cfg relay.Config, seed uint64, conductor bool) *fixtureResult {
 	t.Helper()
-	engine := sim.NewEngine()
+	engine, lanes := sim.NewEngine(), sim.NewEngine()
 	var cond *sim.Conductor
-	if regionLanes {
+	if conductor {
 		cond = sim.NewConductor(geo.NumRegions)
 		engine = cond.Global()
+		lanes = engine
 	}
 	rng := sim.NewRNG(seed)
 	latency := geo.DefaultLatencyModel()
-	net := p2p.NewNetwork(engine, rng.Fork("network"), latency)
+	net := p2p.NewNetwork(lanes, rng.Fork("network"), latency)
 	proto, err := relay.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -92,10 +98,11 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64, regionLanes bool) *
 	if err := net.WireRandom(8); err != nil {
 		t.Fatal(err)
 	}
-	if regionLanes {
+	if conductor {
 		net.EnableSharding(cond)
 	}
-	for _, n := range res.nodes {
+	traces := make([][]string, len(res.nodes))
+	for k, n := range res.nodes {
 		n := n
 		n.SetObserver(func(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
 			key := ""
@@ -107,7 +114,7 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64, regionLanes bool) *
 			default:
 				key = fmt.Sprintf("%v|%d<-%d|%s|%s", now, n.ID(), from, msg.Kind, msg.Want)
 			}
-			res.trace = append(res.trace, key)
+			traces[k] = append(traces[k], key)
 			switch msg.Kind {
 			case p2p.MsgGetBlock, p2p.MsgGetCompact, p2p.MsgGetBlockTxns:
 				// The requester is `from`; this node is serving.
@@ -157,12 +164,15 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64, regionLanes bool) *
 		engine.Schedule(sim.Time(10_000*(k+1)), func(now sim.Time) { origin.InjectBlock(now, blk) })
 	}
 
-	if regionLanes {
-		// One worker: the observers above share one trace, and a single
-		// phase-B worker runs the lanes one after another.
+	if conductor {
+		// One worker: the observers above share the requests map, and a
+		// single phase-B worker runs the lanes one after another.
 		cond.Run(1)
 	} else {
-		engine.Run()
+		sim.RunSerial(engine, lanes)
+	}
+	for _, tr := range traces {
+		res.trace = append(res.trace, tr...)
 	}
 	net.FoldLanes()
 	return res
@@ -172,27 +182,27 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64, regionLanes bool) *
 // discipline (preserved byte-identically) runs a single sqrt-bounded
 // announce wave per holder, so full coverage of a small fixture is
 // probabilistic in the wiring; this seed gives every discipline full
-// coverage on both lane layouts, making the liveness assertion exact rather than
+// coverage on both schedulers, making the liveness assertion exact rather than
 // statistical. If a protocol change breaks it, rerun the suite across
 // nearby seeds before concluding the invariant itself regressed.
 const conformanceSeed = 28
 
 // TestProtocolConformance runs every registered protocol through the
-// fixture, on both lane layouts, and asserts the shared invariants.
+// fixture, on both schedulers, and asserts the shared invariants.
 func TestProtocolConformance(t *testing.T) {
 	for _, mode := range relay.Modes() {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			for _, lay := range laneLayouts {
 				lay := lay
-				t.Run(lay.name, func(t *testing.T) { checkConformance(t, mode, lay.name, lay.regionLanes) })
+				t.Run(lay.name, func(t *testing.T) { checkConformance(t, mode, lay.conductor) })
 			}
 		})
 	}
 }
 
-func checkConformance(t *testing.T, mode relay.Mode, layout string, regionLanes bool) {
-	res := runFixture(t, relay.Config{Mode: mode}, conformanceSeed, regionLanes)
+func checkConformance(t *testing.T, mode relay.Mode, conductor bool) {
+	res := runFixture(t, relay.Config{Mode: mode}, conformanceSeed, conductor)
 
 	// 1. Liveness: every node holds every block.
 	for _, blk := range res.blocks {
@@ -261,7 +271,7 @@ func checkConformance(t *testing.T, mode relay.Mode, layout string, regionLanes 
 
 	// 4. Determinism: a fresh run at the same seed replays the
 	// exact delivery trace.
-	again := runFixture(t, relay.Config{Mode: mode}, conformanceSeed, regionLanes)
+	again := runFixture(t, relay.Config{Mode: mode}, conformanceSeed, conductor)
 	if len(again.trace) != len(res.trace) {
 		t.Fatalf("rerun trace length %d, want %d", len(again.trace), len(res.trace))
 	}
@@ -273,25 +283,23 @@ func checkConformance(t *testing.T, mode relay.Mode, layout string, regionLanes 
 	if again.net.BytesSent != res.net.BytesSent {
 		t.Fatalf("rerun bytes %d, want %d", again.net.BytesSent, res.net.BytesSent)
 	}
-	if got, want := res.digest(), conformancePins[mode.String()+"/"+layout]; got != want {
+	if got, want := res.digest(), conformancePins[mode.String()]; got != want {
 		t.Errorf("fixture digest %s, pinned %s: the discipline's sends, their times or its counters changed", got, want)
 	}
 }
 
-// conformancePins is the SHA-256 of each (discipline, lane layout)
-// fixture run (fixtureResult.digest), recorded before the disciplines
-// moved from this package into the transport.
+// conformancePins is the SHA-256 of each discipline's fixture run
+// (fixtureResult.digest), one per discipline: the serial loop and the
+// conductor run the region lanes to one schedule. The transport these
+// runs took was pinned before the disciplines moved from this package
+// into the transport, on the conductor, whose digest then hashed the
+// deliveries in its own cross-node order.
 var conformancePins = map[string]string{
-	"sqrt-push/one-lane":         "ef61ec8c59477bb9d56572399e077282fde280f4822344fd4f7b7211f9becb7f",
-	"sqrt-push/region-lanes":     "cca60753855a446217a35744e8d39f2fb3159123f0b327cdec9385c9ce375247",
-	"push-all/one-lane":          "4642d56765e2484f2e80f6eb625cddb20b2bc52cab129a4ac118d0876f351f59",
-	"push-all/region-lanes":      "fd098d51e8b16ac0939dba6c083bc0f9cf2b28909dc8f0fc1fd89f680f7c31dc",
-	"announce-only/one-lane":     "79fd61042b110dab7783119c45a6eace0be01e2add0aa10c4c2617b69a9e5137",
-	"announce-only/region-lanes": "2141a77e08a42e38754a591a0c8d0b294ededb6d0b09f418d237fb4f69d1d304",
-	"compact/one-lane":           "d5bb28b459b0814f77a2a575d1f143742476f0848943369cc10e4ab53dcae354",
-	"compact/region-lanes":       "a17e873d820d90181748d0dcaf6e4e1f800354b61dbc502b47a70de3a3d1307c",
-	"hybrid/one-lane":            "3f6e0bef14c8008897f014f66e3ccfddf3de4dc0f026e8a9dfe296c8c7f891f5",
-	"hybrid/region-lanes":        "2fcb8132573d94d1476a893e5491e5e7142bc9e6b2c572ff151d1dbdcf46dcc8",
+	"sqrt-push":     "74c50eb82293f943789fb3556efd5ce936b59a23846603c9e3f1753408f21f01",
+	"push-all":      "ae7c4f3dc104484159de067fe89cdbc827a0663b5f49df9ffe2ece8367ba2199",
+	"announce-only": "88f22c3b4e24538eebc776151b82bc2d342f1e9435f13c7017dd09d65e8f55ed",
+	"compact":       "b048f0ec645b45a50edc8a0ba6546df2e64c1b5e75ce0b14c6e9f4d761890a0f",
+	"hybrid":        "9ca3d9ac9f13518a51c232ab3366447c8457a404e7ac71254362aaa7f19d9b1c",
 }
 
 // digest hashes the run's delivery trace, its per-class transport

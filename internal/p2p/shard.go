@@ -8,11 +8,12 @@ import (
 	"repro/internal/types"
 )
 
-// The region-lane layout: one netLane per geographic region, each bound
-// to a region lane of a sim.Conductor. The lane decomposition is fixed
-// by the region enum — never by worker count — so every lane's event
-// schedule and RNG stream is identical at any shard setting, which is
-// what makes sharded artifacts byte-identical across shard counts.
+// The region lanes on a conductor: EnableSharding binds each region's
+// netLane to a region lane of a sim.Conductor. The lane decomposition
+// is fixed by the region enum — never by worker count, nor by whether
+// the lanes share one engine — so every lane's event schedule and RNG
+// stream is identical at any shard setting, which is what makes
+// artifacts byte-identical across shard counts.
 //
 // Ownership rules (the whole memory model):
 //
@@ -41,22 +42,19 @@ type crossMsg struct {
 	f   flight
 }
 
-// EnableSharding replaces the home lane with one lane per conductor
-// region lane, each running the home lane's relay discipline and
-// counting privately until FoldLanes. Call it after the overlay is
-// built and before the run starts; per-lane RNG streams fork from the
-// network RNG here, after all wiring draws.
+// EnableSharding moves each region's lane onto its conductor region
+// lane, with its own cross-lane outboxes, counting privately until
+// FoldLanes. Call it after the overlay is built and before any traffic;
+// the lanes' RNG streams fork here (forkLanes), after all wiring draws.
 func (net *Network) EnableSharding(cond *sim.Conductor) {
 	if cond.Regions() != geo.NumRegions {
 		panic("p2p: conductor must have one lane per region")
 	}
-	net.all = nil
-	for r := geo.Region(1); r <= geo.NumRegions; r++ {
-		ln := newLane(net, cond.Lane(int(r)-1), net.rng.Fork("lane-"+r.String()), new(transportCounters), net.home.relay)
-		ln.pos = len(net.all)
+	net.forkLanes()
+	for _, ln := range net.all {
+		ln.engine = cond.Lane(ln.pos)
+		ln.ctr = new(transportCounters)
 		ln.cross = make([][]crossMsg, geo.NumRegions)
-		net.lanes[r] = ln
-		net.all = append(net.all, ln)
 	}
 	net.cond, net.mergeInto = cond, net.mergeTo
 	cond.Merge = net.mergeCross
@@ -135,10 +133,10 @@ func (net *Network) mergeTo(d int) {
 
 // FoldLanes moves every lane's counters into the Network's public
 // totals, so the accounting surface (ClassTotals, MessagesSent,
-// RelayCounters) covers region lanes too. Counts are moved, not
+// RelayCounters) covers conductor lanes too. Counts are moved, not
 // copied — each is zeroed at its source — so folding again is a no-op,
-// and on the one-lane layout, where the home lane already writes the
-// public totals, it changes nothing. Call it after the run drains.
+// and on a shared engine, whose lanes already write the public totals,
+// it changes nothing. Call it after the run drains.
 func (net *Network) FoldLanes() {
 	for _, ln := range net.all {
 		ln.ctr.moveInto(&net.transportCounters)
@@ -159,8 +157,8 @@ func (g *bitGrid) presize(rows, cols int32) {
 }
 
 // precomputeSizes forces a block's lazily cached derived values (hash,
-// encoded sizes) while single-threaded. Injection paths call it so
-// phase-B lanes only ever read the caches concurrently.
+// encoded sizes) while single-threaded. Injection calls it so
+// conductor lanes only ever read the caches concurrently in phase B.
 func precomputeSizes(b *types.Block) {
 	_ = b.Hash()
 	_ = b.EncodedSize()

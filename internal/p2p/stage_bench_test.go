@@ -32,7 +32,7 @@ type stageFixture struct {
 func newStageFixture(b testing.TB, degree int) *stageFixture {
 	b.Helper()
 	net := NewNetwork(sim.NewEngine(), sim.NewRNG(1).Fork("network"), geo.DefaultLatencyModel())
-	s := &stageFixture{net: net, ln: net.home, blk: chainOf(1)[0]}
+	s := &stageFixture{net: net, blk: chainOf(1)[0]}
 	regions := geo.Regions()
 	add := func(i int) *Node {
 		n, err := net.AddNode(regions[i%len(regions)], 0)
@@ -57,6 +57,7 @@ func newStageFixture(b testing.TB, degree int) *stageFixture {
 		n.InjectTx(0, tx)
 	}
 	s.txIdx, _ = net.txIdx.lookup(tx.Hash())
+	s.ln = net.laneOf(s.hub.idx())
 	return s
 }
 

@@ -191,7 +191,7 @@ func TestAnnouncementMarksSenderAsKnowing(t *testing.T) {
 	h := blk.Hash()
 	// b hears an announcement from a; b must record that a knows the
 	// block even before fetching it.
-	net.home.handle(0, &flight{to: b.idx(), from: a.idx(), srcPos: -1, kind: MsgNewBlockHashes, item: net.blockIdx.intern(h)})
+	net.laneOf(b.idx()).handle(0, &flight{to: b.idx(), from: a.idx(), srcPos: -1, kind: MsgNewBlockHashes, item: net.blockIdx.intern(h)})
 	if !b.peerKnowsBlock(h, a.ID()) {
 		t.Fatal("announcement did not mark sender knowledge")
 	}

@@ -23,12 +23,12 @@ type txFlood struct {
 }
 
 // runTxFlood floods five transactions over a 30-node overlay on one
-// lane layout: node 5 relays nothing, transaction 0 is injected at two
+// scheduler: node 5 relays nothing, transaction 0 is injected at two
 // nodes at once, node 13 crashes while the first wave is on the wire,
 // and node 11 observes.
-func runTxFlood(t *testing.T, regionLanes bool) txFlood {
+func runTxFlood(t *testing.T, conductor bool) txFlood {
 	t.Helper()
-	f := newLayoutFixture(t, regionLanes, 26, relay.SqrtPush)
+	f := newLayoutFixture(t, conductor, 26, relay.SqrtPush)
 	nodes := f.addSpread(t, 30)
 	if err := f.net.WireRandom(4); err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func runTxFlood(t *testing.T, regionLanes bool) txFlood {
 	for k := range txs {
 		txs[k] = testTx(uint64(100 + k))
 	}
-	engine := f.net.Engine()
+	engine := f.global
 	engine.Schedule(0, func(now sim.Time) {
 		nodes[0].InjectTx(now, txs[0])
 		nodes[20].InjectTx(now, txs[0])
@@ -79,32 +79,28 @@ func runTxFlood(t *testing.T, regionLanes bool) txFlood {
 	return out
 }
 
-// TestTxFloodPinned pins transaction gossip, per lane layout, to the
-// totals, per-node ingress and observed sequence the batch transport
-// (one []*Transaction per flight, a map lookup per delivery) produced:
-// the values below were recorded on it.
+// TestTxFloodPinned pins transaction gossip, on both schedulers, to
+// the totals, per-node ingress and observed sequence the batch
+// transport (one []*Transaction per flight, a map lookup per delivery)
+// produced on region lanes: the values below were recorded on it.
 func TestTxFloodPinned(t *testing.T) {
-	want := map[string]txFlood{
-		"one-lane": {sent: 960, bytes: 62400, dropped: 4, classes: "Transactions:960/62400 ",
-			ingress: "5f5fb35e56c960f3", observed: 24, sequence: "b5beedd725ec1b5c"},
-		"region-lanes": {sent: 961, bytes: 62465, dropped: 5, classes: "Transactions:961/62465 ",
-			ingress: "056524fed2fb802d", observed: 24, sequence: "ce7071d35d198002"},
-	}
+	want := txFlood{sent: 961, bytes: 62465, dropped: 5, classes: "Transactions:961/62465 ",
+		ingress: "056524fed2fb802d", observed: 24, sequence: "ce7071d35d198002"}
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
-			if got := runTxFlood(t, lay.regionLanes); got != want[lay.name] {
-				t.Errorf("flood %+v, want %+v", got, want[lay.name])
+			if got := runTxFlood(t, lay.conductor); got != want {
+				t.Errorf("flood %+v, want %+v", got, want)
 			}
 		})
 	}
 }
 
 // TestInjectTxNil: like InjectBlock(nil), injecting a nil transaction
-// is a no-op — nothing interned, nothing sent — on both layouts.
+// is a no-op — nothing interned, nothing sent — on both schedulers.
 func TestInjectTxNil(t *testing.T) {
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
-			f := newLayoutFixture(t, lay.regionLanes, 3, relay.SqrtPush)
+			f := newLayoutFixture(t, lay.conductor, 3, relay.SqrtPush)
 			nodes := f.addSpread(t, 12)
 			if err := f.net.WireRandom(3); err != nil {
 				t.Fatal(err)

@@ -9,8 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/experiments"
+	"repro/internal/measure"
+	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/types"
 )
 
 // chainAllOutputs requests every chain-mode row of the output table.
@@ -145,24 +149,22 @@ func TestCompileNetworkAllOutputs(t *testing.T) {
 
 // TestFirstObservationEmitsEveryVantage: a vantage that never sees a
 // block first still reports its (zero) share, so its cross-repeat mean
-// is taken over every repeat rather than only the ones it won. Every
-// block enters the overlay in EA, where the hub vantage peers with
-// every node; the one-peer leaf in SA never hears of one first.
+// is taken over every repeat rather than only the ones it won. The row
+// reads a hand-built index in which the hub hears every block 40 ms
+// before the leaf, past the NTP ambiguity bound, so the leaf's zero is
+// by construction rather than a draw.
 func TestFirstObservationEmitsEveryVantage(t *testing.T) {
-	sp := compileOne(t, `{
-  "name": "one-loser",
-  "network": {"nodes": 80},
-  "chain": {"blocks": 40},
-  "pools": [{"name": "Solo", "share": 1, "gateways": ["EA"]}],
-  "measurement": [
-    {"name": "hub", "region": "EA", "peers": 0},
-    {"name": "leaf", "region": "SA", "peers": 1}
-  ],
-  "outputs": ["first_observation"]
-}`)
-	outs, err := sp.Run(1, experiments.ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
+	idx := &analysis.Index{BlockFirst: map[types.Hash]map[string]analysis.Observation{}}
+	for k := range 5 {
+		at := sim.Time(13_000 * k)
+		idx.BlockFirst[types.HashBytes([]byte{byte(k)})] = map[string]analysis.Observation{
+			"hub":  {Node: "hub", Local: at, Kind: measure.KindBlock},
+			"leaf": {Node: "leaf", Local: at + 40, Kind: measure.KindBlock},
+		}
+	}
+	outs, errs := experiments.IndexOutputs(idx, nil, []string{"hub", "leaf"}, []string{"first_observation"})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	m := outs[0].Metrics
 	share, ok := m["leaf_share"]
@@ -170,7 +172,7 @@ func TestFirstObservationEmitsEveryVantage(t *testing.T) {
 		t.Fatalf("no leaf_share key for the vantage that never observed first: %v", m)
 	}
 	if share != 0 || m["hub_share"] != 1 {
-		t.Fatalf("the leaf vantage won blocks, so this run does not test the zero key: %v", m)
+		t.Fatalf("shares %v, want hub 1 and leaf 0", m)
 	}
 }
 

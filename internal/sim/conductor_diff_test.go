@@ -10,15 +10,18 @@ import (
 // layout — region count, lookahead bound matrix, global-lane script and
 // whether a GlobalHorizon hook certifies internal global events — and
 // drives every lane's handlers, and the layout runs at workers 1, 2
-// and 6. Worker count is a throughput knob only, so every lane's
-// execution log and the conductor's stats must be identical.
+// and 6 and through RunSerial. Worker count is a throughput knob only,
+// so every lane's execution log and the conductor's stats must be
+// identical; the serial loop runs the same schedule with every region
+// lane on one engine, so its lane logs must be identical too.
 //
 // Handlers read the program through lane-local cursors (phase B runs
-// lanes concurrently), cross-lane sends go into per-(source,
-// destination) outboxes, and the Merge hook drains them with Each, one
-// job per destination, under (source lane, emission number) tie keys —
-// the transport's contract, so the engine's sort-free tie band is on
-// the path.
+// lanes concurrently). Under the conductor, cross-lane sends go into
+// per-(source, destination) outboxes and the Merge hook drains them
+// with Each, one job per destination, under (source lane, emission
+// number) tie keys — the transport's contract, so the engine's
+// sort-free tie band is on the path. Under RunSerial a cross-lane send
+// takes the same key straight into the shared engine's tie band.
 
 // condProg is a byte program with a cursor.
 type condProg struct {
@@ -55,12 +58,17 @@ type condLane struct {
 
 // condRun is one execution of a program.
 type condRun struct {
-	c      *Conductor
-	bounds [][]Time
-	lanes  []*condLane // by conductor lane; [0] unused
-	global condProg
-	glog   []int64
-	touch  []Time // pending lane-touching global events
+	c *Conductor
+	// engines is each lane's engine by conductor lane index: the
+	// conductor's own, or under RunSerial a global engine and one
+	// engine every region lane shares.
+	engines []*Engine
+	serial  bool
+	bounds  [][]Time
+	lanes   []*condLane // by conductor lane; [0] unused
+	global  condProg
+	glog    []int64
+	touch   []Time // pending lane-touching global events
 }
 
 func (l *condLane) HandleEvent(now Time, id, _ uint64) {
@@ -69,7 +77,7 @@ func (l *condLane) HandleEvent(now Time, id, _ uint64) {
 		return
 	}
 	l.budget--
-	e := l.run.c.lanes[l.lane]
+	e := l.run.engines[l.lane]
 	for n := l.script.byte() % 3; n > 0; n-- {
 		switch op := l.script.byte(); {
 		case op%4 < 2:
@@ -83,7 +91,11 @@ func (l *condLane) HandleEvent(now Time, id, _ uint64) {
 				continue
 			}
 			at := now + l.run.bounds[l.lane-1][dst-1] + Time(l.script.byte()%4)
-			l.out[dst] = append(l.out[dst], condMsg{at: at, id: l.id(), seq: l.emit})
+			if l.run.serial {
+				e.ScheduleCallAtOrdered(at, l.run.lanes[dst], l.id(), 0, uint64(l.lane)<<48|l.emit)
+			} else {
+				l.out[dst] = append(l.out[dst], condMsg{at: at, id: l.id(), seq: l.emit})
+			}
 			l.emit++
 		}
 	}
@@ -129,7 +141,7 @@ func (g globalEvent) HandleEvent(now Time, touching, _ uint64) {
 		}
 	}
 	l := r.lanes[1+r.global.byte()%(len(r.lanes)-1)]
-	r.c.lanes[l.lane].ScheduleCallAt(now+Time(r.global.byte()%3), l, l.id(), 0)
+	r.engines[l.lane].ScheduleCallAt(now+Time(r.global.byte()%3), l, l.id(), 0)
 }
 
 // horizon is the GlobalHorizon hook: the earliest pending touching
@@ -142,10 +154,20 @@ func (r *condRun) horizon() Time {
 	return h
 }
 
+// runCondProgram runs prog on the conductor at the given worker count,
+// or through RunSerial when workers is 0 (its stats are then zero).
 func runCondProgram(prog []byte, workers int) (*condRun, ConductorStats, []EngineStats) {
 	setup := &condProg{prog: prog}
 	regions := 1 + setup.byte()%6
-	r := &condRun{c: NewConductor(regions), global: condProg{prog: prog, pc: min(len(prog), 1)}}
+	r := &condRun{c: NewConductor(regions), serial: workers == 0, global: condProg{prog: prog, pc: min(len(prog), 1)}}
+	r.engines = r.c.lanes
+	if r.serial {
+		lanes := NewEngine()
+		r.engines = []*Engine{NewEngine()}
+		for i := 0; i < regions; i++ {
+			r.engines = append(r.engines, lanes)
+		}
+	}
 	r.bounds = make([][]Time, regions)
 	for j := range r.bounds {
 		r.bounds[j] = make([]Time, regions)
@@ -162,7 +184,7 @@ func runCondProgram(prog []byte, workers int) (*condRun, ConductorStats, []Engin
 			budget: 40 + setup.byte()%80, out: make([][]condMsg, 1+regions)}
 		r.lanes[i] = l
 		for n := 1 + setup.byte()%3; n > 0; n-- {
-			r.c.lanes[i].ScheduleCallAt(Time(setup.byte()%20), l, l.id(), 0)
+			r.engines[i].ScheduleCallAt(Time(setup.byte()%20), l, l.id(), 0)
 		}
 	}
 	for n := setup.byte() % 6; n > 0; n-- {
@@ -170,7 +192,11 @@ func runCondProgram(prog []byte, workers int) (*condRun, ConductorStats, []Engin
 		if touching == 1 {
 			r.touch = append(r.touch, at)
 		}
-		r.c.Global().ScheduleCallAt(at, globalEvent{r}, touching, 0)
+		r.engines[0].ScheduleCallAt(at, globalEvent{r}, touching, 0)
+	}
+	if r.serial {
+		RunSerial(r.engines[0], r.engines[1])
+		return r, ConductorStats{}, nil
 	}
 	if setup.byte()%2 == 1 {
 		r.c.GlobalHorizon = r.horizon
@@ -193,20 +219,23 @@ func runCondProgram(prog []byte, workers int) (*condRun, ConductorStats, []Engin
 	return r, r.c.Stats(), st
 }
 
-// condProgram runs prog at workers 1, 2 and 6 and fails on the first
-// difference.
+// condProgram runs prog through RunSerial and on the conductor at
+// workers 1, 2 and 6, and fails on the first difference: every lane's
+// log against the serial run's, the conductor's stats across worker
+// counts.
 func condProgram(t *testing.T, prog []byte) {
 	t.Helper()
-	ref, refStats, refEngines := runCondProgram(prog, 1)
-	for _, w := range []int{2, 6} {
+	ref, _, _ := runCondProgram(prog, 0)
+	_, refStats, refEngines := runCondProgram(prog, 1)
+	for _, w := range []int{1, 2, 6} {
 		got, stats, engines := runCondProgram(prog, w)
 		for i := 1; i < len(ref.lanes); i++ {
 			if !reflect.DeepEqual(got.lanes[i].log, ref.lanes[i].log) {
-				t.Fatalf("program %q workers=%d: lane %d log\n %v\nwant\n %v", prog, w, i, got.lanes[i].log, ref.lanes[i].log)
+				t.Fatalf("program %q workers=%d: lane %d log\n %v\nwant (serial)\n %v", prog, w, i, got.lanes[i].log, ref.lanes[i].log)
 			}
 		}
 		if !reflect.DeepEqual(got.glog, ref.glog) {
-			t.Fatalf("program %q workers=%d: global log %v, want %v", prog, w, got.glog, ref.glog)
+			t.Fatalf("program %q workers=%d: global log %v, want (serial) %v", prog, w, got.glog, ref.glog)
 		}
 		if !reflect.DeepEqual(stats, refStats) {
 			t.Fatalf("program %q workers=%d: stats %+v, want %+v", prog, w, stats, refStats)
@@ -218,7 +247,8 @@ func condProgram(t *testing.T, prog []byte) {
 }
 
 // TestConductorMatchesAcrossWorkersRandomized drives seeded random
-// programs through the harness.
+// programs through the harness: the conductor at every worker count,
+// and the serial loop, run each lane through one event sequence.
 func TestConductorMatchesAcrossWorkersRandomized(t *testing.T) {
 	programs := 300
 	if testing.Short() {

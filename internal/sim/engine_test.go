@@ -405,9 +405,9 @@ func TestWeightedDistribution(t *testing.T) {
 }
 
 // TestOrderedBandDrainOrder pins the ordered tie band's drain on the
-// layouts its sort-free path splits by key stream (key>>48) — streams
-// interleaved and ascending, more streams than it keeps apart, and a
-// stream that arrived out of order — against plain key order.
+// layouts its insert places by key stream (key>>48) — streams
+// interleaved and ascending, more streams than it tracks, and a stream
+// that arrived out of order — against plain key order.
 func TestOrderedBandDrainOrder(t *testing.T) {
 	cases := map[string][]uint64{}
 	var merge, many, late []uint64
@@ -417,7 +417,7 @@ func TestOrderedBandDrainOrder(t *testing.T) {
 		}
 	}
 	for seq := uint64(0); seq < 3; seq++ {
-		for src := uint64(0); src < 2*maxOrdStreams; src++ {
+		for src := uint64(0); src < 2*ordStreams; src++ {
 			many = append(many, src<<48|seq)
 		}
 	}

@@ -12,13 +12,11 @@
 package sim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"slices"
 	"time"
 )
 
@@ -152,8 +150,9 @@ type node struct {
 }
 
 // bucket is one millisecond of the wheel: a FIFO list, plus that
-// millisecond's ordered-band events as a list left unsorted until the
-// drain first reaches it. Links index Engine.nodes; 0 is empty.
+// millisecond's ordered-band events as a list kept in ascending key
+// order (Engine.ordTails indexes it). Links index Engine.nodes; 0 is
+// empty.
 type bucket struct {
 	head, tail, ord int32
 }
@@ -166,22 +165,16 @@ type farEvent struct {
 	a, b uint64
 }
 
-// ordKey is sortOrdered's scratch element.
-type ordKey struct {
-	key uint64
-	i   int32
-}
-
-// ordStream is one tie-key stream (key>>48) of a bucket's ordered list
-// while sortOrdered splits it: its nodes relinked oldest first.
-type ordStream struct {
-	id         uint64
-	head, tail int32
-}
-
-// maxOrdStreams bounds the streams sortOrdered keeps apart; a bucket
-// holding more falls back to the comparison sort.
-const maxOrdStreams = 16
+// ordStreams is how many key streams (key>>48: the conductor merge's
+// source lane) Engine.ordTails tracks per bucket. A stream's keys lie
+// in one contiguous run of a bucket's sorted ordered list, so a key
+// above its stream's tail links in right after that tail, and a
+// stream's first key right after the tail of the nearest stream below
+// it — no search, where the transport's keys always arrive (one stream
+// per source lane, ascending emission numbers). Anything else — a key
+// below its stream's tail, or a stream numbered ordStreams or above —
+// is a sorted insert from the head of the list.
+const ordStreams = 8
 
 // Engine is a single-threaded discrete-event executor. It is not safe
 // for concurrent use; the simulation model is sequential by design so
@@ -211,11 +204,11 @@ type Engine struct {
 	stopped      bool
 	probe        Probe
 
-	nodes    []node // nodes[0] is the nil sentinel
-	free     int32
-	sortedAt Time // millisecond whose ordered list is in key order, -1 none
-	scratch  []ordKey
-	streams  []ordStream
+	nodes []node // nodes[0] is the nil sentinel
+	free  int32
+	// ordTails[b][s] is the last node of key stream s in bucket b's
+	// ordered list, 0 none; made with the engine's first ordered event.
+	ordTails []([ordStreams]int32)
 	far      []farEvent
 	occ      [wheelSize / 64]uint64
 	buckets  [wheelSize]bucket
@@ -223,7 +216,7 @@ type Engine struct {
 
 // NewEngine creates an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{nodes: make([]node, 1), sortedAt: -1}
+	return &Engine{nodes: make([]node, 1)}
 }
 
 // Now returns the current virtual time.
@@ -291,7 +284,7 @@ func (e *Engine) enqueue(at Time, seq uint64, h Handler, a, b uint64) {
 }
 
 // place links one event into its wheel bucket: FIFO events at the
-// tail, ordered events onto the unsorted ordered list.
+// tail, ordered events into the ordered list at their key's place.
 func (e *Engine) place(at Time, seq uint64, h Handler, a, b uint64) {
 	i := e.free
 	if i != 0 {
@@ -315,10 +308,7 @@ func (e *Engine) place(at Time, seq uint64, h Handler, a, b uint64) {
 	n.h, n.a, n.b, n.key, n.next = h, a, b, seq, 0
 	switch {
 	case seq >= orderedBand:
-		n.next, bk.ord = bk.ord, i
-		if at == e.sortedAt {
-			e.sortedAt = -1
-		}
+		e.placeOrdered(bi, i, seq)
 	case bk.tail != 0:
 		e.nodes[bk.tail].next = i
 		bk.tail = i
@@ -327,6 +317,48 @@ func (e *Engine) place(at Time, seq uint64, h Handler, a, b uint64) {
 	}
 	e.occ[bi>>6] |= 1 << (bi & 63)
 	e.near++
+}
+
+// placeOrdered links node i, carrying ordered key (orderedBand set),
+// into bucket bi's ordered list at its key's place (see ordStreams).
+func (e *Engine) placeOrdered(bi uint, i int32, key uint64) {
+	bk := &e.buckets[bi]
+	st := (key &^ orderedBand) >> 48
+	if st >= ordStreams {
+		e.insertOrdered(bk, i, key)
+		return
+	}
+	if e.ordTails == nil {
+		e.ordTails = make([][ordStreams]int32, wheelSize)
+	}
+	tails := &e.ordTails[bi]
+	link := &bk.ord
+	if t := tails[st]; t != 0 {
+		if e.nodes[t].key > key {
+			e.insertOrdered(bk, i, key)
+			return
+		}
+		link = &e.nodes[t].next
+	} else {
+		for p := int(st) - 1; p >= 0; p-- {
+			if t := tails[p]; t != 0 {
+				link = &e.nodes[t].next
+				break
+			}
+		}
+	}
+	e.nodes[i].next, *link = *link, i
+	tails[st] = i
+}
+
+// insertOrdered links node i into bucket bk's ordered list by a scan
+// from its head: the fallback for keys the stream tails cannot place.
+func (e *Engine) insertOrdered(bk *bucket, i int32, key uint64) {
+	link := &bk.ord
+	for *link != 0 && e.nodes[*link].key < key {
+		link = &e.nodes[*link].next
+	}
+	e.nodes[i].next, *link = *link, i
 }
 
 // take unlinks and returns the next event of the bucket for time at,
@@ -343,12 +375,15 @@ func (e *Engine) take(at Time) (Handler, uint64, uint64) {
 			bk.tail = 0
 		}
 	} else {
-		if e.sortedAt != at {
-			e.sortOrdered(bk)
-			e.sortedAt = at
-		}
+		// A node whose successor is of another stream, or last, was its
+		// stream's tail.
 		i = bk.ord
-		bk.ord = e.nodes[i].next
+		next := e.nodes[i].next
+		bk.ord = next
+		if st := (e.nodes[i].key &^ orderedBand) >> 48; st < ordStreams &&
+			(next == 0 || (e.nodes[next].key&^orderedBand)>>48 != st) {
+			e.ordTails[bi][st] = 0
+		}
 	}
 	h, a, b := e.nodes[i].h, e.nodes[i].a, e.nodes[i].b
 	e.release(bi, i)
@@ -366,88 +401,6 @@ func (e *Engine) release(bi uint, i int32) {
 	if bk := &e.buckets[bi]; bk.head == 0 && bk.ord == 0 {
 		e.occ[bi>>6] &^= 1 << (bi & 63)
 	}
-}
-
-// sortOrdered puts a bucket's ordered list into ascending key order.
-// Sorting once per drain instead of at insert matters under the
-// conductor: a bucket is fed by many merges in non-monotone key order.
-//
-// The list holds the events newest first. When every key stream
-// (key>>48) arrived in ascending order — the conductor merge's
-// contract, one stream per source lane — reversing each stream and
-// concatenating the streams by id is already key order, so the
-// comparison sort only runs on the rest: more than maxOrdStreams
-// streams, or a stream that arrived out of order.
-func (e *Engine) sortOrdered(bk *bucket) {
-	if e.nodes[bk.ord].next == 0 {
-		return
-	}
-	st := e.streams[:0]
-	cur := -1 // the stream of the node walked last
-	i := bk.ord
-	for i != 0 {
-		n := &e.nodes[i]
-		id := n.key >> 48
-		if cur < 0 || st[cur].id != id {
-			cur = -1
-			for k := range st {
-				if st[k].id == id {
-					cur = k
-					break
-				}
-			}
-			if cur < 0 {
-				if len(st) == maxOrdStreams {
-					break
-				}
-				st = append(st, ordStream{id: id})
-				cur = len(st) - 1
-			}
-		}
-		s := &st[cur]
-		if s.head != 0 && n.key > e.nodes[s.head].key {
-			break // walked newest first, so a stream's keys must descend
-		}
-		next := n.next
-		n.next, s.head = s.head, i
-		if s.tail == 0 {
-			s.tail = i
-		}
-		i = next
-	}
-	// Streams by id (a handful: insertion sort), linked head to tail;
-	// whatever the walk stopped at hangs off the end, unsorted.
-	for k := 1; k < len(st); k++ {
-		for j := k; j > 0 && st[j].id < st[j-1].id; j-- {
-			st[j], st[j-1] = st[j-1], st[j]
-		}
-	}
-	link := &bk.ord
-	for k := range st {
-		*link = st[k].head
-		link = &e.nodes[st[k].tail].next
-	}
-	*link = i
-	e.streams = st
-	if i != 0 {
-		e.sortKeys(bk)
-	}
-}
-
-// sortKeys comparison-sorts a bucket's ordered list by key.
-func (e *Engine) sortKeys(bk *bucket) {
-	s := e.scratch[:0]
-	for i := bk.ord; i != 0; i = e.nodes[i].next {
-		s = append(s, ordKey{e.nodes[i].key, i})
-	}
-	slices.SortFunc(s, func(x, y ordKey) int { return cmp.Compare(x.key, y.key) })
-	link := &bk.ord
-	for _, k := range s {
-		*link = k.i
-		link = &e.nodes[k.i].next
-	}
-	*link = 0
-	e.scratch = s
 }
 
 // unlink removes a pending timer's node from the wheel by scanning its
