@@ -295,16 +295,16 @@ func (f *ChainFold) judge(fh *foldHeight) {
 			f.unrecognized++
 		}
 		node := &forkNode{hash: b.Hash, recognized: recognized}
-		if f.lastHasMain && f.last+1 == fh.number && b.Parent == f.lastMain {
+		// A block at height 1 stands on genesis, the main chain's
+		// block at height 0, which no view counts among its blocks.
+		if fh.number == 1 || f.lastHasMain && f.last+1 == fh.number && b.Parent == f.lastMain {
 			node.root = node
 			f.roots = append(f.roots, node)
 		} else if parent := findNode(f.open, b.Parent); parent != nil {
 			node.root = parent.root
 			parent.kids = append(parent.kids, node)
 		} else {
-			// Its parent hangs from no main-chain block: a block on
-			// genesis (which no view counts as main), or one whose
-			// parent was never observed. It opens no branch.
+			// Its parent was never observed: it opens no branch.
 			continue
 		}
 		f.nextOpen = append(f.nextOpen, node)

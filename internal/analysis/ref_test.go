@@ -78,7 +78,7 @@ func refForks(view *analysis.ChainView) (*analysis.ForksResult, error) {
 		} else {
 			res.UnrecognizedBlocks++
 		}
-		if view.MainSet[meta.Parent] {
+		if view.MainSet[meta.Parent] || meta.Number == 1 {
 			roots = append(roots, h)
 		} else {
 			children[meta.Parent] = append(children[meta.Parent], h)
