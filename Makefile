@@ -17,8 +17,9 @@ test-full:
 	$(GO) test ./...
 
 # Dependability gate: the full golden-artifact invariance harness
-# (every built-in spec and shipped scenario byte-identical at
-# -parallel 1 vs 8), the whole grid pin set (every cross-run ablation's
+# (every built-in spec and shipped scenario byte-identical at the
+# golden matrix's corners: -parallel 1 vs 8 on the serial loop, the
+# conductor at 2 and 6 workers), the whole grid pin set (every cross-run ablation's
 # metrics held bit-equal to the bespoke bodies the grids replaced,
 # including the workload grids E1/R1/R2 that -short skips) plus a short
 # D1 crash/recover campaign run through the real CLI.
@@ -88,45 +89,47 @@ test-obs:
 # 10k-node bytes-per-node heap ceiling and the 10k campaign build's
 # garbage ceiling (what NewCampaign allocates against what it keeps,
 # Network.Reserve included). Full tier: the 100k-node
-# scenario at its full size, byte-identical at -parallel 1 vs 8 and,
-# sharded, at 1 vs 6 workers with the run's exact event, window, stall
-# and merge counts pinned (opt-in via STRESS100K, which this target
-# sets). The tier's events/sec and bytes/node are columns of the
-# telemetry.json that `ethrepro -scenario
-# examples/scenarios/stress-100k.json -scale medium -out DIR` seals.
+# scenario at its full size, byte-identical on the serial loop at
+# -parallel 1 vs 8 and on the conductor at 1 and 6 workers, with the
+# conductor runs' exact event, window, stall and merge counts pinned
+# (opt-in via STRESS100K, which this target sets). The tier's
+# events/sec and bytes/node are columns of the telemetry.json that
+# `ethrepro -scenario examples/scenarios/stress-100k.json -scale medium
+# -out DIR` seals.
 test-stress:
 	$(GO) test -run TestBytesPerNodeCeiling -v ./internal/p2p/
 	$(GO) test -run TestOverlayBuildGarbage -v ./internal/core/
-	STRESS100K=1 $(GO) test -run 'TestGoldenStress100kParallelInvariance|TestGoldenShardStress100kInvariance' -v -timeout 90m ./internal/experiments
+	STRESS100K=1 $(GO) test -run 'TestGoldenStress100kParallelInvariance' -v -timeout 90m ./internal/experiments
 
 # Sharded-execution gate. The conductor's window-loop invariants (lane
-# panic containment included), its randomized differential test across
-# worker counts and that test's fuzz corpus, the warm barrier's
-# hygiene (no goroutine left behind, lowest-index panics, no spinning
-# beyond GOMAXPROCS), the engine queue's differential test
-# against the reference heap, the RNG fast path's draw-for-draw test
-# against math/rand/v2, the transport's lane-layout table (flight slab
-# reuse, observer views, parent interning at injection, conservation,
-# counter fold, merge time discipline, relay conformance on region
-# lanes), the campaign-level shard-count and
-# lookahead-bound invariance suites, the measurement fold's
-# raw-log-vs-streaming table (one-lane and region lanes), the
-# transaction flood pinned against the batch transport (the
-# index→transaction table is written in phase A and read in phase B)
+# panic containment included), its randomized differential test
+# against the serial loop across worker counts and that test's fuzz
+# corpus, the warm barrier's hygiene (no goroutine left behind,
+# lowest-index panics, no spinning beyond GOMAXPROCS), the engine
+# queue's differential test against the reference heap, the RNG fast
+# path's draw-for-draw test against math/rand/v2, the transport's
+# conductor half of the scheduler table (flight slab reuse, observer
+# views, parent interning at injection, conservation, counter fold,
+# merge time discipline, the pinned tx flood, relay conformance), the
+# campaign-level shard-count and lookahead-bound invariance suites,
+# the measurement fold's raw-log-vs-streaming table on the conductor
 # and the CLI's -shards scoping test run under the race detector — they
 # drive the cross-shard merge, the phase barriers and the lane-local
-# pools with real concurrency — then the shard-axis golden harness
-# runs its exhaustive acceptance sweep (SHARDGOLDEN=full:
-# every builtin spec and shipped scenario, shards {1,2,6} × -parallel
-# {1,8} byte-identical run directories; the plain `go test` tiers
-# check the grid corners on the short core instead, to stay inside
-# the package timeout). The full-size 100k sharded golden lives in
-# test-stress (STRESS100K).
+# pools with real concurrency; the serial-loop halves run on one
+# goroutine and stay in the plain tiers — then the golden matrix runs
+# its exhaustive sweep (SHARDGOLDEN=full: every builtin spec and
+# shipped scenario, shards {0,1,2,6} × -parallel {1,8} byte-identical
+# run directories; the plain `go test` tiers check the matrix's corners
+# instead, to stay inside the package timeout). The full-size 100k
+# conductor golden lives in test-stress (STRESS100K).
 test-shard:
 	$(GO) test -race -run 'TestConductor|FuzzConductorOrder|TestEachOutsideRun|TestCrewSpins|TestEngineMatchesReferenceOrder|TestRNGFastPathMatchesRand' -v ./internal/sim/
-	$(GO) test -race -run 'TestSharded|TestMessagePoolReuse|TestFlightViewMatchesMessage|TestTxFloodPinned|TestParentInternedAtInjection|TestTransportConservation|TestFoldLanes|TestMergeCross|TestProtocolConformance|TestStreamingMatchesRawLog|TestModesAgree|TestRawLogPinned' -v ./internal/p2p/... ./internal/core/ ./internal/measure/
+	$(GO) test -race -run '(TestMessagePoolReuse|TestFlightViewMatchesMessage|TestTxFloodPinned|TestParentInternedAtInjection|TestTransportConservation|TestFoldLanes|TestMergeCross)/region-lanes' -v ./internal/p2p/
+	$(GO) test -race -run 'TestShardedAllocationCeiling' -v ./internal/p2p/
+	$(GO) test -race -run 'TestProtocolConformance//region-lanes' -v ./internal/p2p/relay/
+	$(GO) test -race -run '(TestSharded|TestStreamingMatchesRawLog)//shards=2' -v ./internal/core/
 	$(GO) test -race -run 'TestShardsFlag' -v ./cmd/ethrepro/
-	SHARDGOLDEN=full $(GO) test -run 'TestGoldenShard' -v -timeout 90m ./internal/experiments
+	SHARDGOLDEN=full $(GO) test -run 'TestGolden(BuiltinSpecs|ScenarioArtifacts|RelaySpecs)ParallelInvariance' -v -timeout 90m ./internal/experiments
 
 # Fuzz lane: run every fuzz target for a bounded burst on top of the
 # committed seed corpora (which already execute as regular tests).

@@ -33,7 +33,8 @@ import (
 // RunSample is what the simulation core reports when one engine run
 // (a campaign or chain-only run) finishes.
 type RunSample struct {
-	// Engine is the engine's always-on counter snapshot.
+	// Engine is the always-on counter snapshot, summed across the run's
+	// engines.
 	Engine sim.EngineStats
 	// Messages/Bytes/Dropped are transport totals (zero for
 	// chain-only runs, which have no overlay).
@@ -43,11 +44,11 @@ type RunSample struct {
 	// Nodes is the overlay's node count (zero for chain-only runs) —
 	// the denominator for the bytes-per-node memory figure.
 	Nodes int
-	// Conductor is the window loop's counters when the run executed
-	// sharded, nil for single-engine runs. Engine above is then the
-	// cross-lane aggregate; Workers is the configured phase-B worker
-	// count and Lanes the per-lane engine snapshots, global lane
-	// first, then region lanes in region order.
+	// Conductor is the window loop's counters when the run executed on
+	// the conductor, nil otherwise; Workers is then the configured
+	// phase-B worker count. Lanes are the per-engine snapshots, global
+	// lane first, then region lanes in region order (one engine holding
+	// them all on the serial loop); only conductor runs fold them.
 	Conductor *sim.ConductorStats
 	Workers   int
 	Lanes     []sim.EngineStats
@@ -125,7 +126,7 @@ type RunTelemetry struct {
 	BytesPerNode  float64 `json:"bytes_per_node,omitempty"`
 	// Shard* sum sim.ConductorStats across the folded sharded runs
 	// (ShardWorkers is the largest configured worker count); all zero
-	// and omitted when every run was single-engine. ShardStalled counts
+	// and omitted when no run used the conductor. ShardStalled counts
 	// lane-windows lost to the conservative-lookahead bound,
 	// ShardLaneWindows the region-lane executions, so the stall share
 	// is stalled ÷ (stalled + lane-windows).
