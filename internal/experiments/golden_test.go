@@ -43,7 +43,9 @@ type goldenCombo struct {
 	parallel int
 }
 
-func (c goldenCombo) String() string { return fmt.Sprintf("shards=%d parallel=%d", c.shards, c.parallel) }
+func (c goldenCombo) String() string {
+	return fmt.Sprintf("shards=%d parallel=%d", c.shards, c.parallel)
+}
 
 // goldenMatrix returns the points compared against the reference
 // (shards 0, parallel 1).

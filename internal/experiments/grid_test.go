@@ -98,10 +98,8 @@ var gridConstants = map[string]map[string]struct {
 
 // gridPins is the SHA-256 of each moved spec's metrics before it became
 // a grid (sorted key=value lines, values in shortest round-trip form),
-// at ScaleSmall and seeds 42 and 7. The overlay grids' values are the
-// region-lane schedule's, which every -shards value has run since the
-// home-lane layout went: the bespoke bodies' metrics under the
-// conductor.
+// at ScaleSmall and seeds 42 and 7, on the region-lane schedule every
+// -shards value runs.
 var gridPins = map[string][2]string{
 	"L1": {"30f3427b49bc207ebcfa978c2ca461140649c4e391e90911ad6ba291acb29cc4", "ef37efd871f961b6b3df8dd46c4146e526f186976f6a8c2bdc1c5db8370b91b6"},
 	"E1": {"e40cd2223303f6cb3b76a3ed078f51e8b84465b740c4dc10f504ee935bf264e3", "443724fd84fdb77deb9d5c6cff50c0728f88a67f2388049242007ad5af38b84f"},

@@ -296,10 +296,7 @@ func TestModesAgree(t *testing.T) {
 }
 
 // TestRawLogPinned holds the raw log of the mixed run to fixed bytes:
-// folding first must not reorder, drop or re-field a single line. The
-// two-observer implementation wrote the run's log on the home lane the
-// transport then had; the pin is the same fold's log once the network's
-// region lanes carried the run.
+// folding first must not reorder, drop or re-field a single line.
 func TestRawLogPinned(t *testing.T) {
 	m, _ := mixedRun(t, false)
 	var buf bytes.Buffer

@@ -290,10 +290,7 @@ func checkConformance(t *testing.T, mode relay.Mode, conductor bool) {
 
 // conformancePins is the SHA-256 of each discipline's fixture run
 // (fixtureResult.digest), one per discipline: the serial loop and the
-// conductor run the region lanes to one schedule. The transport these
-// runs took was pinned before the disciplines moved from this package
-// into the transport, on the conductor, whose digest then hashed the
-// deliveries in its own cross-node order.
+// conductor run the region lanes to one schedule.
 var conformancePins = map[string]string{
 	"sqrt-push":     "74c50eb82293f943789fb3556efd5ce936b59a23846603c9e3f1753408f21f01",
 	"push-all":      "ae7c4f3dc104484159de067fe89cdbc827a0663b5f49df9ffe2ece8367ba2199",
