@@ -30,7 +30,7 @@ test-faults:
 
 # Relay gate: the conformance suite in internal/p2p/relay (liveness,
 # duplicate-fetch, bandwidth-accounting and determinism invariants plus
-# a pinned digest per relay discipline and lane layout, driving the
+# one pinned digest per relay discipline on both schedulers, driving the
 # disciplines in internal/p2p/relay.go through a real network) and its
 # zero-allocation ceiling, the R1/R2 + relay-compare golden invariance
 # harness, a `go test -cover` summary for internal/p2p/... (which runs

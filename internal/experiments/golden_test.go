@@ -30,10 +30,11 @@ import (
 // pinned.
 //
 // The default matrix checks the corners that cross every mechanism:
-// runner parallelism on the serial loop (0, 8), the two-lane conductor
-// (2, 1), and the six-lane merge under runner parallelism (6, 8).
-// SHARDGOLDEN=full, which `make test-shard` sets with a timeout sized
-// for it, runs the whole matrix.
+// runner parallelism on the serial loop (0, 8) over the tier's specs,
+// and on the -short core only — to stay inside the package timeout —
+// the two-lane conductor (2, 1) and the six-lane merge under runner
+// parallelism (6, 8). SHARDGOLDEN=full, which `make test-shard` sets
+// with a timeout sized for it, runs the whole matrix over every spec.
 
 const goldenSeed = 977
 
@@ -47,26 +48,35 @@ func (c goldenCombo) String() string {
 	return fmt.Sprintf("shards=%d parallel=%d", c.shards, c.parallel)
 }
 
-// goldenMatrix returns the points compared against the reference
-// (shards 0, parallel 1).
-func goldenMatrix() []goldenCombo {
-	if os.Getenv("SHARDGOLDEN") == "full" {
-		return []goldenCombo{{0, 8}, {1, 1}, {1, 8}, {2, 1}, {2, 8}, {6, 1}, {6, 8}}
-	}
-	return []goldenCombo{{0, 8}, {2, 1}, {6, 8}}
-}
-
-// assertGoldenMatrix runs specs at the reference point and at every
-// point of the matrix, and requires every run directory to be
-// byte-identical to the reference's.
-func assertGoldenMatrix(t *testing.T, specs []experiments.Spec, sets []*scenario.Set) {
+// assertGoldenMatrix runs the matrix (see above): specs at (0, 8) and
+// core, the subset of specs the -short tier runs (nil: none), at the
+// conductor points, each against a reference run of the same specs at
+// (0, 1); under SHARDGOLDEN=full, specs at every point. Every run
+// directory must be byte-identical to its reference's.
+func assertGoldenMatrix(t *testing.T, specs, core []experiments.Spec, sets []*scenario.Set) {
 	t.Helper()
-	ref := filepath.Join(t.TempDir(), "s0p1")
-	runGoldenAt(t, specs, ref, goldenCombo{0, 1}, sets, experiments.ScaleSmall, 2)
-	for _, c := range goldenMatrix() {
-		dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%dp%d", c.shards, c.parallel))
-		runGoldenAt(t, specs, dir, c, sets, experiments.ScaleSmall, 2)
-		assertDirsIdentical(t, ref, dir, c)
+	points := []goldenCombo{{0, 8}}
+	conductor := []goldenCombo{{2, 1}, {6, 8}}
+	if os.Getenv("SHARDGOLDEN") == "full" {
+		points, conductor, core = []goldenCombo{{0, 8}, {1, 1}, {1, 8}, {2, 1}, {2, 8}, {6, 1}, {6, 8}}, nil, nil
+	}
+	if len(core) == len(specs) {
+		points, conductor = append(points, conductor...), nil
+	}
+	for _, run := range []struct {
+		specs  []experiments.Spec
+		points []goldenCombo
+	}{{specs, points}, {core, conductor}} {
+		if len(run.specs) == 0 || len(run.points) == 0 {
+			continue
+		}
+		ref := filepath.Join(t.TempDir(), "s0p1")
+		runGoldenAt(t, run.specs, ref, goldenCombo{0, 1}, sets, experiments.ScaleSmall, 2)
+		for _, c := range run.points {
+			dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%dp%d", c.shards, c.parallel))
+			runGoldenAt(t, run.specs, dir, c, sets, experiments.ScaleSmall, 2)
+			assertDirsIdentical(t, ref, dir, c)
+		}
 	}
 }
 
@@ -169,15 +179,17 @@ func assertDirsIdentical(t *testing.T, a, b string, c goldenCombo) {
 // (the full set, or the short tier under -short) over the matrix and
 // asserts byte-identical run directories.
 func TestGoldenBuiltinSpecsParallelInvariance(t *testing.T) {
-	var specs []experiments.Spec
+	var specs, core []experiments.Spec
 	for _, s := range experiments.Specs() {
-		if testing.Short() && !goldenShortSpecs[s.ID] {
-			continue
-		}
 		if s.ID == "R1" || s.ID == "R2" {
 			// The relay specs have their own invariance test below so
 			// make test-relay can select them; running them here too
 			// would double the full tier's heaviest sweeps.
+			continue
+		}
+		if goldenShortSpecs[s.ID] {
+			core = append(core, s)
+		} else if testing.Short() {
 			continue
 		}
 		specs = append(specs, s)
@@ -185,7 +197,7 @@ func TestGoldenBuiltinSpecsParallelInvariance(t *testing.T) {
 	if len(specs) == 0 {
 		t.Fatal("no specs selected")
 	}
-	assertGoldenMatrix(t, specs, nil)
+	assertGoldenMatrix(t, specs, core, nil)
 }
 
 // TestGoldenScenarioArtifactsParallelInvariance compiles every shipped
@@ -225,7 +237,11 @@ func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertGoldenMatrix(t, specs, []*scenario.Set{set})
+			var core []experiments.Spec
+			if goldenShortScenarios[name] {
+				core = specs
+			}
+			assertGoldenMatrix(t, specs, core, []*scenario.Set{set})
 		})
 	}
 	if !sawPartitionHeal {
@@ -238,7 +254,9 @@ func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
 
 // TestGoldenRelaySpecsParallelInvariance pins the relay subsystem's
 // registry specs — R1's per-protocol shoot-out and R2's
-// mempool-divergence sweep — to the same matrix.
+// mempool-divergence sweep — to the same matrix; their conductor
+// points run under SHARDGOLDEN=full (relay-compare.json covers the
+// conductor's relay determinism in the plain tiers).
 // Skipped under -short (each spec runs a multi-campaign sweep); the
 // full tier and `make test-relay` run it.
 func TestGoldenRelaySpecsParallelInvariance(t *testing.T) {
@@ -249,5 +267,5 @@ func TestGoldenRelaySpecsParallelInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertGoldenMatrix(t, specs, nil)
+	assertGoldenMatrix(t, specs, nil, nil)
 }

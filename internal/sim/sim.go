@@ -208,7 +208,7 @@ type Engine struct {
 	free  int32
 	// ordTails[b][s] is the last node of key stream s in bucket b's
 	// ordered list, 0 none; made with the engine's first ordered event.
-	ordTails []([ordStreams]int32)
+	ordTails [][ordStreams]int32
 	far      []farEvent
 	occ      [wheelSize / 64]uint64
 	buckets  [wheelSize]bucket
