@@ -129,7 +129,7 @@ test-shard:
 	$(GO) test -race -run 'TestProtocolConformance//region-lanes' -v ./internal/p2p/relay/
 	$(GO) test -race -run '(TestSharded|TestStreamingMatchesRawLog)//shards=2' -v ./internal/core/
 	$(GO) test -race -run 'TestShardsFlag' -v ./cmd/ethrepro/
-	SHARDGOLDEN=full $(GO) test -run 'TestGolden(BuiltinSpecs|ScenarioArtifacts|RelaySpecs)ParallelInvariance' -v -timeout 90m ./internal/experiments
+	SHARDGOLDEN=full $(GO) test -run 'TestGolden(Shard)?(BuiltinSpecs|ScenarioArtifacts|RelaySpecs)(Parallel)?Invariance' -v -timeout 90m ./internal/experiments
 
 # Fuzz lane: run every fuzz target for a bounded burst on top of the
 # committed seed corpora (which already execute as regular tests).

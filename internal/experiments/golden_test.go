@@ -29,12 +29,13 @@ import (
 // to, so the exact artifact surface of `ethrepro -shards n` is what is
 // pinned.
 //
-// The default matrix checks the corners that cross every mechanism:
-// runner parallelism on the serial loop (0, 8) over the tier's specs,
-// and on the -short core only — to stay inside the package timeout —
-// the two-lane conductor (2, 1) and the six-lane merge under runner
-// parallelism (6, 8). SHARDGOLDEN=full, which `make test-shard` sets
-// with a timeout sized for it, runs the whole matrix over every spec.
+// Each surface has two tests over the one matrix: the *Parallel* test
+// walks the runner-parallelism axis on the serial loop (0, 8) over the
+// tier's specs, the *Shard* test the conductor axis — by default the
+// two-lane conductor (2, 1) and the six-lane merge under runner
+// parallelism (6, 8), on the -short core only to stay inside the
+// package timeout. SHARDGOLDEN=full, which `make test-shard` sets with
+// a timeout sized for it, runs every point over every spec.
 
 const goldenSeed = 977
 
@@ -48,35 +49,33 @@ func (c goldenCombo) String() string {
 	return fmt.Sprintf("shards=%d parallel=%d", c.shards, c.parallel)
 }
 
-// assertGoldenMatrix runs the matrix (see above): specs at (0, 8) and
-// core, the subset of specs the -short tier runs (nil: none), at the
-// conductor points, each against a reference run of the same specs at
-// (0, 1); under SHARDGOLDEN=full, specs at every point. Every run
-// directory must be byte-identical to its reference's.
-func assertGoldenMatrix(t *testing.T, specs, core []experiments.Spec, sets []*scenario.Set) {
+// goldenFull reports whether the exhaustive sweep was requested
+// (SHARDGOLDEN=full, the make test-shard lane).
+func goldenFull() bool { return os.Getenv("SHARDGOLDEN") == "full" }
+
+// goldenParallelPoints is the runner-parallelism axis on the serial loop.
+var goldenParallelPoints = []goldenCombo{{0, 8}}
+
+// goldenConductorPoints is the conductor axis: its corners by default,
+// every worker count crossed with -parallel {1, 8} under SHARDGOLDEN=full.
+func goldenConductorPoints() []goldenCombo {
+	if goldenFull() {
+		return []goldenCombo{{1, 1}, {1, 8}, {2, 1}, {2, 8}, {6, 1}, {6, 8}}
+	}
+	return []goldenCombo{{2, 1}, {6, 8}}
+}
+
+// assertGoldenMatrix runs specs at each of points and at the reference
+// (0, 1); every run directory must be byte-identical to the
+// reference's.
+func assertGoldenMatrix(t *testing.T, specs []experiments.Spec, points []goldenCombo, sets []*scenario.Set) {
 	t.Helper()
-	points := []goldenCombo{{0, 8}}
-	conductor := []goldenCombo{{2, 1}, {6, 8}}
-	if os.Getenv("SHARDGOLDEN") == "full" {
-		points, conductor, core = []goldenCombo{{0, 8}, {1, 1}, {1, 8}, {2, 1}, {2, 8}, {6, 1}, {6, 8}}, nil, nil
-	}
-	if len(core) == len(specs) {
-		points, conductor = append(points, conductor...), nil
-	}
-	for _, run := range []struct {
-		specs  []experiments.Spec
-		points []goldenCombo
-	}{{specs, points}, {core, conductor}} {
-		if len(run.specs) == 0 || len(run.points) == 0 {
-			continue
-		}
-		ref := filepath.Join(t.TempDir(), "s0p1")
-		runGoldenAt(t, run.specs, ref, goldenCombo{0, 1}, sets, experiments.ScaleSmall, 2)
-		for _, c := range run.points {
-			dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%dp%d", c.shards, c.parallel))
-			runGoldenAt(t, run.specs, dir, c, sets, experiments.ScaleSmall, 2)
-			assertDirsIdentical(t, ref, dir, c)
-		}
+	ref := filepath.Join(t.TempDir(), "s0p1")
+	runGoldenAt(t, specs, ref, goldenCombo{0, 1}, sets, experiments.ScaleSmall, 2)
+	for _, c := range points {
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%dp%d", c.shards, c.parallel))
+		runGoldenAt(t, specs, dir, c, sets, experiments.ScaleSmall, 2)
+		assertDirsIdentical(t, ref, dir, c)
 	}
 }
 
@@ -175,21 +174,15 @@ func assertDirsIdentical(t *testing.T, a, b string, c goldenCombo) {
 	}
 }
 
-// TestGoldenBuiltinSpecsParallelInvariance runs the built-in registry
-// (the full set, or the short tier under -short) over the matrix and
-// asserts byte-identical run directories.
-func TestGoldenBuiltinSpecsParallelInvariance(t *testing.T) {
-	var specs, core []experiments.Spec
+// goldenBuiltinSpecs selects the built-in registry: every spec, or
+// only the -short core when all is false. The relay specs R1/R2 have
+// their own invariance test below so make test-relay can select them;
+// running them here too would double the full tier's heaviest sweeps.
+func goldenBuiltinSpecs(t *testing.T, all bool) []experiments.Spec {
+	t.Helper()
+	var specs []experiments.Spec
 	for _, s := range experiments.Specs() {
-		if s.ID == "R1" || s.ID == "R2" {
-			// The relay specs have their own invariance test below so
-			// make test-relay can select them; running them here too
-			// would double the full tier's heaviest sweeps.
-			continue
-		}
-		if goldenShortSpecs[s.ID] {
-			core = append(core, s)
-		} else if testing.Short() {
+		if s.ID == "R1" || s.ID == "R2" || (!all && !goldenShortSpecs[s.ID]) {
 			continue
 		}
 		specs = append(specs, s)
@@ -197,16 +190,32 @@ func TestGoldenBuiltinSpecsParallelInvariance(t *testing.T) {
 	if len(specs) == 0 {
 		t.Fatal("no specs selected")
 	}
-	assertGoldenMatrix(t, specs, core, nil)
+	return specs
 }
 
-// TestGoldenScenarioArtifactsParallelInvariance compiles every shipped
-// scenario file (sweep variants and fault schedules included) and
-// asserts the same invariance, per file, with the embedded
-// scenario.json included in the comparison — the full `ethrepro
-// -scenario f.json -out dir` surface. The 100k file runs here at small
-// scale; its full size is the STRESS100K tier (stress_test.go).
-func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
+// TestGoldenBuiltinSpecsParallelInvariance runs the built-in registry
+// (the full set, or the short tier under -short) on the serial loop at
+// -parallel 8 and asserts byte-identical run directories.
+func TestGoldenBuiltinSpecsParallelInvariance(t *testing.T) {
+	assertGoldenMatrix(t, goldenBuiltinSpecs(t, !testing.Short()), goldenParallelPoints, nil)
+}
+
+// TestGoldenShardBuiltinSpecsInvariance runs the built-in registry on
+// the conductor axis — by default the short core (the paper specs plus
+// the dependability specs, which exercise the fault injector's
+// region-keyed loss streams), under SHARDGOLDEN=full every spec.
+func TestGoldenShardBuiltinSpecsInvariance(t *testing.T) {
+	assertGoldenMatrix(t, goldenBuiltinSpecs(t, goldenFull()), goldenConductorPoints(), nil)
+}
+
+// runGoldenScenarios compiles each shipped scenario file that keep
+// selects and asserts the matrix at points, per file in a subtest, with
+// the embedded scenario.json included in the comparison — the full
+// `ethrepro -scenario f.json -out dir` surface. It fails unless both
+// acceptance gates ran: partition-heal.json for fault determinism,
+// relay-compare.json for relay-protocol determinism.
+func runGoldenScenarios(t *testing.T, keep func(name string) bool, points []goldenCombo) {
+	t.Helper()
 	pattern := filepath.Join("..", "..", "examples", "scenarios", "*.json")
 	paths, err := filepath.Glob(pattern)
 	if err != nil {
@@ -219,7 +228,7 @@ func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
 	sawPartitionHeal, sawRelayCompare := false, false
 	for _, path := range paths {
 		name := filepath.Base(path)
-		if testing.Short() && !goldenShortScenarios[name] {
+		if !keep(name) {
 			continue
 		}
 		switch name {
@@ -237,11 +246,7 @@ func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var core []experiments.Spec
-			if goldenShortScenarios[name] {
-				core = specs
-			}
-			assertGoldenMatrix(t, specs, core, []*scenario.Set{set})
+			assertGoldenMatrix(t, specs, points, []*scenario.Set{set})
 		})
 	}
 	if !sawPartitionHeal {
@@ -250,6 +255,26 @@ func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
 	if !sawRelayCompare {
 		t.Error("relay-compare.json missing: the relay-determinism acceptance gate did not run")
 	}
+}
+
+// TestGoldenScenarioArtifactsParallelInvariance runs every shipped
+// scenario file (sweep variants and fault schedules included; the
+// acceptance subset under -short) on the serial loop at -parallel 8.
+// The 100k file runs here at small scale; its full size is the
+// STRESS100K tier (stress_test.go).
+func TestGoldenScenarioArtifactsParallelInvariance(t *testing.T) {
+	runGoldenScenarios(t, func(name string) bool {
+		return !testing.Short() || goldenShortScenarios[name]
+	}, goldenParallelPoints)
+}
+
+// TestGoldenShardScenarioArtifactsInvariance runs the acceptance
+// scenarios (baseline, partition-heal, relay-compare; every shipped
+// file under SHARDGOLDEN=full) on the conductor axis.
+func TestGoldenShardScenarioArtifactsInvariance(t *testing.T) {
+	runGoldenScenarios(t, func(name string) bool {
+		return goldenFull() || goldenShortScenarios[name]
+	}, goldenConductorPoints())
 }
 
 // TestGoldenRelaySpecsParallelInvariance pins the relay subsystem's
@@ -267,5 +292,9 @@ func TestGoldenRelaySpecsParallelInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertGoldenMatrix(t, specs, nil, nil)
+	points := goldenParallelPoints
+	if goldenFull() {
+		points = append(points[:len(points):len(points)], goldenConductorPoints()...)
+	}
+	assertGoldenMatrix(t, specs, points, nil)
 }
