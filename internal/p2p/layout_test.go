@@ -156,33 +156,69 @@ func (f *layoutFixture) inFlightTo(n *Node) int {
 // where the in-flight drops are counted independently — the deliveries
 // addressed to the victim at the instant it crashes — and whatever else
 // MessagesDropped holds is send-time drops.
+//
+// The crash instant comes from the fixture's own run: a probe run
+// without the crash finds the first delivery to the victim, and the
+// crash lands 1 ms before it arrives. Every delay is at least the
+// pair's MinPairDelay, at least 2 ms, so that delivery left its sender
+// before the crash and is on the wire when it fires, whatever the
+// latency model draws.
 func TestTransportConservation(t *testing.T) {
-	const crashAt = 120 * sim.Millisecond
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
-			f := newLayoutFixture(t, lay.conductor, 9, relay.SqrtPush)
-			nodes := f.addSpread(t, 30)
-			if err := f.net.WireRandom(6); err != nil {
-				t.Fatal(err)
+			type fixture struct {
+				*layoutFixture
+				nodes  []*Node
+				victim *Node
 			}
-			victim := nodes[17]
-			if err := f.net.ConnectSample(victim, 20); err != nil {
-				t.Fatal(err)
-			}
-			f.start(t)
-			// Crash the victim from the fixture's global engine (every
-			// lane idle) while the first spread still has traffic on the
-			// wire to it; the later blocks run into the hole it leaves.
 			blocks := chainOf(3)
-			inFlight := 0
-			engine := f.global
-			engine.Schedule(0, func(now sim.Time) { nodes[0].InjectBlock(now, blocks[0]) })
-			engine.Schedule(crashAt, func(sim.Time) {
-				inFlight = f.inFlightTo(victim)
-				f.net.CrashNode(victim)
+			build := func() fixture {
+				f := newLayoutFixture(t, lay.conductor, 9, relay.SqrtPush)
+				nodes := f.addSpread(t, 30)
+				if err := f.net.WireRandom(6); err != nil {
+					t.Fatal(err)
+				}
+				victim := nodes[17]
+				if err := f.net.ConnectSample(victim, 20); err != nil {
+					t.Fatal(err)
+				}
+				f.start(t)
+				// The fixture's global engine carries the injections;
+				// the later blocks run into the hole the crash leaves.
+				f.global.Schedule(0, func(now sim.Time) { nodes[0].InjectBlock(now, blocks[0]) })
+				f.global.Schedule(10_000, func(now sim.Time) { nodes[3].InjectBlock(now, blocks[1]) })
+				f.global.Schedule(20_000, func(now sim.Time) { nodes[4].InjectBlock(now, blocks[2]) })
+				return fixture{f, nodes, victim}
+			}
+
+			probe := build()
+			arrival, from := sim.Time(-1), NodeID(0)
+			probe.victim.SetObserver(func(now sim.Time, sender NodeID, _ *Message) {
+				if arrival < 0 {
+					arrival, from = now, sender
+				}
 			})
-			engine.Schedule(10_000, func(now sim.Time) { nodes[3].InjectBlock(now, blocks[1]) })
-			engine.Schedule(20_000, func(now sim.Time) { nodes[4].InjectBlock(now, blocks[2]) })
+			probe.run(2)
+			if arrival < 0 {
+				t.Fatal("the probe run delivered nothing to the victim")
+			}
+			sender, err := probe.net.Node(from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if floor, _ := geo.DefaultLatencyModel().MinPairDelay(sender.Region(), probe.victim.Region()); floor < 2 {
+				t.Fatalf("MinPairDelay(%v, %v) = %v: 1 ms before arrival may precede the send", sender.Region(), probe.victim.Region(), floor)
+			}
+			crashAt := arrival - 1
+
+			// Crash the victim from the global engine (every lane idle)
+			// while that first delivery is on the wire to it.
+			f := build()
+			inFlight := 0
+			f.global.Schedule(crashAt, func(sim.Time) {
+				inFlight = f.inFlightTo(f.victim)
+				f.net.CrashNode(f.victim)
+			})
 			f.run(2)
 			f.net.FoldLanes()
 
@@ -190,7 +226,7 @@ func TestTransportConservation(t *testing.T) {
 				t.Fatal("nothing was in flight to the victim; the test is vacuous")
 			}
 			var out, in uint64
-			for _, n := range nodes {
+			for _, n := range f.nodes {
 				out += n.MessagesOut()
 				in += n.MessagesIn()
 			}
@@ -205,7 +241,7 @@ func TestTransportConservation(t *testing.T) {
 			if dropped < uint64(inFlight) {
 				t.Errorf("MessagesDropped %d < in-flight drops %d", dropped, inFlight)
 			}
-			t.Logf("sent %d, in-flight drops %d, send-time drops %d", sent, inFlight, dropped-uint64(inFlight))
+			t.Logf("crash at %v, sent %d, in-flight drops %d, send-time drops %d", crashAt, sent, inFlight, dropped-uint64(inFlight))
 		})
 	}
 }
