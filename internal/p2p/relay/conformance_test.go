@@ -288,24 +288,31 @@ func checkConformance(t *testing.T, mode relay.Mode, conductor bool) {
 	}
 }
 
-// livenessSeeds is the seed range TestProtocolLiveness sweeps: seeds
-// 1 through livenessSeeds.
-const livenessSeeds = 400
+// The seed range TestProtocolLiveness sweeps: livenessSeeds seeds from
+// firstLivenessSeed on. Stranding is a rare event for sqrt-push and
+// compact (about 2% of seeds), so the range must be long for three
+// standard deviations to be a tight bound: over seeds 1..400 their
+// model-2 counts were 6 and 10, and a 400-seed window cannot tell a
+// rate of 1.5% from one of 3.5%.
+const (
+	firstLivenessSeed = 1000
+	livenessSeeds     = 2000
+)
 
 // strandedAtModel2 is, per discipline whose liveness is probabilistic,
-// the number of seeds in 1..livenessSeeds at which the fixture left at
-// least one node without some block under latency model version 2.
+// the number of seeds in the liveness range at which the fixture left
+// at least one node without some block under latency model version 2.
 // The announce waves are sqrt-bounded, so every wave can skip a node;
 // announce-only has no full-body push to make up for it. push-all and
 // hybrid stranded none.
 var strandedAtModel2 = map[string]int{
-	"sqrt-push":     6,
-	"announce-only": 323,
-	"compact":       10,
+	"sqrt-push":     39,
+	"announce-only": 1581,
+	"compact":       32,
 }
 
 // TestProtocolLiveness is invariant 1. Every discipline runs the
-// fixture at seeds 1..livenessSeeds on the serial loop (the conductor
+// fixture at every seed of the liveness range on the serial loop (the conductor
 // runs the same schedule). push-all and hybrid must deliver every
 // block to every node at every seed. A sqrt-bounded discipline may
 // strand a node, but its stranded-seed count must stay within three
@@ -318,7 +325,7 @@ func TestProtocolLiveness(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
 			stranded, first := 0, ""
-			for seed := uint64(1); seed <= livenessSeeds; seed++ {
+			for seed := uint64(firstLivenessSeed); seed < firstLivenessSeed+livenessSeeds; seed++ {
 				if miss := fixture(t, relay.Config{Mode: mode}, seed, false, false).stranded(); miss != "" {
 					if stranded == 0 {
 						first = fmt.Sprintf("seed %d: %s", seed, miss)
