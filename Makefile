@@ -133,8 +133,10 @@ test-shard:
 
 # Fuzz lane: run every fuzz target for a bounded burst on top of the
 # committed seed corpora (which already execute as regular tests).
+# FuzzEngineOrder and FuzzAdjacencyChurn cap minimization at 2 s per
+# input: minimizing their long op scripts otherwise eats the burst.
 fuzz:
-	$(GO) test -fuzz FuzzEngineOrder -fuzztime 30s ./internal/sim/
+	$(GO) test -fuzz FuzzEngineOrder -fuzztime 30s -fuzzminimizetime 2s ./internal/sim/
 	$(GO) test -fuzz FuzzRNGFastPath -fuzztime 15s ./internal/sim/
 	$(GO) test -fuzz FuzzConductorOrder -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzAdjacencyChurn -fuzztime 30s -fuzzminimizetime 2s ./internal/p2p/
@@ -145,7 +147,7 @@ fuzz:
 	$(GO) test -fuzz FuzzChainFold -fuzztime 30s ./internal/analysis/
 	$(GO) test -fuzz FuzzBuildIndex -fuzztime 30s ./internal/analysis/
 	$(GO) test -fuzz FuzzHeaderEncoding -fuzztime 15s ./internal/types/
-	$(GO) test -fuzz FuzzSampleExact -fuzztime 15s ./internal/geo/
+	$(GO) test -fuzz FuzzSampleFloor -fuzztime 15s ./internal/geo/
 
 # The fuzz targets CI runs past their seed corpora: the settled
 # chain-only path against the whole tree (main chain and analysis

@@ -99,17 +99,18 @@ var gridConstants = map[string]map[string]struct {
 // gridPins is the SHA-256 of each moved spec's metrics before it became
 // a grid (sorted key=value lines, values in shortest round-trip form),
 // at ScaleSmall and seeds 42 and 7, on the region-lane schedule every
-// -shards value runs.
+// -shards value runs. The specs that send messages (all but L1 and W1)
+// were re-recorded under latency model version 3.
 var gridPins = map[string][2]string{
 	"L1": {"30f3427b49bc207ebcfa978c2ca461140649c4e391e90911ad6ba291acb29cc4", "ef37efd871f961b6b3df8dd46c4146e526f186976f6a8c2bdc1c5db8370b91b6"},
-	"E1": {"e40cd2223303f6cb3b76a3ed078f51e8b84465b740c4dc10f504ee935bf264e3", "443724fd84fdb77deb9d5c6cff50c0728f88a67f2388049242007ad5af38b84f"},
-	"A1": {"d0902c4f1e89b88e24c8b836de123c3b8ca31ddf3d66937e31a4fd158747060d", "8ed1173b6d0755319bac3026c71e7d570b1f767e541135b4cffc3833ebc4155d"},
-	"A2": {"48e1868bb6a1049dc2ec663bebb148430f73a2c2a7fb02129930438a989d1379", "1c4a39eea526c7283e63cf145098006841f4ac77c3ab015465561fc620a868ce"},
-	"D1": {"6451f8a99efca6ee0991114d085c9890c905fba2745d381e98ed91ebe1307d2c", "7aeaa6c415ea9523876e7a1ed55ccd2a51167473f2cc034573c43361a24c4e35"},
-	"D2": {"0a05b5eda26f7b4089f4cfeaf6efd0b7d6f77de8d111b5d87682211583b53705", "b348b63b25fda2652a05fdcab9a1baefc7bdbd013bed497f659410847723f667"},
-	"D3": {"8a447fa3b43f520446eccee44fb7a96f24451eead0c6040912007864d6149ccd", "73239717b4ba4bd541811db66d5bd6370ab96506902f8cb11fe0f6b4949a012d"},
-	"R1": {"aca3aa8cd641784cec198a44a59f298b397d688dcd791678059afb1237f0704c", "a14bdeaa9b08be4a5532cd99fa51d8547970c05c141d3b2e4221268648049cc7"},
-	"R2": {"fabd3d0ff77d2ca28871f141ad2be0cc8178188cf0d828db3d140ff4f65340f9", "b7a7c0442ac69c5bebb6272a2968f7cc14b3db32d7d2c03bf26a72228b993c51"},
+	"E1": {"f60bbb57fc12d8797cc6f647831d644233133dc2da0a168dcaf79f17d610e86b", "8c9978a556ff7cceb7e3ba141f40f97a7db71b24be188926595fd15042d56e82"},
+	"A1": {"59bd0ccf937b5ec758f82294b292ea5cf651a4e96c4ab842927d5504aeb75053", "5bce5a1a827a252207adc8ccfca25b7221234c7a8f6825b20a83d78c5823beeb"},
+	"A2": {"07af38b9ad8819dd9a63f83c0cbe83939ae22b01c5fbab1e7f09ce256735bcf5", "1c85e9c3fb22d4a460341e5027397880323ce8a3ba9e382a5b01f53127720aac"},
+	"D1": {"01e104e237fb7d7f8a1dd1f41a25d3bacdd0812559af2b02bf367604e0c21d83", "5141dedb7488267582e67007bcb62d2f12f046684731fb9a727e2e0e12682eba"},
+	"D2": {"26f936ea198b0e50494a28f56b766154714139bf4749e4239501ce69892c160f", "4935493a0ea124c89ae2d59b317515f40905fb1a78239597a59e371cee879460"},
+	"D3": {"b9e60cb95dee58cd8920ab1ac6736b3a0305744e6d1f3c78830134556f804f77", "389f8d3d4b3bc002034d5c5f97aab69b55b92d5f6be2f582a76b8e4a3220e42d"},
+	"R1": {"b3f4b43b0920e1ee20fae64d7d65df7e2ed45eb3120c093564a1317fc59b2624", "789087ced27a9aa9e05923c30d28f688c1d722725ed8aa95277d9921e52a6f5b"},
+	"R2": {"db68bcfee88713695c942512cc84537acabd4f2377564e64f78de06a89224d0e", "f206e035d7bee9f7ac6ee73cbad158ea5236f1e89c84ce74c63686a8b0320dd6"},
 	"W1": {"8926831b8c804d0614262b725c8771117691969ce3dbe2de3d9afb1639c34ab7", "9b7c96730c8a449453a7ecf9cb1052bd540152360d3379f44dcd075eeab51fc7"},
 }
 

@@ -11,6 +11,7 @@ package geo
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -167,134 +168,104 @@ func BaseDelay(from, to Region) (sim.Time, error) {
 }
 
 // Sample draws a one-way delay for a message of size bytes from one
-// region to another. It returns an error on invalid regions.
-//
-// The draws are the jitter's standard normal (only when JitterSigma >
-// 0) and then the retransmit Bernoulli (only when RetransmitProb > 0);
-// everything after them is sampleAt.
+// region to another. It returns an error on invalid regions; otherwise
+// it draws exactly one rng.Uint64() and hands it to sampleAt.
 func (m LatencyModel) Sample(rng *sim.RNG, from, to Region, bytes int) (sim.Time, error) {
 	if !from.Valid() || !to.Valid() {
 		return 0, fmt.Errorf("geo: invalid region pair (%v, %v)", from, to)
 	}
-	var z float64
-	if m.JitterSigma > 0 {
-		z = rng.NormFloat64()
-	}
-	lost := m.RetransmitProb > 0 && rng.Bernoulli(m.RetransmitProb)
-	return m.sampleAt(baseOneWayMillis[from][to], bytes, z, lost), nil
+	return m.sampleAt(baseOneWayMillis[from][to], bytes, rng.Uint64()), nil
 }
 
-// sampleAt is Sample after its draws, for a pair of the given base
-// delay: z is the jitter's standard normal, lost whether the message
-// paid a loss episode. The delay is
+// sampleAt is Sample after its draw u, for a pair of the given base
+// delay. The high 32 bits of u pick the jitter multiplier's quantile
+// (jitterTable.at); the low 32 bits decide the retransmit, which
+// happens when they fall below RetransmitProb·2³² (never at 0, always
+// at 1). The delay is
 //
-//	max(base·exp(σz) + transfer [+ penalty + base], floor)
+//	max(base·jitter + transfer [+ penalty + base], floor)
 //
-// truncated to sim.Time, and every result is the one math.Exp gives:
-// the table path (tableDelay) is taken only where its error cannot
-// move the truncation.
-func (m LatencyModel) sampleAt(base float64, bytes int, z float64, lost bool) sim.Time {
-	transfer := 0.0
+// truncated to sim.Time. The clamp mirrors minPairMillis exactly, so
+// MinPairDelay is a true lower bound on every sample.
+func (m LatencyModel) sampleAt(base float64, bytes int, u uint64) sim.Time {
+	jitter := 1.0
+	if m.JitterSigma > 0 {
+		jitter = jitterFor(m.JitterSigma).at(uint32(u >> 32))
+	}
+	d := base * jitter
 	if m.BytesPerMillisecond > 0 && bytes > 0 {
-		transfer = float64(bytes) / m.BytesPerMillisecond
+		d += float64(bytes) / m.BytesPerMillisecond
 	}
-	extra := 0.0
-	if lost {
+	if float64(uint32(u)) < m.RetransmitProb*0x1p32 {
 		// One loss episode: RTO plus a fresh traversal of the path.
-		extra = m.RetransmitPenaltyMillis + base
-	}
-	if m.JitterSigma <= 0 {
-		return m.clamp(base, base+transfer+extra)
-	}
-	s := m.JitterSigma * z
-	if d, ok := tableDelay(base, transfer, extra, s); ok {
-		return m.clamp(base, d)
-	}
-	// The reference expression: the log-normal multiplier through
-	// math.Exp, then the sums in their historical order.
-	d := base*math.Exp(0+s) + transfer
-	if lost {
 		d += m.RetransmitPenaltyMillis + base
 	}
-	return m.clamp(base, d)
-}
-
-// tableDelay is base·e^s + transfer + extra with e^s from expTable; ok
-// is false wherever that delay might truncate differently from the one
-// math.Exp gives.
-//
-// Let d' be the delay with the table's e and d the one with E =
-// math.Exp(s). |e − exp(s)| ≤ 2^-44·exp(s) (expTable) and |E − exp(s)|
-// ≤ 2^-52·exp(s) (math.Exp is within one ulp), so base·|e − E| ≤
-// 1.01·2^-44·base·e. Both sides then round one product and two sums;
-// rounding is monotone, so each step widens the gap by at most one ulp
-// of its operands' magnitude, ≤ 2^-52·M each with M = base·e + transfer
-// + |extra|. Hence |d − d'| < 2^-43·M, and with δ = 2^-40·M (eight
-// times that) a d' farther than δ from every integer has d strictly
-// between the same two integers. The floor clamp commutes:
-// trunc(max(x, f)) = max(trunc(x), trunc(f)). A negative, integral
-// (|d'| ≥ 2^52) or non-finite d' has no fraction in (δ, 1−δ) and is
-// declined.
-func tableDelay(base, transfer, extra, s float64) (float64, bool) {
-	e, ok := expTable(s)
-	if !ok {
-		return 0, false
-	}
-	d := base*e + transfer + extra
-	delta := (base*e + transfer + math.Abs(extra)) * 0x1p-40
-	frac := d - math.Trunc(d)
-	return d, frac > delta && frac < 1-delta
-}
-
-// clamp applies the pair floor and truncates. The clamp mirrors
-// minPairMillis exactly so that MinPairDelay is a true lower bound on
-// every sample; it runs after all RNG draws, so a clamped sample
-// consumes the same draw count as an unclamped one.
-func (m LatencyModel) clamp(base, d float64) sim.Time {
 	if f := m.minPairMillis(base); d < f {
 		d = f
 	}
 	return sim.Time(d)
 }
 
-// exp2Table[j] is 2^(j/64).
-var exp2Table = func() (t [64]float64) {
-	for j := range t {
-		t[j] = math.Exp2(float64(j) / 64)
+// jitterBits is log2 of the jitter table's cell count: 4,096 cells,
+// whose knots take 32 KB.
+const jitterBits = 12
+
+// jitterTable is the inverse CDF of the log-normal jitter multiplier
+// exp(σ·Z), Z standard normal, for one σ: knot[i] is its value at the
+// quantile i/2^jitterBits (knot[0] is unused).
+type jitterTable struct {
+	sigma float64
+	knot  [1 << jitterBits]float64
+}
+
+// newJitterTable builds the table of one σ.
+func newJitterTable(sigma float64) *jitterTable {
+	t := &jitterTable{sigma: sigma}
+	for i := 1; i < len(t.knot); i++ {
+		t.knot[i] = t.exact(float64(i) / (1 << jitterBits))
 	}
 	return t
-}()
+}
 
-// expTableRange bounds the arguments expTable accepts.
-const expTableRange = 64
+// exact is the multiplier at quantile q: exp(σ·Φ⁻¹(q)).
+func (t *jitterTable) exact(q float64) float64 {
+	return math.Exp(t.sigma * math.Sqrt2 * math.Erfinv(2*q-1))
+}
 
-// expTable returns exp(s) to within 2^-44 relative for |s| <
-// expTableRange (ok false outside it). s = (64q + j)·ln2/64 + r with
-// |r| ≤ ln2/128, so exp(s) = 2^q · 2^(j/64) · exp(r); exp(r) is its
-// degree-4 Taylor polynomial, whose remainder r^5/120·e^|r| < 3.91e-14
-// dominates the table entry's one ulp and the eight roundings of the
-// reduction, polynomial and product (under 1e-15 together): the total
-// is under 2^-44 = 5.7e-14 (TestExpTableBound). Scaling by 2^q is
-// exact.
-func expTable(s float64) (float64, bool) {
-	if !(s > -expTableRange && s < expTableRange) {
-		return 0, false
+// at is the multiplier at the quantile (h + 1/2)/2³². Inside the table
+// it interpolates linearly between the cell's two knots, which keeps it
+// nondecreasing in h; the two end cells, where the quantile function
+// runs off to 0 and to infinity, are computed exactly, so neither tail
+// is truncated.
+func (t *jitterTable) at(h uint32) float64 {
+	const cellBits = 32 - jitterBits
+	i := h >> cellBits
+	if i == 0 || i == 1<<jitterBits-1 {
+		return t.exact((float64(h) + 0.5) * 0x1p-32)
 	}
-	const (
-		invLn2x64 = 64 / math.Ln2
-		// ln2/64 split Cody–Waite style (fdlibm's ln2HI/ln2LO over 64):
-		// hi has 32 significant bits, so k·hi is exact for |k| < 2^21.
-		ln2x64Hi = 6.93147180369123816490e-01 / 64
-		ln2x64Lo = 1.90821492927058770002e-10 / 64
-		// Adding and subtracting 1.5·2^52 rounds to the nearest integer.
-		round = 0x1.8p52
-	)
-	kf := s*invLn2x64 + round - round
-	k := int64(kf)
-	r := (s - kf*ln2x64Hi) - kf*ln2x64Lo
-	p := 1 + r*(1+r*(1.0/2+r*(1.0/6+r*(1.0/24))))
-	scale := math.Float64frombits(uint64(k>>6+1023) << 52)
-	return exp2Table[k&63] * p * scale, true
+	f := (float64(h&(1<<cellBits-1)) + 0.5) * (1.0 / (1 << cellBits))
+	return t.knot[i] + f*(t.knot[i+1]-t.knot[i])
+}
+
+// defaultJitter is the default model's table, built once at start-up;
+// lastJitter caches the table of the last other σ asked for.
+var (
+	defaultJitter = newJitterTable(DefaultLatencyModel().JitterSigma)
+	lastJitter    atomic.Pointer[jitterTable]
+)
+
+// jitterFor returns the table of σ, building it if it is neither the
+// default's nor the last one built.
+func jitterFor(sigma float64) *jitterTable {
+	if sigma == defaultJitter.sigma {
+		return defaultJitter
+	}
+	if t := lastJitter.Load(); t != nil && t.sigma == sigma {
+		return t
+	}
+	t := newJitterTable(sigma)
+	lastJitter.Store(t)
+	return t
 }
 
 // minPairMillis is the effective per-pair floor in milliseconds for a

@@ -7,10 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
-// refSample is LatencyModel.Sample as it was before the table-driven
-// jitter, kept as the reference the sampler is pinned against. The only
-// edit is sim.RNG.LogNormal(0, σ), since deleted, written out as the
-// body it had: math.Exp(0 + σ·NormFloat64()).
+// refSample is LatencyModel.Sample as it was before the one-draw table
+// sampler (latency model version 2), kept as the reference the sampler
+// is pinned against: a standard normal through math.Exp for the
+// jitter, then a Bernoulli draw for the retransmit.
 func refSample(m LatencyModel, rng *sim.RNG, from, to Region, bytes int) sim.Time {
 	base := baseOneWayMillis[from][to]
 	jitter := 1.0
@@ -23,27 +23,6 @@ func refSample(m LatencyModel, rng *sim.RNG, from, to Region, bytes int) sim.Tim
 	}
 	d := base*jitter + transfer
 	if m.RetransmitProb > 0 && rng.Bernoulli(m.RetransmitProb) {
-		d += m.RetransmitPenaltyMillis + base
-	}
-	if f := m.minPairMillis(base); d < f {
-		d = f
-	}
-	return sim.Time(d)
-}
-
-// refAt is refSample after its draws: the same arithmetic for a given
-// standard normal z and retransmit outcome.
-func refAt(m LatencyModel, base float64, bytes int, z float64, lost bool) sim.Time {
-	jitter := 1.0
-	if m.JitterSigma > 0 {
-		jitter = math.Exp(0 + m.JitterSigma*z)
-	}
-	transfer := 0.0
-	if m.BytesPerMillisecond > 0 && bytes > 0 {
-		transfer = float64(bytes) / m.BytesPerMillisecond
-	}
-	d := base*jitter + transfer
-	if lost {
 		d += m.RetransmitPenaltyMillis + base
 	}
 	if f := m.minPairMillis(base); d < f {
@@ -72,180 +51,118 @@ func refModels() map[string]LatencyModel {
 	}
 }
 
-// refSizes are message sizes from empty to a megabyte: a transaction
-// message is 16 + 111 bytes, an announcement-sized 600, a full block
-// 40 KB.
-var refSizes = []int{0, 1, 127, 600, 40 << 10, 1 << 20}
+// delayHistogram counts delays per millisecond; quantile reads it as
+// the sorted sample would be read.
+type delayHistogram struct {
+	count []int
+	n     int
+}
 
-// TestExpTableBound checks expTable's error bound, 2^-44 relative to
-// exp(s), against math.Exp (itself within one ulp, 2^-52) on a dense
-// grid and at every reduction boundary, where |r| is largest, and that
-// the multiplier is positive — the property a log-normal jitter has.
-func TestExpTableBound(t *testing.T) {
-	const bound = 0x1p-44 + 0x1p-52
-	check := func(s float64) {
-		e, ok := expTable(s)
-		if !ok {
-			t.Fatalf("expTable(%v) declined inside its range", s)
-		}
-		if want := math.Exp(s); !(e > 0) || math.Abs(e/want-1) > bound {
-			t.Fatalf("expTable(%v) = %v, math.Exp %v: relative error %.3g over %.3g", s, e, want, e/want-1, bound)
-		}
+func (h *delayHistogram) add(d sim.Time) {
+	for int(d) >= len(h.count) {
+		h.count = append(h.count, 0)
 	}
-	for s := -expTableRange + 1e-3; s < expTableRange; s += 1.0 / 4099 {
-		check(s)
-	}
-	for k := -64*expTableRange/math.Ln2 + 1; k < 64*expTableRange/math.Ln2-1; k++ {
-		edge := (math.Floor(k) + 0.5) * math.Ln2 / 64
-		for _, s := range []float64{math.Nextafter(edge, -100), edge, math.Nextafter(edge, 100)} {
-			check(s)
+	h.count[d]++
+	h.n++
+}
+
+// quantile returns the sample's element at rank ⌊q·n⌋ (0-based).
+func (h *delayHistogram) quantile(q float64) sim.Time {
+	rank, seen := int(q*float64(h.n)), 0
+	for d, c := range h.count {
+		if seen += c; seen > rank {
+			return sim.Time(d)
 		}
 	}
-	for _, s := range []float64{expTableRange, -expTableRange, 1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
-		if _, ok := expTable(s); ok {
-			t.Fatalf("expTable(%v) accepted an argument outside its range", s)
+	return sim.Time(len(h.count) - 1)
+}
+
+// TestSampleMatchesReference draws 10^6 delays per region pair (10^5
+// under -short) from the default model through Sample and through the
+// reference, each on its own stream, at a transaction message's size:
+// the median, p90 and p99 of every pair must agree within 1 ms, and no
+// sample may undercut the pair's floor.
+func TestSampleMatchesReference(t *testing.T) {
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 100_000
+	}
+	const size = 127
+	m := DefaultLatencyModel()
+	got, want := sim.NewRNG(11), sim.NewRNG(12)
+	for _, from := range Regions() {
+		for _, to := range Regions() {
+			floor, _ := m.MinPairDelay(from, to)
+			var table, ref delayHistogram
+			for i := 0; i < draws; i++ {
+				d, err := m.Sample(got, from, to, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d < floor {
+					t.Fatalf("%v->%v draw %d: %v undercuts the floor %v", from, to, i, d, floor)
+				}
+				table.add(d)
+				ref.add(refSample(m, want, from, to, size))
+			}
+			for _, q := range []float64{0.5, 0.9, 0.99} {
+				g, w := table.quantile(q), ref.quantile(q)
+				if g < w-1 || g > w+1 {
+					t.Errorf("%v->%v q%.2f: Sample %v, reference %v", from, to, q, g, w)
+				}
+			}
 		}
 	}
 }
 
-// TestSampleMatchesReference draws 10^7 samples (10^6 under -short)
-// through Sample and through the reference on two equal RNG streams,
-// over every region pair, the reference sizes and models: every sample
-// must be the same sim.Time and the streams must end in the same state.
-func TestSampleMatchesReference(t *testing.T) {
-	perCell := 5800
-	if testing.Short() {
-		perCell = 580
+// TestSampleRetransmitShare counts loss episodes, made unmistakable by
+// a penalty no jitter reaches: their share of 10^6 draws must lie
+// within 4 binomial standard deviations of RetransmitProb, and be
+// exactly 0 at probability 0 and exactly 1 at probability 1.
+func TestSampleRetransmitShare(t *testing.T) {
+	const draws = 1_000_000
+	const penalty = 1e6
+	for _, p := range []float64{0, 0.001, 0.03, 0.5, 1} {
+		m := DefaultLatencyModel()
+		m.RetransmitProb, m.RetransmitPenaltyMillis = p, penalty
+		rng := sim.NewRNG(5)
+		lost := 0
+		for i := 0; i < draws; i++ {
+			d, err := m.Sample(rng, EasternAsia, SouthAmerica, 600)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d >= penalty {
+				lost++
+			}
+		}
+		sd := math.Sqrt(draws * p * (1 - p))
+		if math.Abs(float64(lost)-draws*p) > 4*sd {
+			t.Errorf("p=%v: %d of %d draws retransmitted, want %v ± %.1f", p, lost, draws, draws*p, 4*sd)
+		}
 	}
-	draws := 0
+}
+
+// TestSampleDrawsOneUint64 runs Sample beside a twin stream that draws
+// one Uint64 per call, over every reference model, region pair and
+// size: the two streams must end in the same state.
+func TestSampleDrawsOneUint64(t *testing.T) {
 	for name, m := range refModels() {
-		got, want := sim.NewRNG(11), sim.NewRNG(11)
+		got, twin := sim.NewRNG(3), sim.NewRNG(3)
 		for _, from := range Regions() {
 			for _, to := range Regions() {
-				floor, _ := m.MinPairDelay(from, to)
-				for _, size := range refSizes {
-					for i := 0; i < perCell; i++ {
-						d, err := m.Sample(got, from, to, size)
-						if err != nil {
+				for _, size := range []int{0, 127, 40 << 10} {
+					for i := 0; i < 50; i++ {
+						if _, err := m.Sample(got, from, to, size); err != nil {
 							t.Fatal(err)
 						}
-						if w := refSample(m, want, from, to, size); d != w || d < floor {
-							t.Fatalf("%s %v->%v %d B draw %d: Sample %v, reference %v (floor %v)", name, from, to, size, i, d, w, floor)
-						}
-						draws++
+						twin.Uint64()
 					}
 				}
 			}
 		}
-		if got.Uint64() != want.Uint64() {
-			t.Fatalf("%s: RNG streams diverged: Sample drew a different number of values", name)
+		if got.Uint64() != twin.Uint64() {
+			t.Fatalf("%s: Sample did not draw exactly one Uint64 per call", name)
 		}
 	}
-	t.Logf("%d draws", draws)
-}
-
-// TestSampleFallbackAtIntegerBoundaries feeds sampleAt standard normals
-// placed within a few ulps of the z at which each pair's delay crosses
-// an integer — the only places a truncation can tell the table from
-// math.Exp. The table path must decline every one of them and the
-// result must be the reference's. Some of these points really are
-// decided differently by the bare table value, which is what the
-// margin is for: the test counts them and fails if there are none.
-func TestSampleFallbackAtIntegerBoundaries(t *testing.T) {
-	checked, wouldDiffer := 0, 0
-	for name, m := range refModels() {
-		if m.JitterSigma <= 0 {
-			continue
-		}
-		for _, from := range Regions() {
-			for _, to := range Regions() {
-				base := baseOneWayMillis[from][to]
-				for _, size := range []int{0, 127, 600, 40 << 10} {
-					for _, lost := range []bool{false, true} {
-						c := transfer(m, size) + extra(m, base, lost)
-						lo := math.Ceil(base*math.Exp(-4*m.JitterSigma) + c)
-						hi := math.Floor(base*math.Exp(4*m.JitterSigma) + c)
-						step := math.Max(1, math.Floor((hi-lo)/40))
-						for n := lo; n <= hi; n += step {
-							if n <= c {
-								continue
-							}
-							z0 := math.Log((n-c)/base) / m.JitterSigma
-							for k := -6; k <= 6; k++ {
-								z := z0
-								for i := 0; i < k; i++ {
-									z = math.Nextafter(z, math.Inf(1))
-								}
-								for i := 0; i > k; i-- {
-									z = math.Nextafter(z, math.Inf(-1))
-								}
-								got := m.sampleAt(base, size, z, lost)
-								want := refAt(m, base, size, z, lost)
-								if got != want {
-									t.Fatalf("%s %v->%v %d B lost=%v z=%v: sampleAt %v, reference %v", name, from, to, size, lost, z, got, want)
-								}
-								if _, ok := tableDelay(base, transfer(m, size), extra(m, base, lost), m.JitterSigma*z); ok {
-									t.Fatalf("%s %v->%v %d B lost=%v z=%v (d ≈ %v): the table path accepted a delay at an integer boundary", name, from, to, size, lost, z, n)
-								}
-								if bare, ok := bareTable(m, base, size, z, lost); ok && bare != want {
-									wouldDiffer++
-								}
-								checked++
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	t.Logf("%d boundary points, %d where the bare table value truncates differently", checked, wouldDiffer)
-	if wouldDiffer == 0 {
-		t.Fatal("no boundary point separates the table from math.Exp: the test is vacuous")
-	}
-}
-
-// bareTable is sampleAt's table path with no margin: the delay the
-// table value alone would truncate to.
-func bareTable(m LatencyModel, base float64, bytes int, z float64, lost bool) (sim.Time, bool) {
-	e, ok := expTable(m.JitterSigma * z)
-	if !ok {
-		return 0, false
-	}
-	return m.clamp(base, base*e+transfer(m, bytes)+extra(m, base, lost)), true
-}
-
-// transfer and extra are sampleAt's serialisation and loss-episode
-// terms.
-func transfer(m LatencyModel, bytes int) float64 {
-	if m.BytesPerMillisecond > 0 && bytes > 0 {
-		return float64(bytes) / m.BytesPerMillisecond
-	}
-	return 0
-}
-
-func extra(m LatencyModel, base float64, lost bool) float64 {
-	if lost {
-		return m.RetransmitPenaltyMillis + base
-	}
-	return 0
-}
-
-// FuzzSampleExact compares sampleAt with the reference arithmetic for
-// arbitrary pairs, sizes, sigmas, normals and retransmit outcomes.
-func FuzzSampleExact(f *testing.F) {
-	f.Add(uint8(0), uint8(1), uint32(600), 0.25, 0.5, false)
-	f.Add(uint8(3), uint8(3), uint32(0), 3.0, -2.9, true)
-	f.Add(uint8(5), uint8(2), uint32(40<<10), 0.05, 7.5, false)
-	f.Fuzz(func(t *testing.T, from, to uint8, bytes uint32, sigma, z float64, lost bool) {
-		if !(sigma > 0 && sigma <= 16) || math.IsNaN(z) || math.IsInf(z, 0) {
-			t.Skip()
-		}
-		m := DefaultLatencyModel()
-		m.JitterSigma = sigma
-		base := baseOneWayMillis[Regions()[from%NumRegions]][Regions()[to%NumRegions]]
-		got := m.sampleAt(base, int(bytes), z, lost)
-		if want := refAt(m, base, int(bytes), z, lost); got != want {
-			t.Fatalf("sampleAt(base %v, %d B, σ=%v, z=%v, lost=%v) = %v, reference %v", base, bytes, sigma, z, lost, got, want)
-		}
-	})
 }

@@ -181,3 +181,34 @@ func TestMinPairDelayDefaultWidensLookahead(t *testing.T) {
 		t.Fatal("MinPairDelay accepted an invalid region")
 	}
 }
+
+// FuzzSampleFloor feeds sampleAt arbitrary draws u for σ in [0, 3],
+// every region pair and any size: no delay may undercut MinPairDelay,
+// and with the low 32 bits (the retransmit) fixed the delay must not
+// decrease as the high 32 bits (the jitter quantile) rise.
+func FuzzSampleFloor(f *testing.F) {
+	f.Add(uint64(0), uint32(1), 0.25, uint8(0), uint8(1), uint32(127))
+	f.Add(^uint64(0)>>1, uint32(1<<20), 3.0, uint8(5), uint8(5), uint32(0))
+	f.Add(uint64(1)<<52, uint32(0xffffffff), 1.0, uint8(2), uint8(3), uint32(40<<10))
+	f.Fuzz(func(t *testing.T, u uint64, step uint32, sigma float64, from, to uint8, bytes uint32) {
+		if !(sigma >= 0 && sigma <= 3) {
+			t.Skip()
+		}
+		m := DefaultLatencyModel()
+		m.JitterSigma = sigma
+		rf, rt := Regions()[from%NumRegions], Regions()[to%NumRegions]
+		base := baseOneWayMillis[rf][rt]
+		floor, err := m.MinPairDelay(rf, rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := m.sampleAt(base, int(bytes), u)
+		if d < floor {
+			t.Fatalf("%v->%v σ=%v u=%#x: delay %v undercuts MinPairDelay %v", rf, rt, sigma, u, d, floor)
+		}
+		hi := min(uint64(u>>32)+uint64(step), math.MaxUint32)
+		if up := m.sampleAt(base, int(bytes), hi<<32|u&math.MaxUint32); up < d {
+			t.Fatalf("%v->%v σ=%v: delay fell from %v to %v as the high bits rose %#x -> %#x", rf, rt, sigma, d, up, u>>32, hi)
+		}
+	})
+}

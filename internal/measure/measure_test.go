@@ -303,7 +303,7 @@ func TestRawLogPinned(t *testing.T) {
 	if err := WriteJSONL(&buf, m.Records()); err != nil {
 		t.Fatal(err)
 	}
-	const want = "4f1e463707f5669bd4312996978110f764c7dbfbbd9aee12df8422147b4f71f8"
+	const want = "8c547a68ced869df209e06ef4437e4f9b566793993fc742d9388f32a71a7b15f"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("raw log of the pinned run changed: %d records, sha256 %s, want %s", len(m.Records()), got, want)
 	}

@@ -366,13 +366,14 @@ func (r *fixtureResult) stranded() string {
 
 // conformancePins is the SHA-256 of each discipline's fixture run
 // (fixtureResult.digest), one per discipline: the serial loop and the
-// conductor run the region lanes to one schedule.
+// conductor run the region lanes to one schedule. Recorded under
+// latency model version 3.
 var conformancePins = map[string]string{
-	"sqrt-push":     "74c50eb82293f943789fb3556efd5ce936b59a23846603c9e3f1753408f21f01",
-	"push-all":      "ae7c4f3dc104484159de067fe89cdbc827a0663b5f49df9ffe2ece8367ba2199",
-	"announce-only": "88f22c3b4e24538eebc776151b82bc2d342f1e9435f13c7017dd09d65e8f55ed",
-	"compact":       "b048f0ec645b45a50edc8a0ba6546df2e64c1b5e75ce0b14c6e9f4d761890a0f",
-	"hybrid":        "9ca3d9ac9f13518a51c232ab3366447c8457a404e7ac71254362aaa7f19d9b1c",
+	"sqrt-push":     "2b4eb182b27b83c58b87a436d3782f507b3ee8c9c816deb31c9bda0de793abfd",
+	"push-all":      "610ab325e335288e1c3495618ec99b99062533878da9c340546fb2e54358b46d",
+	"announce-only": "b186d86e3735a669ad3c2d38ce926b800daecd565b25137d9e35fddb8df35d8a",
+	"compact":       "84d3760ab5319c11892b0c29aaf82f75a01e94b5b036c9f80a72ee369f2acabc",
+	"hybrid":        "c1f27b60efbfede41d1cbd1a291bd35ea5a773d626e448534ef7029108ec1e7e",
 }
 
 // digest hashes the run's delivery trace, its per-class transport

@@ -12,7 +12,11 @@ import (
 func zeroLatencyNetwork(t *testing.T, seed uint64) *Network {
 	t.Helper()
 	m := geo.LatencyModel{JitterSigma: 0, BytesPerMillisecond: 0, MinDelayMillis: 1}
-	return NewNetwork(sim.NewEngine(), sim.NewRNG(seed), m)
+	net := NewNetwork(sim.NewEngine(), sim.NewRNG(seed), m)
+	// The tests below drive sends and deliveries directly, skipping the
+	// injection that forks the lanes' streams.
+	net.forkLanes()
+	return net
 }
 
 func TestNoDuplicateSendsToSamePeer(t *testing.T) {

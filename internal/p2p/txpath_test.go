@@ -82,10 +82,11 @@ func runTxFlood(t *testing.T, conductor bool) txFlood {
 // TestTxFloodPinned pins transaction gossip, on both schedulers, to
 // the totals, per-node ingress and observed sequence the batch
 // transport (one []*Transaction per flight, a map lookup per delivery)
-// produced on region lanes: the values below were recorded on it.
+// produced on region lanes: the values below were recorded on it, and
+// re-recorded when latency model version 3 moved the delays.
 func TestTxFloodPinned(t *testing.T) {
-	want := txFlood{sent: 961, bytes: 62465, dropped: 5, classes: "Transactions:961/62465 ",
-		ingress: "056524fed2fb802d", observed: 24, sequence: "ce7071d35d198002"}
+	want := txFlood{sent: 960, bytes: 62400, dropped: 4, classes: "Transactions:960/62400 ",
+		ingress: "ee96034d3659cc27", observed: 25, sequence: "20543e28741bae47"}
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
 			if got := runTxFlood(t, lay.conductor); got != want {
