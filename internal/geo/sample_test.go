@@ -184,13 +184,15 @@ func TestMinPairDelayDefaultWidensLookahead(t *testing.T) {
 
 // FuzzSampleFloor feeds sampleAt arbitrary draws u for σ in [0, 3],
 // every region pair and any size: no delay may undercut MinPairDelay,
-// and with the low 32 bits (the retransmit) fixed the delay must not
-// decrease as the high 32 bits (the jitter quantile) rise.
+// and with the low 32 bits (the retransmit) fixed neither the jitter
+// multiplier nor the delay may decrease as the high 32 bits (the
+// quantile) rise by step — mostly within one table cell, sometimes
+// across a knot.
 func FuzzSampleFloor(f *testing.F) {
-	f.Add(uint64(0), uint32(1), 0.25, uint8(0), uint8(1), uint32(127))
-	f.Add(^uint64(0)>>1, uint32(1<<20), 3.0, uint8(5), uint8(5), uint32(0))
-	f.Add(uint64(1)<<52, uint32(0xffffffff), 1.0, uint8(2), uint8(3), uint32(40<<10))
-	f.Fuzz(func(t *testing.T, u uint64, step uint32, sigma float64, from, to uint8, bytes uint32) {
+	f.Add(uint64(0), uint16(1), 0.25, uint8(0), uint8(1), uint32(127))
+	f.Add(^uint64(0)>>1, uint16(1<<15), 3.0, uint8(5), uint8(5), uint32(0))
+	f.Add(uint64(1)<<52-1, uint16(0xffff), 1.0, uint8(2), uint8(3), uint32(40<<10))
+	f.Fuzz(func(t *testing.T, u uint64, step uint16, sigma float64, from, to uint8, bytes uint32) {
 		if !(sigma >= 0 && sigma <= 3) {
 			t.Skip()
 		}
@@ -206,9 +208,28 @@ func FuzzSampleFloor(f *testing.F) {
 		if d < floor {
 			t.Fatalf("%v->%v σ=%v u=%#x: delay %v undercuts MinPairDelay %v", rf, rt, sigma, u, d, floor)
 		}
-		hi := min(uint64(u>>32)+uint64(step), math.MaxUint32)
-		if up := m.sampleAt(base, int(bytes), hi<<32|u&math.MaxUint32); up < d {
-			t.Fatalf("%v->%v σ=%v: delay fell from %v to %v as the high bits rose %#x -> %#x", rf, rt, sigma, d, up, u>>32, hi)
+		h := uint32(u >> 32)
+		hi := uint32(min(uint64(h)+uint64(step), math.MaxUint32))
+		if sigma > 0 {
+			if tb := jitterFor(sigma); tb.at(hi) < tb.at(h) {
+				t.Fatalf("σ=%v: multiplier fell from %v to %v as the quantile rose %#x -> %#x", sigma, tb.at(h), tb.at(hi), h, hi)
+			}
+		}
+		if up := m.sampleAt(base, int(bytes), uint64(hi)<<32|u&math.MaxUint32); up < d {
+			t.Fatalf("%v->%v σ=%v: delay fell from %v to %v as the quantile rose %#x -> %#x", rf, rt, sigma, d, up, h, hi)
 		}
 	})
+}
+
+// BenchmarkSample is one default-model draw, cycled over every region
+// pair at a transaction message's and a block's size.
+func BenchmarkSample(b *testing.B) {
+	m := DefaultLatencyModel()
+	rng := sim.NewRNG(1)
+	regions := Regions()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Sample(rng, regions[i%NumRegions], regions[(i/NumRegions)%NumRegions], 127+(i&1)*40<<10); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
