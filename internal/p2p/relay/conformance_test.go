@@ -214,6 +214,14 @@ func TestProtocolConformance(t *testing.T) {
 func checkConformance(t *testing.T, mode relay.Mode, conductor bool) {
 	res := runFixture(t, relay.Config{Mode: mode}, conformanceSeed, conductor)
 
+	// 1. Liveness, where it holds at every seed (TestProtocolLiveness
+	// has the rest).
+	if _, probabilistic := strandedAtModel2[mode.String()]; !probabilistic {
+		if miss := res.stranded(); miss != "" {
+			t.Fatalf("%s under %s", miss, mode)
+		}
+	}
+
 	// 2. No duplicate fetches per (requester, block, kind).
 	for key, count := range res.requests {
 		if count > 1 {
@@ -312,13 +320,13 @@ var strandedAtModel2 = map[string]int{
 }
 
 // TestProtocolLiveness is invariant 1. Every discipline runs the
-// fixture at every seed of the liveness range on the serial loop (the conductor
-// runs the same schedule). push-all and hybrid must deliver every
-// block to every node at every seed. A sqrt-bounded discipline may
-// strand a node, but its stranded-seed count must stay within three
-// binomial standard deviations above its model-2 count: a relay or
-// latency change that makes stranding likelier fails here, whichever
-// seed the determinism pins use.
+// fixture at every seed of the liveness range on the serial loop (the
+// conductor runs the same schedule). push-all and hybrid must deliver
+// every block to every node at every seed. A sqrt-bounded discipline
+// may strand a node, but its stranded-seed count must stay within
+// three binomial standard deviations above its model-2 count: a relay
+// or latency change that makes stranding likelier fails here,
+// whichever seed the determinism pins use.
 func TestProtocolLiveness(t *testing.T) {
 	for _, mode := range relay.Modes() {
 		mode := mode
