@@ -123,8 +123,7 @@ func TestFlightViewMatchesMessage(t *testing.T) {
 // region lanes) and a lookup miss there panics. The pulls are sent,
 // counted and ignored exactly as the pooled-message transport did: the
 // totals below were recorded on it, on region lanes, and re-recorded
-// when latency model version 3 moved the delays (345 / 34708 / 73
-// before).
+// when latency model version 3 moved the delays.
 func TestParentInternedAtInjection(t *testing.T) {
 	want := struct{ sent, bytes, pulls uint64 }{sent: 347, bytes: 34483, pulls: 69}
 	for _, lay := range laneLayouts {
