@@ -86,9 +86,10 @@ test-obs:
 	$(GO) test -run 'Telemetry|Trace' -v ./cmd/ethrepro/ ./cmd/ethanalyze/
 
 # Scale gate for the struct-of-arrays node core. Short tier: the
-# 10k-node bytes-per-node heap ceiling and the 10k campaign build's
-# garbage ceiling (what NewCampaign allocates against what it keeps,
-# Network.Reserve included). Full tier: the 100k-node
+# 10k-node bytes-per-node heap ceiling and the 10k campaign's garbage
+# ceilings (what NewCampaign allocates against what it keeps,
+# Network.Reserve included, and what Campaign.Run allocates against
+# what it adds to the live heap). Full tier: the 100k-node
 # scenario at its full size, byte-identical on the serial loop at
 # -parallel 1 vs 8 and on the conductor at 1 and 6 workers, with the
 # conductor runs' exact event, window, stall and merge counts pinned
@@ -98,7 +99,7 @@ test-obs:
 # -out DIR` seals.
 test-stress:
 	$(GO) test -run TestBytesPerNodeCeiling -v ./internal/p2p/
-	$(GO) test -run TestOverlayBuildGarbage -v ./internal/core/
+	$(GO) test -run 'TestOverlayBuildGarbage|TestOverlayRunGarbage' -v ./internal/core/
 	STRESS100K=1 $(GO) test -run 'TestGoldenStress100kParallelInvariance' -v -timeout 90m ./internal/experiments
 
 # Sharded-execution gate. The conductor's window-loop invariants (lane

@@ -423,10 +423,18 @@ func gatewayPeers(cfg CampaignConfig) int {
 }
 
 // overlaySize counts what NewCampaign builds, for Network.Reserve: the
-// overlay, measurement and gateway nodes, and two adjacency cells per
-// connection they dial. Churn joins and fault rewiring come on top; the
-// network grows past its reservation for them.
-func overlaySize(cfg CampaignConfig) (nodes, cells int) {
+// overlay, measurement and gateway nodes, two adjacency cells per
+// connection they dial, and the blocks the run interns. Churn joins and
+// fault rewiring come on top; the network grows past its reservation
+// for them.
+//
+// cfg.Blocks counts mining wins; a win publishes one block, and with
+// its pool's MultiVersionProb (at most 1.3% in the paper's pool table)
+// further versions of it. A 40-block campaign interns a 41st block at
+// about one seed in three, so the reservation adds a sixteenth plus
+// four: past it the body-cache rings double, which on overlay-10k
+// re-lays out 1.6 MB for one extra block.
+func overlaySize(cfg CampaignConfig) (nodes, cells, blocks int) {
 	nodes = cfg.NetworkNodes + len(cfg.Measurement)
 	edges := cfg.NetworkNodes * cfg.Degree
 	for _, spec := range cfg.Measurement {
@@ -436,7 +444,8 @@ func overlaySize(cfg CampaignConfig) (nodes, cells int) {
 		nodes += len(pool.GatewayRegions)
 		edges += len(pool.GatewayRegions) * gatewayPeers(cfg)
 	}
-	return nodes, 2 * edges
+	blocks = int(cfg.Blocks + cfg.Blocks/16 + 4)
+	return nodes, 2 * edges, blocks
 }
 
 // lookaheadBounds derives the conductor's per-lane-pair lookahead
@@ -576,7 +585,7 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 	}
 	if c.cond != nil {
 		cs := c.cond.Stats()
-		sample.Conductor, sample.Workers = &cs, c.shards
+		sample.Conductor, sample.Workers, sample.Phases = &cs, c.shards, c.cond.Times()
 	}
 	c.obsScope.Finish(sample)
 	if err := c.miners.Err(); err != nil {

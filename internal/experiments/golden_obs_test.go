@@ -215,3 +215,16 @@ func TestRenderTelemetryShardBound(t *testing.T) {
 		}
 	}
 }
+
+// TestRenderTelemetryPhaseTimes: a sharded row renders its wall-clock
+// split beside the bound, with the mean number of busy workers in
+// phase B.
+func TestRenderTelemetryPhaseTimes(t *testing.T) {
+	row := experiments.TelemetryRow{Spec: "overlay", ShardWorkers: 2, ShardWindows: 10,
+		ShardMergeMS: 310, ShardPhaseAMS: 40, ShardPhaseBMS: 2400, ShardLaneBusyMS: 3960}
+	out := experiments.RenderTelemetry(&experiments.Telemetry{Runs: []experiments.TelemetryRow{row}})
+	want := "wall: merge 310 ms, phase A 40 ms, phase B 2400 ms with lanes busy 3960 ms (1.65 workers)"
+	if !strings.Contains(out, want) {
+		t.Fatalf("rendering lacks %q:\n%s", want, out)
+	}
+}

@@ -114,6 +114,9 @@ func RenderTelemetry(tel *Telemetry) string {
 			100*float64(row.ShardStalled)/float64(max(1, laneWindows)), row.ShardMerged)
 		fmt.Fprintf(&b, "    speed-up bound %.3f = (work %d + global %d) / (span %d + global %d)\n",
 			row.ShardBound(), row.ShardWork, row.ShardGlobalEvents, row.ShardSpan, row.ShardGlobalEvents)
+		fmt.Fprintf(&b, "    wall: merge %.0f ms, phase A %.0f ms, phase B %.0f ms with lanes busy %.0f ms (%.2f workers)\n",
+			row.ShardMergeMS, row.ShardPhaseAMS, row.ShardPhaseBMS, row.ShardLaneBusyMS,
+			row.ShardLaneBusyMS/max(row.ShardPhaseBMS, 1e-9))
 		if len(row.PairWindows) > 0 {
 			fmt.Fprintf(&b, "    %-9s %12s %10s %12s %10s\n", "src→dst", "windows", "stalled", "width ms", "mean ms")
 			for _, p := range row.PairWindows {

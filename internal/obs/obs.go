@@ -52,6 +52,9 @@ type RunSample struct {
 	Conductor *sim.ConductorStats
 	Workers   int
 	Lanes     []sim.EngineStats
+	// Phases is the conductor run's wall-clock split by phase (zero
+	// off the conductor).
+	Phases sim.PhaseTimes
 }
 
 // PairWindowTelemetry is one (bounding lane → bounded lane) pair's
@@ -139,6 +142,15 @@ type RunTelemetry struct {
 	ShardWork          uint64 `json:"shard_work,omitempty"`
 	ShardSpan          uint64 `json:"shard_span,omitempty"`
 	ShardGlobalEvents  uint64 `json:"shard_global_events,omitempty"`
+	// ShardMergeMS, ShardPhaseAMS and ShardPhaseBMS sum the conductor's
+	// wall time in merges, phase A and phase B (sim.PhaseTimes);
+	// ShardLaneBusyMS sums the phase-B lane jobs' own times, so
+	// ShardLaneBusyMS / ShardPhaseBMS is the mean number of busy
+	// workers. Wall clock, unlike the counts above.
+	ShardMergeMS    float64 `json:"shard_merge_ms,omitempty"`
+	ShardPhaseAMS   float64 `json:"shard_phase_a_ms,omitempty"`
+	ShardPhaseBMS   float64 `json:"shard_phase_b_ms,omitempty"`
+	ShardLaneBusyMS float64 `json:"shard_lane_busy_ms,omitempty"`
 	// Lanes merges the per-lane engine stats by lane position (global
 	// lane first).
 	Lanes []LaneTelemetry `json:"lanes,omitempty"`
@@ -299,8 +311,8 @@ func (s *RunScope) Finish(sample RunSample) {
 	r.PeakQueue = max(r.PeakQueue, sample.Engine.MaxPending)
 	r.Slots = max(r.Slots, sample.Engine.Slots)
 	r.SimMS += int64(sample.Engine.Now)
-	r.BuildMS += float64(s.runStart.Sub(s.created).Nanoseconds()) / 1e6
-	r.RunMS += float64(now.Sub(s.runStart).Nanoseconds()) / 1e6
+	r.BuildMS += ms(s.runStart.Sub(s.created))
+	r.RunMS += ms(now.Sub(s.runStart))
 	if r.RunMS > 0 {
 		r.EventsPerSec = float64(r.Events) / (r.RunMS / 1e3)
 	}
@@ -327,6 +339,10 @@ func (s *RunScope) Finish(sample RunSample) {
 		r.ShardWork += cs.Work
 		r.ShardSpan += cs.Span
 		r.ShardGlobalEvents += cs.GlobalEvents
+		r.ShardMergeMS += ms(sample.Phases.Merge)
+		r.ShardPhaseAMS += ms(sample.Phases.PhaseA)
+		r.ShardPhaseBMS += ms(sample.Phases.PhaseB)
+		r.ShardLaneBusyMS += ms(sample.Phases.LaneBusy)
 		for i, ls := range sample.Lanes {
 			if i >= len(r.Lanes) {
 				r.Lanes = append(r.Lanes, LaneTelemetry{})
@@ -351,6 +367,9 @@ func (s *RunScope) Finish(sample RunSample) {
 		r.Tracers = append(r.Tracers, s.tracer)
 	}
 }
+
+// ms converts a duration to float milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // foldPair sums one conductor pair-window record into the run's
 // PairWindows list, keeping the list sorted by (src, dst). The pair

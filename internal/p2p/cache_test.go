@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 	"testing"
 
 	"repro/internal/geo"
@@ -12,7 +13,21 @@ import (
 )
 
 // cacheLen reports how many bodies node n can still serve.
-func cacheLen(n *Node) int { return len(n.net.cacheQ[n.idx()]) }
+func cacheLen(n *Node) int { return int(n.net.rows[n.idx()].cacheLen) }
+
+// cacheAt returns slot k of node n's body-cache ring.
+func cacheAt(n *Node, k int) int32 {
+	return n.net.cacheRing[int(n.idx())*int(n.net.cacheStride)+k]
+}
+
+// slabRecords returns a copy of every slot slab s has handed out.
+func slabRecords[T any](s *slab[T]) []T {
+	out := make([]T, 0, s.n)
+	for k := int32(0); k < s.n; k++ {
+		out = append(out, s.chunks[k>>slabShift][k&(1<<slabShift-1)])
+	}
+	return out
+}
 
 // cacheHas reports whether node n can still serve the body for h.
 func cacheHas(n *Node, h types.Hash) bool {
@@ -128,7 +143,7 @@ func TestBlockCacheEvictionOrder(t *testing.T) {
 		t.Fatalf("eviction queue length %d, want %d", cacheLen(a), blockCacheCap)
 	}
 	headIdx, ok := net.blockIdx.lookup(hashAt(extra))
-	if !ok || net.cacheQ[a.idx()][net.rows[a.idx()].cacheHead] != headIdx {
+	if !ok || cacheAt(a, int(net.rows[a.idx()].cacheHead)) != headIdx {
 		t.Fatal("eviction queue head is not the oldest retained insert")
 	}
 }
@@ -137,8 +152,9 @@ func TestBlockCacheEvictionOrder(t *testing.T) {
 // lane, what replaced the message pool: the flight slab recycles its
 // slots — its length is bounded by the lane's peak number of events in
 // flight, not by the number of sends — every flight and announce slot
-// is back on its free list once the run drains, a freed slot keeps no
-// block pointer alive, and the cross buffers are empty.
+// is back on its free list once the run drains, a freed slot is zero,
+// the cross buffers are empty, and a flight holds no pointer to keep
+// alive from a drained outbox entry.
 func TestMessagePoolReuse(t *testing.T) {
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
@@ -156,34 +172,33 @@ func TestMessagePoolReuse(t *testing.T) {
 			f.net.FoldLanes()
 			slots := 0
 			for i, ln := range f.net.all {
-				slots += len(ln.flights)
-				free := 0
-				for next := ln.freeFlight; next != 0; next = ln.flights[next-1].to {
-					free++
+				slots += int(ln.flights.n)
+				if slots, free := len(ln.flights.chunks)<<slabShift, len(ln.flights.free); free != slots {
+					t.Errorf("lane %d flight slab leak: %d slots, %d free", i, slots, free)
 				}
-				if free != len(ln.flights) {
-					t.Errorf("lane %d flight slab leak: %d slots, %d free", i, len(ln.flights), free)
-				}
-				for k, fl := range ln.flights {
-					if fl.kind != 0 || fl.b != nil {
+				for k, fl := range slabRecords(&ln.flights) {
+					if fl != (flight{}) {
 						t.Errorf("lane %d freed flight slot %d still holds %+v", i, k, fl)
 					}
 				}
-				if peak := ln.engine.Stats().MaxPending; len(ln.flights) > peak {
-					t.Errorf("lane %d flight slab has %d slots for a peak of %d events in flight", i, len(ln.flights), peak)
+				if peak := ln.engine.Stats().MaxPending; int(ln.flights.n) > peak {
+					t.Errorf("lane %d flight slab has %d slots for a peak of %d events in flight", i, ln.flights.n, peak)
 				}
-				if len(ln.annFree) != len(ln.ann) {
-					t.Errorf("lane %d announce slab leak: %d slots, %d free", i, len(ln.ann), len(ln.annFree))
+				if slots, free := len(ln.ann.chunks)<<slabShift, len(ln.ann.free); free != slots {
+					t.Errorf("lane %d announce slab leak: %d slots, %d free", i, slots, free)
 				}
 				for d, out := range ln.cross {
 					if len(out) != 0 {
 						t.Errorf("lane %d outbox to lane %d holds %d undelivered messages", i, d, len(out))
 					}
-					for k, cm := range out[:cap(out)] {
-						if cm.f.b != nil {
-							t.Errorf("lane %d drained outbox entry %d (to lane %d) still holds a payload", i, k, d)
-						}
-					}
+				}
+			}
+			// A drained outbox keeps its entries; they can keep nothing
+			// alive because a flight holds no pointer.
+			ft := reflect.TypeFor[flight]()
+			for k := 0; k < ft.NumField(); k++ {
+				if fk := ft.Field(k).Type.Kind(); fk < reflect.Bool || fk > reflect.Complex128 {
+					t.Errorf("flight field %s is a %v: flights must hold no pointer", ft.Field(k).Name, fk)
 				}
 			}
 			if slots == 0 {

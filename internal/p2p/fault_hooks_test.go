@@ -178,7 +178,7 @@ func TestParentPullRecoversMissedAncestry(t *testing.T) {
 		t.Fatal(err)
 	}
 	tip := chain[4]
-	net.send(0, &flight{to: lagger.idx(), from: src.idx(), srcPos: -1, kind: MsgNewBlock, item: net.blockIdx.mustLookup(tip.Hash()), b: tip})
+	net.send(0, &flight{to: lagger.idx(), from: src.idx(), srcPos: -1, kind: MsgNewBlock, item: net.blockIdx.mustLookup(tip.Hash())})
 	net.Engine().Run()
 
 	for i, b := range chain {
@@ -197,7 +197,7 @@ func TestParentPullRecoversMissedAncestry(t *testing.T) {
 	if err := net2.Connect(src2, lag2); err != nil {
 		t.Fatal(err)
 	}
-	net2.send(0, &flight{to: lag2.idx(), from: src2.idx(), srcPos: -1, kind: MsgNewBlock, item: net2.blockIdx.mustLookup(tip.Hash()), b: tip})
+	net2.send(0, &flight{to: lag2.idx(), from: src2.idx(), srcPos: -1, kind: MsgNewBlock, item: net2.blockIdx.mustLookup(tip.Hash())})
 	net2.Engine().Run()
 	if lag2.KnowsBlock(chain[0].Hash()) {
 		t.Fatal("parent pull ran with ParentPull disabled")

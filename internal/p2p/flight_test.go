@@ -62,11 +62,16 @@ func TestFlightViewMatchesMessage(t *testing.T) {
 	net.forkLanes()
 	ln := net.laneOf(a.idx())
 	push := func(k MsgKind, body *types.Block) {
+		if body != nil {
+			// A node relays a body it has accepted, so the body is
+			// published.
+			net.rememberBlock(a.idx(), idx[k], body)
+		}
 		cand, slot := ln.candidates(a.idx(), idx[k], slotUnknown)
 		if len(cand) != 1 {
 			t.Fatalf("%v: b is not a candidate", k)
 		}
-		ln.fanOut(a.idx(), idx[k], slot, cand, 1, 0, k, body)
+		ln.fanOut(a.idx(), idx[k], slot, cand, 1, 0, k)
 	}
 	pull := func(from, to *Node, kind, k MsgKind, count, bytes int) {
 		net.request(from.idx(), to.idx(), net.top.position(from.idx(), to.idx()), 0, kind, idx[k], count, bytes)

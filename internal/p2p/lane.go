@@ -74,20 +74,16 @@ type netLane struct {
 
 	ctr *transportCounters
 
-	// flights is the slab of messages in flight to this lane's nodes: a
-	// slot is taken when the delivery is scheduled and freed when it
-	// fires, so the slab's length is the peak number in flight. Free
-	// slots form a list through their `to` field, by slot number + 1
-	// (0 ends it); freeFlight is its head.
-	flights    []flight
-	freeFlight int32
-	ann        []announce
-	annFree    []int32
+	// flights holds the messages in flight to this lane's nodes, ann
+	// the deferred announce waves of its nodes: a slot is taken when the
+	// event is scheduled and freed when it fires, so a slab's size is
+	// the lane's peak number in flight.
+	flights slab[flight]
+	ann     slab[announce]
 
-	// Fan-out scratch: candidate span positions, permutation order and
-	// the spilled peers known to have the block being relayed.
+	// Fan-out scratch: candidate span positions and the spilled peers
+	// known to have the block being relayed.
 	candBuf  []int32
-	orderBuf []int
 	spillBuf []int32
 
 	// pos is the lane's index in Network.all.
@@ -113,25 +109,56 @@ type netLane struct {
 // laneOf returns the lane owning node index i.
 func (net *Network) laneOf(i int32) *netLane { return net.lanes[net.regions[i]] }
 
-// putFlight copies f into a free slab slot and returns its number.
-func (ln *netLane) putFlight(f *flight) int32 {
-	idx := ln.freeFlight - 1
-	if idx < 0 {
-		ln.flights = push(ln.flights, *f)
-		return int32(len(ln.flights) - 1)
+// slabShift sizes a slab chunk: 1,024 records.
+const slabShift = 10
+
+// slab holds a lane's records of one type in fixed chunks of 1,024, so
+// a record never moves and growth never copies one: the chunk table is
+// a pointer per 1,024 records, one load from a line that stays in L1.
+// Free slots form one LIFO stack, so a put takes the slot freed last;
+// a new chunk's slots go under it lowest on top, so a put with nothing
+// freed takes the next unused slot — the slot numbering of a slice
+// that appends when its free list is empty.
+type slab[T any] struct {
+	chunks []*[1 << slabShift]T
+	free   []int32 // free slots, the next to take on top
+	n      int32   // slots ever taken
+}
+
+// put copies *v into a free slot and returns its number.
+func (s *slab[T]) put(v *T) int32 {
+	k := len(s.free) - 1
+	if k < 0 {
+		s.grow()
+		k = len(s.free) - 1
 	}
-	ln.freeFlight = ln.flights[idx].to
-	ln.flights[idx] = *f
+	idx := s.free[k]
+	s.free = s.free[:k]
+	s.n = max(s.n, idx+1)
+	s.chunks[idx>>slabShift][idx&(1<<slabShift-1)] = *v
 	return idx
 }
 
-// takeFlight frees slot idx (no payload pointer stays) and returns
-// what it held.
-func (ln *netLane) takeFlight(idx int32) flight {
-	f := ln.flights[idx]
-	ln.flights[idx] = flight{to: ln.freeFlight}
-	ln.freeFlight = idx + 1
-	return f
+// grow adds a chunk and stacks its slots, lowest on top. The free
+// stack doubles, so take's append never reallocates: it never holds
+// more than every slot.
+func (s *slab[T]) grow() {
+	base := int32(len(s.chunks)) << slabShift
+	s.chunks = append(s.chunks, new([1 << slabShift]T))
+	s.free = grownTo(s.free, max(int(base)+1<<slabShift, 2*cap(s.free)))
+	for k := int32(1<<slabShift) - 1; k >= 0; k-- {
+		s.free = append(s.free, base+k)
+	}
+}
+
+// take frees slot idx, leaving it zero, and returns what it held.
+func (s *slab[T]) take(idx int32) T {
+	r := &s.chunks[idx>>slabShift][idx&(1<<slabShift-1)]
+	v := *r
+	var zero T
+	*r = zero
+	s.free = append(s.free, idx)
+	return v
 }
 
 // HandleEvent implements sim.Handler: it dispatches the transport's
@@ -141,7 +168,7 @@ func (ln *netLane) HandleEvent(now sim.Time, op, idx uint64) {
 	net := ln.net
 	switch op {
 	case opDeliver:
-		f := ln.takeFlight(int32(idx))
+		f := ln.flights.take(int32(idx))
 		if net.down[f.to] {
 			// The destination crashed while the message was in flight;
 			// its TCP connections are gone, so the bytes never arrive.
@@ -153,8 +180,7 @@ func (ln *netLane) HandleEvent(now sim.Time, op, idx uint64) {
 		row.bytesIn += uint64(f.size)
 		ln.handle(now, &f)
 	case opAnnounce:
-		a := ln.ann[idx]
-		ln.annFree = append(ln.annFree, int32(idx))
+		a := ln.ann.take(int32(idx))
 		if net.down[a.node] {
 			// The wave was scheduled before the node crashed.
 			return

@@ -129,7 +129,7 @@ func chainOf(total int) []*types.Block {
 func (f *layoutFixture) inFlightTo(n *Node) int {
 	c := 0
 	for _, ln := range f.net.all {
-		for _, f := range ln.flights {
+		for _, f := range slabRecords(&ln.flights) {
 			if f.kind != 0 && f.to == n.idx() {
 				c++
 			}

@@ -12,7 +12,7 @@
 // into transfer delay. The redundancy the paper measures in Table II
 // is an emergent property of this protocol.
 //
-// In flight a message is a flight: one 40-byte record in a lane's slab,
+// In flight a message is a flight: one 32-byte record in a lane's slab,
 // naming its block or transaction by interned index. There is no
 // message pool. The exported Message is what an Observer is shown — a
 // per-lane view rebuilt from the flight only for nodes that have an
@@ -108,20 +108,23 @@ type Message struct {
 }
 
 // flight is one message in flight — destination, sender, payload and
-// accounting in a single cache line. A lane keeps its flights in a slab
-// (netLane.flights) and a delivery event carries the slot number;
-// cross-lane sends carry the flight by value until the merge.
+// accounting in 32 bytes with no pointer, so the garbage collector never
+// scans a lane's slab (netLane.flights) or a cross-lane outbox. A
+// delivery event carries the slot number; cross-lane sends carry the
+// flight by value until the merge.
 //
 // Nodes are named by index (NodeID-1) and the item — the block, or for
 // MsgTransactions the one transaction — by its interned index, so
 // neither end hashes anything: the sender resolved the index once for
 // the whole fan-out, the receiver addresses its bit rows and
 // suppression window with it, and the hash (or transaction) is read
-// back from the network's tables only where an observer needs it. srcPos is the sender's position in the destination's peer
+// back from the network's tables only where an observer needs it. A
+// block-carrying flight's body is the canonical one, Network.blockBody
+// (bodyOf). srcPos is the sender's position in the destination's peer
 // span at send time (-1 unknown); the receiver validates it and falls
 // back to a scan. size is the serialized size counted at send time,
-// carried so ingress accounting does not re-derive it. In a free slab
-// slot kind is 0 and `to` links the free list.
+// carried so ingress accounting does not re-derive it. A free slab
+// slot is the zero flight.
 type flight struct {
 	to, from int32
 	srcPos   int32
@@ -129,21 +132,31 @@ type flight struct {
 	// item is the interned index of the block the message carries,
 	// announces or asks for, or of the transaction it carries.
 	item int32
-	// txCount, txBytes and b are Message's TxCount, TxBytes and Block;
-	// on MsgTransactions txBytes is the transaction's encoded size.
+	// txCount and txBytes are Message's TxCount and TxBytes; on
+	// MsgTransactions txBytes is the transaction's encoded size.
 	txCount, txBytes int32
 	kind             MsgKind
-	b                *types.Block
 }
 
-// The slab's point is one line per message, with room to spare.
-const _ = uint(40 - unsafe.Sizeof(flight{}))
+// A flight is half a cache line; this fails to compile if it grows.
+const _ = uint(32 - unsafe.Sizeof(flight{}))
+
+// bodyOf is the block flight f carries: for MsgNewBlock and
+// MsgCompactBlock the canonical body of its item, which rememberBlock
+// publishes before any relay or serve can name the block; nil for
+// every other kind.
+func (net *Network) bodyOf(f *flight) *types.Block {
+	if f.kind == MsgNewBlock || f.kind == MsgCompactBlock {
+		return net.blockBody[f.item]
+	}
+	return nil
+}
 
 // viewOf fills the lane's observer view from a flight: field for field
 // the Message the flight stands for.
 func (ln *netLane) viewOf(f *flight) *Message {
 	m := &ln.view
-	*m = Message{Kind: f.kind, Block: f.b, TxCount: int(f.txCount), TxBytes: int(f.txBytes)}
+	*m = Message{Kind: f.kind, Block: ln.net.bodyOf(f), TxCount: int(f.txCount), TxBytes: int(f.txBytes)}
 	switch f.kind {
 	case MsgNewBlockHashes:
 		m.hash1[0] = ln.net.blockIdx.hashes[f.item]

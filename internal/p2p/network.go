@@ -71,12 +71,15 @@ type Network struct {
 	txBits     bitGrid
 	cachedBits bitGrid
 
-	// cacheQ is each node's FIFO body-cache eviction order (block
-	// indices): a ring that grows by doubling up to blockCacheCap, then
-	// wraps at the row's cacheHead. pending tracks in-flight
+	// cacheRing is every node's FIFO body-cache eviction order (block
+	// indices), one row of cacheStride slots per node: a row fills from
+	// slot 0 and, holding blockCacheCap bodies, wraps at the node row's
+	// cacheHead. The stride is min(blocks, blockCacheCap) for the blocks
+	// reserved or interned (growCacheStride). pending tracks in-flight
 	// compact-relay fetches.
-	cacheQ  [][]int32
-	pending [][]pendingEntry
+	cacheRing   []int32
+	cacheStride int32
+	pending     [][]pendingEntry
 
 	// Recent-block suppression windows (know.go): an N×knownPeerCap
 	// ring of block indices (cursors in the node row) and the off-edge
@@ -149,8 +152,9 @@ type nodeRow struct {
 	newest                          int32
 	knowHead, knowCount, newestSlot uint8
 	relayOn                         bool
-	// cacheHead is the oldest slot of the full body-cache ring cacheQ.
-	cacheHead uint16
+	// cacheLen counts the node's cached bodies; cacheHead is the oldest
+	// slot of its row of cacheRing once the row is full.
+	cacheLen, cacheHead uint16
 }
 
 // announce is one deferred announce wave (relayBlock's phase 2).
@@ -264,13 +268,13 @@ func (net *Network) AddNode(region geo.Region, maxPeers int) (*Node, error) {
 
 	if len(net.rows) == cap(net.rows) {
 		// Past the reservation: double every per-node array at once.
-		net.Reserve(max(2*len(net.rows), minGrow), 0)
+		net.Reserve(max(2*len(net.rows), minGrow), 0, 0)
 	}
 	net.regions = append(net.regions, region)
 	net.down = append(net.down, false)
 	net.rows = append(net.rows, nodeRow{maxPeers: int32(maxPeers), relayOn: true})
 	net.top.addNode()
-	net.cacheQ = append(net.cacheQ, nil)
+	net.cacheRing = append(net.cacheRing, make([]int32, net.cacheStride)...)
 	net.pending = append(net.pending, nil)
 	net.knowSlot = append(net.knowSlot, make([]int32, knownPeerCap)...)
 	net.spill = append(net.spill, nil)
@@ -278,20 +282,22 @@ func (net *Network) AddNode(region geo.Region, maxPeers int) (*Node, error) {
 }
 
 // Reserve lays the overlay out for nodes nodes holding cells live
-// adjacency cells (two per connection), so a build that stays within
-// those counts allocates every per-node array, the bit grids' rows and
-// the adjacency arena once. core.NewCampaign calls it with the counts
-// its configuration fixes. Reserve only adds capacity: it never
-// changes a length, and no offset, slot number or compaction decision
-// reads a capacity, so a reservation of any size runs the same
-// simulation. A network that outgrows its reservation (churn joins,
-// fault rewiring) doubles the full array instead.
-func (net *Network) Reserve(nodes, cells int) {
+// adjacency cells (two per connection) and blocks blocks, so a build
+// that stays within those counts allocates every per-node array, the
+// bit grids' rows, the body-cache rings and the adjacency arena once,
+// and a run that interns no more blocks never re-lays the rings out.
+// core.NewCampaign calls it with the counts its configuration fixes.
+// Reserve only adds capacity: it never changes a length, and no offset,
+// slot number or compaction decision reads a capacity, so a
+// reservation of any size runs the same simulation. A network that
+// outgrows its reservation (churn joins, fault rewiring) doubles the
+// full array instead.
+func (net *Network) Reserve(nodes, cells, blocks int) {
 	if nodes > cap(net.rows) {
 		net.regions = grownTo(net.regions, nodes)
 		net.down = grownTo(net.down, nodes)
 		net.rows = grownTo(net.rows, nodes)
-		net.cacheQ = grownTo(net.cacheQ, nodes)
+		net.cacheRing = grownTo(net.cacheRing, nodes*int(net.cacheStride))
 		net.pending = grownTo(net.pending, nodes)
 		net.knowSlot = grownTo(net.knowSlot, nodes*knownPeerCap)
 		net.spill = grownTo(net.spill, nodes)
@@ -303,6 +309,26 @@ func (net *Network) Reserve(nodes, cells int) {
 		}
 	}
 	net.top.reserve(arenaCells(cells))
+	if s := int32(min(blocks, blockCacheCap)); s > net.cacheStride {
+		net.growCacheStride(s)
+	}
+}
+
+// growCacheStride re-lays the body-cache rings out at a stride of at
+// least need slots, doubling past a reservation, never past
+// blockCacheCap. A row wraps only at that cap, so below it every row
+// is a prefix to copy. It runs only while every lane is idle: from
+// Reserve, from presizeArenas, and from rememberBlock on a network
+// that interned no block through InjectBlock (unit tests).
+func (net *Network) growCacheStride(need int32) {
+	old := net.cacheStride
+	ns := min(max(2*old, need, minGrow), blockCacheCap)
+	rows := int32(len(net.rows))
+	ring := make([]int32, int(rows)*int(ns), cap(net.rows)*int(ns))
+	for r := int32(0); r < rows; r++ {
+		copy(ring[r*ns:], net.cacheRing[r*old:(r+1)*old])
+	}
+	net.cacheRing, net.cacheStride = ring, ns
 }
 
 // minGrow is the smallest capacity an array growing past its
@@ -605,7 +631,7 @@ func (net *Network) send(at sim.Time, f *flight) {
 			return
 		}
 	}
-	size := wireSize(f.kind, f.b, 1, int(f.txCount), int(f.txBytes))
+	size := wireSize(f.kind, net.bodyOf(f), 1, int(f.txCount), int(f.txBytes))
 	delay, err := net.latency.Sample(ln.rng, rf, rt, size)
 	if err != nil {
 		// Regions are validated at AddNode; a failure here is a
@@ -633,7 +659,7 @@ func (net *Network) send(at sim.Time, f *flight) {
 	at += delay + extra
 	dl := net.lanes[rt]
 	if dl == ln {
-		ln.engine.ScheduleCallAt(at, ln, opDeliver, uint64(ln.putFlight(f)))
+		ln.engine.ScheduleCallAt(at, ln, opDeliver, uint64(ln.flights.put(f)))
 		return
 	}
 	// Cross-lane: the delivery's equal-time tie key is (source lane,
@@ -646,7 +672,7 @@ func (net *Network) send(at sim.Time, f *flight) {
 	// or drop, never accelerate), so merging never back-dates an event
 	// — mergeCross asserts exactly this.
 	if dl.engine == ln.engine {
-		dl.engine.ScheduleCallAtOrdered(at, dl, opDeliver, uint64(dl.putFlight(f)), uint64(ln.pos)<<48|ln.emitSeq)
+		dl.engine.ScheduleCallAtOrdered(at, dl, opDeliver, uint64(dl.flights.put(f)), uint64(ln.pos)<<48|ln.emitSeq)
 	} else {
 		ln.cross[dl.pos] = append(ln.cross[dl.pos], crossMsg{at: at, seq: ln.emitSeq, f: *f})
 	}
@@ -660,14 +686,6 @@ func (net *Network) send(at sim.Time, f *flight) {
 // emitting event's time (phase A injections on conductor lanes).
 func (net *Network) scheduleAnnounce(at sim.Time, i, block int32, origin bool) {
 	ln := net.laneOf(i)
-	var idx int32
-	if k := len(ln.annFree); k > 0 {
-		idx = ln.annFree[k-1]
-		ln.annFree = ln.annFree[:k-1]
-	} else {
-		ln.ann = push(ln.ann, announce{})
-		idx = int32(len(ln.ann) - 1)
-	}
-	ln.ann[idx] = announce{node: i, block: block, origin: origin}
-	ln.engine.ScheduleCallAt(at, ln, opAnnounce, uint64(idx))
+	a := announce{node: i, block: block, origin: origin}
+	ln.engine.ScheduleCallAt(at, ln, opAnnounce, uint64(ln.ann.put(&a)))
 }

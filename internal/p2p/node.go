@@ -113,16 +113,21 @@ func (net *Network) rememberBlock(i, idx int32, b *types.Block) {
 		// phase-A injection has already published it.
 		net.blockBody[idx] = b
 	}
-	q := net.cacheQ[i]
-	if len(q) < blockCacheCap {
-		net.cacheQ[i] = push(q, idx)
+	row := &net.rows[i]
+	if n := int32(row.cacheLen); n < blockCacheCap {
+		if n == net.cacheStride {
+			net.growCacheStride(n + 1)
+		}
+		net.cacheRing[i*net.cacheStride+n] = idx
+		row.cacheLen++
 		net.cachedBits.set(i, idx)
 		return
 	}
-	// Full: the new body takes the oldest one's slot.
-	row := &net.rows[i]
-	evict := q[row.cacheHead]
-	q[row.cacheHead] = idx
+	// Full (the stride is blockCacheCap): the new body takes the oldest
+	// one's slot.
+	slot := &net.cacheRing[i*blockCacheCap+int32(row.cacheHead)]
+	evict := *slot
+	*slot = idx
 	row.cacheHead = uint16((int(row.cacheHead) + 1) % blockCacheCap)
 	net.cachedBits.set(i, idx)
 	net.cachedBits.clear(i, evict)
@@ -171,14 +176,15 @@ func (ln *netLane) handle(now sim.Time, f *flight) {
 	}
 	switch f.kind {
 	case MsgNewBlock:
-		if f.b == nil {
+		b := net.blockBody[f.item]
+		if b == nil {
 			return
 		}
 		slot := net.markPeerKnows(i, f.item, fi, pos)
 		if net.ParentPull {
-			net.maybePullParent(now, f, pos)
+			net.maybePullParent(now, f, b, pos)
 		}
-		net.acceptBlock(i, now, f.b, f.item, slot, false)
+		net.acceptBlock(i, now, b, f.item, slot, false)
 	case MsgNewBlockHashes:
 		// The announcer evidently has the block.
 		net.markPeerKnows(i, f.item, fi, pos)
@@ -190,12 +196,13 @@ func (ln *netLane) handle(now sim.Time, f *flight) {
 	case MsgGetBlock, MsgGetCompact, MsgGetBlockTxns:
 		ln.serve(now, f, pos)
 	case MsgCompactBlock:
-		if f.b == nil || ln.relay.Mode != relay.Compact {
+		b := net.blockBody[f.item]
+		if b == nil || ln.relay.Mode != relay.Compact {
 			return
 		}
 		slot := net.markPeerKnows(i, f.item, fi, pos)
 		if net.ParentPull {
-			net.maybePullParent(now, f, pos)
+			net.maybePullParent(now, f, b, pos)
 		}
 		ln.reconstruct(now, f, pos, slot)
 	case MsgBlockTxns:
@@ -280,21 +287,22 @@ func (n *Node) InjectTx(now sim.Time, tx *types.Transaction) {
 	net.presizeArenas()
 }
 
-// maybePullParent is the catch-up fetch (Network.ParentPull): a block
-// whose parent was never received — the partition-era gap — triggers a
-// GetBlock for that parent from the block's sender. The response is a
-// NewBlock, so the pull walks the missing ancestry recursively until
-// it reaches known ground; the sender serves from its FIFO body cache,
-// which comfortably covers any realistic outage window. The pull is
-// deliberately NOT recorded in seenHashes: a pull can itself be lost
-// to the very faults it recovers from, so every received copy of a
-// gap's descendant retries it (a handful of redundant fetches, deduped
-// by haveBlocks on arrival) until the parent actually lands.
-func (net *Network) maybePullParent(now sim.Time, f *flight, pos int32) {
-	if f.b.Header.Number < 2 {
+// maybePullParent is the catch-up fetch (Network.ParentPull): a block b,
+// delivered in f, whose parent was never received — the partition-era
+// gap — triggers a GetBlock for that parent from the block's sender.
+// The response is a NewBlock, so the pull walks the missing ancestry
+// recursively until it reaches known ground; the sender serves from its
+// FIFO body cache, which comfortably covers any realistic outage
+// window. The pull is deliberately NOT recorded in seenHashes: a pull
+// can itself be lost to the very faults it recovers from, so every
+// received copy of a gap's descendant retries it (a handful of
+// redundant fetches, deduped by haveBlocks on arrival) until the parent
+// actually lands.
+func (net *Network) maybePullParent(now sim.Time, f *flight, b *types.Block, pos int32) {
+	if b.Header.Number < 2 {
 		return
 	}
-	parent := net.blockIdx.mustLookup(f.b.Header.ParentHash)
+	parent := net.blockIdx.mustLookup(b.Header.ParentHash)
 	if net.haveBits.get(f.to, parent) {
 		return
 	}
@@ -319,7 +327,7 @@ func (net *Network) acceptBlock(i int32, now sim.Time, b *types.Block, idx, slot
 	if !net.rows[i].relayOn || net.top.degree(i) == 0 {
 		return
 	}
-	net.laneOf(i).relayBlock(i, now, b, idx, slot, origin)
+	net.laneOf(i).relayBlock(i, now, idx, slot, origin)
 }
 
 // serve answers the three pulls — GetBlock with the body, GetCompact
@@ -337,13 +345,13 @@ func (ln *netLane) serve(now sim.Time, f *flight, pos int32) {
 	reply := flight{to: f.from, from: f.to, srcPos: net.respPos(f.to, pos), item: f.item}
 	switch f.kind {
 	case MsgGetBlock:
-		reply.kind, reply.b = MsgNewBlock, net.blockBody[f.item]
+		reply.kind = MsgNewBlock
 	case MsgGetCompact:
 		// Pull responses count as sent sketches alongside the push
 		// wave's, keeping SketchesSent equal to the CompactBlock class
 		// counter.
 		ln.ctr.RelayCounters.SketchesSent++
-		reply.kind, reply.b = MsgCompactBlock, net.blockBody[f.item]
+		reply.kind = MsgCompactBlock
 	case MsgGetBlockTxns:
 		reply.kind, reply.txCount, reply.txBytes = MsgBlockTxns, f.txCount, f.txBytes
 	}

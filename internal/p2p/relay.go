@@ -20,12 +20,12 @@ import (
 // hashes of a sketch, checked against the receiver's pool.
 
 // relayBlock is dissemination phase 1 at node i, which just accepted
-// block idx (body b): the push wave, then the announce wave scheduled
-// after full import — right after validation at the block's origin,
-// which already executed it. slot is idx's window slot if the caller
-// scanned for it, else slotUnknown. A node with no candidate draws no
-// permutation and schedules no wave.
-func (ln *netLane) relayBlock(i int32, now sim.Time, b *types.Block, idx, slot int32, origin bool) {
+// block idx: the push wave, then the announce wave scheduled after full
+// import — right after validation at the block's origin, which already
+// executed it. slot is idx's window slot if the caller scanned for it,
+// else slotUnknown. A node with no candidate draws no permutation and
+// schedules no wave.
+func (ln *netLane) relayBlock(i int32, now sim.Time, idx, slot int32, origin bool) {
 	cand, slot := ln.candidates(i, idx, slot)
 	if len(cand) == 0 {
 		return
@@ -35,7 +35,7 @@ func (ln *netLane) relayBlock(i int32, now sim.Time, b *types.Block, idx, slot i
 		kind = MsgCompactBlock
 		ln.ctr.RelayCounters.SketchesSent += uint64(k)
 	}
-	ln.fanOut(i, idx, slot, cand, k, now+relay.ValidateDelay, kind, b)
+	ln.fanOut(i, idx, slot, cand, k, now+relay.ValidateDelay, kind)
 	delay := relay.ValidateDelay + relay.ImportDelay
 	if origin {
 		delay = relay.ValidateDelay
@@ -78,7 +78,7 @@ func (ln *netLane) announceWave(i int32, now sim.Time, idx int32, origin bool) {
 	if !origin && ln.relay.Mode != relay.Hybrid {
 		n = sqrtFanout(n)
 	}
-	ln.fanOut(i, idx, slot, cand, n, now, MsgNewBlockHashes, nil)
+	ln.fanOut(i, idx, slot, cand, n, now, MsgNewBlockHashes)
 }
 
 // candidates fills the lane scratch with the span positions of node i's
@@ -119,27 +119,22 @@ func (ln *netLane) candidates(i, idx, slot int32) ([]int32, int32) {
 	return c, slot
 }
 
-// fanOut sends the first k of a permutation of node i's candidates —
-// drawn from the lane stream exactly as rng.Perm(len(cand)) would be —
-// a message of the given kind about block idx (body b, nil for an
-// announcement) at time at, marking each peer as knowing the block.
-// The edge bits are set straight from slot, idx entering i's window on
-// the first send if it was not there.
-func (ln *netLane) fanOut(i, idx, slot int32, cand []int32, k int, at sim.Time, kind MsgKind, b *types.Block) {
-	n := len(cand)
-	if cap(ln.orderBuf) < n {
-		ln.orderBuf = make([]int, n)
-	}
-	order := ln.orderBuf[:n]
-	ln.rng.PermInto(order)
+// fanOut shuffles node i's candidates in place from the lane stream and
+// sends the first k a message of the given kind about block idx at
+// time at, marking each peer as knowing the block. The shuffle draws
+// exactly as rng.Perm(len(cand)) would, and cand[m] after it is
+// cand[perm[m]] before. The edge bits are set straight from slot, idx
+// entering i's window on the first send if it was not there.
+func (ln *netLane) fanOut(i, idx, slot int32, cand []int32, k int, at sim.Time, kind MsgKind) {
+	sim.Shuffle(ln.rng, cand)
 	net := ln.net
-	for _, c := range order[:k] {
-		edge := net.top.spans[i].off + cand[c]
+	for _, p := range cand[:k] {
+		edge := net.top.spans[i].off + p
 		if slot < 0 {
 			slot = net.windowAdd(i, idx)
 		}
 		net.top.knowMask[edge] |= 1 << uint(slot)
-		f := flight{to: net.top.adj[edge], from: i, srcPos: net.top.revAdj[edge], kind: kind, item: idx, b: b}
+		f := flight{to: net.top.adj[edge], from: i, srcPos: net.top.revAdj[edge], kind: kind, item: idx}
 		net.send(at, &f)
 	}
 }
@@ -174,7 +169,7 @@ func (ln *netLane) announcePull(i int32, now sim.Time, from, pos, idx int32) {
 // rounds to zero as BIP152 deployments do.
 func (ln *netLane) reconstruct(now sim.Time, f *flight, pos, slot int32) {
 	net := ln.net
-	i, idx, b := f.to, f.item, f.b
+	i, idx, b := f.to, f.item, net.blockBody[f.item]
 	if net.haveBits.get(i, idx) || net.hasPending(i, idx) {
 		return
 	}

@@ -22,9 +22,10 @@ import (
 //     Network.down, only ever read — by the lane owning that node's
 //     region, or by the global lane while every region engine is idle
 //     (phase A). Shared arenas that grow by reallocation — the bit
-//     grids and the block-body table — are presized after each phase A
-//     (presizeArenas), so phase B only writes in place; the item
-//     indices (items.go) grow only in phase A and lanes only read them.
+//     grids, the block-body table and the body-cache rings — are
+//     presized after each phase A (presizeArenas), so phase B only
+//     writes in place; the item indices (items.go) grow only in phase
+//     A and lanes only read them.
 //   - Everything else the transport touches is a netLane field, so it
 //     is lane-local by construction; the lane counters fold into the
 //     Network's public totals at FoldLanes.
@@ -62,9 +63,9 @@ func (net *Network) EnableSharding(cond *sim.Conductor) {
 }
 
 // presizeArenas is the conductor's AfterGlobal hook: it grows the
-// shared bit grids and the block-body table to cover every node and
-// every item interned so far, so phase B lanes never trigger a
-// concurrent reallocation. New items only enter through phase A
+// shared bit grids, the block-body table and the body-cache rings to
+// cover every node and every item interned so far, so phase B lanes
+// never trigger a concurrent reallocation. New items only enter through phase A
 // (mining and workload injection); phase B never interns.
 func (net *Network) presizeArenas() {
 	rows, blocks := int32(net.nextID), int32(len(net.blockIdx.hashes))
@@ -74,6 +75,10 @@ func (net *Network) presizeArenas() {
 	net.txBits.presize(rows, int32(len(net.txIdx.hashes)))
 	for int(blocks) > len(net.blockBody) {
 		net.blockBody = append(net.blockBody, nil)
+	}
+	// A node caches at most every interned block.
+	if s := min(blocks, blockCacheCap); s > net.cacheStride {
+		net.growCacheStride(s)
 	}
 }
 
@@ -121,11 +126,9 @@ func (net *Network) mergeTo(d int) {
 				panic(fmt.Sprintf("p2p: cross-lane merge back-dates event: arrival %d <= lane %v clock %d",
 					cm.at, net.regions[cm.f.to], now))
 			}
-			dl.engine.ScheduleCallAtOrdered(cm.at, dl, opDeliver, uint64(dl.putFlight(&cm.f)), uint64(l)<<48|cm.seq)
+			dl.engine.ScheduleCallAtOrdered(cm.at, dl, opDeliver, uint64(dl.flights.put(&cm.f)), uint64(l)<<48|cm.seq)
 		}
 		n += len(out)
-		// Zero drained entries so the backing array retains no payloads.
-		clear(out)
 		ln.cross[d] = out[:0]
 	}
 	dl.merged = n

@@ -82,8 +82,8 @@ func BenchmarkDeliverRedundant(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := int32(i & 15)
-		f := flight{to: hub, from: s.peers[p].idx(), srcPos: p, size: 600, kind: MsgNewBlock, item: s.idx, b: s.blk}
-		s.ln.HandleEvent(0, opDeliver, uint64(s.ln.putFlight(&f)))
+		f := flight{to: hub, from: s.peers[p].idx(), srcPos: p, size: 600, kind: MsgNewBlock, item: s.idx}
+		s.ln.HandleEvent(0, opDeliver, uint64(s.ln.flights.put(&f)))
 	}
 }
 
@@ -106,10 +106,10 @@ func BenchmarkFanout(b *testing.B) {
 				if len(cand) != degree {
 					b.Fatalf("%d candidates, want %d", len(cand), degree)
 				}
-				s.ln.fanOut(hub, s.idx, slot, cand, pushes, now, MsgNewBlock, s.blk)
-				// fanOut leaves its permutation in the lane scratch.
-				for _, c := range s.ln.orderBuf[:pushes] {
-					s.net.top.knowMask[off+cand[c]] = 0
+				s.ln.fanOut(hub, s.idx, slot, cand, pushes, now, MsgNewBlock)
+				// fanOut sent to the first pushes of the shuffled candidates.
+				for _, p := range cand[:pushes] {
+					s.net.top.knowMask[off+p] = 0
 				}
 				if (i+1)*pushes%drainEvery < pushes {
 					s.drain(b)
@@ -128,7 +128,7 @@ func BenchmarkSend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := int32(i & 15)
-		f := flight{to: s.peers[p].idx(), from: hub, srcPos: 0, kind: MsgNewBlock, item: s.idx, b: s.blk}
+		f := flight{to: s.peers[p].idx(), from: hub, srcPos: 0, kind: MsgNewBlock, item: s.idx}
 		s.net.send(s.net.Engine().Now(), &f)
 		if i%drainEvery == drainEvery-1 {
 			s.drain(b)
@@ -146,7 +146,7 @@ func BenchmarkTxDeliverRedundant(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := flight{to: hub, from: s.peers[i&15].idx(), srcPos: -1, size: 128, kind: MsgTransactions, item: s.txIdx}
-		s.ln.HandleEvent(0, opDeliver, uint64(s.ln.putFlight(&f)))
+		s.ln.HandleEvent(0, opDeliver, uint64(s.ln.flights.put(&f)))
 	}
 }
 

@@ -130,7 +130,7 @@ func TestTxPathAllocCeiling(t *testing.T) {
 	engine := s.net.Engine()
 	deliver := testing.AllocsPerRun(1000, func() {
 		f := flight{to: hub, from: s.peers[0].idx(), srcPos: -1, size: 128, kind: MsgTransactions, item: s.txIdx}
-		s.ln.HandleEvent(engine.Now(), opDeliver, uint64(s.ln.putFlight(&f)))
+		s.ln.HandleEvent(engine.Now(), opDeliver, uint64(s.ln.flights.put(&f)))
 	})
 	fanout := testing.AllocsPerRun(1000, func() {
 		s.net.txBits.clear(hub, s.txIdx)

@@ -42,6 +42,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime/debug"
+	"time"
 )
 
 // maxTime is the "no constraint" sentinel for window deadlines.
@@ -123,6 +124,20 @@ type ConductorStats struct {
 	Pairs [][]PairWindowStats
 }
 
+// PhaseTimes splits a conductor run's wall clock by phase. Unlike
+// ConductorStats it measures the host, not the simulation, so it is
+// never folded into anything deterministic.
+type PhaseTimes struct {
+	// Merge is the time spent in the Merge hook, at window starts and
+	// after phase A; PhaseA the global lane's runs and AfterGlobal;
+	// PhaseB the region lanes' windows, from the first job's start to
+	// the last job's end, barrier included.
+	Merge, PhaseA, PhaseB time.Duration
+	// LaneBusy sums the phase-B jobs' own times: LaneBusy / PhaseB is
+	// the mean number of workers running a lane.
+	LaneBusy time.Duration
+}
+
 // Conductor coordinates one global lane (index 0) and N region lanes
 // (indices 1..N) through the window loop described in the package
 // comment. It owns only scheduling; buffering and draining cross-lane
@@ -172,6 +187,7 @@ type Conductor struct {
 
 	stats ConductorStats
 	pairs [][]PairWindowStats
+	times PhaseTimes
 
 	// Run's state: the warm barrier (nil outside Run), the window's
 	// phase-B jobs, runLane bound once (a method value made per window
@@ -280,6 +296,9 @@ func (c *Conductor) SetBounds(bounds [][]Time) {
 	c.dist = dist
 }
 
+// Times returns the wall-clock split of the runs so far.
+func (c *Conductor) Times() PhaseTimes { return c.times }
+
 // Stats snapshots the window-loop counters, per-pair window histogram
 // included.
 func (c *Conductor) Stats() ConductorStats {
@@ -343,12 +362,13 @@ func (c *Conductor) Frontier() Time {
 
 // laneJob is one phase-B work item: run lane until deadline (or drain
 // it completely when drain is set). before is the lane's event count
-// when the window started.
+// when the window started, busy the job's wall time once it ran.
 type laneJob struct {
 	lane     int
 	deadline Time
 	drain    bool
 	before   uint64
+	busy     time.Duration
 }
 
 // LanePanic is what Run panics with when an event handler panicked on
@@ -368,9 +388,11 @@ func (p *LanePanic) Error() string {
 // runLane executes phase-B job k. A panic is caught here and parked in
 // the lane's failed slot for Run to re-raise with the lane's clock.
 func (c *Conductor) runLane(k int) {
-	j := c.jobs[k]
+	j := &c.jobs[k]
 	e := c.lanes[j.lane]
+	start := time.Now()
 	defer func() {
+		j.busy = time.Since(start)
 		if v := recover(); v != nil {
 			c.failed[j.lane] = &LanePanic{Lane: j.lane, Now: e.Now(), Value: v, Stack: debug.Stack()}
 		}
@@ -439,7 +461,9 @@ func (c *Conductor) Run(workers int) {
 	for {
 		merged := 0
 		if c.Merge != nil {
+			start := time.Now()
 			merged = c.Merge()
+			c.times.Merge += time.Since(start)
 		}
 		c.stats.Merged += uint64(merged)
 
@@ -458,6 +482,7 @@ func (c *Conductor) Run(workers int) {
 		// never write global state, so no region event at t can change
 		// what the global lane does at t.
 		if has[0] && next[0] <= t {
+			start := time.Now()
 			g := c.lanes[0].Processed()
 			c.lanes[0].RunUntil(t)
 			c.stats.GlobalEvents += c.lanes[0].Processed() - g
@@ -465,6 +490,7 @@ func (c *Conductor) Run(workers int) {
 			if c.AfterGlobal != nil {
 				c.AfterGlobal()
 			}
+			c.times.PhaseA += time.Since(start)
 			// Phase A schedules fresh work: same-lane deliveries land on
 			// region queues directly, but an injected block's cross-lane
 			// sends sit in the transport's buffers — drain them NOW, or a
@@ -472,7 +498,9 @@ func (c *Conductor) Run(workers int) {
 			// merge never saw. Then re-snapshot so the phase B deadlines
 			// see everything phase A produced.
 			if c.Merge != nil {
+				start := time.Now()
 				c.stats.Merged += uint64(c.Merge())
+				c.times.Merge += time.Since(start)
 			}
 			snapshot()
 		}
@@ -533,16 +561,21 @@ func (c *Conductor) Run(workers int) {
 			c.jobs = append(c.jobs, laneJob{lane: i, deadline: d, drain: d == maxTime, before: c.lanes[i].Processed()})
 		}
 		// A window with one runnable lane runs it here, unpublished.
+		start := time.Now()
 		if len(c.jobs) == 1 {
 			c.runLane(0)
 		} else if len(c.jobs) > 1 {
 			c.crew.run(len(c.jobs), c.runJob)
+		}
+		if len(c.jobs) > 0 {
+			c.times.PhaseB += time.Since(start)
 		}
 		var span uint64
 		for _, j := range c.jobs {
 			n := c.lanes[j.lane].Processed() - j.before
 			c.stats.Work += n
 			span = max(span, n)
+			c.times.LaneBusy += j.busy
 		}
 		c.stats.Span += span
 		for i, p := range c.failed {

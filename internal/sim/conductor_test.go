@@ -477,3 +477,30 @@ func TestConductorLanePanicReachesCaller(t *testing.T) {
 		}
 	}
 }
+
+// TestConductorTimes checks the wall-clock split's bookkeeping on a
+// run that merges, runs the global lane and runs several lanes per
+// window: every phase reads some time, and the lane jobs' summed time
+// fits in phase B times the workers (each job runs inside phase B on
+// one worker).
+func TestConductorTimes(t *testing.T) {
+	const regions, workers = 4, 2
+	c := NewConductor(regions)
+	p := &pingPong{c: c, buf: make([][]crossEntry, regions), emitted: make([]int, regions), totals: make([]int, regions)}
+	c.Merge = p.merge
+	for r := 0; r < regions; r++ {
+		c.Lane(r).ScheduleCallAt(Time(r), p, uint64(r+1), 400)
+	}
+	c.Global().ScheduleAt(7, func(now Time) {})
+	if got := c.Times(); got != (PhaseTimes{}) {
+		t.Fatalf("times before any run = %+v, want zero", got)
+	}
+	c.Run(workers)
+	tm := c.Times()
+	if tm.Merge <= 0 || tm.PhaseA <= 0 || tm.PhaseB <= 0 || tm.LaneBusy <= 0 {
+		t.Fatalf("a phase read no time: %+v", tm)
+	}
+	if tm.LaneBusy > workers*tm.PhaseB {
+		t.Fatalf("lanes busy %v in %v of phase B on %d workers", tm.LaneBusy, tm.PhaseB, workers)
+	}
+}

@@ -324,24 +324,26 @@ func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPermIntoMatchesPerm asserts the draw-compatibility contract
-// between Perm and PermInto.
-func TestPermIntoMatchesPerm(t *testing.T) {
+// TestShuffleMatchesPerm asserts the draw-compatibility contract
+// between Shuffle and rand.Rand.Perm on twin streams: shuffling a slice
+// in place leaves at m the element xs[perm[m]], for the permutation the
+// same stream's Perm draws, and consumes the same draws.
+func TestShuffleMatchesPerm(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 64, 513} {
-		a := NewRNG(99)
-		b := NewRNG(99)
-		want := a.Perm(n)
-		got := make([]int, n)
-		b.PermInto(got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: PermInto diverged from Perm at %d", n, i)
+		tw := newRNGTwin(99)
+		perm := tw.ref.Perm(n)
+		xs := make([]int32, n)
+		for i := range xs {
+			xs[i] = int32(3*i + 1)
+		}
+		got := append([]int32(nil), xs...)
+		Shuffle(tw.got, got)
+		for m := range perm {
+			if got[m] != xs[perm[m]] {
+				t.Fatalf("n=%d: Shuffle diverged from Perm indexing at %d", n, m)
 			}
 		}
-		// Streams must stay aligned afterwards too.
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("n=%d: RNG streams diverged after draw", n)
-		}
+		tw.samePosition(t, "the shuffle")
 	}
 }
 

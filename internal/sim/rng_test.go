@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// RNG draws IntN, Float64, PermInto and Shuffle straight from its
+// RNG draws IntN, Float64 and Shuffle straight from its
 // concrete *rand.PCG with local copies of math/rand/v2's reductions.
 // These tests pin those copies draw for draw against *rand.Rand itself:
 // twin streams from one seed, one driven only through rand.Rand
@@ -66,13 +66,18 @@ func (tw *rngTwin) step(t *testing.T, op, arg byte) int {
 			t.Fatalf("Float64 = %v, rand.Rand gives %v", got, want)
 		}
 	case 3:
+		// Shuffling a slice in place sends element perm[m] to m, for
+		// the permutation rand.Rand.Perm draws.
 		n := int(arg) % 70
-		want := tw.ref.Perm(n)
+		perm := tw.ref.Perm(n)
 		got := make([]int, n)
-		tw.got.PermInto(got)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("PermInto(%d)[%d] = %d, rand.Rand.Perm gives %d", n, i, got[i], want[i])
+		for i := range got {
+			got[i] = 1000 + 7*i
+		}
+		Shuffle(tw.got, got)
+		for m := range perm {
+			if want := 1000 + 7*perm[m]; got[m] != want {
+				t.Fatalf("Shuffle(%d)[%d] = %d, rand.Rand.Perm indexing gives %d", n, m, got[m], want)
 			}
 		}
 		return n

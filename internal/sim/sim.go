@@ -785,7 +785,7 @@ func (t *Timer) When() (at Time, ok bool) {
 
 // RNG is a deterministic random stream with the distribution helpers
 // the simulation model needs: PCG from math/rand/v2. The hot draws
-// (Uint64, Float64, IntN, PermInto, Shuffle) call the concrete
+// (Uint64, Float64, IntN, Shuffle) call the concrete
 // generator, not rand.Rand through the rand.Source interface; only the
 // ziggurat samplers still go through r, which wraps the same src. The
 // stream is draw for draw rand.Rand's (TestRNGFastPathMatchesRand).
@@ -998,25 +998,15 @@ func (w *Weighted) Sample(g *RNG) int {
 	return w.index[lo]
 }
 
-// Perm returns a random permutation of [0, n).
+// Perm returns a random permutation of [0, n), draw for draw as
+// rand.Rand.Perm: the identity, shuffled.
 func (g *RNG) Perm(n int) []int {
 	p := make([]int, n)
-	g.PermInto(p)
-	return p
-}
-
-// PermInto fills p with a random permutation of [0, len(p)), consuming
-// exactly the RNG draws rand.Rand.Perm(len(p)) would — the same
-// Fisher–Yates, inline. It exists so hot paths can reuse a scratch
-// buffer instead of allocating a fresh permutation per call.
-func (g *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := len(p) - 1; i > 0; i-- {
-		j := g.uint64n(uint64(i + 1))
-		p[i], p[j] = p[j], p[i]
-	}
+	Shuffle(g, p)
+	return p
 }
 
 // Shuffle permutes xs in place, draw for draw as rand.Rand.Shuffle.
