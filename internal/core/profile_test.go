@@ -224,11 +224,12 @@ const runGarbageRatio = 1.8
 // times what it adds to the live heap. With a body-cache queue per node
 // growing 8→16→32→64 entries and flight slabs doubling by copy, the
 // run allocated 18.1 MB to add 9.5 MB (1.91×); with the rings laid out
-// by Network.Reserve and the flights in fixed chunks it allocates
-// 9.6 MB to add 5.8 MB (1.65×). The known remainder is the engine's
-// node arena, which still doubles: about 3 MB of the run's garbage
-// (docs/PERFORMANCE.md, "Tried, measured, and not done"). Not parallel:
-// the readings are process-wide.
+// by Network.Reserve, the flights in fixed chunks whose free stacks
+// grow with their slots, and the fan-out scratch doubling to the span
+// it scans, it allocates 9.4 MB to add 5.8 MB (1.61×). The known
+// remainder is the engine's node arena, which still doubles: about
+// 3 MB of the run's garbage (docs/PERFORMANCE.md, "Tried, measured,
+// and not done"). Not parallel: the readings are process-wide.
 func TestOverlayRunGarbage(t *testing.T) {
 	c, err := NewCampaign(overlay10kConfig(0))
 	if err != nil {

@@ -110,6 +110,9 @@ func TestTelemetryJoinsReportBySeed(t *testing.T) {
 		if row.Spec != res.Spec.ID || row.Repeat != res.Repeat || row.Seed != res.Seed {
 			t.Fatalf("row %d misjoined: %+v vs result %s/%d", i, row, res.Spec.ID, res.Repeat)
 		}
+		if row.StartMS != float64(res.Start.Nanoseconds())/1e6 || row.ElapsedMS <= 0 {
+			t.Errorf("row %s/%d start %v ms elapsed %v ms, result start %v", row.Spec, row.Repeat, row.StartMS, row.ElapsedMS, res.Start)
+		}
 		if row.Engines == 0 || row.Events == 0 {
 			t.Errorf("row %s/%d has no engine data: %+v", row.Spec, row.Repeat, row)
 		}
@@ -226,5 +229,26 @@ func TestRenderTelemetryPhaseTimes(t *testing.T) {
 	want := "wall: merge 310 ms, phase A 40 ms, phase B 2400 ms with lanes busy 3960 ms (1.65 workers)"
 	if !strings.Contains(out, want) {
 		t.Fatalf("rendering lacks %q:\n%s", want, out)
+	}
+}
+
+// TestRenderTelemetryRunnerLine: a version-2 document renders the
+// runner's packing from its rows' start offsets — the makespan is the
+// last run's end, the busy workers the summed run time over it — and a
+// version-1 document, which has no offsets, renders none.
+func TestRenderTelemetryRunnerLine(t *testing.T) {
+	runs := []experiments.TelemetryRow{
+		{Spec: "commit", StartMS: 0.5, ElapsedMS: 2000},
+		{Spec: "A1", StartMS: 1, ElapsedMS: 600},
+		{Spec: "chain", StartMS: 601, ElapsedMS: 1399.5},
+	}
+	tel := &experiments.Telemetry{SchemaVersion: experiments.TelemetrySchemaVersion, Runs: runs}
+	want := "runner: makespan 2.00 s, runs 4.00 s summed, 2.00 workers busy on average"
+	if out := experiments.RenderTelemetry(tel); !strings.Contains(out, want) {
+		t.Fatalf("rendering lacks %q:\n%s", want, out)
+	}
+	tel.SchemaVersion = 1
+	if out := experiments.RenderTelemetry(tel); strings.Contains(out, "runner:") {
+		t.Fatalf("a version-1 document has no start offsets to render:\n%s", out)
 	}
 }

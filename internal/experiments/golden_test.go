@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
@@ -67,15 +68,40 @@ func goldenConductorPoints() []goldenCombo {
 
 // assertGoldenMatrix runs specs at each of points and at the reference
 // (0, 1); every run directory must be byte-identical to the
-// reference's.
+// reference's. The reference runs with telemetry on, which also holds
+// every declared spec cost to the events its runs dispatched.
 func assertGoldenMatrix(t *testing.T, specs []experiments.Spec, points []goldenCombo, sets []*scenario.Set) {
 	t.Helper()
 	ref := filepath.Join(t.TempDir(), "s0p1")
-	runGoldenAt(t, specs, ref, goldenCombo{0, 1}, sets, experiments.ScaleSmall, 2)
+	obs.Default.EnableTelemetry()
+	defer obs.Default.Disable()
+	report := runGoldenAt(t, specs, ref, goldenCombo{0, 1}, sets, experiments.ScaleSmall, 2)
+	rows := obs.Default.Take(experiments.ReportSeeds(report))
+	obs.Default.Disable()
+	assertDeclaredCosts(t, report, rows)
 	for _, c := range points {
 		dir := filepath.Join(t.TempDir(), fmt.Sprintf("s%dp%d", c.shards, c.parallel))
 		runGoldenAt(t, specs, dir, c, sets, experiments.ScaleSmall, 2)
 		assertDirsIdentical(t, ref, dir, c)
+	}
+}
+
+// assertDeclaredCosts holds each run of a spec that declares a cost to
+// within 2× of it, in engine events (a run that dispatches none counts
+// as one). The costs were read at campaign seed 7; at the golden seed
+// the registry's runs land between 0.88× (commit) and 1.49× (R1) of
+// them.
+func assertDeclaredCosts(t *testing.T, report *experiments.Report, rows map[uint64]obs.RunTelemetry) {
+	t.Helper()
+	for _, r := range report.Results {
+		if r.Spec.Cost == 0 {
+			continue
+		}
+		events := max(rows[r.Seed].Events, 1)
+		if events > 2*r.Spec.Cost || 2*events < r.Spec.Cost {
+			t.Errorf("%s/%d dispatched %d events, declared cost %d: more than 2× apart",
+				r.Spec.ID, r.Repeat, events, r.Spec.Cost)
+		}
 	}
 }
 

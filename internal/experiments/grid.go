@@ -39,6 +39,8 @@ type grid struct {
 	columns  []column
 	// note closes the rendered table.
 	note string
+	// cost is the spec's Spec.Cost.
+	cost uint64
 }
 
 // variant is one arm of a grid: a label (the metric prefix) and one
@@ -69,6 +71,7 @@ var unitScale = map[string]float64{"kb": 1e3, "mb": 1e6}
 // grids is every registered cross-run ablation, in catalog order.
 var grids = []grid{
 	{id: "L1", title: "Lesson 1 — restricted uncle rule ablation",
+		cost:   161_110,
 		blocks: func(sc Scale) uint64 { return sc.size().chainBlocks / 4 },
 		variants: []variant{
 			{"standard", nil},
@@ -78,6 +81,7 @@ var grids = []grid{
 		note: "  The restriction removes the reward for mining multiple versions of\n" +
 			"  one's own block (the ~1% of mining power the paper estimates).\n"},
 	{id: "E1", title: "§III-C3 — empty-block spread scenario",
+		cost: 25_274_296,
 		base: workloadConfig,
 		variants: []variant{
 			{"today", nil},
@@ -91,6 +95,7 @@ var grids = []grid{
 		note: "  Every pool mining 30% of its blocks empty pushes waiting transactions\n" +
 			"  to later blocks; the penalty grows with adoption.\n"},
 	{id: "A1", title: "Ablation — dissemination fan-out policy",
+		cost: 2_139_863,
 		base: func(seed uint64, sc Scale) core.CampaignConfig {
 			cfg := networkConfig(seed, ScaleSmall)
 			if sc != ScaleSmall {
@@ -106,6 +111,7 @@ var grids = []grid{
 			{"transport", "bytes", "mb"}},
 	},
 	{id: "A2", title: "Ablation — gateway placement",
+		cost: 1_272_474,
 		base: func(seed uint64, sc Scale) core.CampaignConfig {
 			cfg := networkConfig(seed, ScaleSmall)
 			if sc != ScaleSmall {
@@ -127,6 +133,7 @@ var grids = []grid{
 		note: "  Concentrated Asian gateways produce the EA first-observation\n" +
 			"  advantage; dispersing them flattens it (the paper's Fig. 2 cause).\n"},
 	{id: "D1", title: "Dependability — crash/recover propagation delay",
+		cost: 230_687,
 		base: faultCampaignConfig,
 		variants: []variant{
 			{"healthy", nil},
@@ -140,6 +147,7 @@ var grids = []grid{
 			{"availability", "availability", ""}, {"availability", "crashes", ""}, {"availability", "dropped_messages", ""}},
 	},
 	{id: "D2", title: "Dependability — partition-heal fork rate",
+		cost: 232_829,
 		base: faultCampaignConfig,
 		variants: []variant{
 			{"healthy", nil},
@@ -157,6 +165,7 @@ var grids = []grid{
 		note: "  Pools on opposite sides of the cut extend their own heads, so the\n" +
 			"  chain collects competing branches the healthy run never produces.\n"},
 	{id: "D3", title: "Dependability — churn sweep",
+		cost:     375_235,
 		base:     faultCampaignConfig,
 		variants: []variant{{"static", nil}, churn("moderate", 60), churn("heavy", 240)},
 		columns: []column{{"propagation", "median_ms", ""}, {"propagation", "p99_ms", ""},
@@ -164,6 +173,7 @@ var grids = []grid{
 		note: "  Gossip redundancy absorbs moderate turnover; only aggressive\n" +
 			"  churn moves the delay profile (the paper's §III-A2 argument).\n"},
 	{id: "R1", title: "Relay protocols — bandwidth/delay shoot-out",
+		cost:     26_218_391,
 		base:     relayConfig,
 		variants: relayVariants(relay.Modes()...),
 		columns: []column{{"propagation", "median_ms", ""}, {"propagation", "p95_ms", ""},
@@ -172,6 +182,7 @@ var grids = []grid{
 		note: "  The push/announce split sets the delay floor; what the push wave\n" +
 			"  carries sets the byte budget.\n"},
 	{id: "R2", title: "Relay protocols — compact-relay mempool-divergence sweep",
+		cost:     24_745_953,
 		base:     relayConfig,
 		variants: divergenceVariants(0, 0.15, 0.3, 0.6),
 		columns: []column{{"propagation", "median_ms", ""}, {"bandwidth", "bytes_per_block", "kb"},

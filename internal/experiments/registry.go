@@ -23,6 +23,12 @@ type Spec struct {
 	// workers and relies on this for byte-identical results at any
 	// parallelism.
 	Run func(seed uint64, sc Scale) ([]*Outcome, error) `json:"-"`
+	// Cost is what one run costs: its engine events at -scale small,
+	// seed 7, as its telemetry.json row reads them. The runner starts
+	// the costliest runs first. Zero means undeclared, and such a spec
+	// starts before every declared one; a spec that dispatches no event
+	// declares 1.
+	Cost uint64
 }
 
 // registry holds every spec in registration order (the order
@@ -42,6 +48,8 @@ func init() {
 	register(Spec{
 		ID: "T1", Title: "Table I — measurement infrastructure",
 		Produces: []string{"T1"},
+		// A static table dispatches no engine event.
+		Cost: 1,
 		Run: func(uint64, Scale) ([]*Outcome, error) {
 			return []*Outcome{Table1()}, nil
 		},
@@ -49,36 +57,43 @@ func init() {
 	register(Spec{
 		ID: "network", Title: "Figs. 1-3 — propagation, first observation, pool influence",
 		Produces: outputIDs(networkOutputs),
+		Cost:     473_148,
 		Run:      NetworkExperiments,
 	})
 	register(Spec{
 		ID: "T2", Title: "Table II — redundant block receptions",
 		Produces: outputIDs(table2Outputs),
+		Cost:     475_674,
 		Run:      Table2,
 	})
 	register(Spec{
 		ID: "commit", Title: "Figs. 4-5 — commit times and reordering",
 		Produces: outputIDs(commitOutputs),
+		Cost:     12_487_001,
 		Run:      CommitExperiments,
 	})
 	register(Spec{
 		ID: "chain", Title: "Fig. 6, Table III, §III-C5, Fig. 7 — chain-level statistics",
 		Produces: outputIDs(chainOutputs),
+		Cost:     322_640,
 		Run:      ChainExperiments,
 	})
 	register(Spec{
 		ID: "S2", Title: "§III-D — whole-chain sequence tail",
 		Produces: []string{"S2"},
+		Cost:     1_600_000,
 		Run:      WholeChainExperiment,
 	})
 	register(Spec{
 		ID: "W1", Title: "§III-D — withholding burst test",
 		Produces: []string{"W1"},
+		Cost:     90_720,
 		Run:      WithholdingExperiment,
 	})
 	register(Spec{
 		ID: "C1", Title: "§III-C1 — Constantinople bomb-delay ablation",
 		Produces: []string{"C1"},
+		Cost:     1_920_000,
 		Run:      ConstantinopleExperiment,
 	})
 	register(Spec{
@@ -86,11 +101,12 @@ func init() {
 		// R1/R2 became the relay-protocol specs.
 		ID: "INC", Title: "Incentive accounting (§III-C3, §III-C5)",
 		Produces: []string{"INC"},
+		Cost:     80_675,
 		Run:      RevenueExperiment,
 	})
 	for i := range grids {
 		g := &grids[i]
-		register(Spec{ID: g.id, Title: g.title, Produces: []string{g.id}, Run: g.run})
+		register(Spec{ID: g.id, Title: g.title, Produces: []string{g.id}, Run: g.run, Cost: g.cost})
 	}
 }
 

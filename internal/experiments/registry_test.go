@@ -32,6 +32,18 @@ func TestRegistryCoversEveryOutcome(t *testing.T) {
 	}
 }
 
+// TestSpecCostsDeclared: every registry spec, grids included, declares
+// the cost the runner orders its dispatch by. The golden reference
+// runs hold each value to the events a run dispatches
+// (assertDeclaredCosts).
+func TestSpecCostsDeclared(t *testing.T) {
+	for _, s := range Specs() {
+		if s.Cost == 0 {
+			t.Errorf("spec %s declares no cost", s.ID)
+		}
+	}
+}
+
 func TestLookupByOutcomeAndSpecID(t *testing.T) {
 	s, ok := Lookup("f2")
 	if !ok || s.ID != "network" {

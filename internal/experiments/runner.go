@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -30,8 +33,9 @@ type RunnerConfig struct {
 	// its concurrent campaigns). <= 0 means unbudgeted.
 	Budget int
 	// OnStart, when non-nil, streams each run as a worker picks it up
-	// (dispatch order, from a single goroutine, serialized with
-	// OnResult). The Result carries Spec/Repeat/Seed only.
+	// (dispatch order — costliest spec first, see Run — from a single
+	// goroutine, serialized with OnResult). The Result carries
+	// Spec/Repeat/Seed only.
 	OnStart func(Result)
 	// OnResult, when non-nil, streams each result as it completes
 	// (completion order, from a single goroutine). Use for progress
@@ -52,7 +56,10 @@ type Result struct {
 	// Err is the run's failure, if any. Runs skipped because the
 	// campaign's context was cancelled carry the context error.
 	Err error
-	// Elapsed is the run's wall-clock time.
+	// Start is when the run started, as an offset from the campaign's
+	// start; Elapsed is the run's wall-clock time. Both are zero for a
+	// run that never started.
+	Start   time.Duration
 	Elapsed time.Duration
 }
 
@@ -154,6 +161,10 @@ type progress struct {
 // Failures don't abort the campaign; they are reported per-result and
 // summarized in the returned error.
 //
+// Runs are handed to workers longest first (dispatchOrder), which
+// moves only the callbacks' order and the wall time: results stay in
+// the given order and every seed is SeedFor's.
+//
 // Cancelling ctx drains the campaign cleanly: no new runs are
 // dispatched, in-flight runs complete, and the returned Report marks
 // every undispatched run with the context error — so a cancelled
@@ -181,6 +192,7 @@ func Run(ctx context.Context, specs []Spec, cfg RunnerConfig) (*Report, error) {
 	results := make([]Result, len(specs)*repeats)
 	stream := make(chan progress, 2*len(results))
 
+	t0 := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -199,6 +211,7 @@ func Run(ctx context.Context, specs []Spec, cfg RunnerConfig) (*Report, error) {
 					Seed:     seed,
 					Outcomes: outs,
 					Err:      err,
+					Start:    start.Sub(t0),
 					Elapsed:  time.Since(start),
 				}
 				stream <- progress{result: results[j.ordinal], done: true}
@@ -224,9 +237,10 @@ func Run(ctx context.Context, specs []Spec, cfg RunnerConfig) (*Report, error) {
 	// Dispatch until done or cancelled. On cancellation the in-flight
 	// runs drain; everything not yet handed to a worker is marked
 	// below.
+	sent := make([]bool, len(results))
 	dispatched := 0
 dispatch:
-	for _, s := range specs {
+	for _, i := range dispatchOrder(specs) {
 		for r := 0; r < repeats; r++ {
 			// Checked before the select: when a worker is ready AND the
 			// context is done, select would pick a branch at random —
@@ -234,8 +248,10 @@ dispatch:
 			if ctx.Err() != nil {
 				break dispatch
 			}
+			ord := i*repeats + r
 			select {
-			case jobs <- job{spec: s, repeat: r, ordinal: dispatched}:
+			case jobs <- job{spec: specs[i], repeat: r, ordinal: ord}:
+				sent[ord] = true
 				dispatched++
 			case <-ctx.Done():
 				break dispatch
@@ -249,7 +265,10 @@ dispatch:
 
 	// Mark undispatched runs so the Report stays rectangular: one
 	// Result per (spec, repeat) at any cancellation point.
-	for ord := dispatched; ord < len(results); ord++ {
+	for ord, ok := range sent {
+		if ok {
+			continue
+		}
 		s := specs[ord/repeats]
 		r := ord % repeats
 		results[ord] = Result{
@@ -284,6 +303,30 @@ dispatch:
 			len(failed), len(results), failed[0])
 	}
 	return report, nil
+}
+
+// dispatchOrder returns the indices of specs in the order Run hands
+// their runs to workers: by declared Cost, costliest first — Graham's
+// longest-processing-time rule, which keeps a long run from starting
+// last and running alone — with ties in the given order. A spec without
+// a declared cost goes ahead of all of them, in the given order: its
+// cost is unknown, and starting a long run last is the one mistake the
+// rule exists to avoid.
+func dispatchOrder(specs []Spec) []int {
+	rank := func(s Spec) uint64 {
+		if s.Cost == 0 {
+			return math.MaxUint64
+		}
+		return s.Cost
+	}
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(rank(specs[b]), rank(specs[a]))
+	})
+	return order
 }
 
 // runSpec is spec.Run with a panic turned into the run's error, value

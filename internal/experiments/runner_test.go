@@ -34,8 +34,15 @@ func fakeSpec(id string) Spec {
 // structurally.
 func stripElapsed(r *Report) {
 	for i := range r.Results {
-		r.Results[i].Elapsed = 0
+		r.Results[i].Start, r.Results[i].Elapsed = 0, 0
 	}
+}
+
+// costSpec is fakeSpec with a declared cost.
+func costSpec(id string, cost uint64) Spec {
+	s := fakeSpec(id)
+	s.Cost = cost
+	return s
 }
 
 func TestSeedForDerivation(t *testing.T) {
@@ -333,7 +340,7 @@ func TestRunnerStreamsStarts(t *testing.T) {
 	starts, results := map[string]int{}, 0
 	_, err := Run(context.Background(), specs, RunnerConfig{Seed: 1, Repeats: 2, Parallel: 4,
 		OnStart: func(r Result) {
-			if r.Outcomes != nil || r.Err != nil || r.Elapsed != 0 {
+			if r.Outcomes != nil || r.Err != nil || r.Start != 0 || r.Elapsed != 0 {
 				t.Errorf("OnStart result carries completion fields: %+v", r)
 			}
 			if r.Seed != SeedFor(1, r.Spec.ID, r.Repeat) {
@@ -433,6 +440,100 @@ func TestRunnerPreCancelledContext(t *testing.T) {
 	for _, r := range rep.Results {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("result not marked cancelled: %+v", r)
+		}
+	}
+}
+
+// TestRunnerDispatchesLongestFirst: at one worker, OnStart reads the
+// dispatch order — undeclared specs first in the given order, then
+// declared costs descending with ties in the given order, a spec's
+// repeats adjacent — while the report keeps the given order and each
+// run's start offset follows its dispatch.
+func TestRunnerDispatchesLongestFirst(t *testing.T) {
+	specs := []Spec{costSpec("A", 5), fakeSpec("U1"), costSpec("B", 9), costSpec("C", 5),
+		fakeSpec("U2"), costSpec("D", 1), costSpec("E", 12)}
+	var order []string
+	rep, err := Run(context.Background(), specs, RunnerConfig{Seed: 3, Repeats: 2, Parallel: 1,
+		OnStart: func(r Result) { order = append(order, fmt.Sprintf("%s/%d", r.Spec.ID, r.Repeat)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "U1/0 U1/1 U2/0 U2/1 E/0 E/1 B/0 B/1 A/0 A/1 C/0 C/1 D/0 D/1"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("dispatch order\n got %s\nwant %s", got, want)
+	}
+	byRun := map[string]Result{}
+	for i, r := range rep.Results {
+		if r.Spec.ID != specs[i/2].ID || r.Repeat != i%2 || r.Seed != SeedFor(3, r.Spec.ID, r.Repeat) {
+			t.Fatalf("result %d is %s/%d seed %d: results must keep the given order", i, r.Spec.ID, r.Repeat, r.Seed)
+		}
+		byRun[fmt.Sprintf("%s/%d", r.Spec.ID, r.Repeat)] = r
+	}
+	for k := 1; k < len(order); k++ {
+		prev, cur := byRun[order[k-1]], byRun[order[k]]
+		if cur.Start < prev.Start+prev.Elapsed {
+			t.Errorf("%s started at %v, before %s ended at %v", order[k], cur.Start, order[k-1], prev.Start+prev.Elapsed)
+		}
+	}
+}
+
+// TestRunnerCancellationUnderCostOrder: with dispatch order unlike the
+// given order, cancelling marks exactly the runs that never started,
+// and no run that started carries the context error.
+func TestRunnerCancellationUnderCostOrder(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	release := make(chan struct{})
+	var mu sync.Mutex
+	ran := map[uint64]bool{}
+	blocking := func(id string, cost uint64) Spec {
+		return Spec{ID: id, Produces: []string{id}, Cost: cost,
+			Run: func(seed uint64, sc Scale) ([]*Outcome, error) {
+				mu.Lock()
+				ran[seed] = true
+				mu.Unlock()
+				<-release
+				return []*Outcome{{ID: id, Metrics: map[string]float64{"v": 1}}}, nil
+			}}
+	}
+	// Dispatch order K3, K2, K1: the first run handed out is the last
+	// spec's, so marking by a dispatch count would mark K1 as run.
+	specs := []Spec{blocking("K1", 1), blocking("K2", 2), blocking("K3", 3)}
+	first := make(chan string, 1)
+	done := make(chan struct{})
+	var rep *Report
+	var runErr error
+	go func() {
+		defer close(done)
+		rep, runErr = Run(ctx, specs, RunnerConfig{Seed: 5, Repeats: 2, Parallel: 1,
+			OnStart: func(r Result) {
+				select {
+				case first <- fmt.Sprintf("%s/%d", r.Spec.ID, r.Repeat):
+				default:
+				}
+			}})
+	}()
+	if got := <-first; got != "K3/0" {
+		t.Fatalf("first run dispatched is %s, want K3/0", got)
+	}
+	cancel()
+	close(release)
+	<-done
+
+	if !errors.Is(runErr, context.Canceled) {
+		t.Fatalf("cancelled campaign error: %v", runErr)
+	}
+	if len(rep.Results) != 6 {
+		t.Fatalf("report must stay rectangular: %d results", len(rep.Results))
+	}
+	if !ran[SeedFor(5, "K3", 0)] || len(ran) == len(rep.Results) {
+		t.Fatalf("ran %d runs: want K3/0 and not all of them", len(ran))
+	}
+	for _, r := range rep.Results {
+		switch {
+		case ran[r.Seed] && (r.Err != nil || len(r.Outcomes) != 1):
+			t.Errorf("%s/%d ran but reads %+v", r.Spec.ID, r.Repeat, r)
+		case !ran[r.Seed] && !errors.Is(r.Err, context.Canceled):
+			t.Errorf("%s/%d never ran but is not marked cancelled: %+v", r.Spec.ID, r.Repeat, r)
 		}
 	}
 }

@@ -27,11 +27,11 @@ import (
 // rows carry exact counts: a change to the lookahead bounds or the
 // deadline computation moves stalled / windows / merged at every
 // worker count, and nothing else does. So do the terms of the exact
-// speed-up bound, work / span / global — (42,079,868 + 655) /
-// (20,323,481 + 655) = 2.07 here: no worker count can run this tier
-// more than 2.07 times faster than one lane. They are pinned here for
-// goldenSeed; wall-clock figures for the tier are whatever
-// telemetry.json says on the machine at hand.
+// speed-up bound, work / span / global — (42,080,733 + 655) /
+// (19,978,403 + 655) = 2.11 here: no worker count can run this tier
+// more than 2.11 times faster than one lane. They are pinned here for
+// goldenSeed under latency model version 3; wall-clock figures for the
+// tier are whatever telemetry.json says on the machine at hand.
 func TestGoldenStress100kParallelInvariance(t *testing.T) {
 	if os.Getenv("STRESS100K") == "" {
 		t.Skip("set STRESS100K=1 (make test-stress) to run the full 100k invariance tier")
@@ -45,8 +45,8 @@ func TestGoldenStress100kParallelInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	type counts struct{ Stalled, Windows, Merged, Events, Work, Span, Global uint64 }
-	want := counts{Stalled: 9_391, Windows: 15_835, Merged: 25_254_090, Events: 42_080_523,
-		Work: 42_079_868, Span: 20_323_481, Global: 655}
+	want := counts{Stalled: 8_635, Windows: 15_812, Merged: 25_251_253, Events: 42_081_388,
+		Work: 42_080_733, Span: 19_978_403, Global: 655}
 	obs.Default.EnableTelemetry()
 	defer obs.Default.Disable()
 	ref := filepath.Join(t.TempDir(), "s0p1")

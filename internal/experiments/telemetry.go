@@ -19,8 +19,9 @@ import (
 // manifest like any other blob.
 const TelemetryFile = "telemetry.json"
 
-// TelemetrySchemaVersion versions the telemetry.json layout.
-const TelemetrySchemaVersion = 1
+// TelemetrySchemaVersion versions the telemetry.json layout. Version 2
+// added each run's start_ms.
+const TelemetrySchemaVersion = 2
 
 // TelemetryRow is one (spec, repeat) run's performance record: the
 // collector's row itself, under the name the benchmark harness uses.
@@ -63,6 +64,7 @@ func BuildTelemetry(r *Report, taken map[uint64]obs.RunTelemetry) *Telemetry {
 	for _, res := range r.Results {
 		row := taken[res.Seed]
 		row.Spec, row.Repeat, row.Seed = res.Spec.ID, res.Repeat, res.Seed
+		row.StartMS = float64(res.Start.Nanoseconds()) / 1e6
 		row.ElapsedMS = float64(res.Elapsed.Nanoseconds()) / 1e6
 		tel.Runs = append(tel.Runs, row)
 	}
@@ -89,7 +91,8 @@ func ReadTelemetry(st store.Store) (*Telemetry, error) {
 }
 
 // RenderTelemetry renders the per-spec throughput table ethanalyze
-// -run appends when a run directory carries telemetry, followed by a
+// -run appends when a run directory carries telemetry, the runner's
+// packing (from version 2 on, which records start offsets), and a
 // sharding section (stalled lane windows and the per-lane-pair window
 // breakdown) for rows that executed under the conductor.
 func RenderTelemetry(tel *Telemetry) string {
@@ -102,6 +105,15 @@ func RenderTelemetry(tel *Telemetry) string {
 			row.Spec, row.Repeat, row.Events, row.EventsPerSec,
 			row.PeakQueue, float64(row.SimMS)/1e3, row.ElapsedMS/1e3, row.Messages,
 			float64(row.PeakHeapBytes)/(1<<20), row.BytesPerNode)
+	}
+	if tel.SchemaVersion >= 2 {
+		var makespan, busy float64
+		for _, row := range tel.Runs {
+			makespan = max(makespan, row.StartMS+row.ElapsedMS)
+			busy += row.ElapsedMS
+		}
+		fmt.Fprintf(&b, "  runner: makespan %.2f s, runs %.2f s summed, %.2f workers busy on average\n",
+			makespan/1e3, busy/1e3, busy/max(makespan, 1e-9))
 	}
 	for _, row := range tel.Runs {
 		if row.ShardWindows == 0 {

@@ -86,8 +86,9 @@ func (p PairWindowTelemetry) MeanWidth() float64 {
 // the runner derives a unique seed per (spec, repeat), so this is one
 // row of telemetry.json. Specs that execute several campaigns per run
 // (healthy-vs-faulted comparisons, sweeps) fold them all into one row.
-// The collector fills everything but Spec, Repeat and ElapsedMS, which
-// experiments.BuildTelemetry sets from the runner's result.
+// The collector fills everything but Spec, Repeat, StartMS and
+// ElapsedMS, which experiments.BuildTelemetry sets from the runner's
+// result.
 type RunTelemetry struct {
 	Spec   string `json:"spec"`
 	Repeat int    `json:"repeat"`
@@ -108,9 +109,11 @@ type RunTelemetry struct {
 	// BuildMS / RunMS sum wall time from campaign construction to
 	// engine start and from engine start to completion; ElapsedMS is
 	// the runner's whole-run measurement (includes analysis and
-	// rendering).
+	// rendering), and StartMS when the runner started the run, as an
+	// offset from the campaign's start.
 	BuildMS   float64 `json:"build_ms"`
 	RunMS     float64 `json:"run_ms"`
+	StartMS   float64 `json:"start_ms"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// EventsPerSec is dispatch throughput over engine-run wall time.
 	EventsPerSec float64 `json:"events_per_sec"`

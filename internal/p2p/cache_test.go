@@ -211,6 +211,31 @@ func TestMessagePoolReuse(t *testing.T) {
 	}
 }
 
+// TestSlabFreeStackLinear fills a slab chunk by chunk without freeing
+// anything: after n chunks the free stack may hold room for at most
+// twice the n·1,024 slots. A stack that doubles per chunk instead asks
+// for 2^36 int32s at the 27 chunks a 30,000-node lane needs.
+func TestSlabFreeStackLinear(t *testing.T) {
+	var s slab[int32]
+	const chunks = 12
+	for k := int32(0); k < chunks<<slabShift; k++ {
+		if got := s.put(&k); got != k {
+			t.Fatalf("put %d took slot %d", k, got)
+		}
+		if n := len(s.chunks); cap(s.free) > 2*n<<slabShift {
+			t.Fatalf("%d chunks: free stack capacity %d, over twice the %d slots", n, cap(s.free), n<<slabShift)
+		}
+	}
+	for k := int32(chunks<<slabShift) - 1; k >= 0; k-- {
+		if v := s.take(k); v != k {
+			t.Fatalf("slot %d held %d", k, v)
+		}
+	}
+	if len(s.free) != chunks<<slabShift || len(s.chunks) != chunks {
+		t.Fatalf("%d chunks, %d free slots after freeing every one", len(s.chunks), len(s.free))
+	}
+}
+
 // TestPooledMessagePayloadIntegrity checks that announcements shown to
 // observers carry the right hash even when many for different blocks
 // are in flight at once: the lane's one reusable view must be refilled

@@ -140,12 +140,12 @@ func (s *slab[T]) put(v *T) int32 {
 }
 
 // grow adds a chunk and stacks its slots, lowest on top. The free
-// stack doubles, so take's append never reallocates: it never holds
-// more than every slot.
+// stack keeps room for every slot, doubling when it must move, so
+// take's append never reallocates: it never holds more than every slot.
 func (s *slab[T]) grow() {
 	base := int32(len(s.chunks)) << slabShift
 	s.chunks = append(s.chunks, new([1 << slabShift]T))
-	s.free = grownTo(s.free, max(int(base)+1<<slabShift, 2*cap(s.free)))
+	s.free = roomFor(s.free, int(base)+1<<slabShift)
 	for k := int32(1<<slabShift) - 1; k >= 0; k-- {
 		s.free = append(s.free, base+k)
 	}

@@ -350,6 +350,16 @@ func grownTo[T any](s []T, n int) []T {
 	return t
 }
 
+// roomFor returns s with capacity for at least n elements by the same
+// rule: when s must move, it takes twice its capacity or n, whichever
+// is more.
+func roomFor[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s
+	}
+	return grownTo(s, max(n, 2*cap(s)))
+}
+
 // push appends v to s by the same rule: doubling when s is full.
 func push[T any](s []T, v T) []T {
 	if len(s) == cap(s) {

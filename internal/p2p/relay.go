@@ -92,7 +92,8 @@ func (ln *netLane) candidates(i, idx, slot int32) ([]int32, int32) {
 		slot = net.windowSlot(i, idx)
 	}
 	s := net.top.spans[i]
-	c := ln.candBuf[:0]
+	// Room for every peer up front: the appends below never move c.
+	c := roomFor(ln.candBuf, int(s.len))[:0]
 	if slot < 0 {
 		for p := int32(0); p < s.len; p++ {
 			c = append(c, p)
@@ -101,7 +102,7 @@ func (ln *netLane) candidates(i, idx, slot int32) ([]int32, int32) {
 		bit := uint64(1) << uint(slot)
 		// The spill marks for slot, filtered once: the peer test below
 		// scans this short list, not the node's whole spill.
-		known := ln.spillBuf[:0]
+		known := roomFor(ln.spillBuf, len(net.spill[i]))[:0]
 		for _, m := range net.spill[i] {
 			if m.slot == slot {
 				known = append(known, m.peer)
