@@ -344,10 +344,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 		}
 		c.injector = inj
 		c.network.Fault = inj
-		// Degraded campaigns get the catch-up fetch: partition-era
-		// ancestry is pulled after the heal, the way real clients
-		// header-sync across an outage.
-		c.network.ParentPull = true
 		if len(cfg.Faults.Partitions) > 0 {
 			miningCfg.VisibilityFilter = inj.VisibilityDeferral
 		}

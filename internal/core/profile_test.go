@@ -216,8 +216,12 @@ func TestOverlayBuildGarbage(t *testing.T) {
 }
 
 // runGarbageRatio bounds what Campaign.Run of overlay-10k may allocate,
-// as a multiple of what the run adds to the live heap.
-const runGarbageRatio = 1.8
+// as a multiple of what the run adds to the live heap; runBytesPerNode
+// bounds what it adds, per overlay node.
+const (
+	runGarbageRatio = 1.8
+	runBytesPerNode = 720
+)
 
 // TestOverlayRunGarbage pins the run's transient garbage: Campaign.Run
 // of the overlay-10k campaign may allocate at most runGarbageRatio
@@ -229,7 +233,12 @@ const runGarbageRatio = 1.8
 // it scans, it allocates 9.4 MB to add 5.8 MB (1.61×). The known
 // remainder is the engine's node arena, which still doubles: about
 // 3 MB of the run's garbage (docs/PERFORMANCE.md, "Tried, measured,
-// and not done"). Not parallel: the readings are process-wide.
+// and not done"). The ratio cannot see an array that grows far past
+// what it holds, since its untouched capacity counts on both sides: a
+// free stack that doubled on every slab chunk added 9.2 MB at 1.77×.
+// The per-node bound catches that: the run adds about 580 B per node,
+// and the doubling free stacks 919 B. Not parallel: the readings are
+// process-wide.
 func TestOverlayRunGarbage(t *testing.T) {
 	c, err := NewCampaign(overlay10kConfig(0))
 	if err != nil {
@@ -249,6 +258,11 @@ func TestOverlayRunGarbage(t *testing.T) {
 		float64(run)/1e6, float64(added)/1e6, float64(run)/float64(added), runGarbageRatio)
 	if float64(run) > runGarbageRatio*float64(added) {
 		t.Fatalf("running overlay-10k allocated %d bytes to add %d to the live heap, more than %.2f×", run, added, runGarbageRatio)
+	}
+	nodes := c.network.Len()
+	t.Logf("overlay-10k run: %d B added per node of %d (ceiling %d B)", added/uint64(nodes), nodes, runBytesPerNode)
+	if added > runBytesPerNode*uint64(nodes) {
+		t.Fatalf("running overlay-10k added %d bytes to the live heap, more than %d B for each of %d nodes", added, runBytesPerNode, nodes)
 	}
 	runtime.KeepAlive(c)
 	runtime.KeepAlive(res)

@@ -100,17 +100,17 @@ var gridConstants = map[string]map[string]struct {
 // a grid (sorted key=value lines, values in shortest round-trip form),
 // at ScaleSmall and seeds 42 and 7, on the region-lane schedule every
 // -shards value runs. The specs that send messages (all but L1 and W1)
-// were re-recorded under latency model version 3.
+// were re-recorded under model versions 3 and 4.
 var gridPins = map[string][2]string{
 	"L1": {"30f3427b49bc207ebcfa978c2ca461140649c4e391e90911ad6ba291acb29cc4", "ef37efd871f961b6b3df8dd46c4146e526f186976f6a8c2bdc1c5db8370b91b6"},
-	"E1": {"f60bbb57fc12d8797cc6f647831d644233133dc2da0a168dcaf79f17d610e86b", "8c9978a556ff7cceb7e3ba141f40f97a7db71b24be188926595fd15042d56e82"},
-	"A1": {"59bd0ccf937b5ec758f82294b292ea5cf651a4e96c4ab842927d5504aeb75053", "5bce5a1a827a252207adc8ccfca25b7221234c7a8f6825b20a83d78c5823beeb"},
-	"A2": {"07af38b9ad8819dd9a63f83c0cbe83939ae22b01c5fbab1e7f09ce256735bcf5", "1c85e9c3fb22d4a460341e5027397880323ce8a3ba9e382a5b01f53127720aac"},
-	"D1": {"01e104e237fb7d7f8a1dd1f41a25d3bacdd0812559af2b02bf367604e0c21d83", "5141dedb7488267582e67007bcb62d2f12f046684731fb9a727e2e0e12682eba"},
-	"D2": {"26f936ea198b0e50494a28f56b766154714139bf4749e4239501ce69892c160f", "4935493a0ea124c89ae2d59b317515f40905fb1a78239597a59e371cee879460"},
-	"D3": {"b9e60cb95dee58cd8920ab1ac6736b3a0305744e6d1f3c78830134556f804f77", "389f8d3d4b3bc002034d5c5f97aab69b55b92d5f6be2f582a76b8e4a3220e42d"},
-	"R1": {"b3f4b43b0920e1ee20fae64d7d65df7e2ed45eb3120c093564a1317fc59b2624", "789087ced27a9aa9e05923c30d28f688c1d722725ed8aa95277d9921e52a6f5b"},
-	"R2": {"db68bcfee88713695c942512cc84537acabd4f2377564e64f78de06a89224d0e", "f206e035d7bee9f7ac6ee73cbad158ea5236f1e89c84ce74c63686a8b0320dd6"},
+	"E1": {"ebde8948e2f49f8a54020cfd0eaf85bff980c2777ac0d24455bdb8d95ec1c9d2", "aa046f8789a91477362a2565ff4520869343e44febc612ed54d50af8417f3439"},
+	"A1": {"abd9a86cd7afa3baf8670dffd90c3f2f4bb5bb478f262a88f037550a7a985997", "3a3f8fdf83dff4273e28422039e59d9c9dc29532e8fb502780ec54920eae107a"},
+	"A2": {"2a53b5c3e3fe23136ec5d6a0166fcfd7a5caa10b75b9fa42358686132de1917e", "0b462e4227fa8a5156279766fdc099aa6426d7693dfc7e46641fe33d4f691f18"},
+	"D1": {"0933015f2ddb47fdf1694f7e30b2ac0a98c8aedd6d436ed1bd2b9b8b2433fb5d", "f1e1a87b8cbc68e4e4817763dd11ba49bbab39c6630b40bb731c9e2ea9dd94a1"},
+	"D2": {"6c52be19f330688bb4bfe6a6d157451c149933d72c6d5cdc05e5fc99cc44f8eb", "7d1ae6766f7ad8a2d5cb8b65d4aec7d712fc50bbde4cb44ae6d6d362e43959d8"},
+	"D3": {"51de0264d8a1b26aa5a3d0a278e0402d6640b306361f599469464a79672e4113", "a002a470289f7645a9c02273e6daf27de5dcff400dcbfdb822ac4c4453d0cd7b"},
+	"R1": {"ab2d7bf0787e51ef0abc5d6a870193e8e31f34242d67809e11b4ece9acc0d092", "aaa6d829b0a58c8bcd7f9d551d88de4e8dd414f3bfc0b20ba7e2241602ba138c"},
+	"R2": {"c0fe6c0bb6da3538c7070e6a653b84b5abee371df86295378829febd6b1965ab", "8614b8954a6459fe5737eeb9033f7dc82cbc7ace41b03f93949dcb0a4faebcf3"},
 	"W1": {"8926831b8c804d0614262b725c8771117691969ce3dbe2de3d9afb1639c34ab7", "9b7c96730c8a449453a7ecf9cb1052bd540152360d3379f44dcd075eeab51fc7"},
 }
 

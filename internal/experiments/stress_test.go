@@ -27,10 +27,10 @@ import (
 // rows carry exact counts: a change to the lookahead bounds or the
 // deadline computation moves stalled / windows / merged at every
 // worker count, and nothing else does. So do the terms of the exact
-// speed-up bound, work / span / global — (42,080,733 + 655) /
-// (19,978,403 + 655) = 2.11 here: no worker count can run this tier
-// more than 2.11 times faster than one lane. They are pinned here for
-// goldenSeed under latency model version 3; wall-clock figures for the
+// speed-up bound, work / span / global — (42,114,700 + 655) /
+// (20,855,490 + 655) = 2.02 here: no worker count can run this tier
+// more than 2.02 times faster than one lane. They are pinned here for
+// goldenSeed under model version 4; wall-clock figures for the
 // tier are whatever telemetry.json says on the machine at hand.
 func TestGoldenStress100kParallelInvariance(t *testing.T) {
 	if os.Getenv("STRESS100K") == "" {
@@ -45,8 +45,8 @@ func TestGoldenStress100kParallelInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	type counts struct{ Stalled, Windows, Merged, Events, Work, Span, Global uint64 }
-	want := counts{Stalled: 8_635, Windows: 15_812, Merged: 25_251_253, Events: 42_081_388,
-		Work: 42_080_733, Span: 19_978_403, Global: 655}
+	want := counts{Stalled: 10_275, Windows: 15_871, Merged: 25_275_822, Events: 42_115_355,
+		Work: 42_114_700, Span: 20_855_490, Global: 655}
 	obs.Default.EnableTelemetry()
 	defer obs.Default.Disable()
 	ref := filepath.Join(t.TempDir(), "s0p1")

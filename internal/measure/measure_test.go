@@ -303,7 +303,7 @@ func TestRawLogPinned(t *testing.T) {
 	if err := WriteJSONL(&buf, m.Records()); err != nil {
 		t.Fatal(err)
 	}
-	const want = "8c547a68ced869df209e06ef4437e4f9b566793993fc742d9388f32a71a7b15f"
+	const want = "45ec3d5c825c45ab3692c14b816f6c2f9791617d7be4e200754cf7fdefb9dba9"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Fatalf("raw log of the pinned run changed: %d records, sha256 %s, want %s", len(m.Records()), got, want)
 	}

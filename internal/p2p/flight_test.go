@@ -37,7 +37,7 @@ func TestFlightViewMatchesMessage(t *testing.T) {
 	idx := make([]int32, msgKindCount)
 	for k := range blocks {
 		blocks[k] = types.NewBlock(types.Header{Number: uint64(k + 1), MinerLabel: "View", GasLimit: 8_000_000}, txs, nil)
-		idx[k] = net.blockIdx.intern(blocks[k].Hash())
+		idx[k] = net.internBlock(blocks[k])
 	}
 	blk := func(k MsgKind) *types.Block { return blocks[k] }
 	hash := func(k MsgKind) types.Hash { return blocks[k].Hash() }
@@ -59,7 +59,6 @@ func TestFlightViewMatchesMessage(t *testing.T) {
 		bytesIn = b.BytesIn()
 	})
 
-	net.forkLanes()
 	ln := net.laneOf(a.idx())
 	push := func(k MsgKind, body *types.Block) {
 		if body != nil {
@@ -125,12 +124,13 @@ func TestFlightViewMatchesMessage(t *testing.T) {
 // child. The GetBlock flight must name the parent by index, which only
 // exists because InjectBlock interned the child's ParentHash in phase A
 // — a lane must never intern (a concurrent map write under -race on the
-// region lanes) and a lookup miss there panics. The pulls are sent,
-// counted and ignored exactly as the pooled-message transport did: the
-// totals below were recorded on it, on region lanes, and re-recorded
-// when latency model version 3 moved the delays.
+// region lanes). No node asks for the parent twice, and nobody can
+// serve it. The totals below were recorded on the pooled-message
+// transport, on region lanes, and re-recorded when latency model
+// version 3 moved the delays and when model version 4 made the pull
+// one request per node.
 func TestParentInternedAtInjection(t *testing.T) {
-	want := struct{ sent, bytes, pulls uint64 }{sent: 347, bytes: 34483, pulls: 69}
+	want := struct{ sent, bytes, pulls uint64 }{sent: 334, bytes: 35286, pulls: 22}
 	for _, lay := range laneLayouts {
 		t.Run(lay.name, func(t *testing.T) {
 			f := newLayoutFixture(t, lay.conductor, 21, relay.SqrtPush)
@@ -138,7 +138,6 @@ func TestParentInternedAtInjection(t *testing.T) {
 			if err := f.net.WireRandom(4); err != nil {
 				t.Fatal(err)
 			}
-			f.net.ParentPull = true
 			f.start(t)
 			chain := chainOf(4)
 			gateway := nodes[5]
@@ -153,12 +152,7 @@ func TestParentInternedAtInjection(t *testing.T) {
 			f.run(2)
 			f.net.FoldLanes()
 
-			var pulls uint64
-			for _, ct := range f.net.ClassTotals() {
-				if ct.Kind == MsgGetBlock {
-					pulls = ct.Messages
-				}
-			}
+			pulls := f.net.RelayCounters.ParentPulls
 			if pulls == 0 {
 				t.Fatal("no parent pull was sent; the test is vacuous")
 			}

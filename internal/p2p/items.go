@@ -1,10 +1,6 @@
 package p2p
 
-import (
-	"fmt"
-
-	"repro/internal/types"
-)
+import "repro/internal/types"
 
 // Compact item indices for the struct-of-arrays node core.
 //
@@ -22,10 +18,12 @@ import (
 //
 // Interning happens only while the run is single-threaded — Inject*
 // (phase A on region lanes) — and covers every hash a flight can name:
-// an injected block's own and its parent's, an injected transaction's.
-// What a lane runs only reads: lookup/mustLookup, or on a delivery no
-// map at all — the index travels in the flight and hashes (for a
-// transaction, Network.txs) gives it back.
+// an injected block's own and its parent's (whose index
+// Network.blockParent keeps beside the block's body), an injected
+// transaction's. What a lane runs only reads: lookup, or on a delivery
+// no map at all — the index travels in the flight, blockParent names
+// the parent a catch-up fetch asks for, and hashes (for a transaction,
+// Network.txs) gives the hash back.
 type itemIndex struct {
 	idx    map[types.Hash]int32
 	hashes []types.Hash
@@ -35,19 +33,6 @@ type itemIndex struct {
 func (x *itemIndex) lookup(h types.Hash) (int32, bool) {
 	i, ok := x.idx[h]
 	return i, ok
-}
-
-// mustLookup is lookup for a hash the interning invariant says is
-// present. A miss is a bug in whoever put the hash on the wire;
-// interning it here instead would be a concurrent map write on region
-// lanes. The panic is contained to the run.
-func (x *itemIndex) mustLookup(h types.Hash) int32 {
-	i, ok := x.idx[h]
-	if !ok {
-		panic(fmt.Sprintf("p2p: hash %v on the wire was never interned: every hash a flight can name "+
-			"must be interned by InjectBlock/InjectTx before a lane handles it", h))
-	}
-	return i
 }
 
 // intern returns h's index, assigning the next dense index on first

@@ -55,13 +55,15 @@ type Network struct {
 	top adjacency
 
 	// Compact item registries: blocks additionally keep the canonical
-	// body pointer for GetBlock serving, transactions the injected
+	// body pointer for GetBlock serving and their parent's index for
+	// the catch-up fetch (-1: none to fetch), transactions the injected
 	// object (txs[i] is the transaction interned as i), appended only by
 	// InjectTx.
-	blockIdx  itemIndex
-	blockBody []*types.Block
-	txIdx     itemIndex
-	txs       []*types.Transaction
+	blockIdx    itemIndex
+	blockBody   []*types.Block
+	blockParent []int32
+	txIdx       itemIndex
+	txs         []*types.Transaction
 
 	// Per-(node, item) dedup bits: full bodies received, hashes seen
 	// (received or announced), tx-pool visibility, and FIFO body-cache
@@ -96,10 +98,8 @@ type Network struct {
 
 	// lanes maps a region to the lane owning its nodes (1-based; slot 0
 	// unused) and all is the dense view for iteration, in region order.
-	// forked records that the lanes hold their RNG streams (forkLanes).
-	lanes  [geo.NumRegions + 1]*netLane
-	all    []*netLane
-	forked bool
+	lanes [geo.NumRegions + 1]*netLane
+	all   []*netLane
 
 	// cond and mergeInto are the conductor and the merge's
 	// per-destination job (shard.go); nil while the lanes share one
@@ -112,13 +112,6 @@ type Network struct {
 	// delay (degraded links). Healthy campaigns leave it nil, keeping
 	// the hot path branch-predictable.
 	Fault LinkFilter
-	// ParentPull enables the catch-up fetch: a node receiving a block
-	// whose parent it has never seen requests that parent from the
-	// sender. Real clients recover partition-era blocks through header
-	// sync; this is the minimal eth/63-shaped equivalent. Enabled only
-	// for fault campaigns so healthy runs stay byte-identical to the
-	// pre-fault engine.
-	ParentPull bool
 
 	// memberBits is the membership bitmap ConnectSampleBiased uses to
 	// filter candidates in O(1) per node; sampleLocal and sampleGlobal
@@ -218,9 +211,9 @@ var (
 )
 
 // NewNetwork creates an empty overlay whose region lanes all schedule
-// on engine, running the default sqrt-push relay discipline. rng is
-// the build stream (wiring draws); each lane forks its own stream from
-// it when traffic starts (forkLanes).
+// on engine, running the default sqrt-push relay discipline. Each lane
+// forks its own stream from rng here, in region order, before any
+// wiring draw; what is left of rng is the build stream.
 func NewNetwork(engine *sim.Engine, rng *sim.RNG, latency geo.LatencyModel) *Network {
 	net := &Network{
 		engine:  engine,
@@ -229,26 +222,11 @@ func NewNetwork(engine *sim.Engine, rng *sim.RNG, latency geo.LatencyModel) *Net
 	}
 	d := relay.MustNew(relay.Config{})
 	for r := geo.Region(1); r <= geo.NumRegions; r++ {
-		ln := &netLane{net: net, engine: engine, ctr: &net.transportCounters, relay: d, pos: len(net.all)}
+		ln := &netLane{net: net, engine: engine, rng: rng.Fork("lane-" + r.String()), ctr: &net.transportCounters, relay: d, pos: len(net.all)}
 		net.lanes[r] = ln
 		net.all = append(net.all, ln)
 	}
 	return net
-}
-
-// forkLanes gives each lane its RNG stream, forked from the network
-// stream in region order, once: at the first injection or at
-// EnableSharding, whichever comes first — after every build-time draw
-// (wiring, measurement and gateway peering), so the streams do not
-// depend on how the build went about its draws.
-func (net *Network) forkLanes() {
-	if net.forked {
-		return
-	}
-	net.forked = true
-	for r := geo.Region(1); r <= geo.NumRegions; r++ {
-		net.lanes[r].rng = net.rng.Fork("lane-" + r.String())
-	}
 }
 
 // AddNode registers a node in a region. maxPeers bounds how many

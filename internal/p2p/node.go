@@ -102,9 +102,7 @@ func (n *Node) KnowsBlock(h types.Hash) bool {
 // rememberBlock records node i's receipt of full block idx and caches
 // the body for serving pulls, evicting the oldest body past the cap.
 func (net *Network) rememberBlock(i, idx int32, b *types.Block) {
-	for int(idx) >= len(net.blockBody) {
-		net.blockBody = append(net.blockBody, nil)
-	}
+	net.growBlocks(int(idx) + 1)
 	net.haveBits.set(i, idx)
 	if net.blockBody[idx] == nil {
 		// The canonical body pointer for idx is always the same object
@@ -181,9 +179,7 @@ func (ln *netLane) handle(now sim.Time, f *flight) {
 			return
 		}
 		slot := net.markPeerKnows(i, f.item, fi, pos)
-		if net.ParentPull {
-			net.maybePullParent(now, f, b, pos)
-		}
+		ln.pullParent(now, f, pos)
 		net.acceptBlock(i, now, b, f.item, slot, false)
 	case MsgNewBlockHashes:
 		// The announcer evidently has the block.
@@ -201,9 +197,7 @@ func (ln *netLane) handle(now sim.Time, f *flight) {
 			return
 		}
 		slot := net.markPeerKnows(i, f.item, fi, pos)
-		if net.ParentPull {
-			net.maybePullParent(now, f, b, pos)
-		}
+		ln.pullParent(now, f, pos)
 		ln.reconstruct(now, f, pos, slot)
 	case MsgBlockTxns:
 		if ln.relay.Mode != relay.Compact {
@@ -234,25 +228,18 @@ func (net *Network) respPos(i, pos int32) int32 {
 // node swallows the injection — the submitter hit a dead endpoint.
 //
 // This is where block hashes are interned (phase A on conductor
-// lanes): the block's own and its parent's — the one other hash a
-// flight can name (maybePullParent), and one no injection interned if a
-// down gateway swallowed the parent. The first injection forks the
-// lanes' RNG streams (forkLanes).
+// lanes; internBlock).
 func (n *Node) InjectBlock(now sim.Time, b *types.Block) {
 	net := n.net
 	if b == nil || net.down[n.idx()] {
 		return
 	}
-	net.forkLanes()
 	// Force the block's lazily cached derived values while still
 	// single-threaded (injection runs in phase A). Peers in different
 	// lanes may serve the body concurrently later, and a first-call
 	// cache fill from phase B would race.
 	precomputeSizes(b)
-	idx := net.blockIdx.intern(b.Hash())
-	if b.Header.Number >= 2 {
-		net.blockIdx.intern(b.Header.ParentHash)
-	}
+	idx := net.internBlock(b)
 	net.acceptBlock(n.idx(), now, b, idx, slotUnknown, true)
 	// Size the shared bit grids for the new indices now, while lanes
 	// are idle. Growth from phase B would relocate grid storage under
@@ -274,7 +261,6 @@ func (n *Node) InjectTx(now sim.Time, tx *types.Transaction) {
 	if tx == nil || net.down[n.idx()] {
 		return
 	}
-	net.forkLanes()
 	// Same phase-A cache-fill rule as InjectBlock (intern fills the
 	// hash).
 	_ = tx.EncodedSize()
@@ -287,27 +273,57 @@ func (n *Node) InjectTx(now sim.Time, tx *types.Transaction) {
 	net.presizeArenas()
 }
 
-// maybePullParent is the catch-up fetch (Network.ParentPull): a block b,
-// delivered in f, whose parent was never received — the partition-era
-// gap — triggers a GetBlock for that parent from the block's sender.
+// internBlock interns block b's hash and, past height 1, its parent's —
+// the one other hash a flight can name (pullParent), and one no
+// injection interned if a down gateway swallowed the parent — and
+// records the parent's index beside the body, so a delivery reaches it
+// through no map. It runs only while the lanes are idle.
+func (net *Network) internBlock(b *types.Block) int32 {
+	idx := net.blockIdx.intern(b.Hash())
+	parent := int32(-1)
+	if b.Header.Number >= 2 {
+		parent = net.blockIdx.intern(b.Header.ParentHash)
+	}
+	net.growBlocks(len(net.blockIdx.hashes))
+	net.blockParent[idx] = parent
+	return idx
+}
+
+// growBlocks extends the per-block tables to n blocks: no body
+// published, no parent to fetch.
+func (net *Network) growBlocks(n int) {
+	for len(net.blockBody) < n {
+		net.blockBody = append(net.blockBody, nil)
+		net.blockParent = append(net.blockParent, -1)
+	}
+}
+
+// pullParent is the catch-up fetch: a block delivered in f that the
+// receiver does not hold yet, whose parent it has neither received nor
+// been announced — a gap left by a partition, a crash or a sqrt-bounded
+// wave that skipped the node — triggers a GetBlock for that parent from
+// the block's sender, as geth's block fetcher fetches unknown ancestry.
 // The response is a NewBlock, so the pull walks the missing ancestry
 // recursively until it reaches known ground; the sender serves from its
 // FIFO body cache, which comfortably covers any realistic outage
-// window. The pull is deliberately NOT recorded in seenHashes: a pull
-// can itself be lost to the very faults it recovers from, so every
-// received copy of a gap's descendant retries it (a handful of
-// redundant fetches, deduped by haveBlocks on arrival) until the parent
-// actually lands.
-func (net *Network) maybePullParent(now sim.Time, f *flight, b *types.Block, pos int32) {
-	if b.Header.Number < 2 {
+// window. A pull obeys the rule every fetch obeys: the parent is marked
+// seen when it is requested, so a node asks for a block once, and a
+// pull lost to a fault is recovered the way a lost announce pull is —
+// by a later push of the body — not by retrying on every copy of a
+// descendant. A copy of a held block asks nothing, so a redundant
+// delivery reads only the body bit acceptBlock reads anyway.
+func (ln *netLane) pullParent(now sim.Time, f *flight, pos int32) {
+	net := ln.net
+	if net.haveBits.get(f.to, f.item) {
 		return
 	}
-	parent := net.blockIdx.mustLookup(b.Header.ParentHash)
-	if net.haveBits.get(f.to, parent) {
+	parent := net.blockParent[f.item]
+	if parent < 0 || net.seenBits.get(f.to, parent) {
 		return
 	}
-	pull := flight{to: f.from, from: f.to, srcPos: net.respPos(f.to, pos), kind: MsgGetBlock, item: parent}
-	net.send(now+relay.AnnounceHandleDelay, &pull)
+	net.seenBits.set(f.to, parent)
+	ln.ctr.RelayCounters.ParentPulls++
+	net.request(f.to, f.from, pos, now+relay.AnnounceHandleDelay, MsgGetBlock, parent, 0, 0)
 }
 
 // acceptBlock records receipt of a full block body (interned as idx)

@@ -18,15 +18,16 @@ import (
 // runs through the same fixture network and must uphold the shared
 // invariants —
 //
-//  1. liveness: under push-all and hybrid every node holds every
-//     block at every seed of a fixed range; the sqrt-bounded
-//     disciplines can strand a node on a small overlay, so for them
-//     the share of seeds that strand one is held to what it was
-//     (TestProtocolLiveness);
+//  1. liveness: under sqrt-push, compact, push-all and hybrid a block
+//     with a child reaches every node but the child's miner at every
+//     seed of a fixed range — the catch-up fetch pulls what a wave
+//     skipped — and under push-all and hybrid every block reaches
+//     every node; what the sqrt-bounded waves leave stranded beyond
+//     that is held to the share of seeds it was (TestProtocolLiveness);
 //  2. no duplicate fetches: a node never issues the same body/sketch/
 //     missing-tx request twice for one block (duplicate *pushes* are
 //     legitimate redundancy, the paper's Table II; duplicate pulls
-//     would be protocol bugs);
+//     would be protocol bugs), at every seed of the liveness range;
 //  3. accounting: per-class bandwidth counters and per-node egress
 //     each sum exactly to Network.BytesSent (and ingress matches on a
 //     healthy, fully drained network);
@@ -57,6 +58,8 @@ type fixtureResult struct {
 	net    *p2p.Network
 	nodes  []*p2p.Node
 	blocks []*types.Block
+	// origins[k] is the node blocks[k] is injected at, its miner.
+	origins []*p2p.Node
 	// trace is the full delivery log: one line per observed message,
 	// node by node in node order, each node's in delivery order — the
 	// order a node sees its messages in is the schedule's, while the
@@ -64,7 +67,14 @@ type fixtureResult struct {
 	trace []string
 	// requests counts pull-request receptions per (requester, block,
 	// kind) — the duplicate-fetch invariant's evidence.
-	requests map[string]int
+	requests map[fetch]int
+}
+
+// fetch is one pull request: who asked, for which block, of what kind.
+type fetch struct {
+	from p2p.NodeID
+	want types.Hash
+	kind p2p.MsgKind
 }
 
 // runFixture builds a fresh overlay under the given protocol, gossips
@@ -78,8 +88,8 @@ func runFixture(t *testing.T, cfg relay.Config, seed uint64, conductor bool) *fi
 }
 
 // fixture is runFixture with the delivery trace optional: a run that
-// only asks who holds what skips the observers.
-func fixture(t *testing.T, cfg relay.Config, seed uint64, conductor, observe bool) *fixtureResult {
+// does not pin it records only the pull requests.
+func fixture(t *testing.T, cfg relay.Config, seed uint64, conductor, trace bool) *fixtureResult {
 	t.Helper()
 	engine, lanes := sim.NewEngine(), sim.NewEngine()
 	var cond *sim.Conductor
@@ -97,7 +107,7 @@ func fixture(t *testing.T, cfg relay.Config, seed uint64, conductor, observe boo
 	}
 	net.SetRelay(proto)
 
-	res := &fixtureResult{net: net, requests: map[string]int{}}
+	res := &fixtureResult{net: net, requests: map[fetch]int{}}
 	const nodeCount = 30
 	regions := geo.Regions()
 	for i := 0; i < nodeCount; i++ {
@@ -114,27 +124,28 @@ func fixture(t *testing.T, cfg relay.Config, seed uint64, conductor, observe boo
 		net.EnableSharding(cond)
 	}
 	traces := make([][]string, len(res.nodes))
-	if observe {
-		for k, n := range res.nodes {
-			n := n
-			n.SetObserver(func(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
-				key := ""
-				switch msg.Kind {
-				case p2p.MsgNewBlock, p2p.MsgCompactBlock:
-					key = fmt.Sprintf("%v|%d<-%d|%s|%s", now, n.ID(), from, msg.Kind, msg.Block.Hash())
-				case p2p.MsgNewBlockHashes:
-					key = fmt.Sprintf("%v|%d<-%d|%s|%s", now, n.ID(), from, msg.Kind, msg.Hashes[0])
-				default:
-					key = fmt.Sprintf("%v|%d<-%d|%s|%s", now, n.ID(), from, msg.Kind, msg.Want)
-				}
-				traces[k] = append(traces[k], key)
-				switch msg.Kind {
-				case p2p.MsgGetBlock, p2p.MsgGetCompact, p2p.MsgGetBlockTxns:
-					// The requester is `from`; this node is serving.
-					res.requests[fmt.Sprintf("%d|%s|%s", from, msg.Want, msg.Kind)]++
-				}
-			})
-		}
+	for k, n := range res.nodes {
+		n := n
+		n.SetObserver(func(now sim.Time, from p2p.NodeID, msg *p2p.Message) {
+			switch msg.Kind {
+			case p2p.MsgGetBlock, p2p.MsgGetCompact, p2p.MsgGetBlockTxns:
+				// The requester is `from`; this node is serving.
+				res.requests[fetch{from, msg.Want, msg.Kind}]++
+			}
+			if !trace {
+				return
+			}
+			key := ""
+			switch msg.Kind {
+			case p2p.MsgNewBlock, p2p.MsgCompactBlock:
+				key = fmt.Sprintf("%v|%d<-%d|%s|%s", now, n.ID(), from, msg.Kind, msg.Block.Hash())
+			case p2p.MsgNewBlockHashes:
+				key = fmt.Sprintf("%v|%d<-%d|%s|%s", now, n.ID(), from, msg.Kind, msg.Hashes[0])
+			default:
+				key = fmt.Sprintf("%v|%d<-%d|%s|%s", now, n.ID(), from, msg.Kind, msg.Want)
+			}
+			traces[k] = append(traces[k], key)
+		})
 	}
 
 	// Gossip a transaction population so compact reconstruction has a
@@ -175,6 +186,7 @@ func fixture(t *testing.T, cfg relay.Config, seed uint64, conductor, observe boo
 		parent = blk.Hash()
 		res.blocks = append(res.blocks, blk)
 		origin := res.nodes[(7*k)%len(res.nodes)]
+		res.origins = append(res.origins, origin)
 		engine.Schedule(sim.Time(10_000*(k+1)), func(now sim.Time) { origin.InjectBlock(now, blk) })
 	}
 
@@ -216,17 +228,14 @@ func checkConformance(t *testing.T, mode relay.Mode, conductor bool) {
 
 	// 1. Liveness, where it holds at every seed (TestProtocolLiveness
 	// has the rest).
-	if _, probabilistic := strandedAtModel2[mode.String()]; !probabilistic {
-		if miss := res.stranded(); miss != "" {
-			t.Fatalf("%s under %s", miss, mode)
-		}
+	base := strandedAtModel4[mode.String()]
+	if miss, gap := res.stranded(); miss != "" && (base.anyBlock == 0 || gap && base.ancestry == 0) {
+		t.Fatalf("%s under %s", miss, mode)
 	}
 
 	// 2. No duplicate fetches per (requester, block, kind).
-	for key, count := range res.requests {
-		if count > 1 {
-			t.Errorf("duplicate request %s issued %d times under %s", key, count, mode)
-		}
+	if dup := res.duplicateFetch(); dup != "" {
+		t.Errorf("%s under %s", dup, mode)
 	}
 
 	// 3. Accounting: class counters and per-node egress sum to
@@ -298,75 +307,124 @@ func checkConformance(t *testing.T, mode relay.Mode, conductor bool) {
 
 // The seed range TestProtocolLiveness sweeps: livenessSeeds seeds from
 // firstLivenessSeed on. Stranding is a rare event for sqrt-push and
-// compact (about 2% of seeds), so the range must be long for three
-// standard deviations to be a tight bound: over seeds 1..400 their
-// model-2 counts were 6 and 10, and a 400-seed window cannot tell a
-// rate of 1.5% from one of 3.5%.
+// compact (about 2% of seeds at model 2), so the range must be long
+// for three standard deviations to be a tight bound: over seeds 1..400
+// their model-2 counts were 6 and 10, and a 400-seed window cannot
+// tell a rate of 1.5% from one of 3.5%.
 const (
 	firstLivenessSeed = 1000
 	livenessSeeds     = 2000
 )
 
-// strandedAtModel2 is, per discipline whose liveness is probabilistic,
-// the number of seeds in the liveness range at which the fixture left
-// at least one node without some block under latency model version 2.
-// The announce waves are sqrt-bounded, so every wave can skip a node;
-// announce-only has no full-body push to make up for it. push-all and
-// hybrid stranded none.
-var strandedAtModel2 = map[string]int{
-	"sqrt-push":     39,
-	"announce-only": 1581,
-	"compact":       32,
+// strandedAtModel4 is, per discipline, the number of seeds in the
+// liveness range at which the fixture left some node without some
+// block (anyBlock), and without a block whose child that node did not mine
+// (ancestry), under model version 4. A zero count is exact: no seed
+// may strand. The announce waves are sqrt-bounded, so a wave can skip
+// a node; the catch-up fetch then pulls the block when its child
+// arrives, which leaves two strandable blocks: the final one, which has
+// no child, and one whose child the node mined itself — the fixture's
+// miners inject on a schedule, not on their own head, and an injection
+// has no sender to pull from. Under announce-only, which pushes no
+// full body, a child can miss a node too. push-all and hybrid strand
+// nothing. A discipline not listed strands nothing.
+var strandedAtModel4 = map[string]struct{ anyBlock, ancestry int }{
+	"sqrt-push":     {anyBlock: 7},
+	"announce-only": {anyBlock: 559, ancestry: 24},
+	"compact":       {anyBlock: 6},
 }
 
-// TestProtocolLiveness is invariant 1. Every discipline runs the
-// fixture at every seed of the liveness range on the serial loop (the
-// conductor runs the same schedule). push-all and hybrid must deliver
-// every block to every node at every seed. A sqrt-bounded discipline
-// may strand a node, but its stranded-seed count must stay within
-// three binomial standard deviations above its model-2 count: a relay
-// or latency change that makes stranding likelier fails here,
-// whichever seed the determinism pins use.
+// TestProtocolLiveness is invariant 1, and invariant 2 at every seed.
+// Every discipline runs the fixture at every seed of the liveness
+// range on the serial loop (the conductor runs the same schedule),
+// recording only the pull requests. A count strandedAtModel4 pins at
+// zero must stay zero; any other must stay within three binomial
+// standard deviations above its model-4 value: a relay or latency
+// change that makes stranding likelier fails here, whichever seed the
+// determinism pins use. No seed may issue a duplicate fetch.
 func TestProtocolLiveness(t *testing.T) {
 	for _, mode := range relay.Modes() {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
-			stranded, first := 0, ""
+			var anyBlock, ancestry stranded
 			for seed := uint64(firstLivenessSeed); seed < firstLivenessSeed+livenessSeeds; seed++ {
-				if miss := fixture(t, relay.Config{Mode: mode}, seed, false, false).stranded(); miss != "" {
-					if stranded == 0 {
-						first = fmt.Sprintf("seed %d: %s", seed, miss)
+				res := fixture(t, relay.Config{Mode: mode}, seed, false, false)
+				if dup := res.duplicateFetch(); dup != "" {
+					t.Fatalf("seed %d: %s under %s", seed, dup, mode)
+				}
+				if miss, gap := res.stranded(); miss != "" {
+					anyBlock.add(seed, miss)
+					if gap {
+						ancestry.add(seed, miss)
 					}
-					stranded++
 				}
 			}
-			base, probabilistic := strandedAtModel2[mode.String()]
-			if !probabilistic {
-				if stranded > 0 {
-					t.Fatalf("%d of %d seeds strand a node under %s; first %s", stranded, livenessSeeds, mode, first)
-				}
-				return
-			}
-			p := float64(base) / livenessSeeds
-			limit := float64(base) + 3*math.Sqrt(livenessSeeds*p*(1-p))
-			if float64(stranded) > limit {
-				t.Fatalf("%d of %d seeds strand a node under %s, limit %.1f (model 2: %d); first %s",
-					stranded, livenessSeeds, mode, limit, base, first)
-			}
-			t.Logf("%d of %d seeds strand a node (model 2: %d, limit %.1f)", stranded, livenessSeeds, base, limit)
+			base := strandedAtModel4[mode.String()]
+			anyBlock.check(t, mode, "any block", base.anyBlock)
+			ancestry.check(t, mode, "a block whose child it did not mine", base.ancestry)
 		})
 	}
 }
 
+// stranded tallies the seeds of a liveness sweep that strand a node.
+type stranded struct {
+	seeds int
+	first string
+}
+
+func (s *stranded) add(seed uint64, miss string) {
+	if s.seeds == 0 {
+		s.first = fmt.Sprintf("seed %d: %s", seed, miss)
+	}
+	s.seeds++
+}
+
+// check holds the tally to its model-4 count base: exactly zero when
+// base is, else within three binomial standard deviations above it.
+func (s *stranded) check(t *testing.T, mode relay.Mode, what string, base int) {
+	t.Helper()
+	if base == 0 {
+		if s.seeds > 0 {
+			t.Fatalf("%d of %d seeds strand %s under %s; first %s", s.seeds, livenessSeeds, what, mode, s.first)
+		}
+		return
+	}
+	p := float64(base) / livenessSeeds
+	limit := float64(base) + 3*math.Sqrt(livenessSeeds*p*(1-p))
+	if float64(s.seeds) > limit {
+		t.Fatalf("%d of %d seeds strand %s under %s, limit %.1f (model 4: %d); first %s",
+			s.seeds, livenessSeeds, what, mode, limit, base, s.first)
+	}
+	t.Logf("%d of %d seeds strand %s (model 4: %d, limit %.1f)", s.seeds, livenessSeeds, what, base, limit)
+}
+
 // stranded names the first (node, block) pair the run never delivered,
-// or returns "" when every node holds every block.
-func (r *fixtureResult) stranded() string {
-	for _, blk := range r.blocks {
+// or returns "" when every node holds every block; gap reports whether
+// some node lacks a block that has a child the node did not mine.
+func (r *fixtureResult) stranded() (miss string, gap bool) {
+	for k, blk := range r.blocks {
 		for _, n := range r.nodes {
-			if !n.KnowsBlock(blk.Hash()) {
-				return fmt.Sprintf("node %d never received block %d", n.ID(), blk.Header.Number)
+			if n.KnowsBlock(blk.Hash()) {
+				continue
 			}
+			if k+1 < len(r.blocks) && r.origins[k+1] != n {
+				return fmt.Sprintf("node %d never received block %d", n.ID(), blk.Header.Number), true
+			}
+			if miss == "" {
+				miss = fmt.Sprintf("node %d never received block %d", n.ID(), blk.Header.Number)
+			}
+		}
+	}
+	return miss, false
+}
+
+// duplicateFetch names a pull request the run issued more than once,
+// or returns "".
+func (r *fixtureResult) duplicateFetch() string {
+	for key, count := range r.requests {
+		if count > 1 {
+			return fmt.Sprintf("node %d issued %s for %s %d times", key.from, key.kind, key.want, count)
 		}
 	}
 	return ""
@@ -375,13 +433,13 @@ func (r *fixtureResult) stranded() string {
 // conformancePins is the SHA-256 of each discipline's fixture run
 // (fixtureResult.digest), one per discipline: the serial loop and the
 // conductor run the region lanes to one schedule. Recorded under
-// latency model version 3.
+// model version 4.
 var conformancePins = map[string]string{
-	"sqrt-push":     "2b4eb182b27b83c58b87a436d3782f507b3ee8c9c816deb31c9bda0de793abfd",
-	"push-all":      "610ab325e335288e1c3495618ec99b99062533878da9c340546fb2e54358b46d",
-	"announce-only": "b186d86e3735a669ad3c2d38ce926b800daecd565b25137d9e35fddb8df35d8a",
-	"compact":       "84d3760ab5319c11892b0c29aaf82f75a01e94b5b036c9f80a72ee369f2acabc",
-	"hybrid":        "c1f27b60efbfede41d1cbd1a291bd35ea5a773d626e448534ef7029108ec1e7e",
+	"sqrt-push":     "9c340a4f5ff71431c0838e5809aeaea0dc347565ca3410ab27fe4f9965a8a7cd",
+	"push-all":      "11edd46106c4ded3767e5a5830705a98bdf6c58c2018b30226aa38d427b33edd",
+	"announce-only": "73afa61832d5cc1ff404053b79369a1bd6551a9ae82f40e9504630c50fddb8ee",
+	"compact":       "bbc83825323dbca8c1ccb7225a9a87a36b5838d19aae8190f74ccfdf6b49836a",
+	"hybrid":        "f7ec4eacfb19f64f8986153d5e65d1c57e790143cbdef9496e08a2be65d51e12",
 }
 
 // digest hashes the run's delivery trace, its per-class transport
@@ -395,7 +453,7 @@ func (r *fixtureResult) digest() string {
 		fmt.Fprintln(h, ct.Kind, ct.Messages, ct.Bytes)
 	}
 	c := r.net.RelayCounters
-	fmt.Fprintln(h, c.SketchesSent, c.ReconstructFull, c.ReconstructPartial, c.ReconstructFallback, c.MissingTxs, c.MissingTxBytes)
+	fmt.Fprintln(h, c.SketchesSent, c.ReconstructFull, c.ReconstructPartial, c.ReconstructFallback, c.MissingTxs, c.MissingTxBytes, c.ParentPulls)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -53,8 +53,8 @@ func SketchWireBytes(n int) int {
 }
 
 // Counters is the relay accounting the bandwidth analysis reports.
-// Only the compact discipline populates it; every field is zero for
-// the disciplines without sketches.
+// Only the compact discipline populates the sketch fields; they are
+// zero for the disciplines without sketches.
 type Counters struct {
 	// SketchesSent counts compact sketches put on the wire (pushes and
 	// pull responses). A sketch received and not discarded as already
@@ -73,6 +73,9 @@ type Counters struct {
 	// through missing-tx round trips.
 	MissingTxs     uint64
 	MissingTxBytes uint64
+	// ParentPulls counts catch-up fetches: GetBlock requests for the
+	// unknown parent of a delivered block, under every discipline.
+	ParentPulls uint64
 }
 
 // Add accumulates o into c (region lanes fold into the network's
@@ -84,6 +87,7 @@ func (c *Counters) Add(o Counters) {
 	c.ReconstructFallback += o.ReconstructFallback
 	c.MissingTxs += o.MissingTxs
 	c.MissingTxBytes += o.MissingTxBytes
+	c.ParentPulls += o.ParentPulls
 }
 
 // Attempts returns the number of sketch reconstructions attempted.

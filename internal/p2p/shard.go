@@ -45,13 +45,11 @@ type crossMsg struct {
 
 // EnableSharding moves each region's lane onto its conductor region
 // lane, with its own cross-lane outboxes, counting privately until
-// FoldLanes. Call it after the overlay is built and before any traffic;
-// the lanes' RNG streams fork here (forkLanes), after all wiring draws.
+// FoldLanes. Call it after the overlay is built and before any traffic.
 func (net *Network) EnableSharding(cond *sim.Conductor) {
 	if cond.Regions() != geo.NumRegions {
 		panic("p2p: conductor must have one lane per region")
 	}
-	net.forkLanes()
 	for _, ln := range net.all {
 		ln.engine = cond.Lane(ln.pos)
 		ln.ctr = new(transportCounters)
@@ -63,7 +61,7 @@ func (net *Network) EnableSharding(cond *sim.Conductor) {
 }
 
 // presizeArenas is the conductor's AfterGlobal hook: it grows the
-// shared bit grids, the block-body table and the body-cache rings to
+// shared bit grids, the per-block tables and the body-cache rings to
 // cover every node and every item interned so far, so phase B lanes
 // never trigger a concurrent reallocation. New items only enter through phase A
 // (mining and workload injection); phase B never interns.
@@ -73,9 +71,7 @@ func (net *Network) presizeArenas() {
 	net.seenBits.presize(rows, blocks)
 	net.cachedBits.presize(rows, blocks)
 	net.txBits.presize(rows, int32(len(net.txIdx.hashes)))
-	for int(blocks) > len(net.blockBody) {
-		net.blockBody = append(net.blockBody, nil)
-	}
+	net.growBlocks(int(blocks))
 	// A node caches at most every interned block.
 	if s := min(blocks, blockCacheCap); s > net.cacheStride {
 		net.growCacheStride(s)

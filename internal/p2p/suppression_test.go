@@ -12,11 +12,7 @@ import (
 func zeroLatencyNetwork(t *testing.T, seed uint64) *Network {
 	t.Helper()
 	m := geo.LatencyModel{JitterSigma: 0, BytesPerMillisecond: 0, MinDelayMillis: 1}
-	net := NewNetwork(sim.NewEngine(), sim.NewRNG(seed), m)
-	// The tests below drive sends and deliveries directly, skipping the
-	// injection that forks the lanes' streams.
-	net.forkLanes()
-	return net
+	return NewNetwork(sim.NewEngine(), sim.NewRNG(seed), m)
 }
 
 func TestNoDuplicateSendsToSamePeer(t *testing.T) {
